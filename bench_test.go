@@ -474,62 +474,3 @@ func BenchmarkProofIssueVerify(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkAblation_IncrementalCounting contrasts the scan path (O(n)
-// in history length) against the engine-counter fast path (O(|C|)) for
-// the restricted-software ceiling.
-func BenchmarkAblation_IncrementalCounting(b *testing.B) {
-	build := func(incremental bool) (*core.Engine, *rbac.Session) {
-		e := core.NewEngine(temporal.NewSimClock(0))
-		if incremental {
-			e.EnableIncrementalCounting()
-		}
-		must := func(err error) {
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		must(e.RBAC.AddUser("o1"))
-		must(e.RBAC.AddRole("r"))
-		must(e.DefinePermission(core.PermSpec{
-			Perm:    rbac.Permission{ID: "p"},
-			Spatial: srac.AtMost(1_000_000, model.Selector{Resources: []model.ResourceID{"rsw"}}),
-		}))
-		must(e.RBAC.GrantPermission("r", "p"))
-		must(e.RBAC.AssignUserRole("o1", "r"))
-		sess, err := e.RBAC.CreateSession("o1")
-		must(err)
-		must(sess.ActivateRole("r"))
-		return e, sess
-	}
-	for _, histLen := range []int{100, 10000} {
-		hist := make([]model.Access, histLen)
-		for i := range hist {
-			hist[i] = model.NewAccess("o1", "execute", "rsw", "s1")
-		}
-		a := model.NewAccess("o1", "execute", "rsw", "s1")
-		b.Run(fmt.Sprintf("scan/history=%d", histLen), func(b *testing.B) {
-			e, sess := build(false)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if d := e.Authorize(core.Request{Session: sess, Access: a, History: hist}); !d.Granted {
-					b.Fatal(d.Reason)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("incremental/history=%d", histLen), func(b *testing.B) {
-			e, sess := build(true)
-			for i := 0; i < histLen; i++ {
-				e.RecordGrant(a)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if d := e.Authorize(core.Request{Session: sess, Access: a}); !d.Granted {
-					b.Fatal(d.Reason)
-				}
-			}
-		})
-	}
-}

@@ -21,6 +21,11 @@ go build ./...
 go vet ./...
 go test ./...
 go test -race ./...
+# The repository benchmark is its own module (stac/bench, replacing stac
+# with this tree), so ./... above never reaches it. It drives the
+# engine and srac APIs directly, so vet and test it here, or an API
+# change could break the benchmark silently.
+(cd bench && go vet ./... && go test ./... && go test -race ./...)
 # Fuzz smoke: a couple of seconds per target, so a crasher in any
 # parser/decoder surfaces in CI without a dedicated fuzzing job. The
 # seed corpora also run as plain tests in the passes above; this adds

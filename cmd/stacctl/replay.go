@@ -52,7 +52,6 @@ func cmdReplay(args []string) error {
 	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
 	walPath := fs.String("wal", "", "flight-recorder WAL file (stacd -record-wal); - for stdin")
 	policyArg := fs.String("policy", "", "policy the stream was recorded under (text or file)")
-	incremental := fs.Bool("incremental", false, "force the replay engine into incremental counting mode")
 	coverage := fs.Bool("coverage", false, "print the replay's SRAC clause coverage")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -64,9 +63,7 @@ func cmdReplay(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := core.Replay(textArg(*policyArg), recs, core.ReplayOptions{
-		Incremental: *incremental, Coverage: *coverage,
-	})
+	res, err := core.Replay(textArg(*policyArg), recs, core.ReplayOptions{Coverage: *coverage})
 	if err != nil {
 		return err
 	}
@@ -102,7 +99,6 @@ func cmdDiff(args []string) error {
 	fs := flag.NewFlagSet("diff", flag.ContinueOnError)
 	walPath := fs.String("wal", "", "flight-recorder WAL file (stacd -record-wal); - for stdin")
 	policyArg := fs.String("policy", "", "CANDIDATE policy to evaluate the stream against (text or file)")
-	incremental := fs.Bool("incremental", false, "force the candidate engine into incremental counting mode")
 	coverage := fs.Bool("coverage", false, "print the candidate policy's clause coverage over the stream")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -114,9 +110,7 @@ func cmdDiff(args []string) error {
 	if err != nil {
 		return err
 	}
-	rep, err := core.ShadowDiff(textArg(*policyArg), recs, core.ReplayOptions{
-		Incremental: *incremental, Coverage: *coverage,
-	})
+	rep, err := core.ShadowDiff(textArg(*policyArg), recs, core.ReplayOptions{Coverage: *coverage})
 	if err != nil {
 		return err
 	}

@@ -102,12 +102,10 @@ type options struct {
 	// evaluation: every request is decided by both policies, flips are
 	// counted and streamed, the served verdict never changes.
 	shadowPolicy string
-	// coverage tracks per-clause SRAC evaluation counts (served on
-	// /debug/coverage and folded into /debug/snapshot).
-	coverage bool
-	// cost tracks per-clause evaluation cost, static-check cost and
-	// re-walk amplification (served on /debug/cost and folded into
-	// /debug/snapshot; `stacctl heat` merges it fleet-wide).
+	// cost profiles every SRAC clause: evaluation coverage (served on
+	// /debug/coverage), evaluation cost, static-check cost and re-walk
+	// amplification (served on /debug/cost); both fold into
+	// /debug/snapshot, and `stacctl heat` merges the cost fleet-wide.
 	cost bool
 
 	// perfInterval drives the continuous-profiling ring: every interval
@@ -165,8 +163,7 @@ func main() {
 	flag.IntVar(&opts.recordCapacity, "record-capacity", 4096, "flight-recorder ring capacity")
 	flag.StringVar(&opts.recordWAL, "record-wal", "", "append every flight-recorder event as a JSON line to this file (implies -record); empty disables")
 	flag.StringVar(&opts.shadowPolicy, "shadow-policy", "", "evaluate this candidate policy file alongside the served one; flips are reported, verdicts unchanged")
-	flag.BoolVar(&opts.coverage, "coverage", true, "track per-clause SRAC evaluation coverage (/debug/coverage)")
-	flag.BoolVar(&opts.cost, "cost", true, "profile per-clause SRAC evaluation cost (/debug/cost)")
+	flag.BoolVar(&opts.cost, "cost", true, "profile per-clause SRAC evaluation coverage and cost (/debug/coverage, /debug/cost)")
 	flag.DurationVar(&opts.perfInterval, "perf-interval", 0, "continuous-profiling capture interval (/debug/perf); 0 disables the ring")
 	flag.DurationVar(&opts.perfCPUWindow, "perf-cpu-window", 2*time.Second, "CPU profile duration per capture round")
 	flag.IntVar(&opts.mutexFraction, "mutex-profile-fraction", 0, "runtime mutex profile sampling fraction (1 = every event); 0 leaves it off")
@@ -175,14 +172,17 @@ func main() {
 	flag.Float64Var(&opts.sloObjective, "slo-objective", 0.99, "fraction of decisions that must meet -slo-target")
 	flag.Parse()
 
+	// Own the stop signals before announcing "ready": a supervisor may
+	// stop the daemon the moment it is up, and that must be a graceful
+	// shutdown, not death by the signal's default action.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	app, err := start(opts, os.Stdout)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "stacd:", err)
 		os.Exit(1)
 	}
 	fmt.Println("ready")
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 	shutdown(app)
 }
@@ -237,9 +237,6 @@ func start(opts options, w io.Writer) (*app, error) {
 		}
 		a.auditFile = f
 		c.SetAuditSink(f)
-	}
-	if opts.coverage {
-		c.Engine.EnableCoverage()
 	}
 	if opts.cost {
 		c.Engine.EnableCostProfiling()

@@ -589,7 +589,6 @@ func TestStartWiresRecorderShadowAndCoverage(t *testing.T) {
 		recordCapacity: 128,
 		recordWAL:      walPath,
 		shadowPolicy:   shadowPath,
-		coverage:       true,
 		cost:           true,
 	}, &out)
 	if err != nil {

@@ -24,7 +24,7 @@ import (
 // contentionEngine builds an engine with nCreds registered credentials
 // (users u0..uN-1 sharing one role) and a counting-constrained
 // permission, and opens one session per credential.
-func contentionEngine(b *testing.B, nCreds int, incremental bool) (*core.Engine, []*rbac.Session) {
+func contentionEngine(b *testing.B, nCreds int) (*core.Engine, []*rbac.Session) {
 	b.Helper()
 	e := core.NewEngine(temporal.NewSimClock(0))
 	if err := e.RBAC.AddRole("traveler"); err != nil {
@@ -39,9 +39,6 @@ func contentionEngine(b *testing.B, nCreds int, incremental bool) (*core.Engine,
 	}
 	if err := e.RBAC.GrantPermission("traveler", "p-read"); err != nil {
 		b.Fatal(err)
-	}
-	if incremental {
-		e.EnableIncrementalCounting()
 	}
 	sessions := make([]*rbac.Session, nCreds)
 	for i := 0; i < nCreds; i++ {
@@ -70,46 +67,43 @@ func contentionEngine(b *testing.B, nCreds int, incremental bool) (*core.Engine,
 // BenchmarkE14_ContentionScaling drives G parallel credentials, each
 // authorizing its own accesses in a tight loop — independent
 // credentials, so a sharded engine should never make them contend.
-// The scan variant carries a short per-credential history; the
-// incremental variant exercises the counter fast path.
+// Each credential carries a short history.
 func BenchmarkE14_ContentionScaling(b *testing.B) {
-	for _, mode := range []string{"scan", "incremental"} {
-		for _, g := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/goroutines=%d", mode, g), func(b *testing.B) {
-				e, sessions := contentionEngine(b, g, mode == "incremental")
-				reqs := make([]core.Request, g)
-				for i := range reqs {
-					obj := model.ObjectID(fmt.Sprintf("u%d", i))
-					hist := make([]model.Access, 8)
-					for j := range hist {
-						hist[j] = model.Access{Object: obj, Op: model.OpRead, Resource: "f1", Server: "s1"}
-					}
-					reqs[i] = core.Request{
-						Session: sessions[i],
-						Access:  model.Access{Object: obj, Op: model.OpRead, Resource: "f1", Server: "s1"},
-						History: hist,
-						Proofs:  srac.AllProven,
+	for _, g := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("scan/goroutines=%d", g), func(b *testing.B) {
+			e, sessions := contentionEngine(b, g)
+			reqs := make([]core.Request, g)
+			for i := range reqs {
+				obj := model.ObjectID(fmt.Sprintf("u%d", i))
+				hist := make([]model.Access, 8)
+				for j := range hist {
+					hist[j] = model.Access{Object: obj, Op: model.OpRead, Resource: "f1", Server: "s1"}
+				}
+				reqs[i] = core.Request{
+					Session: sessions[i],
+					Access:  model.Access{Object: obj, Op: model.OpRead, Resource: "f1", Server: "s1"},
+					History: hist,
+					Proofs:  srac.AllProven,
+				}
+			}
+			var idx int64
+			b.ReportAllocs()
+			b.SetParallelism(1)
+			prev := runtime.GOMAXPROCS(g)
+			defer runtime.GOMAXPROCS(prev)
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				// Each parallel worker takes its own credential.
+				me := int(atomic.AddInt64(&idx, 1)-1) % g
+				req := reqs[me]
+				for pb.Next() {
+					if d := e.Authorize(req); !d.Granted {
+						b.Error(d.Reason)
+						return
 					}
 				}
-				var idx int64
-				b.ReportAllocs()
-				b.SetParallelism(1)
-				prev := runtime.GOMAXPROCS(g)
-				defer runtime.GOMAXPROCS(prev)
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					// Each parallel worker takes its own credential.
-					me := int(atomic.AddInt64(&idx, 1)-1) % g
-					req := reqs[me]
-					for pb.Next() {
-						if d := e.Authorize(req); !d.Granted {
-							b.Error(d.Reason)
-							return
-						}
-					}
-				})
 			})
-		}
+		})
 	}
 }
 
@@ -117,7 +111,7 @@ func BenchmarkE14_ContentionScaling(b *testing.B) {
 // against the batched AuthorizeMany entry point.
 func BenchmarkAuthorizeMany(b *testing.B) {
 	const burst = 64
-	e, sessions := contentionEngine(b, 1, false)
+	e, sessions := contentionEngine(b, 1)
 	reqs := make([]core.Request, burst)
 	for i := range reqs {
 		reqs[i] = core.Request{

@@ -10,7 +10,9 @@ package stac
 // when raw nanoseconds are machine-noisy.
 
 import (
+	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"testing"
@@ -36,6 +38,8 @@ grant worker p-scan
 grant worker p-count
 assign o1 worker
 `
+
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
 func TestCostBaselineArtifact(t *testing.T) {
 	e := core.NewEngine(temporal.NewSimClock(0))
@@ -111,6 +115,28 @@ func TestCostBaselineArtifact(t *testing.T) {
 	amp := rep.Amplification
 	if amp.PrefixEvals != 2*perPerm || amp.Appends != 2*perPerm {
 		t.Fatalf("amplification = %+v", amp)
+	}
+
+	// The clause coverage of this workload is timing-free, so it is
+	// pinned byte for byte: the table was captured while coverage still
+	// had its own cell table, and must reproduce from the cost cells.
+	cov, err := json.MarshalIndent(e.Coverage(), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cov = append(cov, '\n')
+	golden := filepath.Join("testdata", "cost_artifact_coverage.json")
+	if *updateGolden {
+		if err := os.WriteFile(golden, cov, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(cov, want) {
+		t.Fatalf("coverage diverges from %s:\n got %s\nwant %s", golden, cov, want)
 	}
 
 	if dir := os.Getenv("ARTIFACTS_DIR"); dir != "" {

@@ -1,16 +1,15 @@
 package core
 
-// Per-clause evaluation-cost profiling: with cost profiling enabled,
-// every spatial prefix evaluation also runs the srac cost walk — the
-// same transcription of evalPrefix that coverage projects — and folds
-// each clause's work (leaf evals, count-window merges, 1-in-64
-// sampled wall time) into an obs/cost.Collector keyed by the same
-// (perm, path) identity coverage uses. Static checks feed a
-// per-(program digest, policy digest) cost table, and every grant
+// Per-clause evaluation profiling: with the profiler enabled, every
+// spatial prefix evaluation also runs the srac cost walk and folds
+// each clause's outcome (the coverage tallies), decisiveness and work
+// (leaf evals, count-window merges, 1-in-64 sampled wall time) into an
+// obs/cost.Collector keyed by (perm, clause path). Static checks feed
+// a per-(program digest, policy digest) cost table, and every grant
 // bumps the re-walk amplification denominator. /debug/cost serves the
-// report; the federate poller folds it across the coalition; `stacctl
-// heat` ranks the result. This is the measured "before picture" for
-// the SRAC compilation arc (ROADMAP item 2).
+// cost report and /debug/coverage its coverage projection
+// (coverage.go); the federate poller folds both across the coalition;
+// `stacctl heat` ranks the result.
 
 import (
 	"crypto/sha256"
@@ -18,7 +17,6 @@ import (
 	"sync"
 	"time"
 
-	"stac/internal/model"
 	"stac/internal/obs/cost"
 	"stac/internal/rbac"
 	"stac/internal/srac"
@@ -26,13 +24,17 @@ import (
 	"stac/internal/trace"
 )
 
-// EnableCostProfiling turns on per-clause evaluation-cost accounting,
-// pre-seeding a cell for every clause of every registered permission
-// (so never-evaluated clauses appear with zero cost) and caching the
-// policy digest the static-check cost table is keyed under. The
-// collector instruments its stripes into the engine's current
-// registry; call after SetObs, before serving traffic.
+// EnableCostProfiling turns on per-clause evaluation profiling — cost
+// and clause coverage alike — pre-seeding a cell for every clause of
+// every registered permission (so never-evaluated clauses appear with
+// zero counts) and caching the policy digest the static-check cost
+// table is keyed under. The collector instruments its stripes into the
+// engine's current registry; call after SetObs, before serving
+// traffic. Later calls (and EnableCoverage) keep the running collector.
 func (e *Engine) EnableCostProfiling() {
+	if e.costC.Load() != nil {
+		return
+	}
 	col := cost.New()
 	col.Instrument(e.met.Load().reg)
 	e.policyMu.RLock()
@@ -41,16 +43,18 @@ func (e *Engine) EnableCostProfiling() {
 		specs = append(specs, ps)
 	}
 	e.policyMu.RUnlock()
-	e.costC.Store(col)
 	for _, ps := range specs {
-		e.seedCost(ps)
+		seedCost(col, ps)
 	}
 	e.refreshCostPolicyDigest()
-	e.costEnabled.Store(true)
+	// Publish last, after seeding: the collector pointer is the
+	// enabled flag the decision path reads.
+	e.costC.Store(col)
 }
 
-// CostEnabled reports whether evaluation-cost profiling is on.
-func (e *Engine) CostEnabled() bool { return e.costEnabled.Load() }
+// CostEnabled reports whether evaluation profiling (cost and coverage)
+// is on.
+func (e *Engine) CostEnabled() bool { return e.costC.Load() != nil }
 
 // CostReport snapshots the per-clause cost profile, static-check cost
 // table and re-walk amplification gauges (zero report when profiling
@@ -63,9 +67,8 @@ func (e *Engine) CostReport() cost.Report {
 	return col.Report()
 }
 
-func (e *Engine) seedCost(ps PermSpec) {
-	col := e.costC.Load()
-	if col == nil || ps.Spatial == nil {
+func seedCost(col *cost.Collector, ps PermSpec) {
+	if ps.Spatial == nil {
 		return
 	}
 	srac.WalkPaths(ps.Spatial, func(path string, c srac.Constraint) {
@@ -99,7 +102,10 @@ func costSamples(nodes []srac.NodeCost) *[]cost.NodeSample {
 	buf := costSamplePool.Get().(*[]cost.NodeSample)
 	out := (*buf)[:0]
 	for _, n := range nodes {
-		out = append(out, cost.NodeSample{Path: n.Path, Decisive: n.Decisive, Atoms: n.Atoms, Merges: n.Merges, NS: n.NS})
+		out = append(out, cost.NodeSample{
+			Path: n.Path, Outcome: outcomeOf(n.Status), Decisive: n.Decisive,
+			Atoms: n.Atoms, Merges: n.Merges, NS: n.NS,
+		})
 	}
 	*buf = out
 	return buf
@@ -109,9 +115,19 @@ func putCostSamples(buf *[]cost.NodeSample) {
 	costSamplePool.Put(buf)
 }
 
+func outcomeOf(s srac.Status) cost.Outcome {
+	switch s {
+	case srac.Satisfied:
+		return cost.Satisfied
+	case srac.Violated:
+		return cost.Violated
+	default:
+		return cost.Pending
+	}
+}
+
 // costClauseResolver names lazily created cells from the policy's
-// unstamped constraint, so one row covers every requesting object —
-// the same convention applyCoverage uses.
+// unstamped constraint, so one row covers every requesting object.
 func costClauseResolver(unstamped srac.Constraint) func(string) string {
 	return func(path string) string {
 		if c, ok := srac.SubclauseAt(unstamped, path); ok {
@@ -121,77 +137,15 @@ func costClauseResolver(unstamped srac.Constraint) func(string) string {
 	}
 }
 
-// costScan profiles a scan-path evaluation: the cost walk re-runs the
+// costScan profiles one prefix evaluation: the cost walk re-runs the
 // stamped constraint over the hypothetical post-state history with
 // detail-free leaves, so its sampled timings carry the firstMatch /
 // countProven history scans and none of the explanation formatting.
-func (e *Engine) costScan(perm rbac.PermID, unstamped, stamped srac.Constraint, hyp trace.Trace, oracle srac.ProofOracle) {
-	col := e.costC.Load()
-	if col == nil {
-		return
-	}
+// One walk feeds every per-clause tally, coverage included.
+func costScan(col *cost.Collector, perm rbac.PermID, unstamped, stamped srac.Constraint, hyp trace.Trace, oracle srac.ProofOracle) {
 	col.NoteScan(len(hyp))
 	sampled := col.SampleTick()
 	nodes, _ := srac.CoverCost(stamped, srac.PlainTraceLeafEval(hyp, oracle), sampled)
-	buf := costSamples(nodes)
-	col.Record(string(perm), sampled, *buf, costClauseResolver(unstamped))
-	putCostSamples(buf)
-}
-
-// costIncremental profiles a counter-path evaluation. Counter reads
-// are snapshotted under the counter read-lock first (countSnapshot)
-// and the cost walk runs lock-free over the snapshot, so e.cntMu and
-// the collector stripes are never held together.
-func (e *Engine) costIncremental(perm rbac.PermID, unstamped, stamped srac.Constraint, hyp model.Access) {
-	col := e.costC.Load()
-	if col == nil {
-		return
-	}
-	col.NoteIncremental()
-	counts := e.countSnapshot(stamped, hyp)
-	sampled := col.SampleTick()
-	nodes, _ := srac.CoverCost(stamped, srac.PlainCountLeafEval(func(x srac.Count) int {
-		return counts[selKey(x.Sel)]
-	}), sampled)
-	buf := costSamples(nodes)
-	col.Record(string(perm), sampled, *buf, costClauseResolver(unstamped))
-	putCostSamples(buf)
-}
-
-// coverCostScan runs ONE cost walk for a scan-path evaluation and
-// splits the result between the coverage and cost aggregations — the
-// path taken when both are enabled (the production default), so the
-// decision path never pays two AST walks.
-func (e *Engine) coverCostScan(perm rbac.PermID, unstamped, stamped srac.Constraint, hyp trace.Trace, oracle srac.ProofOracle) {
-	col := e.costC.Load()
-	if col == nil {
-		e.coverScan(perm, unstamped, stamped, hyp, oracle)
-		return
-	}
-	col.NoteScan(len(hyp))
-	sampled := col.SampleTick()
-	nodes, _ := srac.CoverCost(stamped, srac.PlainTraceLeafEval(hyp, oracle), sampled)
-	e.applyCoverage(perm, unstamped, srac.CoverageOf(nodes))
-	buf := costSamples(nodes)
-	col.Record(string(perm), sampled, *buf, costClauseResolver(unstamped))
-	putCostSamples(buf)
-}
-
-// coverCostIncremental is coverCostScan's counter-path twin: one cost
-// walk over the counter snapshot feeds both aggregations.
-func (e *Engine) coverCostIncremental(perm rbac.PermID, unstamped, stamped srac.Constraint, hyp model.Access) {
-	col := e.costC.Load()
-	if col == nil {
-		e.coverIncremental(perm, unstamped, stamped, hyp)
-		return
-	}
-	col.NoteIncremental()
-	counts := e.countSnapshot(stamped, hyp)
-	sampled := col.SampleTick()
-	nodes, _ := srac.CoverCost(stamped, srac.PlainCountLeafEval(func(x srac.Count) int {
-		return counts[selKey(x.Sel)]
-	}), sampled)
-	e.applyCoverage(perm, unstamped, srac.CoverageOf(nodes))
 	buf := costSamples(nodes)
 	col.Record(string(perm), sampled, *buf, costClauseResolver(unstamped))
 	putCostSamples(buf)
@@ -200,11 +154,7 @@ func (e *Engine) coverCostIncremental(perm rbac.PermID, unstamped, stamped srac.
 // costStatic folds one static-check run into the (program digest,
 // policy digest) cost table — the measured baseline for the planned
 // verdict cache keyed on exactly that pair.
-func (e *Engine) costStatic(program sral.Node, verdict srac.Verdict, elapsed time.Duration) {
-	col := e.costC.Load()
-	if col == nil {
-		return
-	}
+func (e *Engine) costStatic(col *cost.Collector, program sral.Node, verdict srac.Verdict, elapsed time.Duration) {
 	policy := ""
 	if p := e.costPolicy.Load(); p != nil {
 		policy = *p

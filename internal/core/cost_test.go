@@ -202,9 +202,9 @@ func TestCostMatchesCoverageScan(t *testing.T) {
 	}
 }
 
-// TestCostMatchesCoverageIncremental: the counter fast path records
-// the same reconciliation, and RecordGrant feeds the amplification
-// denominator.
+// TestCostMatchesCoverageIncremental: counting-only constraints decided
+// over a history that grows one grant at a time reconcile the same way,
+// and RecordGrant feeds the amplification denominator.
 func TestCostMatchesCoverageIncremental(t *testing.T) {
 	r := rand.New(rand.NewSource(431))
 	spatials := make([]srac.Constraint, 10)
@@ -212,25 +212,23 @@ func TestCostMatchesCoverageIncremental(t *testing.T) {
 		spatials[i] = randomCountingSpatial(r, 1+r.Intn(3))
 	}
 	e, sess := costEngine(t, spatials)
-	e.EnableIncrementalCounting()
+	var hist trace.Trace
 	grants := 0
 	for round := 0; round < 6; round++ {
 		for i := range spatials {
 			a := model.NewAccess("o1", "read", model.ResourceID(fmt.Sprintf("f%d", i)), "s1")
-			d := e.Authorize(Request{Session: sess, Access: a})
+			d := e.Authorize(Request{Session: sess, Access: a, History: hist})
 			if d.Granted {
 				e.RecordGrant(a)
+				hist = append(hist, a)
 				grants++
 			}
 		}
 	}
 	reconcileCostWithCoverage(t, e)
 	amp := e.CostReport().Amplification
-	if amp.PrefixEvals != int64(6*len(spatials)) {
-		t.Fatalf("prefix evals = %d, want %d", amp.PrefixEvals, 6*len(spatials))
-	}
-	if amp.ScanEvals != 0 {
-		t.Fatalf("scan evals = %d on the pure counter path", amp.ScanEvals)
+	if amp.PrefixEvals != int64(6*len(spatials)) || amp.ScanEvals != int64(6*len(spatials)) {
+		t.Fatalf("amplification %+v, want %d scan evals", amp, 6*len(spatials))
 	}
 	if amp.Appends != int64(grants) {
 		t.Fatalf("appends = %d, want %d grants", amp.Appends, grants)

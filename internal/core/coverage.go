@@ -1,62 +1,14 @@
 package core
 
-// SRAC clause coverage: with coverage enabled, every spatial prefix
-// evaluation also records, per subformula of the permission's
+// SRAC clause coverage: per subformula of each permission's
 // constraint, how often the clause was evaluated, what it evaluated
 // to, and how often it was DECISIVE — the clause srac.Attribute blames
 // the whole verdict on. Aggregated over traffic this exposes dead
 // clauses (never evaluated, or never decisive) that a policy author
 // can tighten or delete; /debug/coverage serves it and the federate
-// poller folds it across the coalition.
-
-import (
-	"sort"
-
-	"stac/internal/model"
-	"stac/internal/obs/perf"
-	"stac/internal/rbac"
-	"stac/internal/srac"
-	"stac/internal/trace"
-)
-
-// covKey addresses one clause of one permission's spatial constraint.
-type covKey struct {
-	perm rbac.PermID
-	path string
-}
-
-// covStripes shards the coverage cells by permission hash. Eight
-// stripes keeps hot permissions on distinct mutexes; each stripe is a
-// perf.Mutex, instrumented as coverage_00..coverage_07 alongside the
-// engine's other stripes.
-const covStripes = 8
-
-// covStripe is one hashed slice of the coverage cell table.
-type covStripe struct {
-	mu    perf.Mutex
-	cells map[covKey]*covCell
-}
-
-// covStripeFor hashes a permission onto its coverage stripe (FNV-1a).
-func (e *Engine) covStripeFor(perm rbac.PermID) *covStripe {
-	h := uint32(2166136261)
-	for i := 0; i < len(perm); i++ {
-		h ^= uint32(perm[i])
-		h *= 16777619
-	}
-	return &e.cov[h%covStripes]
-}
-
-// covCell accumulates one clause's outcomes; guarded by its stripe's
-// mutex.
-type covCell struct {
-	clause    string
-	evaluated int64
-	satisfied int64
-	violated  int64
-	pending   int64
-	decisive  int64
-}
+// poller folds it across the coalition. The tallies live in the cost
+// profiler's cells (see cost.go) — one walk, one table — and this file
+// projects them.
 
 // ClauseCoverage is the exported per-clause tally (one row of
 // /debug/coverage).
@@ -82,141 +34,30 @@ type ClauseCoverage struct {
 // evaluation ever reached it, or it was never the decisive clause.
 func (c ClauseCoverage) Dead() bool { return c.Decisive == 0 }
 
-// EnableCoverage turns on clause-coverage accounting and pre-seeds a
-// cell for every clause of every registered permission, so clauses
-// that never get evaluated still appear (with zero counts) — absence
-// of evidence is the finding, not a missing row.
-func (e *Engine) EnableCoverage() {
-	e.policyMu.RLock()
-	specs := make([]PermSpec, 0, len(e.specs))
-	for _, ps := range e.specs {
-		specs = append(specs, ps)
-	}
-	e.policyMu.RUnlock()
-	for _, ps := range specs {
-		e.seedCoverage(ps)
-	}
-	e.covEnabled.Store(true)
-}
-
-// CoverageEnabled reports whether clause coverage is being recorded.
-func (e *Engine) CoverageEnabled() bool { return e.covEnabled.Load() }
-
-func (e *Engine) seedCoverage(ps PermSpec) {
-	if ps.Spatial == nil {
-		return
-	}
-	st := e.covStripeFor(ps.Perm.ID)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	srac.WalkPaths(ps.Spatial, func(path string, c srac.Constraint) {
-		key := covKey{perm: ps.Perm.ID, path: path}
-		if _, ok := st.cells[key]; !ok {
-			st.cells[key] = &covCell{clause: srac.String(c)}
-		}
-	})
-}
+// EnableCoverage turns on clause-coverage accounting. Coverage is a
+// projection of the per-clause cost profiler, so this is
+// EnableCostProfiling: enabling either (or both) runs one collector.
+func (e *Engine) EnableCoverage() { e.EnableCostProfiling() }
 
 // Coverage returns the per-clause tallies, sorted by permission then
-// clause path (parents before children).
+// clause path (parents before children); nil when profiling is off.
 func (e *Engine) Coverage() []ClauseCoverage {
-	var out []ClauseCoverage
-	for i := range e.cov {
-		st := &e.cov[i]
-		st.mu.Lock()
-		for key, cell := range st.cells {
-			out = append(out, ClauseCoverage{
-				Perm:      string(key.perm),
-				Path:      key.path,
-				Clause:    cell.clause,
-				Evaluated: cell.evaluated,
-				Satisfied: cell.satisfied,
-				Violated:  cell.violated,
-				Pending:   cell.pending,
-				Decisive:  cell.decisive,
-			})
-		}
-		st.mu.Unlock()
+	clauses := e.CostReport().Clauses
+	if len(clauses) == 0 {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Perm != out[j].Perm {
-			return out[i].Perm < out[j].Perm
+	out := make([]ClauseCoverage, len(clauses))
+	for i, cc := range clauses {
+		out[i] = ClauseCoverage{
+			Perm:      cc.Perm,
+			Path:      cc.Path,
+			Clause:    cc.Clause,
+			Evaluated: cc.Evals,
+			Satisfied: cc.Satisfied,
+			Violated:  cc.Violated,
+			Pending:   cc.Pending,
+			Decisive:  cc.Decisive,
 		}
-		return out[i].Path < out[j].Path
-	})
+	}
 	return out
-}
-
-// applyCoverage folds one evaluation's node outcomes into the cells.
-// Clause text comes from the policy's unstamped constraint resolved
-// by path, NOT the stamped evaluation tree, so one row covers every
-// requesting object.
-func (e *Engine) applyCoverage(perm rbac.PermID, unstamped srac.Constraint, nodes []srac.NodeCoverage) {
-	st := e.covStripeFor(perm)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for _, n := range nodes {
-		key := covKey{perm: perm, path: n.Path}
-		cell, ok := st.cells[key]
-		if !ok {
-			cell = &covCell{}
-			if c, found := srac.SubclauseAt(unstamped, n.Path); found {
-				cell.clause = srac.String(c)
-			}
-			st.cells[key] = cell
-		}
-		cell.evaluated++
-		switch n.Status {
-		case srac.Satisfied:
-			cell.satisfied++
-		case srac.Violated:
-			cell.violated++
-		default:
-			cell.pending++
-		}
-		if n.Decisive {
-			cell.decisive++
-		}
-	}
-}
-
-// coverScan records coverage for a scan-path evaluation: the stamped
-// constraint against the hypothetical post-state history. The
-// detail-free leaf evaluator decides identically to the explaining
-// one; coverage only keeps (Status, Stable, Decisive), so the detail
-// strings would be formatted and dropped.
-func (e *Engine) coverScan(perm rbac.PermID, unstamped, stamped srac.Constraint, hyp trace.Trace, oracle srac.ProofOracle) {
-	nodes, _ := srac.Cover(stamped, srac.PlainTraceLeafEval(hyp, oracle))
-	e.applyCoverage(perm, unstamped, nodes)
-}
-
-// countSnapshot snapshots, under the counter read-lock, the observed
-// count of every counting atom in the stamped constraint including
-// the hypothetical requested access. Coverage and cost walks then run
-// lock-free over the snapshot, so e.cntMu and the coverage/cost
-// stripes are never held together.
-func (e *Engine) countSnapshot(stamped srac.Constraint, hyp model.Access) map[string]int {
-	counts := make(map[string]int)
-	e.cntMu.RLock()
-	srac.Walk(stamped, func(c srac.Constraint) bool {
-		if cnt, ok := c.(srac.Count); ok {
-			n := e.countForLocked(cnt.Sel)
-			if cnt.Sel.SelectAccess(hyp) {
-				n++
-			}
-			counts[selKey(cnt.Sel)] = n
-		}
-		return true
-	})
-	e.cntMu.RUnlock()
-	return counts
-}
-
-// coverIncremental records coverage for a counter-path evaluation.
-func (e *Engine) coverIncremental(perm rbac.PermID, unstamped, stamped srac.Constraint, hyp model.Access) {
-	counts := e.countSnapshot(stamped, hyp)
-	nodes, _ := srac.Cover(stamped, srac.PlainCountLeafEval(func(x srac.Count) int {
-		return counts[selKey(x.Sel)]
-	}))
-	e.applyCoverage(perm, unstamped, nodes)
 }

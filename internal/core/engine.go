@@ -171,16 +171,10 @@ type Engine struct {
 	// SetTracer for the same reason. Defaults to obs.DefaultTracer
 	// (sampling off), so an untraced engine pays only a nil-check.
 	tracer atomic.Pointer[obs.Tracer]
-	// incremental flags the counting fast path (see incremental.go);
-	// atomic so eligibility checks stay outside the engine lock.
-	incremental atomic.Bool
 	// recorder is the attached decision flight recorder (see
 	// record.go); nil when recording is off. Atomic for the same
 	// hot-path reason as met and tracer.
 	recorder atomic.Pointer[record.Recorder]
-	// coverage aggregates per-clause SRAC outcomes (see coverage.go);
-	// the flag is atomic so disabled engines pay one load per decision.
-	covEnabled atomic.Bool
 
 	// slo, when non-nil, classifies every decision latency against a
 	// latency objective and derives the burn rate (see perf.SLOTracker).
@@ -205,14 +199,6 @@ type Engine struct {
 	classes map[ClassID]Class
 	classOf map[rbac.PermID]ClassID
 
-	// cntMu guards the incremental counting state (see incremental.go).
-	// evalIncremental holds the read lock across its whole constraint
-	// walk so a decision sees an atomic counter snapshot; RecordGrant
-	// takes the write lock per executed access.
-	cntMu     perf.RWMutex
-	counters  map[string]int
-	selectors map[string]model.Selector
-
 	// shards hold the per-object runtime state (temporal trackers,
 	// budget series, arrival bookkeeping, recorder history bases),
 	// hashed by object ID. Independent credentials land on independent
@@ -220,23 +206,14 @@ type Engine struct {
 	// map lookup; mutation happens under the objectState's own lock.
 	shards [numShards]engineShard
 
-	// cov holds the per-permission SRAC clause coverage cells (see
-	// coverage.go), sharded by permission hash behind instrumented
-	// perf.Mutex stripes — separate from the tracker/spec state so
-	// coverage bookkeeping never contends with it, and visible in the
-	// lock-stripe telemetry instead of being an invisible global
-	// serialization point on the decide path.
-	cov [covStripes]covStripe
-
-	// costEnabled/costC hold the per-clause evaluation-cost profiler
-	// (see cost.go): the flag is atomic like covEnabled, and the
-	// collector pointer swaps atomically so a disabled engine pays one
-	// load per decision. costPolicy caches the current policy digest
-	// for the static-check cost table — recomputed on policy change,
-	// never on the decide path.
-	costEnabled atomic.Bool
-	costC       atomic.Pointer[cost.Collector]
-	costPolicy  atomic.Pointer[string]
+	// costC is the per-clause evaluation profiler — cost and clause
+	// coverage (see cost.go, coverage.go); nil when profiling is off,
+	// so a disabled engine pays one atomic load per decision.
+	// costPolicy caches the current policy digest for the static-check
+	// cost table — recomputed on policy change, never on the decide
+	// path.
+	costC      atomic.Pointer[cost.Collector]
+	costPolicy atomic.Pointer[string]
 }
 
 // numShards is the object-state shard count. Sized well above typical
@@ -352,9 +329,6 @@ func NewEngine(clock temporal.Clock) *Engine {
 	for i := range e.shards {
 		e.shards[i].objs = make(map[model.ObjectID]*objectState)
 	}
-	for i := range e.cov {
-		e.cov[i].cells = make(map[covKey]*covCell)
-	}
 	e.met.Store(newEngineMetrics(obs.Default))
 	e.instrumentLocks(obs.Default)
 	e.tracer.Store(obs.DefaultTracer)
@@ -369,12 +343,8 @@ func NewEngine(clock temporal.Clock) *Engine {
 // telemetry exactly as they merge decision counters.
 func (e *Engine) instrumentLocks(r *obs.Registry) {
 	e.policyMu.Instrument(perf.NewLockStats(r, "policy"))
-	e.cntMu.Instrument(perf.NewLockStats(r, "counters"))
 	for i := range e.shards {
 		e.shards[i].mu.Instrument(perf.NewLockStats(r, fmt.Sprintf("shard_%02d", i)))
-	}
-	for i := range e.cov {
-		e.cov[i].mu.Instrument(perf.NewLockStats(r, fmt.Sprintf("coverage_%02d", i)))
 	}
 	if col := e.costC.Load(); col != nil {
 		col.Instrument(r)
@@ -458,16 +428,8 @@ func (e *Engine) DefinePermission(ps PermSpec) error {
 	e.policyMu.Lock()
 	e.specs[ps.Perm.ID] = ps
 	e.policyMu.Unlock()
-	if e.incremental.Load() {
-		e.cntMu.Lock()
-		e.registerSelectorsLocked(ps)
-		e.cntMu.Unlock()
-	}
-	if e.covEnabled.Load() {
-		e.seedCoverage(ps)
-	}
-	if e.costEnabled.Load() {
-		e.seedCost(ps)
+	if col := e.costC.Load(); col != nil {
+		seedCost(col, ps)
 		e.refreshCostPolicyDigest()
 	}
 	return nil
@@ -698,6 +660,7 @@ func (e *Engine) authorize(tc obs.TraceContext, t *obs.Tracer, req Request, m *e
 
 	// --- Spatial constraint (Expression 3.1). ---
 	if ps.Spatial != nil {
+		col := e.costC.Load()
 		stamped := srac.StampObject(ps.Spatial, obj)
 		// check(P, C): a program that can never satisfy C disqualifies
 		// the object up front. Constraints that mention a companion's
@@ -710,8 +673,8 @@ func (e *Engine) authorize(tc obs.TraceContext, t *obs.Tracer, req Request, m *e
 			d.ProgramVerdict = srac.CheckProgram(req.Program, stamped, obj)
 			checkElapsed := time.Since(checkStart)
 			m.staticCheck.Observe(checkElapsed)
-			if e.costEnabled.Load() {
-				e.costStatic(req.Program, d.ProgramVerdict, checkElapsed)
+			if col != nil {
+				e.costStatic(col, req.Program, d.ProgramVerdict, checkElapsed)
 			}
 			csp.SetAttr("verdict", d.ProgramVerdict.String())
 			csp.Finish()
@@ -728,84 +691,38 @@ func (e *Engine) authorize(tc obs.TraceContext, t *obs.Tracer, req Request, m *e
 				return d
 			}
 		}
-		if e.incrementalEligible(ps) {
-			// Counting-only fast path: decide from engine counters in
-			// O(|C|), no history scan (see incremental.go).
-			esp, _ := t.StartSpan(tc, "prefix_eval")
-			esp.SetService("engine")
-			evalStart := time.Now()
-			d.Spatial = e.evalIncremental(stamped, req.Access)
-			m.prefixEval.ObserveSince(evalStart)
-			esp.SetAttr("path", "incremental")
-			esp.SetAttr("status", d.Spatial.String())
-			esp.Finish()
-			// One walk feeds both aggregations when coverage and cost
-			// are on together (the production default).
-			switch {
-			case e.covEnabled.Load():
-				if e.costEnabled.Load() {
-					e.coverCostIncremental(perm.ID, ps.Spatial, stamped, req.Access)
-				} else {
-					e.coverIncremental(perm.ID, ps.Spatial, stamped, req.Access)
-				}
-			case e.costEnabled.Load():
-				e.costIncremental(perm.ID, ps.Spatial, stamped, req.Access)
-			}
-			if d.Spatial == srac.Violated {
-				d.Deny = DenySpatialViolated
-				d.Reason = fmt.Sprintf("spatial constraint %s irreversibly violated",
-					srac.String(ps.Spatial))
-				d.Explanation = spatialExplanation(ps.Spatial, e.attributeIncremental(stamped, req.Access))
-				return d
-			}
-			if ps.Mode == Strict && d.Spatial != srac.Satisfied {
-				d.Deny = DenySpatialStrict
-				d.Reason = fmt.Sprintf("spatial constraint %s not yet satisfied (strict mode)",
-					srac.String(ps.Spatial))
-				d.Explanation = spatialExplanation(ps.Spatial, e.attributeIncremental(stamped, req.Access))
-				return d
-			}
-		} else {
-			// Prefix evaluation of the post-state: the requested access
-			// is hypothetically performed and proven.
-			hyp := req.History.Concat(trace.Trace{req.Access})
-			oracle := srac.HypotheticalOracle(req.Proofs, req.Access)
-			esp, _ := t.StartSpan(tc, "prefix_eval")
-			esp.SetService("engine")
-			evalStart := time.Now()
-			d.Spatial = srac.EvalPrefix(hyp, stamped, oracle)
-			strictOK := d.Spatial != srac.Violated &&
-				(ps.Mode != Strict || srac.SatisfiesTrace(hyp, stamped, oracle))
-			m.prefixEval.ObserveSince(evalStart)
-			esp.SetAttr("path", "scan")
-			esp.SetAttr("status", d.Spatial.String())
-			esp.SetAttr("history_len", strconv.Itoa(len(hyp)))
-			esp.Finish()
-			switch {
-			case e.covEnabled.Load():
-				if e.costEnabled.Load() {
-					e.coverCostScan(perm.ID, ps.Spatial, stamped, hyp, oracle)
-				} else {
-					e.coverScan(perm.ID, ps.Spatial, stamped, hyp, oracle)
-				}
-			case e.costEnabled.Load():
-				e.costScan(perm.ID, ps.Spatial, stamped, hyp, oracle)
-			}
-			if d.Spatial == srac.Violated {
-				d.Deny = DenySpatialViolated
-				d.Reason = fmt.Sprintf("spatial constraint %s irreversibly violated",
-					srac.String(ps.Spatial))
-				d.Explanation = spatialExplanation(ps.Spatial, srac.Attribute(hyp, stamped, oracle))
-				return d
-			}
-			if !strictOK {
-				d.Spatial = srac.Pending
-				d.Deny = DenySpatialStrict
-				d.Reason = fmt.Sprintf("spatial constraint %s not yet satisfied (strict mode)",
-					srac.String(ps.Spatial))
-				d.Explanation = spatialExplanation(ps.Spatial, srac.Attribute(hyp, stamped, oracle))
-				return d
-			}
+		// Prefix evaluation of the post-state: the requested access is
+		// hypothetically performed and proven.
+		hyp := req.History.Concat(trace.Trace{req.Access})
+		oracle := srac.HypotheticalOracle(req.Proofs, req.Access)
+		esp, _ := t.StartSpan(tc, "prefix_eval")
+		esp.SetService("engine")
+		evalStart := time.Now()
+		d.Spatial = srac.EvalPrefix(hyp, stamped, oracle)
+		strictOK := d.Spatial != srac.Violated &&
+			(ps.Mode != Strict || srac.SatisfiesTrace(hyp, stamped, oracle))
+		m.prefixEval.ObserveSince(evalStart)
+		esp.SetAttr("path", "scan")
+		esp.SetAttr("status", d.Spatial.String())
+		esp.SetAttr("history_len", strconv.Itoa(len(hyp)))
+		esp.Finish()
+		if col != nil {
+			costScan(col, perm.ID, ps.Spatial, stamped, hyp, oracle)
+		}
+		if d.Spatial == srac.Violated {
+			d.Deny = DenySpatialViolated
+			d.Reason = fmt.Sprintf("spatial constraint %s irreversibly violated",
+				srac.String(ps.Spatial))
+			d.Explanation = spatialExplanation(ps.Spatial, srac.Attribute(hyp, stamped, oracle))
+			return d
+		}
+		if !strictOK {
+			d.Spatial = srac.Pending
+			d.Deny = DenySpatialStrict
+			d.Reason = fmt.Sprintf("spatial constraint %s not yet satisfied (strict mode)",
+				srac.String(ps.Spatial))
+			d.Explanation = spatialExplanation(ps.Spatial, srac.Attribute(hyp, stamped, oracle))
+			return d
 		}
 	}
 

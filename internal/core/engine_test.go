@@ -398,7 +398,7 @@ permission p read f @ * {
 func TestAuthorizeConcurrent(t *testing.T) {
 	spatial := srac.AtMost(1000000, model.Selector{Ops: []model.Operation{"read"}})
 	e, sess, _ := testEngine(t, spatial, 1e9, temporal.GlobalBase)
-	e.EnableIncrementalCounting()
+	e.EnableCostProfiling()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -417,12 +417,9 @@ func TestAuthorizeConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	// All 1600 grants counted.
-	total := 0
-	for _, v := range e.Counters() {
-		total += v
-	}
-	if total != 3200 { // global + stamped variant per grant
-		t.Fatalf("counter total = %d", total)
+	// All 1600 decisions and grants counted by the profiler.
+	amp := e.CostReport().Amplification
+	if amp.PrefixEvals != 1600 || amp.Appends != 1600 {
+		t.Fatalf("amplification = %+v, want 1600 evals and appends", amp)
 	}
 }

@@ -84,7 +84,7 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 		authorize: r.Histogram("stac_authz_seconds", "",
 			"End-to-end Engine.Authorize latency.", authzBuckets),
 		prefixEval: r.Histogram("stac_authz_prefix_eval_seconds", "",
-			"Spatial prefix-evaluation latency (scan or incremental path).", authzBuckets),
+			"Spatial prefix-evaluation latency (history scan).", authzBuckets),
 		staticCheck: r.Histogram("stac_authz_static_check_seconds", "",
 			"check(P, C) static program-check latency.", authzBuckets),
 		batchSize: r.Histogram("stac_authz_batch_size", "",

@@ -89,37 +89,6 @@ func TestAuthorizeNegatedCountStrict(t *testing.T) {
 	}
 }
 
-func TestAuthorizeNegatedCountIncremental(t *testing.T) {
-	// The incremental (counter) path must mirror the scan path's sound
-	// negation: ¬count with a finite ceiling is never Violated, so
-	// Admissible mode keeps granting.
-	e, sess := negEngine(t, 1, Admissible)
-	e.EnableIncrementalCounting()
-	a := model.NewAccess("o1", "execute", "rsw", "s1")
-	for i := 0; i < 3; i++ {
-		d := e.Authorize(Request{Session: sess, Access: a})
-		if !d.Granted {
-			t.Fatalf("incremental access %d denied under sound negation: %s", i+1, d)
-		}
-		e.RecordGrant(a)
-	}
-
-	// Strict-mode incremental: denied (pending) in range, granted once
-	// the recorded count crosses the ceiling.
-	e2, sess2 := negEngine(t, 1, Strict)
-	e2.EnableIncrementalCounting()
-	d := e2.Authorize(Request{Session: sess2, Access: a})
-	if d.Granted || d.Deny != DenySpatialStrict {
-		t.Fatalf("incremental strict in range: %s (deny=%q)", d, d.Deny)
-	}
-	e2.RecordGrant(a)
-	e2.RecordGrant(a)
-	d = e2.Authorize(Request{Session: sess2, Access: a})
-	if !d.Granted {
-		t.Fatalf("incremental strict after ceiling crossed: %s", d)
-	}
-}
-
 func TestAuthorizeDenyReasons(t *testing.T) {
 	e, sess := negEngine(t, 1, Strict)
 	valid := model.NewAccess("o1", "execute", "rsw", "s1")

@@ -17,7 +17,6 @@ import (
 // always instrumented.
 func detachLockStats(e *Engine) {
 	e.policyMu.Instrument(nil)
-	e.cntMu.Instrument(nil)
 	for i := range e.shards {
 		e.shards[i].mu.Instrument(nil)
 	}
@@ -100,17 +99,14 @@ func benchSpatialEngine(b *testing.B) (*Engine, Request) {
 }
 
 // BenchmarkE17_CostProfilingOverhead runs the same constrained
-// Authorize tour with clause coverage on in both arms (the production
-// default since the coverage PR) and cost profiling toggled. With both
-// on, the engine runs ONE shared cost walk and splits it between the
-// aggregations, so the profiled arm pays only the per-clause cell
-// updates, the amplification counters and the 1-in-64 timing samples.
-// The EXPERIMENTS E17 acceptance bar is <3% delta between the arms.
+// Authorize tour with the per-clause profiler (cost and coverage, one
+// collector) on and off. The profiled arm pays one cost walk, the
+// per-clause cell updates, the amplification counters and the 1-in-64
+// timing samples.
 func BenchmarkE17_CostProfilingOverhead(b *testing.B) {
 	for _, arm := range []string{"profiled", "detached"} {
 		b.Run(arm, func(b *testing.B) {
 			e, req := benchSpatialEngine(b)
-			e.EnableCoverage()
 			if arm == "profiled" {
 				e.EnableCostProfiling()
 			}

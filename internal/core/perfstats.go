@@ -6,17 +6,17 @@ import (
 )
 
 // This file is the engine's side of the perf subsystem: it snapshots
-// the instrumented lock stripes (policy, counters, and the 32 object
-// shards) plus shard population, derives imbalance ratios, and
-// publishes the derived gauges so a /metrics scrape carries them
-// alongside the per-stripe wait/hold histograms the stripes feed
-// directly.
+// the instrumented lock stripes (policy and the 32 object shards, plus
+// the cost collector's stripes when profiling is on) and shard
+// population, derives imbalance ratios, and publishes the derived
+// gauges so a /metrics scrape carries them alongside the per-stripe
+// wait/hold histograms the stripes feed directly.
 
 // PerfStats is a point-in-time view of the engine's hot-path health.
 type PerfStats struct {
 	// Stripes holds one snapshot per instrumented lock stripe: policy,
-	// counters, shard_00..shard_31, the coverage stripes, and (when
-	// cost profiling is on) the cost-collector stripes.
+	// shard_00..shard_31, and (when profiling is on) the cost-collector
+	// stripes.
 	Stripes []perf.LockSnapshot `json:"stripes"`
 	// ShardObjects is the object population per shard; ObjectImbalance
 	// is max/mean over it (1.0 = perfectly even hash), and
@@ -35,12 +35,12 @@ type PerfStats struct {
 // decision exemplars.
 func (e *Engine) PerfStats() PerfStats {
 	st := PerfStats{
-		Stripes:      make([]perf.LockSnapshot, 0, numShards+covStripes+2),
+		Stripes:      make([]perf.LockSnapshot, 0, numShards+1),
 		ShardObjects: make([]int64, numShards),
 		SLO:          e.SLOSnapshot(),
 		Exemplars:    e.DecisionExemplars(),
 	}
-	st.Stripes = append(st.Stripes, e.policyMu.Stats().Snapshot(), e.cntMu.Stats().Snapshot())
+	st.Stripes = append(st.Stripes, e.policyMu.Stats().Snapshot())
 	acquires := make([]int64, 0, numShards)
 	for i := range e.shards {
 		sh := &e.shards[i]
@@ -50,11 +50,6 @@ func (e *Engine) PerfStats() PerfStats {
 		sh.mu.RLock()
 		st.ShardObjects[i] = int64(len(sh.objs))
 		sh.mu.RUnlock()
-	}
-	for i := range e.cov {
-		if s := e.cov[i].mu.Stats(); s != nil {
-			st.Stripes = append(st.Stripes, s.Snapshot())
-		}
 	}
 	if col := e.costC.Load(); col != nil {
 		for _, s := range col.LockStats() {

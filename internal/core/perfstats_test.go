@@ -52,12 +52,11 @@ func TestPerfStatsStripesAndImbalance(t *testing.T) {
 		}
 	}
 	st := e.PerfStats()
-	if len(st.Stripes) != numShards+covStripes+2 {
-		t.Fatalf("stripes = %d, want %d", len(st.Stripes), numShards+covStripes+2)
+	if len(st.Stripes) != numShards+1 {
+		t.Fatalf("stripes = %d, want %d", len(st.Stripes), numShards+1)
 	}
-	if st.Stripes[0].Stripe != "policy" || st.Stripes[1].Stripe != "counters" ||
-		st.Stripes[2].Stripe != "shard_00" {
-		t.Fatalf("stripe names: %q %q %q", st.Stripes[0].Stripe, st.Stripes[1].Stripe, st.Stripes[2].Stripe)
+	if st.Stripes[0].Stripe != "policy" || st.Stripes[1].Stripe != "shard_00" {
+		t.Fatalf("stripe names: %q %q", st.Stripes[0].Stripe, st.Stripes[1].Stripe)
 	}
 	// Every decision read-locks the policy stripe at least once.
 	if st.Stripes[0].RAcquire < 10 {

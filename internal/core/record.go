@@ -78,7 +78,15 @@ func (e *Engine) recordSession(kind string, sess *rbac.Session, obj model.Object
 	})
 }
 
-func (e *Engine) recordGrantEvent(a model.Access) {
+// RecordGrant tells the engine an access was actually performed (the
+// proof was issued). Servers call it once per granted access: the
+// flight recorder logs a grant record, and the cost profiler counts
+// one history append — the denominator of its re-walk amplification
+// gauge.
+func (e *Engine) RecordGrant(a model.Access) {
+	if col := e.costC.Load(); col != nil {
+		col.NoteAppend()
+	}
 	rec := e.recorder.Load()
 	if rec == nil {
 		return
@@ -105,12 +113,11 @@ func (e *Engine) recordDecide(tc obs.TraceContext, req Request, d Decision) {
 		// The decide record reuses the decision's own stamp (the one
 		// on the wire reply), not a fresh tick: the journal event and
 		// what the requesting agent observed must be the same instant.
-		HLC:         d.HLC.String(),
-		Object:      string(req.Access.Object),
-		Server:      string(req.Access.Server),
-		Op:          string(req.Access.Op),
-		Resource:    string(req.Access.Resource),
-		Incremental: e.incremental.Load(),
+		HLC:      d.HLC.String(),
+		Object:   string(req.Access.Object),
+		Server:   string(req.Access.Server),
+		Op:       string(req.Access.Op),
+		Resource: string(req.Access.Resource),
 
 		Granted:        d.Granted,
 		Perm:           string(d.Perm),

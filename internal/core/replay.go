@@ -25,10 +25,6 @@ import (
 
 // ReplayOptions tunes a replay run.
 type ReplayOptions struct {
-	// Incremental forces the replay engine into incremental counting
-	// mode. When false, the mode is auto-detected from the stream's
-	// decide records (they carry the live engine's mode flag).
-	Incremental bool
 	// Coverage enables clause-coverage accounting on the replay
 	// engine, so an offline run can report which clauses of the
 	// (candidate) policy were decisive over the recorded traffic.
@@ -223,22 +219,12 @@ func recordedDigest(records []record.Record) string {
 // replayStream drives a fresh engine (policy policySrc, SimClock)
 // through the recorded event stream in sequence order, calling visit
 // for every decide record with the replayed decision. It returns the
-// engine so callers can inspect digests, counters and coverage.
+// engine so callers can inspect digests and coverage.
 func replayStream(policySrc string, records []record.Record, opts ReplayOptions, visit func(record.Record, Decision)) (*Engine, error) {
 	clk := temporal.NewSimClock(0)
 	e := NewEngine(clk)
 	if err := LoadPolicyString(e, policySrc); err != nil {
 		return nil, fmt.Errorf("replay: load policy: %w", err)
-	}
-	incremental := opts.Incremental
-	for _, rec := range records {
-		if rec.Kind == record.KindDecide && rec.Incremental {
-			incremental = true
-			break
-		}
-	}
-	if incremental {
-		e.EnableIncrementalCounting()
 	}
 	if opts.Coverage {
 		e.EnableCoverage()

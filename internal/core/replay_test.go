@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
@@ -36,16 +37,13 @@ assign o2 surveyor
 // role activations, a mix of granted and denied accesses (spatial
 // ceiling, strict-mode gate, temporal exhaustion), departures. It
 // returns the recorder's stream and the decisions taken.
-func liveRun(t *testing.T, incremental bool) ([]record.Record, []Decision) {
+func liveRun(t *testing.T) ([]record.Record, []Decision) {
 	t.Helper()
 	clk := temporal.NewSimClock(0)
 	e := NewEngine(clk)
 	e.SetObs(obs.NewRegistry())
 	if err := LoadPolicyString(e, replayPolicy); err != nil {
 		t.Fatal(err)
-	}
-	if incremental {
-		e.EnableIncrementalCounting()
 	}
 	rec := record.New(record.Config{Capacity: 256, Registry: obs.NewRegistry()})
 	e.SetRecorder(rec)
@@ -104,12 +102,37 @@ func liveRun(t *testing.T, incremental bool) ([]record.Record, []Decision) {
 	return rec.Records(), decisions
 }
 
-func TestReplayReproducesLiveRunScan(t *testing.T) { testReplayReproduces(t, false) }
+func TestReplayReproducesLiveRunScan(t *testing.T) {
+	records, decisions := liveRun(t)
+	testReplayReproduces(t, records, decisions)
+}
 
-func TestReplayReproducesLiveRunIncremental(t *testing.T) { testReplayReproduces(t, true) }
+// Streams recorded while the engine still had an incremental counting
+// mode carry "incremental":true on their decide records. The flag is
+// no longer part of the schema: such lines still decode (unknown
+// fields are ignored) and replay deterministically on the one
+// evaluation path.
+func TestReplayReproducesLiveRunIncremental(t *testing.T) {
+	records, decisions := liveRun(t)
+	var wal bytes.Buffer
+	for _, r := range records {
+		if err := record.Encode(&wal, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	legacy := bytes.ReplaceAll(wal.Bytes(), []byte(`"kind":"decide"`), []byte(`"kind":"decide","incremental":true`))
+	if n := bytes.Count(legacy, []byte(`"incremental":true`)); n != len(decisions) {
+		t.Fatalf("flagged %d decide lines, want %d", n, len(decisions))
+	}
+	decoded, err := record.ReadAll(bytes.NewReader(legacy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	testReplayReproduces(t, decoded, decisions)
+}
 
-func testReplayReproduces(t *testing.T, incremental bool) {
-	records, decisions := liveRun(t, incremental)
+func testReplayReproduces(t *testing.T, records []record.Record, decisions []Decision) {
+	t.Helper()
 	res, err := Replay(replayPolicy, records, ReplayOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -141,37 +164,31 @@ func testReplayReproduces(t *testing.T, incremental bool) {
 	}
 }
 
-// Property: random itineraries replay deterministically, on both
-// evaluation paths.
+// Property: random itineraries replay deterministically.
 func TestReplayPropertyRandomItineraries(t *testing.T) {
-	for _, incremental := range []bool{false, true} {
-		r := rand.New(rand.NewSource(331))
-		for iter := 0; iter < 30; iter++ {
-			records, n := randomLiveRun(t, r, incremental)
-			res, err := Replay(replayPolicy, records, ReplayOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Decisions != n {
-				t.Fatalf("incremental=%v iter %d: replayed %d of %d decisions", incremental, iter, res.Decisions, n)
-			}
-			if !res.Deterministic() {
-				t.Fatalf("incremental=%v iter %d: replay diverged: %+v", incremental, iter, res.Divergences)
-			}
+	r := rand.New(rand.NewSource(331))
+	for iter := 0; iter < 30; iter++ {
+		records, n := randomLiveRun(t, r)
+		res, err := Replay(replayPolicy, records, ReplayOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Decisions != n {
+			t.Fatalf("iter %d: replayed %d of %d decisions", iter, res.Decisions, n)
+		}
+		if !res.Deterministic() {
+			t.Fatalf("iter %d: replay diverged: %+v", iter, res.Divergences)
 		}
 	}
 }
 
-func randomLiveRun(t *testing.T, r *rand.Rand, incremental bool) ([]record.Record, int) {
+func randomLiveRun(t *testing.T, r *rand.Rand) ([]record.Record, int) {
 	t.Helper()
 	clk := temporal.NewSimClock(0)
 	e := NewEngine(clk)
 	e.SetObs(obs.NewRegistry())
 	if err := LoadPolicyString(e, replayPolicy); err != nil {
 		t.Fatal(err)
-	}
-	if incremental {
-		e.EnableIncrementalCounting()
 	}
 	rec := record.New(record.Config{Capacity: 512, Registry: obs.NewRegistry()})
 	e.SetRecorder(rec)
@@ -230,9 +247,34 @@ func randomLiveRun(t *testing.T, r *rand.Rand, incremental bool) ([]record.Recor
 	return rec.Records(), decisions
 }
 
+// RecordGrant only feeds the flight recorder and the cost profiler:
+// with neither attached it leaves no trace, and with both it logs one
+// grant record and one history append.
+func TestRecordGrantNoopWhenDisabled(t *testing.T) {
+	e := NewEngine(nil)
+	a := model.NewAccess("o1", "read", "f", "s")
+	e.RecordGrant(a)
+	if e.CostEnabled() || e.Recorder() != nil {
+		t.Fatal("RecordGrant enabled recording or profiling")
+	}
+
+	e.SetObs(obs.NewRegistry())
+	e.EnableCostProfiling()
+	rec := record.New(record.Config{Capacity: 4, Registry: obs.NewRegistry()})
+	e.SetRecorder(rec)
+	e.RecordGrant(a)
+	if amp := e.CostReport().Amplification; amp.Appends != 1 {
+		t.Fatalf("appends = %d, want 1 (the grant before profiling must not count)", amp.Appends)
+	}
+	recs := rec.Records()
+	if len(recs) != 1 || recs[0].Kind != record.KindGrant || recs[0].Resource != "f" {
+		t.Fatalf("records = %+v, want one grant record", recs)
+	}
+}
+
 // A corrupted stream must surface as a divergence, not silently pass.
 func TestReplayDetectsTamperedVerdict(t *testing.T) {
-	records, _ := liveRun(t, false)
+	records, _ := liveRun(t)
 	tampered := false
 	for i := range records {
 		if records[i].Kind == record.KindDecide && records[i].Granted {
@@ -257,7 +299,7 @@ func TestReplayDetectsTamperedVerdict(t *testing.T) {
 // ShadowDiff against a tightened count ceiling must flip exactly the
 // grants beyond the new ceiling and blame the ceiling clause.
 func TestShadowDiffTightenedCeiling(t *testing.T) {
-	records, decisions := liveRun(t, false)
+	records, decisions := liveRun(t)
 	candidate := strings.Replace(replayPolicy, "count(0, 3, sigma[op=read])", "count(0, 1, sigma[op=read])", 1)
 	rep, err := ShadowDiff(candidate, records, ReplayOptions{Coverage: true})
 	if err != nil {
@@ -295,7 +337,7 @@ func TestShadowDiffTightenedCeiling(t *testing.T) {
 // A loosened policy flips denials to grants, attributed via the
 // RECORDED explanation.
 func TestShadowDiffLoosenedCeiling(t *testing.T) {
-	records, _ := liveRun(t, false)
+	records, _ := liveRun(t)
 	candidate := strings.Replace(replayPolicy, "count(0, 3, sigma[op=read])", "count(0, 30, sigma[op=read])", 1)
 	candidate = strings.Replace(candidate, "duration 10s", "duration 1000s", 1)
 	rep, err := ShadowDiff(candidate, records, ReplayOptions{})
@@ -321,7 +363,7 @@ func TestShadowDiffLoosenedCeiling(t *testing.T) {
 
 // Replay under a different policy is reported as a policy mismatch.
 func TestReplayFlagsPolicyMismatch(t *testing.T) {
-	records, _ := liveRun(t, false)
+	records, _ := liveRun(t)
 	other := strings.Replace(replayPolicy, "count(0, 3, sigma[op=read])", "count(0, 2, sigma[op=read])", 1)
 	res, err := Replay(other, records, ReplayOptions{})
 	if err != nil {
@@ -353,7 +395,7 @@ func TestCoverageMarksDecisiveAndDeadClauses(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.EnableCoverage()
-	if !e.CoverageEnabled() {
+	if !e.CostEnabled() {
 		t.Fatal("coverage not enabled")
 	}
 	sess, err := e.RBAC.CreateSession("o1")

@@ -232,99 +232,95 @@ func TestAuthorizeManyMatchesAuthorize(t *testing.T) {
 
 // TestShardedContentionReconciliation hammers one engine from many
 // goroutines — each its own credential — while budget sampling, policy
-// dumps and counter snapshots run concurrently, then reconciles the
+// dumps and coverage snapshots run concurrently, then reconciles the
 // registry counters and the recorder against the ground truth. Run
 // with -race (ci.sh does) this is the shard-refactor data-race net.
 func TestShardedContentionReconciliation(t *testing.T) {
-	for _, mode := range []string{"scan", "incremental"} {
-		t.Run(mode, func(t *testing.T) {
-			const workers = 8
-			const iters = 150
-			e, sessions := tourEngine(t, workers, nil)
-			reg := obs.NewRegistry()
-			e.SetObs(reg)
-			if mode == "incremental" {
-				e.EnableIncrementalCounting()
-			}
-			rec := record.New(record.Config{Capacity: 16 * workers * iters, Registry: obs.NewRegistry()})
-			e.SetRecorder(rec)
+	t.Run("scan", func(t *testing.T) {
+		const workers = 8
+		const iters = 150
+		e, sessions := tourEngine(t, workers, nil)
+		reg := obs.NewRegistry()
+		e.SetObs(reg)
+		e.EnableCostProfiling()
+		rec := record.New(record.Config{Capacity: 16 * workers * iters, Registry: obs.NewRegistry()})
+		e.SetRecorder(rec)
 
-			var granted, denied int64
-			stop := make(chan struct{})
-			var aux sync.WaitGroup
-			aux.Add(1)
-			go func() {
-				defer aux.Done()
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-						e.SampleBudgets(0)
-						e.Counters()
-						_ = DumpPolicy(e)
-					}
-				}
-			}()
-
-			var wg sync.WaitGroup
-			for g := 0; g < workers; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					obj := model.ObjectID(fmt.Sprintf("u%d", g))
-					var hist trace.Trace
-					for i := 0; i < iters; i++ {
-						a := model.Access{Object: obj, Op: model.OpRead, Resource: model.ResourceID(fmt.Sprintf("f%d", i)), Server: "s1"}
-						var d Decision
-						if i%16 == 7 {
-							// A denial (unauthenticated) mixed into the stream.
-							d = e.Authorize(Request{Access: a})
-						} else if i%8 < 4 {
-							d = e.Authorize(Request{Session: sessions[g], Access: a, History: hist})
-						} else {
-							d = e.AuthorizeMany([]Request{{Session: sessions[g], Access: a, History: hist}})[0]
-						}
-						if d.Granted {
-							atomic.AddInt64(&granted, 1)
-							hist = append(hist, a)
-							e.RecordGrant(a)
-						} else {
-							atomic.AddInt64(&denied, 1)
-						}
-						if i%40 == 39 {
-							e.ObjectArrived(obj, "s1")
-						}
-					}
-				}(g)
-			}
-			wg.Wait()
-			close(stop)
-			aux.Wait()
-
-			gotGranted := reg.Counter("stac_authz_granted_total", "", "").Value()
-			if gotGranted != granted {
-				t.Errorf("granted counter = %d, want %d", gotGranted, granted)
-			}
-			gotDenied := reg.Counter("stac_authz_denied_total", obs.Label("reason", string(DenyNoSession)), "").Value()
-			if gotDenied != denied {
-				t.Errorf("denied(no_session) counter = %d, want %d", gotDenied, denied)
-			}
-			var decides, grants int64
-			for _, r := range rec.Records() {
-				switch r.Kind {
-				case record.KindDecide:
-					decides++
-				case record.KindGrant:
-					grants++
+		var granted, denied int64
+		stop := make(chan struct{})
+		var aux sync.WaitGroup
+		aux.Add(1)
+		go func() {
+			defer aux.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					e.SampleBudgets(0)
+					e.Coverage()
+					_ = DumpPolicy(e)
 				}
 			}
-			if want := granted + denied; decides != want {
-				t.Errorf("recorder decide records = %d, want %d", decides, want)
+		}()
+
+		var wg sync.WaitGroup
+		for g := 0; g < workers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				obj := model.ObjectID(fmt.Sprintf("u%d", g))
+				var hist trace.Trace
+				for i := 0; i < iters; i++ {
+					a := model.Access{Object: obj, Op: model.OpRead, Resource: model.ResourceID(fmt.Sprintf("f%d", i)), Server: "s1"}
+					var d Decision
+					if i%16 == 7 {
+						// A denial (unauthenticated) mixed into the stream.
+						d = e.Authorize(Request{Access: a})
+					} else if i%8 < 4 {
+						d = e.Authorize(Request{Session: sessions[g], Access: a, History: hist})
+					} else {
+						d = e.AuthorizeMany([]Request{{Session: sessions[g], Access: a, History: hist}})[0]
+					}
+					if d.Granted {
+						atomic.AddInt64(&granted, 1)
+						hist = append(hist, a)
+						e.RecordGrant(a)
+					} else {
+						atomic.AddInt64(&denied, 1)
+					}
+					if i%40 == 39 {
+						e.ObjectArrived(obj, "s1")
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		close(stop)
+		aux.Wait()
+
+		gotGranted := reg.Counter("stac_authz_granted_total", "", "").Value()
+		if gotGranted != granted {
+			t.Errorf("granted counter = %d, want %d", gotGranted, granted)
+		}
+		gotDenied := reg.Counter("stac_authz_denied_total", obs.Label("reason", string(DenyNoSession)), "").Value()
+		if gotDenied != denied {
+			t.Errorf("denied(no_session) counter = %d, want %d", gotDenied, denied)
+		}
+		var decides, grants int64
+		for _, r := range rec.Records() {
+			switch r.Kind {
+			case record.KindDecide:
+				decides++
+			case record.KindGrant:
+				grants++
 			}
-			if grants != granted {
-				t.Errorf("recorder grant records = %d, want %d", grants, granted)
-			}
-		})
-	}
+		}
+		if want := granted + denied; decides != want {
+			t.Errorf("recorder decide records = %d, want %d", decides, want)
+		}
+		if grants != granted {
+			t.Errorf("recorder grant records = %d, want %d", grants, granted)
+		}
+	})
 }

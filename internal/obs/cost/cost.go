@@ -6,15 +6,17 @@
 // every access, so evaluation cost scales with history length ×
 // formula size. One coarse prefix-eval histogram cannot say WHERE
 // that product lands; this package can. A Collector aggregates, per
-// (permission, clause-path) — the same identity the attribution and
-// coverage layers key on — how often each clause was evaluated, how
-// many leaf evaluations (atoms) its subtree performed, how many
-// allocating count-window merges it triggered, and a 1-in-64
-// deterministically sampled cumulative wall-clock time. On top it
-// keeps two whole-engine gauges: re-walk amplification (prefix evals
-// and history entries walked per appended access — the history-length
-// tax) and a per-(program digest, policy digest) static-check cost
-// table, the measured baseline for the item-2 verdict cache.
+// (permission, clause-path) — the identity attribution keys on — how
+// often each clause was evaluated and with what outcome
+// (satisfied/violated/pending, the clause-coverage tallies), how often
+// it was decisive, how many leaf evaluations (atoms) its subtree
+// performed, how many allocating count-window merges it triggered, and
+// a 1-in-64 deterministically sampled cumulative wall-clock time. On
+// top it keeps two whole-engine gauges: re-walk amplification (prefix
+// evals and history entries walked per appended access — the
+// history-length tax) and a per-(program digest, policy digest)
+// static-check cost table, the measured baseline for the item-2
+// verdict cache.
 //
 // Like obs/perf, the package is stdlib-only and engine-agnostic: the
 // engine translates its srac node costs into NodeSample values, so
@@ -42,10 +44,22 @@ const (
 	sampleMask = 63
 )
 
+// Outcome is a clause's three-valued verdict in one prefix
+// evaluation.
+type Outcome uint8
+
+// Clause outcomes, as the coverage tallies split evaluations.
+const (
+	Satisfied Outcome = iota
+	Violated
+	Pending
+)
+
 // NodeSample is one clause's outcome and work in a single prefix
 // evaluation, translated from the evaluator's cost walk.
 type NodeSample struct {
 	Path     string
+	Outcome  Outcome
 	Decisive bool
 	Atoms    int
 	Merges   int
@@ -57,6 +71,9 @@ type NodeSample struct {
 type cell struct {
 	clause       string
 	evals        int64
+	satisfied    int64
+	violated     int64
+	pending      int64
 	decisive     int64
 	atoms        int64
 	merges       int64
@@ -133,7 +150,6 @@ type Collector struct {
 	seq atomic.Uint64
 
 	prefixEvals atomic.Int64
-	scanEvals   atomic.Int64
 	scanEntries atomic.Int64
 	appends     atomic.Int64
 
@@ -229,6 +245,14 @@ func (c *Collector) Record(perm string, sampled bool, nodes []NodeSample, clause
 		n := &nodes[i]
 		cl := p.at(n.Path, &from, clauseAt)
 		cl.evals++
+		switch n.Outcome {
+		case Satisfied:
+			cl.satisfied++
+		case Violated:
+			cl.violated++
+		default:
+			cl.pending++
+		}
 		cl.atoms += int64(n.Atoms)
 		cl.merges += int64(n.Merges)
 		if n.Decisive {
@@ -241,19 +265,11 @@ func (c *Collector) Record(perm string, sampled bool, nodes []NodeSample, clause
 	}
 }
 
-// NoteScan records one scan-path prefix evaluation that walked
-// histLen history entries — the numerator of the re-walk
-// amplification gauges.
+// NoteScan records one prefix evaluation that walked histLen history
+// entries — the numerator of the re-walk amplification gauges.
 func (c *Collector) NoteScan(histLen int) {
 	c.prefixEvals.Add(1)
-	c.scanEvals.Add(1)
 	c.scanEntries.Add(int64(histLen))
-}
-
-// NoteIncremental records one incremental-path prefix evaluation
-// (counter reads, no history walk).
-func (c *Collector) NoteIncremental() {
-	c.prefixEvals.Add(1)
 }
 
 // NoteAppend records one access appended to some object history — the
@@ -288,6 +304,13 @@ type ClauseCost struct {
 	// it.
 	Evals    int64 `json:"evals"`
 	Decisive int64 `json:"decisive"`
+	// Satisfied/Violated/Pending split Evals by the clause's own
+	// outcome. They are the clause-coverage tallies, served as
+	// coverage rows (core.Engine.Coverage) rather than cost rows, so
+	// they stay out of the cost JSON.
+	Satisfied int64 `json:"-"`
+	Violated  int64 `json:"-"`
+	Pending   int64 `json:"-"`
 	// Atoms is the cumulative leaf-evaluation count of the clause's
 	// subtree; Merges the cumulative allocating count-window merges.
 	Atoms  int64 `json:"atoms"`
@@ -317,8 +340,8 @@ type StaticCost struct {
 // Amplification is the re-walk amplification gauge: how much prefix
 // evaluation the engine performs per unit of actual history growth.
 type Amplification struct {
-	// PrefixEvals counts all prefix evaluations (scan + incremental);
-	// ScanEvals the scan-path subset; ScanEntries the cumulative
+	// PrefixEvals counts all prefix evaluations; ScanEvals equals it
+	// (every evaluation scans the history); ScanEntries the cumulative
 	// history entries those scans walked; Appends the accesses
 	// actually appended to histories.
 	PrefixEvals int64 `json:"prefix_evals"`
@@ -354,6 +377,7 @@ func (c *Collector) Report() Report {
 				cc := ClauseCost{
 					Perm: perm, Path: e.path, Clause: cl.clause,
 					Evals: cl.evals, Decisive: cl.decisive,
+					Satisfied: cl.satisfied, Violated: cl.violated, Pending: cl.pending,
 					Atoms: cl.atoms, Merges: cl.merges,
 					SampledEvals: cl.sampledEvals, SampledNS: cl.sampledNS,
 				}
@@ -394,9 +418,10 @@ func (c *Collector) Report() Report {
 }
 
 func (c *Collector) amplification() Amplification {
+	evals := c.prefixEvals.Load()
 	a := Amplification{
-		PrefixEvals: c.prefixEvals.Load(),
-		ScanEvals:   c.scanEvals.Load(),
+		PrefixEvals: evals,
+		ScanEvals:   evals,
 		ScanEntries: c.scanEntries.Load(),
 		Appends:     c.appends.Load(),
 	}

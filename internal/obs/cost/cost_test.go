@@ -35,13 +35,13 @@ func TestRecordAggregatesPerClause(t *testing.T) {
 	// left leaf once, the right leaf never visited past the root's
 	// short-circuit on the second round.
 	c.Record("read-f", true, []NodeSample{
-		{Path: "", Decisive: false, Atoms: 2, NS: 300},
-		{Path: "l", Decisive: true, Atoms: 1, NS: 200},
-		{Path: "r", Atoms: 1, Merges: 1, NS: 100},
+		{Path: "", Outcome: Violated, Decisive: false, Atoms: 2, NS: 300},
+		{Path: "l", Outcome: Violated, Decisive: true, Atoms: 1, NS: 200},
+		{Path: "r", Outcome: Pending, Atoms: 1, Merges: 1, NS: 100},
 	}, nil)
 	c.Record("read-f", false, []NodeSample{
-		{Path: "", Decisive: true, Atoms: 1},
-		{Path: "l", Atoms: 1},
+		{Path: "", Outcome: Pending, Decisive: true, Atoms: 1},
+		{Path: "l", Outcome: Satisfied, Atoms: 1},
 	}, nil)
 
 	rep := c.Report()
@@ -66,6 +66,13 @@ func TestRecordAggregatesPerClause(t *testing.T) {
 	r := by["r"]
 	if r.Evals != 1 || r.Merges != 1 || r.Decisive != 0 {
 		t.Fatalf("r = %+v", r)
+	}
+	// The outcome tallies split each clause's evals.
+	for path, want := range map[string][3]int64{"": {0, 1, 1}, "l": {1, 1, 0}, "r": {0, 0, 1}} {
+		cc := by[path]
+		if got := [3]int64{cc.Satisfied, cc.Violated, cc.Pending}; got != want {
+			t.Fatalf("%q satisfied/violated/pending = %v, want %v", path, got, want)
+		}
 	}
 }
 
@@ -95,20 +102,17 @@ func TestRecordResolvesClauseLazily(t *testing.T) {
 
 func TestAmplificationGauges(t *testing.T) {
 	c := New()
-	// 3 appends; each triggers one scan over a growing history plus one
-	// incremental re-check.
-	for i, histLen := range []int{0, 1, 2} {
-		_ = i
+	// 3 appends; each triggers one scan over a growing history.
+	for _, histLen := range []int{0, 1, 2} {
 		c.NoteAppend()
 		c.NoteScan(histLen)
-		c.NoteIncremental()
 	}
 	a := c.Report().Amplification
-	if a.PrefixEvals != 6 || a.ScanEvals != 3 || a.ScanEntries != 3 || a.Appends != 3 {
+	if a.PrefixEvals != 3 || a.ScanEvals != 3 || a.ScanEntries != 3 || a.Appends != 3 {
 		t.Fatalf("amplification = %+v", a)
 	}
-	if a.EvalsPerAppend != 2 {
-		t.Fatalf("EvalsPerAppend = %v, want 2", a.EvalsPerAppend)
+	if a.EvalsPerAppend != 1 {
+		t.Fatalf("EvalsPerAppend = %v, want 1", a.EvalsPerAppend)
 	}
 	if a.EntriesPerScan != 1 {
 		t.Fatalf("EntriesPerScan = %v, want 1", a.EntriesPerScan)

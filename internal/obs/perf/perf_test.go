@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http/httptest"
+	"runtime"
 	"runtime/pprof"
 	"strings"
 	"sync"
@@ -172,11 +173,14 @@ func TestDigestRealProfile(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		sink = append(sink, make([]byte, 64<<10))
 	}
-	_ = sink
+	// The heap profile reports the last completed GC cycle: run one
+	// while the sink is still live so its bytes count as in use.
+	runtime.GC()
 	var buf bytes.Buffer
 	if err := pprof.Lookup("heap").WriteTo(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
+	runtime.KeepAlive(sink)
 	d, err := DigestProfile("heap", buf.Bytes(), 5)
 	if err != nil {
 		t.Fatal(err)

@@ -110,6 +110,9 @@ func DigestProfile(kind string, raw []byte, topN int) (*Digest, error) {
 		flat[name] += v
 	}
 	for fn, v := range flat {
+		if v == 0 {
+			continue // e.g. heap sites whose objects were all freed
+		}
 		d.Frames = append(d.Frames, Frame{Function: fn, Flat: v})
 	}
 	sort.Slice(d.Frames, func(i, j int) bool {

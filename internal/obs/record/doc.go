@@ -42,22 +42,21 @@
 //     roles. These open and close the temporal validity accumulation
 //     of Section 4, so replays must reproduce them at the recorded
 //     times to reproduce budget-exhaustion verdicts.
-//   - "grant" (RecordGrant, incremental counting mode only): the
-//     executed access feeding the engine's counters. Replaying these
-//     — rather than inferring execution from decide verdicts —
-//     reproduces the counter state exactly even when a server denied
-//     an engine-granted access for non-policy reasons (unknown
-//     resource).
+//   - "grant" (RecordGrant, in every engine): an access the server
+//     actually executed, its proof issued. This is not implied by a
+//     granted decide: a server may still refuse an engine-granted
+//     access for non-policy reasons (unknown resource). Replay feeds
+//     grant records back through RecordGrant, so the replay engine's
+//     re-walk amplification gauge counts the same appends.
 //   - "decide" (Authorize/AuthorizeTraced): the complete replayable
 //     input — subject (user + active roles), the requested
 //     "op resource @ server" access, the proof-backed history with a
-//     per-entry proven bit (the oracle's verdict at decision time),
-//     the declared SRAL program text, and the incremental-mode flag —
-//     plus the full outcome: verdict, covering permission, deny
-//     reason, spatial/program/temporal statuses, decision and trace
-//     IDs, the denial explanation (JSON), and the covering
-//     permission's temporal budget snapshot (consumed vs dur(perm)
-//     and base-time scheme).
+//     per-entry proven bit (the oracle's verdict at decision time) and
+//     the declared SRAL program text — plus the full outcome: verdict,
+//     covering permission, deny reason, spatial/program/temporal
+//     statuses, decision and trace IDs, the denial explanation
+//     (JSON), and the covering permission's temporal budget snapshot
+//     (consumed vs dur(perm) and base-time scheme).
 //
 // # History delta encoding (schema 2)
 //
@@ -91,6 +90,10 @@
 // NEWER schema than it understands — forward compatibility is the
 // reader's job to refuse, not to guess. Unknown JSON fields are
 // ignored on decode, so adding optional fields is not a schema bump.
+// Dropping one is not either: schema 2 decide records written while
+// the engine had an incremental counting mode may carry
+// "incremental":true, which now decodes as an unknown field and
+// replays on the engine's one evaluation path.
 //
 // # Fidelity caveats
 //

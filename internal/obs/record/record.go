@@ -83,7 +83,6 @@ type Record struct {
 	// declared no program (unchanged from schema 1).
 	Program       string `json:"program,omitempty"`
 	ProgramCached bool   `json:"program_cached,omitempty"`
-	Incremental   bool   `json:"incremental,omitempty"`
 
 	// Decide outcome.
 	Granted        bool            `json:"granted,omitempty"`

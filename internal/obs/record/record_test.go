@@ -134,6 +134,29 @@ func TestDecodeIgnoresUnknownFields(t *testing.T) {
 	}
 }
 
+// A schema-2 decide line from an engine that still had the incremental
+// counting mode decodes with the retired flag ignored, and re-encodes
+// without it.
+func TestDecodeLegacyIncrementalDecide(t *testing.T) {
+	line := `{"schema":2,"seq":3,"kind":"decide","time":1.5,"object":"o1","server":"s1","op":"read",` +
+		`"resource":"f","history":[{"object":"o1","op":"read","resource":"f","server":"s1","proven":true}],` +
+		`"history_base":1,"incremental":true,"granted":true,"perm":"p","spatial":"satisfied"}`
+	rec, err := Decode([]byte(line))
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	if rec.Kind != KindDecide || rec.HistoryBase != 1 || len(rec.History) != 1 || !rec.Granted || rec.Perm != "p" {
+		t.Fatalf("decoded = %+v", rec)
+	}
+	out, err := encodeString(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out, "incremental") {
+		t.Fatalf("re-encoded record carries the retired flag: %s", out)
+	}
+}
+
 func TestReadAllSkipsBlanksAndReportsLine(t *testing.T) {
 	src := `{"schema":1,"kind":"arrive","object":"o1"}
 

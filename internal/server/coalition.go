@@ -382,7 +382,8 @@ func (s *Server) Request(sub *Subject, op model.Operation, res model.ResourceID,
 			return AccessResult{Decision: dec}, fmt.Errorf("server: ledger rejected proof: %w", err)
 		}
 	}
-	// Feed the engine's incremental counters (no-op unless enabled).
+	// Log the executed access: a flight-recorder grant record and one
+	// history append for the cost profiler.
 	s.coalition.Engine.RecordGrant(access)
 	s.recordDecision(access, true, "", dec, prog.Trace, sv)
 	return AccessResult{Data: data, Proof: pr, Decision: dec}, nil

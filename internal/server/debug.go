@@ -197,7 +197,7 @@ func (h *DebugServer) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // evaluated/satisfied/violated/pending/decisive counts. A clause with
 // zero decisive evaluations never changed a verdict — dead policy.
 func (h *DebugServer) handleCoverage(w http.ResponseWriter, r *http.Request) {
-	if !h.c.Engine.CoverageEnabled() {
+	if !h.c.Engine.CostEnabled() {
 		http.Error(w, "clause coverage disabled on this daemon", http.StatusNotFound)
 		return
 	}
@@ -339,25 +339,28 @@ func (h *DebugServer) handleWatch(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, ": stac decision watch v%d\n\n", SnapshotVersion)
 	fl.Flush()
 
+	emit := func(e AuditEntry) {
+		if !filter.match(e) {
+			return
+		}
+		b, err := json.Marshal(e)
+		if err != nil {
+			return
+		}
+		fmt.Fprintf(w, "event: decision\ndata: %s\n\n", b)
+		if e.Shadow != nil && e.Shadow.Flip {
+			// A shadow-policy disagreement gets its own event so
+			// clients can watch flips without parsing every
+			// decision.
+			fmt.Fprintf(w, "event: flip\ndata: %s\n\n", b)
+		}
+	}
 	beat := time.NewTicker(h.cfg.Heartbeat)
 	defer beat.Stop()
 	for {
 		select {
 		case e := <-sub:
-			if !filter.match(e) {
-				continue
-			}
-			b, err := json.Marshal(e)
-			if err != nil {
-				continue
-			}
-			fmt.Fprintf(w, "event: decision\ndata: %s\n\n", b)
-			if e.Shadow != nil && e.Shadow.Flip {
-				// A shadow-policy disagreement gets its own event so
-				// clients can watch flips without parsing every
-				// decision.
-				fmt.Fprintf(w, "event: flip\ndata: %s\n\n", b)
-			}
+			emit(e)
 			fl.Flush()
 		case <-beat.C:
 			fmt.Fprint(w, ": heartbeat\n\n")
@@ -365,7 +368,18 @@ func (h *DebugServer) handleWatch(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 			return
 		case <-h.quit:
-			return
+			// Decisions made before the drain are already queued:
+			// deliver them rather than leave them to select's
+			// random choice between ready cases.
+			for {
+				select {
+				case e := <-sub:
+					emit(e)
+				default:
+					fl.Flush()
+					return
+				}
+			}
 		}
 	}
 }

@@ -200,6 +200,14 @@ func (h *DebugServer) handleJournal(w http.ResponseWriter, r *http.Request) {
 		return
 	default:
 	}
+	// A cursor beyond the recorder's total is from a previous daemon
+	// incarnation (restart reset the recorder): clamp to the live
+	// tail rather than stalling the follower forever. Clamped before
+	// the tail counts as active, so a record that lands once it does
+	// is always past the cursor.
+	if st := rec.Status(); cursor > st.Total {
+		cursor = st.Total
+	}
 	id := h.journal.open()
 	defer h.journal.close(id)
 
@@ -207,13 +215,6 @@ func (h *DebugServer) handleJournal(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
 	fmt.Fprintf(w, ": stac journal schema v%d\n\n", record.SchemaVersion)
-
-	// A cursor beyond the recorder's total is from a previous daemon
-	// incarnation (restart reset the recorder): clamp to the live
-	// tail rather than stalling the follower forever.
-	if st := rec.Status(); cursor > st.Total {
-		cursor = st.Total
-	}
 
 	meta := func(kind string) {
 		st := rec.Status()

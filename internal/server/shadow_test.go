@@ -222,8 +222,8 @@ func TestSnapshotVersionedFields(t *testing.T) {
 	}
 	// v3: the perf section carries every lock stripe and the decision
 	// exemplars the request above produced.
-	if len(snap.Perf.Stripes) < 34 {
-		t.Errorf("perf stripes = %d, want policy+counters+32 shards", len(snap.Perf.Stripes))
+	if len(snap.Perf.Stripes) < 33 {
+		t.Errorf("perf stripes = %d, want policy+32 shards", len(snap.Perf.Stripes))
 	}
 	if snap.Perf.ObjectImbalance <= 0 {
 		t.Errorf("object imbalance = %g, want > 0 with one live object", snap.Perf.ObjectImbalance)

@@ -174,10 +174,8 @@ func (c *Coalition) Snapshot(budgetTail int, daemons ...*Daemon) Snapshot {
 		snap.ShadowDigest = digest
 		snap.ShadowFlips = flips
 	}
-	if c.Engine.CoverageEnabled() {
-		snap.Coverage = c.Engine.Coverage()
-	}
 	if c.Engine.CostEnabled() {
+		snap.Coverage = c.Engine.Coverage()
 		rep := c.Engine.CostReport()
 		snap.Cost = &rep
 	}

@@ -70,16 +70,17 @@ func (a Attribution) ClauseString() string {
 }
 
 // LeafEval evaluates one leaf construct (TrueC, FalseC, Atom, Ordered,
-// Count) and describes the outcome. It lets AttributeWith mirror
-// either evaluation mode: the trace-scan leaves of EvalPrefix or the
-// engine's incremental counters.
+// Count) and describes the outcome. The cost walk (CoverCost) takes
+// one, so the same connective logic serves attribution, with the
+// explaining TraceLeafEval, and the profilers, with the detail-free
+// PlainTraceLeafEval.
 type LeafEval func(c Constraint) (status Status, stable bool, detail string)
 
-// mergeCounts combines the observed count windows of two subresults
-// (attribution and coverage share it). Constraints without counting
-// atoms — the common case — merge empty against empty, which costs no
-// allocation; a fresh slice is only built when either side observed
-// windows, so neither input is ever aliased or mutated.
+// mergeCounts combines the observed count windows of two subresults.
+// Constraints without counting atoms — the common case — merge empty
+// against empty, which costs no allocation; a fresh slice is only
+// built when either side observed windows, so neither input is ever
+// aliased or mutated.
 func mergeCounts(l, r []CountWindow) []CountWindow {
 	if len(l) == 0 && len(r) == 0 {
 		return nil
@@ -88,103 +89,14 @@ func mergeCounts(l, r []CountWindow) []CountWindow {
 	return append(append(out, l...), r...)
 }
 
-// AttributeWith explains a constraint's prefix status using the given
-// leaf evaluator for the atomic constructs. The connective logic is a
-// transcription of evalPrefix, so (Status, Stable) match it exactly.
-func AttributeWith(c Constraint, leaf LeafEval) Attribution {
-	switch x := c.(type) {
-	case And:
-		l := AttributeWith(x.Left, leaf)
-		r := AttributeWith(x.Right, leaf)
-		switch {
-		case l.Status == Violated:
-			return l
-		case r.Status == Violated:
-			return r
-		case l.Status == Satisfied && r.Status == Satisfied:
-			return Attribution{
-				Status: Satisfied, Stable: l.Stable && r.Stable,
-				Clause: c, Detail: "both conjuncts satisfied",
-				Counts: mergeCounts(l.Counts, r.Counts),
-			}
-		case l.Status == Pending:
-			l.Status = Pending
-			l.Stable = false
-			return l
-		default:
-			r.Status = Pending
-			r.Stable = false
-			return r
-		}
-	case Or:
-		l := AttributeWith(x.Left, leaf)
-		r := AttributeWith(x.Right, leaf)
-		switch {
-		// Prefer a stably satisfied disjunct so Stable matches
-		// evalPrefix's (l==Sat&&lst) || (r==Sat&&rst).
-		case l.Status == Satisfied && l.Stable:
-			return l
-		case r.Status == Satisfied && r.Stable:
-			return r
-		case l.Status == Satisfied:
-			return l
-		case r.Status == Satisfied:
-			return r
-		case l.Status == Violated && r.Status == Violated:
-			// Both alternatives are dead: the disjunction as a whole is
-			// the violated clause.
-			return Attribution{
-				Status: Violated, Stable: true, Clause: c,
-				Detail: fmt.Sprintf("both alternatives violated: %s; %s", l.Detail, r.Detail),
-				Counts: mergeCounts(l.Counts, r.Counts),
-			}
-		case l.Status == Pending:
-			l.Status = Pending
-			l.Stable = false
-			return l
-		default:
-			r.Status = Pending
-			r.Stable = false
-			return r
-		}
-	case Not:
-		in := AttributeWith(x.C, leaf)
-		st, stable := NegateStable(in.Status, in.Stable)
-		out := Attribution{Status: st, Stable: stable, Clause: c, Counts: in.Counts}
-		switch st {
-		case Violated:
-			// ¬C is irreversibly violated because C is stably satisfied;
-			// blame the negation but carry the inner witness.
-			out.Detail = fmt.Sprintf("negated subformula stably satisfied (%s)", in.Detail)
-		case Satisfied:
-			out.Detail = fmt.Sprintf("negated subformula violated (%s)", in.Detail)
-		default:
-			if in.Status == Satisfied {
-				out.Detail = fmt.Sprintf("negated subformula satisfied but not stably (%s)", in.Detail)
-			} else {
-				out.Detail = fmt.Sprintf("negated subformula still pending (%s)", in.Detail)
-			}
-		}
-		return out
-	default:
-		st, stable, detail := leaf(c)
-		a := Attribution{Status: st, Stable: stable, Clause: c, Detail: detail}
-		if cnt, ok := c.(Count); ok {
-			max := cnt.Max
-			if max == Unbounded {
-				max = -1
-			}
-			a.Counts = []CountWindow{{Selector: cnt.Sel.String(), Min: cnt.Min, Max: max, Observed: -1}}
-		}
-		return a
-	}
-}
-
 // Attribute explains the prefix status of c over the history t — the
 // attribution counterpart of EvalPrefixStable, with identical Status
-// and Stable.
+// and Stable. It is the root attribution of the cost walk, so the
+// clause it blames is exactly the node coverage and cost mark
+// decisive.
 func Attribute(t trace.Trace, c Constraint, pr ProofOracle) Attribution {
-	return AttributeWith(c, TraceLeafEval(t, pr)).withObserved(t, pr)
+	_, a := CoverCost(c, TraceLeafEval(t, pr), false)
+	return a.withObserved(t, pr)
 }
 
 // countLeafStatus is the detail-free verdict for a counting atom
@@ -205,9 +117,8 @@ func countLeafStatus(x Count, n int) (Status, bool) {
 	}
 }
 
-// countLeaf is the shared leaf verdict for a counting atom given its
-// observed proof-backed count — used by both the trace-scan
-// attribution here and the engine's incremental-counter attribution.
+// countLeaf is the explaining leaf verdict for a counting atom given
+// its observed proof-backed count.
 func countLeaf(x Count, n int) (Status, bool, string) {
 	switch st, _ := countLeafStatus(x, n); {
 	case st == Violated:
@@ -229,20 +140,38 @@ func countLeaf(x Count, n int) (Status, bool, string) {
 	}
 }
 
-// CountLeafEval adapts a counting function (selector → observed count)
-// into a LeafEval for formulas whose leaves are all counting atoms —
-// the engine's incremental evaluation path.
-func CountLeafEval(count func(Count) int) LeafEval {
+// TraceLeafEval is the explaining leaf evaluator Attribute uses:
+// leaves are decided against the proof-backed history t, with a detail
+// string saying why.
+func TraceLeafEval(t trace.Trace, pr ProofOracle) LeafEval {
+	if pr == nil {
+		pr = AllProven
+	}
 	return func(leaf Constraint) (Status, bool, string) {
 		switch x := leaf.(type) {
 		case TrueC:
 			return Satisfied, true, "constant T"
 		case FalseC:
 			return Violated, true, "constant F"
+		case Atom:
+			if i := firstMatch(t, x.A, 0, pr); i >= 0 {
+				return Satisfied, true, fmt.Sprintf("witnessed at history position %d", i)
+			}
+			return Pending, false, "no proof-backed occurrence yet"
+		case Ordered:
+			i := firstMatch(t, x.First, 0, pr)
+			if i < 0 {
+				return Pending, false, "first access not yet witnessed"
+			}
+			if j := firstMatch(t, x.Second, i+1, pr); j >= 0 {
+				return Satisfied, true, fmt.Sprintf("witnessed in order at positions %d and %d", i, j)
+			}
+			return Pending, false, fmt.Sprintf("first access witnessed at position %d, second still pending", i)
 		case Count:
-			return countLeaf(x, count(x))
+			n := countProven(t, x.Sel, pr)
+			return countLeaf(x, n)
 		}
-		return Pending, false, fmt.Sprintf("non-counting leaf %T outside incremental mode", leaf)
+		return Pending, false, fmt.Sprintf("unknown construct %T", leaf)
 	}
 }
 

@@ -170,39 +170,6 @@ func TestAttributeSatisfiedAndPending(t *testing.T) {
 	}
 }
 
-func TestCountLeafEvalMatchesTraceScan(t *testing.T) {
-	// The incremental-counter leaf evaluator agrees with the trace-scan
-	// attribution on pure counting formulas.
-	r := rand.New(rand.NewSource(43))
-	sel := model.Selector{Ops: []model.Operation{"read"}}
-	read := model.NewAccess("", "read", "f1", "s1")
-	other := model.NewAccess("", "write", "f2", "s1")
-	for i := 0; i < 200; i++ {
-		var hist trace.Trace
-		reads := 0
-		for j := 0; j < r.Intn(8); j++ {
-			if r.Intn(2) == 0 {
-				hist = append(hist, read)
-				reads++
-			} else {
-				hist = append(hist, other)
-			}
-		}
-		lo := r.Intn(3)
-		max := lo + r.Intn(4)
-		if r.Intn(5) == 0 {
-			max = Unbounded
-		}
-		c := And{Left: Count{Min: lo, Max: max, Sel: sel}, Right: TrueC{}}
-		scan := Attribute(hist, c, nil)
-		incr := AttributeWith(c, CountLeafEval(func(Count) int { return reads }))
-		if scan.Status != incr.Status || scan.Stable != incr.Stable || scan.Detail != incr.Detail {
-			t.Fatalf("incremental diverges from scan:\nC %s hist %v\nscan (%s,%v) %q\nincr (%s,%v) %q",
-				String(c), hist, scan.Status, scan.Stable, scan.Detail, incr.Status, incr.Stable, incr.Detail)
-		}
-	}
-}
-
 func TestCountWindowString(t *testing.T) {
 	cw := CountWindow{Selector: "sigma", Min: 1, Max: 4, Observed: 2}
 	if got := cw.String(); got != "sigma: observed 2 of window [1,4]" {

@@ -1,20 +1,20 @@
 package srac
 
-// Evaluation-cost coverage: one prefix evaluation's outcome at every
-// node of the constraint tree — exactly what Cover reports — plus the
-// work it took to get there: how many leaf evaluations ran in each
-// subtree, how many allocating count-window merges fired, and (when
-// timing is sampled) the subtree's wall-clock nanoseconds. The cost
-// walk is the "before picture" for the SRAC compilation arc: prefix
-// evaluation re-walks the whole AST per access, so cost scales with
-// history length × formula size, and this is where that product
+// The cost walk: one prefix evaluation's outcome at every node of the
+// constraint tree, which node the overall verdict is attributed to,
+// and the work it took to get there — how many leaf evaluations ran in
+// each subtree, how many allocating count-window merges fired, and
+// (when timing is sampled) the subtree's wall-clock nanoseconds.
+// Prefix evaluation re-walks the whole AST per access, so cost scales
+// with history length × formula size, and this is where that product
 // becomes visible per clause.
 //
-// CoverCost is THE transcription of evalPrefix shared with Cover
-// (which projects the coverage fields out of it), so the (Status,
-// Stable) it reports at every node equal the engine's verdict on that
-// subformula; the equivalence with AttributeWith / EvalPrefixStable
-// is property-tested over a formula corpus.
+// costNode is one of exactly two transcriptions of the three-valued
+// connective logic in this package; the other is evalPrefix, the
+// decision walk. Attribution (Attribute), clause coverage and cost are
+// all projections of costNode, and the (Status, Stable) it reports at
+// every node is property-tested against EvalPrefixStable on that
+// subformula over a formula corpus.
 
 import (
 	"time"
@@ -23,9 +23,8 @@ import (
 )
 
 // NodeCost is one subformula's outcome in a single prefix evaluation
-// together with the work its subtree performed. Paths address nodes
-// exactly as in NodeCoverage: "" is the root, then 'l'/'r' into a
-// conjunction or disjunction, 'n' under a negation.
+// together with the work its subtree performed, addressed by its clause
+// path (see paths.go).
 type NodeCost struct {
 	Path   string
 	Status Status
@@ -48,11 +47,10 @@ type NodeCost struct {
 
 // CoverCost evaluates the constraint with the given leaf evaluator
 // and returns per-node cost coverage (pre-order left-to-right by
-// path) plus the root attribution, which equals AttributeWith(c,
-// leaf) field for field. When timed is false the NS fields stay zero
-// and no clock is read — callers sample timing (typically 1-in-64)
-// because two time.Now calls per node are themselves measurable on
-// tiny formulas.
+// path) plus the root attribution. When timed is false the NS fields
+// stay zero and no clock is read — callers sample timing (typically
+// 1-in-64) because two time.Now calls per node are themselves
+// measurable on tiny formulas.
 func CoverCost(c Constraint, leaf LeafEval, timed bool) ([]NodeCost, Attribution) {
 	var out []NodeCost
 	a, decisive, _ := costNode(c, "", leaf, timed, &out)
@@ -67,10 +65,17 @@ func CoverCost(c Constraint, leaf LeafEval, timed bool) ([]NodeCost, Attribution
 	return out, a
 }
 
-// costNode mirrors AttributeWith's connective logic, additionally
-// appending each node's outcome and cost and returning the path of
-// the node the verdict is attributed to plus the subtree's leaf-eval
-// count.
+// costNode evaluates one node: it appends the node's outcome and cost
+// to out and returns its attribution, the path of the node that
+// attribution blames, and the subtree's leaf-eval count. The
+// connective cases are a transcription of evalPrefix, choosing among
+// equal verdicts the witness that explains the whole:
+//
+//   - a Violated conjunction blames its (first) violated conjunct;
+//   - a Satisfied disjunction prefers a stably satisfied disjunct, so
+//     Stable matches evalPrefix's (l==Sat&&lst) || (r==Sat&&rst);
+//   - a disjunction with both sides Violated, and a negation, blame
+//     the node itself.
 func costNode(c Constraint, path string, leaf LeafEval, timed bool, out *[]NodeCost) (Attribution, string, int) {
 	var t0 time.Time
 	if timed {
@@ -142,8 +147,8 @@ func costNode(c Constraint, path string, leaf LeafEval, timed bool, out *[]NodeC
 			a, decisive = r, rp
 		}
 	case Not:
-		// AttributeWith always blames the negation node itself, so the
-		// Not node is decisive regardless of the operand's path.
+		// The negation node itself takes the blame, carrying the
+		// operand's witness in its detail.
 		in, _, ia := costNode(x.C, path+"n", leaf, timed, out)
 		atoms = ia
 		st, stable := NegateStable(in.Status, in.Stable)
@@ -221,23 +226,6 @@ func PlainTraceLeafEval(t trace.Trace, pr ProofOracle) LeafEval {
 			return Pending, false, ""
 		case Count:
 			st, stable := countLeafStatus(x, countProven(t, x.Sel, pr))
-			return st, stable, ""
-		}
-		return Pending, false, ""
-	}
-}
-
-// PlainCountLeafEval is the counting-path twin of PlainTraceLeafEval:
-// CountLeafEval's verdicts without the detail strings.
-func PlainCountLeafEval(count func(Count) int) LeafEval {
-	return func(leaf Constraint) (Status, bool, string) {
-		switch x := leaf.(type) {
-		case TrueC:
-			return Satisfied, true, ""
-		case FalseC:
-			return Violated, true, ""
-		case Count:
-			st, stable := countLeafStatus(x, count(x))
 			return st, stable, ""
 		}
 		return Pending, false, ""

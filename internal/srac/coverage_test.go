@@ -8,10 +8,11 @@ import (
 	"stac/internal/trace"
 )
 
-// Property: Cover's root attribution equals AttributeWith, every
-// node's (Status, Stable) equals EvalPrefixStable on that subformula,
-// exactly one node is decisive, and the decisive node carries the
-// attributed clause — over the full grammar.
+// Property: the cost walk's root attribution equals Attribute's, every
+// node's (Status, Stable) equals EvalPrefixStable on that subformula
+// (evalPrefix is the independent reference), exactly one node is
+// decisive, and the decisive node carries the attributed clause — over
+// the full grammar.
 func TestCoverAgreesWithAttributeAndEval(t *testing.T) {
 	r := rand.New(rand.NewSource(211))
 	pool := []model.Access{
@@ -26,17 +27,16 @@ func TestCoverAgreesWithAttributeAndEval(t *testing.T) {
 			hist = append(hist, pool[r.Intn(len(pool))])
 		}
 		c := randomFullConstraint(r, 1+r.Intn(3))
-		leaf := TraceLeafEval(hist, nil)
-		nodes, got := Cover(c, leaf)
-		want := AttributeWith(c, leaf)
+		nodes, got := CoverCost(c, TraceLeafEval(hist, nil), false)
+		want := Attribute(hist, c, nil)
 		if got.Status != want.Status || got.Stable != want.Stable ||
 			got.ClauseString() != want.ClauseString() || got.Detail != want.Detail {
-			t.Fatalf("Cover root attribution diverges for %s over %v:\n got (%s, %v) %q — %s\nwant (%s, %v) %q — %s",
+			t.Fatalf("cost walk root attribution diverges for %s over %v:\n got (%s, %v) %q — %s\nwant (%s, %v) %q — %s",
 				String(c), hist, got.Status, got.Stable, got.ClauseString(), got.Detail,
 				want.Status, want.Stable, want.ClauseString(), want.Detail)
 		}
 		decisive := 0
-		var decisiveNode NodeCoverage
+		var decisiveNode NodeCost
 		seen := make(map[string]bool, len(nodes))
 		for _, n := range nodes {
 			if seen[n.Path] {
@@ -69,8 +69,8 @@ func TestCoverAgreesWithAttributeAndEval(t *testing.T) {
 	}
 }
 
-// WalkPaths must enumerate exactly the paths Cover produces, in
-// pre-order, and SubclauseAt must invert it.
+// WalkPaths must enumerate exactly the paths the cost walk produces,
+// in pre-order, and SubclauseAt must invert it.
 func TestWalkPathsMatchesCover(t *testing.T) {
 	r := rand.New(rand.NewSource(223))
 	for i := 0; i < 300; i++ {
@@ -83,9 +83,9 @@ func TestWalkPathsMatchesCover(t *testing.T) {
 				t.Fatalf("SubclauseAt(%q) = %v/%v, want %s", path, got, ok, String(sub))
 			}
 		})
-		nodes, _ := Cover(c, TraceLeafEval(nil, nil))
+		nodes, _ := CoverCost(c, TraceLeafEval(nil, nil), false)
 		if len(nodes) != len(walked) {
-			t.Fatalf("Cover has %d nodes, WalkPaths %d for %s", len(nodes), len(walked), String(c))
+			t.Fatalf("cost walk has %d nodes, WalkPaths %d for %s", len(nodes), len(walked), String(c))
 		}
 		covered := make(map[string]bool, len(nodes))
 		for _, n := range nodes {
@@ -93,7 +93,7 @@ func TestWalkPathsMatchesCover(t *testing.T) {
 		}
 		for _, p := range walked {
 			if !covered[p] {
-				t.Fatalf("WalkPaths path %q missing from Cover for %s", p, String(c))
+				t.Fatalf("WalkPaths path %q missing from the cost walk for %s", p, String(c))
 			}
 		}
 	}

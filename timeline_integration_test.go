@@ -18,6 +18,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -260,22 +261,31 @@ func TestTimelineMergesSkewedCoalition(t *testing.T) {
 	}
 
 	// --- Journal tailing overhead on a loaded daemon. ---
-	timelineDecisionRun(t, m1) // warm caches so the pair below compares fairly
-	baseline := timelineDecisionRun(t, m1)
-	ctx, cancel := context.WithCancel(context.Background())
-	tailing := &journal.Follower{
-		Name: "overhead", BaseURL: m1.debug.URL, Client: m1.debug.Client(),
-		Cursor: m1.c.Engine.Recorder().Status().Total,
-		Poll:   50 * time.Millisecond,
+	// One ~25ms run per arm is at the mercy of whatever else shares the
+	// CPU, so the arms run as adjacent pairs, in alternating order, and
+	// the overhead is the median of the per-pair ratios: both runs of a
+	// pair see the same background load, and the median discards the
+	// pairs a load burst hit in only one run.
+	timelineDecisionRun(t, m1) // warm caches so the pairs below compare fairly
+	const pairs = 25
+	ratios := make([]float64, pairs)
+	var baseline, loaded float64
+	for i := range ratios {
+		var b, l float64
+		if i%2 == 0 {
+			b = timelineDecisionRun(t, m1)
+			l = timelineTailedRun(t, m1)
+		} else {
+			l = timelineTailedRun(t, m1)
+			b = timelineDecisionRun(t, m1)
+		}
+		ratios[i] = l / b
+		baseline += b / pairs
+		loaded += l / pairs
 	}
-	var tailWG sync.WaitGroup
-	tailWG.Add(1)
-	go func() { defer tailWG.Done(); _ = tailing.Run(ctx, func(journal.Frame) {}) }()
-	loaded := timelineDecisionRun(t, m1)
-	cancel()
-	tailWG.Wait()
-	overheadPct := (loaded - baseline) / baseline * 100
-	t.Logf("tail overhead: baseline %.4fs, tailed %.4fs, %+.2f%%", baseline, loaded, overheadPct)
+	sort.Float64s(ratios)
+	overheadPct := (ratios[pairs/2] - 1) * 100
+	t.Logf("tail overhead: mean baseline %.4fs, mean tailed %.4fs, median pair %+.2f%%", baseline, loaded, overheadPct)
 	// E16 measures the real figure (<3% target); the in-CI bound is
 	// loose because shared runners make sub-percent timing noisy, and
 	// it is skipped entirely under -race, whose instrumentation bills
@@ -455,4 +465,29 @@ func timelineDecisionRun(t *testing.T, m *timelineMember) float64 {
 		}
 	}
 	return time.Since(start).Seconds()
+}
+
+// timelineTailedRun is timelineDecisionRun with a journal follower
+// attached to the member's debug listener for the whole burst.
+func timelineTailedRun(t *testing.T, m *timelineMember) float64 {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	tailing := &journal.Follower{
+		Name: "overhead", BaseURL: m.debug.URL, Client: m.debug.Client(),
+		Cursor: m.c.Engine.Recorder().Status().Total,
+		Poll:   50 * time.Millisecond,
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { defer wg.Done(); _ = tailing.Run(ctx, func(journal.Frame) {}) }()
+	defer func() { cancel(); wg.Wait() }()
+	// The first meta frame sets the skew estimate: the tail is attached.
+	deadline := time.Now().Add(10 * time.Second)
+	for !tailing.Status().SkewKnown {
+		if time.Now().After(deadline) {
+			t.Fatal("journal follower did not attach within 10s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return timelineDecisionRun(t, m)
 }
