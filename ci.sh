@@ -49,15 +49,15 @@ mkdir -p "$ARTIFACTS"
 # contention benchmarks (root package), so the sharded-engine parallel
 # path runs under CI every time. The output lands in a file first
 # (a pipe would mask go test's exit status under set -e), then
-# `benchdiff -distill` turns it into the BENCH artifact — ns/op,
+# `benchdiff -distill` turns it into the BENCH.json artifact — ns/op,
 # allocs/op and the host fingerprint benchdiff uses to flag
 # cross-machine comparisons.
 go test -bench . -benchtime=1x -benchmem -run '^$' ./... >"$ARTIFACTS/bench_smoke.txt"
-go run ./cmd/benchdiff -distill "$ARTIFACTS/bench_smoke.txt" >"$ARTIFACTS/BENCH_pr8.json"
-# Compare against the committed previous-PR baseline. Regressions
+go run ./cmd/benchdiff -distill "$ARTIFACTS/bench_smoke.txt" >"$ARTIFACTS/BENCH.json"
+# Compare against the committed baseline of the same name. Regressions
 # beyond 25% (ns/op or allocs/op) surface as CI warnings (benchdiff
 # exits 0 on warnings — a 1x smoke run is too noisy to gate on).
-go run ./cmd/benchdiff BENCH_pr7.json "$ARTIFACTS/BENCH_pr8.json"
+go run ./cmd/benchdiff BENCH.json "$ARTIFACTS/BENCH.json"
 
 # Contention-profile digest: rerun the E14 contention benchmarks with
 # mutex/block profiling on and distil each profile's hot frames into a
@@ -70,35 +70,36 @@ go run ./cmd/benchdiff BENCH_pr7.json "$ARTIFACTS/BENCH_pr8.json"
 go test -bench 'E14_ContentionScaling|AuthorizeMany' -benchtime=1000x -run '^$' \
     -mutexprofilefraction 16 -mutexprofile "$ARTIFACTS/mutex_smoke.pb.gz" \
     -blockprofile "$ARTIFACTS/block_smoke.pb.gz" . >/dev/null
-go run ./cmd/benchdiff -digest mutex "$ARTIFACTS/mutex_smoke.pb.gz" >"$ARTIFACTS/PROFILE_mutex_pr8.json"
-go run ./cmd/benchdiff -digest block "$ARTIFACTS/block_smoke.pb.gz" >"$ARTIFACTS/PROFILE_block_pr8.json"
+go run ./cmd/benchdiff -digest mutex "$ARTIFACTS/mutex_smoke.pb.gz" >"$ARTIFACTS/PROFILE_mutex.json"
+go run ./cmd/benchdiff -digest block "$ARTIFACTS/block_smoke.pb.gz" >"$ARTIFACTS/PROFILE_block.json"
 
-# Load smoke: a short scenario-matrix run over real TCP — one churn
-# and one hostile scenario against the coordinated engine and the RBAC
-# floor, time boxes capped to keep the whole smoke near ten seconds.
-# The summary diffs against the committed LOAD_pr6.json baseline:
+# Load smoke: a short scenario-matrix run over real TCP — the churn,
+# hostile and large-policy scenarios against the coordinated engine
+# and the RBAC floor, time boxes capped to keep the whole smoke near
+# fifteen seconds. The summary diffs against the committed LOAD.json
+# baseline:
 # drift warns at 50%, and a throughput collapse beyond 90% fails the
 # build (cross-machine load numbers are noisy, order-of-magnitude
 # slips are not).
 go run ./cmd/stacload -scenarios scenarios -systems stac,rbac \
-    -only churn,hostile -trials 1 -duration-cap 1s -out "$ARTIFACTS/LOAD_pr8.json"
-go run ./cmd/benchdiff -threshold 50 -fail-over 90 LOAD_pr6.json "$ARTIFACTS/LOAD_pr8.json"
+    -only churn,hostile,policysize -trials 1 -duration-cap 1s -out "$ARTIFACTS/LOAD.json"
+go run ./cmd/benchdiff -threshold 50 -fail-over 90 LOAD.json "$ARTIFACTS/LOAD.json"
 
 # Timeline smoke: the PR 9 acceptance e2e — three TCP daemons, one
 # clock skewed −5 s, a roaming itinerary — re-run with the artifact
-# dir set so it writes TIMELINE_pr9.json, then gate on the merged
+# dir set so it writes TIMELINE.json, then gate on the merged
 # stream being causally clean. (The test itself asserts much more;
 # the grep is the cheap tamper-check that the artifact says so too.)
 ARTIFACTS_DIR="$ARTIFACTS" go test -run '^TestTimelineMergesSkewedCoalition$' -count=1 .
-grep -q '"causality_violations": 0' "$ARTIFACTS/TIMELINE_pr9.json"
+grep -q '"causality_violations": 0' "$ARTIFACTS/TIMELINE.json"
 
 # Cost-profile smoke: the PR 10 fixed workload re-run with the
-# artifact dir set so it writes COST_pr10.json (the per-clause
+# artifact dir set so it writes COST.json (the per-clause
 # evaluation-cost report), then diffed against the committed baseline
 # with benchdiff's cost format. Per-clause ns/eval drift warns at 50%;
 # only an order-of-magnitude blow-up (a clause suddenly evaluated far
 # more, or re-walks amplifying) fails the build — raw nanoseconds are
 # too machine-noisy to gate tighter on a shared runner.
 ARTIFACTS_DIR="$ARTIFACTS" go test -run '^TestCostBaselineArtifact$' -count=1 .
-go run ./cmd/benchdiff -threshold 50 -fail-over 900 COST_pr10.json "$ARTIFACTS/COST_pr10.json"
+go run ./cmd/benchdiff -threshold 50 -fail-over 900 COST.json "$ARTIFACTS/COST.json"
 echo "smoke artifacts in $ARTIFACTS"

@@ -2,12 +2,12 @@
 // per-entry deltas. It understands four formats, auto-detected from
 // the file contents:
 //
-//   - bench summaries — the BENCH_prN.json artifacts ci.sh distils
+//   - bench summaries — the BENCH.json artifacts ci.sh distils
 //     from the bench smoke run, either the legacy bare JSON array or
 //     the v2 envelope {"host": {...}, "bench": [...]} that -distill
 //     emits; compared by ns/op AND allocs/op (both gate).
 //   - load summaries (JSON object with a "runs" array) — the
-//     LOAD_prN.json artifacts cmd/stacload emits; compared by
+//     LOAD.json artifacts cmd/stacload emits; compared by
 //     throughput (ops/s drop) and tail latency (p99 rise) per
 //     (scenario, system) cell, trials averaged.
 //   - profile digests (JSON object with a "frames" array) — the
@@ -16,7 +16,7 @@
 //     points. Digest deltas warn but never fail: frame shares answer
 //     "where did the regression go", not "is there one".
 //   - cost tables (JSON object with a "clauses" array) — the
-//     COST_prN.json artifacts ci.sh captures from an engine's
+//     COST.json artifacts ci.sh captures from an engine's
 //     per-clause evaluation-cost profile; compared by sampled mean
 //     ns/eval per (perm, clause path). Cost deltas gate: a clause
 //     whose evaluation got slower is exactly the regression the SRAC
@@ -114,7 +114,7 @@ func (r loadRun) meanRootNS() float64 {
 	return r.Perf.Cost.MeanRootNS
 }
 
-// loadSummary is the envelope of a LOAD_*.json document. Schema 2
+// loadSummary is the envelope of a LOAD.json document. Schema 2
 // adds the host fingerprint.
 type loadSummary struct {
 	Schema int           `json:"schema"`

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	stacload -scenarios scenarios -systems stac,rbac,trbac,gtrbac \
-//	         -trials 1 -out LOAD_pr6.json
+//	         -trials 1 -out LOAD.json
 //
 // Each scenario file (JSON, see cmd/stacload/scenario.go and the
 // committed scenarios/ directory) fixes a traffic shape: fleet churn,
@@ -18,8 +18,9 @@
 // /debug/snapshot endpoint, baselines behind the internal/baseline
 // harness shim — runs the workers for the scenario's time box, and
 // aggregates p50/p95/p99 latency, throughput, grant/deny/reject/error
-// breakdowns and peak goroutine/heap samples into a LOAD_*.json
-// summary that cmd/benchdiff diffs across runs.
+// breakdowns and peak goroutine/heap samples into a LOAD.json summary
+// that cmd/benchdiff diffs against the committed baseline of the same
+// name.
 package main
 
 import (

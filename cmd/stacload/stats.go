@@ -12,7 +12,7 @@ import (
 	"stac/internal/obs/perf"
 )
 
-// The LOAD_*.json summary schema: one RunResult per matrix cell trial,
+// The LOAD.json summary schema: one RunResult per matrix cell trial,
 // diffable by cmd/benchdiff exactly like the ns/op bench summaries —
 // throughput regressions gate CI the same way.
 

@@ -3,7 +3,7 @@ package stac
 // Cost-profile baseline artifact: a fixed spatially-constrained
 // workload against one coordinated engine with coverage and cost
 // profiling on (the production default). The resulting per-clause
-// cost report is written as COST_pr10.json when ARTIFACTS_DIR is set;
+// cost report is written as COST.json when ARTIFACTS_DIR is set;
 // ci.sh diffs it against the committed baseline with `benchdiff`
 // (cost format), so a structural regression — clauses evaluated more
 // often per decision, re-walk amplification growing — surfaces even
@@ -144,7 +144,7 @@ func TestCostBaselineArtifact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, "COST_pr10.json"), b, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, "COST.json"), b, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -154,12 +154,16 @@ func costScan(col *cost.Collector, perm rbac.PermID, unstamped, stamped srac.Con
 // costStatic folds one static-check run into the (program digest,
 // policy digest) cost table — the measured baseline for the planned
 // verdict cache keyed on exactly that pair.
-func (e *Engine) costStatic(col *cost.Collector, program sral.Node, verdict srac.Verdict, elapsed time.Duration) {
+func (e *Engine) costStatic(col *cost.Collector, req Request, verdict srac.Verdict, elapsed time.Duration) {
 	policy := ""
 	if p := e.costPolicy.Load(); p != nil {
 		policy = *p
 	}
-	col.RecordStatic(ProgramDigest(program), policy, verdict.String(), program.Size(), elapsed.Nanoseconds())
+	digest := req.ProgramDigest
+	if digest == "" {
+		digest = ProgramDigest(req.Program)
+	}
+	col.RecordStatic(digest, policy, verdict.String(), req.Program.Size(), elapsed.Nanoseconds())
 }
 
 // ProgramDigest is the canonical digest of a declared SRAL program:

@@ -100,6 +100,11 @@ type Request struct {
 	// engine statically rules out programs that can never satisfy the
 	// permission's spatial constraint (check(P, C) of Section 3.4).
 	Program sral.Node
+	// ProgramDigest, when set, is ProgramDigest(Program), computed once
+	// by a caller that interns programs; the cost profiler then keys the
+	// static-check row on it instead of re-rendering and re-hashing the
+	// program on every decision.
+	ProgramDigest string
 	// History is the object's proof-backed access trace so far,
 	// across all coalition servers.
 	History trace.Trace
@@ -478,8 +483,10 @@ func (e *Engine) ObjectArrived(obj model.ObjectID, server model.ServerID) {
 
 // sessionTrackers snapshots the specs under one policy read-lock and
 // resolves (creating if needed) the trackers for every permission the
-// session confers under one objectState lock. The trackers are
-// internally locked, so callers mutate them after release.
+// session confers under one objectState lock. The permissions are the
+// session's shared RBAC view, resolved once per role set and policy
+// generation, not per arrival. The trackers are internally locked, so
+// callers mutate them after release.
 func (e *Engine) sessionTrackers(sess *rbac.Session, obj model.ObjectID) []*temporal.Tracker {
 	perms := sess.Permissions()
 	type resolved struct {
@@ -674,7 +681,7 @@ func (e *Engine) authorize(tc obs.TraceContext, t *obs.Tracer, req Request, m *e
 			checkElapsed := time.Since(checkStart)
 			m.staticCheck.Observe(checkElapsed)
 			if col != nil {
-				e.costStatic(col, req.Program, d.ProgramVerdict, checkElapsed)
+				e.costStatic(col, req, d.ProgramVerdict, checkElapsed)
 			}
 			csp.SetAttr("verdict", d.ProgramVerdict.String())
 			csp.Finish()

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"stac/internal/model"
 )
@@ -105,6 +106,15 @@ type System struct {
 
 	nextSession int
 	sessions    map[int]*Session
+
+	// gen is the policy generation: every mutation of the permission,
+	// grant, hierarchy or assignment relations bumps it (under mu), and
+	// a view resolved under an older generation is outdated. Sessions
+	// read it without the lock on the access path.
+	gen atomic.Uint64
+	// views memoises the resolved views of the current generation, keyed
+	// by role set (see roleSetKey); bounded by maxViews.
+	views map[string]*view
 }
 
 // NewSystem creates an empty RBAC system.
@@ -117,6 +127,7 @@ func NewSystem() *System {
 		pa:       make(map[RoleID]map[PermID]bool),
 		juniors:  make(map[RoleID]map[RoleID]bool),
 		sessions: make(map[int]*Session),
+		views:    make(map[string]*view),
 	}
 }
 
@@ -153,6 +164,7 @@ func (s *System) AddPermission(p Permission) error {
 		return fmt.Errorf("%w: permission %q", ErrExists, p.ID)
 	}
 	s.perms[p.ID] = p
+	s.bumpLocked()
 	return nil
 }
 
@@ -191,6 +203,7 @@ func (s *System) AssignUserRole(u UserID, r RoleID) error {
 		s.ua[u] = make(map[RoleID]bool)
 	}
 	s.ua[u][r] = true
+	s.bumpLocked()
 	return nil
 }
 
@@ -203,6 +216,7 @@ func (s *System) DeassignUserRole(u UserID, r RoleID) error {
 		return fmt.Errorf("%w: assignment (%q, %q)", ErrNotFound, u, r)
 	}
 	delete(s.ua[u], r)
+	s.bumpLocked()
 	for _, sess := range s.sessions {
 		if sess.user == u {
 			sess.deactivateLocked(r)
@@ -225,6 +239,7 @@ func (s *System) GrantPermission(r RoleID, p PermID) error {
 		s.pa[r] = make(map[PermID]bool)
 	}
 	s.pa[r][p] = true
+	s.bumpLocked()
 	return nil
 }
 
@@ -236,6 +251,7 @@ func (s *System) RevokePermission(r RoleID, p PermID) error {
 		return fmt.Errorf("%w: grant (%q, %q)", ErrNotFound, r, p)
 	}
 	delete(s.pa[r], p)
+	s.bumpLocked()
 	return nil
 }
 
@@ -257,6 +273,7 @@ func (s *System) AddInheritance(senior, junior RoleID) error {
 		s.juniors[senior] = make(map[RoleID]bool)
 	}
 	s.juniors[senior][junior] = true
+	s.bumpLocked()
 	return nil
 }
 
@@ -350,22 +367,20 @@ func (s *System) AuthorizedRoles(u UserID) []RoleID {
 }
 
 // RolePermissions returns the permissions of the role, including those
-// inherited from junior roles — the RP(·) function of Expression 3.1.
+// inherited from junior roles — the RP(·) function of Expression 3.1 —
+// sorted by ID. It is the resolved view of the role set {r}: the slice
+// is shared and must not be modified.
 func (s *System) RolePermissions(r RoleID) []Permission {
+	roles := []RoleID{r}
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	seen := map[PermID]bool{}
-	var out []Permission
-	for role := range s.expandLocked(r) {
-		for pid := range s.pa[role] {
-			if !seen[pid] {
-				seen[pid] = true
-				out = append(out, s.perms[pid])
-			}
-		}
+	v, ok := s.views[roleSetKey(roles)]
+	s.mu.RUnlock()
+	if !ok {
+		s.mu.Lock()
+		v = s.viewLocked(roles)
+		s.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return v.perms
 }
 
 // HasUser reports whether the user is registered.

@@ -3,6 +3,7 @@ package rbac
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"stac/internal/model"
 )
@@ -14,13 +15,16 @@ import (
 // Section 5.1).
 //
 // Sessions share the System's lock: all methods are safe for
-// concurrent use.
+// concurrent use. A session points at the resolved view of its active
+// role set, re-pointed on every role change and re-resolved on first
+// use after a policy mutation, so the access path reads it lock-free.
 type Session struct {
 	sys    *System
 	id     int
 	user   UserID
 	active map[RoleID]bool
 	closed bool
+	view   atomic.Pointer[view]
 }
 
 // CreateSession establishes a subject for an authenticated user.
@@ -32,6 +36,7 @@ func (s *System) CreateSession(u UserID) (*Session, error) {
 	}
 	s.nextSession++
 	sess := &Session{sys: s, id: s.nextSession, user: u, active: make(map[RoleID]bool)}
+	sess.repointLocked()
 	s.sessions[sess.id] = sess
 	return sess, nil
 }
@@ -66,6 +71,7 @@ func (sess *Session) ActivateRole(r RoleID) error {
 		}
 	}
 	sess.active[r] = true
+	sess.repointLocked()
 	return nil
 }
 
@@ -79,7 +85,11 @@ func (sess *Session) DeactivateRole(r RoleID) {
 }
 
 func (sess *Session) deactivateLocked(r RoleID) {
+	if !sess.active[r] {
+		return
+	}
 	delete(sess.active, r)
+	sess.repointLocked()
 }
 
 // ActiveRoles returns the roles active in the session, sorted — the
@@ -88,6 +98,10 @@ func (sess *Session) ActiveRoles() []RoleID {
 	s := sess.sys
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	return sess.activeRolesLocked()
+}
+
+func (sess *Session) activeRolesLocked() []RoleID {
 	out := make([]RoleID, 0, len(sess.active))
 	for r := range sess.active {
 		out = append(out, r)
@@ -96,39 +110,44 @@ func (sess *Session) ActiveRoles() []RoleID {
 	return out
 }
 
-// Permissions returns the permissions conferred by the session's
-// active roles, with hierarchy inheritance, deduplicated and sorted.
-func (sess *Session) Permissions() []Permission {
+// repointLocked points the session at the view of its active role set
+// under the current generation. The caller holds the System's lock for
+// writing.
+func (sess *Session) repointLocked() *view {
+	v := sess.sys.viewLocked(sess.activeRolesLocked())
+	sess.view.Store(v)
+	return v
+}
+
+// currentView returns the session's view, re-resolving it first when a
+// policy mutation has outdated it. A mutation bumps the generation
+// before it returns, so no caller sees a view older than the last
+// completed mutation.
+func (sess *Session) currentView() *view {
 	s := sess.sys
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	seen := map[PermID]bool{}
-	var out []Permission
-	for r := range sess.active {
-		for role := range s.expandLocked(r) {
-			for pid := range s.pa[role] {
-				if !seen[pid] {
-					seen[pid] = true
-					out = append(out, s.perms[pid])
-				}
-			}
-		}
+	if v := sess.view.Load(); v.gen == s.gen.Load() {
+		return v
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return sess.repointLocked()
+}
+
+// Permissions returns the permissions conferred by the session's
+// active roles, with hierarchy inheritance, deduplicated and sorted by
+// ID. The slice is the session's resolved view, shared with every
+// session holding the same roles: callers must not modify it.
+func (sess *Session) Permissions() []Permission {
+	return sess.currentView().perms
 }
 
 // PermissionFor returns a permission held by the session that covers
 // the access, if any. When several cover it, the one with the
 // lexicographically smallest ID is returned, making authorisation
-// decisions deterministic.
+// decisions deterministic. It consults at most four index buckets of
+// the session's view and allocates nothing.
 func (sess *Session) PermissionFor(a model.Access) (Permission, bool) {
-	for _, p := range sess.Permissions() {
-		if p.Covers(a) {
-			return p, true
-		}
-	}
-	return Permission{}, false
+	return sess.currentView().lookup(a)
 }
 
 // CheckAccess reports whether some active role confers a permission
@@ -146,5 +165,6 @@ func (sess *Session) Close() {
 	defer s.mu.Unlock()
 	sess.closed = true
 	sess.active = make(map[RoleID]bool)
+	sess.repointLocked()
 	delete(s.sessions, sess.id)
 }

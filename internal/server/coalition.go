@@ -79,6 +79,10 @@ type Coalition struct {
 	// shadow, when set, holds the candidate policy evaluated alongside
 	// the served one (see shadow.go).
 	shadow atomic.Pointer[shadowState]
+
+	// programs interns the SRAL programs declared on wire access
+	// requests to every member daemon (see programs.go).
+	programs *programCache
 }
 
 // NewCoalition creates a coalition with the given clock (nil for a
@@ -90,6 +94,7 @@ func NewCoalition(clock temporal.Clock, key []byte) *Coalition {
 		Signer:   proof.NewSigner(key),
 		Hub:      channel.NewHub(),
 		servers:  make(map[model.ServerID]*Server),
+		programs: newProgramCache(),
 	}
 }
 
@@ -326,11 +331,12 @@ func (s *Server) Request(sub *Subject, op model.Operation, res model.ResourceID,
 	sp.SetAttr("access", access.String())
 	defer sp.Finish()
 	req := core.Request{
-		Session: sub.Session,
-		Access:  access,
-		Program: prog.Program,
-		History: history,
-		Proofs:  oracle,
+		Session:       sub.Session,
+		Access:        access,
+		Program:       prog.Program,
+		ProgramDigest: prog.ProgramDigest,
+		History:       history,
+		Proofs:        oracle,
 	}
 	dec := s.coalition.Engine.AuthorizeTraced(ctx, req)
 	if dec.ID == "" {
@@ -396,6 +402,9 @@ type RequestContext struct {
 	// engine statically rejects programs that can never satisfy a
 	// permission's spatial constraint).
 	Program sral.Node
+	// ProgramDigest is core.ProgramDigest(Program) when the caller
+	// already has it (optional; see core.Request).
+	ProgramDigest string
 	// Store is the object's proof store; granted accesses append to it
 	// and it supplies the history and oracle.
 	Store *proof.Store

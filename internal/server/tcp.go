@@ -18,7 +18,6 @@ import (
 	"stac/internal/model"
 	"stac/internal/obs"
 	"stac/internal/proof"
-	"stac/internal/sral"
 )
 
 // This file provides the network transport of the emulation: a
@@ -580,13 +579,13 @@ func (d *Daemon) handle(req *wireRequest, tokens *[]string) wireResponse {
 			echo = tc.String()
 		}
 		if req.Program != "" {
-			prog, err := sral.Parse(req.Program)
+			prog, err := d.srv.coalition.programs.intern(req.Program)
 			if err != nil {
 				wsp.SetAttr("error", "bad program")
 				wsp.Finish()
 				return wireResponse{Error: "access: bad program: " + err.Error(), Trace: echo}
 			}
-			ctx.Program = prog
+			ctx.Program, ctx.ProgramDigest = prog.node, prog.digest
 		}
 		// Rebuild the carried proof history, verifying signatures.
 		// Duplicate copies of one proof collapse to one event: a

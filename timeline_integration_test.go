@@ -7,7 +7,7 @@ package stac
 // all three /debug/journal streams and merging by HLC must reproduce
 // the itinerary's causal order with zero violations, the skewed member
 // must be flagged by the federate poller, and journal tailing must not
-// meaningfully tax the decision path. Writes TIMELINE_pr9.json when
+// meaningfully tax the decision path. Writes TIMELINE.json when
 // ARTIFACTS_DIR is set (the ci.sh timeline smoke greps it).
 
 import (
@@ -312,7 +312,7 @@ func TestTimelineMergesSkewedCoalition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, "TIMELINE_pr9.json"), b, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, "TIMELINE.json"), b, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
