@@ -57,7 +57,15 @@ go run ./cmd/benchdiff -distill "$ARTIFACTS/bench_smoke.txt" >"$ARTIFACTS/BENCH.
 # Compare against the committed baseline of the same name. Regressions
 # beyond 25% (ns/op or allocs/op) surface as CI warnings (benchdiff
 # exits 0 on warnings — a 1x smoke run is too noisy to gate on).
-go run ./cmd/benchdiff BENCH.json "$ARTIFACTS/BENCH.json"
+# -distill drops go test's GOMAXPROCS name suffix (BenchmarkX-2), so
+# the rows match the baseline's at any CPU count; a diff that compares
+# nothing means the names drifted apart again, and fails.
+go run ./cmd/benchdiff BENCH.json "$ARTIFACTS/BENCH.json" >"$ARTIFACTS/bench_diff.txt"
+cat "$ARTIFACTS/bench_diff.txt"
+if grep -q '^# 0 compared' "$ARTIFACTS/bench_diff.txt"; then
+    echo "bench smoke compared no benchmark against BENCH.json" >&2
+    exit 1
+fi
 
 # Contention-profile digest: rerun the E14 contention benchmarks with
 # mutex/block profiling on and distil each profile's hot frames into a
@@ -74,15 +82,17 @@ go run ./cmd/benchdiff -digest mutex "$ARTIFACTS/mutex_smoke.pb.gz" >"$ARTIFACTS
 go run ./cmd/benchdiff -digest block "$ARTIFACTS/block_smoke.pb.gz" >"$ARTIFACTS/PROFILE_block.json"
 
 # Load smoke: a short scenario-matrix run over real TCP — the churn,
-# hostile and large-policy scenarios against the coordinated engine
-# and the RBAC floor, time boxes capped to keep the whole smoke near
-# fifteen seconds. The summary diffs against the committed LOAD.json
+# hostile, large-policy and long-history scenarios against the
+# coordinated engine and the RBAC floor, time boxes capped to keep the
+# whole smoke near fifteen seconds. proofheavy drives the carried
+# history path (delta cursors against the daemon's resident log) on
+# every run. The summary diffs against the committed LOAD.json
 # baseline:
 # drift warns at 50%, and a throughput collapse beyond 90% fails the
 # build (cross-machine load numbers are noisy, order-of-magnitude
 # slips are not).
 go run ./cmd/stacload -scenarios scenarios -systems stac,rbac \
-    -only churn,hostile,policysize -trials 1 -duration-cap 1s -out "$ARTIFACTS/LOAD.json"
+    -only churn,hostile,policysize,proofheavy -trials 1 -duration-cap 1s -out "$ARTIFACTS/LOAD.json"
 go run ./cmd/benchdiff -threshold 50 -fail-over 90 LOAD.json "$ARTIFACTS/LOAD.json"
 
 # Timeline smoke: the PR 9 acceptance e2e — three TCP daemons, one

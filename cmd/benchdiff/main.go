@@ -450,7 +450,10 @@ func load(path string) (summary, error) {
 //	BenchmarkName-8   123   4567 ns/op   89 B/op   3 allocs/op
 //
 // where the memory columns only appear under -benchmem; lines without
-// them still contribute ns/op.
+// them still contribute ns/op. The trailing -8 is GOMAXPROCS, which go
+// test appends only when it exceeds 1; it is dropped, so results key
+// on the benchmark alone and match baselines taken at any CPU count
+// (the host fingerprint records the count).
 func distill(r io.Reader) ([]benchResult, error) {
 	var out []benchResult
 	sc := bufio.NewScanner(r)
@@ -460,7 +463,7 @@ func distill(r io.Reader) ([]benchResult, error) {
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
 		}
-		b := benchResult{Name: fields[0]}
+		b := benchResult{Name: stripProcs(fields[0])}
 		matched := false
 		for i := 3; i < len(fields); i++ {
 			v, err := strconv.ParseFloat(fields[i-1], 64)
@@ -480,6 +483,16 @@ func distill(r io.Reader) ([]benchResult, error) {
 		}
 	}
 	return out, sc.Err()
+}
+
+// stripProcs drops a trailing "-<digits>" GOMAXPROCS suffix from a
+// benchmark name.
+func stripProcs(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 || strings.Trim(name[i+1:], "0123456789") != "" {
+		return name
+	}
+	return name[:i]
 }
 
 func runDistill(path string, w io.Writer) error {

@@ -384,14 +384,66 @@ func TestDistillParsesBenchOutput(t *testing.T) {
 	if len(results) != 3 {
 		t.Fatalf("results = %+v", results)
 	}
-	if results[0].Name != "BenchmarkAuthorize-8" || results[0].NsPerOp != 9876 || results[0].AllocsPerOp != 12 {
+	if results[0].Name != "BenchmarkAuthorize" || results[0].NsPerOp != 9876 || results[0].AllocsPerOp != 12 {
 		t.Fatalf("first result = %+v", results[0])
 	}
 	if results[1].NsPerOp != 123.4 || results[1].AllocsPerOp != 0 {
 		t.Fatalf("parallel result = %+v", results[1])
 	}
-	if results[2].Name != "BenchmarkNoMem-8" || results[2].NsPerOp != 55555 {
+	if results[2].Name != "BenchmarkNoMem" || results[2].NsPerOp != 55555 {
 		t.Fatalf("memless result = %+v", results[2])
+	}
+}
+
+func TestStripProcs(t *testing.T) {
+	for in, want := range map[string]string{
+		"BenchmarkX-2":                   "BenchmarkX",
+		"BenchmarkX/history=10-16":       "BenchmarkX/history=10",
+		"BenchmarkX":                     "BenchmarkX",
+		"BenchmarkX/m=13/n=5":            "BenchmarkX/m=13/n=5",
+		"BenchmarkX/plain-rbac":          "BenchmarkX/plain-rbac",
+		"BenchmarkX/spatio-temporal-2":   "BenchmarkX/spatio-temporal",
+		"BenchmarkX/trailing-":           "BenchmarkX/trailing-",
+		"BenchmarkX/signed-+2":           "BenchmarkX/signed-+2",
+		"BenchmarkE14_ContentionScaling": "BenchmarkE14_ContentionScaling",
+	} {
+		if got := stripProcs(in); got != want {
+			t.Errorf("stripProcs(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
+// TestDistillMatchesSuffixFreeBaseline is the bench smoke on a multi-CPU
+// host: go test names the benchmark BenchmarkX-2, the committed
+// baseline (a bare array, recorded on one CPU) names it BenchmarkX, and
+// the diff must compare the two rather than list one added and one
+// removed.
+func TestDistillMatchesSuffixFreeBaseline(t *testing.T) {
+	dir := t.TempDir()
+	baseline := filepath.Join(dir, "BENCH.json")
+	if err := os.WriteFile(baseline, []byte(`[
+  {"name": "BenchmarkRuntimeTraceCheck/history=10", "ns_per_op": 7437, "allocs_per_op": 0}
+]`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	txt := filepath.Join(dir, "bench.txt")
+	if err := os.WriteFile(txt, []byte("BenchmarkRuntimeTraceCheck/history=10-2  \t 1\t 7500 ns/op\t 0 B/op\t 0 allocs/op\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var distilled bytes.Buffer
+	if err := run([]string{"-distill", txt}, &distilled); err != nil {
+		t.Fatal(err)
+	}
+	cur := filepath.Join(dir, "new.json")
+	if err := os.WriteFile(cur, distilled.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run([]string{baseline, cur}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "# 1 compared") || !strings.Contains(out.String(), "0 added, 0 removed") {
+		t.Fatalf("diff against the suffix-free baseline:\n%s", out.String())
 	}
 }
 

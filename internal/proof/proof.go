@@ -268,11 +268,12 @@ func (st *Store) Unmarshal(data []byte) error {
 	return nil
 }
 
-// proofView returns a capacity-clamped read-only view of the proofs —
-// the copy-free counterpart of All for internal iteration. The proofs
-// slice is append-only (Unmarshal swaps the whole backing), so the
-// view stays valid across concurrent Adds.
-func (st *Store) proofView() []Proof {
+// View returns the proofs in insertion order as a capacity-clamped
+// read-only view — the copy-free counterpart of All. The proofs slice
+// is append-only (Unmarshal swaps the whole backing), so the view stays
+// valid, and fixed, across concurrent Adds; callers must not write its
+// elements.
+func (st *Store) View() []Proof {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	return st.proofs[:len(st.proofs):len(st.proofs)]
@@ -289,7 +290,7 @@ func MergedTrace(stores ...*Store) []model.Access {
 		if st == nil {
 			continue
 		}
-		for _, p := range st.proofView() {
+		for _, p := range st.View() {
 			if seen[p.Sig] {
 				continue
 			}

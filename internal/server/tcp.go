@@ -30,11 +30,26 @@ import (
 // client disconnecting (departing) and authenticating at the next
 // server of its itinerary.
 //
-// The proof history travels with the client and is verified
-// signature-by-signature on arrival; within the paper's trust model
-// coalition devices present their complete history (Section 2 assumes
-// cooperative, trustworthy participants), so omission attacks are out
-// of scope, as they are for the paper's prototype.
+// The proof history travels with the client, and the daemon keeps each
+// session's verified copy of it resident, so every carried proof is
+// shipped and HMAC-verified once per session rather than on every
+// access. An access names its place in the history with a cursor:
+// base, the number of proofs the daemon already holds, and head, the
+// signature of the last of them; the proofs array then carries only
+// the suffix. Base 0 (which is what a client that predates the cursor
+// sends) is the complete history, and the daemon rebuilds the resident
+// log from it. Every reply reports have, the resident length after the
+// request, and the client's next base is the smaller of have and its
+// own history length. A cursor that does not name the resident log
+// exactly is answered with a "history cursor mismatch" error before
+// anything is decided, the resident log is dropped, and the client
+// resends its full history. A daemon that never reports have keeps its
+// clients on full histories.
+//
+// Within the paper's trust model coalition devices present their
+// complete history (Section 2 assumes cooperative, trustworthy
+// participants), so omission attacks are out of scope, as they are for
+// the paper's prototype.
 //
 // The transport assumes a hostile network rather than a hostile peer:
 // connections may reset mid-message, writes may land partially, and
@@ -56,7 +71,13 @@ type wireRequest struct {
 	Resource string        `json:"resource,omitempty"`
 	Program  string        `json:"program,omitempty"` // SRAL text
 	Proofs   []proof.Proof `json:"proofs,omitempty"`
-	Payload  []byte        `json:"payload,omitempty"`
+	// Base is the history cursor: how many proofs of the carried
+	// history the daemon already holds for this token. Proofs then
+	// carries only the history from Base on, and Head is the signature
+	// of proof Base-1. Zero means Proofs is the complete history.
+	Base    int    `json:"base,omitempty"`
+	Head    string `json:"head,omitempty"`
+	Payload []byte `json:"payload,omitempty"`
 	// ID, when set on an access request, makes it idempotent: a
 	// retry with the same ID returns the recorded response instead of
 	// re-executing, so a client that lost a response to a connection
@@ -82,6 +103,9 @@ type wireResponse struct {
 	// access
 	Data  []byte       `json:"data,omitempty"`
 	Proof *proof.Proof `json:"proof,omitempty"`
+	// Have is the length of the token's resident history after the
+	// request — the base the client may send next.
+	Have int `json:"have,omitempty"`
 	// info
 	Server    string   `json:"server,omitempty"`
 	Resources []string `json:"resources,omitempty"`
@@ -162,6 +186,13 @@ type dmetrics struct {
 	dedup    *obs.Counter
 	oversize *obs.Counter
 	malform  *obs.Counter
+	// verified and resident split the carried proofs of the accesses
+	// that reached a decision: HMAC-verified on this request, or taken
+	// from the token's resident log. residentLen is the resident logs'
+	// total length.
+	verified    *obs.Counter
+	resident    *obs.Counter
+	residentLen *obs.Gauge
 }
 
 // wireTypes are the request types the daemon accounts per-type; an
@@ -187,6 +218,14 @@ func newDMetrics(r *obs.Registry, server model.ServerID) *dmetrics {
 		malform: r.Counter("stac_server_rejects_total",
 			obs.Labels(obs.Label("reason", "malformed"), srv),
 			"Requests rejected before handling, by reason."),
+		verified: r.Counter("stac_server_carried_proofs_total",
+			obs.Labels(obs.Label("outcome", "verified"), srv),
+			"Carried proofs of accepted access histories: HMAC-verified on arrival, or already resident."),
+		resident: r.Counter("stac_server_carried_proofs_total",
+			obs.Labels(obs.Label("outcome", "resident"), srv),
+			"Carried proofs of accepted access histories: HMAC-verified on arrival, or already resident."),
+		residentLen: r.Gauge("stac_server_resident_proofs", srv,
+			"Verified carried proofs held resident across the daemon's sessions."),
 	}
 	for _, t := range wireTypes {
 		m.requests[t] = r.Counter("stac_server_requests_total",
@@ -214,13 +253,40 @@ type Daemon struct {
 
 	quit       chan struct{}
 	mu         sync.Mutex
-	subjects   map[string]*Subject
+	subjects   map[string]*session
 	conns      map[net.Conn]struct{}
 	connsTotal int64
 	seen       map[dedupKey]wireResponse
 	seenFIFO   []dedupKey
 	closed     bool
 	wg         sync.WaitGroup
+}
+
+// session is one token's daemon-side state: the authenticated subject
+// and the resident log of its verified carried history.
+type session struct {
+	sub *Subject
+	// mu serialises the token's requests, so one request at a time
+	// reads, extends and (on a grant) appends to the resident log.
+	mu sync.Mutex
+	// log holds the carried history verified so far, in the client's
+	// order, plus the proofs issued to the token since; sigs indexes it
+	// by signature. Both are nil while no log is resident.
+	log  *proof.Store
+	sigs map[string]struct{}
+	// counted is log's length as last added to the resident gauge.
+	counted int
+	// gone marks a departed session: a request that raced the depart
+	// answers as an unknown token.
+	gone bool
+}
+
+// have returns the resident log's length.
+func (s *session) have() int {
+	if s.log == nil {
+		return 0
+	}
+	return s.log.Len()
 }
 
 // dedupKey identifies one logical access request across reconnects:
@@ -243,7 +309,7 @@ func NewDaemonWith(s *Server, cfg DaemonConfig) *Daemon {
 		cfg:      cfg,
 		met:      newDMetrics(cfg.Obs, s.ID()),
 		quit:     make(chan struct{}),
-		subjects: make(map[string]*Subject),
+		subjects: make(map[string]*session),
 		conns:    make(map[net.Conn]struct{}),
 		seen:     make(map[dedupKey]wireResponse),
 	}
@@ -530,99 +596,25 @@ func (d *Daemon) handle(req *wireRequest, tokens *[]string) wireResponse {
 		}
 		tok := newToken()
 		d.mu.Lock()
-		d.subjects[tok] = sub
+		d.subjects[tok] = &session{sub: sub}
 		d.mu.Unlock()
 		*tokens = append(*tokens, tok)
 		return wireResponse{OK: true, Token: tok}
 
 	case "access":
 		d.mu.Lock()
-		sub, ok := d.subjects[req.Token]
+		s, ok := d.subjects[req.Token]
 		d.mu.Unlock()
 		if !ok {
 			return wireResponse{Error: "access: unknown or expired token"}
 		}
-		if req.HLC != "" {
-			// Receive event: fold the client's clock into the engine's
-			// before deciding, so the decision stamp dominates every
-			// prior hop of the itinerary. Malformed stamps are ignored
-			// (causality degrades to local order, nothing fails).
-			if ts, err := hlc.Parse(req.HLC); err == nil {
-				d.srv.coalition.Engine.HLC().Observe(ts)
-			}
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.gone {
+			return wireResponse{Error: "access: unknown or expired token"}
 		}
-		var key dedupKey
-		if req.ID != "" && d.cfg.dedupWindow() > 0 {
-			key = dedupKey{obj: sub.Object, id: req.ID}
-			if resp, ok := d.cached(key); ok {
-				d.met.dedup.Inc()
-				// Echo the RETRY's trace context (the original decision
-				// ID stays — it names the verdict being replayed).
-				resp.Trace = extractTraceString(req.Trace)
-				return resp
-			}
-		}
-		tracer := d.srv.coalition.Engine.Tracer()
-		tc, hasTC := obs.ParseTraceContext(req.Trace)
-		if !hasTC && tracer.Sampling() {
-			// Untraced caller against a tracing daemon: mint a context
-			// so the decision is still explorable server-side.
-			tc = tracer.NewContext()
-		}
-		wsp, wctx := tracer.StartSpan(tc, "wire.access")
-		wsp.SetService("daemon:" + string(d.srv.ID()))
-		wsp.SetAttr("op", req.Op)
-		wsp.SetAttr("resource", req.Resource)
-		ctx := RequestContext{Payload: req.Payload, Trace: wctx}
-		echo := ""
-		if tc.Valid() {
-			echo = tc.String()
-		}
-		if req.Program != "" {
-			prog, err := d.srv.coalition.programs.intern(req.Program)
-			if err != nil {
-				wsp.SetAttr("error", "bad program")
-				wsp.Finish()
-				return wireResponse{Error: "access: bad program: " + err.Error(), Trace: echo}
-			}
-			ctx.Program, ctx.ProgramDigest = prog.node, prog.digest
-		}
-		// Rebuild the carried proof history, verifying signatures.
-		// Duplicate copies of one proof collapse to one event: a
-		// replayed proof must not double-count toward counting
-		// constraints (in either direction).
-		store := proof.NewStore(d.srv.coalition.Signer)
-		carried := make(map[string]struct{}, len(req.Proofs))
-		for _, p := range req.Proofs {
-			if _, dup := carried[p.Sig]; dup {
-				continue
-			}
-			carried[p.Sig] = struct{}{}
-			if err := store.Add(p); err != nil {
-				wsp.SetAttr("error", "carried proof rejected")
-				wsp.Finish()
-				return wireResponse{Error: "access: carried proof rejected: " + err.Error(), Trace: echo}
-			}
-		}
-		ctx.Store = store
-		var resp wireResponse
-		res, err := d.srv.Request(sub, model.Operation(req.Op), model.ResourceID(req.Resource), ctx)
-		if err != nil {
-			resp = wireResponse{Error: err.Error()}
-		} else {
-			resp = wireResponse{OK: true, Data: res.Data, Proof: &res.Proof}
-		}
-		resp.Trace = echo
-		resp.DecisionID = res.Decision.ID
-		resp.HLC = res.Decision.HLC.String()
-		wsp.SetAttr("decision_id", res.Decision.ID)
-		wsp.SetAttr("granted", fmt.Sprintf("%t", res.Decision.Granted))
-		wsp.Finish()
-		if req.ID != "" {
-			// Record grants AND denials: a retried request must see
-			// the same verdict the engine originally reached.
-			d.record(key, resp)
-		}
+		resp := d.access(s, req)
+		resp.Have = s.have()
 		return resp
 
 	case "audit":
@@ -645,15 +637,161 @@ func (d *Daemon) handle(req *wireRequest, tokens *[]string) wireResponse {
 	return wireResponse{Error: fmt.Sprintf("unknown request type %q", req.Type)}
 }
 
+// access serves one access request of session s, whose lock the caller
+// holds.
+func (d *Daemon) access(s *session, req *wireRequest) wireResponse {
+	if req.HLC != "" {
+		// Receive event: fold the client's clock into the engine's
+		// before deciding, so the decision stamp dominates every
+		// prior hop of the itinerary. Malformed stamps are ignored
+		// (causality degrades to local order, nothing fails).
+		if ts, err := hlc.Parse(req.HLC); err == nil {
+			d.srv.coalition.Engine.HLC().Observe(ts)
+		}
+	}
+	var key dedupKey
+	if req.ID != "" && d.cfg.dedupWindow() > 0 {
+		key = dedupKey{obj: s.sub.Object, id: req.ID}
+		if resp, ok := d.cached(key); ok {
+			d.met.dedup.Inc()
+			// Echo the RETRY's trace context (the original decision
+			// ID stays — it names the verdict being replayed). The
+			// caller sets Have from THIS token's log: the recorded
+			// reply may come from an earlier token of the object.
+			resp.Trace = extractTraceString(req.Trace)
+			return resp
+		}
+	}
+	tracer := d.srv.coalition.Engine.Tracer()
+	tc, hasTC := obs.ParseTraceContext(req.Trace)
+	if !hasTC && tracer.Sampling() {
+		// Untraced caller against a tracing daemon: mint a context
+		// so the decision is still explorable server-side.
+		tc = tracer.NewContext()
+	}
+	wsp, wctx := tracer.StartSpan(tc, "wire.access")
+	wsp.SetService("daemon:" + string(d.srv.ID()))
+	wsp.SetAttr("op", req.Op)
+	wsp.SetAttr("resource", req.Resource)
+	ctx := RequestContext{Payload: req.Payload, Trace: wctx}
+	echo := ""
+	if tc.Valid() {
+		echo = tc.String()
+	}
+	if req.Program != "" {
+		prog, err := d.srv.coalition.programs.intern(req.Program)
+		if err != nil {
+			wsp.SetAttr("error", "bad program")
+			wsp.Finish()
+			return wireResponse{Error: "access: bad program: " + err.Error(), Trace: echo}
+		}
+		ctx.Program, ctx.ProgramDigest = prog.node, prog.digest
+	}
+	if err := d.carry(s, req); err != nil {
+		wsp.SetAttr("error", err.Error())
+		wsp.Finish()
+		return wireResponse{Error: err.Error(), Trace: echo}
+	}
+	ctx.Store = s.log
+	issued := s.log.Len()
+	var resp wireResponse
+	res, err := d.srv.Request(s.sub, model.Operation(req.Op), model.ResourceID(req.Resource), ctx)
+	if err != nil {
+		resp = wireResponse{Error: err.Error()}
+	} else {
+		resp = wireResponse{OK: true, Data: res.Data, Proof: &res.Proof}
+	}
+	// A grant appended the issued proof to the log, as the client
+	// appends it to its own history.
+	for _, p := range s.log.View()[issued:] {
+		s.sigs[p.Sig] = struct{}{}
+	}
+	d.countResident(s)
+	resp.Trace = echo
+	resp.DecisionID = res.Decision.ID
+	resp.HLC = res.Decision.HLC.String()
+	wsp.SetAttr("decision_id", res.Decision.ID)
+	wsp.SetAttr("granted", fmt.Sprintf("%t", res.Decision.Granted))
+	wsp.Finish()
+	if req.ID != "" {
+		// Record grants AND denials: a retried request must see
+		// the same verdict the engine originally reached.
+		d.record(key, resp)
+	}
+	return resp
+}
+
+// msgCursorMismatch opens the error that answers an access whose
+// history cursor does not name the token's resident log; a Client
+// answers it by resending its full history.
+const msgCursorMismatch = "access: history cursor mismatch"
+
+// carry brings session s's resident log up to the request's carried
+// history. Base 0 rebuilds the log from the complete history; base > 0
+// must name the resident log exactly, by length and last signature, and
+// extends it with the suffix. Every proof not yet resident is
+// HMAC-verified; copies of a resident proof collapse into it, so a
+// replayed proof never double-counts toward a counting constraint. On
+// any error the log is dropped and the client must resend in full.
+func (d *Daemon) carry(s *session, req *wireRequest) error {
+	switch have := s.have(); {
+	case req.Base == 0:
+		d.dropLog(s)
+		s.log = proof.NewStore(d.srv.coalition.Signer)
+		s.sigs = make(map[string]struct{}, len(req.Proofs))
+	case req.Base != have:
+		d.dropLog(s)
+		return fmt.Errorf("%s: base %d, %d proofs resident", msgCursorMismatch, req.Base, have)
+	case s.log.View()[have-1].Sig != req.Head:
+		d.dropLog(s)
+		return fmt.Errorf("%s: head is not resident proof %d", msgCursorMismatch, have-1)
+	}
+	before := s.log.Len()
+	for _, p := range req.Proofs {
+		if _, dup := s.sigs[p.Sig]; dup {
+			continue
+		}
+		if err := s.log.Add(p); err != nil {
+			d.dropLog(s)
+			return fmt.Errorf("access: carried proof rejected: %w", err)
+		}
+		s.sigs[p.Sig] = struct{}{}
+	}
+	verified := s.log.Len() - before
+	d.met.verified.Add(int64(verified))
+	d.met.resident.Add(int64(req.Base + len(req.Proofs) - verified))
+	d.countResident(s)
+	return nil
+}
+
+// countResident brings the resident gauge up to date with s's log.
+func (d *Daemon) countResident(s *session) {
+	n := s.have()
+	d.met.residentLen.Add(int64(n - s.counted))
+	s.counted = n
+}
+
+// dropLog releases s's resident log.
+func (d *Daemon) dropLog(s *session) {
+	s.log, s.sigs = nil, nil
+	d.countResident(s)
+}
+
 func (d *Daemon) depart(token string) bool {
 	d.mu.Lock()
-	sub, ok := d.subjects[token]
+	s, ok := d.subjects[token]
 	delete(d.subjects, token)
 	d.mu.Unlock()
-	if ok {
-		d.srv.Depart(sub)
+	if !ok {
+		return false
 	}
-	return ok
+	// Wait out an in-flight request of the token, then free its log.
+	s.mu.Lock()
+	s.gone = true
+	d.dropLog(s)
+	s.mu.Unlock()
+	d.srv.Depart(s.sub)
+	return true
 }
 
 func newToken() string {
@@ -750,6 +888,11 @@ type Client struct {
 	// returns the same proof again, and it must not inflate the
 	// carried history.
 	seen map[string]struct{}
+	// acked is how many leading proofs the daemon holds resident for
+	// the current token: the next access sends proofs[acked:] after
+	// that cursor. It follows the daemon's have and falls to 0 on
+	// Auth and on transport errors.
+	acked int
 }
 
 // Dial connects to a coalition daemon with default settings.
@@ -778,10 +921,8 @@ func NewClient(conn net.Conn, cfg ClientConfig) *Client {
 }
 
 // addProof records a proof unless an identical copy (same signature)
-// is already carried.
+// is already carried. The caller holds c.mu.
 func (c *Client) addProof(p proof.Proof) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if _, dup := c.seen[p.Sig]; dup {
 		return
 	}
@@ -845,6 +986,7 @@ func (c *Client) Auth(cred proof.Credential) error {
 	}
 	c.mu.Lock()
 	c.token = resp.Token
+	c.acked = 0
 	c.mu.Unlock()
 	return nil
 }
@@ -890,19 +1032,46 @@ func (c *Client) AccessID(id string, op model.Operation, res model.ResourceID, p
 
 // AccessTraced is AccessID under an explicit trace context (overriding
 // any SetTrace default for this one request).
+//
+// The request carries only the proofs the daemon does not hold yet
+// (see the history cursor in the file comment). A daemon that lost
+// track of them answers with a cursor mismatch, and the access is
+// resent once, under the same request ID, with the full history.
 func (c *Client) AccessTraced(tc obs.TraceContext, id string, op model.Operation, res model.ResourceID, program string, payload []byte) ([]byte, error) {
-	c.mu.Lock()
 	req := wireRequest{
 		Type:     "access",
 		ID:       id,
-		Token:    c.token,
 		Op:       string(op),
 		Resource: string(res),
 		Program:  program,
-		Proofs:   c.proofs[:len(c.proofs):len(c.proofs)],
 		Payload:  payload,
 		Trace:    tc.String(),
 	}
+	resp, err := c.access(req, false)
+	var se *ServerError
+	if errors.As(err, &se) && strings.HasPrefix(se.Msg, msgCursorMismatch) {
+		resp, err = c.access(req, true)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return resp.Data, nil
+}
+
+// access sends one access request carrying the history after the
+// acknowledged cursor, or all of it when full is set, and folds the
+// reply into the client's history and cursor.
+func (c *Client) access(req wireRequest, full bool) (wireResponse, error) {
+	c.mu.Lock()
+	req.Token = c.token
+	base := c.acked
+	if full {
+		base = 0
+	}
+	if base > 0 {
+		req.Base, req.Head = base, c.proofs[base-1].Sig
+	}
+	req.Proofs = c.proofs[base:len(c.proofs):len(c.proofs)]
 	clk := c.hlc
 	c.mu.Unlock()
 	if clk != nil {
@@ -916,13 +1085,18 @@ func (c *Client) AccessTraced(tc obs.TraceContext, id string, op model.Operation
 			clk.Observe(ts)
 		}
 	}
-	if err != nil {
-		return nil, err
-	}
-	if resp.Proof != nil {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err == nil && resp.Proof != nil {
 		c.addProof(*resp.Proof)
 	}
-	return resp.Data, nil
+	if IsTransient(err) {
+		// No reply was parsed: what the daemon holds is unknown.
+		c.acked = 0
+	} else {
+		c.acked = min(resp.Have, len(c.proofs))
+	}
+	return resp, err
 }
 
 // Proofs returns the execution proofs collected so far, as a shared
@@ -940,6 +1114,8 @@ func (c *Client) Proofs() []proof.Proof {
 // ImportProofs seeds the client's carried history (e.g. when migrating
 // from another server).
 func (c *Client) ImportProofs(ps []proof.Proof) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for _, p := range ps {
 		c.addProof(p)
 	}
