@@ -3,9 +3,9 @@
 // the file contents:
 //
 //   - bench summaries — the BENCH.json artifacts ci.sh distils
-//     from the bench smoke run, either the legacy bare JSON array or
-//     the v2 envelope {"host": {...}, "bench": [...]} that -distill
-//     emits; compared by ns/op AND allocs/op (both gate).
+//     from the bench smoke run, the v2 envelope {"host": {...},
+//     "bench": [...]} that -distill emits; compared by ns/op AND
+//     allocs/op (both gate).
 //   - load summaries (JSON object with a "runs" array) — the
 //     LOAD.json artifacts cmd/stacload emits; compared by
 //     throughput (ops/s drop) and tail latency (p99 rise) per
@@ -60,7 +60,6 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -392,56 +391,44 @@ func report(w io.Writer, deltas []delta, added, removed []string, thresholdPct f
 	return worst, regressions
 }
 
-// load reads one summary file, auto-detecting the format: a JSON
-// array is a legacy bench summary; an object with "runs" is a load
-// summary, with "bench" a v2 bench summary, with "frames" a profile
-// digest.
+// load reads one summary file, auto-detecting the format from the
+// JSON object's array: "runs" is a load summary, "bench" a bench
+// summary, "frames" a profile digest, "clauses" a cost table.
 func load(path string) (summary, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return summary{}, err
 	}
-	trimmed := bytes.TrimSpace(data)
-	if len(trimmed) > 0 && trimmed[0] == '{' {
-		var probe struct {
-			Schema  int             `json:"schema"`
-			Host    perf.HostInfo   `json:"host"`
-			Runs    []loadRun       `json:"runs"`
-			Bench   []benchResult   `json:"bench"`
-			Frames  json.RawMessage `json:"frames"`
-			Clauses json.RawMessage `json:"clauses"`
-		}
-		if err := json.Unmarshal(data, &probe); err != nil {
-			return summary{}, fmt.Errorf("%s: %w", path, err)
-		}
-		switch {
-		case probe.Runs != nil:
-			return summary{host: probe.Host, runs: probe.Runs}, nil
-		case probe.Bench != nil:
-			return summary{host: probe.Host, bench: probe.Bench}, nil
-		case probe.Frames != nil:
-			var d perf.Digest
-			if err := json.Unmarshal(data, &d); err != nil {
-				return summary{}, fmt.Errorf("%s: %w", path, err)
-			}
-			return summary{digest: &d}, nil
-		case probe.Clauses != nil:
-			var r cost.Report
-			if err := json.Unmarshal(data, &r); err != nil {
-				return summary{}, fmt.Errorf("%s: %w", path, err)
-			}
-			return summary{cost: &r}, nil
-		}
-		return summary{}, fmt.Errorf("%s: JSON object without a \"runs\", \"bench\", \"frames\" or \"clauses\" array", path)
+	var probe struct {
+		Schema  int             `json:"schema"`
+		Host    perf.HostInfo   `json:"host"`
+		Runs    []loadRun       `json:"runs"`
+		Bench   []benchResult   `json:"bench"`
+		Frames  json.RawMessage `json:"frames"`
+		Clauses json.RawMessage `json:"clauses"`
 	}
-	var bench []benchResult
-	if err := json.Unmarshal(data, &bench); err != nil {
+	if err := json.Unmarshal(data, &probe); err != nil {
 		return summary{}, fmt.Errorf("%s: %w", path, err)
 	}
-	if bench == nil {
-		bench = []benchResult{}
+	switch {
+	case probe.Runs != nil:
+		return summary{host: probe.Host, runs: probe.Runs}, nil
+	case probe.Bench != nil:
+		return summary{host: probe.Host, bench: probe.Bench}, nil
+	case probe.Frames != nil:
+		var d perf.Digest
+		if err := json.Unmarshal(data, &d); err != nil {
+			return summary{}, fmt.Errorf("%s: %w", path, err)
+		}
+		return summary{digest: &d}, nil
+	case probe.Clauses != nil:
+		var r cost.Report
+		if err := json.Unmarshal(data, &r); err != nil {
+			return summary{}, fmt.Errorf("%s: %w", path, err)
+		}
+		return summary{cost: &r}, nil
 	}
-	return summary{bench: bench}, nil
+	return summary{}, fmt.Errorf("%s: JSON object without a \"runs\", \"bench\", \"frames\" or \"clauses\" array", path)
 }
 
 // distill parses `go test -bench` text output into bench results. A
@@ -529,9 +516,9 @@ func runDigest(kind, path string, topN int, w io.Writer) error {
 }
 
 // reportHostMismatch warns when two summaries were captured on
-// machines whose differences skew performance numbers. Legacy files
-// without a fingerprint have zero-valued hosts, which Diff ignores
-// field by field.
+// machines whose differences skew performance numbers. Summaries
+// without a fingerprint (digests, cost tables) have zero-valued hosts,
+// which Diff ignores field by field.
 func reportHostMismatch(w io.Writer, old, new summary) {
 	for _, diff := range old.host.Diff(new.host) {
 		fmt.Fprintf(w, "::warning title=host mismatch::%s — comparison may be skewed\n", diff)

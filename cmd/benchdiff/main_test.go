@@ -65,7 +65,7 @@ func TestCompareZeroBaselineDoesNotDivide(t *testing.T) {
 func TestRunToleratesMissingBaseline(t *testing.T) {
 	dir := t.TempDir()
 	newPath := filepath.Join(dir, "new.json")
-	if err := os.WriteFile(newPath, []byte(`[{"name":"B","ns_per_op":1}]`), 0o644); err != nil {
+	if err := os.WriteFile(newPath, []byte(`{"bench":[{"name":"B","ns_per_op":1}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -81,10 +81,10 @@ func TestRunComparesFiles(t *testing.T) {
 	dir := t.TempDir()
 	oldPath := filepath.Join(dir, "old.json")
 	newPath := filepath.Join(dir, "new.json")
-	if err := os.WriteFile(oldPath, []byte(`[{"name":"B","ns_per_op":100,"allocs_per_op":3}]`), 0o644); err != nil {
+	if err := os.WriteFile(oldPath, []byte(`{"bench":[{"name":"B","ns_per_op":100,"allocs_per_op":3}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(newPath, []byte(`[{"name":"B","ns_per_op":400,"allocs_per_op":3}]`), 0o644); err != nil {
+	if err := os.WriteFile(newPath, []byte(`{"bench":[{"name":"B","ns_per_op":400,"allocs_per_op":3}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -116,10 +116,10 @@ func TestRunFailOverGatesBenchRegressions(t *testing.T) {
 	dir := t.TempDir()
 	oldPath := filepath.Join(dir, "old.json")
 	newPath := filepath.Join(dir, "new.json")
-	if err := os.WriteFile(oldPath, []byte(`[{"name":"B","ns_per_op":100}]`), 0o644); err != nil {
+	if err := os.WriteFile(oldPath, []byte(`{"bench":[{"name":"B","ns_per_op":100}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(newPath, []byte(`[{"name":"B","ns_per_op":300}]`), 0o644); err != nil {
+	if err := os.WriteFile(newPath, []byte(`{"bench":[{"name":"B","ns_per_op":300}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -219,7 +219,7 @@ func TestRunRejectsMixedFormats(t *testing.T) {
 	dir := t.TempDir()
 	benchPath := filepath.Join(dir, "bench.json")
 	loadPath := filepath.Join(dir, "load.json")
-	if err := os.WriteFile(benchPath, []byte(`[{"name":"B","ns_per_op":1}]`), 0o644); err != nil {
+	if err := os.WriteFile(benchPath, []byte(`{"bench":[{"name":"B","ns_per_op":1}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(loadPath, []byte(loadOld), 0o644); err != nil {
@@ -298,10 +298,10 @@ func TestRunFailOverGatesAllocRegressions(t *testing.T) {
 	oldPath := filepath.Join(dir, "old.json")
 	newPath := filepath.Join(dir, "new.json")
 	// ns/op flat, allocs tripled: only the allocation axis regresses.
-	if err := os.WriteFile(oldPath, []byte(`[{"name":"B","ns_per_op":100,"allocs_per_op":2}]`), 0o644); err != nil {
+	if err := os.WriteFile(oldPath, []byte(`{"bench":[{"name":"B","ns_per_op":100,"allocs_per_op":2}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(newPath, []byte(`[{"name":"B","ns_per_op":100,"allocs_per_op":6}]`), 0o644); err != nil {
+	if err := os.WriteFile(newPath, []byte(`{"bench":[{"name":"B","ns_per_op":100,"allocs_per_op":6}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -347,20 +347,6 @@ func TestRunV2BenchEnvelopeAndHostWarning(t *testing.T) {
 	}
 	if !strings.Contains(out, "1 compared") {
 		t.Fatalf("envelope entries not compared:\n%s", out)
-	}
-
-	// A v2 envelope against a legacy bare array still compares — the
-	// legacy side just has no fingerprint to mismatch on.
-	legacy := filepath.Join(dir, "legacy.json")
-	if err := os.WriteFile(legacy, []byte(`[{"name":"B","ns_per_op":100}]`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	if err := run([]string{legacy, newPath}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), "host mismatch") {
-		t.Fatalf("fingerprint-less baseline produced a host warning:\n%s", buf.String())
 	}
 }
 
@@ -414,16 +400,15 @@ func TestStripProcs(t *testing.T) {
 }
 
 // TestDistillMatchesSuffixFreeBaseline is the bench smoke on a multi-CPU
-// host: go test names the benchmark BenchmarkX-2, the committed
-// baseline (a bare array, recorded on one CPU) names it BenchmarkX, and
-// the diff must compare the two rather than list one added and one
-// removed.
+// host: go test names the benchmark BenchmarkX-2, a baseline recorded
+// on one CPU names it BenchmarkX, and the diff must compare the two
+// rather than list one added and one removed.
 func TestDistillMatchesSuffixFreeBaseline(t *testing.T) {
 	dir := t.TempDir()
 	baseline := filepath.Join(dir, "BENCH.json")
-	if err := os.WriteFile(baseline, []byte(`[
+	if err := os.WriteFile(baseline, []byte(`{"bench": [
   {"name": "BenchmarkRuntimeTraceCheck/history=10", "ns_per_op": 7437, "allocs_per_op": 0}
-]`), 0o644); err != nil {
+]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	txt := filepath.Join(dir, "bench.txt")
@@ -511,7 +496,7 @@ func TestCompareDigestShareShift(t *testing.T) {
 
 	// Digest vs bench is a format mismatch.
 	benchPath := filepath.Join(dir, "bench.json")
-	if err := os.WriteFile(benchPath, []byte(`[{"name":"B","ns_per_op":1}]`), 0o644); err != nil {
+	if err := os.WriteFile(benchPath, []byte(`{"bench":[{"name":"B","ns_per_op":1}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := run([]string{oldPath, benchPath}, &buf); err == nil {

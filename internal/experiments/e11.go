@@ -26,10 +26,11 @@ import (
 // client hammers /debug/snapshot as fast as it can, then again with
 // SSE /debug/watch subscribers attached consuming every decision
 // event. The claim: both observers ride outside the decision path —
-// snapshots take the coalition lock briefly per scrape and watch
-// fan-out is a non-blocking channel send — so per-access cost stays
-// within a small factor of the baseline even under continuous
-// scraping, and dropped watch events (not slowed decisions) are the
+// snapshots take the coalition lock briefly per scrape, and a watcher
+// polls the coalition decision log by cursor, so a decision appends
+// once whoever watches — and per-access cost stays within a small
+// factor of the baseline even under continuous scraping; decisions a
+// lagging watcher lets the log evict (not slowed decisions) are the
 // overload valve.
 func E11(scale Scale) (*Table, error) {
 	t := &Table{
@@ -62,8 +63,8 @@ func E11(scale Scale) (*Table, error) {
 		"scraped mode runs one client re-fetching /debug/snapshot in a closed loop for the whole",
 		"tour; watched mode attaches SSE /debug/watch subscribers that consume every decision",
 		"event. Neither observer sits on the decision path: a scrape holds the coalition lock only",
-		"while it copies counters, and watch delivery is a non-blocking send that drops (column",
-		"'dropped') rather than stalls when a subscriber lags.")
+		"while it copies counters, and a watcher follows the 1024-entry decision log by cursor every",
+		"50ms; what the log evicts before a watcher reads it is counted (column 'dropped'), never waited for.")
 	return t, nil
 }
 
@@ -168,8 +169,8 @@ assign o1 traveler
 				}
 			}()
 		}
-		// Subscribers must be registered before the tour starts or
-		// early decisions bypass the bus entirely.
+		// Watchers must be attached before the tour starts: each
+		// follows the log from where it connected.
 		deadline := time.Now().Add(5 * time.Second)
 		for c.Watchers() < watchers && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)

@@ -227,9 +227,7 @@ type Status struct {
 // the caller.
 type Recorder struct {
 	mu     sync.Mutex
-	buf    []Record
-	next   int
-	total  uint64
+	ring   *obs.Ring[Record]
 	wal    io.Writer
 	walErr error
 	policy string
@@ -248,7 +246,7 @@ func New(cfg Config) *Recorder {
 		reg = obs.Default
 	}
 	return &Recorder{
-		buf:    make([]Record, 0, cfg.Capacity),
+		ring:   obs.NewRing[Record](cfg.Capacity),
 		wal:    cfg.WAL,
 		policy: cfg.PolicyDigest,
 		records: reg.Counter("stac_recorder_records_total", "",
@@ -272,16 +270,10 @@ func (r *Recorder) SetPolicyDigest(d string) {
 func (r *Recorder) Append(rec Record) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.total++
 	rec.Schema = SchemaVersion
-	rec.Seq = r.total
+	rec.Seq = r.ring.Total() + 1
 	rec.Policy = r.policy
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, rec)
-	} else {
-		r.buf[r.next] = rec
-		r.next = (r.next + 1) % cap(r.buf)
-	}
+	r.ring.Append(rec)
 	r.records.Inc()
 	if r.wal != nil && r.walErr == nil {
 		if err := Encode(r.wal, rec); err != nil {
@@ -313,47 +305,16 @@ func (r *Recorder) RecordsSince(cursor uint64) (recs []Record, missed uint64, to
 func (r *Recorder) RecordsSinceN(cursor uint64, limit int) (recs []Record, missed uint64, total uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	total = r.total
-	if cursor >= total || len(r.buf) == 0 {
-		return nil, 0, total
-	}
-	// Retained records hold the consecutive Seq range
-	// [total-len(buf)+1, total].
-	oldest := total - uint64(len(r.buf)) + 1
-	if cursor+1 < oldest {
-		missed = oldest - cursor - 1
-		cursor = oldest - 1
-	}
-	skip := int(cursor + 1 - oldest)
-	n := len(r.buf)
-	end := n
-	if limit > 0 && end-skip > limit {
-		end = skip + limit
-	}
-	recs = make([]Record, 0, end-skip)
-	if n < cap(r.buf) {
-		recs = append(recs, r.buf[skip:end]...)
-	} else {
-		// Ring is full: append-order position i lives at (next+i) mod n.
-		for i := skip; i < end; i++ {
-			recs = append(recs, r.buf[(r.next+i)%n])
-		}
-	}
-	return recs, missed, total
+	// Seq is the ring's sequence number, so the ring's gap arithmetic
+	// is the journal's.
+	return r.ring.Since(cursor, limit)
 }
 
 // Records returns the retained records in append order.
 func (r *Recorder) Records() []Record {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Record, 0, len(r.buf))
-	if len(r.buf) < cap(r.buf) {
-		out = append(out, r.buf...)
-	} else {
-		out = append(out, r.buf[r.next:]...)
-		out = append(out, r.buf[:r.next]...)
-	}
-	return out
+	return r.ring.Snapshot()
 }
 
 // Status reports the recorder's current state.
@@ -361,9 +322,9 @@ func (r *Recorder) Status() Status {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := Status{
-		Total:         r.total,
-		Retained:      len(r.buf),
-		Capacity:      cap(r.buf),
+		Total:         r.ring.Total(),
+		Retained:      r.ring.Len(),
+		Capacity:      r.ring.Cap(),
 		WALConfigured: r.wal != nil,
 		WALDegraded:   r.walErr != nil,
 		Errors:        r.errs.Value(),

@@ -1,0 +1,112 @@
+package obs
+
+// Ring is a fixed-capacity ring buffer: appending beyond capacity
+// evicts the oldest item. Items are numbered by append order from 1,
+// so the retained window is always the consecutive sequence range
+// [Total-Len+1, Total]. Ring is the one buffer under the span store,
+// the time series, the flight recorder and the coalition decision
+// log. It is not synchronised: its owner holds its own lock around
+// every call.
+type Ring[T any] struct {
+	buf   []T
+	next  int // slot of the oldest item once full; 0 until then
+	total uint64
+}
+
+// NewRing creates a ring retaining the last capacity items. capacity
+// must be positive.
+func NewRing[T any](capacity int) *Ring[T] {
+	if capacity <= 0 {
+		panic("obs: ring capacity must be positive")
+	}
+	return &Ring[T]{buf: make([]T, 0, capacity)}
+}
+
+// Append stores v, evicting the oldest item when full, and returns
+// v's sequence number.
+func (r *Ring[T]) Append(v T) uint64 {
+	r.total++
+	if len(r.buf) < cap(r.buf) {
+		r.buf = append(r.buf, v)
+	} else {
+		r.buf[r.next] = v
+		r.next = (r.next + 1) % len(r.buf)
+	}
+	return r.total
+}
+
+// Since returns the retained items with sequence numbers above cursor
+// in append order, how many items between cursor and the first one
+// returned were evicted (the gap), and the total appended. A cursor
+// of 0 reads from the oldest retained item; a cursor at or past total
+// returns nothing. At most limit items are copied (limit <= 0 means
+// all), so a reader with a deep backlog holds its owner's lock for a
+// bounded copy per call and resumes from cursor+missed+len(items).
+func (r *Ring[T]) Since(cursor uint64, limit int) (items []T, missed, total uint64) {
+	total = r.total
+	n := len(r.buf)
+	if cursor >= total || n == 0 {
+		return nil, 0, total
+	}
+	oldest := total - uint64(n) + 1
+	if cursor+1 < oldest {
+		missed = oldest - cursor - 1
+		cursor = oldest - 1
+	}
+	from := int(cursor + 1 - oldest)
+	to := n
+	if limit > 0 && to-from > limit {
+		to = from + limit
+	}
+	return r.appendRange(make([]T, 0, to-from), from, to), missed, total
+}
+
+// Snapshot returns the retained items in append order.
+func (r *Ring[T]) Snapshot() []T {
+	return r.appendRange(make([]T, 0, len(r.buf)), 0, len(r.buf))
+}
+
+// Each calls fn on the retained items in append order, without
+// copying the window, until fn returns false.
+func (r *Ring[T]) Each(fn func(T) bool) {
+	n := len(r.buf)
+	for i := 0; i < n; i++ {
+		if !fn(r.buf[(r.next+i)%n]) {
+			return
+		}
+	}
+}
+
+// Last returns the most recently appended item, if any.
+func (r *Ring[T]) Last() (T, bool) {
+	n := len(r.buf)
+	if n == 0 {
+		var zero T
+		return zero, false
+	}
+	return r.buf[(r.next+n-1)%n], true
+}
+
+// Len returns the number of retained items.
+func (r *Ring[T]) Len() int { return len(r.buf) }
+
+// Total returns the number of items ever appended.
+func (r *Ring[T]) Total() uint64 { return r.total }
+
+// Cap returns the retained-window size.
+func (r *Ring[T]) Cap() int { return cap(r.buf) }
+
+// appendRange appends the items at append-order positions [from, to)
+// of the retained window to dst.
+func (r *Ring[T]) appendRange(dst []T, from, to int) []T {
+	n := len(r.buf)
+	a, b := r.next+from, r.next+to
+	switch {
+	case b <= n:
+		return append(dst, r.buf[a:b]...)
+	case a >= n:
+		return append(dst, r.buf[a-n:b-n]...)
+	}
+	dst = append(dst, r.buf[a:]...)
+	return append(dst, r.buf[:b-n]...)
+}

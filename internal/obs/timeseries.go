@@ -36,9 +36,7 @@ type Sample struct {
 // use.
 type TimeSeries struct {
 	mu    sync.Mutex
-	buf   []Sample
-	next  int
-	total int
+	ring  *Ring[Sample]
 	start time.Time
 }
 
@@ -52,7 +50,7 @@ func NewTimeSeries(capacity int) *TimeSeries {
 	if capacity <= 0 {
 		capacity = DefaultSeriesCapacity
 	}
-	return &TimeSeries{buf: make([]Sample, 0, capacity), start: time.Now()}
+	return &TimeSeries{ring: NewRing[Sample](capacity), start: time.Now()}
 }
 
 // Append records one (at, value) point, stamping it with the wall
@@ -62,13 +60,7 @@ func (ts *TimeSeries) Append(at, value float64) Sample {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	s := Sample{Wall: time.Now(), Mono: time.Since(ts.start), At: at, Value: value}
-	ts.total++
-	if len(ts.buf) < cap(ts.buf) {
-		ts.buf = append(ts.buf, s)
-		return s
-	}
-	ts.buf[ts.next] = s
-	ts.next = (ts.next + 1) % cap(ts.buf)
+	ts.ring.Append(s)
 	return s
 }
 
@@ -76,12 +68,7 @@ func (ts *TimeSeries) Append(at, value float64) Sample {
 func (ts *TimeSeries) Samples() []Sample {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	out := make([]Sample, 0, len(ts.buf))
-	if len(ts.buf) < cap(ts.buf) {
-		return append(out, ts.buf...)
-	}
-	out = append(out, ts.buf[ts.next:]...)
-	return append(out, ts.buf[:ts.next]...)
+	return ts.ring.Snapshot()
 }
 
 // Tail returns the most recent n samples (all of them when n exceeds
@@ -98,23 +85,14 @@ func (ts *TimeSeries) Tail(n int) []Sample {
 func (ts *TimeSeries) Last() (Sample, bool) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	switch {
-	case len(ts.buf) == 0:
-		return Sample{}, false
-	case len(ts.buf) < cap(ts.buf):
-		return ts.buf[len(ts.buf)-1], true
-	case ts.next == 0:
-		return ts.buf[len(ts.buf)-1], true
-	default:
-		return ts.buf[ts.next-1], true
-	}
+	return ts.ring.Last()
 }
 
 // Len returns the number of retained samples.
 func (ts *TimeSeries) Len() int {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	return len(ts.buf)
+	return ts.ring.Len()
 }
 
 // Total returns the number of samples ever appended (which may exceed
@@ -122,11 +100,11 @@ func (ts *TimeSeries) Len() int {
 func (ts *TimeSeries) Total() int {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	return ts.total
+	return int(ts.ring.Total())
 }
 
 // Capacity returns the retained-window size.
-func (ts *TimeSeries) Capacity() int { return cap(ts.buf) }
+func (ts *TimeSeries) Capacity() int { return ts.ring.Cap() }
 
 // Rate estimates dValue/dAt over the retained window as the
 // endpoint slope — exact for a quantity consumed at constant speed,

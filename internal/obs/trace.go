@@ -316,10 +316,8 @@ func (t *Tracer) StartSpan(tc TraceContext, name string) (*Span, TraceContext) {
 // TraceStore is a fixed-capacity ring of completed spans: old spans
 // are evicted in completion order once the capacity is reached.
 type TraceStore struct {
-	mu    sync.Mutex
-	buf   []Span
-	next  int
-	total int
+	mu   sync.Mutex
+	ring *Ring[Span]
 }
 
 // NewTraceStore creates a store retaining up to capacity spans (0 for
@@ -328,7 +326,7 @@ func NewTraceStore(capacity int) *TraceStore {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	return &TraceStore{buf: make([]Span, 0, capacity)}
+	return &TraceStore{ring: NewRing[Span](capacity)}
 }
 
 // Add records one completed span, evicting the oldest beyond capacity.
@@ -336,27 +334,14 @@ func (st *TraceStore) Add(sp Span) {
 	sp.tracer = nil
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.total++
-	if len(st.buf) < cap(st.buf) {
-		st.buf = append(st.buf, sp)
-		return
-	}
-	st.buf[st.next] = sp
-	st.next = (st.next + 1) % cap(st.buf)
+	st.ring.Append(sp)
 }
 
 // Spans returns the retained spans in completion order (oldest first).
 func (st *TraceStore) Spans() []Span {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	out := make([]Span, 0, len(st.buf))
-	if len(st.buf) < cap(st.buf) {
-		out = append(out, st.buf...)
-	} else {
-		out = append(out, st.buf[st.next:]...)
-		out = append(out, st.buf[:st.next]...)
-	}
-	return out
+	return st.ring.Snapshot()
 }
 
 // Trace returns the retained spans of one trace, in completion order.
@@ -388,7 +373,7 @@ func (st *TraceStore) TraceIDs() []TraceID {
 func (st *TraceStore) Len() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return len(st.buf)
+	return st.ring.Len()
 }
 
 // Total returns the number of spans ever recorded (retained or
@@ -396,7 +381,7 @@ func (st *TraceStore) Len() int {
 func (st *TraceStore) Total() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.total
+	return int(st.ring.Total())
 }
 
 // chromeEvent is one Chrome trace-event ("X" = complete event with

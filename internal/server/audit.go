@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
 
 	"stac/internal/core"
 	"stac/internal/model"
@@ -13,147 +12,31 @@ import (
 
 // This file provides the agent-monitoring facility of the Naplet
 // system (Section 5 lists "mechanisms for agent monitoring, control"):
-// every authorisation decision a server makes is recorded in a
-// bounded audit log the security officer can inspect.
+// every authorisation decision any coalition server makes is appended
+// once to one coalition-wide decision log, a bounded ring of audit
+// entries. The security officer reads it per server (Audit, the
+// `audit` wire verb), by decision ID (Explain, /debug/explain) and
+// live (/debug/watch follows it by cursor); the optional JSONL sink
+// is its durable copy.
 
-// AuditRecord is one recorded authorisation decision.
-type AuditRecord struct {
-	// Time is the server's local clock reading at decision time.
-	Time float64
-	// Server made the decision.
-	Server model.ServerID
-	// Access is the requested access.
-	Access model.Access
-	// Granted reports the outcome; Reason explains denials.
-	Granted bool
-	Reason  string
-	// Decision carries the engine's full decision record (its ID is
-	// the correlation key shared with wire replies and trace spans).
-	Decision core.Decision
-	// TraceID identifies the itinerary trace the decision belongs to
-	// ("" for untraced requests).
-	TraceID string
-	// Shadow is the candidate policy's verdict for the same request
-	// (nil unless shadow evaluation is enabled).
-	Shadow *ShadowVerdict
-}
+// decisionLogCapacity bounds the coalition decision log. It covers
+// the 3 × 256 decisions the per-server windows of a default
+// three-server stacd used to retain.
+const decisionLogCapacity = 1024
 
-// String implements fmt.Stringer.
-func (r AuditRecord) String() string {
-	verdict := "GRANT"
-	if !r.Granted {
-		verdict = "DENY "
-	}
-	out := fmt.Sprintf("t=%-8.6g %s %s %s", r.Time, r.Server, verdict, r.Access)
-	if !r.Granted && r.Reason != "" {
-		out += " — " + r.Reason
-	}
-	return out
-}
-
-// auditLog is a fixed-capacity ring of audit records.
-type auditLog struct {
-	mu    sync.Mutex
-	buf   []AuditRecord
-	next  int
-	total int
-}
-
-const defaultAuditCapacity = 256
-
-func newAuditLog(capacity int) *auditLog {
-	if capacity <= 0 {
-		capacity = defaultAuditCapacity
-	}
-	return &auditLog{buf: make([]AuditRecord, 0, capacity)}
-}
-
-func (l *auditLog) add(r AuditRecord) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.total++
-	if len(l.buf) < cap(l.buf) {
-		l.buf = append(l.buf, r)
-		return
-	}
-	l.buf[l.next] = r
-	l.next = (l.next + 1) % cap(l.buf)
-}
-
-// records returns the retained records in chronological order plus the
-// total number of decisions ever recorded.
-func (l *auditLog) records() ([]AuditRecord, int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]AuditRecord, 0, len(l.buf))
-	if len(l.buf) < cap(l.buf) {
-		out = append(out, l.buf...)
-	} else {
-		out = append(out, l.buf[l.next:]...)
-		out = append(out, l.buf[:l.next]...)
-	}
-	return out, l.total
-}
-
-// Audit returns the server's retained decision records in
-// chronological order and the total number of decisions made (which
-// may exceed the retained window).
-func (s *Server) Audit() ([]AuditRecord, int) {
-	s.mu.RLock()
-	log := s.audit
-	s.mu.RUnlock()
-	if log == nil {
-		return nil, 0
-	}
-	return log.records()
-}
-
-// SetAuditCapacity resizes the server's audit window (discarding
-// retained records); capacity 0 restores the default.
-func (s *Server) SetAuditCapacity(capacity int) {
-	s.mu.Lock()
-	s.audit = newAuditLog(capacity)
-	s.mu.Unlock()
-}
-
-// recordDecision appends an authorisation outcome to the audit log and
-// the coalition's JSONL sink (when one is set).
-func (s *Server) recordDecision(a model.Access, granted bool, reason string, dec core.Decision, tc obs.TraceContext, shadow *ShadowVerdict) {
-	s.mu.RLock()
-	log := s.audit
-	s.mu.RUnlock()
-	rec := AuditRecord{
-		Time:     s.localNow(),
-		Server:   s.id,
-		Access:   a,
-		Granted:  granted,
-		Reason:   reason,
-		Decision: dec,
-		Shadow:   shadow,
-	}
-	if tc.Valid() {
-		rec.TraceID = tc.Trace.String()
-	}
-	if log != nil {
-		log.add(rec)
-	}
-	entry := rec.Entry()
-	s.coalition.writeAuditEntry(entry)
-	s.coalition.publishDecision(entry)
-}
-
-// AuditEntry is the flat JSON form of an audit record — one line of
-// the coalition's JSONL audit log, carrying everything `stacctl
-// explain` needs: the correlation IDs, the outcome, and the denial
-// explanation (violated SRAC clause with its count windows, or the
-// temporal budget arithmetic).
+// AuditEntry is one served authorisation decision — an entry of the
+// coalition decision log and one line of the JSONL audit sink,
+// carrying everything `stacctl explain` needs: the correlation IDs,
+// the outcome, and the denial explanation (violated SRAC clause with
+// its count windows, or the temporal budget arithmetic).
 type AuditEntry struct {
 	DecisionID string `json:"decision_id"`
 	TraceID    string `json:"trace_id,omitempty"`
 	// HLC is the decision's hybrid logical timestamp (internal/hlc),
 	// shared with the wire reply and the journal record, so audit
 	// lines from different members merge into one causal order.
-	HLC            string            `json:"hlc,omitempty"`
+	HLC string `json:"hlc,omitempty"`
+	// Time is the deciding server's local clock reading.
 	Time           float64           `json:"time"`
 	Server         string            `json:"server"`
 	Object         string            `json:"object"`
@@ -167,30 +50,119 @@ type AuditEntry struct {
 	ProgramVerdict string            `json:"program_verdict"`
 	TemporalState  string            `json:"temporal_state"`
 	Explanation    *core.Explanation `json:"explanation,omitempty"`
-	Shadow         *ShadowVerdict    `json:"shadow,omitempty"`
+	// Shadow is the candidate policy's verdict for the same request
+	// (nil unless shadow evaluation is enabled).
+	Shadow *ShadowVerdict `json:"shadow,omitempty"`
 }
 
-// Entry converts the record to its flat JSONL form.
-func (r AuditRecord) Entry() AuditEntry {
-	return AuditEntry{
-		DecisionID:     r.Decision.ID,
-		TraceID:        r.TraceID,
-		HLC:            r.Decision.HLC.String(),
-		Time:           r.Time,
-		Server:         string(r.Server),
-		Object:         string(r.Access.Object),
-		Op:             string(r.Access.Op),
-		Resource:       string(r.Access.Resource),
-		Granted:        r.Granted,
-		Perm:           string(r.Decision.Perm),
-		DenyReason:     string(r.Decision.Deny),
-		Reason:         r.Reason,
-		SpatialStatus:  r.Decision.Spatial.String(),
-		ProgramVerdict: r.Decision.ProgramVerdict.String(),
-		TemporalState:  r.Decision.Temporal.String(),
-		Explanation:    r.Decision.Explanation,
-		Shadow:         r.Shadow,
+// String renders the entry as the security officer reads it: one line
+// of the `audit` wire verb and of `stacctl run`'s decision trail.
+func (e AuditEntry) String() string {
+	verdict := "GRANT"
+	if !e.Granted {
+		verdict = "DENY "
 	}
+	access := model.NewAccess(model.ObjectID(e.Object), model.Operation(e.Op),
+		model.ResourceID(e.Resource), model.ServerID(e.Server))
+	out := fmt.Sprintf("t=%-8.6g %s %s %s", e.Time, e.Server, verdict, access)
+	if !e.Granted && e.Reason != "" {
+		out += " — " + e.Reason
+	}
+	return out
+}
+
+// Audit returns the server's decisions still in the coalition log, in
+// order, and the total number of decisions it has made (which may
+// exceed what the log retains).
+func (s *Server) Audit() ([]AuditEntry, int) {
+	grants, denies := s.Counters()
+	var out []AuditEntry
+	c := s.coalition
+	c.auditMu.Lock()
+	c.decisions.Each(func(e AuditEntry) bool {
+		if e.Server == string(s.id) {
+			out = append(out, e)
+		}
+		return true
+	})
+	c.auditMu.Unlock()
+	return out, grants + denies
+}
+
+// recordDecision builds the decision's audit entry and logs it.
+func (s *Server) recordDecision(a model.Access, granted bool, reason string, dec core.Decision, tc obs.TraceContext, shadow *ShadowVerdict) {
+	e := AuditEntry{
+		DecisionID:     dec.ID,
+		HLC:            dec.HLC.String(),
+		Time:           s.localNow(),
+		Server:         string(s.id),
+		Object:         string(a.Object),
+		Op:             string(a.Op),
+		Resource:       string(a.Resource),
+		Granted:        granted,
+		Perm:           string(dec.Perm),
+		DenyReason:     string(dec.Deny),
+		Reason:         reason,
+		SpatialStatus:  dec.Spatial.String(),
+		ProgramVerdict: dec.ProgramVerdict.String(),
+		TemporalState:  dec.Temporal.String(),
+		Explanation:    dec.Explanation,
+		Shadow:         shadow,
+	}
+	if tc.Valid() {
+		e.TraceID = tc.Trace.String()
+	}
+	s.coalition.logDecision(e)
+}
+
+// logDecision appends one decision to the coalition log and, when a
+// sink is set, writes it as a JSON line — under one lock, so the
+// sink's line order is the log's.
+func (c *Coalition) logDecision(e AuditEntry) {
+	c.auditMu.Lock()
+	defer c.auditMu.Unlock()
+	c.decisions.Append(e)
+	if c.auditSink == nil {
+		return
+	}
+	b, err := json.Marshal(e)
+	if err != nil {
+		c.auditSinkFailedLocked(err)
+		return
+	}
+	b = append(b, '\n')
+	if _, err := c.auditSink.Write(b); err != nil {
+		c.auditSinkFailedLocked(err)
+		return
+	}
+	c.auditSinkErr = nil
+}
+
+// decisionsSince reads the coalition log past cursor, at most limit
+// entries (see obs.Ring.Since).
+func (c *Coalition) decisionsSince(cursor uint64, limit int) (entries []AuditEntry, missed, total uint64) {
+	c.auditMu.Lock()
+	defer c.auditMu.Unlock()
+	return c.decisions.Since(cursor, limit)
+}
+
+// decisionTotal returns the number of decisions ever logged.
+func (c *Coalition) decisionTotal() uint64 {
+	c.auditMu.Lock()
+	defer c.auditMu.Unlock()
+	return c.decisions.Total()
+}
+
+// retainedByServer counts the coalition log's entries per server.
+func (c *Coalition) retainedByServer() map[string]int {
+	out := make(map[string]int)
+	c.auditMu.Lock()
+	defer c.auditMu.Unlock()
+	c.decisions.Each(func(e AuditEntry) bool {
+		out[e.Server]++
+		return true
+	})
+	return out
 }
 
 // SetAuditSink directs every coalition server's decisions to w as JSON
@@ -215,25 +187,6 @@ func (c *Coalition) AuditSinkStatus() (configured bool, lastErr error, errors in
 	return c.auditSink != nil, c.auditSinkErr, c.auditSinkErrs
 }
 
-func (c *Coalition) writeAuditEntry(e AuditEntry) {
-	c.auditMu.Lock()
-	defer c.auditMu.Unlock()
-	if c.auditSink == nil {
-		return
-	}
-	b, err := json.Marshal(e)
-	if err != nil {
-		c.auditSinkFailedLocked(err)
-		return
-	}
-	b = append(b, '\n')
-	if _, err := c.auditSink.Write(b); err != nil {
-		c.auditSinkFailedLocked(err)
-		return
-	}
-	c.auditSinkErr = nil
-}
-
 // auditSinkFailedLocked records one lost decision: the sticky error
 // degrades /readyz until a write succeeds (or the sink is replaced),
 // and the counter surfaces the loss on /metrics.
@@ -244,35 +197,21 @@ func (c *Coalition) auditSinkFailedLocked(err error) {
 		"Audit JSONL sink appends that failed (decisions lost from the durable log).").Inc()
 }
 
-// find returns the retained record with the given decision ID.
-func (l *auditLog) find(decisionID string) (AuditRecord, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for i := range l.buf {
-		if l.buf[i].Decision.ID == decisionID {
-			return l.buf[i], true
-		}
-	}
-	return AuditRecord{}, false
-}
-
-// Explain looks a decision up by ID across every coalition server's
-// retained audit window — the lookup behind `stacctl explain` and the
-// daemon's /debug/explain endpoint.
-func (c *Coalition) Explain(decisionID string) (AuditRecord, bool) {
+// Explain looks a decision up by ID in the coalition log — the lookup
+// behind `stacctl explain` and the daemon's /debug/explain endpoint.
+func (c *Coalition) Explain(decisionID string) (AuditEntry, bool) {
+	var found AuditEntry
+	ok := false
 	if decisionID == "" {
-		return AuditRecord{}, false
+		return found, ok
 	}
-	for _, s := range c.Servers() {
-		s.mu.RLock()
-		log := s.audit
-		s.mu.RUnlock()
-		if log == nil {
-			continue
+	c.auditMu.Lock()
+	defer c.auditMu.Unlock()
+	c.decisions.Each(func(e AuditEntry) bool {
+		if e.DecisionID == decisionID {
+			found, ok = e, true
 		}
-		if rec, ok := log.find(decisionID); ok {
-			return rec, true
-		}
-	}
-	return AuditRecord{}, false
+		return !ok
+	})
+	return found, ok
 }

@@ -41,31 +41,62 @@ func TestAuditRecordsDecisions(t *testing.T) {
 	}
 }
 
+// The coalition log retains the last decisionLogCapacity decisions of
+// every server together, in decision order: past that, each server's
+// Audit() is its share of the window, its total still counts every
+// decision it made, and evicted decisions no longer explain.
 func TestAuditRingWrapsChronologically(t *testing.T) {
-	c, _ := newCoalition(t)
-	srv, _ := c.Server("s1")
-	srv.SetAuditCapacity(4)
-	sub, _ := srv.Authenticate(cred(c, "o1", "owner", "traveler"))
-	for i := 0; i < 10; i++ {
-		if _, err := srv.Request(sub, model.OpRead, "f-s1", RequestContext{Proofs: nil}); err != nil {
+	c, clk := newCoalition(t)
+	servers := make([]*Server, 2)
+	subs := make([]*Subject, 2)
+	for i, id := range []model.ServerID{"s1", "s2"} {
+		servers[i], _ = c.Server(id)
+		subs[i], _ = servers[i].Authenticate(cred(c, "o1", "owner", "traveler"))
+	}
+	const n = decisionLogCapacity + 300
+	var first, last string
+	for i := 0; i < n; i++ {
+		clk.Advance(1) // decision i is stamped t=i+1
+		srv := servers[i%2]
+		res, err := srv.Request(subs[i%2], model.OpRead, "f-"+model.ResourceID(srv.ID()), RequestContext{})
+		if err != nil {
 			t.Fatal(err)
 		}
+		if i == 0 {
+			first = res.Decision.ID
+		}
+		last = res.Decision.ID
 	}
-	records, total := srv.Audit()
-	if total != 10 || len(records) != 4 {
-		t.Fatalf("ring = %d retained, %d total", len(records), total)
-	}
-	// Chronological within the retained window (same timestamps here,
-	// so just confirm all are grants of the same access).
-	for _, r := range records {
-		if !r.Granted || r.Access.Resource != "f-s1" {
-			t.Fatalf("retained record = %+v", r)
+
+	retained := 0
+	for i, srv := range servers {
+		records, total := srv.Audit()
+		if total != n/2 {
+			t.Fatalf("%s total = %d, want %d", srv.ID(), total, n/2)
+		}
+		retained += len(records)
+		// Chronological, this server's only, and within the window of
+		// the last decisionLogCapacity decisions.
+		for j, r := range records {
+			if !r.Granted || r.Server != string(srv.ID()) || r.Time < n-decisionLogCapacity+1 {
+				t.Fatalf("%s retained %+v", srv.ID(), r)
+			}
+			if j > 0 && r.Time != records[j-1].Time+2 {
+				t.Fatalf("%s entries out of order: t=%g after t=%g", srv.ID(), r.Time, records[j-1].Time)
+			}
+		}
+		if got := records[len(records)-1].Time; got != float64(n-1+i) {
+			t.Fatalf("%s newest entry t=%g, want %d", srv.ID(), got, n-1+i)
 		}
 	}
-	// Resizing clears the window.
-	srv.SetAuditCapacity(0)
-	if recs, n := srv.Audit(); len(recs) != 0 || n != 0 {
-		t.Fatalf("after resize = %v %d", recs, n)
+	if retained != decisionLogCapacity {
+		t.Fatalf("retained %d decisions, want %d", retained, decisionLogCapacity)
+	}
+	if _, ok := c.Explain(first); ok {
+		t.Fatal("evicted decision still explains")
+	}
+	if e, ok := c.Explain(last); !ok || e.Time != n {
+		t.Fatalf("newest decision explains as %+v, %v", e, ok)
 	}
 }
 

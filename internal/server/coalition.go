@@ -61,20 +61,24 @@ type Coalition struct {
 	// migrations counts completed migrations, for experiment reports.
 	migrations int
 
-	// auditSink, when set, receives every authorisation decision of
-	// every coalition server as one JSON line (see AuditEntry) — the
-	// durable counterpart of the per-server in-memory audit rings.
-	// auditSinkErr holds the most recent write failure (nil after a
-	// successful write), so /readyz can report a sink that is losing
-	// decisions; auditSinkErrs counts every failed append.
+	// auditMu guards the decision log and its sink (see audit.go).
+	// decisions is the coalition-wide log of served decisions, every
+	// server's, in decision order. auditSink, when set, receives each
+	// of them as one JSON line — the log's durable copy. auditSinkErr
+	// holds the most recent write failure (nil after a successful
+	// write), so /readyz can report a sink that is losing decisions;
+	// auditSinkErrs counts every failed append.
 	auditMu       sync.Mutex
+	decisions     *obs.Ring[AuditEntry]
 	auditSink     io.Writer
 	auditSinkErr  error
 	auditSinkErrs int64
 
-	// bus broadcasts every decision to /debug/watch subscribers (see
-	// watch.go).
-	bus decisionBus
+	// watchers counts live /debug/watch streams; watchDropped counts
+	// the decisions they missed because the log evicted them before a
+	// poll reached them.
+	watchers     atomic.Int64
+	watchDropped atomic.Int64
 
 	// shadow, when set, holds the candidate policy evaluated alongside
 	// the served one (see shadow.go).
@@ -89,12 +93,13 @@ type Coalition struct {
 // simulated clock at 0) and signing key.
 func NewCoalition(clock temporal.Clock, key []byte) *Coalition {
 	return &Coalition{
-		Engine:   core.NewEngine(clock),
-		Registry: registry.New(),
-		Signer:   proof.NewSigner(key),
-		Hub:      channel.NewHub(),
-		servers:  make(map[model.ServerID]*Server),
-		programs: newProgramCache(),
+		Engine:    core.NewEngine(clock),
+		Registry:  registry.New(),
+		Signer:    proof.NewSigner(key),
+		Hub:       channel.NewHub(),
+		servers:   make(map[model.ServerID]*Server),
+		decisions: obs.NewRing[AuditEntry](decisionLogCapacity),
+		programs:  newProgramCache(),
 	}
 }
 
@@ -110,7 +115,6 @@ func (c *Coalition) AddServer(id model.ServerID) (*Server, error) {
 		coalition: c,
 		resources: make(map[model.ResourceID][]byte),
 		sessions:  make(map[string]*Subject),
-		audit:     newAuditLog(0),
 	}
 	if err := c.Registry.Register(registry.Entry{Server: id}); err != nil {
 		return nil, err
@@ -198,9 +202,8 @@ type Server struct {
 	// survive it: per-object traces use the causal (carried) order and
 	// temporal budgets are durations, not absolute instants.
 	clockSkew float64
-	// audit retains recent authorisation decisions (see audit.go).
-	audit *auditLog
-	// grants/denies count authorisation outcomes for experiments.
+	// grants/denies count authorisation outcomes: the server's
+	// decision total, which may exceed what the coalition log retains.
 	grants, denies int
 }
 
@@ -341,7 +344,7 @@ func (s *Server) Request(sub *Subject, op model.Operation, res model.ResourceID,
 	dec := s.coalition.Engine.AuthorizeTraced(ctx, req)
 	if dec.ID == "" {
 		// Unsampled path: the engine leaves the ID empty to stay
-		// allocation-free; mint it here, where the audit record (and
+		// allocation-free; mint it here, where the audit entry (and
 		// eventually the proof HMAC) dominate the cost anyway.
 		dec.ID = obs.NewDecisionID()
 	}

@@ -133,7 +133,7 @@ func (h *DebugServer) StartBudgetSampler(interval time.Duration) {
 	}()
 }
 
-// Drain releases every streaming handler (watch subscribers) and stops
+// Drain releases every streaming handler (watch and journal) and stops
 // the budget sampler, then waits for them to exit. Call it BEFORE
 // http.Server.Shutdown: Shutdown waits for in-flight handlers, and an
 // SSE stream never finishes on its own.
@@ -155,12 +155,12 @@ func (h *DebugServer) handleExplain(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing id parameter", http.StatusBadRequest)
 		return
 	}
-	rec, ok := h.c.Explain(id)
+	e, ok := h.c.Explain(id)
 	if !ok {
 		http.Error(w, "unknown decision id (window may have evicted it)", http.StatusNotFound)
 		return
 	}
-	writeJSON(w, rec.Entry())
+	writeJSON(w, e)
 }
 
 func (h *DebugServer) handleBudgets(w http.ResponseWriter, r *http.Request) {
@@ -304,10 +304,23 @@ func (f watchFilter) match(e AuditEntry) bool {
 	return true
 }
 
+// Watchers returns the number of live /debug/watch streams.
+func (c *Coalition) Watchers() int { return int(c.watchers.Load()) }
+
+// WatchDropped returns the number of decisions /debug/watch streams
+// missed since the coalition started: entries the decision log evicted
+// before a stream's poll reached them, summed over streams.
+func (c *Coalition) WatchDropped() int64 { return c.watchDropped.Load() }
+
 // handleWatch streams the coalition's decisions as Server-Sent Events:
 // one "decision" event per authorisation outcome, JSON AuditEntry
 // data, filterable by ?object= ?perm= ?server= ?verdict=grant|deny.
-// The stream ends when the client disconnects or the server drains.
+// It follows the decision log by cursor from the moment it connects,
+// polling every minJournalPoll, so the decision path never waits on a
+// watcher; a watcher that falls more than the log's capacity behind
+// loses the evicted entries (counted in WatchDropped). The stream ends
+// when the client disconnects or the server drains; a drain first
+// delivers every decision already logged.
 func (h *DebugServer) handleWatch(w http.ResponseWriter, r *http.Request) {
 	filter, err := watchFilterFromQuery(r)
 	if err != nil {
@@ -320,8 +333,9 @@ func (h *DebugServer) handleWatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Track the handler so Drain waits for it, and register the
-	// subscription before the first byte so no decision slips between.
+	// Track the handler so Drain waits for it, and take the cursor
+	// before the first byte so every decision the client can cause
+	// after connecting lies past it.
 	h.wg.Add(1)
 	defer h.wg.Done()
 	select {
@@ -330,8 +344,9 @@ func (h *DebugServer) handleWatch(w http.ResponseWriter, r *http.Request) {
 		return
 	default:
 	}
-	sub, cancel := h.c.WatchDecisions(0)
-	defer cancel()
+	cursor := h.c.decisionTotal()
+	h.c.watchers.Add(1)
+	defer h.c.watchers.Add(-1)
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
@@ -339,47 +354,51 @@ func (h *DebugServer) handleWatch(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, ": stac decision watch v%d\n\n", SnapshotVersion)
 	fl.Flush()
 
-	emit := func(e AuditEntry) {
-		if !filter.match(e) {
-			return
-		}
-		b, err := json.Marshal(e)
-		if err != nil {
-			return
-		}
-		fmt.Fprintf(w, "event: decision\ndata: %s\n\n", b)
-		if e.Shadow != nil && e.Shadow.Flip {
-			// A shadow-policy disagreement gets its own event so
-			// clients can watch flips without parsing every
-			// decision.
-			fmt.Fprintf(w, "event: flip\ndata: %s\n\n", b)
+	// follow streams every decision logged past the cursor, in bounded
+	// batches, up to the log's total at the last read.
+	follow := func() {
+		for {
+			entries, missed, _ := h.c.decisionsSince(cursor, journalBatch)
+			h.c.watchDropped.Add(int64(missed))
+			cursor += missed + uint64(len(entries))
+			for _, e := range entries {
+				if !filter.match(e) {
+					continue
+				}
+				b, err := json.Marshal(e)
+				if err != nil {
+					continue
+				}
+				fmt.Fprintf(w, "event: decision\ndata: %s\n\n", b)
+				if e.Shadow != nil && e.Shadow.Flip {
+					// A shadow-policy disagreement gets its own event
+					// so clients can watch flips without parsing every
+					// decision.
+					fmt.Fprintf(w, "event: flip\ndata: %s\n\n", b)
+				}
+			}
+			if len(entries) < journalBatch {
+				fl.Flush()
+				return
+			}
 		}
 	}
+	poll := time.NewTicker(minJournalPoll)
+	defer poll.Stop()
 	beat := time.NewTicker(h.cfg.Heartbeat)
 	defer beat.Stop()
 	for {
 		select {
-		case e := <-sub:
-			emit(e)
-			fl.Flush()
+		case <-poll.C:
+			follow()
 		case <-beat.C:
 			fmt.Fprint(w, ": heartbeat\n\n")
 			fl.Flush()
 		case <-r.Context().Done():
 			return
 		case <-h.quit:
-			// Decisions made before the drain are already queued:
-			// deliver them rather than leave them to select's
-			// random choice between ready cases.
-			for {
-				select {
-				case e := <-sub:
-					emit(e)
-				default:
-					fl.Flush()
-					return
-				}
-			}
+			follow()
+			return
 		}
 	}
 }

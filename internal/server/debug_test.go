@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -32,41 +33,92 @@ func grantOnce(t *testing.T, c *Coalition) {
 	}
 }
 
+// openWatch attaches a /debug/watch stream and waits until the
+// coalition counts it, so every later decision lies past its cursor.
+func openWatch(t *testing.T, c *Coalition, url string, want int) *http.Response {
+	t.Helper()
+	resp, err := http.Get(url + "/debug/watch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { resp.Body.Close() })
+	for deadline := time.Now().Add(2 * time.Second); c.Watchers() != want; {
+		if time.Now().After(deadline) {
+			t.Fatalf("watchers = %d, want %d", c.Watchers(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return resp
+}
+
+// A watch stream counts as a watcher while it is attached, follows
+// the decision log from where it connected, and stops counting once
+// the client goes away.
 func TestWatchDecisionsDeliversEntries(t *testing.T) {
 	c, _ := newCoalition(t)
-	sub, cancel := c.WatchDecisions(8)
-	defer cancel()
-	if c.Watchers() != 1 {
-		t.Fatalf("watchers = %d", c.Watchers())
-	}
+	_, ts := newDebugHTTP(t, c)
+	grantOnce(t, c) // logged before the stream connects: not delivered
+	resp := openWatch(t, c, ts.URL, 1)
 
 	grantOnce(t, c)
-	select {
-	case e := <-sub:
-		if !e.Granted || e.Object != "o1" || e.Server != "s1" || e.DecisionID == "" {
-			t.Fatalf("entry = %+v", e)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no decision delivered")
+	events := readSSEEvents(t, bufio.NewScanner(resp.Body), 1, 5*time.Second)
+	e := events[0]
+	if !e.Granted || e.Object != "o1" || e.Server != "s1" || e.DecisionID == "" {
+		t.Fatalf("entry = %+v", e)
+	}
+	srv, _ := c.Server("s1")
+	if records, _ := srv.Audit(); len(records) != 2 || records[1].DecisionID != e.DecisionID {
+		t.Fatalf("streamed %s, log holds %+v", e.DecisionID, records)
 	}
 
-	cancel()
-	cancel() // idempotent
-	if c.Watchers() != 0 {
-		t.Fatalf("watchers after cancel = %d", c.Watchers())
+	resp.Body.Close()
+	for deadline := time.Now().Add(2 * time.Second); c.Watchers() != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("watchers after disconnect = %d", c.Watchers())
+		}
+		time.Sleep(time.Millisecond)
 	}
-	// Publishing after cancel must not panic or block.
+	// Deciding with nobody watching must not block.
 	grantOnce(t, c)
 }
 
+// A watcher that falls more than the log's capacity behind loses the
+// evicted decisions: they are counted as dropped, exactly the cursor
+// gap, and the stream resumes with the oldest retained decision.
 func TestWatchDecisionsDropsOnFullBuffer(t *testing.T) {
 	c, _ := newCoalition(t)
-	_, cancel := c.WatchDecisions(1)
-	defer cancel()
-	grantOnce(t, c) // fills the 1-slot buffer
-	grantOnce(t, c) // dropped
-	if d := c.WatchDropped(); d != 1 {
-		t.Fatalf("dropped = %d, want 1", d)
+	h := NewDebugServer(c, nil, nil, DebugConfig{Registry: obs.NewRegistry()})
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		h.handleWatch(rec, httptest.NewRequest(http.MethodGet, "/debug/watch", nil))
+	}()
+	for deadline := time.Now().Add(2 * time.Second); c.Watchers() != 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("watcher never attached")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Decisions logged faster than the watcher polls: holding the log's
+	// lock over the whole burst keeps the watcher from reading any of
+	// it until the oldest entries are gone.
+	const extra = 5
+	c.auditMu.Lock()
+	for i := 0; i < decisionLogCapacity+extra; i++ {
+		c.decisions.Append(AuditEntry{DecisionID: fmt.Sprintf("d-%d", i), Server: "s1"})
+	}
+	c.auditMu.Unlock()
+	h.Drain()
+	<-done
+
+	if d := c.WatchDropped(); d != extra {
+		t.Fatalf("dropped = %d, want %d", d, extra)
+	}
+	events := readSSEEvents(t, bufio.NewScanner(strings.NewReader(rec.Body.String())), decisionLogCapacity, 5*time.Second)
+	if first, last := events[0].DecisionID, events[len(events)-1].DecisionID; first != fmt.Sprintf("d-%d", extra) ||
+		last != fmt.Sprintf("d-%d", decisionLogCapacity+extra-1) {
+		t.Fatalf("stream ran %s..%s", first, last)
 	}
 }
 
@@ -335,11 +387,17 @@ func readSSEEvents(t *testing.T, body *bufio.Scanner, n int, deadline time.Durat
 	done := time.After(deadline)
 	var out []AuditEntry
 	lines := make(chan string)
+	stop := make(chan struct{})
+	defer close(stop)
 	go func() {
+		defer close(lines)
 		for body.Scan() {
-			lines <- body.Text()
+			select {
+			case lines <- body.Text():
+			case <-stop:
+				return
+			}
 		}
-		close(lines)
 	}()
 	for len(out) < n {
 		select {

@@ -1,12 +1,12 @@
 package server
 
 // The /debug/journal tail: a resumable, bounded, non-blocking SSE
-// stream over the decision flight recorder. Unlike /debug/watch —
-// which subscribes to the live decision bus and drops events on slow
-// consumers — the journal POLLS the recorder ring from a
-// client-supplied cursor, so a follower that falls behind or
-// reconnects resumes exactly where it left off, and learns via gap
-// frames when the ring evicted records it never saw. Nothing here
+// stream over the decision flight recorder. Like /debug/watch — which
+// follows the coalition decision log from the moment it connects —
+// the journal POLLS a ring by cursor, but the cursor is
+// client-supplied, so a follower that falls behind or reconnects
+// resumes exactly where it left off, and learns via gap frames when
+// the ring evicted records it never saw. Nothing here
 // touches the decision path: the only shared state is the recorder's
 // own mutex, taken briefly per poll to copy the pending records.
 // internal/obs/journal is the client; the frame wire format is

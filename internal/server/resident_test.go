@@ -238,8 +238,7 @@ func runEquivItinerary(t *testing.T, hops []equivHop, runHop hopFunc) equivRun {
 	}
 	for _, srv := range c.Servers() {
 		recs, _ := srv.Audit()
-		for _, r := range recs {
-			e := r.Entry()
+		for _, e := range recs {
 			e.DecisionID, e.TraceID, e.HLC = "", "", ""
 			run.audit = append(run.audit, e)
 		}

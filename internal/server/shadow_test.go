@@ -37,7 +37,7 @@ grant traveler p-write
 assign o1 traveler
 `
 
-func lastAudit(t *testing.T, srv *Server) AuditRecord {
+func lastAudit(t *testing.T, srv *Server) AuditEntry {
 	t.Helper()
 	records, _ := srv.Audit()
 	if len(records) == 0 {

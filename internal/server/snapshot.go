@@ -60,7 +60,8 @@ type Snapshot struct {
 	// Migrations counts completed mobile-object migrations.
 	Migrations int `json:"migrations"`
 	// Watchers and WatchDropped describe the decision stream: live
-	// /debug/watch subscribers and events lost to slow ones.
+	// /debug/watch streams and the decisions they missed because the
+	// decision log evicted them before a poll reached them.
 	Watchers     int   `json:"watchers"`
 	WatchDropped int64 `json:"watch_dropped"`
 	// AuditSinkErrors counts decisions lost by a failing JSONL sink.
@@ -108,7 +109,8 @@ type ServerSnapshot struct {
 	ID     string `json:"id"`
 	Grants int    `json:"grants"`
 	Denies int    `json:"denies"`
-	// AuditRetained/AuditTotal size the in-memory audit window.
+	// AuditRetained counts the server's decisions still in the
+	// coalition decision log; AuditTotal all it has made.
 	AuditRetained int `json:"audit_retained"`
 	AuditTotal    int `json:"audit_total"`
 }
@@ -185,15 +187,15 @@ func (c *Coalition) Snapshot(budgetTail int, daemons ...*Daemon) Snapshot {
 	}
 	_, _, sinkErrs := c.AuditSinkStatus()
 	snap.AuditSinkErrors = sinkErrs
+	retained := c.retainedByServer()
 	for _, s := range c.Servers() {
 		grants, denies := s.Counters()
-		records, total := s.Audit()
 		snap.Servers = append(snap.Servers, ServerSnapshot{
 			ID:            string(s.ID()),
 			Grants:        grants,
 			Denies:        denies,
-			AuditRetained: len(records),
-			AuditTotal:    total,
+			AuditRetained: retained[string(s.ID())],
+			AuditTotal:    grants + denies,
 		})
 		snap.Grants += grants
 		snap.Denies += denies

@@ -106,12 +106,12 @@ func TestCoalitionExplainLookup(t *testing.T) {
 		t.Fatal(err)
 	}
 	records, _ := srv.Audit()
-	if len(records) != 1 || records[0].Decision.ID == "" {
+	if len(records) != 1 || records[0].DecisionID == "" {
 		t.Fatalf("audit records = %+v", records)
 	}
-	id := records[0].Decision.ID
+	id := records[0].DecisionID
 	rec, ok := c.Explain(id)
-	if !ok || rec.Decision.ID != id || rec.Server != "s2" {
+	if !ok || rec.DecisionID != id || rec.Server != "s2" {
 		t.Fatalf("Explain(%s) = %+v, %v", id, rec, ok)
 	}
 	if _, ok := c.Explain("d-0000000000000000"); ok {
@@ -310,7 +310,7 @@ func TestClientServerErrorCarriesCorrelationIDs(t *testing.T) {
 	if !ok {
 		t.Fatalf("decision %s not explainable", se.DecisionID)
 	}
-	x := rec.Decision.Explanation
+	x := rec.Explanation
 	if x == nil || !strings.Contains(x.Detail, "exceeds ceiling 2") {
 		t.Fatalf("explanation = %+v", x)
 	}

@@ -178,7 +178,7 @@ func TestTracedItineraryExplainsDenialAcrossHops(t *testing.T) {
 	if !ok {
 		t.Fatalf("decision %s not resolvable via Coalition.Explain", denied.DecisionID)
 	}
-	if got := rec.Decision.Explanation; got == nil || got.Clause != x.Clause {
+	if got := rec.Explanation; got == nil || got.Clause != x.Clause {
 		t.Fatalf("Explain clause = %+v, audit clause = %q", got, x.Clause)
 	}
 	if rec.Server != "s3" {
