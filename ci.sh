@@ -21,6 +21,10 @@ go build ./...
 go vet ./...
 go test ./...
 go test -race ./...
+# Repeated race probe of the resident history and its handoff: a parked
+# log moves between two daemons' goroutines, and one -race pass samples
+# that interleaving only once.
+go test -race -count=10 -run 'TestResident|TestHandoff' ./internal/server
 # The repository benchmark is its own module (stac/bench, replacing stac
 # with this tree), so ./... above never reaches it. It drives the
 # engine and srac APIs directly, so vet and test it here, or an API

@@ -87,6 +87,10 @@ type Coalition struct {
 	// programs interns the SRAL programs declared on wire access
 	// requests to every member daemon (see programs.go).
 	programs *programCache
+
+	// handoff parks departed sessions' verified histories for the
+	// objects' next arrival at any member daemon (see handoff.go).
+	handoff *handoff
 }
 
 // NewCoalition creates a coalition with the given clock (nil for a
@@ -100,6 +104,7 @@ func NewCoalition(clock temporal.Clock, key []byte) *Coalition {
 		servers:   make(map[model.ServerID]*Server),
 		decisions: obs.NewRing[AuditEntry](decisionLogCapacity),
 		programs:  newProgramCache(),
+		handoff:   newHandoff(),
 	}
 }
 

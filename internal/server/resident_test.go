@@ -7,13 +7,11 @@ package server
 // stale cursors must be refused before anything is decided.
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"reflect"
 	"strings"
 	"sync"
@@ -127,18 +125,35 @@ func equivItinerary(seed int64) []equivHop {
 // history carried onwards.
 type hopFunc func(t *testing.T, addr string, cr proof.Credential, carried []proof.Proof, reads []model.ResourceID) ([]string, []proof.Proof)
 
-// deltaHop is the production Client: full history on the first read
-// of a hop, then only the suffix after the daemon's cursor.
+// deltaHop is the production Client, importing its history before Auth
+// as agent.RemoteRuntime does: the first read opens at the log adopted
+// from the previous hop (or sends the full history when the history
+// does not extend it), then only the suffix after the daemon's cursor.
 func deltaHop(t *testing.T, addr string, cr proof.Credential, carried []proof.Proof, reads []model.ResourceID) ([]string, []proof.Proof) {
+	return clientHop(t, addr, cr, carried, reads, false)
+}
+
+// lateImportHop is deltaHop importing its history after Auth, as the
+// bench and stacload agents do.
+func lateImportHop(t *testing.T, addr string, cr proof.Credential, carried []proof.Proof, reads []model.ResourceID) ([]string, []proof.Proof) {
+	return clientHop(t, addr, cr, carried, reads, true)
+}
+
+func clientHop(t *testing.T, addr string, cr proof.Credential, carried []proof.Proof, reads []model.ResourceID, late bool) ([]string, []proof.Proof) {
 	t.Helper()
 	cl, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	cl.ImportProofs(carried)
+	if !late {
+		cl.ImportProofs(carried)
+	}
 	if err := cl.Auth(cr); err != nil {
 		t.Fatal(err)
+	}
+	if late {
+		cl.ImportProofs(carried)
 	}
 	var out []string
 	for _, res := range reads {
@@ -187,6 +202,9 @@ type equivRun struct {
 	audit    []AuditEntry
 	records  []record.Record
 	wal      []byte
+	// verified is how many carried proofs the daemons HMAC-verified,
+	// which is what the client's shipping may change.
+	verified int64
 }
 
 func runEquivItinerary(t *testing.T, hops []equivHop, runHop hopFunc) equivRun {
@@ -252,6 +270,10 @@ func runEquivItinerary(t *testing.T, hops []equivHop, runHop hopFunc) equivRun {
 		run.records = append(run.records, r)
 	}
 	run.wal = wal.Bytes()
+	for _, id := range []string{"s1", "s2", "s3"} {
+		run.verified += reg.CounterValue("stac_server_carried_proofs_total",
+			obs.Labels(obs.Label("outcome", "verified"), obs.Label("server", id)))
+	}
 	return run
 }
 
@@ -260,36 +282,48 @@ func TestResidentHistoryMatchesFullHistoryClient(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4, 5, 6} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			hops := equivItinerary(seed)
-			delta := runEquivItinerary(t, hops, deltaHop)
 			full := runEquivItinerary(t, hops, fullHop)
-			if !reflect.DeepEqual(delta.verdicts, full.verdicts) {
-				t.Fatalf("verdicts differ:\ndelta %q\nfull  %q", delta.verdicts, full.verdicts)
-			}
-			for _, v := range delta.verdicts {
+			for _, v := range full.verdicts {
 				if v == "" {
 					grants++
 				} else {
 					denies++
 				}
 			}
-			if !reflect.DeepEqual(delta.audit, full.audit) {
-				t.Fatalf("audit entries (reasons, explanations) differ:\ndelta %+v\nfull  %+v", delta.audit, full.audit)
-			}
-			if len(delta.records) != len(full.records) {
-				t.Fatalf("decision records: %d delta vs %d full", len(delta.records), len(full.records))
-			}
-			for i := range delta.records {
-				if !reflect.DeepEqual(delta.records[i], full.records[i]) {
-					t.Fatalf("record %d differs:\ndelta %+v\nfull  %+v", i, delta.records[i], full.records[i])
+			for _, client := range []struct {
+				name string
+				hop  hopFunc
+			}{{"delta", deltaHop}, {"late import", lateImportHop}} {
+				delta := runEquivItinerary(t, hops, client.hop)
+				if !reflect.DeepEqual(delta.verdicts, full.verdicts) {
+					t.Fatalf("verdicts differ:\n%s %q\nfull  %q", client.name, delta.verdicts, full.verdicts)
 				}
-			}
-			// The delta run's stream still replays bit-identically.
-			res, err := core.Replay(equivPolicy, delta.records, core.ReplayOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Deterministic() {
-				t.Fatalf("replay divergences: %v", res.Divergences)
+				if !reflect.DeepEqual(delta.audit, full.audit) {
+					t.Fatalf("audit entries (reasons, explanations) differ:\n%s %+v\nfull  %+v", client.name, delta.audit, full.audit)
+				}
+				if len(delta.records) != len(full.records) {
+					t.Fatalf("decision records: %d %s vs %d full", len(delta.records), client.name, len(full.records))
+				}
+				for i := range delta.records {
+					if !reflect.DeepEqual(delta.records[i], full.records[i]) {
+						t.Fatalf("record %d differs:\n%s %+v\nfull  %+v", i, client.name, delta.records[i], full.records[i])
+					}
+				}
+				// The delta run's stream still replays bit-identically.
+				res, err := core.Replay(equivPolicy, delta.records, core.ReplayOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Deterministic() {
+					t.Fatalf("%s replay divergences: %v", client.name, res.Divergences)
+				}
+				// Every carried proof was issued on an earlier hop, and a
+				// reset drops the whole history, so with the logs following
+				// the hops nothing is left to verify.
+				if delta.verified != 0 || full.verified == 0 {
+					t.Fatalf("carried proofs verified: %d by the %s client, %d by the full one; want 0 and more",
+						delta.verified, client.name, full.verified)
+				}
 			}
 		})
 	}
@@ -519,120 +553,121 @@ func TestResidentDeltaDuplicatesCollapse(t *testing.T) {
 	}
 }
 
+// TestResidentDedupReplayReportsCurrentToken loses the reply to a
+// ceiling-reaching read with its connection, then retries it from a new
+// token carrying only the first proof. The replayed reply's have must
+// describe the new token's log: the log the lost connection parked when
+// the token adopted it, nothing when another session took it first.
 func TestResidentDedupReplayReportsCurrentToken(t *testing.T) {
-	c, _ := newCoalition(t)
-	reg := obs.NewRegistry()
-	_, addr := startDaemonWith(t, c, "s1", DaemonConfig{Obs: reg})
-	cr := cred(c, "o1", "owner", "traveler")
+	for _, tc := range []struct {
+		name string
+		// taken has another session of the object adopt the parked log
+		// before the device reconnects.
+		taken bool
+		// acked is the device's cursor after the replay, and verified
+		// the proofs the third read HMAC-verifies.
+		acked, verified int64
+	}{
+		{name: "adopts the parked log", acked: 2, verified: 0},
+		{name: "nothing parked", taken: true, acked: 0, verified: 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, _ := newCoalition(t)
+			reg := obs.NewRegistry()
+			_, addr := startDaemonWith(t, c, "s1", DaemonConfig{Obs: reg})
+			cr := cred(c, "o1", "owner", "traveler")
 
-	// First connection: two rsw reads (the ceiling), the reply to the
-	// second lost with the connection.
-	rc := dialRaw(t, addr)
-	tok := rc.auth(cr)
-	r0 := rc.access(tok, "rsw", 0, "", nil)
-	if !r0.OK {
-		t.Fatal(r0.Error)
-	}
-	lost := rc.send(wireRequest{Type: "access", ID: "x", Token: tok, Op: string(model.OpRead),
-		Resource: "rsw", Base: 1, Head: r0.Proof.Sig})
-	if !lost.OK || lost.Have != 2 {
-		t.Fatalf("second read = %+v", lost)
-	}
-	rc.conn.Close()
-	waitGauge(t, reg, 0)
+			// First connection: two rsw reads (the ceiling), the reply to
+			// the second lost with the connection.
+			rc := dialRaw(t, addr)
+			tok := rc.auth(cr)
+			r0 := rc.access(tok, "rsw", 0, "", nil)
+			if !r0.OK {
+				t.Fatal(r0.Error)
+			}
+			lost := rc.send(wireRequest{Type: "access", ID: "x", Token: tok, Op: string(model.OpRead),
+				Resource: "rsw", Base: 1, Head: r0.Proof.Sig})
+			if !lost.OK || lost.Have != 2 {
+				t.Fatalf("second read = %+v", lost)
+			}
+			rc.conn.Close()
+			waitGauge(t, reg, 0)
+			if tc.taken {
+				waitHandoff(t, reg, 2)
+				if got := dialRaw(t, addr).send(wireRequest{Type: "auth", Credential: &cr}); got.Have != 2 {
+					t.Fatalf("auth of the other session = %+v, want the parked log", got)
+				}
+			}
 
-	// The device reconnects carrying only the first proof and retries.
-	cl, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	cl.ImportProofs([]proof.Proof{*r0.Proof})
-	if err := cl.Auth(cr); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.AccessID("x", model.OpRead, "rsw", "", nil); err != nil {
-		t.Fatalf("replayed read: %v", err)
-	}
-	cl.mu.Lock()
-	acked, n := cl.acked, len(cl.proofs)
-	cl.mu.Unlock()
-	// The recorded reply said have 2; the new token holds nothing.
-	if acked != 0 || n != 2 {
-		t.Fatalf("after the replay: acked %d, proofs %d; want 0 and 2", acked, n)
-	}
-	verified := carriedCount(reg, "verified")
-	// The next read decides on the full history: both reads count.
-	_, err = cl.Access(model.OpRead, "rsw", "", nil)
-	if !errors.Is(err, ErrDenied) {
-		t.Fatalf("third rsw read = %v, want the ceiling denial", err)
-	}
-	if got := carriedCount(reg, "verified") - verified; got != 2 {
-		t.Fatalf("verified %d proofs, want the full history of 2", got)
+			// The device reconnects carrying only the first proof and
+			// retries.
+			cl, err := Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			cl.ImportProofs([]proof.Proof{*r0.Proof})
+			if err := cl.Auth(cr); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cl.AccessID("x", model.OpRead, "rsw", "", nil); err != nil {
+				t.Fatalf("replayed read: %v", err)
+			}
+			cl.mu.Lock()
+			acked, n := cl.acked, len(cl.proofs)
+			cl.mu.Unlock()
+			if int64(acked) != tc.acked || n != 2 {
+				t.Fatalf("after the replay: acked %d, proofs %d; want %d and 2", acked, n, tc.acked)
+			}
+			verified := carriedCount(reg, "verified")
+			// The next read decides on both reads, resident or resent.
+			_, err = cl.Access(model.OpRead, "rsw", "", nil)
+			if !errors.Is(err, ErrDenied) {
+				t.Fatalf("third rsw read = %v, want the ceiling denial", err)
+			}
+			if got := carriedCount(reg, "verified") - verified; got != tc.verified {
+				t.Fatalf("verified %d proofs, want %d", got, tc.verified)
+			}
+		})
 	}
 }
 
 // --- old daemons ----------------------------------------------------------
 
 // TestResidentClientAgainstDaemonWithoutHave puts a relay between a
-// Client and a daemon that strips have from every reply, as a daemon
-// from before the history cursor would: the client must keep sending
-// its complete history.
+// Client and a daemon that strips have and head from every reply, as a
+// daemon from before the history cursor would: across a hop, the client
+// must keep sending its complete history.
 func TestResidentClientAgainstDaemonWithoutHave(t *testing.T) {
 	c, _ := newCoalition(t)
 	_, addr := startDaemonWith(t, c, "s1", DaemonConfig{})
-	up, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	strip := func(fields map[string]json.RawMessage) {
+		delete(fields, "have")
+		delete(fields, "head")
 	}
-	defer up.Close()
-	local, relay := net.Pipe()
-	var mu sync.Mutex
 	var sent [][2]int // base, proofs of each access
-	go func() {
-		defer relay.Close()
-		in, out := bufio.NewReader(relay), bufio.NewReader(up)
-		for {
-			line, err := in.ReadBytes('\n')
-			if err != nil {
-				return
-			}
-			var req wireRequest
-			if json.Unmarshal(line, &req) == nil && req.Type == "access" {
-				mu.Lock()
-				sent = append(sent, [2]int{req.Base, len(req.Proofs)})
-				mu.Unlock()
-			}
-			if _, err := up.Write(line); err != nil {
-				return
-			}
-			reply, err := out.ReadBytes('\n')
-			if err != nil {
-				return
-			}
-			var fields map[string]json.RawMessage
-			if err := json.Unmarshal(reply, &fields); err != nil {
-				return
-			}
-			delete(fields, "have")
-			b, _ := json.Marshal(fields)
-			if _, err := relay.Write(append(b, '\n')); err != nil {
-				return
-			}
-		}
-	}()
-	cl := NewClient(local, ClientConfig{})
-	defer cl.Close()
-	if err := cl.Auth(cred(c, "o1", "owner", "traveler")); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if _, err := cl.Access(model.OpRead, "f-s1", "", nil); err != nil {
+	var carried []proof.Proof
+	for hop := 0; hop < 2; hop++ {
+		cl, reqs := relayClient(t, addr, nil, strip)
+		cl.ImportProofs(carried)
+		if err := cl.Auth(cred(c, "o1", "owner", "traveler")); err != nil {
 			t.Fatal(err)
 		}
+		for i := 0; i < 2; i++ {
+			if _, err := cl.Access(model.OpRead, "f-s1", "", nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := cl.Depart(); err != nil {
+			t.Fatal(err)
+		}
+		carried = cl.Proofs()
+		for _, req := range reqs() {
+			if req.Type == "access" {
+				sent = append(sent, [2]int{req.Base, len(req.Proofs)})
+			}
+		}
 	}
-	mu.Lock()
-	defer mu.Unlock()
 	want := [][2]int{{0, 0}, {0, 1}, {0, 2}, {0, 3}}
 	if !reflect.DeepEqual(sent, want) {
 		t.Fatalf("accesses sent (base, proofs) = %v, want full histories %v", sent, want)

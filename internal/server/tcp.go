@@ -46,6 +46,17 @@ import (
 // resends its full history. A daemon that never reports have keeps its
 // clients on full histories.
 //
+// The verified log also outlives the hop. A departing session (an
+// explicit depart or a dropped connection) parks its log on the
+// Coalition under its object, and the object's next auth, at any daemon
+// of that Coalition, takes it: the auth reply reports have, the parked
+// log's length, and head, the signature of its last proof. A client
+// opens its first access at that cursor only when its own history holds
+// the same proof at the same place, and otherwise sends base 0; the
+// access is checked against the log like any other cursor. Daemons of
+// different Coalitions (separate processes) share nothing, and their
+// auth replies carry no offer.
+//
 // Within the paper's trust model coalition devices present their
 // complete history (Section 2 assumes cooperative, trustworthy
 // participants), so omission attacks are out of scope, as they are for
@@ -104,8 +115,11 @@ type wireResponse struct {
 	Data  []byte       `json:"data,omitempty"`
 	Proof *proof.Proof `json:"proof,omitempty"`
 	// Have is the length of the token's resident history after the
-	// request — the base the client may send next.
-	Have int `json:"have,omitempty"`
+	// request — the base the client may send next. On auth it is the
+	// length of the log the session adopted from the object's previous
+	// hop, and Head is the signature of that log's last proof.
+	Have int    `json:"have,omitempty"`
+	Head string `json:"head,omitempty"`
 	// info
 	Server    string   `json:"server,omitempty"`
 	Resources []string `json:"resources,omitempty"`
@@ -189,10 +203,12 @@ type dmetrics struct {
 	// verified and resident split the carried proofs of the accesses
 	// that reached a decision: HMAC-verified on this request, or taken
 	// from the token's resident log. residentLen is the resident logs'
-	// total length.
+	// total length. handoffLen is the coalition's parked logs' total
+	// length, as of this daemon's last park or take.
 	verified    *obs.Counter
 	resident    *obs.Counter
 	residentLen *obs.Gauge
+	handoffLen  *obs.Gauge
 }
 
 // wireTypes are the request types the daemon accounts per-type; an
@@ -226,6 +242,8 @@ func newDMetrics(r *obs.Registry, server model.ServerID) *dmetrics {
 			"Carried proofs of accepted access histories: HMAC-verified on arrival, or already resident."),
 		residentLen: r.Gauge("stac_server_resident_proofs", srv,
 			"Verified carried proofs held resident across the daemon's sessions."),
+		handoffLen: r.Gauge("stac_coalition_handoff_proofs", "",
+			"Verified carried proofs parked by departed sessions for their objects' next arrival."),
 	}
 	for _, t := range wireTypes {
 		m.requests[t] = r.Counter("stac_server_requests_total",
@@ -594,12 +612,19 @@ func (d *Daemon) handle(req *wireRequest, tokens *[]string) wireResponse {
 		if err != nil {
 			return wireResponse{Error: err.Error()}
 		}
-		tok := newToken()
+		// The session adopts the log the object's previous hop parked.
+		s := &session{sub: sub}
+		s.log, s.sigs = d.srv.coalition.handoff.take(sub.Object, d.met.handoffLen)
+		d.countResident(s)
+		resp := wireResponse{OK: true, Token: newToken(), Have: s.have()}
+		if resp.Have > 0 {
+			resp.Head = s.log.View()[resp.Have-1].Sig
+		}
 		d.mu.Lock()
-		d.subjects[tok] = &session{sub: sub}
+		d.subjects[resp.Token] = s
 		d.mu.Unlock()
-		*tokens = append(*tokens, tok)
-		return wireResponse{OK: true, Token: tok}
+		*tokens = append(*tokens, resp.Token)
+		return resp
 
 	case "access":
 		d.mu.Lock()
@@ -785,9 +810,13 @@ func (d *Daemon) depart(token string) bool {
 	if !ok {
 		return false
 	}
-	// Wait out an in-flight request of the token, then free its log.
+	// Wait out an in-flight request of the token, then park its log for
+	// the object's next arrival.
 	s.mu.Lock()
 	s.gone = true
+	if s.have() > 0 {
+		d.srv.coalition.handoff.park(s.sub.Object, s.log, s.sigs, d.met.handoffLen)
+	}
 	d.dropLog(s)
 	s.mu.Unlock()
 	d.srv.Depart(s.sub)
@@ -893,6 +922,13 @@ type Client struct {
 	// that cursor. It follows the daemon's have and falls to 0 on
 	// Auth and on transport errors.
 	acked int
+	// offer is the cursor the auth reply offered, the log the session
+	// adopted from the object's previous hop; the first access takes it
+	// up if the history names it.
+	offer struct {
+		have int
+		head string
+	}
 }
 
 // Dial connects to a coalition daemon with default settings.
@@ -987,6 +1023,7 @@ func (c *Client) Auth(cred proof.Credential) error {
 	c.mu.Lock()
 	c.token = resp.Token
 	c.acked = 0
+	c.offer.have, c.offer.head = resp.Have, resp.Head
 	c.mu.Unlock()
 	return nil
 }
@@ -1064,6 +1101,14 @@ func (c *Client) AccessTraced(tc obs.TraceContext, id string, op model.Operation
 func (c *Client) access(req wireRequest, full bool) (wireResponse, error) {
 	c.mu.Lock()
 	req.Token = c.token
+	if o := c.offer; o.have > 0 {
+		// The history may have been imported after Auth, so the offer is
+		// checked against it only now.
+		if o.have <= len(c.proofs) && c.proofs[o.have-1].Sig == o.head {
+			c.acked = o.have
+		}
+		c.offer.have, c.offer.head = 0, ""
+	}
 	base := c.acked
 	if full {
 		base = 0
