@@ -17,6 +17,14 @@ if [ -n "$UNFORMATTED" ]; then
     exit 1
 fi
 
+# Smoke outputs are build products, not sources: they land in
+# $ARTIFACTS_DIR (CI sets it and uploads the directory; locally it
+# defaults to a temp dir so nothing litters the working tree).
+# Created before the first go test: tests that write artifacts expect
+# the directory to exist, and a fresh checkout does not have it.
+ARTIFACTS=${ARTIFACTS_DIR:-$(mktemp -d)}
+mkdir -p "$ARTIFACTS"
+
 go build ./...
 go vet ./...
 go test ./...
@@ -37,15 +45,10 @@ go test -race -count=10 -run 'TestResident|TestHandoff' ./internal/server
 go test -run '^$' -fuzz '^FuzzRecordDecode$' -fuzztime 2s ./internal/obs/record
 go test -run '^$' -fuzz '^FuzzLoadPolicy$' -fuzztime 2s ./internal/core
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 2s ./internal/srac
+go test -run '^$' -fuzz '^FuzzPrefixAgreement$' -fuzztime 2s ./internal/srac
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 2s ./internal/sral
 go test -run '^$' -fuzz '^FuzzParseRegular$' -fuzztime 2s ./internal/sral
 go test -run '^$' -fuzz '^FuzzJournalDecode$' -fuzztime 2s ./internal/obs/journal
-
-# Smoke outputs are build products, not sources: they land in
-# $ARTIFACTS_DIR (CI sets it and uploads the directory; locally it
-# defaults to a temp dir so nothing litters the working tree).
-ARTIFACTS=${ARTIFACTS_DIR:-$(mktemp -d)}
-mkdir -p "$ARTIFACTS"
 
 # Benchmark smoke: one iteration each, so a broken benchmark (or a
 # regression that panics only on the bench path) fails CI without

@@ -70,6 +70,12 @@ type Agent struct {
 	abort     chan struct{}
 	abortOnce sync.Once
 
+	// accessMu serialises the accesses of concurrent branches: a
+	// decision reads the carried store and its grant appends to it, so
+	// two branches deciding at once would both count the same history
+	// and could jointly overshoot a count ceiling.
+	accessMu sync.Mutex
+
 	mu      sync.Mutex
 	visited []model.ServerID
 	err     error

@@ -87,11 +87,13 @@ func (b *branch) exec(n sral.Node) error {
 		if err := b.moveTo(x.Server); err != nil {
 			return err
 		}
+		b.agent.accessMu.Lock()
 		res, err := b.srv.Request(b.subject, x.Op, x.Resource, server.RequestContext{
 			Program: b.agent.Program,
 			Store:   b.agent.Proofs,
 			Trace:   b.tc,
 		})
+		b.agent.accessMu.Unlock()
 		if err != nil {
 			return fmt.Errorf("agent %s: %s %s @ %s: %w", b.agent.ID, x.Op, x.Resource, x.Server, err)
 		}

@@ -1,10 +1,10 @@
 package core
 
 // Per-clause evaluation profiling: with the profiler enabled, every
-// spatial prefix evaluation also runs the srac cost walk and folds
-// each clause's outcome (the coverage tallies), decisiveness and work
-// (leaf evals, count-window merges, 1-in-64 sampled wall time) into an
-// obs/cost.Collector keyed by (perm, clause path). Static checks feed
+// spatial prefix evaluation's own per-node records are folded — each
+// clause's outcome (the coverage tallies), decisiveness and work (leaf
+// evals, 1-in-64 sampled wall time) — into an obs/cost.Collector keyed
+// by (perm, clause path). Static checks feed
 // a per-(program digest, policy digest) cost table, and every grant
 // bumps the re-walk amplification denominator. /debug/cost serves the
 // cost report and /debug/coverage its coverage projection
@@ -18,10 +18,8 @@ import (
 	"time"
 
 	"stac/internal/obs/cost"
-	"stac/internal/rbac"
 	"stac/internal/srac"
 	"stac/internal/sral"
-	"stac/internal/trace"
 )
 
 // EnableCostProfiling turns on per-clause evaluation profiling — cost
@@ -84,36 +82,24 @@ func (e *Engine) refreshCostPolicyDigest() {
 	e.costPolicy.Store(&d)
 }
 
-// costSamplePool recycles the per-decision sample buffers: the
-// translation slice is alive only for the Record call, so pooling it
-// keeps the profiled decision path free of a per-decision allocation.
-var costSamplePool = sync.Pool{
-	New: func() any {
-		s := make([]cost.NodeSample, 0, 32)
-		return &s
-	},
-}
-
-// costSamples translates the srac cost walk's nodes into the
-// collector's evaluator-agnostic sample type, into a pooled buffer.
-// Callers must putCostSamples after Record returns (Record does not
-// retain the slice).
-func costSamples(nodes []srac.NodeCost) *[]cost.NodeSample {
-	buf := costSamplePool.Get().(*[]cost.NodeSample)
-	out := (*buf)[:0]
-	for _, n := range nodes {
-		out = append(out, cost.NodeSample{
-			Path: n.Path, Outcome: outcomeOf(n.Status), Decisive: n.Decisive,
-			Atoms: n.Atoms, Merges: n.Merges, NS: n.NS,
-		})
+// nodeEvalPool recycles the per-decision evaluation records and
+// costSamplePool the per-decision sample buffers: each slice is alive
+// only for one decision, so pooling keeps the decision path free of a
+// per-decision allocation.
+var (
+	nodeEvalPool = sync.Pool{
+		New: func() any {
+			s := make([]srac.NodeEval, 0, 32)
+			return &s
+		},
 	}
-	*buf = out
-	return buf
-}
-
-func putCostSamples(buf *[]cost.NodeSample) {
-	costSamplePool.Put(buf)
-}
+	costSamplePool = sync.Pool{
+		New: func() any {
+			s := make([]cost.NodeSample, 0, 32)
+			return &s
+		},
+	}
+)
 
 func outcomeOf(s srac.Status) cost.Outcome {
 	switch s {
@@ -137,18 +123,26 @@ func costClauseResolver(unstamped srac.Constraint) func(string) string {
 	}
 }
 
-// costScan profiles one prefix evaluation: the cost walk re-runs the
-// stamped constraint over the hypothetical post-state history with
-// detail-free leaves, so its sampled timings carry the firstMatch /
-// countProven history scans and none of the explanation formatting.
-// One walk feeds every per-clause tally, coverage included.
-func costScan(col *cost.Collector, perm rbac.PermID, unstamped, stamped srac.Constraint, hyp trace.Trace, oracle srac.ProofOracle) {
-	col.NoteScan(len(hyp))
-	sampled := col.SampleTick()
-	nodes, _ := srac.CoverCost(stamped, srac.PlainTraceLeafEval(hyp, oracle), sampled)
-	buf := costSamples(nodes)
-	col.Record(string(perm), sampled, *buf, costClauseResolver(unstamped))
-	putCostSamples(buf)
+// costScan profiles one prefix evaluation: it folds the decision's
+// own evaluation records — each clause's outcome, its subtree's leaf
+// count and, when the caller sampled this evaluation for timing, its
+// wall time — plus the decisive clause into the per-clause cells. The
+// profiler runs no walk of its own, so cost and coverage describe the
+// very evaluation that decided.
+func costScan(col *cost.Collector, ps PermSpec, stamped srac.Constraint, nodes []srac.NodeEval, histLen int, sampled bool) {
+	col.NoteScan(histLen)
+	decisive := srac.Decisive(stamped, nodes)
+	buf := costSamplePool.Get().(*[]cost.NodeSample)
+	samples := (*buf)[:0]
+	for i, n := range nodes {
+		samples = append(samples, cost.NodeSample{
+			Path: ps.paths[i], Outcome: outcomeOf(n.Status), Decisive: i == decisive,
+			Atoms: n.Atoms, NS: n.NS,
+		})
+	}
+	col.Record(string(ps.Perm.ID), sampled, samples, costClauseResolver(ps.Spatial))
+	*buf = samples
+	costSamplePool.Put(buf)
 }
 
 // costStatic folds one static-check run into the (program digest,

@@ -80,6 +80,11 @@ type PermSpec struct {
 	Duration float64
 	// Scheme selects the base time t_b (global or per-server).
 	Scheme temporal.Scheme
+
+	// paths lists Spatial's clause paths in pre-order, so the cost
+	// profiler names the i-th record of an evaluation without building
+	// paths per decision. DefinePermission fills it.
+	paths []string
 }
 
 func (ps PermSpec) duration() float64 {
@@ -430,6 +435,12 @@ func (e *Engine) DefinePermission(ps PermSpec) error {
 	if err := e.RBAC.AddPermission(ps.Perm); err != nil {
 		return err
 	}
+	ps.paths = nil
+	if ps.Spatial != nil {
+		srac.WalkPaths(ps.Spatial, func(path string, _ srac.Constraint) {
+			ps.paths = append(ps.paths, path)
+		})
+	}
 	e.policyMu.Lock()
 	e.specs[ps.Perm.ID] = ps
 	e.policyMu.Unlock()
@@ -699,36 +710,43 @@ func (e *Engine) authorize(tc obs.TraceContext, t *obs.Tracer, req Request, m *e
 			}
 		}
 		// Prefix evaluation of the post-state: the requested access is
-		// hypothetically performed and proven.
+		// hypothetically performed and proven. One evaluation decides
+		// (the root's status), reads Strict satisfaction (the root's
+		// Holds), feeds the profiler and explains a denial.
 		hyp := req.History.Concat(trace.Trace{req.Access})
 		oracle := srac.HypotheticalOracle(req.Proofs, req.Access)
 		esp, _ := t.StartSpan(tc, "prefix_eval")
 		esp.SetService("engine")
+		sampled := col != nil && col.SampleTick()
+		buf := nodeEvalPool.Get().(*[]srac.NodeEval)
 		evalStart := time.Now()
-		d.Spatial = srac.EvalPrefix(hyp, stamped, oracle)
-		strictOK := d.Spatial != srac.Violated &&
-			(ps.Mode != Strict || srac.SatisfiesTrace(hyp, stamped, oracle))
+		nodes := srac.Evaluate(hyp, stamped, oracle, *buf, sampled)
 		m.prefixEval.ObserveSince(evalStart)
+		d.Spatial = nodes[0].Status
 		esp.SetAttr("path", "scan")
 		esp.SetAttr("status", d.Spatial.String())
 		esp.SetAttr("history_len", strconv.Itoa(len(hyp)))
 		esp.Finish()
 		if col != nil {
-			costScan(col, perm.ID, ps.Spatial, stamped, hyp, oracle)
+			costScan(col, ps, stamped, nodes, len(hyp), sampled)
 		}
-		if d.Spatial == srac.Violated {
+		switch {
+		case d.Spatial == srac.Violated:
 			d.Deny = DenySpatialViolated
 			d.Reason = fmt.Sprintf("spatial constraint %s irreversibly violated",
 				srac.String(ps.Spatial))
-			d.Explanation = spatialExplanation(ps.Spatial, srac.Attribute(hyp, stamped, oracle))
-			return d
-		}
-		if !strictOK {
+		case ps.Mode == Strict && !nodes[0].Holds:
 			d.Spatial = srac.Pending
 			d.Deny = DenySpatialStrict
 			d.Reason = fmt.Sprintf("spatial constraint %s not yet satisfied (strict mode)",
 				srac.String(ps.Spatial))
-			d.Explanation = spatialExplanation(ps.Spatial, srac.Attribute(hyp, stamped, oracle))
+		}
+		if d.Deny != DenyNone {
+			d.Explanation = spatialExplanation(ps.Spatial, srac.AttributeNodes(stamped, nodes))
+		}
+		*buf = nodes
+		nodeEvalPool.Put(buf)
+		if d.Deny != DenyNone {
 			return d
 		}
 	}

@@ -10,8 +10,8 @@
 // often each clause was evaluated and with what outcome
 // (satisfied/violated/pending, the clause-coverage tallies), how often
 // it was decisive, how many leaf evaluations (atoms) its subtree
-// performed, how many allocating count-window merges it triggered, and
-// a 1-in-64 deterministically sampled cumulative wall-clock time. On
+// performed, and a 1-in-64 deterministically sampled cumulative
+// wall-clock time. On
 // top it keeps two whole-engine gauges: re-walk amplification (prefix
 // evals and history entries walked per appended access — the
 // history-length tax) and a per-(program digest, policy digest)
@@ -56,13 +56,12 @@ const (
 )
 
 // NodeSample is one clause's outcome and work in a single prefix
-// evaluation, translated from the evaluator's cost walk.
+// evaluation, translated from the evaluator's per-node records.
 type NodeSample struct {
 	Path     string
 	Outcome  Outcome
 	Decisive bool
 	Atoms    int
-	Merges   int
 	// NS is the subtree wall time of this evaluation; only meaningful
 	// when the evaluation was sampled for timing.
 	NS int64
@@ -76,15 +75,14 @@ type cell struct {
 	pending      int64
 	decisive     int64
 	atoms        int64
-	merges       int64
 	sampledEvals int64
 	sampledNS    int64
 }
 
 // entry is one clause cell addressed by its path; a permProfile keeps
 // entries sorted by path, which for SRAC coverage paths is exactly
-// pre-order. The evaluator's cost walk emits nodes in the same order,
-// so Record is a linear merge of two sorted sequences — no per-node
+// pre-order. The evaluator records nodes in the same order, so
+// Record is a linear merge of two sorted sequences — no per-node
 // hashing on the decision path.
 type entry struct {
 	path string
@@ -226,8 +224,9 @@ func (c *Collector) Seed(perm, path, clause string) {
 }
 
 // Record folds one evaluation's node samples into the per-clause
-// cells. Nodes must be sorted by path — the order the evaluator's cost
-// walk emits — so the fold is a linear merge against the seeded cells.
+// cells. Nodes must be sorted by path — the pre-order the evaluator
+// records them in — so the fold is a linear merge against the seeded
+// cells.
 // sampled says whether this evaluation carried timing (the caller's
 // SampleTick result); clauseAt resolves a path to its clause text for
 // cells created lazily (nil to leave them unnamed).
@@ -254,7 +253,6 @@ func (c *Collector) Record(perm string, sampled bool, nodes []NodeSample, clause
 			cl.pending++
 		}
 		cl.atoms += int64(n.Atoms)
-		cl.merges += int64(n.Merges)
 		if n.Decisive {
 			cl.decisive++
 		}
@@ -312,9 +310,8 @@ type ClauseCost struct {
 	Violated  int64 `json:"-"`
 	Pending   int64 `json:"-"`
 	// Atoms is the cumulative leaf-evaluation count of the clause's
-	// subtree; Merges the cumulative allocating count-window merges.
-	Atoms  int64 `json:"atoms"`
-	Merges int64 `json:"merges,omitempty"`
+	// subtree.
+	Atoms int64 `json:"atoms"`
 	// SampledNS is cumulative subtree wall time over the SampledEvals
 	// evaluations that carried timing (1 in 64, deterministic);
 	// MeanNS is their ratio — the estimated cost of one evaluation of
@@ -378,8 +375,7 @@ func (c *Collector) Report() Report {
 					Perm: perm, Path: e.path, Clause: cl.clause,
 					Evals: cl.evals, Decisive: cl.decisive,
 					Satisfied: cl.satisfied, Violated: cl.violated, Pending: cl.pending,
-					Atoms: cl.atoms, Merges: cl.merges,
-					SampledEvals: cl.sampledEvals, SampledNS: cl.sampledNS,
+					Atoms: cl.atoms, SampledEvals: cl.sampledEvals, SampledNS: cl.sampledNS,
 				}
 				if cc.SampledEvals > 0 {
 					cc.MeanNS = float64(cc.SampledNS) / float64(cc.SampledEvals)

@@ -18,12 +18,11 @@ type CostRollup struct {
 	Perm   string `json:"perm"`
 	Path   string `json:"path"`
 	Clause string `json:"clause"`
-	// Evals/Decisive/Atoms/Merges sum the members' tallies (see
+	// Evals/Decisive/Atoms sum the members' tallies (see
 	// cost.ClauseCost).
 	Evals    int64 `json:"evals"`
 	Decisive int64 `json:"decisive"`
 	Atoms    int64 `json:"atoms"`
-	Merges   int64 `json:"merges,omitempty"`
 	// SampledNS sums the 1-in-64 sampled wall time across members;
 	// MeanNS is SampledNS/SampledEvals.
 	SampledEvals int64   `json:"sampled_evals"`
@@ -60,7 +59,6 @@ func (p *Poller) mergeCost(v *FleetView) {
 			r.Evals += cc.Evals
 			r.Decisive += cc.Decisive
 			r.Atoms += cc.Atoms
-			r.Merges += cc.Merges
 			r.SampledEvals += cc.SampledEvals
 			r.SampledNS += cc.SampledNS
 			r.Members++

@@ -2,18 +2,20 @@ package srac
 
 // Violation attribution: given the three-valued prefix status of a
 // constraint, pinpoint the subformula responsible for it. Aggregate
-// enforcement (PR 2's counters) can say *that* a denial happened;
-// attribution says *which* clause of the policy made it irreversible —
-// the property Combi et al. argue temporal-constraint systems need to
-// be trustworthy at all.
+// enforcement can say *that* a denial happened; attribution says
+// *which* clause of the policy made it irreversible — the property
+// Combi et al. argue temporal-constraint systems need to be
+// trustworthy at all.
 //
-// Attribute must agree with EvalPrefixStable exactly: its Status and
-// Stable fields are defined to equal the engine's verdict, and the
-// equivalence is property-tested over a formula corpus. The clause it
-// reports is a genuine witness — for a Violated conjunction it is the
-// violated conjunct (recursively), for a Violated disjunction both
-// disjuncts are dead so the disjunction itself is reported, and for a
-// negation the blame lies with the stably satisfied operand.
+// Attribution is a projection of one evaluation (Evaluate): the
+// blamed clause is the decisive node (cost.go), its detail is rendered
+// from the leaf observations recorded there, and its count windows
+// are the counting atoms recorded inside the blamed clause's pre-order
+// range. Nothing here re-scans the history. The clause reported is a
+// genuine witness — for a Violated conjunction it is the violated
+// conjunct (recursively), for a Violated disjunction both disjuncts
+// are dead so the disjunction itself is reported, and for a negation
+// the blame lies with the stably satisfied operand.
 
 import (
 	"fmt"
@@ -69,129 +71,101 @@ func (a Attribution) ClauseString() string {
 	return String(a.Clause)
 }
 
-// LeafEval evaluates one leaf construct (TrueC, FalseC, Atom, Ordered,
-// Count) and describes the outcome. The cost walk (CoverCost) takes
-// one, so the same connective logic serves attribution, with the
-// explaining TraceLeafEval, and the profilers, with the detail-free
-// PlainTraceLeafEval.
-type LeafEval func(c Constraint) (status Status, stable bool, detail string)
-
-// mergeCounts combines the observed count windows of two subresults.
-// Constraints without counting atoms — the common case — merge empty
-// against empty, which costs no allocation; a fresh slice is only
-// built when either side observed windows, so neither input is ever
-// aliased or mutated.
-func mergeCounts(l, r []CountWindow) []CountWindow {
-	if len(l) == 0 && len(r) == 0 {
-		return nil
-	}
-	out := make([]CountWindow, 0, len(l)+len(r))
-	return append(append(out, l...), r...)
-}
-
 // Attribute explains the prefix status of c over the history t — the
 // attribution counterpart of EvalPrefixStable, with identical Status
-// and Stable. It is the root attribution of the cost walk, so the
-// clause it blames is exactly the node coverage and cost mark
-// decisive.
+// and Stable.
 func Attribute(t trace.Trace, c Constraint, pr ProofOracle) Attribution {
-	_, a := CoverCost(c, TraceLeafEval(t, pr), false)
-	return a.withObserved(t, pr)
+	return AttributeNodes(c, Evaluate(t, c, pr, nil, false))
 }
 
-// countLeafStatus is the detail-free verdict for a counting atom
-// given its observed proof-backed count — the cost walk's leaf
-// evaluators use it directly so sampled timings don't pay for
-// explanation formatting.
-func countLeafStatus(x Count, n int) (Status, bool) {
-	switch {
-	case n > x.Max:
-		return Violated, true
-	case n >= x.Min:
-		if x.Max == Unbounded {
-			return Satisfied, true
-		}
-		return Satisfied, false
-	default:
-		return Pending, false
+// AttributeNodes projects the records of one evaluation of c
+// (Evaluate's result) onto the attribution of its root verdict. The
+// clause it blames is exactly the node Decisive reports, the one
+// coverage marks decisive.
+func AttributeNodes(c Constraint, nodes []NodeEval) Attribution {
+	clause, k := blame(c, nodes, 0)
+	detail, windows := describe(clause, nodes, k)
+	a := Attribution{Status: nodes[0].Status, Stable: nodes[0].Stable, Clause: clause, Detail: detail}
+	if windows {
+		a.Counts = countWindows(clause, nodes, k)
 	}
-}
-
-// countLeaf is the explaining leaf verdict for a counting atom given
-// its observed proof-backed count.
-func countLeaf(x Count, n int) (Status, bool, string) {
-	switch st, _ := countLeafStatus(x, n); {
-	case st == Violated:
-		return Violated, true,
-			fmt.Sprintf("count %d exceeds ceiling %d of window [%d,%d] for %s",
-				n, x.Max, x.Min, x.Max, x.Sel)
-	case st == Satisfied:
-		if x.Max == Unbounded {
-			return Satisfied, true,
-				fmt.Sprintf("count %d meets floor %d (no ceiling) for %s", n, x.Min, x.Sel)
-		}
-		return Satisfied, false,
-			fmt.Sprintf("count %d within window [%d,%d] for %s (extensions may exceed it)",
-				n, x.Min, x.Max, x.Sel)
-	default:
-		return Pending, false,
-			fmt.Sprintf("count %d below floor %d of window [%d,%d] for %s",
-				n, x.Min, x.Min, x.Max, x.Sel)
-	}
-}
-
-// TraceLeafEval is the explaining leaf evaluator Attribute uses:
-// leaves are decided against the proof-backed history t, with a detail
-// string saying why.
-func TraceLeafEval(t trace.Trace, pr ProofOracle) LeafEval {
-	if pr == nil {
-		pr = AllProven
-	}
-	return func(leaf Constraint) (Status, bool, string) {
-		switch x := leaf.(type) {
-		case TrueC:
-			return Satisfied, true, "constant T"
-		case FalseC:
-			return Violated, true, "constant F"
-		case Atom:
-			if i := firstMatch(t, x.A, 0, pr); i >= 0 {
-				return Satisfied, true, fmt.Sprintf("witnessed at history position %d", i)
-			}
-			return Pending, false, "no proof-backed occurrence yet"
-		case Ordered:
-			i := firstMatch(t, x.First, 0, pr)
-			if i < 0 {
-				return Pending, false, "first access not yet witnessed"
-			}
-			if j := firstMatch(t, x.Second, i+1, pr); j >= 0 {
-				return Satisfied, true, fmt.Sprintf("witnessed in order at positions %d and %d", i, j)
-			}
-			return Pending, false, fmt.Sprintf("first access witnessed at position %d, second still pending", i)
-		case Count:
-			n := countProven(t, x.Sel, pr)
-			return countLeaf(x, n)
-		}
-		return Pending, false, fmt.Sprintf("unknown construct %T", leaf)
-	}
-}
-
-// withObserved fills in the Observed field of every count window by
-// re-counting against the history (the leaf path records the window
-// but not the count, which only the leaf detail carries).
-func (a Attribution) withObserved(t trace.Trace, pr ProofOracle) Attribution {
-	if len(a.Counts) == 0 || a.Clause == nil {
-		return a
-	}
-	a.Counts = CollectCounts(t, a.Clause, pr)
 	return a
 }
 
-// CollectCounts returns the window state of every counting atom inside
-// c, in pre-order, counted against the history t.
-func CollectCounts(t trace.Trace, c Constraint, pr ProofOracle) []CountWindow {
-	if pr == nil {
-		pr = AllProven
+// describeOperand explains the verdict of record k (subformula c)
+// through the node it blames.
+func describeOperand(c Constraint, nodes []NodeEval, k int) (string, bool) {
+	c, k = blame(c, nodes, k)
+	return describe(c, nodes, k)
+}
+
+// describe renders why the blamed record k (subformula c) has its
+// status, and reports whether the attribution carries count windows: a
+// counting atom does, a connective that takes the blame for its
+// operands carries theirs, and other leaves carry none.
+func describe(c Constraint, nodes []NodeEval, k int) (string, bool) {
+	n := &nodes[k]
+	switch x := c.(type) {
+	case TrueC:
+		return "constant T", false
+	case FalseC:
+		return "constant F", false
+	case Atom:
+		if n.First >= 0 {
+			return fmt.Sprintf("witnessed at history position %d", n.First), false
+		}
+		return "no proof-backed occurrence yet", false
+	case Ordered:
+		switch {
+		case n.First < 0:
+			return "first access not yet witnessed", false
+		case n.Second >= 0:
+			return fmt.Sprintf("witnessed in order at positions %d and %d", n.First, n.Second), false
+		}
+		return fmt.Sprintf("first access witnessed at position %d, second still pending", n.First), false
+	case Count:
+		switch {
+		case n.Status == Violated:
+			return fmt.Sprintf("count %d exceeds ceiling %d of window [%d,%d] for %s",
+				n.Count, x.Max, x.Min, x.Max, x.Sel), true
+		case n.Status == Pending:
+			return fmt.Sprintf("count %d below floor %d of window [%d,%d] for %s",
+				n.Count, x.Min, x.Min, x.Max, x.Sel), true
+		case x.Max == Unbounded:
+			return fmt.Sprintf("count %d meets floor %d (no ceiling) for %s", n.Count, x.Min, x.Sel), true
+		}
+		return fmt.Sprintf("count %d within window [%d,%d] for %s (extensions may exceed it)",
+			n.Count, x.Min, x.Max, x.Sel), true
+	case And:
+		// Blamed only when both conjuncts are satisfied.
+		_, lw := describeOperand(x.Left, nodes, k+1)
+		_, rw := describeOperand(x.Right, nodes, nodes[k+1].End)
+		return "both conjuncts satisfied", lw || rw
+	case Or:
+		// Blamed only when both alternatives are violated.
+		ld, lw := describeOperand(x.Left, nodes, k+1)
+		rd, rw := describeOperand(x.Right, nodes, nodes[k+1].End)
+		return "both alternatives violated: " + ld + "; " + rd, lw || rw
+	case Not:
+		// The negation itself takes the blame, carrying the operand's
+		// witness in its detail.
+		d, w := describeOperand(x.C, nodes, k+1)
+		switch {
+		case n.Status == Violated:
+			return "negated subformula stably satisfied (" + d + ")", w
+		case n.Status == Satisfied:
+			return "negated subformula violated (" + d + ")", w
+		case nodes[k+1].Status == Satisfied:
+			return "negated subformula satisfied but not stably (" + d + ")", w
+		}
+		return "negated subformula still pending (" + d + ")", w
 	}
+	return fmt.Sprintf("unknown construct %T", c), false
+}
+
+// countWindows returns the window state of every counting atom inside
+// c, whose records start at index k, in pre-order.
+func countWindows(c Constraint, nodes []NodeEval, k int) []CountWindow {
 	var out []CountWindow
 	Walk(c, func(x Constraint) bool {
 		if cnt, ok := x.(Count); ok {
@@ -203,9 +177,10 @@ func CollectCounts(t trace.Trace, c Constraint, pr ProofOracle) []CountWindow {
 				Selector: cnt.Sel.String(),
 				Min:      cnt.Min,
 				Max:      max,
-				Observed: countProven(t, cnt.Sel, pr),
+				Observed: nodes[k].Count,
 			})
 		}
+		k++
 		return true
 	})
 	return out

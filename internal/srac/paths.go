@@ -3,9 +3,9 @@ package srac
 // Clause paths address the nodes of a constraint tree: "" is the
 // root, then one letter per step — 'l'/'r' into a conjunction or
 // disjunction, 'n' under a negation. Paths are stable across
-// evaluations of the same constraint, so the cost walk (cost.go)
-// reports per-node outcomes under them and the engine's per-clause
-// profiler keys its cells by (permission, path).
+// evaluations of the same constraint, and WalkPaths' i-th path names
+// the i-th record of an evaluation (Evaluate), so the engine's
+// per-clause profiler keys its cells by (permission, path).
 
 // WalkPaths visits every node of the constraint tree with its
 // coverage path, pre-order. Aggregators use it to pre-seed cells so

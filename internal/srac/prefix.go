@@ -1,6 +1,19 @@
 package srac
 
+// Prefix evaluation: the three-valued status of a constraint over the
+// history a mobile object has accumulated so far. The walk behind
+// Evaluate and EvalPrefix is the package's one transcription of the
+// three-valued connective logic. Every other reading of an evaluation
+// projects its per-node records instead of re-walking the history:
+// Strict satisfaction reads the root's Holds bit, attribution
+// (attribute.go) and the decisive node (cost.go) read the recorded
+// child verdicts and leaf observations, and per-clause coverage and
+// cost are the records themselves. The pre-projection evaluator is
+// kept test-only (refEvalPrefix) as the differential reference.
+
 import (
+	"time"
+
 	"stac/internal/model"
 	"stac/internal/trace"
 )
@@ -72,6 +85,61 @@ func NegateStable(s Status, stable bool) (Status, bool) {
 	}
 }
 
+// NodeEval is one subformula's record in a single prefix evaluation.
+// Evaluate writes one per node of the constraint tree, in pre-order:
+// the root is record 0, a connective's first operand follows it, and
+// a node's subtree occupies the records [i, End). The i-th record
+// belongs to WalkPaths' i-th clause path, so reports address records
+// by path without the walk building any.
+type NodeEval struct {
+	// Status and Stable are the subformula's prefix verdict, exactly
+	// EvalPrefixStable on it.
+	Status Status
+	Stable bool
+	// Holds is the two-valued trace satisfaction of Definition 3.6,
+	// exactly SatisfiesTrace on the subformula. It can differ from
+	// Status == Satisfied only where a negation is involved (¬ of a
+	// Pending operand holds on the current trace), and it is what
+	// Strict enforcement reads.
+	Holds bool
+	// End is the index one past the subformula's last record.
+	End int
+	// Atoms counts the leaves of the subtree (a leaf counts itself
+	// once): the leaf evaluations the subtree performed.
+	Atoms int
+	// First and Second are what a leaf observed in the history: the
+	// first witness position of an atom, or the positions of an
+	// ordering's first and second access; -1 while unwitnessed (an
+	// ordering's second access is only sought after its first). Count
+	// is a counting atom's proof-backed count |σ(t)|.
+	First, Second, Count int
+	// NS is the subtree's wall-clock evaluation time in nanoseconds,
+	// children included; zero unless the evaluation was timed.
+	NS int64
+}
+
+// Evaluate is the one evaluation of a constraint over a history
+// prefix: it appends one NodeEval per node of c, in pre-order, to
+// nodes[:0] and returns the slice. Callers that evaluate per decision
+// pass a reused slice so the walk allocates nothing. The records are
+// the single source every reading of the evaluation projects from:
+// the enforcement verdict and Strict satisfaction (the root), the
+// attribution of that verdict (AttributeNodes), and per-clause
+// coverage and cost (Decisive, Atoms, NS). When timed is set each
+// subtree's wall time is read with two clock reads per node; callers
+// sample it (the profiler times 1 evaluation in 64), because on small
+// formulas the clock reads are themselves measurable.
+//
+// The per-node rules are the prefix semantics of EvalPrefix.
+func Evaluate(t trace.Trace, c Constraint, pr ProofOracle, nodes []NodeEval, timed bool) []NodeEval {
+	if pr == nil {
+		pr = AllProven
+	}
+	w := walker{t: t, pr: pr, nodes: nodes[:0], record: true, timed: timed}
+	w.eval(c)
+	return w.nodes
+}
+
 // EvalPrefix evaluates a constraint against a history prefix:
 //
 //   - Atom a: Satisfied once a proof-backed match is in the history,
@@ -88,7 +156,9 @@ func NegateStable(s Status, stable bool) (Status, bool) {
 //
 // Enforcement denies on Violated and may grant on Satisfied or
 // Pending; the static program checker additionally rules out programs
-// that can never satisfy the constraint.
+// that can never satisfy the constraint. It is Evaluate's root
+// verdict, computed by the same walk without recording (and without
+// allocating).
 func EvalPrefix(t trace.Trace, c Constraint, pr ProofOracle) Status {
 	s, _ := EvalPrefixStable(t, c, pr)
 	return s
@@ -105,66 +175,117 @@ func EvalPrefixStable(t trace.Trace, c Constraint, pr ProofOracle) (status Statu
 	if pr == nil {
 		pr = AllProven
 	}
-	return evalPrefix(t, c, pr)
+	w := walker{t: t, pr: pr}
+	status, stable, _ = w.eval(c)
+	return status, stable
 }
 
-func evalPrefix(t trace.Trace, c Constraint, pr ProofOracle) (Status, bool) {
+// walker is one evaluation in progress. With record set, eval appends
+// every node's record to nodes; without, it only returns verdicts.
+type walker struct {
+	t      trace.Trace
+	pr     ProofOracle
+	nodes  []NodeEval
+	record bool
+	timed  bool
+}
+
+// eval evaluates one node and returns its status, stability and
+// Definition 3.6 truth, after appending the records of its subtree
+// (itself first) when recording.
+func (w *walker) eval(c Constraint) (st Status, stable, holds bool) {
+	k := len(w.nodes)
+	var t0 time.Time
+	if w.record {
+		w.nodes = append(w.nodes, NodeEval{Atoms: 1, First: -1, Second: -1})
+		if w.timed {
+			t0 = time.Now()
+		}
+	}
+	st = Pending
 	switch x := c.(type) {
 	case TrueC:
-		return Satisfied, true
+		st, stable, holds = Satisfied, true, true
 	case FalseC:
-		return Violated, true
+		st, stable = Violated, true
 	case Atom:
-		if firstMatch(t, x.A, 0, pr) >= 0 {
+		i := firstMatch(w.t, x.A, 0, w.pr)
+		if i >= 0 {
 			// The witness is in the history for good: satisfaction is
 			// stable under extension.
-			return Satisfied, true
+			st, stable, holds = Satisfied, true, true
 		}
-		return Pending, false
+		w.observe(k, i, -1, 0)
 	case Ordered:
-		i := firstMatch(t, x.First, 0, pr)
-		if i >= 0 && firstMatch(t, x.Second, i+1, pr) >= 0 {
-			return Satisfied, true
+		i, j := firstMatch(w.t, x.First, 0, w.pr), -1
+		if i >= 0 {
+			j = firstMatch(w.t, x.Second, i+1, w.pr)
 		}
-		return Pending, false
+		if j >= 0 {
+			st, stable, holds = Satisfied, true, true
+		}
+		w.observe(k, i, j, 0)
 	case Count:
-		n := countProven(t, x.Sel, pr)
+		n := countProven(w.t, x.Sel, w.pr)
+		holds = n >= x.Min && n <= x.Max
 		switch {
 		case n > x.Max:
-			return Violated, true
-		case n >= x.Min:
+			st, stable = Violated, true
+		case holds:
 			// Extensions can only grow the count, so satisfaction is
 			// stable exactly when there is no ceiling to cross.
-			return Satisfied, x.Max == Unbounded
-		default:
-			return Pending, false
+			st, stable = Satisfied, x.Max == Unbounded
 		}
+		w.observe(k, -1, -1, n)
 	case And:
-		l, lst := evalPrefix(t, x.Left, pr)
-		r, rst := evalPrefix(t, x.Right, pr)
+		l, lst, lh := w.eval(x.Left)
+		r, rst, rh := w.eval(x.Right)
+		holds = lh && rh
 		switch {
 		case l == Violated || r == Violated:
-			return Violated, true
+			st, stable = Violated, true
 		case l == Satisfied && r == Satisfied:
-			return Satisfied, lst && rst
-		default:
-			return Pending, false
+			st, stable = Satisfied, lst && rst
 		}
 	case Or:
-		l, lst := evalPrefix(t, x.Left, pr)
-		r, rst := evalPrefix(t, x.Right, pr)
+		l, lst, lh := w.eval(x.Left)
+		r, rst, rh := w.eval(x.Right)
+		holds = lh || rh
 		switch {
 		case l == Satisfied || r == Satisfied:
-			return Satisfied, (l == Satisfied && lst) || (r == Satisfied && rst)
+			st, stable = Satisfied, (l == Satisfied && lst) || (r == Satisfied && rst)
 		case l == Violated && r == Violated:
-			return Violated, true
-		default:
-			return Pending, false
+			st, stable = Violated, true
 		}
 	case Not:
-		return NegateStable(evalPrefix(t, x.C, pr))
+		in, ist, ih := w.eval(x.C)
+		st, stable = NegateStable(in, ist)
+		holds = !ih
 	}
-	return Pending, false
+	if w.record {
+		n := &w.nodes[k]
+		n.Status, n.Stable, n.Holds, n.End = st, stable, holds, len(w.nodes)
+		if n.End > k+1 {
+			// A connective: its leaves are its operands' leaves, and
+			// each operand's record starts where the previous one ends.
+			n.Atoms = 0
+			for i := k + 1; i < n.End; i = w.nodes[i].End {
+				n.Atoms += w.nodes[i].Atoms
+			}
+		}
+		if w.timed {
+			n.NS = time.Since(t0).Nanoseconds()
+		}
+	}
+	return st, stable, holds
+}
+
+// observe records a leaf's observation of the history on record k.
+func (w *walker) observe(k, first, second, count int) {
+	if w.record {
+		n := &w.nodes[k]
+		n.First, n.Second, n.Count = first, second, count
+	}
 }
 
 // AdmitsExtension reports whether the history can still lead to
