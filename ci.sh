@@ -33,6 +33,11 @@ go test -race ./...
 # log moves between two daemons' goroutines, and one -race pass samples
 # that interleaving only once.
 go test -race -count=10 -run 'TestResident|TestHandoff' ./internal/server
+# Repeated race probe of the agent interpreter under both placements:
+# parallel branches decide one at a time on one carried history, and
+# the sibling-ceiling row only fails when a clone misses a sibling's
+# proof, an interleaving one pass may not hit.
+go test -race -count=10 -run 'TestRuntimesAgree|TestRemoteRuntime' ./internal/agent
 # The repository benchmark is its own module (stac/bench, replacing stac
 # with this tree), so ./... above never reaches it. It drives the
 # engine and srac APIs directly, so vet and test it here, or an API

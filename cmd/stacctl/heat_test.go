@@ -36,7 +36,7 @@ assign o1 roamer
 	for i, m := range fleet {
 		members[i] = m.member()
 		// The production default: coverage and cost on, sharing one walk.
-		m.c.Engine.EnableCoverage()
+		m.c.Engine.EnableCostProfiling()
 		m.c.Engine.EnableCostProfiling()
 	}
 

@@ -47,7 +47,7 @@ func TestCostBaselineArtifact(t *testing.T) {
 	if err := core.LoadPolicyString(e, costArtifactPolicy); err != nil {
 		t.Fatal(err)
 	}
-	e.EnableCoverage()
+	e.EnableCostProfiling()
 	e.EnableCostProfiling()
 	sess, err := e.RBAC.CreateSession("o1")
 	if err != nil {

@@ -10,7 +10,15 @@
 // resetting per-server budgets) and continues. Parallel composition
 // forks cloned execution branches — the "k cloned naplets" of the
 // ApplAgentProg example — that share the agent's proof store and
-// variables but roam independently.
+// variables but roam independently. Branches decide one access at a
+// time, each on the history its siblings have extended so far.
+//
+// One interpreter runs the program under both runtimes, with two
+// placements: Launch keeps every branch on in-process coalition
+// servers, and RemoteRuntime keeps the program on the device and
+// places each branch on a TCP connection to a coalition daemon. Only
+// arriving, departing, deciding one access and forking a clone differ
+// between them; the program's semantics, verdicts and proofs do not.
 //
 // Lifecycle hooks mirror the Naplet object's application-specific
 // functions: OnArrival, OnAccess, OnDeparture and OnCompletion.
@@ -70,10 +78,8 @@ type Agent struct {
 	abort     chan struct{}
 	abortOnce sync.Once
 
-	// accessMu serialises the accesses of concurrent branches: a
-	// decision reads the carried store and its grant appends to it, so
-	// two branches deciding at once would both count the same history
-	// and could jointly overshoot a count ceiling.
+	// accessMu serialises the accesses of concurrent branches (see
+	// branch.access).
 	accessMu sync.Mutex
 
 	mu      sync.Mutex
@@ -194,39 +200,9 @@ func Launch(c *server.Coalition, ag *Agent) error {
 
 // LaunchTraced is Launch under a caller-minted trace context.
 func LaunchTraced(c *server.Coalition, tc obs.TraceContext, ag *Agent) error {
-	if ag.Program == nil {
-		ag.finish(ErrNoProgram)
-		return ErrNoProgram
-	}
-	if err := sral.Validate(ag.Program); err != nil {
-		ag.finish(err)
-		return err
-	}
-	sp, btc := c.Engine.Tracer().StartSpan(tc, "itinerary")
-	sp.SetService("agent")
-	sp.SetAttr("agent", string(ag.ID))
-	ctx := &branch{coalition: c, agent: ag, cancel: ag.abort, tc: btc}
-	// Establish the starting location.
-	start := ag.Home
-	if start == "" {
-		if servers := sral.Servers(ag.Program); len(servers) > 0 {
-			start = servers[0]
-		}
-	}
-	var err error
-	if start != "" {
-		err = ctx.moveTo(start)
-	}
-	if err == nil {
-		err = ctx.exec(ag.Program)
-	}
-	ctx.leave()
-	if err != nil {
-		sp.SetAttr("error", err.Error())
-	}
-	sp.Finish()
-	ag.finish(err)
-	return err
+	return launch(ag, c.Engine.Tracer(), tc, c.Hub, func(tc obs.TraceContext) site {
+		return &localSite{coalition: c, agent: ag, tc: tc}
+	})
 }
 
 // String summarises the agent for diagnostics.

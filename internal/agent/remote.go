@@ -10,6 +10,7 @@ import (
 	"stac/internal/hlc"
 	"stac/internal/model"
 	"stac/internal/obs"
+	"stac/internal/proof"
 	"stac/internal/server"
 	"stac/internal/sral"
 )
@@ -20,6 +21,13 @@ import (
 // different data servers at different times), migration is re-dialling
 // the next server, and the execution proofs ride along in the agent's
 // store, imported into every new connection.
+//
+// It runs the same interpreter as the in-process Launch; only the
+// placement differs. Each branch holds its own connection, and before
+// every access the connection imports the proofs added to the agent's
+// store since its last sync — including those issued to sibling
+// branches after it dialled — so parallel clones decide one at a time
+// on one history, with the same verdicts as in-process.
 //
 // The runtime assumes the coalition network is unreliable: dials and
 // accesses that fail with transport errors (resets, timeouts, dropped
@@ -203,96 +211,78 @@ func (rt *RemoteRuntime) Launch(ag *Agent) error {
 // caller knows the itinerary's trace ID up front (e.g. to fetch its
 // span tree afterwards).
 func (rt *RemoteRuntime) LaunchTraced(tc obs.TraceContext, ag *Agent) error {
-	if ag.Program == nil {
-		ag.finish(ErrNoProgram)
-		return ErrNoProgram
-	}
-	if err := sral.Validate(ag.Program); err != nil {
-		ag.finish(err)
-		return err
-	}
-	// The itinerary root span parents every hop and access, across
-	// every server the agent visits.
-	tr := rt.tracer()
-	sp, ctx := tr.StartSpan(tc, "itinerary")
-	sp.SetService("agent")
-	sp.SetAttr("agent", string(ag.ID))
-	b := &remoteBranch{rt: rt, agent: ag, programText: sral.String(ag.Program), tc: ctx}
-	start := ag.Home
-	if start == "" {
-		if servers := sral.Servers(ag.Program); len(servers) > 0 {
-			start = servers[0]
-		}
-	}
-	var err error
-	if start != "" {
-		err = b.moveTo(start)
-	}
-	if err == nil {
-		err = b.exec(ag.Program)
-	}
-	b.leave()
-	if err != nil {
-		sp.SetAttr("error", err.Error())
-	}
-	sp.Finish()
-	ag.finish(err)
-	return err
+	return launch(ag, rt.tracer(), tc, rt.hub(), func(tc obs.TraceContext) site {
+		return &tcpSite{rt: rt, agent: ag, programText: sral.String(ag.Program), tc: tc}
+	})
 }
 
-// remoteBranch is one execution context over TCP; parallel composition
-// forks branches with their own connections.
-type remoteBranch struct {
+// tcpSite places a branch on a coalition daemon over TCP: arriving is
+// dialling it, and the agent's store rides the connection as carried
+// history. Each Par clone dials its own connection.
+type tcpSite struct {
 	rt          *RemoteRuntime
 	agent       *Agent
 	programText string
-	// tc is the branch's trace context (child of the itinerary root);
-	// Par clones inherit it, so forks stay within one trace.
+	// tc is the itinerary's trace context; the hop and access spans
+	// parent on it.
 	tc obs.TraceContext
 
 	loc    model.ServerID
 	client *server.Client
+	// synced is how many of the agent's proofs the client carries. The
+	// store is append-only, so a sync imports only the proofs added
+	// since — by this branch's own grants or by its siblings'.
+	synced int
+}
+
+func (s *tcpSite) fork() site {
+	return &tcpSite{rt: s.rt, agent: s.agent, programText: s.programText, tc: s.tc}
+}
+
+// sync brings the client's carried history up to the agent's store.
+func (s *tcpSite) sync() {
+	ps := s.agent.Proofs.View()
+	s.client.ImportProofs(ps[s.synced:])
+	s.synced = len(ps)
 }
 
 // sleepBackoff waits out the retry backoff, aborting early if the
 // agent is recalled.
-func (b *remoteBranch) sleepBackoff(attempt int) error {
-	delay := b.rt.backoffDelay(attempt)
-	b.rt.metrics().backoff.Observe(delay)
+func (s *tcpSite) sleepBackoff(attempt int) error {
+	delay := s.rt.backoffDelay(attempt)
+	s.rt.metrics().backoff.Observe(delay)
 	t := time.NewTimer(delay)
 	defer t.Stop()
 	select {
 	case <-t.C:
 		return nil
-	case <-b.agent.abort:
-		return fmt.Errorf("agent %s: %w", b.agent.ID, ErrAborted)
+	case <-s.agent.abort:
+		return fmt.Errorf("agent %s: %w", s.agent.ID, ErrAborted)
 	}
 }
 
-func (b *remoteBranch) moveTo(s model.ServerID) error {
-	if b.loc == s && b.client != nil {
-		return nil
-	}
-	b.leave()
-	addr, ok := b.rt.Addrs[s]
+// arrive dials the daemon hosting id and authenticates, retrying
+// transient failures.
+func (s *tcpSite) arrive(id model.ServerID) error {
+	addr, ok := s.rt.Addrs[id]
 	if !ok {
-		return fmt.Errorf("agent %s: %w: %q has no address", b.agent.ID, model.ErrUnknownServer, s)
+		return fmt.Errorf("agent %s: %w: %q has no address", s.agent.ID, model.ErrUnknownServer, id)
 	}
 	hopStart := time.Now()
-	sp, _ := b.rt.tracer().StartSpan(b.tc, "hop")
+	sp, _ := s.rt.tracer().StartSpan(s.tc, "hop")
 	sp.SetService("agent")
-	sp.SetAttr("server", string(s))
+	sp.SetAttr("server", string(id))
 	var lastErr error
-	for attempt := 0; attempt <= b.rt.retries(); attempt++ {
+	for attempt := 0; attempt <= s.rt.retries(); attempt++ {
 		if attempt > 0 {
-			b.rt.metrics().dialRetries.Inc()
-			if err := b.sleepBackoff(attempt); err != nil {
+			s.rt.metrics().dialRetries.Inc()
+			if err := s.sleepBackoff(attempt); err != nil {
 				sp.SetAttr("error", err.Error())
 				sp.Finish()
 				return err
 			}
 		}
-		cl, err := server.DialConfig(addr, b.rt.clientConfig())
+		cl, err := server.DialConfig(addr, s.rt.clientConfig())
 		if err != nil {
 			lastErr = err
 			continue
@@ -300,208 +290,96 @@ func (b *remoteBranch) moveTo(s model.ServerID) error {
 		// The itinerary-wide HLC rides every connection: requests carry
 		// its reading, replies advance it, so hop N+1's decisions are
 		// causally after hop N's even across skewed daemons.
-		cl.SetHLC(b.rt.HLC())
+		cl.SetHLC(s.rt.HLC())
 		// The carried history enters the new connection before
 		// authentication, so the server sees the full cross-site
 		// trace. A redial after a mid-migration reset re-imports it,
 		// so no proof is ever lost to the network.
-		cl.ImportProofs(b.agent.Proofs.All())
-		if err := cl.Auth(b.agent.Credential); err != nil {
+		ps := s.agent.Proofs.View()
+		cl.ImportProofs(ps)
+		if err := cl.Auth(s.agent.Credential); err != nil {
 			cl.Close()
 			if !server.IsTransient(err) {
 				// The server decided: the credential is bad, the
 				// object unknown. Retrying cannot change that.
 				sp.SetAttr("error", err.Error())
 				sp.Finish()
-				return fmt.Errorf("agent %s: arrival at %s: %w", b.agent.ID, s, err)
+				return fmt.Errorf("agent %s: arrival at %s: %w", s.agent.ID, id, err)
 			}
 			lastErr = err
 			continue
 		}
-		b.loc = s
-		b.client = cl
-		b.rt.metrics().hop.ObserveSince(hopStart)
+		s.loc, s.client, s.synced = id, cl, len(ps)
+		s.rt.metrics().hop.ObserveSince(hopStart)
 		sp.SetAttr("attempts", fmt.Sprintf("%d", attempt+1))
 		sp.Finish()
-		b.agent.recordVisit(s)
-		if b.agent.Hooks.OnArrival != nil {
-			b.agent.Hooks.OnArrival(s)
-		}
 		return nil
 	}
-	err := fmt.Errorf("agent %s: migrate to %s: %w", b.agent.ID, s, lastErr)
+	err := fmt.Errorf("agent %s: migrate to %s: %w", s.agent.ID, id, lastErr)
 	sp.SetAttr("error", err.Error())
 	sp.Finish()
 	return err
 }
 
-func (b *remoteBranch) leave() {
-	if b.client == nil {
+func (s *tcpSite) depart() {
+	if s.client == nil {
 		return
 	}
-	if b.agent.Hooks.OnDeparture != nil {
-		b.agent.Hooks.OnDeparture(b.loc)
-	}
-	_ = b.client.Depart()
-	b.client.Close()
-	b.client = nil
+	_ = s.client.Depart()
+	s.client.Close()
+	s.client = nil
 }
 
 // access performs one shared-resource access with transparent
 // reconnect-and-retry on transport failures. The idempotency key is
 // fixed before the first attempt, so a retry after a lost response
 // returns the server's original verdict and proof.
-func (b *remoteBranch) access(x sral.Prim) ([]byte, error) {
+func (s *tcpSite) access(x sral.Prim) ([]byte, proof.Proof, error) {
 	id := server.NewRequestID()
 	// One span covers the whole retry loop; the span's context rides
 	// each wire request, so the daemon's spans parent under it even
 	// across reconnects.
-	sp, ctx := b.rt.tracer().StartSpan(b.tc, "access")
+	sp, ctx := s.rt.tracer().StartSpan(s.tc, "access")
 	sp.SetService("agent")
 	sp.SetAttr("op", string(x.Op))
 	sp.SetAttr("resource", string(x.Resource))
 	sp.SetAttr("server", string(x.Server))
-	// When unsampled, ctx is b.tc unchanged: the bare trace identity
+	// When unsampled, ctx is s.tc unchanged: the bare trace identity
 	// still propagates, so audit records correlate without spans.
+	s.sync()
 	var data []byte
 	var err error
 	attempts := 1
 	for attempt := 0; ; attempt++ {
-		data, err = b.client.AccessTraced(ctx, id, x.Op, x.Resource, b.programText, nil)
-		if err == nil || !server.IsTransient(err) || attempt >= b.rt.retries() {
+		data, err = s.client.AccessTraced(ctx, id, x.Op, x.Resource, s.programText, nil)
+		if err == nil || !server.IsTransient(err) || attempt >= s.rt.retries() {
 			break
 		}
-		b.rt.metrics().accessRetries.Inc()
-		if serr := b.sleepBackoff(attempt + 1); serr != nil {
-			sp.SetAttr("error", serr.Error())
-			sp.Finish()
-			return nil, serr
+		s.rt.metrics().accessRetries.Inc()
+		if serr := s.sleepBackoff(attempt + 1); serr != nil {
+			err = serr
+			break
 		}
 		// The connection is suspect; re-arrive at the same server.
 		// The server sees a genuine departure and arrival, exactly as
 		// if the device had dropped off the network and returned.
-		b.client.Close()
-		b.client = nil
-		loc := b.loc
-		b.loc = ""
-		if merr := b.moveTo(loc); merr != nil {
-			sp.SetAttr("error", merr.Error())
-			sp.Finish()
-			return nil, merr
+		s.client.Close()
+		s.client = nil
+		if err = s.arrive(s.loc); err != nil {
+			break
 		}
 		attempts++
+	}
+	var pr proof.Proof
+	if err == nil {
+		// The client appended the grant's proof to its carried history.
+		ps := s.client.Proofs()
+		pr = ps[len(ps)-1]
 	}
 	sp.SetAttr("attempts", fmt.Sprintf("%d", attempts))
 	if err != nil {
 		sp.SetAttr("error", err.Error())
 	}
 	sp.Finish()
-	return data, err
-}
-
-func (b *remoteBranch) exec(n sral.Node) error {
-	select {
-	case <-b.agent.abort:
-		return fmt.Errorf("agent %s: %w", b.agent.ID, ErrAborted)
-	default:
-	}
-	if err := b.agent.chargeStep(); err != nil {
-		return fmt.Errorf("agent %s: %w", b.agent.ID, err)
-	}
-	switch x := n.(type) {
-	case sral.Skip:
-		return nil
-
-	case sral.Prim:
-		if err := b.moveTo(x.Server); err != nil {
-			return err
-		}
-		data, err := b.access(x)
-		if err != nil {
-			return fmt.Errorf("agent %s: %s %s @ %s: %w", b.agent.ID, x.Op, x.Resource, x.Server, err)
-		}
-		// The wire client collected the proof; mirror the latest one
-		// into the agent's authoritative store.
-		ps := b.client.Proofs()
-		if len(ps) > 0 {
-			if err := b.agent.Proofs.Add(ps[len(ps)-1]); err != nil {
-				return fmt.Errorf("agent %s: proof rejected: %w", b.agent.ID, err)
-			}
-		}
-		if b.agent.Hooks.OnAccess != nil {
-			access := model.Access{Object: b.agent.ID, Op: x.Op, Resource: x.Resource, Server: x.Server}
-			b.agent.Hooks.OnAccess(access, data)
-		}
-		return nil
-
-	case sral.Recv:
-		v, err := b.rt.hub().Channel(x.Ch).Recv(b.agent.abort)
-		if err != nil {
-			return fmt.Errorf("agent %s: %s?%s: %w", b.agent.ID, x.Ch, x.Var, err)
-		}
-		b.agent.vars.Set(x.Var, v)
-		return nil
-
-	case sral.Send:
-		b.rt.hub().Channel(x.Ch).Send(x.Expr.EvalExpr(b.agent.vars))
-		return nil
-
-	case sral.Signal:
-		b.rt.hub().Signals().Signal(x.Sig)
-		return nil
-
-	case sral.Wait:
-		if err := b.rt.hub().Signals().Wait(x.Sig, b.agent.abort); err != nil {
-			return fmt.Errorf("agent %s: wait(%s): %w", b.agent.ID, x.Sig, err)
-		}
-		return nil
-
-	case sral.Seq:
-		if err := b.exec(x.First); err != nil {
-			return err
-		}
-		return b.exec(x.Second)
-
-	case sral.If:
-		if x.Cond.EvalCond(b.agent.vars) {
-			return b.exec(x.Then)
-		}
-		return b.exec(x.Else)
-
-	case sral.While:
-		for x.Cond.EvalCond(b.agent.vars) {
-			if err := b.exec(x.Body); err != nil {
-				return err
-			}
-		}
-		return nil
-
-	case sral.Par:
-		clone := &remoteBranch{rt: b.rt, agent: b.agent, programText: b.programText, tc: b.tc}
-		origin := b.loc
-		var wg sync.WaitGroup
-		var rightErr error
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if origin != "" {
-				if err := clone.moveTo(origin); err != nil {
-					rightErr = err
-					return
-				}
-			}
-			rightErr = clone.exec(x.Right)
-			clone.leave()
-		}()
-		leftErr := b.exec(x.Left)
-		wg.Wait()
-		if leftErr != nil {
-			return leftErr
-		}
-		return rightErr
-
-	case nil:
-		return nil
-	}
-	return fmt.Errorf("agent %s: unknown construct %T", b.agent.ID, n)
+	return data, pr, err
 }

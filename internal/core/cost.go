@@ -28,7 +28,7 @@ import (
 // zero counts) and caching the policy digest the static-check cost
 // table is keyed under. The collector instruments its stripes into the
 // engine's current registry; call after SetObs, before serving
-// traffic. Later calls (and EnableCoverage) keep the running collector.
+// traffic. Later calls keep the running collector.
 func (e *Engine) EnableCostProfiling() {
 	if e.costC.Load() != nil {
 		return

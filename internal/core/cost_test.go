@@ -42,7 +42,8 @@ func costEngine(t *testing.T, spatials []srac.Constraint) (*Engine, *rbac.Sessio
 			t.Fatal(err)
 		}
 	}
-	e.EnableCoverage()
+	e.EnableCostProfiling()
+	// A second call keeps the running collector.
 	e.EnableCostProfiling()
 	sess, err := e.RBAC.CreateSession("o1")
 	if err != nil {
@@ -273,7 +274,6 @@ func TestCostProfilingDecisionsBitIdentical(t *testing.T) {
 			}
 		}
 		if profiled {
-			e.EnableCoverage()
 			e.EnableCostProfiling()
 		}
 		sess, err := e.RBAC.CreateSession("o1")

@@ -34,9 +34,11 @@ type ClauseCoverage struct {
 // evaluation ever reached it, or it was never the decisive clause.
 func (c ClauseCoverage) Dead() bool { return c.Decisive == 0 }
 
-// EnableCoverage turns on clause-coverage accounting. Coverage is a
-// projection of the per-clause cost profiler, so this is
-// EnableCostProfiling: enabling either (or both) runs one collector.
+// EnableCoverage is EnableCostProfiling: coverage is a projection of
+// the per-clause cost profiler.
+//
+// Deprecated: call EnableCostProfiling. The repository benchmark
+// module still calls this name.
 func (e *Engine) EnableCoverage() { e.EnableCostProfiling() }
 
 // Coverage returns the per-clause tallies, sorted by permission then

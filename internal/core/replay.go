@@ -227,7 +227,7 @@ func replayStream(policySrc string, records []record.Record, opts ReplayOptions,
 		return nil, fmt.Errorf("replay: load policy: %w", err)
 	}
 	if opts.Coverage {
-		e.EnableCoverage()
+		e.EnableCostProfiling()
 	}
 
 	sessions := make(map[string]*rbac.Session)

@@ -394,7 +394,7 @@ func TestCoverageMarksDecisiveAndDeadClauses(t *testing.T) {
 	if err := LoadPolicyString(e, replayPolicy); err != nil {
 		t.Fatal(err)
 	}
-	e.EnableCoverage()
+	e.EnableCostProfiling()
 	if !e.CostEnabled() {
 		t.Fatal("coverage not enabled")
 	}

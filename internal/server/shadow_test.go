@@ -192,7 +192,7 @@ func TestSnapshotVersionedFields(t *testing.T) {
 	if err := c.SetShadowPolicy(tightenedPolicy); err != nil {
 		t.Fatal(err)
 	}
-	c.Engine.EnableCoverage()
+	c.Engine.EnableCostProfiling()
 	c.Engine.EnableCostProfiling()
 	rec := record.New(record.Config{Capacity: 16, Registry: c.Engine.Obs()})
 	c.Engine.SetRecorder(rec)

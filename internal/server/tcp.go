@@ -1156,8 +1156,10 @@ func (c *Client) Proofs() []proof.Proof {
 	return c.proofs[:len(c.proofs):len(c.proofs)]
 }
 
-// ImportProofs seeds the client's carried history (e.g. when migrating
-// from another server).
+// ImportProofs appends proofs to the client's carried history: the
+// whole history when migrating from another server, and, before each
+// access, the proofs sibling branches of the same object were issued
+// since (see agent.RemoteRuntime). Proofs already carried are skipped.
 func (c *Client) ImportProofs(ps []proof.Proof) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -67,7 +67,7 @@ func TestReplayShadowEndToEnd(t *testing.T) {
 	if err := core.LoadPolicyString(c.Engine, replayItineraryPolicy); err != nil {
 		t.Fatal(err)
 	}
-	c.Engine.EnableCoverage()
+	c.Engine.EnableCostProfiling()
 	var wal bytes.Buffer
 	c.Engine.SetRecorder(record.New(record.Config{Capacity: 128, WAL: &wal, Registry: reg}))
 	if err := c.SetShadowPolicy(replayTightenedPolicy); err != nil {
