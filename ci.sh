@@ -87,7 +87,7 @@ fi
 # contended unlocks is the property PR 7 bought, and a digest that
 # suddenly grows frames is exactly the regression signal this exists
 # to catch; the block digest always names the scheduler-wait frames.
-go test -bench 'E14_ContentionScaling|AuthorizeMany' -benchtime=1000x -run '^$' \
+go test -bench 'E14_ContentionScaling' -benchtime=1000x -run '^$' \
     -mutexprofilefraction 16 -mutexprofile "$ARTIFACTS/mutex_smoke.pb.gz" \
     -blockprofile "$ARTIFACTS/block_smoke.pb.gz" . >/dev/null
 go run ./cmd/benchdiff -digest mutex "$ARTIFACTS/mutex_smoke.pb.gz" >"$ARTIFACTS/PROFILE_mutex.json"

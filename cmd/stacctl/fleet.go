@@ -132,21 +132,21 @@ func renderTop(w io.Writer, v federate.FleetView) {
 				b.Object+"/"+b.Perm, b.Scheme, secs(b.Consumed), secs(b.Remaining), b.BurnRate, eta, b.Members)
 		}
 	}
-	if len(v.Coverage) > 0 {
-		var dead []federate.CoverageRollup
-		for _, c := range v.Coverage {
+	if len(v.Cost) > 0 {
+		var dead []federate.CostRollup
+		for _, c := range v.Cost {
 			if c.Dead() {
 				dead = append(dead, c)
 			}
 		}
-		fmt.Fprintf(w, "\ncoverage: %d clause(s) tracked, %d dead\n", len(v.Coverage), len(dead))
+		fmt.Fprintf(w, "\ncoverage: %d clause(s) tracked, %d dead\n", len(v.Cost), len(dead))
 		for _, c := range dead {
 			path := c.Path
 			if path == "" {
 				path = "."
 			}
 			fmt.Fprintf(w, "  dead %s %s: %s (evaluated %d, never decisive)\n",
-				c.Perm, path, c.Clause, c.Evaluated)
+				c.Perm, path, c.Clause, c.Evals)
 		}
 	}
 	if len(v.Perf) > 0 {

@@ -14,6 +14,7 @@ import (
 	"stac/internal/core"
 	"stac/internal/model"
 	"stac/internal/obs"
+	"stac/internal/obs/cost"
 	"stac/internal/obs/federate"
 	"stac/internal/server"
 	"stac/internal/temporal"
@@ -294,4 +295,34 @@ func topBudgetConsumed(t *testing.T, out string) float64 {
 	}
 	t.Fatalf("no o1/p budget row in top output:\n%s", out)
 	return 0
+}
+
+// TestTopFlagsDeadClauses: `top` reads the dead-clause census off the
+// fleet's per-clause cost rows.
+func TestTopFlagsDeadClauses(t *testing.T) {
+	rows := func(rootEvals int64) *cost.Report {
+		return &cost.Report{Clauses: []cost.ClauseCost{
+			{Perm: "p-read", Path: "", Clause: "count(0, 2, sigma[op=read]) or [read f @ s1]",
+				Evals: rootEvals, Satisfied: rootEvals, Decisive: rootEvals},
+			{Perm: "p-read", Path: "l", Clause: "count(0, 2, sigma[op=read])", Evals: rootEvals, Satisfied: rootEvals},
+		}}
+	}
+	v := federate.NewPoller(nil, federate.Config{}).Merge([]federate.MemberState{
+		{Member: federate.Member{Name: "m1"}, Reachable: true,
+			Snapshot: server.Snapshot{Version: server.SnapshotVersion, Decisions: 3, Grants: 3, Cost: rows(3)}},
+		{Member: federate.Member{Name: "m2"}, Reachable: true,
+			Snapshot: server.Snapshot{Version: server.SnapshotVersion, Decisions: 2, Grants: 2, Cost: rows(2)}},
+	})
+	var buf bytes.Buffer
+	renderTop(&buf, v)
+	out := buf.String()
+	for _, want := range []string{
+		"coverage: 2 clause(s) tracked, 1 dead",
+		"dead p-read l: count(0, 2, sigma[op=read]) (evaluated 5, never decisive)",
+		"dead-clause",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("top output missing %q:\n%s", want, out)
+		}
+	}
 }

@@ -15,6 +15,7 @@ import (
 	"os"
 
 	"stac/internal/core"
+	"stac/internal/obs/cost"
 	"stac/internal/obs/record"
 )
 
@@ -144,8 +145,9 @@ func cmdDiff(args []string) error {
 	return nil
 }
 
-// printCoverage renders a clause-coverage table, flagging dead rows.
-func printCoverage(cov []core.ClauseCoverage) {
+// printCoverage renders the coverage columns of the per-clause rows,
+// flagging dead (never decisive) clauses.
+func printCoverage(cov []cost.ClauseCost) {
 	if len(cov) == 0 {
 		fmt.Println("no clause coverage recorded")
 		return
@@ -158,10 +160,10 @@ func printCoverage(cov []core.ClauseCoverage) {
 			path = "."
 		}
 		mark := ""
-		if c.Dead() {
+		if c.Decisive == 0 {
 			mark = "  [dead]"
 		}
 		fmt.Printf("%-12s %-6s %9d %9d %9d %9d %9d  %s%s\n",
-			c.Perm, path, c.Evaluated, c.Satisfied, c.Violated, c.Pending, c.Decisive, c.Clause, mark)
+			c.Perm, path, c.Evals, c.Satisfied, c.Violated, c.Pending, c.Decisive, c.Clause, mark)
 	}
 }

@@ -109,6 +109,9 @@ func TestReplayVerbDeterministic(t *testing.T) {
 	if !strings.Contains(out, "count(0, 2, sigma[") {
 		t.Errorf("coverage table missing the ceiling clause:\n%s", out)
 	}
+	if !strings.Contains(out, "EVAL") || !strings.Contains(out, "PEND") || !strings.Contains(out, "DECISIVE") {
+		t.Errorf("coverage table missing its header:\n%s", out)
+	}
 }
 
 func TestReplayVerbPolicyMismatch(t *testing.T) {

@@ -73,8 +73,9 @@ type options struct {
 
 	// metricsAddr, when set, serves the observability endpoints
 	// (/metrics, /debug/vars, /debug/pprof, /debug/trace,
-	// /debug/explain, /debug/budgets, /debug/snapshot, /debug/watch,
-	// /healthz, /readyz) on one extra HTTP listener.
+	// /debug/explain, /debug/budgets, /debug/snapshot, /debug/cost,
+	// /debug/perf, /healthz, /readyz, /debug/watch, /debug/journal)
+	// on one extra HTTP listener.
 	metricsAddr string
 
 	// budgetSampleInterval drives the background temporal-budget
@@ -102,10 +103,11 @@ type options struct {
 	// evaluation: every request is decided by both policies, flips are
 	// counted and streamed, the served verdict never changes.
 	shadowPolicy string
-	// cost profiles every SRAC clause: evaluation coverage (served on
-	// /debug/coverage), evaluation cost, static-check cost and re-walk
-	// amplification (served on /debug/cost); both fold into
-	// /debug/snapshot, and `stacctl heat` merges the cost fleet-wide.
+	// cost profiles every SRAC clause — evaluation coverage and cost
+	// in one row per clause — plus static-check cost and re-walk
+	// amplification, served on /debug/cost and folded into
+	// /debug/snapshot; `stacctl top` and `stacctl heat` merge the rows
+	// fleet-wide.
 	cost bool
 
 	// perfInterval drives the continuous-profiling ring: every interval
@@ -163,7 +165,7 @@ func main() {
 	flag.IntVar(&opts.recordCapacity, "record-capacity", 4096, "flight-recorder ring capacity")
 	flag.StringVar(&opts.recordWAL, "record-wal", "", "append every flight-recorder event as a JSON line to this file (implies -record); empty disables")
 	flag.StringVar(&opts.shadowPolicy, "shadow-policy", "", "evaluate this candidate policy file alongside the served one; flips are reported, verdicts unchanged")
-	flag.BoolVar(&opts.cost, "cost", true, "profile per-clause SRAC evaluation coverage and cost (/debug/coverage, /debug/cost)")
+	flag.BoolVar(&opts.cost, "cost", true, "profile per-clause SRAC evaluation coverage and cost (/debug/cost)")
 	flag.DurationVar(&opts.perfInterval, "perf-interval", 0, "continuous-profiling capture interval (/debug/perf); 0 disables the ring")
 	flag.DurationVar(&opts.perfCPUWindow, "perf-cpu-window", 2*time.Second, "CPU profile duration per capture round")
 	flag.IntVar(&opts.mutexFraction, "mutex-profile-fraction", 0, "runtime mutex profile sampling fraction (1 = every event); 0 leaves it off")

@@ -644,16 +644,9 @@ func TestStartWiresRecorderShadowAndCoverage(t *testing.T) {
 		}
 	}
 
-	// /debug/coverage lists the served policy's clause census.
-	var cov []map[string]any
-	if err := json.Unmarshal([]byte(get("/debug/coverage")), &cov); err != nil {
-		t.Fatalf("/debug/coverage not JSON: %v", err)
-	}
-	if len(cov) == 0 {
-		t.Fatal("/debug/coverage empty")
-	}
-
-	// /debug/cost carries the clause cost profile for the same cells.
+	// /debug/cost lists the served policy's clause census and cost
+	// profile, one row per clause; the root's outcome tallies split
+	// its evaluations.
 	var costRep cost.Report
 	if err := json.Unmarshal([]byte(get("/debug/cost")), &costRep); err != nil {
 		t.Fatalf("/debug/cost not JSON: %v", err)
@@ -661,13 +654,16 @@ func TestStartWiresRecorderShadowAndCoverage(t *testing.T) {
 	if len(costRep.Clauses) == 0 || costRep.Amplification.PrefixEvals == 0 {
 		t.Fatalf("/debug/cost report = %+v", costRep)
 	}
+	if root := costRep.Clauses[0]; root.Evals == 0 || root.Satisfied+root.Violated+root.Pending != root.Evals {
+		t.Fatalf("/debug/cost root row = %+v, want evals split by outcome", root)
+	}
 
 	// /debug/snapshot carries the v2 fields.
 	var snap server.Snapshot
 	if err := json.Unmarshal([]byte(get("/debug/snapshot")), &snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Version != 5 || snap.ShadowDigest == "" || snap.ShadowFlips != 1 ||
+	if snap.Version != 6 || snap.ShadowDigest == "" || snap.ShadowFlips != 1 ||
 		snap.Recorder == nil || snap.Recorder.Total == 0 || snap.Runtime.Goroutines < 1 {
 		t.Fatalf("snapshot versioned fields = %+v", snap)
 	}
@@ -819,7 +815,6 @@ func TestPerfExemplarResolvesThroughExplain(t *testing.T) {
 		`# {decision_id="d-`,
 		"stac_slo_burn_rate",
 		"stac_shard_object_imbalance_ratio",
-		"stac_authz_batch_inflight",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q", want)

@@ -106,38 +106,3 @@ func BenchmarkE14_ContentionScaling(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkAuthorizeMany compares a burst decided one call at a time
-// against the batched AuthorizeMany entry point.
-func BenchmarkAuthorizeMany(b *testing.B) {
-	const burst = 64
-	e, sessions := contentionEngine(b, 1)
-	reqs := make([]core.Request, burst)
-	for i := range reqs {
-		reqs[i] = core.Request{
-			Session: sessions[0],
-			Access:  model.Access{Object: "u0", Op: model.OpRead, Resource: "f1", Server: "s1"},
-			Proofs:  srac.AllProven,
-		}
-	}
-	b.Run("loop", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for j := range reqs {
-				if d := e.Authorize(reqs[j]); !d.Granted {
-					b.Fatal(d.Reason)
-				}
-			}
-		}
-	})
-	b.Run("batched", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, d := range e.AuthorizeMany(reqs) {
-				if !d.Granted {
-					b.Fatal(d.Reason)
-				}
-			}
-		}
-	})
-}

@@ -119,8 +119,23 @@ func TestCostBaselineArtifact(t *testing.T) {
 
 	// The clause coverage of this workload is timing-free, so it is
 	// pinned byte for byte: the table was captured while coverage still
-	// had its own cell table, and must reproduce from the cost cells.
-	cov, err := json.MarshalIndent(e.Coverage(), "", "  ")
+	// had its own cell table and its own row type, and the cost rows'
+	// coverage columns must reproduce it under that type's keys.
+	type coverageRow struct {
+		Perm      string `json:"perm"`
+		Path      string `json:"path"`
+		Clause    string `json:"clause"`
+		Evaluated int64  `json:"evaluated"`
+		Satisfied int64  `json:"satisfied"`
+		Violated  int64  `json:"violated"`
+		Pending   int64  `json:"pending"`
+		Decisive  int64  `json:"decisive"`
+	}
+	rows := make([]coverageRow, len(rep.Clauses))
+	for i, cc := range rep.Clauses {
+		rows[i] = coverageRow{cc.Perm, cc.Path, cc.Clause, cc.Evals, cc.Satisfied, cc.Violated, cc.Pending, cc.Decisive}
+	}
+	cov, err := json.MarshalIndent(rows, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,10 +6,11 @@ package core
 // evals, 1-in-64 sampled wall time) — into an obs/cost.Collector keyed
 // by (perm, clause path). Static checks feed
 // a per-(program digest, policy digest) cost table, and every grant
-// bumps the re-walk amplification denominator. /debug/cost serves the
-// cost report and /debug/coverage its coverage projection
-// (coverage.go); the federate poller folds both across the coalition;
-// `stacctl heat` ranks the result.
+// bumps the re-walk amplification denominator. The report's clause
+// rows are the one per-clause table: /debug/cost and the snapshot's
+// cost section serve it, the federate poller folds it across the
+// coalition (clause heat and the dead-clause census alike), replay
+// and shadow diff report it as coverage, and `stacctl heat` ranks it.
 
 import (
 	"crypto/sha256"
@@ -49,6 +50,13 @@ func (e *Engine) EnableCostProfiling() {
 	// enabled flag the decision path reads.
 	e.costC.Store(col)
 }
+
+// EnableCoverage is EnableCostProfiling: the clause-coverage tallies
+// are columns of the per-clause cost rows.
+//
+// Deprecated: call EnableCostProfiling. The repository benchmark
+// module still calls this name.
+func (e *Engine) EnableCoverage() { e.EnableCostProfiling() }
 
 // CostEnabled reports whether evaluation profiling (cost and coverage)
 // is on.

@@ -124,46 +124,56 @@ func randomCountingSpatial(r *rand.Rand, depth int) srac.Constraint {
 	}
 }
 
-// reconcileCostWithCoverage asserts the central invariant of the cost
-// layer: cost and coverage observe the SAME evaluations, keyed by the
-// same (perm, path) identity — per clause, cost evals == coverage
-// evaluated and cost decisive == coverage decisive, with identical
-// clause text.
-func reconcileCostWithCoverage(t *testing.T, e *Engine) {
+// reconcileClauseRows asserts the invariants of the one per-clause
+// table: it holds exactly one row per subformula of every permission's
+// constraint (p<i> for spatials[i]), keyed by (perm, path) with the
+// subformula's text; each root was evaluated perPerm times; per row
+// the coverage tallies split the evals (satisfied + violated +
+// pending == evals), and decisive and timed evals never exceed them;
+// per permission at most one clause is decisive per evaluation.
+func reconcileClauseRows(t *testing.T, e *Engine, spatials []srac.Constraint, perPerm int64) {
 	t.Helper()
-	cover := e.Coverage()
-	rep := e.CostReport()
-	if len(cover) != len(rep.Clauses) {
-		t.Fatalf("coverage has %d cells, cost %d", len(cover), len(rep.Clauses))
+	want := map[string]string{}
+	for i, sp := range spatials {
+		perm := fmt.Sprintf("p%d", i)
+		srac.WalkPaths(sp, func(path string, c srac.Constraint) {
+			want[perm+"\x00"+path] = srac.String(c)
+		})
 	}
-	costBy := map[string]int{}
-	for i, cc := range rep.Clauses {
-		costBy[cc.Perm+"\x00"+cc.Path] = i
+	rows := e.CostReport().Clauses
+	if len(rows) != len(want) {
+		t.Fatalf("cost report has %d rows, the constraints %d subformulas", len(rows), len(want))
 	}
-	for _, cv := range cover {
-		i, ok := costBy[cv.Perm+"\x00"+cv.Path]
+	decisive := map[string]int64{}
+	for _, cc := range rows {
+		clause, ok := want[cc.Perm+"\x00"+cc.Path]
 		if !ok {
-			t.Fatalf("coverage cell %s/%q missing from cost report", cv.Perm, cv.Path)
+			t.Fatalf("row %s/%q addresses no subformula", cc.Perm, cc.Path)
 		}
-		cc := rep.Clauses[i]
-		if cc.Evals != cv.Evaluated {
-			t.Fatalf("%s/%q: cost evals %d != coverage evaluated %d", cv.Perm, cv.Path, cc.Evals, cv.Evaluated)
+		if cc.Clause != clause {
+			t.Fatalf("%s/%q: clause %q, subformula %q", cc.Perm, cc.Path, cc.Clause, clause)
 		}
-		if cc.Decisive != cv.Decisive {
-			t.Fatalf("%s/%q: cost decisive %d != coverage decisive %d", cv.Perm, cv.Path, cc.Decisive, cv.Decisive)
+		if cc.Path == "" && cc.Evals != perPerm {
+			t.Fatalf("%s root: evals %d, want %d", cc.Perm, cc.Evals, perPerm)
 		}
-		if cc.Clause != cv.Clause {
-			t.Fatalf("%s/%q: cost clause %q != coverage clause %q", cv.Perm, cv.Path, cc.Clause, cv.Clause)
+		if sum := cc.Satisfied + cc.Violated + cc.Pending; sum != cc.Evals {
+			t.Fatalf("%s/%q: outcome tallies sum to %d, evals %d", cc.Perm, cc.Path, sum, cc.Evals)
 		}
-		if cc.SampledEvals > cc.Evals {
-			t.Fatalf("%s/%q: sampled %d > evals %d", cv.Perm, cv.Path, cc.SampledEvals, cc.Evals)
+		if cc.Decisive > cc.Evals || cc.SampledEvals > cc.Evals {
+			t.Fatalf("%s/%q: decisive %d / sampled %d > evals %d", cc.Perm, cc.Path, cc.Decisive, cc.SampledEvals, cc.Evals)
+		}
+		decisive[cc.Perm] += cc.Decisive
+	}
+	for perm, n := range decisive {
+		if n > perPerm {
+			t.Fatalf("%s: %d decisive clauses over %d evaluations", perm, n, perPerm)
 		}
 	}
 }
 
 // TestCostMatchesCoverageScan: over random full-grammar constraints and
-// random histories, the scan path's cost cells reconcile exactly with
-// the coverage cells.
+// random histories, the scan path's per-clause rows reconcile with the
+// constraints' subformulas and their own tallies.
 func TestCostMatchesCoverageScan(t *testing.T) {
 	r := rand.New(rand.NewSource(411))
 	pool := []model.Access{
@@ -188,10 +198,10 @@ func TestCostMatchesCoverageScan(t *testing.T) {
 			decisions++
 		}
 	}
-	reconcileCostWithCoverage(t, e)
+	reconcileClauseRows(t, e, spatials, 8)
 	rep := e.CostReport()
 	amp := rep.Amplification
-	if amp.PrefixEvals != int64(decisions) || amp.ScanEvals != int64(decisions) {
+	if amp.PrefixEvals != int64(decisions) {
 		t.Fatalf("amplification %+v, want %d scan evals", amp, decisions)
 	}
 	var sampled int64
@@ -226,9 +236,9 @@ func TestCostMatchesCoverageIncremental(t *testing.T) {
 			}
 		}
 	}
-	reconcileCostWithCoverage(t, e)
+	reconcileClauseRows(t, e, spatials, 6)
 	amp := e.CostReport().Amplification
-	if amp.PrefixEvals != int64(6*len(spatials)) || amp.ScanEvals != int64(6*len(spatials)) {
+	if amp.PrefixEvals != int64(6*len(spatials)) {
 		t.Fatalf("amplification %+v, want %d scan evals", amp, 6*len(spatials))
 	}
 	if amp.Appends != int64(grants) {

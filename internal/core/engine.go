@@ -217,7 +217,7 @@ type Engine struct {
 	shards [numShards]engineShard
 
 	// costC is the per-clause evaluation profiler — cost and clause
-	// coverage (see cost.go, coverage.go); nil when profiling is off,
+	// coverage in one row per clause (see cost.go); nil when off,
 	// so a disabled engine pays one atomic load per decision.
 	// costPolicy caches the current policy digest for the static-check
 	// cost table — recomputed on policy change, never on the decide
@@ -569,7 +569,7 @@ func (e *Engine) AuthorizeTraced(tc obs.TraceContext, req Request) Decision {
 	t := e.tracer.Load()
 	sp, ctx := t.StartSpan(tc, "authorize")
 	start := time.Now()
-	d := e.authorize(ctx, t, req, m, nil)
+	d := e.authorize(ctx, t, req, m)
 	d.HLC = e.hlcClock.Load().Now()
 	elapsed := time.Since(start)
 	m.recordDecision(d, elapsed)
@@ -591,65 +591,9 @@ func (e *Engine) AuthorizeTraced(tc obs.TraceContext, req Request) Decision {
 	return d
 }
 
-// AuthorizeMany decides a burst of requests in one call — the entry
-// point for agents issuing accesses in batches. Decisions come back in
-// request order and are observable exactly as if each request went
-// through Authorize (same metrics, same flight-recorder records), but
-// the metric handles, tracer and permission-spec lookups are resolved
-// once per batch instead of once per request, so a burst against the
-// same few permissions never re-takes the policy read lock.
-func (e *Engine) AuthorizeMany(reqs []Request) []Decision {
-	out := make([]Decision, len(reqs))
-	if len(reqs) == 0 {
-		return out
-	}
-	m := e.met.Load()
-	t := e.tracer.Load()
-	m.batchInflight.Inc()
-	defer m.batchInflight.Dec()
-	m.batchSize.ObserveValue(float64(len(reqs)))
-	slo := e.slo.Load()
-	// Per-batch spec cache: the batch decides against one policy
-	// snapshot (a concurrent DefinePermission lands on the next batch).
-	cache := make(map[rbac.PermID]PermSpec, 8)
-	for i := range reqs {
-		start := time.Now()
-		d := e.authorize(obs.TraceContext{}, t, reqs[i], m, cache)
-		d.HLC = e.hlcClock.Load().Now()
-		elapsed := time.Since(start)
-		m.recordDecision(d, elapsed)
-		slo.Observe(elapsed)
-		m.captureExemplar(&d, elapsed, obs.TraceContext{})
-		e.recordDecide(obs.TraceContext{}, reqs[i], d)
-		out[i] = d
-	}
-	return out
-}
-
-// specFor resolves a permission's spec, falling back to an
-// unconstrained spec for permissions registered directly on the RBAC
-// layer. With a non-nil cache (AuthorizeMany), repeated lookups skip
-// the policy read lock.
-func (e *Engine) specFor(perm rbac.Permission, cache map[rbac.PermID]PermSpec) PermSpec {
-	if cache != nil {
-		if ps, ok := cache[perm.ID]; ok {
-			return ps
-		}
-	}
-	ps, err := e.Spec(perm.ID)
-	if err != nil {
-		ps = PermSpec{Perm: perm}
-	}
-	if cache != nil {
-		cache[perm.ID] = ps
-	}
-	return ps
-}
-
 // authorize is the uninstrumented decision body; AuthorizeTraced wraps
-// it with timing, per-outcome accounting and the decision span. cache,
-// when non-nil, memoises spec lookups across a batch (AuthorizeMany).
-func (e *Engine) authorize(tc obs.TraceContext, t *obs.Tracer, req Request, m *engineMetrics, cache map[rbac.PermID]PermSpec) Decision {
+// it with timing, per-outcome accounting and the decision span.
+func (e *Engine) authorize(tc obs.TraceContext, t *obs.Tracer, req Request, m *engineMetrics) Decision {
 	d := Decision{Spatial: srac.Satisfied, ProgramVerdict: srac.AllTraces, Temporal: temporal.Inactive}
 	if req.Session == nil {
 		d.Deny = DenyNoSession
@@ -672,7 +616,10 @@ func (e *Engine) authorize(tc obs.TraceContext, t *obs.Tracer, req Request, m *e
 
 	// Permissions registered directly on the RBAC layer resolve to an
 	// unconstrained spec (T, time-insensitive).
-	ps := e.specFor(perm, cache)
+	ps, err := e.Spec(perm.ID)
+	if err != nil {
+		ps = PermSpec{Perm: perm}
+	}
 
 	obj := req.Access.Object
 

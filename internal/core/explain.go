@@ -46,6 +46,24 @@ type TemporalExplanation struct {
 	Scheme string `json:"scheme"`
 }
 
+// FlipSummary condenses the explanation into (clause, detail) for a
+// verdict-flip row: spatial denials name the violated clause, temporal
+// ones carry the budget arithmetic in the detail. Nil-safe.
+func (ex *Explanation) FlipSummary() (clause, detail string) {
+	if ex == nil {
+		return "", ""
+	}
+	if ex.Temporal != nil {
+		budget := "inf"
+		if ex.Temporal.Budget >= 0 {
+			budget = fmt.Sprintf("%.6gs", ex.Temporal.Budget)
+		}
+		return "", fmt.Sprintf("temporal budget: consumed %.6gs of %s (%s scheme)",
+			ex.Temporal.Consumed, budget, ex.Temporal.Scheme)
+	}
+	return ex.Clause, ex.Detail
+}
+
 // String renders the explanation on one line for logs and transcripts.
 func (ex *Explanation) String() string {
 	if ex == nil {

@@ -63,17 +63,7 @@ type engineMetrics struct {
 	authorize   *obs.Histogram
 	prefixEval  *obs.Histogram
 	staticCheck *obs.Histogram
-	// batchSize distributes AuthorizeMany batch sizes (a value
-	// histogram: buckets are request counts, not seconds) and
-	// batchInflight gauges how many batches are currently decoding —
-	// together they show whether batching is actually amortising the
-	// per-request overhead or queueing behind the engine.
-	batchSize     *obs.Histogram
-	batchInflight *obs.Gauge
 }
-
-// batchBuckets span AuthorizeMany batch sizes.
-var batchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
 
 func newEngineMetrics(r *obs.Registry) *engineMetrics {
 	m := &engineMetrics{
@@ -87,10 +77,6 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 			"Spatial prefix-evaluation latency (history scan).", authzBuckets),
 		staticCheck: r.Histogram("stac_authz_static_check_seconds", "",
 			"check(P, C) static program-check latency.", authzBuckets),
-		batchSize: r.Histogram("stac_authz_batch_size", "",
-			"AuthorizeMany batch sizes (requests per call).", batchBuckets),
-		batchInflight: r.Gauge("stac_authz_batch_inflight", "",
-			"AuthorizeMany batches currently executing."),
 	}
 	// Decision-latency exemplars: each bucket of the authorize
 	// histogram retains the decision ID (and trace ID when sampled) of

@@ -127,33 +127,6 @@ func TestDecisionExemplarsMintIDs(t *testing.T) {
 	}
 }
 
-func TestAuthorizeManyRecordsBatchMetrics(t *testing.T) {
-	e, _ := perfEngine(t)
-	sess, err := e.RBAC.CreateSession("o1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.ActivateRole("r"); err != nil {
-		t.Fatal(err)
-	}
-	reqs := make([]Request, 5)
-	for i := range reqs {
-		reqs[i] = Request{Session: sess, Access: model.NewAccess("o1", "read", "f", "s1"), History: trace.Trace{}}
-	}
-	out := e.AuthorizeMany(reqs)
-	if len(out) != 5 {
-		t.Fatalf("decisions = %d", len(out))
-	}
-	m := e.met.Load()
-	if m.batchSize.Count() != 1 || m.batchSize.Sum() != 5*time.Second {
-		// ObserveValue stores on the nanosecond ledger (×1e9).
-		t.Fatalf("batch histogram count=%d sum=%v", m.batchSize.Count(), m.batchSize.Sum())
-	}
-	if m.batchInflight.Value() != 0 {
-		t.Fatalf("batch inflight = %d after return", m.batchInflight.Value())
-	}
-}
-
 func TestPublishPerfExportsGauges(t *testing.T) {
 	e, access := perfEngine(t)
 	e.SetSLO(perf.SLO{Target: time.Nanosecond})

@@ -15,6 +15,7 @@ import (
 	"strconv"
 
 	"stac/internal/model"
+	"stac/internal/obs/cost"
 	"stac/internal/obs/record"
 	"stac/internal/rbac"
 	"stac/internal/srac"
@@ -55,9 +56,9 @@ type ReplayResult struct {
 	// Divergences lists every field of every decision that failed to
 	// reproduce; empty means the stream replayed bit-identically.
 	Divergences []Divergence `json:"divergences,omitempty"`
-	// Coverage is the replay engine's clause coverage (with
+	// Coverage is the replay engine's per-clause table (with
 	// ReplayOptions.Coverage).
-	Coverage []ClauseCoverage `json:"coverage,omitempty"`
+	Coverage []cost.ClauseCost `json:"coverage,omitempty"`
 }
 
 // Deterministic reports whether every recorded verdict and
@@ -100,7 +101,7 @@ func Replay(policySrc string, records []record.Record, opts ReplayOptions) (*Rep
 		res.PolicyMismatch = res.ReplayDigest != digest
 	}
 	if opts.Coverage {
-		res.Coverage = eng.Coverage()
+		res.Coverage = eng.CostReport().Clauses
 	}
 	return res, nil
 }
@@ -137,9 +138,9 @@ type DiffReport struct {
 	// Flips lists every decision whose verdict changed, in stream
 	// order.
 	Flips []Flip `json:"flips,omitempty"`
-	// Coverage is the candidate policy's clause coverage over the
+	// Coverage is the candidate policy's per-clause table over the
 	// recorded traffic (with ReplayOptions.Coverage).
-	Coverage []ClauseCoverage `json:"coverage,omitempty"`
+	Coverage []cost.ClauseCost `json:"coverage,omitempty"`
 }
 
 // ShadowDiff replays the recorded stream against candidateSrc and
@@ -163,7 +164,7 @@ func ShadowDiff(candidateSrc string, records []record.Record, opts ReplayOptions
 			// grant → deny: the candidate decision explains itself.
 			f.Deny = string(d.Deny)
 			f.Reason = d.Reason
-			f.Clause, f.Detail = explainFlip(d.Explanation)
+			f.Clause, f.Detail = d.Explanation.FlipSummary()
 		} else {
 			// deny → grant: the recorded explanation names what the
 			// candidate policy relaxed.
@@ -171,7 +172,7 @@ func ShadowDiff(candidateSrc string, records []record.Record, opts ReplayOptions
 			f.Reason = rec.Reason
 			var ex Explanation
 			if len(rec.Explanation) > 0 && json.Unmarshal(rec.Explanation, &ex) == nil {
-				f.Clause, f.Detail = explainFlip(&ex)
+				f.Clause, f.Detail = ex.FlipSummary()
 			}
 		}
 		rep.Flips = append(rep.Flips, f)
@@ -182,27 +183,9 @@ func ShadowDiff(candidateSrc string, records []record.Record, opts ReplayOptions
 	rep.RecordedDigest = recordedDigest(records)
 	rep.CandidateDigest = PolicyDigest(eng)
 	if opts.Coverage {
-		rep.Coverage = eng.Coverage()
+		rep.Coverage = eng.CostReport().Clauses
 	}
 	return rep, nil
-}
-
-// explainFlip condenses an explanation into (clause, detail) for a
-// flip row: spatial denials name the violated clause, temporal ones
-// carry the budget arithmetic in the detail.
-func explainFlip(ex *Explanation) (clause, detail string) {
-	if ex == nil {
-		return "", ""
-	}
-	if ex.Temporal != nil {
-		budget := "inf"
-		if ex.Temporal.Budget >= 0 {
-			budget = fmt.Sprintf("%.6gs", ex.Temporal.Budget)
-		}
-		return "", fmt.Sprintf("temporal budget: consumed %.6gs of %s (%s scheme)",
-			ex.Temporal.Consumed, budget, ex.Temporal.Scheme)
-	}
-	return ex.Clause, ex.Detail
 }
 
 // recordedDigest returns the policy digest stamped on the stream ("",

@@ -8,6 +8,7 @@ import (
 
 	"stac/internal/model"
 	"stac/internal/obs"
+	"stac/internal/obs/cost"
 	"stac/internal/obs/record"
 	"stac/internal/rbac"
 	"stac/internal/temporal"
@@ -414,8 +415,8 @@ func TestCoverageMarksDecisiveAndDeadClauses(t *testing.T) {
 			hist = append(hist, a)
 		}
 	}
-	cov := e.Coverage()
-	var ceiling, ordered *ClauseCoverage
+	cov := e.CostReport().Clauses
+	var ceiling, ordered *cost.ClauseCost
 	for i := range cov {
 		switch {
 		case cov[i].Perm == "p-map" && cov[i].Path == "":
@@ -427,17 +428,17 @@ func TestCoverageMarksDecisiveAndDeadClauses(t *testing.T) {
 	if ceiling == nil || ordered == nil {
 		t.Fatalf("missing coverage rows: %+v", cov)
 	}
-	if ceiling.Evaluated != 5 || ceiling.Decisive != 5 {
+	if ceiling.Evals != 5 || ceiling.Decisive != 5 {
 		t.Fatalf("ceiling coverage = %+v, want 5 evaluations all decisive", *ceiling)
 	}
 	if ceiling.Violated == 0 || ceiling.Satisfied == 0 {
 		t.Fatalf("ceiling outcomes = %+v, want both satisfied and violated evaluations", *ceiling)
 	}
-	if ceiling.Dead() {
+	if ceiling.Decisive == 0 {
 		t.Fatal("decisive ceiling clause reported dead")
 	}
 	// p-log was never requested: its clause is pre-seeded and dead.
-	if ordered.Evaluated != 0 || !ordered.Dead() {
+	if ordered.Evals != 0 || ordered.Decisive != 0 {
 		t.Fatalf("unexercised p-log clause = %+v, want zero evaluations (dead)", *ordered)
 	}
 	if ordered.Clause == "" {

@@ -3,9 +3,9 @@ package core
 // Tests for the sharded engine state and the delta-encoded flight
 // recorder (ROADMAP item 1): WAL growth must be O(N) over an N-access
 // tour, delta-encoded streams must replay bit-identically including
-// the full-re-record fallbacks, AuthorizeMany must agree with
-// Authorize, and concurrent credentials must reconcile cleanly against
-// the metrics and the recorder under the race detector.
+// the full-re-record fallbacks, and concurrent credentials must
+// reconcile cleanly against the metrics and the recorder under the
+// race detector.
 
 import (
 	"bytes"
@@ -204,35 +204,9 @@ func userLines(n int) string {
 	return b.String()
 }
 
-func TestAuthorizeManyMatchesAuthorize(t *testing.T) {
-	eMany, sessMany := tourEngine(t, 1, nil)
-	eLoop, sessLoop := tourEngine(t, 1, nil)
-	reqs := func(sess *rbac.Session) []Request {
-		out := make([]Request, 8)
-		for i := range out {
-			res := model.ResourceID(fmt.Sprintf("f%d", i))
-			if i == 5 {
-				res = "" // invalid access: the batch must classify it identically
-			}
-			out[i] = Request{Session: sess, Access: model.Access{Object: "u0", Op: model.OpRead, Resource: res, Server: "s1"}}
-		}
-		out[6].Session = nil // no-session denial mid-batch
-		return out
-	}
-	batched := eMany.AuthorizeMany(reqs(sessMany[0]))
-	for i, req := range reqs(sessLoop[0]) {
-		want := eLoop.Authorize(req)
-		got := batched[i]
-		if got.Granted != want.Granted || got.Deny != want.Deny || got.Reason != want.Reason ||
-			got.Perm != want.Perm || got.Spatial != want.Spatial || got.Temporal != want.Temporal {
-			t.Fatalf("request %d: batched %+v != loop %+v", i, got, want)
-		}
-	}
-}
-
 // TestShardedContentionReconciliation hammers one engine from many
 // goroutines — each its own credential — while budget sampling, policy
-// dumps and coverage snapshots run concurrently, then reconciles the
+// dumps and per-clause cost snapshots run concurrently, then reconciles the
 // registry counters and the recorder against the ground truth. Run
 // with -race (ci.sh does) this is the shard-refactor data-race net.
 func TestShardedContentionReconciliation(t *testing.T) {
@@ -258,7 +232,7 @@ func TestShardedContentionReconciliation(t *testing.T) {
 					return
 				default:
 					e.SampleBudgets(0)
-					e.Coverage()
+					e.CostReport()
 					_ = DumpPolicy(e)
 				}
 			}
@@ -277,10 +251,8 @@ func TestShardedContentionReconciliation(t *testing.T) {
 					if i%16 == 7 {
 						// A denial (unauthenticated) mixed into the stream.
 						d = e.Authorize(Request{Access: a})
-					} else if i%8 < 4 {
-						d = e.Authorize(Request{Session: sessions[g], Access: a, History: hist})
 					} else {
-						d = e.AuthorizeMany([]Request{{Session: sessions[g], Access: a, History: hist}})[0]
+						d = e.Authorize(Request{Session: sessions[g], Access: a, History: hist})
 					}
 					if d.Granted {
 						atomic.AddInt64(&granted, 1)

@@ -11,7 +11,9 @@
 // (satisfied/violated/pending, the clause-coverage tallies), how often
 // it was decisive, how many leaf evaluations (atoms) its subtree
 // performed, and a 1-in-64 deterministically sampled cumulative
-// wall-clock time. On
+// wall-clock time. Its ClauseCost rows are the one per-clause table on
+// every surface: /debug/cost, the snapshot's cost.clauses, the
+// federate rollup, and replay and shadow-diff coverage. On
 // top it keeps two whole-engine gauges: re-walk amplification (prefix
 // evals and history entries walked per appended access — the
 // history-length tax) and a per-(program digest, policy digest)
@@ -303,12 +305,10 @@ type ClauseCost struct {
 	Evals    int64 `json:"evals"`
 	Decisive int64 `json:"decisive"`
 	// Satisfied/Violated/Pending split Evals by the clause's own
-	// outcome. They are the clause-coverage tallies, served as
-	// coverage rows (core.Engine.Coverage) rather than cost rows, so
-	// they stay out of the cost JSON.
-	Satisfied int64 `json:"-"`
-	Violated  int64 `json:"-"`
-	Pending   int64 `json:"-"`
+	// outcome: the clause-coverage tallies.
+	Satisfied int64 `json:"satisfied"`
+	Violated  int64 `json:"violated"`
+	Pending   int64 `json:"pending"`
 	// Atoms is the cumulative leaf-evaluation count of the clause's
 	// subtree.
 	Atoms int64 `json:"atoms"`
@@ -337,16 +337,14 @@ type StaticCost struct {
 // Amplification is the re-walk amplification gauge: how much prefix
 // evaluation the engine performs per unit of actual history growth.
 type Amplification struct {
-	// PrefixEvals counts all prefix evaluations; ScanEvals equals it
-	// (every evaluation scans the history); ScanEntries the cumulative
-	// history entries those scans walked; Appends the accesses
-	// actually appended to histories.
+	// PrefixEvals counts all prefix evaluations, each a scan of the
+	// history; ScanEntries the cumulative history entries those scans
+	// walked; Appends the accesses actually appended to histories.
 	PrefixEvals int64 `json:"prefix_evals"`
-	ScanEvals   int64 `json:"scan_evals"`
 	ScanEntries int64 `json:"scan_entries"`
 	Appends     int64 `json:"appends"`
 	// EvalsPerAppend is PrefixEvals/Appends — full AST re-walks paid
-	// per access admitted. EntriesPerScan is ScanEntries/ScanEvals —
+	// per access admitted. EntriesPerScan is ScanEntries/PrefixEvals —
 	// the mean history length each scan re-walked, i.e. the
 	// history-length tax per object.
 	EvalsPerAppend float64 `json:"evals_per_append"`
@@ -414,18 +412,16 @@ func (c *Collector) Report() Report {
 }
 
 func (c *Collector) amplification() Amplification {
-	evals := c.prefixEvals.Load()
 	a := Amplification{
-		PrefixEvals: evals,
-		ScanEvals:   evals,
+		PrefixEvals: c.prefixEvals.Load(),
 		ScanEntries: c.scanEntries.Load(),
 		Appends:     c.appends.Load(),
 	}
 	if a.Appends > 0 {
 		a.EvalsPerAppend = float64(a.PrefixEvals) / float64(a.Appends)
 	}
-	if a.ScanEvals > 0 {
-		a.EntriesPerScan = float64(a.ScanEntries) / float64(a.ScanEvals)
+	if a.PrefixEvals > 0 {
+		a.EntriesPerScan = float64(a.ScanEntries) / float64(a.PrefixEvals)
 	}
 	return a
 }

@@ -108,7 +108,7 @@ func TestAmplificationGauges(t *testing.T) {
 		c.NoteScan(histLen)
 	}
 	a := c.Report().Amplification
-	if a.PrefixEvals != 3 || a.ScanEvals != 3 || a.ScanEntries != 3 || a.Appends != 3 {
+	if a.PrefixEvals != 3 || a.ScanEntries != 3 || a.Appends != 3 {
 		t.Fatalf("amplification = %+v", a)
 	}
 	if a.EvalsPerAppend != 1 {

@@ -136,10 +136,10 @@ func TestExemplarExposition(t *testing.T) {
 func TestObserveValueAndQuantile(t *testing.T) {
 	h := newHistogram([]float64{1, 2, 4, 8})
 	for i := 0; i < 10; i++ {
-		h.ObserveValue(1) // bucket 0
+		h.Observe(time.Second) // bucket 0
 	}
 	for i := 0; i < 10; i++ {
-		h.ObserveValue(4) // bucket 2
+		h.Observe(4 * time.Second) // bucket 2
 	}
 	if h.Count() != 20 {
 		t.Fatalf("count = %d", h.Count())
@@ -154,7 +154,7 @@ func TestObserveValueAndQuantile(t *testing.T) {
 	if q := h.Quantile(0.99); q < 2 || q > 4 {
 		t.Errorf("p99 = %g, want within (2,4]", q)
 	}
-	h.ObserveValue(100) // +Inf bucket
+	h.Observe(100 * time.Second) // +Inf bucket
 	if q := h.Quantile(1); q != 8 {
 		t.Errorf("p100 with +Inf tail = %g, want largest finite bound 8", q)
 	}

@@ -1,19 +1,21 @@
 package federate
 
-// Fleet-wide clause-cost rollup: merges each member's per-clause
-// evaluation-cost profile (snapshot v5's cost section) into one
-// coalition heat map, and flags the "clause cost share" anomaly — a
-// single clause consuming most of the fleet's sampled evaluation
-// time. That clause is, by construction, the first target for the
-// SRAC compilation arc; `stacctl heat` renders this rollup.
+// Fleet-wide clause rollup: merges each member's per-clause
+// evaluation profile (the snapshot's cost section) into one coalition
+// table, and flags two anomalies on it. "dead-clause" is a clause no
+// member ever found decisive — dead policy coalition-wide, exactly the
+// signal a single daemon cannot produce; `stacctl top` lists them.
+// "clause-cost-share" is a single clause consuming most of the fleet's
+// sampled evaluation time — by construction the first target for the
+// SRAC compilation arc; `stacctl heat` renders the heat.
 
 import (
 	"fmt"
 	"sort"
 )
 
-// CostRollup is one SRAC clause's evaluation cost merged across the
-// fleet.
+// CostRollup is one SRAC clause's evaluation census and cost merged
+// across the fleet.
 type CostRollup struct {
 	Perm   string `json:"perm"`
 	Path   string `json:"path"`
@@ -37,11 +39,15 @@ type CostRollup struct {
 	Members int `json:"members"`
 }
 
+// Dead reports a clause that never decided a verdict anywhere.
+func (c CostRollup) Dead() bool { return c.Decisive == 0 }
+
 // mergeCost folds each reachable member's cost profile into the fleet
-// rollup and flags a clause whose share of the fleet's sampled
-// evaluation time exceeds the configured threshold. Anomalies need
-// decisions on the books: an idle fleet has no cost distribution to
-// be skewed.
+// rollup and flags every dead clause and a clause whose share of the
+// fleet's sampled evaluation time exceeds the configured threshold.
+// Anomalies need decisions on the books: on an idle coalition every
+// clause is trivially dead and there is no cost distribution to be
+// skewed.
 func (p *Poller) mergeCost(v *FleetView) {
 	cells := make(map[string]*CostRollup)
 	var totalRootNS int64
@@ -86,7 +92,19 @@ func (p *Poller) mergeCost(v *FleetView) {
 		}
 		return a.Path < b.Path
 	})
-	if totalRootNS == 0 || v.Global.Decisions == 0 {
+	if v.Global.Decisions == 0 {
+		return
+	}
+	for _, r := range v.Cost {
+		if r.Dead() {
+			v.Anomalies = append(v.Anomalies, Anomaly{
+				Kind:    "dead-clause",
+				Subject: r.Perm + "/" + r.Path,
+				Detail:  fmt.Sprintf("clause %q never decided a verdict across %d member(s)", r.Clause, r.Members),
+			})
+		}
+	}
+	if totalRootNS == 0 {
 		return
 	}
 	// Flag the hottest root clause once it dominates: root shares

@@ -11,7 +11,10 @@
 //   - temporal budgets burning toward exhaustion (estimated time to
 //     exhaustion under a configurable horizon),
 //   - deny-rate spikes between consecutive polls,
-//   - policy divergence (members disagreeing on the policy digest).
+//   - policy divergence (members disagreeing on the policy digest),
+//   - dead clauses (never decisive on any member) and clauses that
+//     dominate the fleet's evaluation time, both read off the merged
+//     per-clause cost rows (cost.go).
 //
 // The merge mirrors the paper's two base-time schemes (Section 4):
 // budgets declared with the global scheme accumulate coalition-wide,

@@ -96,25 +96,6 @@ type Rollup struct {
 	ShadowFlips int64 `json:"shadow_flips,omitempty"`
 }
 
-// CoverageRollup is one SRAC clause's evaluation census merged across
-// the fleet. A clause no member ever found decisive is dead policy
-// coalition-wide — exactly the signal a single daemon cannot produce.
-type CoverageRollup struct {
-	Perm      string `json:"perm"`
-	Path      string `json:"path"`
-	Clause    string `json:"clause"`
-	Evaluated int64  `json:"evaluated"`
-	Satisfied int64  `json:"satisfied"`
-	Violated  int64  `json:"violated"`
-	Pending   int64  `json:"pending"`
-	Decisive  int64  `json:"decisive"`
-	// Members counts members reporting this clause.
-	Members int `json:"members"`
-}
-
-// Dead reports a clause that never decided a verdict anywhere.
-func (c CoverageRollup) Dead() bool { return c.Decisive == 0 }
-
 // Anomaly is one cross-server condition the poller flagged.
 type Anomaly struct {
 	// Kind is "unreachable", "budget-exhaustion", "deny-spike",
@@ -135,11 +116,9 @@ type FleetView struct {
 	Global    Rollup         `json:"global"`
 	PerServer []ServerRollup `json:"per_server"`
 	Budgets   []BudgetRollup `json:"budgets"`
-	// Coverage is the fleet-merged SRAC clause census (empty when no
-	// member tracks coverage).
-	Coverage []CoverageRollup `json:"coverage,omitempty"`
-	// Cost is the fleet-merged clause evaluation-cost heat map (see
-	// cost.go; empty when no member runs cost profiling).
+	// Cost is the fleet-merged per-clause table — the clause census
+	// and heat map (see cost.go; empty when no member runs cost
+	// profiling).
 	Cost []CostRollup `json:"cost,omitempty"`
 	// Perf is one hot-path health row per reachable member (see
 	// perf.go): hottest stripe, SLO burn rate, slowest exemplar.
@@ -315,7 +294,6 @@ func (p *Poller) Merge(states []MemberState) FleetView { return p.merge(states) 
 func (p *Poller) merge(states []MemberState) FleetView {
 	v := FleetView{Members: states}
 	budgets := make(map[string]*BudgetRollup)
-	coverage := make(map[string]*CoverageRollup)
 	digests := make(map[string][]string) // digest -> member names
 
 	p.mu.Lock()
@@ -355,21 +333,6 @@ func (p *Poller) merge(states []MemberState) FleetView {
 		v.Global.AuditSinkErrors += snap.AuditSinkErrors
 		v.Global.ShadowFlips += snap.ShadowFlips
 		digests[snap.PolicyDigest] = append(digests[snap.PolicyDigest], st.Name)
-
-		for _, cc := range snap.Coverage {
-			key := cc.Perm + "\x00" + cc.Path
-			r, ok := coverage[key]
-			if !ok {
-				r = &CoverageRollup{Perm: cc.Perm, Path: cc.Path, Clause: cc.Clause}
-				coverage[key] = r
-			}
-			r.Evaluated += cc.Evaluated
-			r.Satisfied += cc.Satisfied
-			r.Violated += cc.Violated
-			r.Pending += cc.Pending
-			r.Decisive += cc.Decisive
-			r.Members++
-		}
 
 		for _, s := range snap.Servers {
 			v.PerServer = append(v.PerServer, ServerRollup{
@@ -449,27 +412,6 @@ func (p *Poller) merge(states []MemberState) FleetView {
 			return a.Member < b.Member
 		}
 		return a.Server < b.Server
-	})
-
-	for _, r := range coverage {
-		v.Coverage = append(v.Coverage, *r)
-		// A dead clause is only evidence once the fleet has actually
-		// decided something — on an idle coalition every clause is
-		// trivially dead.
-		if r.Dead() && v.Global.Decisions > 0 {
-			v.Anomalies = append(v.Anomalies, Anomaly{
-				Kind:    "dead-clause",
-				Subject: r.Perm + "/" + r.Path,
-				Detail:  fmt.Sprintf("clause %q never decided a verdict across %d member(s)", r.Clause, r.Members),
-			})
-		}
-	}
-	sort.Slice(v.Coverage, func(i, j int) bool {
-		a, b := v.Coverage[i], v.Coverage[j]
-		if a.Perm != b.Perm {
-			return a.Perm < b.Perm
-		}
-		return a.Path < b.Path
 	})
 
 	if len(digests) > 1 {

@@ -8,7 +8,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"stac/internal/core"
+	"stac/internal/obs/cost"
 	"stac/internal/server"
 )
 
@@ -46,7 +46,7 @@ func TestPollAllMembersUnreachable(t *testing.T) {
 			t.Errorf("anomaly = %+v", a)
 		}
 	}
-	if v.Global.Decisions != 0 || len(v.Budgets) != 0 || len(v.Coverage) != 0 {
+	if v.Global.Decisions != 0 || len(v.Budgets) != 0 || len(v.Cost) != 0 {
 		t.Errorf("all-unreachable rollup carries data: %+v", v)
 	}
 }
@@ -98,59 +98,91 @@ func TestPollSkipsNewerSnapshotVersion(t *testing.T) {
 	}
 }
 
+// v5MemberSnapshot is member b of the coverage rollup as a snapshot
+// v5 daemon serves it: cost rows without the satisfied/violated/pending
+// tallies (v5 kept them out of the cost JSON) and, here, no coverage
+// key, so the dead-clause census can only come from the cost rows.
+const v5MemberSnapshot = `{
+  "version": 5, "policy_digest": "d", "grants": 1, "decisions": 1, "shadow_flips": 1,
+  "cost": {
+    "clauses": [
+      {"perm": "p-read", "path": "", "clause": "count(0, 2, sigma[r=rsw])",
+       "evals": 1, "decisive": 1, "atoms": 1, "sampled_evals": 0, "sampled_ns": 0, "mean_ns": 0},
+      {"perm": "p-read", "path": "l", "clause": "dead-subclause",
+       "evals": 0, "decisive": 0, "atoms": 0, "sampled_evals": 0, "sampled_ns": 0, "mean_ns": 0}
+    ],
+    "amplification": {"prefix_evals": 1, "scan_evals": 1, "scan_entries": 1, "appends": 1,
+      "evals_per_append": 1, "entries_per_scan": 1}
+  }
+}`
+
 func TestMergeCoverageAndShadowRollup(t *testing.T) {
-	p := NewPoller(nil, Config{})
-	cc := func(perm, path, clause string, evaluated, decisive int64) core.ClauseCoverage {
-		return core.ClauseCoverage{Perm: perm, Path: path, Clause: clause,
-			Evaluated: evaluated, Satisfied: evaluated, Decisive: decisive}
+	cc := func(perm, path, clause string, evals, decisive int64) cost.ClauseCost {
+		return cost.ClauseCost{Perm: perm, Path: path, Clause: clause,
+			Evals: evals, Satisfied: evals, Decisive: decisive}
 	}
-	v := p.Merge([]MemberState{
-		reachable("a", server.Snapshot{
-			PolicyDigest: "d", Grants: 3, Decisions: 3, ShadowFlips: 2,
-			Coverage: []core.ClauseCoverage{
-				cc("p-read", "", "count(0, 2, sigma[r=rsw])", 3, 3),
-				cc("p-read", "l", "dead-subclause", 0, 0),
-			},
-		}),
-		reachable("b", server.Snapshot{
-			PolicyDigest: "d", Grants: 1, Decisions: 1, ShadowFlips: 1,
-			Coverage: []core.ClauseCoverage{
-				cc("p-read", "", "count(0, 2, sigma[r=rsw])", 1, 1),
-				cc("p-read", "l", "dead-subclause", 0, 0),
-			},
-		}),
+	memberA := reachable("a", server.Snapshot{
+		PolicyDigest: "d", Grants: 3, Decisions: 3, ShadowFlips: 2,
+		Cost: &cost.Report{Clauses: []cost.ClauseCost{
+			cc("p-read", "", "count(0, 2, sigma[r=rsw])", 3, 3),
+			cc("p-read", "l", "dead-subclause", 0, 0),
+		}},
 	})
-	if v.Global.ShadowFlips != 3 {
-		t.Errorf("ShadowFlips = %d, want 3", v.Global.ShadowFlips)
+	memberB := reachable("b", server.Snapshot{
+		PolicyDigest: "d", Grants: 1, Decisions: 1, ShadowFlips: 1,
+		Cost: &cost.Report{Clauses: []cost.ClauseCost{
+			cc("p-read", "", "count(0, 2, sigma[r=rsw])", 1, 1),
+			cc("p-read", "l", "dead-subclause", 0, 0),
+		}},
+	})
+	var v5 server.Snapshot
+	if err := json.Unmarshal([]byte(v5MemberSnapshot), &v5); err != nil {
+		t.Fatal(err)
 	}
-	if len(v.Coverage) != 2 {
-		t.Fatalf("coverage rollup = %+v", v.Coverage)
-	}
-	root := v.Coverage[0]
-	if root.Path != "" || root.Evaluated != 4 || root.Decisive != 4 || root.Members != 2 || root.Dead() {
-		t.Errorf("root rollup = %+v", root)
-	}
-	dead := v.Coverage[1]
-	if dead.Path != "l" || !dead.Dead() {
-		t.Errorf("dead rollup = %+v", dead)
-	}
-	var found bool
-	for _, a := range v.Anomalies {
-		if a.Kind == "dead-clause" {
-			found = true
-			if a.Subject != "p-read/l" {
-				t.Errorf("dead-clause subject = %q", a.Subject)
+	memberBv5 := MemberState{Member: Member{Name: "b"}, Reachable: true, Snapshot: v5}
+
+	for _, tc := range []struct {
+		name    string
+		members []MemberState
+	}{
+		{"current", []MemberState{memberA, memberB}},
+		{"v5-member", []MemberState{memberA, memberBv5}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v := NewPoller(nil, Config{}).Merge(tc.members)
+			if v.Global.ShadowFlips != 3 {
+				t.Errorf("ShadowFlips = %d, want 3", v.Global.ShadowFlips)
 			}
-		}
-	}
-	if !found {
-		t.Errorf("no dead-clause anomaly in %+v", v.Anomalies)
+			if len(v.Cost) != 2 {
+				t.Fatalf("clause rollup = %+v", v.Cost)
+			}
+			root := v.Cost[0]
+			if root.Path != "" || root.Evals != 4 || root.Decisive != 4 || root.Members != 2 || root.Dead() {
+				t.Errorf("root rollup = %+v", root)
+			}
+			dead := v.Cost[1]
+			if dead.Path != "l" || !dead.Dead() {
+				t.Errorf("dead rollup = %+v", dead)
+			}
+			var found bool
+			for _, a := range v.Anomalies {
+				if a.Kind == "dead-clause" {
+					found = true
+					if a.Subject != "p-read/l" {
+						t.Errorf("dead-clause subject = %q", a.Subject)
+					}
+				}
+			}
+			if !found {
+				t.Errorf("no dead-clause anomaly in %+v", v.Anomalies)
+			}
+		})
 	}
 
 	// An idle fleet (zero decisions) must not cry dead-clause.
-	idle := p.Merge([]MemberState{
+	idle := NewPoller(nil, Config{}).Merge([]MemberState{
 		reachable("a", server.Snapshot{PolicyDigest: "d",
-			Coverage: []core.ClauseCoverage{cc("p-read", "", "c", 0, 0)}}),
+			Cost: &cost.Report{Clauses: []cost.ClauseCost{cc("p-read", "", "c", 0, 0)}}}),
 	})
 	for _, a := range idle.Anomalies {
 		if a.Kind == "dead-clause" {

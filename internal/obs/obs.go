@@ -122,26 +122,6 @@ func (h *Histogram) Observe(d time.Duration) {
 // ObserveSince records the time elapsed since start.
 func (h *Histogram) ObserveSince(start time.Time) { h.Observe(time.Since(start)) }
 
-// ObserveValue records one unitless observation — batch sizes, queue
-// depths — into a histogram whose bucket bounds were given in the same
-// unit. The sum is carried on the nanosecond ledger (scaled by 1e9) so
-// Sum().Seconds() and the exposition's _sum read back the plain value.
-func (h *Histogram) ObserveValue(v float64) {
-	placed := false
-	for i, b := range h.bounds {
-		if v <= b {
-			h.buckets[i].Add(1)
-			placed = true
-			break
-		}
-	}
-	if !placed {
-		h.inf.Add(1)
-	}
-	h.sumNs.Add(int64(v * 1e9))
-	h.count.Add(1)
-}
-
 // Quantile estimates the q-th quantile (0..1) of the recorded
 // distribution from the bucket counts, interpolating linearly inside
 // the covering bucket (the lowest bucket interpolates from 0, the +Inf

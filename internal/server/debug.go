@@ -16,10 +16,12 @@ import (
 
 // DebugServer bundles the daemon's observability surface: Prometheus
 // metrics, expvar, pprof, the span ring, decision explanations, the
-// temporal-budget series, versioned fleet snapshots, health probes and
-// the /debug/watch decision stream. The fleet poller
-// (internal/obs/federate) and stacctl's top/watch verbs speak to these
-// endpoints.
+// temporal-budget series, versioned fleet snapshots, the per-clause
+// evaluation profile (/debug/cost), hot-path perf (/debug/perf),
+// health probes, the /debug/watch decision stream and the
+// /debug/journal flight-recorder tail. The fleet poller
+// (internal/obs/federate) and stacctl's top/watch/heat/slow/timeline
+// verbs speak to these endpoints.
 type DebugServer struct {
 	c       *Coalition
 	daemons []*Daemon
@@ -100,7 +102,6 @@ func (h *DebugServer) Mux() *http.ServeMux {
 	mux.HandleFunc("/debug/explain", h.handleExplain)
 	mux.HandleFunc("/debug/budgets", h.handleBudgets)
 	mux.HandleFunc("/debug/snapshot", h.handleSnapshot)
-	mux.HandleFunc("/debug/coverage", h.handleCoverage)
 	mux.HandleFunc("/debug/cost", h.handleCost)
 	mux.HandleFunc("/debug/perf", h.handlePerf)
 	mux.HandleFunc("/healthz", h.handleHealthz)
@@ -192,26 +193,12 @@ func (h *DebugServer) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, snap)
 }
 
-// handleCoverage serves the per-clause SRAC evaluation census: every
+// handleCost serves the per-clause evaluation profile: every
 // subformula of every permission's spatial constraint with its
-// evaluated/satisfied/violated/pending/decisive counts. A clause with
-// zero decisive evaluations never changed a verdict — dead policy.
-func (h *DebugServer) handleCoverage(w http.ResponseWriter, r *http.Request) {
-	if !h.c.Engine.CostEnabled() {
-		http.Error(w, "clause coverage disabled on this daemon", http.StatusNotFound)
-		return
-	}
-	cov := h.c.Engine.Coverage()
-	if cov == nil {
-		cov = []core.ClauseCoverage{}
-	}
-	writeJSON(w, cov)
-}
-
-// handleCost serves the per-clause evaluation-cost profile: clause
-// heat (evals, atoms, sampled ns), the per-(program, policy)
-// static-check cost table and the re-walk amplification gauges — the
-// measured before-picture for the SRAC compilation arc.
+// coverage tallies (evals, satisfied/violated/pending, decisive — a
+// clause never decisive never changed a verdict, dead policy) and its
+// heat (atoms, sampled ns), plus the per-(program, policy)
+// static-check cost table and the re-walk amplification gauges.
 func (h *DebugServer) handleCost(w http.ResponseWriter, r *http.Request) {
 	if !h.c.Engine.CostEnabled() {
 		http.Error(w, "cost profiling disabled on this daemon", http.StatusNotFound)

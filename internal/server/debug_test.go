@@ -157,7 +157,7 @@ func TestSnapshotAggregates(t *testing.T) {
 	if len(snap.PolicyDigest) != 64 {
 		t.Fatalf("digest = %q", snap.PolicyDigest)
 	}
-	if snap.PolicyDigest != PolicyDigest(c.Engine) {
+	if snap.PolicyDigest != core.PolicyDigest(c.Engine) {
 		t.Fatal("digest not stable")
 	}
 	if snap.Migrations != 1 {

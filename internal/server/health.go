@@ -6,6 +6,8 @@ package server
 // or the federate poller can tell a live-but-degraded member from a
 // healthy one.
 
+import "stac/internal/core"
+
 // Check is one named readiness probe result.
 type Check struct {
 	Name string `json:"name"`
@@ -42,7 +44,7 @@ func (c *Coalition) Readiness(daemons ...*Daemon) Health {
 	_, _, perms, _ := c.Engine.RBAC.Stats()
 	ck := Check{Name: "policy_loaded", OK: perms > 0}
 	if ck.OK {
-		ck.Detail = PolicyDigest(c.Engine)[:12]
+		ck.Detail = core.PolicyDigest(c.Engine)[:12]
 	} else {
 		ck.Detail = "no permissions registered"
 	}

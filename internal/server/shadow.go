@@ -169,31 +169,13 @@ func (c *Coalition) shadowEval(req core.Request, served core.Decision) *ShadowVe
 		// grant → deny: the shadow decision explains itself.
 		sv.Deny = string(d.Deny)
 		sv.Reason = d.Reason
-		sv.Clause, sv.Detail = flipExplanation(d.Explanation)
+		sv.Clause, sv.Detail = d.Explanation.FlipSummary()
 	} else {
 		// deny → grant: the served explanation names what the
 		// candidate relaxed.
 		sv.Deny = string(served.Deny)
 		sv.Reason = served.Reason
-		sv.Clause, sv.Detail = flipExplanation(served.Explanation)
+		sv.Clause, sv.Detail = served.Explanation.FlipSummary()
 	}
 	return sv
-}
-
-// flipExplanation condenses an engine explanation for a flip record:
-// spatial denials name the clause, temporal ones carry budget
-// arithmetic in the detail.
-func flipExplanation(ex *core.Explanation) (clause, detail string) {
-	if ex == nil {
-		return "", ""
-	}
-	if ex.Temporal != nil {
-		budget := "inf"
-		if ex.Temporal.Budget >= 0 {
-			budget = fmt.Sprintf("%.6gs", ex.Temporal.Budget)
-		}
-		return "", fmt.Sprintf("temporal budget: consumed %.6gs of %s (%s scheme)",
-			ex.Temporal.Consumed, budget, ex.Temporal.Scheme)
-	}
-	return ex.Clause, ex.Detail
 }

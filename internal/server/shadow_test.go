@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"stac/internal/core"
 	"stac/internal/model"
 	"stac/internal/obs"
 	"stac/internal/obs/record"
@@ -94,7 +95,7 @@ func TestShadowGrantToDenyFlip(t *testing.T) {
 	if !enabled || digest == "" || flips != 1 {
 		t.Errorf("ShadowInfo = %v %q %d", enabled, digest, flips)
 	}
-	if digest == PolicyDigest(c.Engine) {
+	if digest == core.PolicyDigest(c.Engine) {
 		t.Error("shadow digest equals served digest for a different policy")
 	}
 }
@@ -205,14 +206,11 @@ func TestSnapshotVersionedFields(t *testing.T) {
 	}
 
 	snap := c.Snapshot(0)
-	if snap.Version != SnapshotVersion || SnapshotVersion != 5 {
-		t.Fatalf("snapshot version = %d, want 5", snap.Version)
+	if snap.Version != SnapshotVersion || SnapshotVersion != 6 {
+		t.Fatalf("snapshot version = %d, want 6", snap.Version)
 	}
 	if snap.ShadowDigest == "" || snap.ShadowFlips != 1 {
 		t.Errorf("shadow fields = %q/%d, want digest + 1 flip", snap.ShadowDigest, snap.ShadowFlips)
-	}
-	if len(snap.Coverage) == 0 {
-		t.Error("snapshot has no clause coverage")
 	}
 	if snap.Runtime.Goroutines < 1 || snap.Runtime.HeapAllocBytes == 0 {
 		t.Errorf("runtime stats = %+v", snap.Runtime)
@@ -242,6 +240,15 @@ func TestSnapshotVersionedFields(t *testing.T) {
 		t.Fatalf("snapshot has no cost profile: %+v", snap.Cost)
 	} else if snap.Cost.Amplification.PrefixEvals == 0 {
 		t.Errorf("cost amplification = %+v, want prefix evals counted", snap.Cost.Amplification)
+	}
+	// v6: the clause census rides on the cost rows, the decision above
+	// tallied by outcome.
+	var tallied int64
+	for _, cc := range snap.Cost.Clauses {
+		tallied += cc.Satisfied + cc.Violated + cc.Pending
+	}
+	if tallied == 0 {
+		t.Errorf("cost rows carry no clause coverage tallies: %+v", snap.Cost.Clauses)
 	}
 	if snap.Journal != nil {
 		t.Error("coalition snapshot carries journal stats without a DebugServer")

@@ -32,7 +32,9 @@ import (
 //	5 — adds the per-clause evaluation-cost profile (cost): clause
 //	    heat, static-check cost table and re-walk amplification,
 //	    feeding the federate hot-clause rollup and stacctl heat
-const SnapshotVersion = 5
+//	6 — drops coverage: the clause census rides on cost.clauses,
+//	    whose rows now carry the satisfied/violated/pending tallies
+const SnapshotVersion = 6
 
 // Snapshot is one daemon-process view of its coalition state.
 type Snapshot struct {
@@ -71,14 +73,11 @@ type Snapshot struct {
 	// where it disagreed with the served policy.
 	ShadowDigest string `json:"shadow_digest,omitempty"`
 	ShadowFlips  int64  `json:"shadow_flips,omitempty"`
-	// Coverage is the per-clause SRAC evaluation census (empty unless
-	// the engine has coverage enabled). Dead clauses — never decisive —
-	// are the fleet-level signal stacctl top surfaces.
-	Coverage []core.ClauseCoverage `json:"coverage,omitempty"`
-	// Cost is the per-clause evaluation-cost profile (nil unless the
-	// engine has cost profiling enabled; version ≥ 5): clause heat,
-	// the static-check cost table and re-walk amplification. stacctl
-	// heat ranks the fleet-merged view.
+	// Cost is the per-clause evaluation profile (nil unless the
+	// engine has cost profiling enabled; version ≥ 5): the clause
+	// census and heat, the static-check cost table and re-walk
+	// amplification. Dead clauses — never decisive — are the fleet
+	// signal stacctl top surfaces; stacctl heat ranks the heat.
 	Cost *cost.Report `json:"cost,omitempty"`
 	// Runtime is the Go runtime's health at snapshot time.
 	Runtime obs.RuntimeStats `json:"runtime"`
@@ -161,7 +160,7 @@ func (c *Coalition) Snapshot(budgetTail int, daemons ...*Daemon) Snapshot {
 		Version:      SnapshotVersion,
 		Time:         c.Engine.Clock().Now(),
 		WallTime:     time.Now(),
-		PolicyDigest: PolicyDigest(c.Engine),
+		PolicyDigest: core.PolicyDigest(c.Engine),
 		Budgets:      c.Engine.SampleBudgets(budgetTail),
 		Migrations:   c.Migrations(),
 		Watchers:     c.Watchers(),
@@ -177,7 +176,6 @@ func (c *Coalition) Snapshot(budgetTail int, daemons ...*Daemon) Snapshot {
 		snap.ShadowFlips = flips
 	}
 	if c.Engine.CostEnabled() {
-		snap.Coverage = c.Engine.Coverage()
 		rep := c.Engine.CostReport()
 		snap.Cost = &rep
 	}
@@ -205,11 +203,4 @@ func (c *Coalition) Snapshot(budgetTail int, daemons ...*Daemon) Snapshot {
 		snap.Conns = append(snap.Conns, d.Stats())
 	}
 	return snap
-}
-
-// PolicyDigest fingerprints an engine's loaded policy. It delegates
-// to core.PolicyDigest so the server, the flight recorder and the
-// federate poller agree on the fingerprint byte-for-byte.
-func PolicyDigest(e *core.Engine) string {
-	return core.PolicyDigest(e)
 }

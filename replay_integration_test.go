@@ -23,6 +23,7 @@ import (
 	"stac/internal/core"
 	"stac/internal/model"
 	"stac/internal/obs"
+	"stac/internal/obs/cost"
 	"stac/internal/obs/record"
 	"stac/internal/proof"
 	"stac/internal/server"
@@ -221,25 +222,25 @@ func TestReplayShadowEndToEnd(t *testing.T) {
 		}
 	}
 
-	// The daemon-side coverage saw every decision and found the
+	// The daemon-side clause rows saw every decision and found the
 	// ceiling clause decisive.
-	cresp, err := http.Get(dts.URL + "/debug/coverage")
+	cresp, err := http.Get(dts.URL + "/debug/cost")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cresp.Body.Close()
-	var cov []core.ClauseCoverage
+	var cov cost.Report
 	if err := json.NewDecoder(cresp.Body).Decode(&cov); err != nil {
 		t.Fatal(err)
 	}
-	if len(cov) == 0 {
+	if len(cov.Clauses) == 0 {
 		t.Fatal("daemon coverage is empty")
 	}
 	live := int64(0)
-	for _, cc := range cov {
+	for _, cc := range cov.Clauses {
 		live += cc.Decisive
 	}
 	if live == 0 {
-		t.Fatalf("no clause was decisive on the live daemons: %+v", cov)
+		t.Fatalf("no clause was decisive on the live daemons: %+v", cov.Clauses)
 	}
 }
