@@ -51,6 +51,7 @@ go test -run '^$' -fuzz '^FuzzRecordDecode$' -fuzztime 2s ./internal/obs/record
 go test -run '^$' -fuzz '^FuzzLoadPolicy$' -fuzztime 2s ./internal/core
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 2s ./internal/srac
 go test -run '^$' -fuzz '^FuzzPrefixAgreement$' -fuzztime 2s ./internal/srac
+go test -run '^$' -fuzz '^FuzzTemporalAgreement$' -fuzztime 2s ./internal/core
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 2s ./internal/sral
 go test -run '^$' -fuzz '^FuzzParseRegular$' -fuzztime 2s ./internal/sral
 go test -run '^$' -fuzz '^FuzzJournalDecode$' -fuzztime 2s ./internal/obs/journal

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"stac/internal/model"
 	"stac/internal/rbac"
@@ -66,6 +67,7 @@ func (e *Engine) DefineClass(c Class) error {
 	for _, m := range c.Members {
 		e.classOf[m] = c.ID
 	}
+	e.policyGen.Add(1)
 	return nil
 }
 
@@ -101,42 +103,62 @@ func (e *Engine) ClassRemaining(obj model.ObjectID, id ClassID) float64 {
 	if !ok {
 		return 0
 	}
-	os, found := e.lookupObj(obj)
-	if !found {
-		return c.duration()
-	}
-	os.mu.Lock()
-	tr, ok := os.trackers[classPermKey(id)]
-	os.mu.Unlock()
+	v, ok := e.validity(obj, temporalKey{key: classPermKey(id), dur: c.duration(), scheme: c.Scheme}, e.clock.Now())
 	if !ok {
 		return c.duration()
 	}
-	return tr.Remaining(e.clock.Now())
+	return v.Remaining
 }
 
-// classPermKey reserves a tracker-key namespace for class pools so a
+// classPermKey reserves a temporal-key namespace for class pools so a
 // class id can never collide with a permission id.
 func classPermKey(id ClassID) rbac.PermID {
-	return rbac.PermID("class\x00" + string(id))
+	return rbac.PermID(classKeyPrefix + string(id))
 }
 
-// resolveTemporal maps a permission to the tracker identity and
-// temporal parameters that govern it: its class pool when classed,
-// its own spec otherwise. Callers hold no engine lock.
-func (e *Engine) resolveTemporal(ps PermSpec) (key rbac.PermID, dur float64, scheme temporal.Scheme) {
+const classKeyPrefix = "class\x00"
+
+// temporalKey is a permission's temporal parameters under the current
+// policy: the key its validity is kept under (its class pool when
+// classed, its own ID otherwise), dur(perm) and the base-time scheme.
+type temporalKey struct {
+	key    rbac.PermID
+	dur    float64
+	scheme temporal.Scheme
+}
+
+// lookup resolves a permission's spec and temporal parameters under one
+// policy read-lock; known is false for a permission registered only on
+// the RBAC layer, which resolves to an unconstrained spec (T,
+// time-insensitive). Callers hold no engine lock.
+func (e *Engine) lookup(perm rbac.Permission) (ps PermSpec, tk temporalKey, known bool) {
 	e.policyMu.RLock()
 	defer e.policyMu.RUnlock()
-	return e.resolveTemporalLocked(ps)
+	return e.lookupLocked(perm)
 }
 
-// resolveTemporalLocked is resolveTemporal with e.policyMu already
-// held (read suffices).
-func (e *Engine) resolveTemporalLocked(ps PermSpec) (key rbac.PermID, dur float64, scheme temporal.Scheme) {
-	if cid, classed := e.classOf[ps.Perm.ID]; classed {
-		c := e.classes[cid]
-		return classPermKey(cid), c.duration(), c.Scheme
+// lookupLocked is lookup with e.policyMu already held (read suffices).
+func (e *Engine) lookupLocked(perm rbac.Permission) (ps PermSpec, tk temporalKey, known bool) {
+	ps, known = e.specs[perm.ID]
+	if !known {
+		ps = PermSpec{Perm: perm}
 	}
-	return ps.Perm.ID, ps.duration(), ps.Scheme
+	if cid, classed := e.classOf[perm.ID]; classed {
+		c := e.classes[cid]
+		return ps, temporalKey{key: classPermKey(cid), dur: c.duration(), scheme: c.Scheme}, known
+	}
+	return ps, temporalKey{key: perm.ID, dur: ps.duration(), scheme: ps.Scheme}, known
+}
+
+// keyParamsLocked reads a temporal key's dur and scheme from the
+// current policy; e.policyMu is held (read suffices).
+func (e *Engine) keyParamsLocked(key rbac.PermID) (float64, temporal.Scheme) {
+	if cid, ok := strings.CutPrefix(string(key), classKeyPrefix); ok {
+		c := e.classes[ClassID(cid)]
+		return c.duration(), c.Scheme
+	}
+	ps := e.specs[key]
+	return ps.duration(), ps.Scheme
 }
 
 // ClassifyByDuration computes the canonical classification of a

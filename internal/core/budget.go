@@ -5,23 +5,27 @@ import (
 
 	"stac/internal/model"
 	"stac/internal/obs"
+	"stac/internal/rbac"
 	"stac/internal/temporal"
 )
 
 // This file makes the paper's central runtime quantity — the
 // accumulated valid time ∫ valid(perm,t) dt against dur(perm)
 // (Expression 4.1) — first-class live telemetry. Each finite-budget
-// (object, permission) tracker gets a ring-buffered time series of
-// its consumption; sampling derives a burn rate (consumed seconds per
-// clock second over the retained window) and an estimated
-// time-to-exhaustion, and mirrors everything into float gauges so a
-// /metrics scrape sees the budgets alongside the decision counters.
+// (object, temporal key) pair the engine holds activation state for
+// gets a ring-buffered time series of its consumption, read against
+// dur(perm) from the current policy; sampling derives a burn rate
+// (consumed seconds per clock second over the retained window) and an
+// estimated time-to-exhaustion, and mirrors everything into float
+// gauges so a /metrics scrape sees the budgets alongside the decision
+// counters.
 
 // BudgetStatus is one sampled temporal budget: the consumption of a
 // permission's validity duration by one mobile object, with the
 // derived burn trajectory.
 type BudgetStatus struct {
-	// Object and Perm identify the tracker.
+	// Object and Perm identify the budget: Perm is the permission, or
+	// its class pool key.
 	Object string `json:"object"`
 	Perm   string `json:"perm"`
 	// Scheme is the base-time scheme ("global" or "per-server").
@@ -56,16 +60,15 @@ func (b BudgetStatus) Exhausting(horizon float64) bool {
 	return b.ETA >= 0 && b.ETA <= horizon
 }
 
-// budgetSeriesCapacity is the retained sampling window per tracker.
+// budgetSeriesCapacity is the retained sampling window per budget.
 const budgetSeriesCapacity = 128
 
-// SampleBudgets takes one sample of every finite-budget tracker: it
-// appends the current consumption to the tracker's time series,
-// refreshes the budget gauges in the engine's registry, and returns
-// the statuses sorted by (object, perm) with up to tail trailing
-// samples each (tail 0 omits series, tail < 0 returns the full
-// window). Time-insensitive permissions (dur = ∞) carry no budget and
-// are skipped.
+// SampleBudgets takes one sample of every finite budget: it appends
+// the current consumption to the budget's time series, refreshes the
+// budget gauges in the engine's registry, and returns the statuses
+// sorted by (object, perm) with up to tail trailing samples each (tail
+// 0 omits series, tail < 0 returns the full window). Time-insensitive
+// permissions (dur = ∞) carry no budget and are skipped.
 //
 // Sampling is deliberately off the Authorize hot path: a daemon
 // samples on a timer and on observability scrapes. The walk visits the
@@ -89,53 +92,53 @@ func (e *Engine) SampleBudgets(tail int) []BudgetStatus {
 		}
 		sh.mu.RUnlock()
 		for _, en := range objs {
+			// Lock order: policy, then object.
+			e.policyMu.RLock()
 			en.st.mu.Lock()
-			for perm, tr := range en.st.trackers {
-				if tr.Budget() == temporal.Infinite {
-					continue
+			en.st.keys.Each(func(key rbac.PermID) {
+				dur, scheme := e.keyParamsLocked(key)
+				if dur == temporal.Infinite {
+					return
 				}
-				ts, ok := en.st.budgets[perm]
+				if en.st.budgets == nil {
+					en.st.budgets = make(map[rbac.PermID]*obs.TimeSeries)
+				}
+				ts, ok := en.st.budgets[key]
 				if !ok {
 					ts = obs.NewTimeSeries(budgetSeriesCapacity)
-					en.st.budgets[perm] = ts
+					en.st.budgets[key] = ts
 				}
-				consumed := tr.Accumulated(now)
-				ts.Append(now, consumed)
+				v, _ := en.st.keys.Validity(key, dur, now)
+				ts.Append(now, v.Used)
 				window := ts.Samples()
 
 				st := BudgetStatus{
 					Object:    string(en.obj),
-					Perm:      string(perm),
-					Scheme:    tr.Scheme().String(),
-					State:     tr.StateAt(now).String(),
-					Consumed:  consumed,
-					Budget:    tr.Budget(),
-					Remaining: tr.Remaining(now),
+					Perm:      string(key),
+					Scheme:    scheme.String(),
+					State:     v.State.String(),
+					Consumed:  v.Used,
+					Budget:    max(dur, 0),
+					Remaining: v.Remaining,
 					ETA:       -1,
 					At:        now,
 				}
 				if rate, ok := obs.Rate(window); ok && rate > 0 {
-					st.BurnRate = rate
-					if st.Remaining > 0 {
-						st.ETA = st.Remaining / rate
-					} else {
-						st.ETA = 0
-					}
+					st.BurnRate, st.ETA = rate, st.Remaining/rate
 				} else if st.Remaining == 0 {
 					st.ETA = 0
 				}
-				switch {
-				case tail < 0:
+				if tail != 0 {
 					st.Series = window
-				case tail > 0 && len(window) > tail:
-					st.Series = window[len(window)-tail:]
-				case tail > 0:
-					st.Series = window
+					if tail > 0 && len(window) > tail {
+						st.Series = window[len(window)-tail:]
+					}
 				}
 				e.publishBudgetGauges(reg, st)
 				out = append(out, st)
-			}
+			})
 			en.st.mu.Unlock()
+			e.policyMu.RUnlock()
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -149,7 +152,7 @@ func (e *Engine) SampleBudgets(tail int) []BudgetStatus {
 
 // publishBudgetGauges mirrors one budget status into the registry.
 // Handles are get-or-create, so repeated sampling reuses them; the
-// cardinality is bounded by the live (object, perm) tracker set.
+// cardinality is bounded by the live (object, perm) budget set.
 func (e *Engine) publishBudgetGauges(reg *obs.Registry, st BudgetStatus) {
 	labels := obs.Labels(obs.Label("object", st.Object), obs.Label("perm", st.Perm))
 	reg.FloatGauge("stac_budget_consumed_seconds", labels,

@@ -26,8 +26,8 @@ func PolicyDigest(e *Engine) string {
 // DumpPolicy renders the engine's policy in the text format LoadPolicy
 // accepts, so a running coalition's configuration can be exported,
 // reviewed and re-imported (LoadPolicy(Dump(e)) reconstructs an
-// equivalent engine). Sessions and trackers are runtime state and are
-// not exported.
+// equivalent engine). Sessions and activation clocks are runtime state
+// and are not exported.
 func DumpPolicy(e *Engine) string {
 	var b strings.Builder
 	b.WriteString("# stacd policy (generated)\n")

@@ -209,11 +209,16 @@ type Engine struct {
 	classes map[ClassID]Class
 	classOf map[rbac.PermID]ClassID
 
-	// shards hold the per-object runtime state (temporal trackers,
-	// budget series, arrival bookkeeping, recorder history bases),
-	// hashed by object ID. Independent credentials land on independent
-	// shards — and even within a shard, the shard lock only covers the
-	// map lookup; mutation happens under the objectState's own lock.
+	// policyGen counts policy mutations (DefinePermission,
+	// DefineClass), so an object's session key set (see sessionSet) is
+	// re-resolved after one.
+	policyGen atomic.Uint64
+
+	// shards hold the per-object runtime state (activation clocks,
+	// budget series, recorder history bases), hashed by object ID.
+	// Independent credentials land on independent shards — and even
+	// within a shard, the shard lock only covers the map lookup;
+	// mutation happens under the objectState's own lock.
 	shards [numShards]engineShard
 
 	// costC is the per-clause evaluation profiler — cost and clause
@@ -243,17 +248,13 @@ type engineShard struct {
 // even then only for the get-or-create lookup.
 type objectState struct {
 	mu sync.Mutex
-	// trackers holds the temporal validity trackers keyed by the
-	// resolved tracker identity (the permission's own ID, or its class
-	// pool key when classed).
-	trackers map[rbac.PermID]*temporal.Tracker
-	// budgets holds the per-tracker consumption time series fed by
-	// SampleBudgets (see budget.go); lazily created per tracker.
+	// keys is the temporal state, kept by session (see
+	// temporal.Activations); set is the session set last activated.
+	keys temporal.Activations[rbac.PermID]
+	set  *sessionSet
+	// budgets holds the per-key consumption time series fed by
+	// SampleBudgets (see budget.go); lazily created per key.
 	budgets map[rbac.PermID]*obs.TimeSeries
-	// lastArrival/hasArrived record the object's server arrivals, so
-	// trackers created later inherit the base time.
-	lastArrival float64
-	hasArrived  bool
 
 	// recMu guards recHist and recProg: the proof-backed history
 	// entries the flight recorder has already emitted for this object,
@@ -264,6 +265,14 @@ type objectState struct {
 	recMu   sync.Mutex
 	recHist []record.HistoryEntry
 	recProg sral.Node
+}
+
+// sessionSet is the temporal keys of one session's permissions,
+// resolved from the session's RBAC view under one policy generation.
+type sessionSet struct {
+	perms []rbac.Permission
+	gen   uint64
+	keys  temporal.KeySet[rbac.PermID]
 }
 
 // shardFor hashes an object ID onto its shard (FNV-1a).
@@ -291,10 +300,7 @@ func (e *Engine) objState(obj model.ObjectID) *objectState {
 	if os, ok = sh.objs[obj]; ok {
 		return os
 	}
-	os = &objectState{
-		trackers: make(map[rbac.PermID]*temporal.Tracker),
-		budgets:  make(map[rbac.PermID]*obs.TimeSeries),
-	}
+	os = &objectState{set: &sessionSet{}}
 	sh.objs[obj] = os
 	return os
 }
@@ -306,20 +312,6 @@ func (e *Engine) lookupObj(obj model.ObjectID) (*objectState, bool) {
 	os, ok := sh.objs[obj]
 	sh.mu.RUnlock()
 	return os, ok
-}
-
-// trackerLocked returns (creating if needed) the tracker for a
-// resolved tracker identity; s.mu must be held.
-func (s *objectState) trackerLocked(key rbac.PermID, dur float64, scheme temporal.Scheme) *temporal.Tracker {
-	tr, ok := s.trackers[key]
-	if !ok {
-		tr = temporal.NewTracker(dur, scheme)
-		if s.hasArrived {
-			tr.ArriveServer(s.lastArrival)
-		}
-		s.trackers[key] = tr
-	}
-	return tr
 }
 
 // NewEngine creates an engine over a fresh RBAC system using the given
@@ -443,6 +435,7 @@ func (e *Engine) DefinePermission(ps PermSpec) error {
 	}
 	e.policyMu.Lock()
 	e.specs[ps.Perm.ID] = ps
+	e.policyGen.Add(1)
 	e.policyMu.Unlock()
 	if col := e.costC.Load(); col != nil {
 		seedCost(col, ps)
@@ -462,17 +455,6 @@ func (e *Engine) Spec(id rbac.PermID) (PermSpec, error) {
 	return ps, nil
 }
 
-// tracker returns (creating if needed) the temporal tracker governing
-// a permission for an object — the permission's own tracker, or its
-// class pool when the permission is classed.
-func (e *Engine) tracker(obj model.ObjectID, ps PermSpec) *temporal.Tracker {
-	key, dur, scheme := e.resolveTemporal(ps)
-	os := e.objState(obj)
-	os.mu.Lock()
-	defer os.mu.Unlock()
-	return os.trackerLocked(key, dur, scheme)
-}
-
 // ObjectArrived records that a mobile object has arrived at a server
 // at the current clock time. Under the per-server scheme this resets
 // the temporal budgets of all the object's permissions (t_b = t_i);
@@ -484,46 +466,8 @@ func (e *Engine) ObjectArrived(obj model.ObjectID, server model.ServerID) {
 	e.recordArrive(obj, server, now)
 	os := e.objState(obj)
 	os.mu.Lock()
-	defer os.mu.Unlock()
-	os.lastArrival = now
-	os.hasArrived = true
-	for _, tr := range os.trackers {
-		tr.ArriveServer(now)
-	}
-}
-
-// sessionTrackers snapshots the specs under one policy read-lock and
-// resolves (creating if needed) the trackers for every permission the
-// session confers under one objectState lock. The permissions are the
-// session's shared RBAC view, resolved once per role set and policy
-// generation, not per arrival. The trackers are internally locked, so
-// callers mutate them after release.
-func (e *Engine) sessionTrackers(sess *rbac.Session, obj model.ObjectID) []*temporal.Tracker {
-	perms := sess.Permissions()
-	type resolved struct {
-		key    rbac.PermID
-		dur    float64
-		scheme temporal.Scheme
-	}
-	rs := make([]resolved, 0, len(perms))
-	e.policyMu.RLock()
-	for _, p := range perms {
-		ps, ok := e.specs[p.ID]
-		if !ok {
-			ps = PermSpec{Perm: p}
-		}
-		key, dur, scheme := e.resolveTemporalLocked(ps)
-		rs = append(rs, resolved{key: key, dur: dur, scheme: scheme})
-	}
-	e.policyMu.RUnlock()
-	os := e.objState(obj)
-	trs := make([]*temporal.Tracker, 0, len(rs))
-	os.mu.Lock()
-	for _, r := range rs {
-		trs = append(trs, os.trackerLocked(r.key, r.dur, r.scheme))
-	}
+	os.keys.Arrive()
 	os.mu.Unlock()
-	return trs
 }
 
 // ActivatePermissions marks every permission conferred by the
@@ -532,9 +476,10 @@ func (e *Engine) sessionTrackers(sess *rbac.Session, obj model.ObjectID) []*temp
 func (e *Engine) ActivatePermissions(sess *rbac.Session, obj model.ObjectID) {
 	now := e.clock.Now()
 	e.recordSession(record.KindActivate, sess, obj, now)
-	for _, tr := range e.sessionTrackers(sess, obj) {
-		tr.Activate(now)
-	}
+	os, set := e.lockSession(sess, obj)
+	os.keys.Activate(&set.keys, now)
+	os.set = set
+	os.mu.Unlock()
 }
 
 // DeactivatePermissions closes the valid periods of the session's
@@ -542,9 +487,33 @@ func (e *Engine) ActivatePermissions(sess *rbac.Session, obj model.ObjectID) {
 func (e *Engine) DeactivatePermissions(sess *rbac.Session, obj model.ObjectID) {
 	now := e.clock.Now()
 	e.recordSession(record.KindDeactivate, sess, obj, now)
-	for _, tr := range e.sessionTrackers(sess, obj) {
-		tr.Deactivate(now)
+	os, set := e.lockSession(sess, obj)
+	os.keys.Deactivate(&set.keys, now)
+	os.mu.Unlock()
+}
+
+// lockSession locks the object's state and returns it with the
+// session's key set: the object's own when the session holds the view
+// it was resolved from, so a hop is O(1); otherwise one resolved under
+// the policy read-lock, taken before the object lock.
+func (e *Engine) lockSession(sess *rbac.Session, obj model.ObjectID) (*objectState, *sessionSet) {
+	perms := sess.Permissions()
+	os := e.objState(obj)
+	os.mu.Lock()
+	if set := os.set; set.gen == e.policyGen.Load() && len(set.perms) == len(perms) &&
+		(len(perms) == 0 || &set.perms[0] == &perms[0]) {
+		return os, set
 	}
+	os.mu.Unlock()
+	e.policyMu.RLock()
+	set := &sessionSet{perms: perms, gen: e.policyGen.Load(), keys: make(temporal.KeySet[rbac.PermID], len(perms))}
+	for _, p := range perms {
+		_, tk, _ := e.lookupLocked(p)
+		set.keys[tk.key] = tk.scheme
+	}
+	e.policyMu.RUnlock()
+	os.mu.Lock()
+	return os, set
 }
 
 // Authorize decides a shared-resource access request — the
@@ -569,7 +538,7 @@ func (e *Engine) AuthorizeTraced(tc obs.TraceContext, req Request) Decision {
 	t := e.tracer.Load()
 	sp, ctx := t.StartSpan(tc, "authorize")
 	start := time.Now()
-	d := e.authorize(ctx, t, req, m)
+	d, tk := e.authorize(ctx, t, req, m)
 	d.HLC = e.hlcClock.Load().Now()
 	elapsed := time.Since(start)
 	m.recordDecision(d, elapsed)
@@ -587,39 +556,38 @@ func (e *Engine) AuthorizeTraced(tc obs.TraceContext, req Request) Decision {
 		sp.Finish()
 	}
 	m.captureExemplar(&d, elapsed, ctx)
-	e.recordDecide(tc, req, d)
+	e.recordDecide(tc, req, d, tk)
 	return d
 }
 
 // authorize is the uninstrumented decision body; AuthorizeTraced wraps
-// it with timing, per-outcome accounting and the decision span.
-func (e *Engine) authorize(tc obs.TraceContext, t *obs.Tracer, req Request, m *engineMetrics) Decision {
-	d := Decision{Spatial: srac.Satisfied, ProgramVerdict: srac.AllTraces, Temporal: temporal.Inactive}
+// it with timing, per-outcome accounting and the decision span. It
+// also returns the covering permission's temporal parameters, resolved
+// once, for the decide record.
+func (e *Engine) authorize(tc obs.TraceContext, t *obs.Tracer, req Request, m *engineMetrics) (d Decision, tk temporalKey) {
+	d = Decision{Spatial: srac.Satisfied, ProgramVerdict: srac.AllTraces, Temporal: temporal.Inactive}
 	if req.Session == nil {
 		d.Deny = DenyNoSession
 		d.Reason = "no session (unauthenticated subject)"
-		return d
+		return d, tk
 	}
 	if err := req.Access.Validate(); err != nil {
 		d.Deny = DenyInvalidAccess
 		d.Reason = err.Error()
-		return d
+		return d, tk
 	}
 	perm, ok := req.Session.PermissionFor(req.Access)
 	if !ok {
 		d.Deny = DenyRBAC
 		d.Reason = fmt.Sprintf("no active role of %q confers a permission covering %s",
 			req.Session.User(), req.Access)
-		return d
+		return d, tk
 	}
 	d.Perm = perm.ID
 
 	// Permissions registered directly on the RBAC layer resolve to an
 	// unconstrained spec (T, time-insensitive).
-	ps, err := e.Spec(perm.ID)
-	if err != nil {
-		ps = PermSpec{Perm: perm}
-	}
+	ps, tk, _ := e.lookup(perm)
 
 	obj := req.Access.Object
 
@@ -653,7 +621,7 @@ func (e *Engine) authorize(tc obs.TraceContext, t *obs.Tracer, req Request, m *e
 					Clause:     srac.String(stamped),
 					Detail:     "static check: no trace of the declared program satisfies the constraint",
 				}
-				return d
+				return d, tk
 			}
 		}
 		// Prefix evaluation of the post-state: the requested access is
@@ -694,19 +662,17 @@ func (e *Engine) authorize(tc obs.TraceContext, t *obs.Tracer, req Request, m *e
 		*buf = nodes
 		nodeEvalPool.Put(buf)
 		if d.Deny != DenyNone {
-			return d
+			return d, tk
 		}
 	}
 
 	// --- Temporal validity (Expression 4.1). ---
 	tsp, _ := t.StartSpan(tc, "temporal_check")
 	tsp.SetService("engine")
-	tr := e.tracker(obj, ps)
-	now := e.clock.Now()
 	// Role activation in this session implies the permission is
-	// active; make sure the tracker reflects it (idempotent).
-	tr.Activate(now)
-	d.Temporal = tr.StateAt(now)
+	// active; make sure its clock reflects it (idempotent).
+	v := e.activateKey(obj, tk, e.clock.Now())
+	d.Temporal = v.State
 	tsp.SetAttr("state", d.Temporal.String())
 	tsp.Finish()
 	if d.Temporal != temporal.Valid {
@@ -715,68 +681,70 @@ func (e *Engine) authorize(tc obs.TraceContext, t *obs.Tracer, req Request, m *e
 		} else {
 			d.Deny = DenyTemporalInactive
 		}
-		_, dur, scheme := e.resolveTemporal(ps)
 		d.Reason = fmt.Sprintf("permission %q is %s (validity duration %.6gs, scheme %s)",
-			perm.ID, d.Temporal, dur, scheme)
-		budget := dur
+			perm.ID, d.Temporal, tk.dur, tk.scheme)
+		budget := tk.dur
 		if budget == temporal.Infinite {
 			budget = -1
 		}
-		remaining := tr.Remaining(now)
+		remaining := v.Remaining
 		if remaining == temporal.Infinite {
 			remaining = -1
 		}
 		d.Explanation = &Explanation{Temporal: &TemporalExplanation{
-			Consumed:  tr.Accumulated(now),
+			Consumed:  v.Used,
 			Budget:    budget,
 			Remaining: remaining,
-			Scheme:    scheme.String(),
+			Scheme:    tk.scheme.String(),
 		}}
-		return d
+		return d, tk
 	}
 
 	d.Granted = true
-	return d
+	return d, tk
 }
 
-// trackerFor resolves the tracker currently governing a permission for
-// an object (class pool or own), without creating one.
-func (e *Engine) trackerFor(obj model.ObjectID, id rbac.PermID) (*temporal.Tracker, float64, bool) {
-	ps, err := e.Spec(id)
-	if err != nil {
-		ps = PermSpec{Perm: rbac.Permission{ID: id}}
-	}
-	key, dur, _ := e.resolveTemporal(ps)
+// activateKey activates one permission's temporal key for an object
+// at now — on its own when no session activation carries it — and
+// returns its validity.
+func (e *Engine) activateKey(obj model.ObjectID, tk temporalKey, now float64) temporal.Validity {
+	os := e.objState(obj)
+	os.mu.Lock()
+	defer os.mu.Unlock()
+	return os.keys.ActivateKey(tk.key, tk.scheme, tk.dur, now)
+}
+
+// validity reads a temporal key's validity for an object at now,
+// without creating state; ok is false when the object holds none.
+func (e *Engine) validity(obj model.ObjectID, tk temporalKey, now float64) (v temporal.Validity, ok bool) {
 	os, found := e.lookupObj(obj)
 	if !found {
-		return nil, dur, false
+		return v, false
 	}
 	os.mu.Lock()
-	tr, ok := os.trackers[key]
-	os.mu.Unlock()
-	return tr, dur, ok
+	defer os.mu.Unlock()
+	return os.keys.Validity(tk.key, tk.dur, now)
 }
 
 // PermissionState reports the temporal state of a permission for an
 // object at the current time.
 func (e *Engine) PermissionState(obj model.ObjectID, id rbac.PermID) temporal.PermState {
-	tr, _, ok := e.trackerFor(obj, id)
-	if !ok {
-		return temporal.Inactive
-	}
-	return tr.StateAt(e.clock.Now())
+	_, tk, _ := e.lookup(rbac.Permission{ID: id})
+	v, _ := e.validity(obj, tk, e.clock.Now()) // no state reads Inactive
+	return v.State
 }
 
 // RemainingValidity returns the unused validity duration of a
 // permission for an object. For a classed permission this is the
 // remaining pooled budget of its class.
 func (e *Engine) RemainingValidity(obj model.ObjectID, id rbac.PermID) float64 {
-	tr, dur, ok := e.trackerFor(obj, id)
+	_, tk, known := e.lookup(rbac.Permission{ID: id})
+	v, ok := e.validity(obj, tk, e.clock.Now())
 	if !ok {
-		if _, err := e.Spec(id); err != nil {
+		if !known {
 			return 0
 		}
-		return dur
+		return tk.dur
 	}
-	return tr.Remaining(e.clock.Now())
+	return v.Remaining
 }

@@ -102,7 +102,7 @@ func (e *Engine) RecordGrant(a model.Access) {
 	})
 }
 
-func (e *Engine) recordDecide(tc obs.TraceContext, req Request, d Decision) {
+func (e *Engine) recordDecide(tc obs.TraceContext, req Request, d Decision, tk temporalKey) {
 	rec := e.recorder.Load()
 	if rec == nil {
 		return
@@ -143,18 +143,13 @@ func (e *Engine) recordDecide(tc obs.TraceContext, req Request, d Decision) {
 	// Active-permission snapshot: the covering permission's consumed
 	// temporal budget vs dur(perm) under its base-time scheme.
 	if d.Perm != "" {
-		ps, err := e.Spec(d.Perm)
-		if err != nil {
-			ps = PermSpec{Perm: rbac.Permission{ID: d.Perm}}
-		}
-		_, dur, scheme := e.resolveTemporal(ps)
-		r.Budget = dur
-		if dur == temporal.Infinite {
+		r.Budget = tk.dur
+		if tk.dur == temporal.Infinite {
 			r.Budget = -1
 		}
-		r.Scheme = scheme.String()
-		if tr, _, ok := e.trackerFor(req.Access.Object, d.Perm); ok {
-			r.Consumed = tr.Accumulated(r.Time)
+		r.Scheme = tk.scheme.String()
+		if v, ok := e.validity(req.Access.Object, tk, r.Time); ok {
+			r.Consumed = v.Used
 		}
 	}
 	e.appendDecide(rec, req, r)

@@ -50,8 +50,8 @@ type Snapshot struct {
 	// Servers carries the per-server decision counters.
 	Servers []ServerSnapshot `json:"servers"`
 	// Budgets is the sampled temporal-budget state of every
-	// finite-duration (object, permission) tracker, series tails
-	// included.
+	// finite-duration (object, permission) pair the engine holds state
+	// for, series tails included.
 	Budgets []core.BudgetStatus `json:"budgets"`
 	// Conns is the transport state of each TCP daemon in the process.
 	Conns []DaemonStats `json:"conns,omitempty"`

@@ -8,7 +8,7 @@ import (
 // Clock supplies the current position on a server's continuous time
 // line, in seconds. Coalition servers share no global clock; the
 // engine therefore only ever compares times produced by the same
-// Clock, and cross-server coordination uses durations (see Tracker).
+// Clock, and cross-server coordination uses durations (Activations).
 type Clock interface {
 	// Now returns the current time in seconds.
 	Now() float64

@@ -6,17 +6,23 @@ import (
 	"stac/internal/temporal"
 )
 
-func ExampleTracker() {
+func ExampleActivations() {
 	// A permission with a 10-second validity duration under the
-	// global base-time scheme (Expression 4.1).
-	tr := temporal.NewTracker(10, temporal.GlobalBase)
-	tr.ArriveServer(0)
-	tr.Activate(0)
-	fmt.Println("t=5: ", tr.StateAt(5))
-	tr.Deactivate(5) // 5s consumed; accumulation pauses
-	tr.Activate(100)
-	fmt.Println("t=104:", tr.StateAt(104))
-	fmt.Println("t=106:", tr.StateAt(106)) // 10s consumed in total
+	// global base-time scheme (Expression 4.1), conferred by the
+	// object's session.
+	var acts temporal.Activations[string]
+	session := temporal.KeySet[string]{"p-read": temporal.GlobalBase}
+	at := func(now float64) temporal.PermState {
+		v, _ := acts.Validity("p-read", 10, now)
+		return v.State
+	}
+	acts.Arrive()
+	acts.Activate(&session, 0)
+	fmt.Println("t=5: ", at(5))
+	acts.Deactivate(&session, 5) // 5s consumed; accumulation pauses
+	acts.Activate(&session, 100)
+	fmt.Println("t=104:", at(104))
+	fmt.Println("t=106:", at(106)) // 10s consumed in total
 	// Output:
 	// t=5:  valid
 	// t=104: valid

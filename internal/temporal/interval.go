@@ -14,8 +14,8 @@
 // The package provides right-open interval sets in canonical form,
 // piecewise-constant boolean state functions with exact integrals, a
 // small decidable duration-calculus formula language (Theorem 4.1),
-// pluggable clocks (real, simulated, skewed) and the per-permission
-// validity tracker used by the extended RBAC engine.
+// pluggable clocks (real, simulated, skewed) and the per-object session
+// activations the extended RBAC engine keeps temporal state with.
 package temporal
 
 import (
@@ -68,8 +68,8 @@ func (iv Interval) String() string {
 // decision evaluates integrals over hundreds of thousands of candidate
 // windows and would otherwise be quadratic. Because queries may
 // rebuild the index, an IntervalSet is not safe for unsynchronised
-// concurrent use even when all callers only read; Tracker guards its
-// sets with its own mutex.
+// concurrent use even when all callers only read: share a set only
+// under a lock.
 type IntervalSet struct {
 	ivs []Interval
 	// prefix[i] is the total length of ivs[:i]; nil or stale when

@@ -71,193 +71,169 @@ func TestSkewedClock(t *testing.T) {
 	}
 }
 
+// perm is one permission that is its session's whole key set, driven
+// the way the engine drives an object's temporal keys.
+type perm struct {
+	dur  float64
+	set  KeySet[string]
+	acts Activations[string]
+}
+
+func newPerm(dur float64, scheme Scheme) *perm {
+	return &perm{dur: dur, set: KeySet[string]{"p": scheme}}
+}
+
+func (p *perm) arrive()                { p.acts.Arrive() }
+func (p *perm) activate(now float64)   { p.acts.Activate(&p.set, now) }
+func (p *perm) deactivate(now float64) { p.acts.Deactivate(&p.set, now) }
+
+func (p *perm) at(now float64) Validity {
+	if v, ok := p.acts.Validity("p", p.dur, now); ok {
+		return v
+	}
+	return Validity{State: Inactive, Remaining: p.dur}
+}
+
 func TestTrackerLifecycle(t *testing.T) {
-	tr := NewTracker(10, GlobalBase)
-	if tr.StateAt(0) != Inactive {
-		t.Fatal("fresh tracker not inactive")
+	p := newPerm(10, GlobalBase)
+	if p.at(0).State != Inactive {
+		t.Fatal("fresh activation not inactive")
 	}
-	tr.ArriveServer(0)
-	tr.Activate(1)
-	if tr.StateAt(5) != Valid {
-		t.Fatalf("state at 5 = %v", tr.StateAt(5))
+	p.arrive()
+	p.activate(1)
+	if got := p.at(5).State; got != Valid {
+		t.Fatalf("state at 5 = %v", got)
 	}
-	if got := tr.Accumulated(5); got != 4 {
+	if got := p.at(5).Used; got != 4 {
 		t.Fatalf("accumulated = %v", got)
 	}
-	if got := tr.Remaining(5); got != 6 {
+	if got := p.at(5).Remaining; got != 6 {
 		t.Fatalf("remaining = %v", got)
 	}
-	exp, ok := tr.ExpiryAt(5)
-	if !ok || exp != 11 {
-		t.Fatalf("expiry = %v ok=%v", exp, ok)
+	if exp := 5 + p.at(5).Remaining; exp != 11 {
+		t.Fatalf("expiry = %v", exp)
 	}
 	// Budget exhausted at t = 11.
-	if tr.StateAt(11) != ActiveInvalid {
-		t.Fatalf("state at 11 = %v", tr.StateAt(11))
+	if got := p.at(11).State; got != ActiveInvalid {
+		t.Fatalf("state at 11 = %v", got)
 	}
-	if tr.ValidAt(11) {
-		t.Fatal("valid after budget exhausted")
-	}
-	if got := tr.Remaining(20); got != 0 {
+	if got := p.at(20).Remaining; got != 0 {
 		t.Fatalf("remaining after exhaustion = %v", got)
 	}
-	if got := tr.Accumulated(20); got != 10 {
+	if got := p.at(20).Used; got != 10 {
 		t.Fatalf("accumulated capped = %v", got)
 	}
 }
 
 func TestTrackerDeactivatePausesAccumulation(t *testing.T) {
-	tr := NewTracker(10, GlobalBase)
-	tr.Activate(0)
-	tr.Deactivate(4) // 4 used
-	if tr.StateAt(6) != Inactive {
-		t.Fatal("deactivated tracker not inactive")
+	p := newPerm(10, GlobalBase)
+	p.activate(0)
+	p.deactivate(4) // 4 used
+	if p.at(6).State != Inactive {
+		t.Fatal("deactivated activation not inactive")
 	}
-	if got := tr.Accumulated(100); got != 4 {
+	if got := p.at(100).Used; got != 4 {
 		t.Fatalf("accumulated while inactive = %v", got)
 	}
-	tr.Activate(100)
-	if tr.StateAt(105) != Valid {
+	p.activate(100)
+	if p.at(105).State != Valid {
 		t.Fatal("re-activated not valid")
 	}
 	// Remaining budget 6: invalid from t=106.
-	if tr.StateAt(106) != ActiveInvalid {
-		t.Fatalf("state at 106 = %v", tr.StateAt(106))
+	if got := p.at(106).State; got != ActiveInvalid {
+		t.Fatalf("state at 106 = %v", got)
 	}
 }
 
 func TestTrackerIdempotentTransitions(t *testing.T) {
-	tr := NewTracker(10, GlobalBase)
-	tr.Activate(0)
-	tr.Activate(3) // no-op: still counting from 0
-	if got := tr.Accumulated(5); got != 5 {
+	p := newPerm(10, GlobalBase)
+	p.activate(0)
+	p.activate(3) // no-op: still counting from 0
+	if got := p.at(5).Used; got != 5 {
 		t.Fatalf("double activate changed accounting: %v", got)
 	}
-	tr.Deactivate(5)
-	tr.Deactivate(7) // no-op
-	if got := tr.Accumulated(10); got != 5 {
+	p.deactivate(5)
+	p.deactivate(7) // no-op
+	if got := p.at(10).Used; got != 5 {
 		t.Fatalf("double deactivate changed accounting: %v", got)
 	}
 }
 
 func TestTrackerPerServerScheme(t *testing.T) {
-	tr := NewTracker(5, PerServerBase)
-	tr.ArriveServer(0)
-	tr.Activate(0)
-	if tr.StateAt(4) != Valid {
+	p := newPerm(5, PerServerBase)
+	p.arrive()
+	p.activate(0)
+	if p.at(4).State != Valid {
 		t.Fatal("not valid on first server")
 	}
-	if tr.StateAt(6) != ActiveInvalid {
+	if p.at(6).State != ActiveInvalid {
 		t.Fatal("not invalid after budget on first server")
 	}
 	// Migrating resets the epoch: full budget again, but the open
 	// activation is closed (role must be re-activated on arrival).
-	tr.ArriveServer(10)
-	if tr.StateAt(10) != Inactive {
-		t.Fatalf("state after migration = %v", tr.StateAt(10))
+	p.arrive()
+	if got := p.at(10).State; got != Inactive {
+		t.Fatalf("state after migration = %v", got)
 	}
-	tr.Activate(10)
-	if got := tr.Remaining(10); got != 5 {
+	p.activate(10)
+	if got := p.at(10).Remaining; got != 5 {
 		t.Fatalf("remaining after migration = %v", got)
 	}
-	if tr.StateAt(14) != Valid || tr.StateAt(16) != ActiveInvalid {
+	if p.at(14).State != Valid || p.at(16).State != ActiveInvalid {
 		t.Fatal("per-server budget not enforced on second server")
 	}
 }
 
 func TestTrackerGlobalSchemeSpansServers(t *testing.T) {
-	tr := NewTracker(5, GlobalBase)
-	tr.ArriveServer(0)
-	tr.Activate(0)
-	tr.Deactivate(3)
-	tr.ArriveServer(10) // must NOT reset under the global scheme
-	tr.Activate(10)
+	p := newPerm(5, GlobalBase)
+	p.arrive()
+	p.activate(0)
+	p.deactivate(3)
+	p.arrive() // must NOT reset under the global scheme
+	if got := p.at(10).Used; got != 3 {
+		t.Fatalf("global arrival reset the accumulation: used = %v", got)
+	}
+	p.activate(10)
 	// 3 used; remaining 2 → invalid from 12.
-	if tr.StateAt(11) != Valid {
-		t.Fatalf("state at 11 = %v", tr.StateAt(11))
+	if got := p.at(11).State; got != Valid {
+		t.Fatalf("state at 11 = %v", got)
 	}
-	if tr.StateAt(12.5) != ActiveInvalid {
-		t.Fatalf("state at 12.5 = %v", tr.StateAt(12.5))
-	}
-	base, ok := tr.Base()
-	if !ok || base != 0 {
-		t.Fatalf("global base = %v ok=%v", base, ok)
+	if got := p.at(12.5).State; got != ActiveInvalid {
+		t.Fatalf("state at 12.5 = %v", got)
 	}
 }
 
 func TestTrackerInfiniteBudget(t *testing.T) {
-	tr := NewTracker(Infinite, GlobalBase)
-	tr.Activate(0)
-	if tr.StateAt(1e12) != Valid {
+	p := newPerm(Infinite, GlobalBase)
+	p.activate(0)
+	if p.at(1e12).State != Valid {
 		t.Fatal("time-insensitive permission expired")
 	}
-	if tr.Remaining(1e12) != Infinite {
+	if p.at(1e12).Remaining != Infinite {
 		t.Fatal("remaining not infinite")
-	}
-	if _, ok := tr.ExpiryAt(5); ok {
-		t.Fatal("infinite budget has an expiry")
 	}
 }
 
 func TestTrackerNegativeDurationClamped(t *testing.T) {
-	tr := NewTracker(-3, GlobalBase)
-	tr.Activate(0)
-	if tr.StateAt(0.1) != ActiveInvalid {
+	p := newPerm(-3, GlobalBase)
+	p.activate(0)
+	if p.at(0.1).State != ActiveInvalid {
 		t.Fatal("negative duration should behave as zero budget")
 	}
-}
-
-func TestTrackerValidState(t *testing.T) {
-	tr := NewTracker(5, GlobalBase)
-	tr.Activate(0)
-	tr.Deactivate(2)
-	tr.Activate(4)
-	st := tr.ValidState(6)
-	// Valid on [0,2) and [4,6): integral 4.
-	if got := st.Integral(0, 10); got != 4 {
-		t.Fatalf("valid-state integral = %v (%v)", got, st.OnIntervals())
-	}
-	// The open activation beyond the budget is clipped.
-	st2 := tr.ValidState(20)
-	if got := st2.Integral(0, 20); got != 5 {
-		t.Fatalf("clipped valid-state integral = %v", got)
-	}
-	// Expression 4.1 as a DC formula over the tracker's state.
-	f := DCNot{Chop{
-		Left:  IntegralCmp{P: "valid", Op: DCGt, C: tr.Budget()},
-		Right: LenCmp{Op: DCGe, C: 0},
-	}}
-	if !EvalDC(f, States{"valid": st2}, iv(0, 20)) {
-		t.Fatal("tracker state violates Expression 4.1")
+	if v := p.at(0.1); v.Used != 0 || v.Remaining != 0 {
+		t.Fatalf("clamped budget reads %+v", v)
 	}
 }
 
 func TestTrackerExpiryWhenInactive(t *testing.T) {
-	tr := NewTracker(5, GlobalBase)
-	if _, ok := tr.ExpiryAt(0); ok {
-		t.Fatal("inactive tracker has expiry")
+	// An inactive permission has no expiry: its state and remaining
+	// budget stay put however much time passes.
+	p := newPerm(5, GlobalBase)
+	for _, now := range []float64{0, 5, 1e6} {
+		if v := p.at(now); v.State != Inactive || v.Remaining != 5 {
+			t.Fatalf("inactive permission at %v = %+v", now, v)
+		}
 	}
-}
-
-func TestTrackerConcurrentUse(t *testing.T) {
-	tr := NewTracker(1000, GlobalBase)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			for j := 0; j < 500; j++ {
-				now := float64(k*500 + j)
-				tr.Activate(now)
-				tr.ValidAt(now)
-				tr.Remaining(now)
-				tr.Deactivate(now + 0.5)
-			}
-		}(i)
-	}
-	wg.Wait()
-	// No assertion beyond absence of races (run with -race).
-	_ = tr.String()
 }
 
 func TestSchemeAndStateStrings(t *testing.T) {
