@@ -12,10 +12,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -133,13 +135,12 @@ func runChaosTour(t *testing.T, inj *faults.Injector, wal io.Writer) chaosOutcom
 	}()
 
 	// A fleet watcher stays attached for the whole tour: the SSE
-	// decision stream must neither perturb verdicts nor leak goroutines
-	// once Drain releases it (the caller's leak assertion covers this
-	// path too).
-	dbg := server.NewDebugServer(c, daemons, nil,
-		server.DebugConfig{Registry: reg, Heartbeat: 50 * time.Millisecond})
+	// decision-log tail must neither perturb verdicts nor leak
+	// goroutines once Drain releases it (the caller's leak assertion
+	// covers this path too).
+	dbg := server.NewDebugServer(c, daemons, nil, server.DebugConfig{Registry: reg})
 	dts := httptest.NewServer(dbg.Mux())
-	watchResp, werr := http.Get(dts.URL + "/debug/watch")
+	watchResp, werr := http.Get(dts.URL + "/debug/journal?poll=50ms&cursor=" + strconv.FormatUint(math.MaxUint64, 10))
 	if werr != nil {
 		t.Fatal(werr)
 	}
@@ -178,8 +179,8 @@ func runChaosTour(t *testing.T, inj *faults.Injector, wal io.Writer) chaosOutcom
 	err := rt.Launch(rover)
 
 	out := chaosOutcome{proofs: rover.Proofs.Len(), ledger: c.Ledger().Len()}
-	if rec := c.Engine.Recorder(); rec != nil {
-		st := rec.Status()
+	if wal != nil {
+		st := c.Engine.Recorder().Status()
 		out.recorder = &st
 		out.recorderErrs = reg.CounterValue("stac_recorder_errors_total", "")
 	}

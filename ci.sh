@@ -38,6 +38,10 @@ go test -race -count=10 -run 'TestResident|TestHandoff' ./internal/server
 # the sibling-ceiling row only fails when a clone misses a sibling's
 # proof, an interleaving one pass may not hit.
 go test -race -count=10 -run 'TestRuntimesAgree|TestRemoteRuntime' ./internal/agent
+# Repeated race probe of the decision-log tails: every served decision
+# appends to the recorder ring that /debug/journal tails and stacctl
+# watch read, so a tail and the decision path race on it constantly.
+go test -race -count=5 -run 'TestJournal|TestWatch|TestFleetTourTopAndWatch' ./internal/server ./cmd/stacctl
 # The repository benchmark is its own module (stac/bench, replacing stac
 # with this tree), so ./... above never reaches it. It drives the
 # engine and srac APIs directly, so vet and test it here, or an API

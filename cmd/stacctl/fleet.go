@@ -2,15 +2,12 @@ package main
 
 // Fleet observability verbs. `stacctl top` polls N daemons'
 // /debug/snapshot endpoints through internal/obs/federate and renders
-// the merged coalition view as a live table; `stacctl watch` attaches
-// to their /debug/watch SSE streams and prints every authorisation
-// decision as it happens.
+// the merged coalition view as a live table; `stacctl watch` follows
+// their /debug/journal decision logs from the live tail and prints
+// every authorisation decision as it happens.
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -24,6 +21,8 @@ import (
 
 	"stac/internal/agent"
 	"stac/internal/obs/federate"
+	"stac/internal/obs/journal"
+	"stac/internal/obs/record"
 	"stac/internal/server"
 )
 
@@ -103,8 +102,8 @@ func runTop(w io.Writer, p *federate.Poller, interval time.Duration, iterations 
 // renderTop prints one fleet view as a table.
 func renderTop(w io.Writer, v federate.FleetView) {
 	g := v.Global
-	fmt.Fprintf(w, "fleet: %d/%d members up — %d decisions (%d grants, %d denies), %d migrations, %d watchers\n",
-		g.Members, g.Members+g.Unreachable+g.Skipped, g.Decisions, g.Grants, g.Denies, g.Migrations, g.Watchers)
+	fmt.Fprintf(w, "fleet: %d/%d members up — %d decisions (%d grants, %d denies), %d migrations, %d tails\n",
+		g.Members, g.Members+g.Unreachable+g.Skipped, g.Decisions, g.Grants, g.Denies, g.Migrations, g.Tails)
 	if g.Skipped > 0 {
 		fmt.Fprintf(w, "NOTE: %d member(s) skipped for snapshot version skew (deploy in flight?)\n", g.Skipped)
 	}
@@ -224,40 +223,40 @@ func cmdWatch(args []string) error {
 	return runWatch(context.Background(), os.Stdout, nil, members, f, *maxEvents)
 }
 
-// watchQuery is the server-side filter forwarded as query parameters.
-// flips is client-side: it selects the `flip` SSE events instead of
-// the `decision` ones.
+// watchQuery selects the served decisions watch prints.
 type watchQuery struct {
 	object, perm, verdict, server string
 	flips                         bool
 }
 
-func (q watchQuery) encode() string {
-	var parts []string
-	add := func(k, v string) {
-		if v != "" {
-			parts = append(parts, k+"="+v)
-		}
+func (q watchQuery) match(e server.AuditEntry) bool {
+	switch {
+	case q.object != "" && e.Object != q.object,
+		q.perm != "" && e.Perm != q.perm,
+		q.server != "" && e.Server != q.server,
+		q.verdict == "grant" && !e.Granted,
+		q.verdict == "deny" && e.Granted,
+		q.flips && (e.Shadow == nil || !e.Shadow.Flip):
+		return false
 	}
-	add("object", q.object)
-	add("perm", q.perm)
-	add("verdict", q.verdict)
-	add("server", q.server)
-	if len(parts) == 0 {
-		return ""
-	}
-	return "?" + strings.Join(parts, "&")
+	return true
 }
 
-// runWatch attaches to every member's /debug/watch stream and renders
-// decisions to w until maxEvents arrive (0 = forever) or ctx ends.
-// client may be nil (http.DefaultClient; streams must not time out).
+// runWatch follows every member's decision log from its live tail (a
+// cursor past the total starts there) and renders the decide records
+// q selects to w, until maxEvents arrive (0 = forever) or ctx ends. A
+// lost stream reconnects with jittered backoff and resumes at its
+// cursor, so a fleet watch survives rolling restarts; only a 4xx ends
+// a member's tail with an error. client may be nil
+// (http.DefaultClient; streams must not time out).
 func runWatch(ctx context.Context, w io.Writer, client *http.Client, members []federate.Member, q watchQuery, maxEvents int) error {
+	switch q.verdict {
+	case "", "grant", "deny":
+	default:
+		return fmt.Errorf("watch: bad verdict %q (want grant or deny)", q.verdict)
+	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	if client == nil {
-		client = http.DefaultClient
-	}
 
 	var mu sync.Mutex // guards w and the event count
 	events := 0
@@ -277,16 +276,28 @@ func runWatch(ctx context.Context, w io.Writer, client *http.Client, members []f
 	var wg sync.WaitGroup
 	errs := make([]error, len(members))
 	for i, m := range members {
-		wg.Add(1)
-		go func(i int, m federate.Member) {
-			defer wg.Done()
-			onReconnect := func(attempt int, err error) {
+		f := &journal.Follower{
+			Name: m.Name, BaseURL: m.BaseURL, Client: client,
+			Cursor: math.MaxUint64,
+			Delay:  watchBackoff().Delay,
+			OnReconnect: func(attempt int, err error) {
 				mu.Lock()
 				defer mu.Unlock()
 				fmt.Fprintf(w, "# [%s] stream lost (%v), reconnect %d\n", m.Name, err, attempt)
-			}
-			errs[i] = watchMember(ctx, client, m, q, emit, onReconnect)
-		}(i, m)
+			},
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = f.Run(ctx, func(fr journal.Frame) {
+				if fr.Kind != journal.KindRecord || fr.Record.Kind != record.KindDecide {
+					return
+				}
+				if e := server.AuditFromRecord(*fr.Record); q.match(e) {
+					emit(m.Name, e)
+				}
+			})
+		}()
 	}
 	wg.Wait()
 
@@ -302,94 +313,6 @@ func runWatch(ctx context.Context, w io.Writer, client *http.Client, members []f
 		}
 	}
 	return nil
-}
-
-// watchMember tails one member's SSE stream, calling emit per decision
-// event. A lost stream — the member restarted, the connection reset —
-// reconnects with jittered backoff for as long as ctx lives, so a
-// fleet watch survives rolling restarts; only a 4xx (the member has no
-// watch endpoint) ends the tail with an error.
-func watchMember(ctx context.Context, client *http.Client, m federate.Member, q watchQuery, emit func(string, server.AuditEntry), onReconnect func(int, error)) error {
-	pol := watchBackoff()
-	attempt := 0
-	for {
-		err := watchOnce(ctx, client, m, q, emit)
-		if ctx.Err() != nil {
-			return nil
-		}
-		var fatal *watchFatal
-		if errors.As(err, &fatal) {
-			return fatal.err
-		}
-		attempt++
-		if onReconnect != nil {
-			onReconnect(attempt, err)
-		}
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-time.After(pol.Delay(attempt)):
-		}
-	}
-}
-
-// watchFatal marks an error reconnecting cannot fix (HTTP 4xx).
-type watchFatal struct{ err error }
-
-func (e *watchFatal) Error() string { return e.err.Error() }
-
-// watchOnce runs one watch connection to completion.
-func watchOnce(ctx context.Context, client *http.Client, m federate.Member, q watchQuery, emit func(string, server.AuditEntry)) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.BaseURL+"/debug/watch"+q.encode(), nil)
-	if err != nil {
-		return &watchFatal{err}
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		err := fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(body)))
-		if resp.StatusCode >= 400 && resp.StatusCode < 500 {
-			return &watchFatal{err}
-		}
-		return err
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	// A shadow flip arrives TWICE: once under `event: decision`, once
-	// under `event: flip`. Track the event name so each outcome renders
-	// once — plain watch keeps decision events, -flips keeps flip ones.
-	event := ""
-	want := "decision"
-	if q.flips {
-		want = "flip"
-	}
-	for sc.Scan() {
-		line := sc.Text()
-		if name, ok := strings.CutPrefix(line, "event: "); ok {
-			event = name
-			continue
-		}
-		data, ok := strings.CutPrefix(line, "data: ")
-		if !ok {
-			continue // comment/heartbeat/blank lines
-		}
-		if event != want {
-			continue
-		}
-		var e server.AuditEntry
-		if err := json.Unmarshal([]byte(data), &e); err != nil {
-			continue
-		}
-		emit(m.Name, e)
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	return fmt.Errorf("stream closed")
 }
 
 // renderWatchLine formats one streamed decision.

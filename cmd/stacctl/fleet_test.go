@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"stac/internal/obs"
 	"stac/internal/obs/cost"
 	"stac/internal/obs/federate"
+	"stac/internal/obs/record"
 	"stac/internal/server"
 	"stac/internal/temporal"
 )
@@ -86,7 +88,7 @@ func startFleet(t *testing.T, n int, key []byte, policy string) []*fleetMember {
 		}
 		m.addr = addr
 		m.debug = server.NewDebugServer(m.c, []*server.Daemon{m.daemon}, nil,
-			server.DebugConfig{Registry: m.c.Engine.Obs(), Heartbeat: 50 * time.Millisecond})
+			server.DebugConfig{Registry: m.c.Engine.Obs()})
 		ts := httptest.NewServer(m.debug.Mux())
 		m.debugURL = ts.URL
 		t.Cleanup(func() {
@@ -136,13 +138,13 @@ assign o1 roamer
 	for {
 		subscribed := 0
 		for _, m := range fleet {
-			subscribed += m.c.Watchers()
+			subscribed += m.debug.JournalStats().ActiveTails
 		}
 		if subscribed == len(fleet) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("watchers never attached")
+			t.Fatal("watch tails never attached")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -190,7 +192,7 @@ assign o1 roamer
 	if !strings.Contains(top1, "o1/p") || !strings.Contains(top1, "global") {
 		t.Fatalf("top missing budget row:\n%s", top1)
 	}
-	if !strings.Contains(top1, "3 decisions (3 grants, 0 denies)") {
+	if !strings.Contains(top1, "3 decisions (3 grants, 0 denies), 3 migrations, 3 tails") {
 		t.Fatalf("top counters:\n%s", top1)
 	}
 
@@ -271,6 +273,39 @@ assign o1 roamer
 	}
 	if !found {
 		t.Fatalf("no exhaustion anomaly: %+v", view.Anomalies)
+	}
+}
+
+// watch filters served decisions: the verdict is the served one (an
+// engine grant the server refused is a denial), and -flips keeps only
+// shadow disagreements.
+func TestWatchQueryMatchesServedDecisions(t *testing.T) {
+	grant := record.Record{Kind: record.KindDecide, Object: "o1", Server: "s1", Perm: "p", Granted: true}
+	refused := grant
+	refused.ServedReason = "unknown resource"
+	flip := grant
+	flip.Shadow = &record.ShadowVerdict{Flip: true}
+	for _, tc := range []struct {
+		q    watchQuery
+		r    record.Record
+		want bool
+	}{
+		{watchQuery{}, grant, true},
+		{watchQuery{verdict: "grant"}, grant, true},
+		{watchQuery{verdict: "deny"}, grant, false},
+		{watchQuery{verdict: "deny"}, refused, true},
+		{watchQuery{object: "o2"}, grant, false},
+		{watchQuery{perm: "p", server: "s1"}, grant, true},
+		{watchQuery{server: "s2"}, grant, false},
+		{watchQuery{flips: true}, grant, false},
+		{watchQuery{flips: true}, flip, true},
+	} {
+		if got := tc.q.match(server.AuditFromRecord(tc.r)); got != tc.want {
+			t.Errorf("%+v on %+v = %v, want %v", tc.q, tc.r, got, tc.want)
+		}
+	}
+	if err := runWatch(context.Background(), io.Discard, nil, nil, watchQuery{verdict: "maybe"}, 1); err == nil {
+		t.Error("bad verdict accepted")
 	}
 }
 

@@ -74,7 +74,7 @@ type options struct {
 	// metricsAddr, when set, serves the observability endpoints
 	// (/metrics, /debug/vars, /debug/pprof, /debug/trace,
 	// /debug/explain, /debug/budgets, /debug/snapshot, /debug/cost,
-	// /debug/perf, /healthz, /readyz, /debug/watch, /debug/journal)
+	// /debug/perf, /healthz, /readyz, /debug/journal)
 	// on one extra HTTP listener.
 	metricsAddr string
 
@@ -92,10 +92,11 @@ type options struct {
 	// JSON line (server.AuditEntry) to this file.
 	auditLog string
 
-	// record turns on the decision flight recorder; recordCapacity
-	// bounds its in-memory ring; recordWAL, when set, additionally
-	// appends every record as a JSON line to this file — the stream
-	// stacctl replay/diff consumes.
+	// recordCapacity bounds the decision log (the flight-recorder
+	// ring every daemon keeps); record adds the replay inputs to it;
+	// recordWAL, when set, additionally appends every record as a
+	// JSON line to this file — the stream stacctl replay/diff
+	// consumes.
 	record         bool
 	recordCapacity int
 	recordWAL      string
@@ -161,8 +162,8 @@ func main() {
 	flag.BoolVar(&opts.trace, "trace", true, "record a span tree per decision (export on /debug/trace)")
 	flag.IntVar(&opts.traceCapacity, "trace-capacity", 0, "in-memory span ring capacity; 0 = default")
 	flag.StringVar(&opts.auditLog, "audit-log", "", "append every decision as a JSON line to this file; empty disables")
-	flag.BoolVar(&opts.record, "record", false, "keep a decision flight-recorder ring for replay")
-	flag.IntVar(&opts.recordCapacity, "record-capacity", 4096, "flight-recorder ring capacity")
+	flag.BoolVar(&opts.record, "record", false, "record replay inputs (arrivals, activations, grants, and each decision's subject, history and program) in the decision log")
+	flag.IntVar(&opts.recordCapacity, "record-capacity", 1024, "decision log (flight-recorder ring) capacity")
 	flag.StringVar(&opts.recordWAL, "record-wal", "", "append every flight-recorder event as a JSON line to this file (implies -record); empty disables")
 	flag.StringVar(&opts.shadowPolicy, "shadow-policy", "", "evaluate this candidate policy file alongside the served one; flips are reported, verdicts unchanged")
 	flag.BoolVar(&opts.cost, "cost", true, "profile per-clause SRAC evaluation coverage and cost (/debug/cost)")
@@ -243,18 +244,20 @@ func start(opts options, w io.Writer) (*app, error) {
 	if opts.cost {
 		c.Engine.EnableCostProfiling()
 	}
-	if opts.record || opts.recordWAL != "" {
-		cfg := record.Config{Capacity: opts.recordCapacity, Registry: c.Engine.Obs()}
-		if opts.recordWAL != "" {
-			f, err := os.OpenFile(opts.recordWAL, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				return fail(err)
-			}
-			a.walFile = f
-			cfg.WAL = f
-		}
-		c.Engine.SetRecorder(record.New(cfg))
+	cfg := record.Config{
+		Capacity:      opts.recordCapacity,
+		Registry:      c.Engine.Obs(),
+		DecisionsOnly: !opts.record && opts.recordWAL == "",
 	}
+	if opts.recordWAL != "" {
+		f, err := os.OpenFile(opts.recordWAL, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return fail(err)
+		}
+		a.walFile = f
+		cfg.WAL = f
+	}
+	c.Engine.SetRecorder(record.New(cfg))
 	if opts.shadowPolicy != "" {
 		src, err := os.ReadFile(opts.shadowPolicy)
 		if err != nil {
@@ -355,8 +358,8 @@ func shutdown(a *app) {
 		_ = d.Close()
 	}
 	if a.debug != nil {
-		// Release SSE watch streams first: Shutdown waits for in-flight
-		// handlers, and a watch handler never finishes on its own.
+		// Release SSE journal tails first: Shutdown waits for in-flight
+		// handlers, and a tail handler never finishes on its own.
 		a.debug.Drain()
 	}
 	if a.profiler != nil {

@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -419,8 +421,8 @@ func TestStartServesTraceAndExplainEndpoints(t *testing.T) {
 }
 
 // The observability listener serves the fleet-telemetry endpoints:
-// versioned snapshots, health probes and the SSE decision watch — and
-// shutdown drains an attached watcher instead of hanging on it.
+// versioned snapshots, health probes and the live decision-log tail —
+// and shutdown drains an attached tail instead of hanging on it.
 func TestStartServesFleetEndpoints(t *testing.T) {
 	var out strings.Builder
 	app, err := start(options{
@@ -453,14 +455,14 @@ func TestStartServesFleetEndpoints(t *testing.T) {
 		}
 	}
 
-	// Attach a watcher before deciding anything.
-	watchResp, err := http.Get("http://" + metricsAddr + "/debug/watch")
+	// Attach a live tail of the decision log before deciding anything.
+	watchResp, err := http.Get("http://" + metricsAddr + "/debug/journal?poll=50ms&cursor=" + strconv.FormatUint(math.MaxUint64, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer watchResp.Body.Close()
 	if ct := watchResp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("/debug/watch content type = %q", ct)
+		t.Fatalf("/debug/journal content type = %q", ct)
 	}
 	watchLines := make(chan string, 16)
 	go func() {
@@ -483,28 +485,31 @@ func TestStartServesFleetEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The watcher receives the grant as an SSE decision event.
+	// The tail receives the grant as one decide record.
 	deadline := time.After(5 * time.Second)
-	var event string
-	for event == "" {
+	var event, data string
+	for data == "" {
 		select {
 		case line, ok := <-watchLines:
 			if !ok {
-				t.Fatal("watch stream closed before the decision")
+				t.Fatal("journal stream closed before the decision")
 			}
-			if strings.HasPrefix(line, "data: ") {
-				event = strings.TrimPrefix(line, "data: ")
+			if name, found := strings.CutPrefix(line, "event: "); found {
+				event = name
+			}
+			if payload, found := strings.CutPrefix(line, "data: "); found && event == "record" {
+				data = payload
 			}
 		case <-deadline:
-			t.Fatal("no decision event on /debug/watch")
+			t.Fatal("no decide record on /debug/journal")
 		}
 	}
-	var entry server.AuditEntry
-	if err := json.Unmarshal([]byte(event), &entry); err != nil {
-		t.Fatalf("watch event %q: %v", event, err)
+	var rec record.Record
+	if err := json.Unmarshal([]byte(data), &rec); err != nil {
+		t.Fatalf("journal record %q: %v", data, err)
 	}
-	if !entry.Granted || entry.Object != "device-1" {
-		t.Fatalf("watch entry = %+v", entry)
+	if rec.Kind != record.KindDecide || !rec.Granted || rec.Object != "device-1" || rec.DecisionID == "" {
+		t.Fatalf("journal record = %+v", rec)
 	}
 
 	get := func(path string) (int, []byte) {
@@ -527,7 +532,7 @@ func TestStartServesFleetEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	if snap.Version != server.SnapshotVersion || snap.Grants != 1 ||
-		len(snap.Conns) != 1 || snap.Conns[0].Inflight != 1 || snap.Watchers != 1 {
+		len(snap.Conns) != 1 || snap.Conns[0].Inflight != 1 || snap.Journal == nil || snap.Journal.ActiveTails != 1 {
 		t.Fatalf("snapshot = %s", body)
 	}
 	if code, _ := get("/healthz"); code != http.StatusOK {
@@ -663,7 +668,7 @@ func TestStartWiresRecorderShadowAndCoverage(t *testing.T) {
 	if err := json.Unmarshal([]byte(get("/debug/snapshot")), &snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Version != 6 || snap.ShadowDigest == "" || snap.ShadowFlips != 1 ||
+	if snap.Version != 7 || snap.ShadowDigest == "" || snap.ShadowFlips != 1 ||
 		snap.Recorder == nil || snap.Recorder.Total == 0 || snap.Runtime.Goroutines < 1 {
 		t.Fatalf("snapshot versioned fields = %+v", snap)
 	}

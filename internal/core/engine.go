@@ -151,6 +151,12 @@ type Decision struct {
 	// strictly increasing timestamps coalition-wide even under clock
 	// skew. Journal records and audit entries reuse this exact stamp.
 	HLC hlc.Timestamp
+
+	// now is the clock reading the decision used and tk the covering
+	// permission's temporal parameters: what LogDecision needs to
+	// stamp the decide record without reading the clock again.
+	now float64
+	tk  temporalKey
 }
 
 // String implements fmt.Stringer.
@@ -182,7 +188,7 @@ type Engine struct {
 	// (sampling off), so an untraced engine pays only a nil-check.
 	tracer atomic.Pointer[obs.Tracer]
 	// recorder is the attached decision flight recorder (see
-	// record.go); nil when recording is off. Atomic for the same
+	// record.go); nil when none is attached. Atomic for the same
 	// hot-path reason as met and tracer.
 	recorder atomic.Pointer[record.Recorder]
 
@@ -258,7 +264,7 @@ type objectState struct {
 
 	// recMu guards recHist and recProg: the proof-backed history
 	// entries the flight recorder has already emitted for this object,
-	// against which recordDecide delta-encodes the next decide record,
+	// against which LogDecision delta-encodes the next decide record,
 	// and the declared program of the object's previous decide record,
 	// against which programs are interned (see record.go). A separate
 	// lock so recording never blocks the temporal bookkeeping above.
@@ -538,7 +544,8 @@ func (e *Engine) AuthorizeTraced(tc obs.TraceContext, req Request) Decision {
 	t := e.tracer.Load()
 	sp, ctx := t.StartSpan(tc, "authorize")
 	start := time.Now()
-	d, tk := e.authorize(ctx, t, req, m)
+	now := e.clock.Now()
+	d := e.authorize(ctx, t, req, m, now)
 	d.HLC = e.hlcClock.Load().Now()
 	elapsed := time.Since(start)
 	m.recordDecision(d, elapsed)
@@ -556,38 +563,37 @@ func (e *Engine) AuthorizeTraced(tc obs.TraceContext, req Request) Decision {
 		sp.Finish()
 	}
 	m.captureExemplar(&d, elapsed, ctx)
-	e.recordDecide(tc, req, d, tk)
 	return d
 }
 
-// authorize is the uninstrumented decision body; AuthorizeTraced wraps
-// it with timing, per-outcome accounting and the decision span. It
-// also returns the covering permission's temporal parameters, resolved
-// once, for the decide record.
-func (e *Engine) authorize(tc obs.TraceContext, t *obs.Tracer, req Request, m *engineMetrics) (d Decision, tk temporalKey) {
-	d = Decision{Spatial: srac.Satisfied, ProgramVerdict: srac.AllTraces, Temporal: temporal.Inactive}
+// authorize is the uninstrumented decision body at clock reading now;
+// AuthorizeTraced wraps it with timing, per-outcome accounting and the
+// decision span.
+func (e *Engine) authorize(tc obs.TraceContext, t *obs.Tracer, req Request, m *engineMetrics, now float64) (d Decision) {
+	d = Decision{Spatial: srac.Satisfied, ProgramVerdict: srac.AllTraces, Temporal: temporal.Inactive, now: now}
 	if req.Session == nil {
 		d.Deny = DenyNoSession
 		d.Reason = "no session (unauthenticated subject)"
-		return d, tk
+		return d
 	}
 	if err := req.Access.Validate(); err != nil {
 		d.Deny = DenyInvalidAccess
 		d.Reason = err.Error()
-		return d, tk
+		return d
 	}
 	perm, ok := req.Session.PermissionFor(req.Access)
 	if !ok {
 		d.Deny = DenyRBAC
 		d.Reason = fmt.Sprintf("no active role of %q confers a permission covering %s",
 			req.Session.User(), req.Access)
-		return d, tk
+		return d
 	}
 	d.Perm = perm.ID
 
 	// Permissions registered directly on the RBAC layer resolve to an
 	// unconstrained spec (T, time-insensitive).
 	ps, tk, _ := e.lookup(perm)
+	d.tk = tk
 
 	obj := req.Access.Object
 
@@ -621,7 +627,7 @@ func (e *Engine) authorize(tc obs.TraceContext, t *obs.Tracer, req Request, m *e
 					Clause:     srac.String(stamped),
 					Detail:     "static check: no trace of the declared program satisfies the constraint",
 				}
-				return d, tk
+				return d
 			}
 		}
 		// Prefix evaluation of the post-state: the requested access is
@@ -662,7 +668,7 @@ func (e *Engine) authorize(tc obs.TraceContext, t *obs.Tracer, req Request, m *e
 		*buf = nodes
 		nodeEvalPool.Put(buf)
 		if d.Deny != DenyNone {
-			return d, tk
+			return d
 		}
 	}
 
@@ -671,7 +677,7 @@ func (e *Engine) authorize(tc obs.TraceContext, t *obs.Tracer, req Request, m *e
 	tsp.SetService("engine")
 	// Role activation in this session implies the permission is
 	// active; make sure its clock reflects it (idempotent).
-	v := e.activateKey(obj, tk, e.clock.Now())
+	v := e.activateKey(obj, tk, now)
 	d.Temporal = v.State
 	tsp.SetAttr("state", d.Temporal.String())
 	tsp.Finish()
@@ -697,11 +703,11 @@ func (e *Engine) authorize(tc obs.TraceContext, t *obs.Tracer, req Request, m *e
 			Remaining: remaining,
 			Scheme:    tk.scheme.String(),
 		}}
-		return d, tk
+		return d
 	}
 
 	d.Granted = true
-	return d, tk
+	return d
 }
 
 // activateKey activates one permission's temporal key for an object

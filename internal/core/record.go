@@ -1,11 +1,12 @@
 package core
 
-// Flight-recorder hooks: when a recorder is attached the engine
-// captures, per replay-relevant event (arrival, permission
-// activation/deactivation, executed grant, authorisation decision),
-// the complete input record core.Replay needs to reproduce the
-// decision stream offline. The recorder pointer is atomic so the
-// unrecorded hot path pays exactly one nil-check per event.
+// Flight-recorder hooks. The attached recorder is the decision log:
+// LogDecision writes one decide record per served decision. When the
+// recorder also captures replay inputs, the engine adds, per
+// replay-relevant event (arrival, permission activation/deactivation,
+// executed grant), the input record core.Replay needs, and the
+// subject, history and program on each decide. The recorder pointer is
+// atomic so an engine without one pays one nil-check per event.
 
 import (
 	"encoding/json"
@@ -19,12 +20,14 @@ import (
 )
 
 // SetRecorder attaches (or, with nil, detaches) a decision flight
-// recorder. The engine stamps its current policy digest onto the
-// recorder, so attach AFTER loading the policy. Like SetObs, call it
-// during setup; swapping mid-traffic loses no decisions but may
-// interleave digests.
+// recorder. A recorder of replay inputs gets the engine's current
+// policy digest, which tells a replay what policy it must run, so
+// attach it AFTER loading the policy; a decisions-only recorder
+// carries none. Like SetObs, call it during setup; swapping
+// mid-traffic loses no decisions but may interleave digests. A
+// coalition's engine always has one (its decision log).
 func (e *Engine) SetRecorder(r *record.Recorder) {
-	if r != nil {
+	if r != nil && r.Inputs() {
 		r.SetPolicyDigest(PolicyDigest(e))
 	}
 	// A fresh recorder has no history context: drop every object's
@@ -45,12 +48,20 @@ func (e *Engine) SetRecorder(r *record.Recorder) {
 	e.recorder.Store(r)
 }
 
-// Recorder returns the attached flight recorder (nil when recording
-// is off).
+// Recorder returns the attached flight recorder (nil when none is).
 func (e *Engine) Recorder() *record.Recorder { return e.recorder.Load() }
 
+// inputRecorder returns the attached recorder when it captures replay
+// inputs, nil otherwise.
+func (e *Engine) inputRecorder() *record.Recorder {
+	if rec := e.recorder.Load(); rec != nil && rec.Inputs() {
+		return rec
+	}
+	return nil
+}
+
 func (e *Engine) recordArrive(obj model.ObjectID, server model.ServerID, now float64) {
-	rec := e.recorder.Load()
+	rec := e.inputRecorder()
 	if rec == nil {
 		return
 	}
@@ -64,7 +75,7 @@ func (e *Engine) recordArrive(obj model.ObjectID, server model.ServerID, now flo
 }
 
 func (e *Engine) recordSession(kind string, sess *rbac.Session, obj model.ObjectID, now float64) {
-	rec := e.recorder.Load()
+	rec := e.inputRecorder()
 	if rec == nil {
 		return
 	}
@@ -87,7 +98,7 @@ func (e *Engine) RecordGrant(a model.Access) {
 	if col := e.costC.Load(); col != nil {
 		col.NoteAppend()
 	}
-	rec := e.recorder.Load()
+	rec := e.inputRecorder()
 	if rec == nil {
 		return
 	}
@@ -102,14 +113,23 @@ func (e *Engine) RecordGrant(a model.Access) {
 	})
 }
 
-func (e *Engine) recordDecide(tc obs.TraceContext, req Request, d Decision, tk temporalKey) {
+// LogDecision writes one served decision to the attached recorder as
+// its decide record, and returns it (as passed to the recorder, which
+// stamps schema, seq and policy). Servers call it once per decision,
+// after the outcome is known and before RecordGrant; engine-only
+// callers that record call it after Authorize. servedReason is the
+// server's own denial of an engine grant ("" when it served the
+// engine verdict); shadow is the candidate policy's verdict (nil
+// without shadow evaluation). ok is false when no recorder is
+// attached.
+func (e *Engine) LogDecision(tc obs.TraceContext, req Request, d Decision, servedReason string, shadow *record.ShadowVerdict) (r record.Record, ok bool) {
 	rec := e.recorder.Load()
 	if rec == nil {
-		return
+		return r, false
 	}
-	r := record.Record{
+	r = record.Record{
 		Kind: record.KindDecide,
-		Time: e.clock.Now(),
+		Time: d.now,
 		// The decide record reuses the decision's own stamp (the one
 		// on the wire reply), not a fresh tick: the journal event and
 		// what the requesting agent observed must be the same instant.
@@ -127,10 +147,9 @@ func (e *Engine) recordDecide(tc obs.TraceContext, req Request, d Decision, tk t
 		ProgramVerdict: d.ProgramVerdict.String(),
 		Temporal:       d.Temporal.String(),
 		DecisionID:     d.ID,
-	}
-	if req.Session != nil {
-		r.User = string(req.Session.User())
-		r.Roles = roleNames(req.Session)
+
+		ServedReason: servedReason,
+		Shadow:       shadow,
 	}
 	if tc.Valid() {
 		r.TraceID = tc.Trace.String()
@@ -143,16 +162,24 @@ func (e *Engine) recordDecide(tc obs.TraceContext, req Request, d Decision, tk t
 	// Active-permission snapshot: the covering permission's consumed
 	// temporal budget vs dur(perm) under its base-time scheme.
 	if d.Perm != "" {
-		r.Budget = tk.dur
-		if tk.dur == temporal.Infinite {
+		r.Budget = d.tk.dur
+		if d.tk.dur == temporal.Infinite {
 			r.Budget = -1
 		}
-		r.Scheme = tk.scheme.String()
-		if v, ok := e.validity(req.Access.Object, tk, r.Time); ok {
+		r.Scheme = d.tk.scheme.String()
+		if v, ok := e.validity(req.Access.Object, d.tk, d.now); ok {
 			r.Consumed = v.Used
 		}
 	}
-	e.appendDecide(rec, req, r)
+	if !rec.Inputs() {
+		rec.Append(r)
+		return r, true
+	}
+	if req.Session != nil {
+		r.User = string(req.Session.User())
+		r.Roles = roleNames(req.Session)
+	}
+	return e.appendDecide(rec, req, r), true
 }
 
 // appendDecide delta-encodes the request's proof-backed history
@@ -181,7 +208,7 @@ func (e *Engine) recordDecide(tc obs.TraceContext, req Request, d Decision, tk t
 // append, so concurrent decides for one object serialize here and
 // every record's base refers to the object's previous record in
 // stream order.
-func (e *Engine) appendDecide(rec *record.Recorder, req Request, r record.Record) {
+func (e *Engine) appendDecide(rec *record.Recorder, req Request, r record.Record) record.Record {
 	os := e.objState(req.Access.Object)
 	os.recMu.Lock()
 	defer os.recMu.Unlock()
@@ -228,6 +255,7 @@ func (e *Engine) appendDecide(rec *record.Recorder, req Request, r record.Record
 		os.recHist = append(os.recHist[:base], r.History...)
 	}
 	rec.Append(r)
+	return r
 }
 
 func roleNames(sess *rbac.Session) []string {

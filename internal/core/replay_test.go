@@ -34,6 +34,14 @@ assign o1 surveyor
 assign o2 surveyor
 `
 
+// authorizeLogged decides and logs the decision to the engine's
+// recorder, as a server does once it has served it.
+func authorizeLogged(e *Engine, req Request) Decision {
+	d := e.Authorize(req)
+	e.LogDecision(obs.TraceContext{}, req, d, "", nil)
+	return d
+}
+
 // liveRun drives a recorded itinerary on a fresh engine: arrivals,
 // role activations, a mix of granted and denied accesses (spatial
 // ceiling, strict-mode gate, temporal exhaustion), departures. It
@@ -52,7 +60,7 @@ func liveRun(t *testing.T) ([]record.Record, []Decision) {
 	var decisions []Decision
 	var hist trace.Trace
 	decide := func(sess *rbac.Session, a model.Access) Decision {
-		d := e.Authorize(Request{Session: sess, Access: a, History: hist.Clone()})
+		d := authorizeLogged(e, Request{Session: sess, Access: a, History: hist.Clone()})
 		decisions = append(decisions, d)
 		if d.Granted {
 			hist = append(hist, a)
@@ -234,7 +242,7 @@ func randomLiveRun(t *testing.T, r *rand.Rand) ([]record.Record, int) {
 			} else {
 				a = model.NewAccess(obj, "read", "map", servers[r.Intn(len(servers))])
 			}
-			d := e.Authorize(Request{Session: sess, Access: a, History: hists[u].Clone()})
+			d := authorizeLogged(e, Request{Session: sess, Access: a, History: hists[u].Clone()})
 			decisions++
 			if d.Granted {
 				hists[u] = append(hists[u], a)

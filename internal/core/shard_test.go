@@ -85,7 +85,7 @@ func walTourBytes(t *testing.T, n int) int {
 	var hist trace.Trace
 	for i := 0; i < n; i++ {
 		a := model.Access{Object: "u0", Op: model.OpRead, Resource: model.ResourceID(fmt.Sprintf("f%d", i)), Server: "s1"}
-		d := e.Authorize(Request{Session: sessions[0], Access: a, History: hist})
+		d := authorizeLogged(e, Request{Session: sessions[0], Access: a, History: hist})
 		if !d.Granted {
 			t.Fatalf("access %d denied: %s", i, d.Reason)
 		}
@@ -120,7 +120,7 @@ func TestDeltaRecordingReplaysBitIdentically(t *testing.T) {
 		if i == 0 {
 			req.Program = prog
 		}
-		d := e.Authorize(req)
+		d := authorizeLogged(e, req)
 		if d.Granted {
 			e.RecordGrant(a)
 		}
@@ -250,9 +250,9 @@ func TestShardedContentionReconciliation(t *testing.T) {
 					var d Decision
 					if i%16 == 7 {
 						// A denial (unauthenticated) mixed into the stream.
-						d = e.Authorize(Request{Access: a})
+						d = authorizeLogged(e, Request{Access: a})
 					} else {
-						d = e.Authorize(Request{Session: sessions[g], Access: a, History: hist})
+						d = authorizeLogged(e, Request{Session: sessions[g], Access: a, History: hist})
 					}
 					if d.Granted {
 						atomic.AddInt64(&granted, 1)

@@ -4,9 +4,10 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,27 +16,28 @@ import (
 	"stac/internal/core"
 	"stac/internal/model"
 	"stac/internal/obs"
+	"stac/internal/obs/journal"
 	"stac/internal/server"
 	"stac/internal/sral"
 	"stac/internal/temporal"
 	"stac/internal/workload"
 )
 
-// E11 measures what the PR 4 fleet-telemetry layer costs a loaded
+// E11 measures what the fleet-telemetry layer costs a loaded
 // coalition: a roaming tour runs alone (baseline), then again while a
 // client hammers /debug/snapshot as fast as it can, then again with
-// SSE /debug/watch subscribers attached consuming every decision
-// event. The claim: both observers ride outside the decision path —
-// snapshots take the coalition lock briefly per scrape, and a watcher
-// polls the coalition decision log by cursor, so a decision appends
-// once whoever watches — and per-access cost stays within a small
-// factor of the baseline even under continuous scraping; decisions a
-// lagging watcher lets the log evict (not slowed decisions) are the
-// overload valve.
+// SSE /debug/journal tails attached from the live tail, consuming
+// every decision event. The claim: both observers ride outside the
+// decision path — snapshots take the coalition lock briefly per
+// scrape, and a tail polls the coalition decision log by cursor, so a
+// decision appends once whoever watches — and per-access cost stays
+// within a small factor of the baseline even under continuous
+// scraping; decisions a lagging tail lets the log evict (journal
+// gaps, not slowed decisions) are the overload valve.
 func E11(scale Scale) (*Table, error) {
 	t := &Table{
 		ID:     "E11",
-		Title:  "Fleet telemetry overhead: baseline vs snapshot scraping vs SSE watch",
+		Title:  "Fleet telemetry overhead: baseline vs snapshot scraping vs SSE journal tails",
 		Header: []string{"mode", "accesses", "wall-time", "per-access", "scrapes", "events", "dropped"},
 	}
 	servers := scale.pickInt(4, 8)
@@ -61,10 +63,10 @@ func E11(scale Scale) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"scraped mode runs one client re-fetching /debug/snapshot in a closed loop for the whole",
-		"tour; watched mode attaches SSE /debug/watch subscribers that consume every decision",
-		"event. Neither observer sits on the decision path: a scrape holds the coalition lock only",
-		"while it copies counters, and a watcher follows the 1024-entry decision log by cursor every",
-		"50ms; what the log evicts before a watcher reads it is counted (column 'dropped'), never waited for.")
+		"tour; watched mode attaches SSE /debug/journal tails from the live tail that consume every",
+		"decision event. Neither observer sits on the decision path: a scrape holds the coalition lock",
+		"only while it copies counters, and a tail follows the 1024-entry decision log by cursor every",
+		"50ms; what the log evicts before a tail reads it is a journal gap (column 'dropped'), never waited for.")
 	return t, nil
 }
 
@@ -108,10 +110,7 @@ assign o1 traveler
 		return e11Result{}, err
 	}
 
-	dbg := server.NewDebugServer(c, nil, nil, server.DebugConfig{
-		Registry:  c.Engine.Obs(),
-		Heartbeat: time.Hour, // the tour is far shorter than a heartbeat
-	})
+	dbg := server.NewDebugServer(c, nil, nil, server.DebugConfig{Registry: c.Engine.Obs()})
 	ts := httptest.NewServer(dbg.Mux())
 	defer func() {
 		dbg.Drain()
@@ -152,7 +151,7 @@ assign o1 traveler
 		}
 	case "watched":
 		for i := 0; i < watchers; i++ {
-			resp, err := http.Get(ts.URL + "/debug/watch")
+			resp, err := http.Get(ts.URL + "/debug/journal?poll=50ms&cursor=" + strconv.FormatUint(math.MaxUint64, 10))
 			if err != nil {
 				return e11Result{}, err
 			}
@@ -163,16 +162,16 @@ assign o1 traveler
 				sc := bufio.NewScanner(resp.Body)
 				sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 				for sc.Scan() {
-					if strings.HasPrefix(sc.Text(), "data: ") {
+					if sc.Text() == "event: "+journal.KindRecord {
 						atomic.AddInt64(&events, 1)
 					}
 				}
 			}()
 		}
-		// Watchers must be attached before the tour starts: each
+		// Tails must be attached before the tour starts: each
 		// follows the log from where it connected.
 		deadline := time.Now().Add(5 * time.Second)
-		for c.Watchers() < watchers && time.Now().Before(deadline) {
+		for dbg.JournalStats().ActiveTails < watchers && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
 	default:
@@ -201,13 +200,13 @@ assign o1 traveler
 	}
 
 	close(stop)
-	dbg.Drain() // ends the SSE streams so the watcher goroutines exit
+	dbg.Drain() // ends the SSE streams so the tail goroutines exit
 	wg.Wait()
 	return e11Result{
 		wall:     wall,
 		accesses: ag.Proofs.Len(),
 		scrapes:  atomic.LoadInt64(&scrapes),
 		events:   atomic.LoadInt64(&events),
-		dropped:  c.WatchDropped(),
+		dropped:  dbg.JournalStats().Gaps,
 	}, nil
 }

@@ -16,11 +16,12 @@ import (
 	"stac/internal/workload"
 )
 
-// E12 measures what the decision flight recorder costs a loaded
-// coalition: the same roaming tour runs with recording off, with the
-// in-memory ring only, and with ring plus JSONL WAL on a real file.
-// The ring append itself is a mutex-guarded store; the cost is
-// capturing the replayable INPUT. Under schema 1 that meant
+// E12 measures what recording replay inputs costs a loaded
+// coalition: the same roaming tour runs with recording off (the
+// coalition's decision log alone: one decide record per decision,
+// no inputs), with inputs kept in the in-memory ring only, and with
+// ring plus JSONL WAL on a real file. The ring append itself is a
+// mutex-guarded store; the cost is capturing the replayable INPUT. Under schema 1 that meant
 // deep-copying the proof-backed history and re-rendering the declared
 // program on every decide — O(N²) bytes over an N-access tour; since
 // schema 2 both are delta-encoded per object (history suffix +
@@ -53,7 +54,8 @@ func E12(scale Scale) (*Table, error) {
 			res.records, res.walBytes)
 	}
 	t.Notes = append(t.Notes,
-		"ring mode keeps the fixed-capacity in-memory ring only; ring+wal additionally appends",
+		"off keeps the coalition decision log only: decide records without replay inputs. ring mode",
+		"adds the inputs, in the fixed-capacity in-memory ring only; ring+wal additionally appends",
 		"every record as one JSON line to a temp file (the stream `stacctl replay` and `stacctl",
 		"diff` consume). Records cover arrivals and activations as well as decisions, so the",
 		"record count exceeds the access count.")
@@ -143,13 +145,11 @@ assign o1 traveler
 	}
 
 	res := e12Result{wall: wall, accesses: ag.Proofs.Len()}
-	if rec := c.Engine.Recorder(); rec != nil {
-		st := rec.Status()
-		if st.WALDegraded {
-			return e12Result{}, fmt.Errorf("WAL degraded mid-run: %s", st.WALError)
-		}
-		res.records = st.Total
+	st := c.Engine.Recorder().Status()
+	if st.WALDegraded {
+		return e12Result{}, fmt.Errorf("WAL degraded mid-run: %s", st.WALError)
 	}
+	res.records = st.Total
 	if walFile != nil {
 		if fi, err := walFile.Stat(); err == nil {
 			res.walBytes = fi.Size()

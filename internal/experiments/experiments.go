@@ -41,7 +41,7 @@ var Titles = map[string]string{
 	"E8":  "Companion coordination via the coalition ledger",
 	"E9":  "No-global-clock tolerance: enforcement under server clock skew",
 	"E10": "Tracing overhead per access: untraced vs sampling-off vs sampled",
-	"E11": "Fleet telemetry overhead: baseline vs snapshot scraping vs SSE watch",
+	"E11": "Fleet telemetry overhead: baseline vs snapshot scraping vs SSE journal tails",
 	"E12": "Flight-recorder overhead: off vs ring-only vs ring+WAL",
 }
 

@@ -30,7 +30,7 @@ type ClockRollup struct {
 	SkewSeconds float64 `json:"skew_s"`
 	SkewKnown   bool    `json:"skew_known"`
 	// Tails / MaxLagRecords / Gaps mirror the member's journal stats
-	// (zero when the member has no flight recorder).
+	// (zero when the member serves no snapshot journal section).
 	Tails         int    `json:"tails"`
 	MaxLagRecords uint64 `json:"max_lag_records"`
 	Gaps          int64  `json:"gaps"`

@@ -22,7 +22,7 @@
 // restart at each server, so the rollup keeps the per-member maximum
 // and reports how many members hold state for the permission.
 //
-// stacctl's `top` verb renders the FleetView as a live table and
-// `watch` streams the members' /debug/watch decision feeds; both are
-// thin clients over this package.
+// stacctl's `top` verb renders the FleetView as a live table; it is
+// a thin client over this package (`watch` follows the members'
+// /debug/journal decision logs through internal/obs/journal).
 package federate

@@ -89,7 +89,9 @@ type Rollup struct {
 	Denies     int `json:"denies"`
 	Decisions  int `json:"decisions"`
 	Migrations int `json:"migrations"`
-	Watchers   int `json:"watchers"`
+	// Tails sums the members' live /debug/journal tails
+	// (journal.active_tails).
+	Tails int `json:"tails"`
 	// AuditSinkErrors sums decisions lost from durable logs fleet-wide.
 	AuditSinkErrors int64 `json:"audit_sink_errors"`
 	// ShadowFlips sums live shadow-policy disagreements fleet-wide.
@@ -329,7 +331,9 @@ func (p *Poller) merge(states []MemberState) FleetView {
 		v.Global.Denies += snap.Denies
 		v.Global.Decisions += snap.Decisions
 		v.Global.Migrations += snap.Migrations
-		v.Global.Watchers += snap.Watchers
+		if snap.Journal != nil {
+			v.Global.Tails += snap.Journal.ActiveTails
+		}
 		v.Global.AuditSinkErrors += snap.AuditSinkErrors
 		v.Global.ShadowFlips += snap.ShadowFlips
 		digests[snap.PolicyDigest] = append(digests[snap.PolicyDigest], st.Name)

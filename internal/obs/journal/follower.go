@@ -24,7 +24,8 @@ type Follower struct {
 	// Client performs the HTTP requests (nil = http.DefaultClient).
 	Client *http.Client
 	// Cursor resumes the tail after the given recorder sequence number
-	// (0 = from the oldest retained record).
+	// (0 = from the oldest retained record; past the member's total,
+	// e.g. math.MaxUint64, = from its live tail).
 	Cursor uint64
 	// Poll is forwarded as the server-side poll interval (?poll=);
 	// zero keeps the server default.
@@ -61,7 +62,7 @@ func defaultDelay(attempt int) time.Duration {
 // Run tails the member until ctx ends, invoking emit for every frame
 // in stream order. Transport errors reconnect with backoff (resuming
 // from the cursor); only a non-retryable server response (HTTP 4xx —
-// e.g. a daemon without a recorder) ends the run with an error.
+// e.g. a daemon without a journal) ends the run with an error.
 func (f *Follower) Run(ctx context.Context, emit func(Frame)) error {
 	delay := f.Delay
 	if delay == nil {
@@ -180,6 +181,12 @@ func (f *Follower) observe(fr Frame) {
 			f.cursor = resume
 		}
 	case KindMeta, KindEnd:
+		// The member clamps a cursor past its total to its live tail
+		// (a restarted member, or a follower started there): resume
+		// from the member's cursor, not the stale one.
+		if fr.Meta.Cursor < f.cursor {
+			f.cursor = fr.Meta.Cursor
+		}
 		if fr.Meta.Total >= f.cursor {
 			f.lag = fr.Meta.Total - f.cursor
 		}

@@ -17,9 +17,10 @@
 //   - time: the engine clock reading (seconds) when the event was
 //     recorded.
 //   - policy: the SHA-256 digest of the policy loaded in the engine
-//     (core.PolicyDigest), stamped by the recorder so a replay can
-//     detect that it is running a different policy than the one that
-//     produced the stream.
+//     (core.PolicyDigest), stamped by a recorder of replay inputs so a
+//     replay can detect that it is running a different policy than the
+//     one that produced the stream. Decisions-only records, which
+//     cannot be replayed, carry none.
 //   - hlc: the event's hybrid logical timestamp (internal/hlc wire
 //     form), the coalition-wide causal order /debug/journal followers
 //     and `stacctl timeline` merge by. Optional — replay ignores it
@@ -48,15 +49,27 @@
 //     access for non-policy reasons (unknown resource). Replay feeds
 //     grant records back through RecordGrant, so the replay engine's
 //     re-walk amplification gauge counts the same appends.
-//   - "decide" (Authorize/AuthorizeTraced): the complete replayable
-//     input — subject (user + active roles), the requested
-//     "op resource @ server" access, the proof-backed history with a
-//     per-entry proven bit (the oracle's verdict at decision time) and
-//     the declared SRAL program text — plus the full outcome: verdict,
-//     covering permission, deny reason, spatial/program/temporal
-//     statuses, decision and trace IDs, the denial explanation
-//     (JSON), and the covering permission's temporal budget snapshot
-//     (consumed vs dur(perm) and base-time scheme).
+//   - "decide" (Engine.LogDecision, once per served decision): the
+//     complete replayable input — subject (user + active roles), the
+//     requested "op resource @ server" access, the proof-backed
+//     history with a per-entry proven bit (the oracle's verdict at
+//     decision time) and the declared SRAL program text — plus the
+//     full outcome: verdict, covering permission, deny reason,
+//     spatial/program/temporal statuses, decision and trace IDs, the
+//     denial explanation (JSON), the covering permission's temporal
+//     budget snapshot (consumed vs dur(perm) and base-time scheme),
+//     and the served outcome: served_reason when the server refused
+//     an engine grant, and the shadow policy's verdict.
+//
+// # Decision log
+//
+// Every coalition keeps a recorder: its ring is the coalition
+// decision log behind Audit, Explain, the JSONL audit sink and the
+// /debug/journal tail. By default it records decide records only,
+// without their replay inputs (Config.DecisionsOnly: no arrive,
+// activate, deactivate or grant records, and no user, roles, history
+// or program on decides). `stacd -record` adds the inputs, which is
+// what core.Replay and core.ShadowDiff need.
 //
 // # History delta encoding (schema 2)
 //
@@ -97,13 +110,12 @@
 //
 // # Fidelity caveats
 //
-// Replay is exact under a simulated clock when the recorder was
-// attached before any traffic: every verdict, deny reason and
-// explanation reproduces bit-for-bit. Two sources of divergence are
-// inherent and documented rather than hidden: (1) under a real
-// clock, the record's time is read after the decision's own clock
-// read, so budget arithmetic can differ by the intervening
-// microseconds near an exhaustion boundary; (2) a recorder attached
+// Replay is exact under a simulated clock when the recorder captured
+// inputs from before any traffic: every verdict, deny reason and
+// explanation reproduces bit-for-bit. A decide record's time is the
+// clock reading its decision used, so budget arithmetic replays at
+// the same instant under a real clock too. One source of divergence
+// is inherent and documented rather than hidden: a recorder attached
 // mid-flight misses the activation history that seeded the temporal
 // budgets, so consumed-budget state starts from the first recorded
 // event.

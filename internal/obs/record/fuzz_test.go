@@ -22,6 +22,10 @@ func FuzzRecordDecode(f *testing.F) {
 			Spatial: "violated", Temporal: "valid", DecisionID: "d-0011223344556677",
 			Explanation: []byte(`{"constraint":"count(0, 2, sigma[op=read])"}`),
 			Consumed:    1, Budget: 30, Scheme: "per-server"},
+		{Schema: SchemaVersion, Seq: 6, Kind: KindDecide, Time: 2, Object: "o1", Server: "s1",
+			Op: "read", Resource: "gone", Granted: true, Perm: "p", DecisionID: "d-8899aabbccddeeff",
+			ServedReason: "unknown resource",
+			Shadow:       &ShadowVerdict{Granted: false, Flip: true, Deny: "spatial_violated", Reason: "tightened", Clause: "count(0, 0, sigma[r=map])", Detail: "count 1 exceeds ceiling 0"}},
 	}
 	for _, s := range seeds {
 		var b bytes.Buffer

@@ -2,6 +2,7 @@ package record
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -102,6 +103,31 @@ type Record struct {
 	Consumed float64 `json:"consumed_s,omitempty"`
 	Budget   float64 `json:"budget_s,omitempty"`
 	Scheme   string  `json:"scheme,omitempty"`
+
+	// Served outcome (decide only). ServedReason is set when the
+	// server denied an access the engine granted ("unknown resource"),
+	// so the served verdict is Granted && ServedReason == "". Shadow is
+	// the candidate policy's verdict under live shadow evaluation.
+	// Replay ignores both, so like HLC their addition is not a schema
+	// bump.
+	ServedReason string         `json:"served_reason,omitempty"`
+	Shadow       *ShadowVerdict `json:"shadow,omitempty"`
+}
+
+// ShadowVerdict is a candidate policy's view of one decision, carried
+// on its decide record when live shadow evaluation is enabled.
+type ShadowVerdict struct {
+	// Granted is the candidate verdict; Flip reports it disagrees with
+	// the engine's.
+	Granted bool `json:"granted"`
+	Flip    bool `json:"flip"`
+	// Deny/Reason explain the denying side of a flip; Clause names the
+	// SRAC subformula responsible (empty for temporal/RBAC flips,
+	// where Detail carries the budget or role arithmetic).
+	Deny   string `json:"deny,omitempty"`
+	Reason string `json:"reason,omitempty"`
+	Clause string `json:"clause,omitempty"`
+	Detail string `json:"detail,omitempty"`
 }
 
 // Validate checks the structural invariants every readable record
@@ -126,6 +152,9 @@ func (r Record) Validate() error {
 	}
 	if r.ProgramCached && r.Kind != KindDecide {
 		return fmt.Errorf("record: cached program on %q record", r.Kind)
+	}
+	if (r.ServedReason != "" || r.Shadow != nil) && r.Kind != KindDecide {
+		return fmt.Errorf("record: served outcome on %q record", r.Kind)
 	}
 	if r.ProgramCached && r.Program != "" {
 		return fmt.Errorf("record: cached program alongside inline program")
@@ -162,10 +191,17 @@ func Decode(line []byte) (Record, error) {
 }
 
 // ReadAll decodes a JSONL stream (a WAL file) into records, skipping
-// blank lines. The first malformed line aborts with its line number.
+// blank lines. The first malformed line aborts with its line number,
+// except a final line with no trailing newline that fails to decode:
+// that is the torn tail of a daemon killed mid-append, and is dropped.
 func ReadAll(r io.Reader) ([]Record, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	torn := false
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		torn = atEOF && len(data) > 0 && bytes.IndexByte(data, '\n') < 0
+		return bufio.ScanLines(data, atEOF)
+	})
 	var out []Record
 	lineNo := 0
 	for sc.Scan() {
@@ -175,6 +211,9 @@ func ReadAll(r io.Reader) ([]Record, error) {
 			continue
 		}
 		rec, err := Decode(line)
+		if err != nil && torn {
+			break
+		}
 		if err != nil {
 			return nil, fmt.Errorf("line %d: %w", lineNo, err)
 		}
@@ -196,9 +235,15 @@ type Config struct {
 	// Registry receives stac_recorder_* metrics (nil = obs.Default).
 	Registry *obs.Registry
 	// PolicyDigest is stamped onto every record (core.PolicyDigest of
-	// the engine's loaded policy). Attach the recorder after loading
+	// the engine's loaded policy; core.Engine.SetRecorder sets it on a
+	// recorder of replay inputs). Attach the recorder after loading
 	// the policy so the digest matches the decisions it governs.
 	PolicyDigest string
+	// DecisionsOnly keeps decide records without their replay inputs:
+	// no arrive/activate/deactivate/grant records, and no subject,
+	// history or program on decides. It is the coalition decision
+	// log's default; `stacd -record` turns the inputs on.
+	DecisionsOnly bool
 }
 
 const defaultCapacity = 1024
@@ -231,6 +276,7 @@ type Recorder struct {
 	wal    io.Writer
 	walErr error
 	policy string
+	inputs bool
 
 	records *obs.Counter
 	errs    *obs.Counter
@@ -249,12 +295,17 @@ func New(cfg Config) *Recorder {
 		ring:   obs.NewRing[Record](cfg.Capacity),
 		wal:    cfg.WAL,
 		policy: cfg.PolicyDigest,
+		inputs: !cfg.DecisionsOnly,
 		records: reg.Counter("stac_recorder_records_total", "",
 			"Engine events captured by the decision flight recorder."),
 		errs: reg.Counter("stac_recorder_errors_total", "",
 			"Recorder WAL appends that failed (recorder degraded to ring-only)."),
 	}
 }
+
+// Inputs reports whether the recorder captures replay inputs (see
+// Config.DecisionsOnly).
+func (r *Recorder) Inputs() bool { return r.inputs }
 
 // SetPolicyDigest replaces the digest stamped on subsequent records
 // (after a policy reload).
@@ -315,6 +366,15 @@ func (r *Recorder) Records() []Record {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.ring.Snapshot()
+}
+
+// Each calls fn on the retained records in append order until fn
+// returns false, holding the ring's mutex: fn must not call back into
+// the recorder.
+func (r *Recorder) Each(fn func(Record) bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.ring.Each(fn)
 }
 
 // Status reports the recorder's current state.

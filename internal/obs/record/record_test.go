@@ -75,6 +75,10 @@ func TestWALRoundTrip(t *testing.T) {
 			DecisionID: "d-0011223344556677", TraceID: "t-1",
 			Consumed: 1.5, Budget: 30, Scheme: "global"},
 		{Kind: KindGrant, Time: 1.5, Object: "o1", Server: "s1", Op: "read", Resource: "f"},
+		{Kind: KindDecide, Time: 1.75, Object: "o1", Server: "s1", Op: "read", Resource: "gone",
+			Granted: true, Perm: "p1", DecisionID: "d-8899aabbccddeeff",
+			ServedReason: "unknown resource",
+			Shadow:       &ShadowVerdict{Granted: false, Flip: true, Deny: "spatial_violated", Clause: "count(0, 0, sigma[r=f])"}},
 		{Kind: KindDeactivate, Time: 2, Object: "o1", User: "u1"},
 	}
 	for _, rec := range in {
@@ -116,6 +120,8 @@ func TestDecodeRejectsBadRecords(t *testing.T) {
 		{"missing schema", `{"kind":"decide"}`},
 		{"newer schema", fmt.Sprintf(`{"schema":%d,"kind":"decide"}`, SchemaVersion+1)},
 		{"unknown kind", `{"schema":1,"kind":"launch"}`},
+		{"served reason off decide", `{"schema":2,"kind":"grant","served_reason":"unknown resource"}`},
+		{"shadow off decide", `{"schema":2,"kind":"arrive","shadow":{"granted":true,"flip":false}}`},
 	}
 	for _, tc := range cases {
 		if _, err := Decode([]byte(tc.line)); err == nil {
@@ -172,6 +178,23 @@ func TestReadAllSkipsBlanksAndReportsLine(t *testing.T) {
 	bad := src + "{broken\n"
 	if _, err := ReadAll(strings.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "line 4") {
 		t.Errorf("ReadAll on malformed line: err = %v, want line 4 mention", err)
+	}
+}
+
+// A daemon killed mid-append leaves a final line with no newline that
+// does not decode: ReadAll drops that torn tail and keeps the rest. A
+// complete final line without a newline still counts.
+func TestReadAllDropsTornTail(t *testing.T) {
+	src := `{"schema":1,"kind":"arrive","object":"o1"}
+{"schema":1,"kind":"grant","object":"o1"}
+`
+	recs, err := ReadAll(strings.NewReader(src + `{"schema":1,"kind":"dec`))
+	if err != nil || len(recs) != 2 {
+		t.Fatalf("torn tail: %d records, err = %v, want the 2 whole ones", len(recs), err)
+	}
+	recs, err = ReadAll(strings.NewReader(src + `{"schema":1,"kind":"grant","object":"o2"}`))
+	if err != nil || len(recs) != 3 || recs[2].Object != "o2" {
+		t.Fatalf("unterminated whole line: %d records, err = %v, want 3", len(recs), err)
 	}
 }
 

@@ -4,28 +4,33 @@ package obs
 // evicts the oldest item. Items are numbered by append order from 1,
 // so the retained window is always the consecutive sequence range
 // [Total-Len+1, Total]. Ring is the one buffer under the span store,
-// the time series, the flight recorder and the coalition decision
-// log. It is not synchronised: its owner holds its own lock around
+// the time series and the flight recorder (the coalition decision
+// log). It is not synchronised: its owner holds its own lock around
 // every call.
 type Ring[T any] struct {
 	buf   []T
+	size  int // capacity; buf is allocated by the first Append
 	next  int // slot of the oldest item once full; 0 until then
 	total uint64
 }
 
 // NewRing creates a ring retaining the last capacity items. capacity
-// must be positive.
+// must be positive. The buffer is allocated on first use, so a ring
+// replaced before it is used costs nothing.
 func NewRing[T any](capacity int) *Ring[T] {
 	if capacity <= 0 {
 		panic("obs: ring capacity must be positive")
 	}
-	return &Ring[T]{buf: make([]T, 0, capacity)}
+	return &Ring[T]{size: capacity}
 }
 
 // Append stores v, evicting the oldest item when full, and returns
 // v's sequence number.
 func (r *Ring[T]) Append(v T) uint64 {
 	r.total++
+	if r.buf == nil {
+		r.buf = make([]T, 0, r.size)
+	}
 	if len(r.buf) < cap(r.buf) {
 		r.buf = append(r.buf, v)
 	} else {
@@ -94,7 +99,7 @@ func (r *Ring[T]) Len() int { return len(r.buf) }
 func (r *Ring[T]) Total() uint64 { return r.total }
 
 // Cap returns the retained-window size.
-func (r *Ring[T]) Cap() int { return cap(r.buf) }
+func (r *Ring[T]) Cap() int { return r.size }
 
 // appendRange appends the items at append-order positions [from, to)
 // of the retained window to dst.

@@ -8,24 +8,21 @@ import (
 	"stac/internal/core"
 	"stac/internal/model"
 	"stac/internal/obs"
+	"stac/internal/obs/record"
 )
 
 // This file provides the agent-monitoring facility of the Naplet
 // system (Section 5 lists "mechanisms for agent monitoring, control"):
-// every authorisation decision any coalition server makes is appended
-// once to one coalition-wide decision log, a bounded ring of audit
-// entries. The security officer reads it per server (Audit, the
-// `audit` wire verb), by decision ID (Explain, /debug/explain) and
-// live (/debug/watch follows it by cursor); the optional JSONL sink
-// is its durable copy.
+// every authorisation decision any coalition server makes is written
+// once, as one decide record, to the coalition's decision log — the
+// engine's flight-recorder ring (internal/obs/record), which every
+// coalition attaches. The security officer reads it per server (Audit,
+// the `audit` wire verb), by decision ID (Explain, /debug/explain) and
+// live (the /debug/journal tail); the optional JSONL sink is its
+// durable copy. AuditEntry is the read-side shape of a decide record.
 
-// decisionLogCapacity bounds the coalition decision log. It covers
-// the 3 × 256 decisions the per-server windows of a default
-// three-server stacd used to retain.
-const decisionLogCapacity = 1024
-
-// AuditEntry is one served authorisation decision — an entry of the
-// coalition decision log and one line of the JSONL audit sink,
+// AuditEntry is one served authorisation decision as the decision log
+// serves it (see AuditFromRecord) — one line of the JSONL audit sink,
 // carrying everything `stacctl explain` needs: the correlation IDs,
 // the outcome, and the denial explanation (violated SRAC clause with
 // its count windows, or the temporal budget arithmetic).
@@ -52,7 +49,64 @@ type AuditEntry struct {
 	Explanation    *core.Explanation `json:"explanation,omitempty"`
 	// Shadow is the candidate policy's verdict for the same request
 	// (nil unless shadow evaluation is enabled).
-	Shadow *ShadowVerdict `json:"shadow,omitempty"`
+	Shadow *record.ShadowVerdict `json:"shadow,omitempty"`
+}
+
+// AuditFromRecord projects a decide record onto an AuditEntry: the
+// served verdict and reason (an engine grant the server refused reads
+// as that denial), with Time on the deciding engine's clock.
+func AuditFromRecord(r record.Record) AuditEntry {
+	e := AuditEntry{
+		DecisionID:     r.DecisionID,
+		TraceID:        r.TraceID,
+		HLC:            r.HLC,
+		Time:           r.Time,
+		Server:         r.Server,
+		Object:         r.Object,
+		Op:             r.Op,
+		Resource:       r.Resource,
+		Granted:        r.Granted && r.ServedReason == "",
+		Perm:           r.Perm,
+		DenyReason:     r.Deny,
+		Reason:         r.Reason,
+		SpatialStatus:  r.Spatial,
+		ProgramVerdict: r.ProgramVerdict,
+		TemporalState:  r.Temporal,
+		Shadow:         r.Shadow,
+	}
+	if r.ServedReason != "" {
+		e.Reason = r.ServedReason
+	}
+	if len(r.Explanation) > 0 {
+		e.Explanation = new(core.Explanation)
+		if json.Unmarshal(r.Explanation, e.Explanation) != nil {
+			e.Explanation = nil
+		}
+	}
+	return e
+}
+
+// auditEntry projects one of the server's decide records, with Time on
+// the server's local clock.
+func (s *Server) auditEntry(r record.Record) AuditEntry {
+	e := AuditFromRecord(r)
+	s.mu.RLock()
+	e.Time += s.clockSkew
+	s.mu.RUnlock()
+	return e
+}
+
+// decisions returns the decide records the decision log retains for
+// which keep holds, in decision order.
+func (c *Coalition) decisions(keep func(record.Record) bool) []record.Record {
+	var out []record.Record
+	c.Engine.Recorder().Each(func(r record.Record) bool {
+		if r.Kind == record.KindDecide && keep(r) {
+			out = append(out, r)
+		}
+		return true
+	})
+	return out
 }
 
 // String renders the entry as the security officer reads it: one line
@@ -76,56 +130,27 @@ func (e AuditEntry) String() string {
 // exceed what the log retains).
 func (s *Server) Audit() ([]AuditEntry, int) {
 	grants, denies := s.Counters()
-	var out []AuditEntry
-	c := s.coalition
-	c.auditMu.Lock()
-	c.decisions.Each(func(e AuditEntry) bool {
-		if e.Server == string(s.id) {
-			out = append(out, e)
-		}
-		return true
-	})
-	c.auditMu.Unlock()
+	recs := s.coalition.decisions(func(r record.Record) bool { return r.Server == string(s.id) })
+	out := make([]AuditEntry, 0, len(recs))
+	for _, r := range recs {
+		out = append(out, s.auditEntry(r))
+	}
 	return out, grants + denies
 }
 
-// recordDecision builds the decision's audit entry and logs it.
-func (s *Server) recordDecision(a model.Access, granted bool, reason string, dec core.Decision, tc obs.TraceContext, shadow *ShadowVerdict) {
-	e := AuditEntry{
-		DecisionID:     dec.ID,
-		HLC:            dec.HLC.String(),
-		Time:           s.localNow(),
-		Server:         string(s.id),
-		Object:         string(a.Object),
-		Op:             string(a.Op),
-		Resource:       string(a.Resource),
-		Granted:        granted,
-		Perm:           string(dec.Perm),
-		DenyReason:     string(dec.Deny),
-		Reason:         reason,
-		SpatialStatus:  dec.Spatial.String(),
-		ProgramVerdict: dec.ProgramVerdict.String(),
-		TemporalState:  dec.Temporal.String(),
-		Explanation:    dec.Explanation,
-		Shadow:         shadow,
-	}
-	if tc.Valid() {
-		e.TraceID = tc.Trace.String()
-	}
-	s.coalition.logDecision(e)
-}
-
-// logDecision appends one decision to the coalition log and, when a
-// sink is set, writes it as a JSON line — under one lock, so the
-// sink's line order is the log's.
-func (c *Coalition) logDecision(e AuditEntry) {
+// logServed writes one served decision to the coalition log and, when
+// a sink is set, to the sink as a JSON line — under one lock, so the
+// sink's line order is the log's. reason is the server's own denial
+// of an engine grant ("" when it served the engine verdict).
+func (s *Server) logServed(tc obs.TraceContext, req core.Request, dec core.Decision, reason string, shadow *record.ShadowVerdict) {
+	c := s.coalition
 	c.auditMu.Lock()
 	defer c.auditMu.Unlock()
-	c.decisions.Append(e)
-	if c.auditSink == nil {
+	r, ok := c.Engine.LogDecision(tc, req, dec, reason, shadow)
+	if !ok || c.auditSink == nil {
 		return
 	}
-	b, err := json.Marshal(e)
+	b, err := json.Marshal(s.auditEntry(r))
 	if err != nil {
 		c.auditSinkFailedLocked(err)
 		return
@@ -138,28 +163,13 @@ func (c *Coalition) logDecision(e AuditEntry) {
 	c.auditSinkErr = nil
 }
 
-// decisionsSince reads the coalition log past cursor, at most limit
-// entries (see obs.Ring.Since).
-func (c *Coalition) decisionsSince(cursor uint64, limit int) (entries []AuditEntry, missed, total uint64) {
-	c.auditMu.Lock()
-	defer c.auditMu.Unlock()
-	return c.decisions.Since(cursor, limit)
-}
-
-// decisionTotal returns the number of decisions ever logged.
-func (c *Coalition) decisionTotal() uint64 {
-	c.auditMu.Lock()
-	defer c.auditMu.Unlock()
-	return c.decisions.Total()
-}
-
-// retainedByServer counts the coalition log's entries per server.
+// retainedByServer counts the coalition log's decisions per server.
 func (c *Coalition) retainedByServer() map[string]int {
 	out := make(map[string]int)
-	c.auditMu.Lock()
-	defer c.auditMu.Unlock()
-	c.decisions.Each(func(e AuditEntry) bool {
-		out[e.Server]++
+	c.Engine.Recorder().Each(func(r record.Record) bool {
+		if r.Kind == record.KindDecide {
+			out[r.Server]++
+		}
 		return true
 	})
 	return out
@@ -200,18 +210,16 @@ func (c *Coalition) auditSinkFailedLocked(err error) {
 // Explain looks a decision up by ID in the coalition log — the lookup
 // behind `stacctl explain` and the daemon's /debug/explain endpoint.
 func (c *Coalition) Explain(decisionID string) (AuditEntry, bool) {
-	var found AuditEntry
-	ok := false
 	if decisionID == "" {
-		return found, ok
+		return AuditEntry{}, false
 	}
-	c.auditMu.Lock()
-	defer c.auditMu.Unlock()
-	c.decisions.Each(func(e AuditEntry) bool {
-		if e.DecisionID == decisionID {
-			found, ok = e, true
-		}
-		return !ok
-	})
-	return found, ok
+	recs := c.decisions(func(r record.Record) bool { return r.DecisionID == decisionID })
+	if len(recs) == 0 {
+		return AuditEntry{}, false
+	}
+	r := recs[0]
+	if s, err := c.Server(model.ServerID(r.Server)); err == nil {
+		return s.auditEntry(r), true
+	}
+	return AuditFromRecord(r), true
 }

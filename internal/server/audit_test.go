@@ -41,19 +41,23 @@ func TestAuditRecordsDecisions(t *testing.T) {
 	}
 }
 
-// The coalition log retains the last decisionLogCapacity decisions of
+// The coalition log retains the last 1024 decisions of
 // every server together, in decision order: past that, each server's
 // Audit() is its share of the window, its total still counts every
 // decision it made, and evicted decisions no longer explain.
 func TestAuditRingWrapsChronologically(t *testing.T) {
 	c, clk := newCoalition(t)
+	capacity := c.Engine.Recorder().Status().Capacity
+	if capacity != 1024 {
+		t.Fatalf("default decision log holds %d, want 1024", capacity)
+	}
 	servers := make([]*Server, 2)
 	subs := make([]*Subject, 2)
 	for i, id := range []model.ServerID{"s1", "s2"} {
 		servers[i], _ = c.Server(id)
 		subs[i], _ = servers[i].Authenticate(cred(c, "o1", "owner", "traveler"))
 	}
-	const n = decisionLogCapacity + 300
+	n := capacity + 300
 	var first, last string
 	for i := 0; i < n; i++ {
 		clk.Advance(1) // decision i is stamped t=i+1
@@ -76,9 +80,9 @@ func TestAuditRingWrapsChronologically(t *testing.T) {
 		}
 		retained += len(records)
 		// Chronological, this server's only, and within the window of
-		// the last decisionLogCapacity decisions.
+		// the last capacity decisions.
 		for j, r := range records {
-			if !r.Granted || r.Server != string(srv.ID()) || r.Time < n-decisionLogCapacity+1 {
+			if !r.Granted || r.Server != string(srv.ID()) || r.Time < float64(n-capacity+1) {
 				t.Fatalf("%s retained %+v", srv.ID(), r)
 			}
 			if j > 0 && r.Time != records[j-1].Time+2 {
@@ -89,13 +93,13 @@ func TestAuditRingWrapsChronologically(t *testing.T) {
 			t.Fatalf("%s newest entry t=%g, want %d", srv.ID(), got, n-1+i)
 		}
 	}
-	if retained != decisionLogCapacity {
-		t.Fatalf("retained %d decisions, want %d", retained, decisionLogCapacity)
+	if retained != capacity {
+		t.Fatalf("retained %d decisions, want %d", retained, capacity)
 	}
 	if _, ok := c.Explain(first); ok {
 		t.Fatal("evicted decision still explains")
 	}
-	if e, ok := c.Explain(last); !ok || e.Time != n {
+	if e, ok := c.Explain(last); !ok || e.Time != float64(n) {
 		t.Fatalf("newest decision explains as %+v, %v", e, ok)
 	}
 }

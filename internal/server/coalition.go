@@ -24,6 +24,7 @@ import (
 	"stac/internal/core"
 	"stac/internal/model"
 	"stac/internal/obs"
+	"stac/internal/obs/record"
 	"stac/internal/proof"
 	"stac/internal/rbac"
 	"stac/internal/registry"
@@ -61,24 +62,17 @@ type Coalition struct {
 	// migrations counts completed migrations, for experiment reports.
 	migrations int
 
-	// auditMu guards the decision log and its sink (see audit.go).
-	// decisions is the coalition-wide log of served decisions, every
-	// server's, in decision order. auditSink, when set, receives each
-	// of them as one JSON line — the log's durable copy. auditSinkErr
-	// holds the most recent write failure (nil after a successful
-	// write), so /readyz can report a sink that is losing decisions;
-	// auditSinkErrs counts every failed append.
+	// auditMu orders decision logging with the sink (see audit.go):
+	// the decision log itself is the engine's recorder ring. auditSink,
+	// when set, receives every logged decision as one JSON line — the
+	// log's durable copy. auditSinkErr holds the most recent write
+	// failure (nil after a successful write), so /readyz can report a
+	// sink that is losing decisions; auditSinkErrs counts every failed
+	// append.
 	auditMu       sync.Mutex
-	decisions     *obs.Ring[AuditEntry]
 	auditSink     io.Writer
 	auditSinkErr  error
 	auditSinkErrs int64
-
-	// watchers counts live /debug/watch streams; watchDropped counts
-	// the decisions they missed because the log evicted them before a
-	// poll reached them.
-	watchers     atomic.Int64
-	watchDropped atomic.Int64
 
 	// shadow, when set, holds the candidate policy evaluated alongside
 	// the served one (see shadow.go).
@@ -94,17 +88,22 @@ type Coalition struct {
 }
 
 // NewCoalition creates a coalition with the given clock (nil for a
-// simulated clock at 0) and signing key.
+// simulated clock at 0) and signing key. Its engine gets the decision
+// log: a recorder of decide records only, 1024 entries, which covers
+// the 3 × 256 decisions the per-server windows of a default
+// three-server stacd once retained. Attach one that captures replay
+// inputs (Engine.SetRecorder) to record for replay.
 func NewCoalition(clock temporal.Clock, key []byte) *Coalition {
+	eng := core.NewEngine(clock)
+	eng.SetRecorder(record.New(record.Config{DecisionsOnly: true, Registry: eng.Obs()}))
 	return &Coalition{
-		Engine:    core.NewEngine(clock),
-		Registry:  registry.New(),
-		Signer:    proof.NewSigner(key),
-		Hub:       channel.NewHub(),
-		servers:   make(map[model.ServerID]*Server),
-		decisions: obs.NewRing[AuditEntry](decisionLogCapacity),
-		programs:  newProgramCache(),
-		handoff:   newHandoff(),
+		Engine:   eng,
+		Registry: registry.New(),
+		Signer:   proof.NewSigner(key),
+		Hub:      channel.NewHub(),
+		servers:  make(map[model.ServerID]*Server),
+		programs: newProgramCache(),
+		handoff:  newHandoff(),
 	}
 }
 
@@ -349,7 +348,7 @@ func (s *Server) Request(sub *Subject, op model.Operation, res model.ResourceID,
 	dec := s.coalition.Engine.AuthorizeTraced(ctx, req)
 	if dec.ID == "" {
 		// Unsampled path: the engine leaves the ID empty to stay
-		// allocation-free; mint it here, where the audit entry (and
+		// allocation-free; mint it here, where the decide record (and
 		// eventually the proof HMAC) dominate the cost anyway.
 		dec.ID = obs.NewDecisionID()
 	}
@@ -361,7 +360,7 @@ func (s *Server) Request(sub *Subject, op model.Operation, res model.ResourceID,
 		s.mu.Lock()
 		s.denies++
 		s.mu.Unlock()
-		s.recordDecision(access, false, dec.Reason, dec, prog.Trace, sv)
+		s.logServed(prog.Trace, req, dec, "", sv)
 		return AccessResult{Decision: dec}, fmt.Errorf("%w: %s", ErrDenied, dec.Reason)
 	}
 
@@ -371,7 +370,7 @@ func (s *Server) Request(sub *Subject, op model.Operation, res model.ResourceID,
 	if !ok && op != model.OpWrite {
 		s.denies++
 		s.mu.Unlock()
-		s.recordDecision(access, false, "unknown resource", dec, prog.Trace, sv)
+		s.logServed(prog.Trace, req, dec, "unknown resource", sv)
 		return AccessResult{Decision: dec}, fmt.Errorf("%w: %q at %q", model.ErrUnknownResource, res, s.id)
 	}
 	var data []byte
@@ -384,6 +383,7 @@ func (s *Server) Request(sub *Subject, op model.Operation, res model.ResourceID,
 	}
 	s.grants++
 	s.mu.Unlock()
+	s.logServed(prog.Trace, req, dec, "", sv)
 
 	pr := s.coalition.Signer.Issue(access, s.localNow())
 	if prog.Store != nil {
@@ -399,7 +399,6 @@ func (s *Server) Request(sub *Subject, op model.Operation, res model.ResourceID,
 	// Log the executed access: a flight-recorder grant record and one
 	// history append for the cost profiler.
 	s.coalition.Engine.RecordGrant(access)
-	s.recordDecision(access, true, "", dec, prog.Trace, sv)
 	return AccessResult{Data: data, Proof: pr, Decision: dec}, nil
 }
 

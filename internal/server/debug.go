@@ -18,10 +18,9 @@ import (
 // metrics, expvar, pprof, the span ring, decision explanations, the
 // temporal-budget series, versioned fleet snapshots, the per-clause
 // evaluation profile (/debug/cost), hot-path perf (/debug/perf),
-// health probes, the /debug/watch decision stream and the
-// /debug/journal flight-recorder tail. The fleet poller
-// (internal/obs/federate) and stacctl's top/watch/heat/slow/timeline
-// verbs speak to these endpoints.
+// health probes and the /debug/journal decision-log tail. The fleet
+// poller (internal/obs/federate) and stacctl's
+// top/watch/heat/slow/timeline verbs speak to these endpoints.
 type DebugServer struct {
 	c       *Coalition
 	daemons []*Daemon
@@ -43,19 +42,13 @@ type DebugConfig struct {
 	// BudgetTail bounds the series tail in /debug/snapshot (0 = a
 	// default of 32; negative = full retained window).
 	BudgetTail int
-	// Heartbeat is the SSE keep-alive comment interval for
-	// /debug/watch (0 = 15 s).
-	Heartbeat time.Duration
 	// Profiler, when non-nil, serves the continuous-profiling ring at
 	// /debug/perf (summary + raw pprof snapshots). The DebugServer does
 	// not own its lifecycle — the daemon Starts/Stops it.
 	Profiler *perf.Profiler
 }
 
-const (
-	defaultSnapshotTail   = 32
-	defaultWatchHeartbeat = 15 * time.Second
-)
+const defaultSnapshotTail = 32
 
 // NewDebugServer builds the observability surface for a coalition and
 // its TCP daemons. tracer may be nil (the /debug/trace endpoint then
@@ -66,9 +59,6 @@ func NewDebugServer(c *Coalition, daemons []*Daemon, tracer *obs.Tracer, cfg Deb
 	}
 	if cfg.BudgetTail == 0 {
 		cfg.BudgetTail = defaultSnapshotTail
-	}
-	if cfg.Heartbeat <= 0 {
-		cfg.Heartbeat = defaultWatchHeartbeat
 	}
 	return &DebugServer{
 		c:       c,
@@ -106,7 +96,6 @@ func (h *DebugServer) Mux() *http.ServeMux {
 	mux.HandleFunc("/debug/perf", h.handlePerf)
 	mux.HandleFunc("/healthz", h.handleHealthz)
 	mux.HandleFunc("/readyz", h.handleReadyz)
-	mux.HandleFunc("/debug/watch", h.handleWatch)
 	mux.HandleFunc("/debug/journal", h.handleJournal)
 	return mux
 }
@@ -134,7 +123,7 @@ func (h *DebugServer) StartBudgetSampler(interval time.Duration) {
 	}()
 }
 
-// Drain releases every streaming handler (watch and journal) and stops
+// Drain releases every journal tail and stops
 // the budget sampler, then waits for them to exit. Call it BEFORE
 // http.Server.Shutdown: Shutdown waits for in-flight handlers, and an
 // SSE stream never finishes on its own.
@@ -186,10 +175,8 @@ func (h *DebugServer) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	snap := h.c.Snapshot(tail, h.daemons...)
 	// The journal tails live on the DebugServer, not the coalition, so
 	// their state is folded in here rather than in Coalition.Snapshot.
-	if h.c.Engine.Recorder() != nil {
-		st := h.journal.Stats()
-		snap.Journal = &st
-	}
+	st := h.JournalStats()
+	snap.Journal = &st
 	writeJSON(w, snap)
 }
 
@@ -247,145 +234,4 @@ func writeHealth(w http.ResponseWriter, health Health) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(health)
-}
-
-// watchFilter is the /debug/watch query-parameter filter.
-type watchFilter struct {
-	object  string
-	perm    string
-	verdict string // "", "grant" or "deny"
-	server  string
-}
-
-func watchFilterFromQuery(r *http.Request) (watchFilter, error) {
-	f := watchFilter{
-		object:  r.URL.Query().Get("object"),
-		perm:    r.URL.Query().Get("perm"),
-		verdict: r.URL.Query().Get("verdict"),
-		server:  r.URL.Query().Get("server"),
-	}
-	switch f.verdict {
-	case "", "grant", "deny":
-	default:
-		return f, fmt.Errorf("bad verdict %q (want grant or deny)", f.verdict)
-	}
-	return f, nil
-}
-
-func (f watchFilter) match(e AuditEntry) bool {
-	if f.object != "" && e.Object != f.object {
-		return false
-	}
-	if f.perm != "" && e.Perm != f.perm {
-		return false
-	}
-	if f.server != "" && e.Server != f.server {
-		return false
-	}
-	switch f.verdict {
-	case "grant":
-		return e.Granted
-	case "deny":
-		return !e.Granted
-	}
-	return true
-}
-
-// Watchers returns the number of live /debug/watch streams.
-func (c *Coalition) Watchers() int { return int(c.watchers.Load()) }
-
-// WatchDropped returns the number of decisions /debug/watch streams
-// missed since the coalition started: entries the decision log evicted
-// before a stream's poll reached them, summed over streams.
-func (c *Coalition) WatchDropped() int64 { return c.watchDropped.Load() }
-
-// handleWatch streams the coalition's decisions as Server-Sent Events:
-// one "decision" event per authorisation outcome, JSON AuditEntry
-// data, filterable by ?object= ?perm= ?server= ?verdict=grant|deny.
-// It follows the decision log by cursor from the moment it connects,
-// polling every minJournalPoll, so the decision path never waits on a
-// watcher; a watcher that falls more than the log's capacity behind
-// loses the evicted entries (counted in WatchDropped). The stream ends
-// when the client disconnects or the server drains; a drain first
-// delivers every decision already logged.
-func (h *DebugServer) handleWatch(w http.ResponseWriter, r *http.Request) {
-	filter, err := watchFilterFromQuery(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-
-	// Track the handler so Drain waits for it, and take the cursor
-	// before the first byte so every decision the client can cause
-	// after connecting lies past it.
-	h.wg.Add(1)
-	defer h.wg.Done()
-	select {
-	case <-h.quit:
-		http.Error(w, "shutting down", http.StatusServiceUnavailable)
-		return
-	default:
-	}
-	cursor := h.c.decisionTotal()
-	h.c.watchers.Add(1)
-	defer h.c.watchers.Add(-1)
-
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	fmt.Fprintf(w, ": stac decision watch v%d\n\n", SnapshotVersion)
-	fl.Flush()
-
-	// follow streams every decision logged past the cursor, in bounded
-	// batches, up to the log's total at the last read.
-	follow := func() {
-		for {
-			entries, missed, _ := h.c.decisionsSince(cursor, journalBatch)
-			h.c.watchDropped.Add(int64(missed))
-			cursor += missed + uint64(len(entries))
-			for _, e := range entries {
-				if !filter.match(e) {
-					continue
-				}
-				b, err := json.Marshal(e)
-				if err != nil {
-					continue
-				}
-				fmt.Fprintf(w, "event: decision\ndata: %s\n\n", b)
-				if e.Shadow != nil && e.Shadow.Flip {
-					// A shadow-policy disagreement gets its own event
-					// so clients can watch flips without parsing every
-					// decision.
-					fmt.Fprintf(w, "event: flip\ndata: %s\n\n", b)
-				}
-			}
-			if len(entries) < journalBatch {
-				fl.Flush()
-				return
-			}
-		}
-	}
-	poll := time.NewTicker(minJournalPoll)
-	defer poll.Stop()
-	beat := time.NewTicker(h.cfg.Heartbeat)
-	defer beat.Stop()
-	for {
-		select {
-		case <-poll.C:
-			follow()
-		case <-beat.C:
-			fmt.Fprint(w, ": heartbeat\n\n")
-			fl.Flush()
-		case <-r.Context().Done():
-			return
-		case <-h.quit:
-			follow()
-			return
-		}
-	}
 }

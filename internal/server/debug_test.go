@@ -2,11 +2,13 @@ package server
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +16,8 @@ import (
 	"stac/internal/core"
 	"stac/internal/model"
 	"stac/internal/obs"
+	"stac/internal/obs/journal"
+	"stac/internal/obs/record"
 	"stac/internal/proof"
 	"stac/internal/temporal"
 )
@@ -33,36 +37,72 @@ func grantOnce(t *testing.T, c *Coalition) {
 	}
 }
 
-// openWatch attaches a /debug/watch stream and waits until the
-// coalition counts it, so every later decision lies past its cursor.
-func openWatch(t *testing.T, c *Coalition, url string, want int) *http.Response {
+// liveTail is `stacctl watch`'s view of one daemon: a journal
+// follower started at the live tail, forwarding each decide record.
+type liveTail struct {
+	decides chan record.Record
+	stop    context.CancelFunc
+}
+
+// followLive attaches a live tail and waits until the journal counts
+// want active tails, so every later decision lies past its cursor.
+func followLive(t *testing.T, h *DebugServer, url string, want int) *liveTail {
 	t.Helper()
-	resp, err := http.Get(url + "/debug/watch")
-	if err != nil {
-		t.Fatal(err)
+	ctx, cancel := context.WithCancel(context.Background())
+	// Buffered past any test's burst, so the tail never waits on the
+	// test to read.
+	lt := &liveTail{decides: make(chan record.Record, 64), stop: cancel}
+	f := &journal.Follower{Name: "m", BaseURL: url, Cursor: math.MaxUint64, Poll: minJournalPoll}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = f.Run(ctx, func(fr journal.Frame) {
+			if fr.Kind == journal.KindRecord && fr.Record.Kind == record.KindDecide {
+				select {
+				case lt.decides <- *fr.Record:
+				case <-ctx.Done():
+				}
+			}
+		})
+	}()
+	t.Cleanup(func() { cancel(); <-done })
+	waitTails(t, h, want)
+	return lt
+}
+
+// next returns the tail's next decide record.
+func (lt *liveTail) next(t *testing.T) record.Record {
+	t.Helper()
+	select {
+	case r := <-lt.decides:
+		return r
+	case <-time.After(5 * time.Second):
+		t.Fatal("no decide record on the live tail")
+		return record.Record{}
 	}
-	t.Cleanup(func() { resp.Body.Close() })
-	for deadline := time.Now().Add(2 * time.Second); c.Watchers() != want; {
+}
+
+func waitTails(t *testing.T, h *DebugServer, want int) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); h.JournalStats().ActiveTails != want; {
 		if time.Now().After(deadline) {
-			t.Fatalf("watchers = %d, want %d", c.Watchers(), want)
+			t.Fatalf("active tails = %d, want %d", h.JournalStats().ActiveTails, want)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	return resp
 }
 
-// A watch stream counts as a watcher while it is attached, follows
+// A live tail counts as an active tail while it is attached, follows
 // the decision log from where it connected, and stops counting once
 // the client goes away.
 func TestWatchDecisionsDeliversEntries(t *testing.T) {
 	c, _ := newCoalition(t)
-	_, ts := newDebugHTTP(t, c)
-	grantOnce(t, c) // logged before the stream connects: not delivered
-	resp := openWatch(t, c, ts.URL, 1)
+	h, ts := newDebugHTTP(t, c)
+	grantOnce(t, c) // logged before the tail connects: not delivered
+	lt := followLive(t, h, ts.URL, 1)
 
 	grantOnce(t, c)
-	events := readSSEEvents(t, bufio.NewScanner(resp.Body), 1, 5*time.Second)
-	e := events[0]
+	e := AuditFromRecord(lt.next(t))
 	if !e.Granted || e.Object != "o1" || e.Server != "s1" || e.DecisionID == "" {
 		t.Fatalf("entry = %+v", e)
 	}
@@ -71,54 +111,56 @@ func TestWatchDecisionsDeliversEntries(t *testing.T) {
 		t.Fatalf("streamed %s, log holds %+v", e.DecisionID, records)
 	}
 
-	resp.Body.Close()
-	for deadline := time.Now().Add(2 * time.Second); c.Watchers() != 0; {
-		if time.Now().After(deadline) {
-			t.Fatalf("watchers after disconnect = %d", c.Watchers())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	lt.stop()
+	waitTails(t, h, 0)
 	// Deciding with nobody watching must not block.
 	grantOnce(t, c)
 }
 
-// A watcher that falls more than the log's capacity behind loses the
-// evicted decisions: they are counted as dropped, exactly the cursor
-// gap, and the stream resumes with the oldest retained decision.
+// A tail that falls more than the log's capacity behind loses the
+// evicted decisions: one gap frame reports exactly them, and the
+// stream resumes with the oldest retained decision.
 func TestWatchDecisionsDropsOnFullBuffer(t *testing.T) {
 	c, _ := newCoalition(t)
-	h := NewDebugServer(c, nil, nil, DebugConfig{Registry: obs.NewRegistry()})
-	rec := httptest.NewRecorder()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		h.handleWatch(rec, httptest.NewRequest(http.MethodGet, "/debug/watch", nil))
-	}()
-	for deadline := time.Now().Add(2 * time.Second); c.Watchers() != 1; {
-		if time.Now().After(deadline) {
-			t.Fatal("watcher never attached")
-		}
-		time.Sleep(time.Millisecond)
+	const capacity = 8
+	c.Engine.SetRecorder(record.New(record.Config{Capacity: capacity, DecisionsOnly: true, Registry: obs.NewRegistry()}))
+	h, ts := newDebugHTTP(t, c)
+	// A 5 s poll keeps the tail from reading the burst below until the
+	// drain's final read, by when the oldest decisions are gone.
+	resp, err := http.Get(ts.URL + "/debug/journal?poll=5s&cursor=" + strconv.FormatUint(math.MaxUint64, 10))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Decisions logged faster than the watcher polls: holding the log's
-	// lock over the whole burst keeps the watcher from reading any of
-	// it until the oldest entries are gone.
-	const extra = 5
-	c.auditMu.Lock()
-	for i := 0; i < decisionLogCapacity+extra; i++ {
-		c.decisions.Append(AuditEntry{DecisionID: fmt.Sprintf("d-%d", i), Server: "s1"})
-	}
-	c.auditMu.Unlock()
-	h.Drain()
-	<-done
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	// The connect meta, then the caught-up meta of the first read.
+	readFrames(t, sc, 2)
 
-	if d := c.WatchDropped(); d != extra {
-		t.Fatalf("dropped = %d, want %d", d, extra)
+	const extra = 5
+	srv, _ := c.Server("s1")
+	sub, err := srv.Authenticate(cred(c, "o1", "owner", "traveler"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	events := readSSEEvents(t, bufio.NewScanner(strings.NewReader(rec.Body.String())), decisionLogCapacity, 5*time.Second)
-	if first, last := events[0].DecisionID, events[len(events)-1].DecisionID; first != fmt.Sprintf("d-%d", extra) ||
-		last != fmt.Sprintf("d-%d", decisionLogCapacity+extra-1) {
-		t.Fatalf("stream ran %s..%s", first, last)
+	var ids []string
+	for i := 0; i < capacity+extra; i++ {
+		res, err := srv.Request(sub, model.OpRead, "f-s1", RequestContext{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, res.Decision.ID)
+	}
+	h.Drain()
+
+	frames := readFrames(t, sc, 1+capacity)
+	if g := frames[0].Gap; frames[0].Kind != journal.KindGap || g.Missed != extra {
+		t.Fatalf("first frame after the burst = %+v, want a gap of %d", frames[0], extra)
+	}
+	if first, last := frames[1].Record.DecisionID, frames[capacity].Record.DecisionID; first != ids[extra] || last != ids[len(ids)-1] {
+		t.Fatalf("stream ran %s..%s, want %s..%s", first, last, ids[extra], ids[len(ids)-1])
+	}
+	if g := h.JournalStats().Gaps; g != extra {
+		t.Fatalf("gaps = %d, want %d", g, extra)
 	}
 }
 
@@ -319,7 +361,7 @@ func newDebugHTTP(t *testing.T, c *Coalition, daemons ...*Daemon) (*DebugServer,
 	t.Helper()
 	reg := obs.NewRegistry()
 	c.Engine.SetObs(reg)
-	h := NewDebugServer(c, daemons, nil, DebugConfig{Registry: reg, Heartbeat: 50 * time.Millisecond})
+	h := NewDebugServer(c, daemons, nil, DebugConfig{Registry: reg})
 	ts := httptest.NewServer(h.Mux())
 	t.Cleanup(func() { h.Drain(); ts.Close() })
 	return h, ts
@@ -381,49 +423,39 @@ func TestDebugEndpoints(t *testing.T) {
 	}
 }
 
-// readSSEEvents collects up to n "data:" payloads from an SSE body.
-func readSSEEvents(t *testing.T, body *bufio.Scanner, n int, deadline time.Duration) []AuditEntry {
+// readFrames decodes the next n journal frames from an SSE body.
+func readFrames(t *testing.T, sc *bufio.Scanner, n int) []journal.Frame {
 	t.Helper()
-	done := time.After(deadline)
-	var out []AuditEntry
-	lines := make(chan string)
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		defer close(lines)
-		for body.Scan() {
-			select {
-			case lines <- body.Text():
-			case <-stop:
-				return
-			}
+	var out []journal.Frame
+	event := ""
+	for len(out) < n && sc.Scan() {
+		line := sc.Text()
+		if name, ok := strings.CutPrefix(line, "event: "); ok {
+			event = name
+			continue
 		}
-	}()
-	for len(out) < n {
-		select {
-		case ln, ok := <-lines:
-			if !ok {
-				return out
+		if data, ok := strings.CutPrefix(line, "data: "); ok {
+			fr, err := journal.DecodeFrame(event, []byte(data))
+			if err != nil {
+				t.Fatalf("bad journal frame %q: %v", data, err)
 			}
-			if data, found := strings.CutPrefix(ln, "data: "); found {
-				var e AuditEntry
-				if err := json.Unmarshal([]byte(data), &e); err != nil {
-					t.Fatalf("bad SSE payload %q: %v", data, err)
-				}
-				out = append(out, e)
-			}
-		case <-done:
-			t.Fatalf("timed out with %d/%d events", len(out), n)
+			out = append(out, fr)
 		}
+	}
+	if len(out) < n {
+		t.Fatalf("stream ended with %d/%d frames (%v)", len(out), n, sc.Err())
 	}
 	return out
 }
 
+// The live tail streams Server-Sent Events whose decide records carry
+// what `stacctl watch` filters on (object, permission, server, served
+// verdict); /debug/watch is gone, and Drain ends the stream.
 func TestWatchSSEStreamsAndFilters(t *testing.T) {
 	c, _ := newCoalition(t)
 	h, ts := newDebugHTTP(t, c)
 
-	resp, err := http.Get(ts.URL + "/debug/watch?verdict=grant&object=o1")
+	resp, err := http.Get(ts.URL + "/debug/journal?cursor=" + strconv.FormatUint(math.MaxUint64, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,14 +463,7 @@ func TestWatchSSEStreamsAndFilters(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("content type = %q", ct)
 	}
-	// Wait until the handler has subscribed before deciding.
-	deadline := time.Now().Add(2 * time.Second)
-	for c.Watchers() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("watcher never subscribed")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitTails(t, h, 1)
 
 	srv, _ := c.Server("s1")
 	sub, err := srv.Authenticate(cred(c, "o1", "owner", "traveler"))
@@ -449,33 +474,46 @@ func TestWatchSSEStreamsAndFilters(t *testing.T) {
 	if _, err := srv.Request(sub, model.OpRead, "f-s1", RequestContext{Store: store}); err != nil {
 		t.Fatal(err)
 	}
-	// A denial must be filtered out by verdict=grant.
 	if _, err := srv.Request(sub, "delete", "f-s1", RequestContext{Store: store}); err == nil {
 		t.Fatal("uncovered op granted")
 	}
-	if _, err := srv.Request(sub, model.OpRead, "f-s1", RequestContext{Store: store}); err != nil {
-		t.Fatal(err)
+	if _, err := srv.Request(sub, model.OpRead, "missing", RequestContext{Store: store}); err == nil {
+		t.Fatal("unknown resource granted")
 	}
 
-	events := readSSEEvents(t, bufio.NewScanner(resp.Body), 2, 5*time.Second)
-	for _, e := range events {
-		if !e.Granted || e.Object != "o1" {
-			t.Fatalf("filtered stream leaked %+v", e)
+	var got []AuditEntry
+	sc := bufio.NewScanner(resp.Body)
+	for len(got) < 3 {
+		for _, fr := range readFrames(t, sc, 1) {
+			if fr.Kind == journal.KindRecord {
+				got = append(got, AuditFromRecord(*fr.Record))
+			}
+		}
+	}
+	for i, want := range []struct {
+		granted bool
+		perm    string
+		reason  string
+	}{{true, "p-read", ""}, {false, "", "no active role"}, {false, "p-read", "unknown resource"}} {
+		e := got[i]
+		if e.Granted != want.granted || e.Perm != want.perm || e.Object != "o1" || e.Server != "s1" ||
+			!strings.Contains(e.Reason, want.reason) {
+			t.Fatalf("decision %d = %+v, want %+v", i, e, want)
 		}
 	}
 
-	// A bad filter is rejected up front.
-	bad, err := http.Get(ts.URL + "/debug/watch?verdict=maybe")
+	// The journal-backed watch replaced /debug/watch.
+	gone, err := http.Get(ts.URL + "/debug/watch")
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad.Body.Close()
-	if bad.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad verdict = %d", bad.StatusCode)
+	gone.Body.Close()
+	if gone.StatusCode != http.StatusNotFound {
+		t.Fatalf("/debug/watch = %d, want 404", gone.StatusCode)
 	}
 
 	// Drain terminates the stream (Shutdown would otherwise hang on the
-	// in-flight SSE handler) and unsubscribes the watcher.
+	// in-flight SSE handler) and the tail stops counting.
 	drained := make(chan struct{})
 	go func() { h.Drain(); close(drained) }()
 	select {
@@ -483,12 +521,7 @@ func TestWatchSSEStreamsAndFilters(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Drain hung on SSE handler")
 	}
-	for deadline := time.Now().Add(2 * time.Second); c.Watchers() != 0; {
-		if time.Now().After(deadline) {
-			t.Fatalf("watchers after drain = %d", c.Watchers())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitTails(t, h, 0)
 }
 
 func TestBudgetSamplerFeedsSeries(t *testing.T) {

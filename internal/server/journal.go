@@ -1,16 +1,16 @@
 package server
 
 // The /debug/journal tail: a resumable, bounded, non-blocking SSE
-// stream over the decision flight recorder. Like /debug/watch — which
-// follows the coalition decision log from the moment it connects —
-// the journal POLLS a ring by cursor, but the cursor is
-// client-supplied, so a follower that falls behind or reconnects
-// resumes exactly where it left off, and learns via gap frames when
-// the ring evicted records it never saw. Nothing here
-// touches the decision path: the only shared state is the recorder's
-// own mutex, taken briefly per poll to copy the pending records.
-// internal/obs/journal is the client; the frame wire format is
-// defined there.
+// stream over the coalition decision log (the engine's flight
+// recorder). It POLLS the ring by a client-supplied cursor, so a
+// follower that falls behind or reconnects resumes exactly where it
+// left off, and learns via gap frames when the ring evicted records it
+// never saw; a cursor past the total starts at the live tail. Nothing
+// here touches the decision path: the only shared state is the
+// recorder's own mutex, taken briefly per poll to copy the pending
+// records. internal/obs/journal is the client (behind `stacctl
+// timeline` and `stacctl watch`); the frame wire format is defined
+// there.
 
 import (
 	"encoding/json"
@@ -118,8 +118,11 @@ func (j *journalTelemetry) publishLagLocked() {
 	j.lag.Set(int64(max))
 }
 
-// Stats snapshots the tail state for the daemon snapshot.
-func (j *journalTelemetry) Stats() JournalStats {
+// JournalStats snapshots the /debug/journal tail state, as folded
+// into the daemon snapshot.
+func (h *DebugServer) JournalStats() JournalStats { return h.journal.stats() }
+
+func (j *journalTelemetry) stats() JournalStats {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := JournalStats{
@@ -150,13 +153,10 @@ func lagBehind(total, cursor uint64) uint64 {
 // fell off the ring, "journal" metas whenever the tail is caught up
 // (doubling as keep-alive and as the merge watermark), "end" when a
 // ?max= bound is reached. ?poll= tunes the ring poll interval within
-// [50ms, 5s].
+// [50ms, 5s]. A drain first delivers one more bounded read, so a tail
+// sees every record logged before it.
 func (h *DebugServer) handleJournal(w http.ResponseWriter, r *http.Request) {
 	rec := h.c.Engine.Recorder()
-	if rec == nil {
-		http.Error(w, "journal disabled on this daemon (no flight recorder; start with -record)", http.StatusNotFound)
-		return
-	}
 	var cursor uint64
 	if arg := r.URL.Query().Get("cursor"); arg != "" {
 		if _, err := fmt.Sscanf(arg, "%d", &cursor); err != nil {
@@ -234,9 +234,9 @@ func (h *DebugServer) handleJournal(w http.ResponseWriter, r *http.Request) {
 	fl.Flush()
 
 	streamed := 0
-	tick := time.NewTicker(poll)
-	defer tick.Stop()
-	for {
+	// read streams one bounded ring read; full reports a full batch
+	// (more backlog is likely pending), ended a reached ?max= bound.
+	read := func() (full, ended bool) {
 		recs, missed, total := rec.RecordsSinceN(cursor, journalBatch)
 		if missed > 0 {
 			b, _ := json.Marshal(journal.Gap{From: cursor, Missed: missed})
@@ -257,7 +257,7 @@ func (h *DebugServer) handleJournal(w http.ResponseWriter, r *http.Request) {
 				meta(journal.KindEnd)
 				fl.Flush()
 				h.journal.observe(id, lagBehind(total, cursor))
-				return
+				return false, true
 			}
 		}
 		if total <= cursor {
@@ -267,23 +267,28 @@ func (h *DebugServer) handleJournal(w http.ResponseWriter, r *http.Request) {
 		}
 		fl.Flush()
 		h.journal.observe(id, lagBehind(total, cursor))
-		if len(recs) == journalBatch {
-			// Full batch: more backlog is likely pending — drain it
-			// now rather than waiting out a poll tick.
-			select {
-			case <-r.Context().Done():
-				return
-			case <-h.quit:
-				return
-			default:
-				continue
-			}
+		return len(recs) == journalBatch, false
+	}
+	tick := time.NewTicker(poll)
+	defer tick.Stop()
+	// A full batch reads on at once: more backlog is likely pending.
+	immediately := make(chan time.Time)
+	close(immediately)
+	for {
+		full, ended := read()
+		if ended {
+			return
+		}
+		wait := tick.C
+		if full {
+			wait = immediately
 		}
 		select {
-		case <-tick.C:
+		case <-wait:
 		case <-r.Context().Done():
 			return
 		case <-h.quit:
+			read()
 			return
 		}
 	}

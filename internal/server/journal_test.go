@@ -69,16 +69,83 @@ func recordSeqs(frames []journal.Frame) []uint64 {
 	return out
 }
 
-func TestJournal404WithoutRecorder(t *testing.T) {
+// A default coalition's journal is its decision log: decide records
+// only, each with its decision ID and its served outcome.
+func TestJournalDefaultStreamsDecisionsOnly(t *testing.T) {
 	c, _ := newCoalition(t)
 	_, ts := newDebugHTTP(t, c)
-	resp, err := http.Get(ts.URL + "/debug/journal")
+	srv, _ := c.Server("s1")
+	sub, err := srv.Authenticate(cred(c, "o1", "owner", "traveler"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("status = %d, want 404 without a flight recorder", resp.StatusCode)
+	defer srv.Depart(sub)
+	store := proof.NewStore(c.Signer)
+	if _, err := srv.Request(sub, model.OpRead, "f-s1", RequestContext{Store: store}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Request(sub, model.OpRead, "missing", RequestContext{Store: store}); err == nil {
+		t.Fatal("unknown resource granted")
+	}
+	if _, err := srv.Request(sub, "delete", "f-s1", RequestContext{Store: store}); err == nil {
+		t.Fatal("uncovered op granted")
+	}
+
+	frames := tailJournal(t, ts.URL+"/debug/journal?max=3&poll=50ms")
+	var recs []record.Record
+	for _, fr := range frames {
+		if fr.Kind == journal.KindRecord {
+			recs = append(recs, *fr.Record)
+		}
+	}
+	if st := c.Engine.Recorder().Status(); len(recs) != 3 || st.Total != 3 {
+		t.Fatalf("journal holds %d of %d records, want the 3 decisions", len(recs), st.Total)
+	}
+	for i, r := range recs {
+		if r.Kind != record.KindDecide || r.DecisionID == "" || r.User != "" || r.Roles != nil {
+			t.Fatalf("record %d = %+v, want a decide record without replay inputs", i, r)
+		}
+	}
+	if r := recs[0]; !r.Granted || r.ServedReason != "" || r.Perm != "p-read" {
+		t.Fatalf("grant = %+v", r)
+	}
+	// The engine granted the unknown resource; the server refused it.
+	if r := recs[1]; !r.Granted || r.ServedReason != "unknown resource" || AuditFromRecord(r).Granted {
+		t.Fatalf("served denial = %+v", r)
+	}
+	if r := recs[2]; r.Granted || r.Deny != "rbac" || r.ServedReason != "" {
+		t.Fatalf("engine denial = %+v", r)
+	}
+}
+
+// A drain first delivers every record already logged: a tail whose
+// next poll is seconds away still sees the records appended before
+// Drain.
+func TestJournalDrainDeliversLoggedRecords(t *testing.T) {
+	c, _ := newCoalition(t)
+	h, ts := newDebugHTTP(t, c)
+	resp, err := http.Get(ts.URL + "/debug/journal?poll=5s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	readFrames(t, sc, 2) // connect meta, caught-up meta of the first read
+
+	for i := 0; i < 3; i++ {
+		grantOnce(t, c)
+	}
+	total := c.Engine.Recorder().Status().Total
+	h.Drain()
+	var seqs []uint64
+	for _, fr := range readFrames(t, sc, int(total)) {
+		if fr.Kind != journal.KindRecord {
+			t.Fatalf("frame %+v before the logged records", fr)
+		}
+		seqs = append(seqs, fr.Record.Seq)
+	}
+	if seqs[0] != 1 || seqs[len(seqs)-1] != total {
+		t.Fatalf("drained tail saw seqs %v, want 1..%d", seqs, total)
 	}
 }
 
@@ -137,7 +204,7 @@ func TestJournalStreamsResumesAndGaps(t *testing.T) {
 		err    error
 	}
 	got := make(chan tailResult, 1)
-	started := h.journal.Stats().TailsTotal
+	started := h.JournalStats().TailsTotal
 	go func() {
 		fs, err := tailJournalErr(fmt.Sprintf("%s/debug/journal?cursor=%d&max=1&poll=50ms", ts.URL, st.Total+1000))
 		got <- tailResult{fs, err}
@@ -146,7 +213,7 @@ func TestJournalStreamsResumesAndGaps(t *testing.T) {
 	// started tails, not active ones: the resumed tail above may not
 	// have deregistered yet.
 	deadline := time.Now().Add(5 * time.Second)
-	for h.journal.Stats().TailsTotal == started && time.Now().Before(deadline) {
+	for h.JournalStats().TailsTotal == started && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	grantOnce(t, c)
@@ -163,7 +230,7 @@ func TestJournalStreamsResumesAndGaps(t *testing.T) {
 		t.Fatal("clamped tail never delivered the new record")
 	}
 
-	stats := h.journal.Stats()
+	stats := h.JournalStats()
 	if stats.TailsTotal < 3 || stats.Records < 3 {
 		t.Fatalf("journal stats = %+v", stats)
 	}

@@ -3,10 +3,11 @@ package server
 // Live shadow evaluation: a candidate policy runs side-by-side with
 // the served one. Every authorisation request is decided by BOTH
 // engines; the shadow verdict never affects the served outcome, but
-// verdict flips are counted (stac_shadow_flip_total), attached to the
-// audit entry, and streamed as `flip` events on /debug/watch — the
-// online counterpart of core.ShadowDiff, for rehearsing a policy
-// change against production traffic before rolling it out.
+// verdict flips are counted (stac_shadow_flip_total) and carried on
+// the decision's decide record (so on its audit entry and on the
+// /debug/journal tail `stacctl watch -flips` follows) — the online
+// counterpart of core.ShadowDiff, for rehearsing a policy change
+// against production traffic before rolling it out.
 
 import (
 	"fmt"
@@ -15,25 +16,10 @@ import (
 	"stac/internal/core"
 	"stac/internal/model"
 	"stac/internal/obs"
+	"stac/internal/obs/record"
 	"stac/internal/proof"
 	"stac/internal/rbac"
 )
-
-// ShadowVerdict is the candidate policy's view of one decision,
-// attached to the audit entry when shadow evaluation is enabled.
-type ShadowVerdict struct {
-	// Granted is the candidate verdict; Flip reports it disagrees with
-	// the served one.
-	Granted bool `json:"granted"`
-	Flip    bool `json:"flip"`
-	// Deny/Reason explain the denying side of a flip; Clause names the
-	// SRAC subformula responsible (empty for temporal/RBAC flips,
-	// where Detail carries the budget or role arithmetic).
-	Deny   string `json:"deny,omitempty"`
-	Reason string `json:"reason,omitempty"`
-	Clause string `json:"clause,omitempty"`
-	Detail string `json:"detail,omitempty"`
-}
 
 // shadowKey scopes shadow sessions per (server, object), mirroring
 // the coalition's per-server subjects: a roaming device holds one
@@ -149,7 +135,7 @@ func (c *Coalition) shadowDepart(obj model.ObjectID, server model.ServerID) {
 // compares verdicts. served is the ENGINE verdict of the real
 // decision (resource-existence failures are not policy and do not
 // count as flips). Returns nil when shadow evaluation is off.
-func (c *Coalition) shadowEval(req core.Request, served core.Decision) *ShadowVerdict {
+func (c *Coalition) shadowEval(req core.Request, served core.Decision) *record.ShadowVerdict {
 	st := c.shadow.Load()
 	if st == nil {
 		return nil
@@ -160,7 +146,7 @@ func (c *Coalition) shadowEval(req core.Request, served core.Decision) *ShadowVe
 	d := st.engine.Authorize(shadowReq)
 	st.mu.Unlock()
 	st.evals.Inc()
-	sv := &ShadowVerdict{Granted: d.Granted, Flip: d.Granted != served.Granted}
+	sv := &record.ShadowVerdict{Granted: d.Granted, Flip: d.Granted != served.Granted}
 	if !sv.Flip {
 		return sv
 	}

@@ -34,7 +34,9 @@ import (
 //	    feeding the federate hot-clause rollup and stacctl heat
 //	6 — drops coverage: the clause census rides on cost.clauses,
 //	    whose rows now carry the satisfied/violated/pending tallies
-const SnapshotVersion = 6
+//	7 — drops watchers and watch_dropped with /debug/watch: the live
+//	    decision tail is the journal (journal.active_tails, gaps_total)
+const SnapshotVersion = 7
 
 // Snapshot is one daemon-process view of its coalition state.
 type Snapshot struct {
@@ -61,11 +63,6 @@ type Snapshot struct {
 	Decisions int `json:"decisions"`
 	// Migrations counts completed mobile-object migrations.
 	Migrations int `json:"migrations"`
-	// Watchers and WatchDropped describe the decision stream: live
-	// /debug/watch streams and the decisions they missed because the
-	// decision log evicted them before a poll reached them.
-	Watchers     int   `json:"watchers"`
-	WatchDropped int64 `json:"watch_dropped"`
 	// AuditSinkErrors counts decisions lost by a failing JSONL sink.
 	AuditSinkErrors int64 `json:"audit_sink_errors"`
 	// ShadowDigest fingerprints the candidate policy under live shadow
@@ -81,7 +78,7 @@ type Snapshot struct {
 	Cost *cost.Report `json:"cost,omitempty"`
 	// Runtime is the Go runtime's health at snapshot time.
 	Runtime obs.RuntimeStats `json:"runtime"`
-	// Recorder reports the decision flight recorder (nil when off).
+	// Recorder reports the decision log's recorder.
 	Recorder *record.Status `json:"recorder,omitempty"`
 	// Perf is the engine's hot-path health: per-stripe lock contention,
 	// shard imbalance, SLO burn rate and decision-latency exemplars
@@ -163,8 +160,6 @@ func (c *Coalition) Snapshot(budgetTail int, daemons ...*Daemon) Snapshot {
 		PolicyDigest: core.PolicyDigest(c.Engine),
 		Budgets:      c.Engine.SampleBudgets(budgetTail),
 		Migrations:   c.Migrations(),
-		Watchers:     c.Watchers(),
-		WatchDropped: c.WatchDropped(),
 		Runtime:      obs.PublishRuntime(c.Engine.Obs()),
 		Perf:         c.Engine.PerfStats(),
 	}

@@ -6,16 +6,18 @@ package stac
 // fresh engine — the determinism oracle — (b) shadow-diff against a
 // tightened count ceiling with every flip attributed to the changed
 // clause, and (c) agree with the LIVE shadow evaluation the daemons ran
-// concurrently, whose flips stream over /debug/watch naming the same
-// clause.
+// concurrently, whose flips reach the /debug/journal tail naming the
+// same clause.
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -95,12 +97,11 @@ func TestReplayShadowEndToEnd(t *testing.T) {
 		addrs[id] = addr
 	}
 
-	// A live watcher collects the SSE stream for the whole itinerary.
-	dbg := server.NewDebugServer(c, daemons, nil,
-		server.DebugConfig{Registry: reg, Heartbeat: 50 * time.Millisecond})
+	// A live tail collects the decision log for the whole itinerary.
+	dbg := server.NewDebugServer(c, daemons, nil, server.DebugConfig{Registry: reg})
 	dts := httptest.NewServer(dbg.Mux())
 	defer dts.Close()
-	watchResp, err := http.Get(dts.URL + "/debug/watch")
+	watchResp, err := http.Get(dts.URL + "/debug/journal?poll=50ms&cursor=" + strconv.FormatUint(math.MaxUint64, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +116,13 @@ func TestReplayShadowEndToEnd(t *testing.T) {
 			if strings.HasPrefix(line, "event: ") {
 				event = strings.TrimPrefix(line, "event: ")
 			}
-			if strings.HasPrefix(line, "data: ") && event == "flip" {
-				flips = append(flips, strings.TrimPrefix(line, "data: "))
+			data, ok := strings.CutPrefix(line, "data: ")
+			if !ok || event != "record" {
+				continue
+			}
+			var rec record.Record
+			if json.Unmarshal([]byte(data), &rec) == nil && rec.Shadow != nil && rec.Shadow.Flip {
+				flips = append(flips, data)
 			}
 		}
 		flipData <- flips
@@ -202,7 +208,7 @@ func TestReplayShadowEndToEnd(t *testing.T) {
 	}
 
 	// (c) The live shadow agreed with the offline diff, and the flips
-	// reached the watch stream naming the ceiling clause.
+	// reached the decision-log tail naming the ceiling clause.
 	if got := reg.CounterValue("stac_shadow_flip_total", ""); got != int64(len(rep.Flips)) {
 		t.Fatalf("live stac_shadow_flip_total = %d, offline diff found %d flips", got, len(rep.Flips))
 	}
@@ -211,14 +217,14 @@ func TestReplayShadowEndToEnd(t *testing.T) {
 	select {
 	case flips = <-flipData:
 	case <-time.After(5 * time.Second):
-		t.Fatal("watch stream did not close after Drain")
+		t.Fatal("journal tail did not close after Drain")
 	}
 	if len(flips) != len(rep.Flips) {
-		t.Fatalf("watch delivered %d flip events, want %d:\n%s", len(flips), len(rep.Flips), strings.Join(flips, "\n"))
+		t.Fatalf("tail delivered %d flip records, want %d:\n%s", len(flips), len(rep.Flips), strings.Join(flips, "\n"))
 	}
 	for _, f := range flips {
 		if !strings.Contains(f, "count(0, 2") {
-			t.Fatalf("flip event does not name the ceiling clause: %s", f)
+			t.Fatalf("flip record does not name the ceiling clause: %s", f)
 		}
 	}
 
