@@ -42,6 +42,11 @@ go test -race -count=10 -run 'TestRuntimesAgree|TestRemoteRuntime' ./internal/ag
 # appends to the recorder ring that /debug/journal tails and stacctl
 # watch read, so a tail and the decision path race on it constantly.
 go test -race -count=5 -run 'TestJournal|TestWatch|TestFleetTourTopAndWatch' ./internal/server ./cmd/stacctl
+# Repeated race probe of the daemon's wire codec: each connection
+# decodes requests and encodes replies in buffers it reuses from one
+# request to the next, so a reply or proof that kept pointing into them
+# would race the next read.
+go test -race -count=5 -run 'TestTCP|TestHostile|TestResident' ./internal/server
 # The repository benchmark is its own module (stac/bench, replacing stac
 # with this tree), so ./... above never reaches it. It drives the
 # engine and srac APIs directly, so vet and test it here, or an API
@@ -59,6 +64,7 @@ go test -run '^$' -fuzz '^FuzzTemporalAgreement$' -fuzztime 2s ./internal/core
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 2s ./internal/sral
 go test -run '^$' -fuzz '^FuzzParseRegular$' -fuzztime 2s ./internal/sral
 go test -run '^$' -fuzz '^FuzzJournalDecode$' -fuzztime 2s ./internal/obs/journal
+go test -run '^$' -fuzz '^FuzzWireCodec$' -fuzztime 2s ./internal/server
 
 # Benchmark smoke: one iteration each, so a broken benchmark (or a
 # regression that panics only on the bench path) fails CI without

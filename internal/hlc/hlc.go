@@ -69,7 +69,17 @@ func (t Timestamp) String() string {
 	if t.IsZero() {
 		return ""
 	}
-	return fmt.Sprintf("%016x.%x", uint64(t.Wall), t.Logical)
+	// The wall is formatted at the front, then moved right and
+	// zero-padded to its 16 digits.
+	var buf [16 + 1 + 8]byte
+	n := len(strconv.AppendUint(buf[:0], uint64(t.Wall), 16))
+	copy(buf[16-n:], buf[:n])
+	for i := range 16 - n {
+		buf[i] = '0'
+	}
+	b := append(buf[:16], '.')
+	b = strconv.AppendUint(b, uint64(t.Logical), 16)
+	return string(b)
 }
 
 // Parse decodes the wire form produced by String. The empty string

@@ -2,6 +2,8 @@ package hlc
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -95,6 +97,29 @@ func TestStringParseRoundTrip(t *testing.T) {
 	}
 	if ts, err := Parse(""); err != nil || !ts.IsZero() {
 		t.Fatalf("Parse(\"\") = %v, %v", ts, err)
+	}
+}
+
+// String is built without fmt; each form must equal the Sprintf it
+// replaced.
+func TestStringMatchesSprintf(t *testing.T) {
+	for _, ts := range []Timestamp{
+		{},
+		{Wall: 1},
+		{Logical: 1},
+		{Wall: 0x1234, Logical: 0xab},
+		{Wall: 1_700_000_000_123_456_789, Logical: 7},
+		{Wall: math.MaxInt64, Logical: math.MaxUint32},
+		{Wall: -1, Logical: math.MaxUint32},
+		{Wall: math.MinInt64},
+	} {
+		want := fmt.Sprintf("%016x.%x", uint64(ts.Wall), ts.Logical)
+		if ts.IsZero() {
+			want = ""
+		}
+		if got := ts.String(); got != want {
+			t.Errorf("%#v.String() = %q, want %q", ts, got, want)
+		}
 	}
 }
 

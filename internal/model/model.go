@@ -72,9 +72,9 @@ func NewAccess(o ObjectID, op Operation, r ResourceID, s ServerID) Access {
 // prefixed with the mobile object when one is set.
 func (a Access) String() string {
 	if a.Object == "" {
-		return fmt.Sprintf("%s %s @ %s", a.Op, a.Resource, a.Server)
+		return string(a.Op) + " " + string(a.Resource) + " @ " + string(a.Server)
 	}
-	return fmt.Sprintf("%s: %s %s @ %s", a.Object, a.Op, a.Resource, a.Server)
+	return string(a.Object) + ": " + string(a.Op) + " " + string(a.Resource) + " @ " + string(a.Server)
 }
 
 // WithObject returns a copy of the access attributed to object o.

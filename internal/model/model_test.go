@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -24,6 +25,25 @@ func TestAccessString(t *testing.T) {
 	for _, tt := range tests {
 		if got := tt.a.String(); got != tt.want {
 			t.Errorf("String() = %q, want %q", got, tt.want)
+		}
+	}
+}
+
+// String is built by concatenation; each form must equal the Sprintf
+// it replaced.
+func TestAccessStringMatchesSprintf(t *testing.T) {
+	for _, a := range []Access{
+		{},
+		{Op: OpRead, Resource: "f1", Server: "s1"},
+		{Object: "o1", Op: OpWrite, Resource: "f2", Server: "s2"},
+		{Object: "o:1", Op: "op with space", Resource: "@", Server: ""},
+	} {
+		want := fmt.Sprintf("%s: %s %s @ %s", a.Object, a.Op, a.Resource, a.Server)
+		if a.Object == "" {
+			want = fmt.Sprintf("%s %s @ %s", a.Op, a.Resource, a.Server)
+		}
+		if got := a.String(); got != want {
+			t.Errorf("%#v.String() = %q, want %q", a, got, want)
 		}
 	}
 }

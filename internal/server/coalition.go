@@ -335,7 +335,9 @@ func (s *Server) Request(sub *Subject, op model.Operation, res model.ResourceID,
 	}
 	sp, ctx := s.coalition.Engine.Tracer().StartSpan(prog.Trace, "server.request")
 	sp.SetService("server:" + string(s.id))
-	sp.SetAttr("access", access.String())
+	if sp != nil {
+		sp.SetAttr("access", access.String())
+	}
 	defer sp.Finish()
 	req := core.Request{
 		Session:       sub.Session,

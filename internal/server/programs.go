@@ -39,27 +39,29 @@ func newProgramCache() *programCache {
 }
 
 // intern returns the parsed program for src, parsing and digesting it
-// only when src is not cached. src must be non-empty.
-func (c *programCache) intern(src string) (*internedProgram, error) {
+// only when src is not cached. src must be non-empty; it may alias a
+// reused buffer, since the cache keeps only its own copy.
+func (c *programCache) intern(src []byte) (*internedProgram, error) {
 	c.mu.Lock()
-	p, ok := c.entries[src]
+	p, ok := c.entries[string(src)]
 	c.mu.Unlock()
 	if ok {
 		return p, nil
 	}
-	node, err := sral.Parse(src)
+	text := string(src)
+	node, err := sral.Parse(text)
 	if err != nil {
 		return nil, err
 	}
 	p = &internedProgram{node: node, digest: core.ProgramDigest(node)}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if q, ok := c.entries[src]; ok {
+	if q, ok := c.entries[text]; ok {
 		return q, nil // a concurrent request interned it first
 	}
 	delete(c.entries, c.ring[c.next])
-	c.ring[c.next] = src
+	c.ring[c.next] = text
 	c.next = (c.next + 1) % programCacheSize
-	c.entries[src] = p
+	c.entries[text] = p
 	return p, nil
 }

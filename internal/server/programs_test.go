@@ -14,11 +14,11 @@ import (
 func TestProgramCacheInternsOnce(t *testing.T) {
 	const src = "read f-s1 @ s1; { read rsw @ s1 || write scratch @ s2 }"
 	c := newProgramCache()
-	first, err := c.intern(src)
+	first, err := c.intern([]byte(src))
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := c.intern(src)
+	again, err := c.intern([]byte(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestProgramCacheRejectsMalformedEveryTime(t *testing.T) {
 	c := newProgramCache()
 	_, want := sral.Parse("((")
 	for i := 0; i < 3; i++ {
-		if _, err := c.intern("(("); err == nil || err.Error() != want.Error() {
+		if _, err := c.intern([]byte("((")); err == nil || err.Error() != want.Error() {
 			t.Fatalf("attempt %d: %v, want %v", i, err, want)
 		}
 	}
@@ -55,7 +55,7 @@ func TestProgramCacheBounded(t *testing.T) {
 	src := func(i int) string { return fmt.Sprintf("read f%d @ s1", i) }
 	var last *internedProgram
 	for i := 0; i < 3*programCacheSize; i++ {
-		p, err := c.intern(src(i))
+		p, err := c.intern([]byte(src(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func TestProgramCacheBounded(t *testing.T) {
 			t.Fatalf("after %d programs the cache holds %d, bound %d", i+1, n, programCacheSize)
 		}
 	}
-	if p, _ := c.intern(src(3*programCacheSize - 1)); p != last {
+	if p, _ := c.intern([]byte(src(3*programCacheSize - 1))); p != last {
 		t.Fatal("the newest program was evicted")
 	}
 	if _, ok := c.entries[src(0)]; ok {

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -77,11 +78,13 @@ type wireRequest struct {
 	// auth
 	Credential *proof.Credential `json:"credential,omitempty"`
 	// access
-	Token    string        `json:"token,omitempty"`
-	Op       string        `json:"op,omitempty"`
-	Resource string        `json:"resource,omitempty"`
-	Program  string        `json:"program,omitempty"` // SRAL text
-	Proofs   []proof.Proof `json:"proofs,omitempty"`
+	Token    string `json:"token,omitempty"`
+	Op       string `json:"op,omitempty"`
+	Resource string `json:"resource,omitempty"`
+	// Program is SRAL text. The daemon's decoder returns it apart
+	// from the struct (see wireCodec.decode).
+	Program string        `json:"program,omitempty"`
+	Proofs  []proof.Proof `json:"proofs,omitempty"`
 	// Base is the history cursor: how many proofs of the carried
 	// history the daemon already holds for this token. Proofs then
 	// carries only the history from Base on, and Head is the signature
@@ -443,46 +446,23 @@ func (d *Daemon) armRead(conn net.Conn) bool {
 	return true
 }
 
-// reply writes one response line under the write deadline; it reports
-// whether the connection is still usable.
-func (d *Daemon) reply(conn net.Conn, resp wireResponse) bool {
-	b, err := json.Marshal(resp)
+// reply writes one response line, encoded into the connection's
+// buffer, under the write deadline; it reports whether the connection
+// is still usable.
+func (d *Daemon) reply(conn net.Conn, wc *wireCodec, resp wireResponse) bool {
+	b, err := appendResponse(wc.out[:0], &resp)
 	if err != nil {
 		return false
 	}
 	b = append(b, '\n')
+	if cap(b) <= maxKeptBuffer {
+		wc.out = b
+	}
 	if d.cfg.WriteTimeout > 0 {
 		_ = conn.SetWriteDeadline(time.Now().Add(d.cfg.WriteTimeout))
 	}
 	_, err = conn.Write(b)
 	return err == nil
-}
-
-// errLineTooLong marks a request exceeding the per-message cap.
-var errLineTooLong = errors.New("request line exceeds limit")
-
-// readLine reads one newline-terminated message of at most max bytes.
-// Unlike bufio.Scanner it distinguishes "too long" from transport
-// errors, so the daemon can answer with a structured error.
-func readLine(r *bufio.Reader, max int) ([]byte, error) {
-	var line []byte
-	for {
-		chunk, err := r.ReadSlice('\n')
-		line = append(line, chunk...)
-		if len(line) > max {
-			// Return the partial line with the error: the daemon mines
-			// it for the trace context to echo in the reject.
-			return line, errLineTooLong
-		}
-		switch err {
-		case nil:
-			return line, nil
-		case bufio.ErrBufferFull:
-			continue
-		default:
-			return line, err
-		}
-	}
 }
 
 func (d *Daemon) serveConn(conn net.Conn) {
@@ -505,30 +485,32 @@ func (d *Daemon) serveConn(conn net.Conn) {
 			d.depart(tok)
 		}
 	}()
+	var wc wireCodec
 	for {
 		if !d.armRead(conn) {
 			return // draining
 		}
-		line, err := readLine(br, d.cfg.maxLine())
+		line, err := readLine(br, d.cfg.maxLine(), &wc.line)
 		if err != nil {
 			if errors.Is(err, errLineTooLong) {
 				d.met.oversize.Inc()
-				d.reply(conn, wireResponse{Error: fmt.Sprintf(
+				d.reply(conn, &wc, wireResponse{Error: fmt.Sprintf(
 					"request exceeds %d-byte limit", d.cfg.maxLine()),
 					Trace: extractTrace(line)})
 			}
 			return
 		}
 		var req wireRequest
-		if err := json.Unmarshal(line, &req); err != nil {
+		program, err := wc.decode(line, &req)
+		if err != nil {
 			d.met.malform.Inc()
-			d.reply(conn, wireResponse{Error: "malformed request: " + err.Error(),
+			d.reply(conn, &wc, wireResponse{Error: "malformed request: " + err.Error(),
 				Trace: extractTrace(line)})
 			return
 		}
 		d.met.request(req.Type)
-		resp := d.handle(&req, &tokens)
-		if !d.reply(conn, resp) {
+		resp := d.handle(&req, program, &tokens)
+		if !d.reply(conn, &wc, resp) {
 			return
 		}
 	}
@@ -595,7 +577,9 @@ func (d *Daemon) record(key dedupKey, resp wireResponse) {
 	}
 }
 
-func (d *Daemon) handle(req *wireRequest, tokens *[]string) wireResponse {
+// handle serves one decoded request; program is its declared program's
+// source (see wireCodec.decode).
+func (d *Daemon) handle(req *wireRequest, program []byte, tokens *[]string) wireResponse {
 	switch req.Type {
 	case "info":
 		var res []string
@@ -638,7 +622,7 @@ func (d *Daemon) handle(req *wireRequest, tokens *[]string) wireResponse {
 		if s.gone {
 			return wireResponse{Error: "access: unknown or expired token"}
 		}
-		resp := d.access(s, req)
+		resp := d.access(s, req, program)
 		resp.Have = s.have()
 		return resp
 
@@ -664,7 +648,7 @@ func (d *Daemon) handle(req *wireRequest, tokens *[]string) wireResponse {
 
 // access serves one access request of session s, whose lock the caller
 // holds.
-func (d *Daemon) access(s *session, req *wireRequest) wireResponse {
+func (d *Daemon) access(s *session, req *wireRequest, program []byte) wireResponse {
 	if req.HLC != "" {
 		// Receive event: fold the client's clock into the engine's
 		// before deciding, so the decision stamp dominates every
@@ -703,8 +687,8 @@ func (d *Daemon) access(s *session, req *wireRequest) wireResponse {
 	if tc.Valid() {
 		echo = tc.String()
 	}
-	if req.Program != "" {
-		prog, err := d.srv.coalition.programs.intern(req.Program)
+	if len(program) > 0 {
+		prog, err := d.srv.coalition.programs.intern(program)
 		if err != nil {
 			wsp.SetAttr("error", "bad program")
 			wsp.Finish()
@@ -736,7 +720,7 @@ func (d *Daemon) access(s *session, req *wireRequest) wireResponse {
 	resp.DecisionID = res.Decision.ID
 	resp.HLC = res.Decision.HLC.String()
 	wsp.SetAttr("decision_id", res.Decision.ID)
-	wsp.SetAttr("granted", fmt.Sprintf("%t", res.Decision.Granted))
+	wsp.SetAttr("granted", strconv.FormatBool(res.Decision.Granted))
 	wsp.Finish()
 	if req.ID != "" {
 		// Record grants AND denials: a retried request must see
@@ -980,7 +964,7 @@ func (c *Client) roundTrip(req wireRequest) (wireResponse, error) {
 	if _, err := c.conn.Write(b); err != nil {
 		return wireResponse{}, fmt.Errorf("server: send: %w", err)
 	}
-	line, err := readLine(c.br, c.cfg.maxLine())
+	line, err := readLine(c.br, c.cfg.maxLine(), nil)
 	if err != nil {
 		return wireResponse{}, fmt.Errorf("server: recv: %w", err)
 	}
