@@ -31,8 +31,10 @@ go test ./...
 go test -race ./...
 # Repeated race probe of the resident history and its handoff: a parked
 # log moves between two daemons' goroutines, and one -race pass samples
-# that interleaving only once.
-go test -race -count=10 -run 'TestResident|TestHandoff' ./internal/server
+# that interleaving only once. The monitor states ride on that log, so
+# the probe includes the monitor tour against replay and the engine's
+# flat-in-history check of the kept states.
+go test -race -count=10 -run 'TestResident|TestHandoff|TestResidentMonitorTourMatchesReplay|TestPrefixEvalFlatInHistory' ./internal/server ./internal/core
 # Repeated race probe of the agent interpreter under both placements:
 # parallel branches decide one at a time on one carried history, and
 # the sibling-ceiling row only fails when a clone misses a sibling's
@@ -60,6 +62,7 @@ go test -run '^$' -fuzz '^FuzzRecordDecode$' -fuzztime 2s ./internal/obs/record
 go test -run '^$' -fuzz '^FuzzLoadPolicy$' -fuzztime 2s ./internal/core
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 2s ./internal/srac
 go test -run '^$' -fuzz '^FuzzPrefixAgreement$' -fuzztime 2s ./internal/srac
+go test -run '^$' -fuzz '^FuzzMonitorAgreement$' -fuzztime 2s ./internal/srac
 go test -run '^$' -fuzz '^FuzzTemporalAgreement$' -fuzztime 2s ./internal/core
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 2s ./internal/sral
 go test -run '^$' -fuzz '^FuzzParseRegular$' -fuzztime 2s ./internal/sral

@@ -7,8 +7,11 @@ package main
 // the clause actually decided a verdict. The top of the table names
 // the clauses an SRAC compilation pass should target first — hot AND
 // load-bearing — while a hot but never-decisive clause is pure waste
-// and is called out as such. The re-walk amplification rows show each
-// member's history-length tax (prefix evals per appended access).
+// and is called out as such. The amplification rows show each member's
+// prefix evaluations per appended access and the history entries each
+// evaluation consumed (ENTRIES/EVAL: about 1 when monitor states are
+// kept on resident logs, the mean history length when every evaluation
+// starts fresh).
 
 import (
 	"context"
@@ -74,10 +77,10 @@ func renderHeat(w io.Writer, v federate.FleetView, top int) {
 		return
 	}
 
-	// Re-walk amplification per member: the history-length tax the
-	// compilation arc is trying to kill.
+	// Amplification per member: the history-length tax a kept monitor
+	// state removes.
 	fmt.Fprintf(w, "\n%-12s %12s %12s %14s %14s\n",
-		"MEMBER", "PREFIXEVALS", "APPENDS", "EVALS/APPEND", "ENTRIES/SCAN")
+		"MEMBER", "PREFIXEVALS", "APPENDS", "EVALS/APPEND", "ENTRIES/EVAL")
 	for _, st := range v.Members {
 		if !st.Reachable || st.Skipped || st.Snapshot.Cost == nil {
 			continue

@@ -59,8 +59,10 @@ func TestCostBaselineArtifact(t *testing.T) {
 
 	// 640 decisions per permission: with 1-in-64 sampling that pins
 	// ≥10 timed evaluations per clause, enough for a stable-ish mean.
-	// The scan-path history re-walk is 4 entries deep; every grant is
-	// recorded so the amplification gauge has a real denominator.
+	// The requests are bare (no proof store owns their history), so
+	// every evaluation advances a fresh monitor state over the 4-entry
+	// history plus the access; every grant is recorded so the
+	// amplification gauge has a real denominator.
 	hist := trace.Trace{
 		model.NewAccess("o1", "read", "dep", "s1"),
 		model.NewAccess("o1", "read", "f", "s1"),
@@ -113,7 +115,8 @@ func TestCostBaselineArtifact(t *testing.T) {
 		t.Fatal("no static-check cost rows")
 	}
 	amp := rep.Amplification
-	if amp.PrefixEvals != 2*perPerm || amp.Appends != 2*perPerm {
+	if amp.PrefixEvals != 2*perPerm || amp.Appends != 2*perPerm ||
+		amp.ScanEntries != 2*perPerm*int64(len(hist)+1) {
 		t.Fatalf("amplification = %+v", amp)
 	}
 

@@ -136,10 +136,12 @@ func costClauseResolver(unstamped srac.Constraint) func(string) string {
 // count and, when the caller sampled this evaluation for timing, its
 // wall time — plus the decisive clause into the per-clause cells. The
 // profiler runs no walk of its own, so cost and coverage describe the
-// very evaluation that decided.
-func costScan(col *cost.Collector, ps PermSpec, stamped srac.Constraint, nodes []srac.NodeEval, histLen int, sampled bool) {
-	col.NoteScan(histLen)
-	decisive := srac.Decisive(stamped, nodes)
+// very evaluation that decided. consumed is the history entries the
+// evaluation stepped, for the amplification gauges. Decisive reads only
+// the constraint's shape, which stamping does not change.
+func costScan(col *cost.Collector, ps PermSpec, nodes []srac.NodeEval, consumed int, sampled bool) {
+	col.NoteScan(consumed)
+	decisive := srac.Decisive(ps.Spatial, nodes)
 	buf := costSamplePool.Get().(*[]cost.NodeSample)
 	samples := (*buf)[:0]
 	for i, n := range nodes {

@@ -30,6 +30,7 @@ import (
 	"stac/internal/obs/cost"
 	"stac/internal/obs/perf"
 	"stac/internal/obs/record"
+	"stac/internal/proof"
 	"stac/internal/rbac"
 	"stac/internal/srac"
 	"stac/internal/sral"
@@ -83,8 +84,26 @@ type PermSpec struct {
 
 	// paths lists Spatial's clause paths in pre-order, so the cost
 	// profiler names the i-th record of an evaluation without building
-	// paths per decision. DefinePermission fills it.
+	// paths per decision, and mon compiles Spatial for online prefix
+	// evaluation. DefinePermission fills both, so each definition — a
+	// policy reload, a shadow engine's — has a monitor of its own, and
+	// no state kept for another reads as theirs.
 	paths []string
+	mon   *specMonitor
+}
+
+// specMonitor compiles a permission's constraint on the permission's
+// first decision: a policy of hundreds of permissions, most of which
+// no decision reaches, holds no monitor for those.
+type specMonitor struct {
+	once sync.Once
+	c    srac.Constraint
+	m    *srac.Monitor
+}
+
+func (sm *specMonitor) get() *srac.Monitor {
+	sm.once.Do(func() { sm.m = srac.Compile(sm.c) })
+	return sm.m
 }
 
 func (ps PermSpec) duration() float64 {
@@ -433,11 +452,12 @@ func (e *Engine) DefinePermission(ps PermSpec) error {
 	if err := e.RBAC.AddPermission(ps.Perm); err != nil {
 		return err
 	}
-	ps.paths = nil
+	ps.paths, ps.mon = nil, nil
 	if ps.Spatial != nil {
 		srac.WalkPaths(ps.Spatial, func(path string, _ srac.Constraint) {
 			ps.paths = append(ps.paths, path)
 		})
+		ps.mon = &specMonitor{c: ps.Spatial}
 	}
 	e.policyMu.Lock()
 	e.specs[ps.Perm.ID] = ps
@@ -600,7 +620,14 @@ func (e *Engine) authorize(tc obs.TraceContext, t *obs.Tracer, req Request, m *e
 	// --- Spatial constraint (Expression 3.1). ---
 	if ps.Spatial != nil {
 		col := e.costC.Load()
-		stamped := srac.StampObject(ps.Spatial, obj)
+		mon := ps.mon.get()
+		// stamped is the constraint as it reads for obj, built only
+		// where a program is checked or a clause named; the prefix
+		// evaluation binds obj without it.
+		var stamped srac.Constraint
+		if req.Program != nil {
+			stamped = srac.StampObject(ps.Spatial, obj)
+		}
 		// check(P, C): a program that can never satisfy C disqualifies
 		// the object up front. Constraints that mention a companion's
 		// actions cannot be decided from this object's program alone,
@@ -634,22 +661,22 @@ func (e *Engine) authorize(tc obs.TraceContext, t *obs.Tracer, req Request, m *e
 		// hypothetically performed and proven. One evaluation decides
 		// (the root's status), reads Strict satisfaction (the root's
 		// Holds), feeds the profiler and explains a denial.
-		hyp := req.History.Concat(trace.Trace{req.Access})
-		oracle := srac.HypotheticalOracle(req.Proofs, req.Access)
 		esp, _ := t.StartSpan(tc, "prefix_eval")
 		esp.SetService("engine")
 		sampled := col != nil && col.SampleTick()
 		buf := nodeEvalPool.Get().(*[]srac.NodeEval)
 		evalStart := time.Now()
-		nodes := srac.Evaluate(hyp, stamped, oracle, *buf, sampled)
+		nodes, consumed := prefixEval(mon, req, *buf, sampled)
 		m.prefixEval.ObserveSince(evalStart)
 		d.Spatial = nodes[0].Status
-		esp.SetAttr("path", "scan")
-		esp.SetAttr("status", d.Spatial.String())
-		esp.SetAttr("history_len", strconv.Itoa(len(hyp)))
-		esp.Finish()
+		if esp != nil {
+			esp.SetAttr("status", d.Spatial.String())
+			esp.SetAttr("history_len", strconv.Itoa(len(req.History)+1))
+			esp.SetAttr("entries", strconv.Itoa(consumed))
+			esp.Finish()
+		}
 		if col != nil {
-			costScan(col, ps, stamped, nodes, len(hyp), sampled)
+			costScan(col, ps, nodes, consumed, sampled)
 		}
 		switch {
 		case d.Spatial == srac.Violated:
@@ -663,6 +690,9 @@ func (e *Engine) authorize(tc obs.TraceContext, t *obs.Tracer, req Request, m *e
 				srac.String(ps.Spatial))
 		}
 		if d.Deny != DenyNone {
+			if stamped == nil {
+				stamped = srac.StampObject(ps.Spatial, obj)
+			}
 			d.Explanation = spatialExplanation(ps.Spatial, srac.AttributeNodes(stamped, nodes))
 		}
 		*buf = nodes
@@ -708,6 +738,25 @@ func (e *Engine) authorize(tc obs.TraceContext, t *obs.Tracer, req Request, m *e
 
 	d.Granted = true
 	return d
+}
+
+// prefixEval is a decision's one prefix evaluation: monitor m, bound
+// to the requesting object, over the request's history followed by its
+// access. When every history entry is proven by construction — the
+// history is the trace of the proof store that is the request's
+// oracle, so no ledger merged other proofs in — it runs on the state
+// that store keeps, which catches up on the proofs added since the
+// object's last decision. Any other history (ledger-merged, an
+// overriding oracle, a bare request, a replay) advances a fresh state
+// over all of it. consumed is the entries the evaluation stepped.
+func prefixEval(m *srac.Monitor, req Request, out []srac.NodeEval, timed bool) (nodes []srac.NodeEval, consumed int) {
+	obj := req.Access.Object
+	if st, ok := req.Proofs.(*proof.Store); ok && st != nil {
+		if nodes, consumed, ok = st.Peek(m, obj, req.History, req.Access, out, timed); ok {
+			return nodes, consumed
+		}
+	}
+	return m.Decide(obj, req.History, req.Proofs, req.Access, out, timed), len(req.History) + 1
 }
 
 // activateKey activates one permission's temporal key for an object

@@ -265,11 +265,11 @@ func (c *Collector) Record(perm string, sampled bool, nodes []NodeSample, clause
 	}
 }
 
-// NoteScan records one prefix evaluation that walked histLen history
+// NoteScan records one prefix evaluation that consumed entries history
 // entries — the numerator of the re-walk amplification gauges.
-func (c *Collector) NoteScan(histLen int) {
+func (c *Collector) NoteScan(entries int) {
 	c.prefixEvals.Add(1)
-	c.scanEntries.Add(int64(histLen))
+	c.scanEntries.Add(int64(entries))
 }
 
 // NoteAppend records one access appended to some object history — the
@@ -337,16 +337,20 @@ type StaticCost struct {
 // Amplification is the re-walk amplification gauge: how much prefix
 // evaluation the engine performs per unit of actual history growth.
 type Amplification struct {
-	// PrefixEvals counts all prefix evaluations, each a scan of the
-	// history; ScanEntries the cumulative history entries those scans
-	// walked; Appends the accesses actually appended to histories.
+	// PrefixEvals counts all prefix evaluations; ScanEntries the
+	// cumulative history entries those evaluations consumed — for a
+	// monitor state kept on the object's proof store, the entries
+	// appended since its previous evaluation plus the requested access;
+	// for a fresh state, the whole history plus the access; Appends the
+	// accesses actually appended to histories.
 	PrefixEvals int64 `json:"prefix_evals"`
 	ScanEntries int64 `json:"scan_entries"`
 	Appends     int64 `json:"appends"`
-	// EvalsPerAppend is PrefixEvals/Appends — full AST re-walks paid
-	// per access admitted. EntriesPerScan is ScanEntries/PrefixEvals —
-	// the mean history length each scan re-walked, i.e. the
-	// history-length tax per object.
+	// EvalsPerAppend is PrefixEvals/Appends — evaluations paid per
+	// access admitted. EntriesPerScan is ScanEntries/PrefixEvals — the
+	// mean entries each evaluation consumed: 1 plus the catch-up when
+	// the states are kept, the mean history length plus 1 when every
+	// evaluation starts fresh, i.e. the history-length tax per object.
 	EvalsPerAppend float64 `json:"evals_per_append"`
 	EntriesPerScan float64 `json:"entries_per_scan"`
 }

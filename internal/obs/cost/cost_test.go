@@ -102,20 +102,24 @@ func TestRecordResolvesClauseLazily(t *testing.T) {
 
 func TestAmplificationGauges(t *testing.T) {
 	c := New()
-	// 3 appends; each triggers one scan over a growing history.
-	for _, histLen := range []int{0, 1, 2} {
+	// 3 appends, each followed by one evaluation: a kept monitor state
+	// consumes the first evaluation's access alone, then the one entry
+	// appended since its previous evaluation plus the access.
+	for _, entries := range []int{1, 2, 2} {
 		c.NoteAppend()
-		c.NoteScan(histLen)
+		c.NoteScan(entries)
 	}
+	// One fresh evaluation consumes a 3-entry history plus the access.
+	c.NoteScan(4)
 	a := c.Report().Amplification
-	if a.PrefixEvals != 3 || a.ScanEntries != 3 || a.Appends != 3 {
+	if a.PrefixEvals != 4 || a.ScanEntries != 9 || a.Appends != 3 {
 		t.Fatalf("amplification = %+v", a)
 	}
-	if a.EvalsPerAppend != 1 {
-		t.Fatalf("EvalsPerAppend = %v, want 1", a.EvalsPerAppend)
+	if a.EvalsPerAppend != 4.0/3 {
+		t.Fatalf("EvalsPerAppend = %v, want 4/3", a.EvalsPerAppend)
 	}
-	if a.EntriesPerScan != 1 {
-		t.Fatalf("EntriesPerScan = %v, want 1", a.EntriesPerScan)
+	if a.EntriesPerScan != 2.25 {
+		t.Fatalf("EntriesPerScan = %v, want 2.25", a.EntriesPerScan)
 	}
 }
 

@@ -29,6 +29,7 @@ import (
 	"sync"
 
 	"stac/internal/model"
+	"stac/internal/srac"
 	"stac/internal/trace"
 )
 
@@ -118,7 +119,9 @@ func (s *Signer) Verify(p Proof) error {
 // and is safe for concurrent use. Proofs carried by an agent migrate
 // with it; a server consults the store when it checks spatial
 // constraints that reference accesses performed at *other* servers —
-// the coordination the paper's model is about.
+// the coordination the paper's model is about. The store also keeps
+// the SRAC monitor states that follow its history (see Peek), so they
+// move, park and drop with it.
 type Store struct {
 	mu     sync.RWMutex
 	signer *Signer
@@ -129,7 +132,24 @@ type Store struct {
 	hist *trace.Log
 	// byAccess indexes proofs by exact access tuple.
 	byAccess map[model.Access][]int
+	// mons are the monitor states kept on hist (see Peek), oldest
+	// first, at most maxMonitors.
+	mons []monitorState
 }
+
+// monitorState is one monitor's state on a store's history, keyed by
+// the compiled monitor and the object it is bound to.
+type monitorState struct {
+	m   *srac.Monitor
+	obj model.ObjectID
+	st  *srac.State
+}
+
+// maxMonitors caps the monitor states one store keeps: enough for the
+// permissions an object meets on a tour under the policy and a shadow
+// policy; past it the oldest state goes, and its next evaluation
+// catches up from the start of the history.
+const maxMonitors = 16
 
 // NewStore creates an empty proof store. Proofs added with Add are
 // verified against signer; a nil signer disables verification (used
@@ -217,7 +237,49 @@ func (st *Store) Len() int {
 // observes proofs added later, and callers must treat it as read-only
 // (appending to it copies, writing its elements is a bug).
 func (st *Store) Trace() []model.Access {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
 	return st.hist.View()
+}
+
+// Peek is the decision-time prefix evaluation of monitor m, bound to
+// obj, over the store's history followed by the access a — the
+// post-state of granting a. The store's state for (m, obj) first
+// catches up on the proofs added since its last evaluation; a is then
+// stepped on out, so the state does not consume it. Every history entry
+// is proven by construction and a counts as proven, so no oracle is
+// consulted. hist must be the store's current Trace: when it is not (a
+// view taken before later Adds or an Unmarshal), ok is false and
+// nothing is evaluated. consumed is the entries the evaluation stepped:
+// the catch-up plus a.
+func (st *Store) Peek(m *srac.Monitor, obj model.ObjectID, hist []model.Access, a model.Access, out []srac.NodeEval, timed bool) (nodes []srac.NodeEval, consumed int, ok bool) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	cur := st.hist.View()
+	if len(hist) != len(cur) || len(cur) > 0 && &hist[0] != &cur[0] {
+		return out, 0, false
+	}
+	s := st.monitor(m, obj)
+	before := s.Len()
+	nodes = s.Peek(cur, nil, a, out, timed)
+	return nodes, s.Len() - before + 1, true
+}
+
+// monitor returns the state kept for (m, obj), making a fresh one (and
+// dropping the oldest past maxMonitors) when there is none. The caller
+// holds st.mu.
+func (st *Store) monitor(m *srac.Monitor, obj model.ObjectID) *srac.State {
+	for _, ms := range st.mons {
+		if ms.m == m && ms.obj == obj {
+			return ms.st
+		}
+	}
+	if len(st.mons) == maxMonitors {
+		st.mons = append(st.mons[:0], st.mons[1:]...)
+	}
+	s := m.NewState(obj)
+	st.mons = append(st.mons, monitorState{m, obj, s})
+	return s
 }
 
 // TraceByTime returns the access history ordered by proof timestamps
@@ -265,6 +327,7 @@ func (st *Store) Unmarshal(data []byte) error {
 	st.proofs = fresh.proofs
 	st.hist = fresh.hist
 	st.byAccess = fresh.byAccess
+	st.mons = nil // the states followed the replaced history
 	return nil
 }
 

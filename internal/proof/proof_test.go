@@ -374,3 +374,112 @@ func TestMergedOracle(t *testing.T) {
 		t.Fatal("merged oracle over-proves")
 	}
 }
+
+// TestStoreTraceRacesUnmarshal reads the history while another
+// goroutine replaces it: Trace must read the log under the store's lock,
+// which Unmarshal holds while it swaps the log in. Under -race a bare
+// field read here is reported.
+func TestStoreTraceRacesUnmarshal(t *testing.T) {
+	s := NewSigner(key)
+	src := NewStore(s)
+	for i := 0; i < 3; i++ {
+		if err := src.Add(s.Issue(acc("o1", "read", "f", "s1"), float64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := src.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewStore(s)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			if err := st.Unmarshal(data); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			if n := len(st.Trace()); n != 0 && n != 3 {
+				t.Errorf("trace of %d entries, want 0 or 3", n)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+}
+
+// TestStorePeekKeepsStatePerMonitor follows one monitor state on a
+// store: each Peek steps only the proofs added since the last one plus
+// the requested access, never commits that access, refuses a history
+// that is not the store's current trace, restarts after Unmarshal, and
+// keeps states apart per monitor and object, at most maxMonitors.
+func TestStorePeekKeepsStatePerMonitor(t *testing.T) {
+	s := NewSigner(key)
+	st := NewStore(s)
+	read := acc("o1", "read", "f", "s1")
+	ceiling := srac.AtMost(2, model.Selector{Resources: []model.ResourceID{"f"}})
+	m := srac.Compile(ceiling)
+	peek := func(hist []model.Access, obj model.ObjectID) (srac.NodeEval, int, bool) {
+		t.Helper()
+		nodes, n, ok := st.Peek(m, obj, hist, acc(string(obj), "read", "f", "s1"), nil, false)
+		if !ok {
+			return srac.NodeEval{}, n, false
+		}
+		return nodes[0], n, true
+	}
+	for i := 0; i < 3; i++ {
+		root, n, ok := peek(st.Trace(), "o1")
+		if !ok || root.Count != i+1 {
+			t.Fatalf("peek %d: count %d ok %v, want %d", i, root.Count, ok, i+1)
+		}
+		if want := map[bool]int{true: 1, false: 2}[i == 0]; n != want {
+			t.Fatalf("peek %d consumed %d entries, want %d", i, n, want)
+		}
+		if err := st.Add(s.Issue(read, float64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if root, _, _ := peek(st.Trace(), "o1"); root.Status != srac.Violated {
+		t.Fatalf("fourth read over count(0,2) = %s, want violated", root.Status)
+	}
+	// A stale view is refused, not evaluated.
+	stale := st.Trace()[:2]
+	if _, _, ok := peek(stale, "o1"); ok {
+		t.Fatal("peek over a stale view accepted")
+	}
+	// Another object's state starts from the beginning: o2 did none of
+	// o1's reads.
+	if root, n, _ := peek(st.Trace(), "o2"); root.Count != 1 || n != 4 {
+		t.Fatalf("o2 peek: count %d consumed %d, want 1 and 4", root.Count, n)
+	}
+	// Unmarshal replaces the history, and the states with it.
+	data, err := st.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Unmarshal(data); err != nil {
+		t.Fatal(err)
+	}
+	if _, n, ok := peek(st.Trace(), "o1"); !ok || n != 4 {
+		t.Fatalf("after Unmarshal consumed %d ok %v, want a fresh catch-up of 4", n, ok)
+	}
+	// Past maxMonitors the oldest state goes.
+	for i := 0; i < maxMonitors; i++ {
+		if _, _, ok := st.Peek(srac.Compile(ceiling), "o1", st.Trace(), read, nil, false); !ok {
+			t.Fatal("peek refused")
+		}
+	}
+	if len(st.mons) != maxMonitors {
+		t.Fatalf("%d monitor states kept, want %d", len(st.mons), maxMonitors)
+	}
+	if _, n, _ := peek(st.Trace(), "o1"); n != 4 {
+		t.Fatalf("evicted state consumed %d, want a fresh catch-up of 4", n)
+	}
+}

@@ -797,3 +797,133 @@ func TestResidentCountersAndGauge(t *testing.T) {
 	cl2.Close()
 	waitGauge(t, reg, 0)
 }
+
+// --- monitor states on the resident log ----------------------------------
+
+// monitorTourExtra is defined mid-tour: a permission the object only
+// meets after its log has already carried states for the others.
+const monitorTourExtra = `
+permission p-d read rd @ * {
+    spatial count(0, 1, sigma[r=rd]) or [read rc @ s2] >> [read rd @ *]
+}
+grant traveler p-d
+`
+
+// TestResidentMonitorTourMatchesReplay drives one object through a tour
+// whose decisions run on the monitor states its resident log keeps: the
+// log is handed off between daemons, one hop resends the whole history
+// from base 0 on every read, a permission is defined mid-tour, and a
+// shadow policy decides every access on the same log. The verdicts,
+// reasons and explanations must equal core.Replay of the recorded
+// stream, the shadow's live flips core.ShadowDiff's, and the kept states
+// must have done the work: under a third of the entries a scan of
+// every decision's history would step.
+func TestResidentMonitorTourMatchesReplay(t *testing.T) {
+	clk := temporal.NewSimClock(0)
+	c := NewCoalition(clk, key)
+	reg := obs.NewRegistry()
+	c.Engine.SetObs(reg)
+	if err := core.LoadPolicyString(c.Engine, equivPolicy); err != nil {
+		t.Fatal(err)
+	}
+	c.Engine.EnableCostProfiling()
+	shadowSrc := strings.Replace(equivPolicy, "count(0, 3, sigma[r=ra])", "count(0, 2, sigma[r=ra])", 1)
+	if err := c.SetShadowPolicy(shadowSrc); err != nil {
+		t.Fatal(err)
+	}
+	var wal bytes.Buffer
+	c.Engine.SetRecorder(record.New(record.Config{Capacity: 4096, WAL: &wal, Registry: reg}))
+	addrs := map[model.ServerID]string{}
+	var daemons []*Daemon
+	for _, id := range []model.ServerID{"s1", "s2", "s3"} {
+		srv, err := c.AddServer(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []model.ResourceID{"ra", "rb", "rc", "rd"} {
+			srv.HostResource(r, []byte(r))
+		}
+		d := NewDaemonWith(srv, DaemonConfig{Obs: reg})
+		addr, err := d.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = d.Close() })
+		daemons = append(daemons, d)
+		addrs[id] = addr
+	}
+	cr := cred(c, "o1", "owner", "traveler")
+	hops := []struct {
+		server model.ServerID
+		hop    hopFunc
+		define bool // monitorTourExtra is loaded before the hop
+		reads  []model.ResourceID
+	}{
+		{"s1", deltaHop, false, []model.ResourceID{"ra", "rb", "rc", "ra"}},
+		{"s2", deltaHop, false, []model.ResourceID{"rc", "rb", "ra", "rb"}},
+		{"s3", fullHop, false, []model.ResourceID{"rb", "ra", "rc"}},
+		{"s1", lateImportHop, true, []model.ResourceID{"rd", "rb", "rd", "ra"}},
+		{"s2", deltaHop, false, []model.ResourceID{"rc", "rd", "rb", "rb", "rd"}},
+		{"s3", deltaHop, false, []model.ResourceID{"rb", "rc", "rd", "ra"}},
+		{"s1", deltaHop, false, []model.ResourceID{"ra", "rb", "rc", "rd", "rb", "rc"}},
+		{"s2", deltaHop, false, []model.ResourceID{"rc", "rd", "rb", "ra", "rd", "rb"}},
+	}
+	var verdicts []string
+	var carried []proof.Proof
+	for _, h := range hops {
+		if h.define {
+			if err := core.LoadPolicyString(c.Engine, monitorTourExtra); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var v []string
+		v, carried = h.hop(t, addrs[h.server], cr, carried, h.reads)
+		verdicts = append(verdicts, v...)
+		clk.Advance(1)
+	}
+	for _, d := range daemons {
+		_ = d.Close()
+	}
+	grants := 0
+	for _, v := range verdicts {
+		if v == "" {
+			grants++
+		}
+	}
+	if grants == 0 || grants == len(verdicts) {
+		t.Fatalf("tour made %d grants of %d decisions; the comparison needs both verdicts", grants, len(verdicts))
+	}
+
+	recs, err := record.ReadAll(bytes.NewReader(wal.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Replay(equivPolicy+monitorTourExtra, recs, core.ReplayOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Decisions != len(verdicts) || !res.Deterministic() {
+		t.Fatalf("replayed %d of %d decisions, divergences: %v", res.Decisions, len(verdicts), res.Divergences)
+	}
+	diff, err := core.ShadowDiff(shadowSrc, recs, core.ReplayOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, flips := c.ShadowInfo(); flips == 0 || int(flips) != len(diff.Flips) {
+		t.Fatalf("live shadow flips %d, offline diff %d; want equal and nonzero", flips, len(diff.Flips))
+	}
+
+	// A scan would step each decision's whole history plus the access.
+	scan := int64(0)
+	for _, r := range recs {
+		if r.Kind == record.KindDecide {
+			scan += int64(r.HistoryBase + len(r.History) + 1)
+		}
+	}
+	amp := c.Engine.CostReport().Amplification
+	t.Logf("%d decisions (%d grants): %d entries stepped, a scan's %d", len(verdicts), grants, amp.ScanEntries, scan)
+	if amp.PrefixEvals != int64(len(verdicts)) || amp.ScanEntries >= scan/3 {
+		t.Fatalf("amplification %+v: want %d evaluations stepping under a third of a scan's %d entries",
+			amp, len(verdicts), scan)
+	}
+}

@@ -8,9 +8,11 @@ package srac
 //
 // Per-clause cost needs nothing beyond the records themselves: each
 // NodeEval carries its subtree's leaf count (Atoms) and, on a timed
-// evaluation, its wall time (NS). Prefix evaluation re-walks the whole
-// AST per access, so cost scales with history length × formula size,
-// and the records are where that product becomes visible per clause.
+// evaluation, its wall time (NS). A kept monitor state steps only the
+// entries appended since its last evaluation plus the requested
+// access, so a clause's cost scales with that catch-up, not with the
+// history's length; a fresh evaluation still steps the whole history,
+// and the records are where either becomes visible per clause.
 
 // Decisive returns the pre-order index of the node the root verdict of
 // Evaluate(…, c, …) is attributed to.

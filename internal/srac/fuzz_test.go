@@ -3,6 +3,7 @@ package srac
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -119,5 +120,65 @@ func FuzzPrefixAgreement(f *testing.F) {
 			return true
 		})
 		checkAgreement(t, c, hist, oracle)
+	})
+}
+
+// FuzzMonitorAgreement is the differential check of the kept monitor
+// state: for any parsable constraint, history, unproven set, split
+// point k and requested access (the low two bits of peek), a state
+// bound to o1 advanced over hist[:k] (with a first peek, which it must
+// not consume), then over hist[k:] with the access peeked, yields
+// records reflect.DeepEqual to Evaluate over hist·access of the
+// constraint stamped for o1 — unproven entries included — and those
+// agree with the reference evaluator (checkAgreement). The peek commits
+// nothing, and a fresh Decide equals Evaluate under HypotheticalOracle.
+func FuzzMonitorAgreement(f *testing.F) {
+	for i, src := range append(append([]string(nil), parseSeeds...), parseCorpus(f)...) {
+		f.Add(src, []byte{0, 1, 2, 3, 0, 0}, uint8(0), uint8(3), uint8(0))
+		f.Add(src, []byte{2, 0, 0, 1, 0, 3, 0}, uint8(1<<(i%4)), uint8(i), uint8(i))
+		f.Add(src, []byte{}, uint8(0), uint8(0), uint8(1))
+	}
+	f.Fuzz(func(t *testing.T, src string, picks []byte, unprovenMask, split, peek uint8) {
+		c, err := Parse(src)
+		if err != nil {
+			return
+		}
+		if len(picks) > 16 {
+			picks = picks[:16]
+		}
+		hist := make(trace.Trace, len(picks))
+		for i, b := range picks {
+			hist[i] = agreementPool[b&3]
+		}
+		oracle := OracleFunc(func(a model.Access) bool {
+			for j, p := range agreementPool {
+				if a == p && unprovenMask&(1<<j) != 0 {
+					return false
+				}
+			}
+			return true
+		})
+		const obj = model.ObjectID("o1")
+		a := agreementPool[peek&3]
+		k := int(split) % (len(hist) + 1)
+		stamped := StampObject(c, obj)
+		full := append(hist[:len(hist):len(hist)], a)
+
+		m := Compile(c)
+		s := m.NewState(obj)
+		s.Peek(hist[:k], oracle, a, nil, false)
+		got := s.Peek(hist, oracle, a, nil, false)
+		want := Evaluate(full, stamped, oracle, nil, false)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s over %v split at %d, peek %v:\nmonitor  %+v\nEvaluate %+v", String(stamped), hist, k, a, got, want)
+		}
+		checkAgreement(t, stamped, full, oracle)
+		if again := s.Peek(hist, oracle, a, nil, false); s.Len() != len(hist) || !reflect.DeepEqual(again, want) {
+			t.Fatalf("a repeated peek of %s moved: consumed %d, records %+v", String(stamped), s.Len(), again)
+		}
+		hyp := Evaluate(full, stamped, HypotheticalOracle(oracle, a), nil, false)
+		if fresh := m.Decide(obj, hist, oracle, a, nil, false); !reflect.DeepEqual(fresh, hyp) {
+			t.Fatalf("Decide of %s over %v, access %v:\nmonitor  %+v\nEvaluate %+v", String(stamped), hist, a, fresh, hyp)
+		}
 	})
 }

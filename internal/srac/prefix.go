@@ -1,8 +1,9 @@
 package srac
 
 // Prefix evaluation: the three-valued status of a constraint over the
-// history a mobile object has accumulated so far. The walk behind
-// Evaluate and EvalPrefix is the package's one transcription of the
+// history a mobile object has accumulated so far. Evaluate and
+// EvalPrefix run the online monitor of monitor.go, which holds the
+// package's one transcription of the leaf rules and of the
 // three-valued connective logic. Every other reading of an evaluation
 // projects its per-node records instead of re-walking the history:
 // Strict satisfaction reads the root's Holds bit, attribution
@@ -12,8 +13,6 @@ package srac
 // kept test-only (refEvalPrefix) as the differential reference.
 
 import (
-	"time"
-
 	"stac/internal/model"
 	"stac/internal/trace"
 )
@@ -113,31 +112,31 @@ type NodeEval struct {
 	// ordering's second access is only sought after its first). Count
 	// is a counting atom's proof-backed count |σ(t)|.
 	First, Second, Count int
-	// NS is the subtree's wall-clock evaluation time in nanoseconds,
-	// children included; zero unless the evaluation was timed.
+	// NS is the subtree's wall-clock evaluation time in nanoseconds:
+	// a leaf's own stepping, a connective's the sum of its operands';
+	// zero unless the evaluation was timed.
 	NS int64
 }
 
 // Evaluate is the one evaluation of a constraint over a history
 // prefix: it appends one NodeEval per node of c, in pre-order, to
-// nodes[:0] and returns the slice. Callers that evaluate per decision
-// pass a reused slice so the walk allocates nothing. The records are
-// the single source every reading of the evaluation projects from:
-// the enforcement verdict and Strict satisfaction (the root), the
+// nodes[:0] and returns the slice. It is a fresh monitor state (see
+// monitor.go) advanced over t, then combined. The records are the
+// single source every reading of the evaluation projects from: the
+// enforcement verdict and Strict satisfaction (the root), the
 // attribution of that verdict (AttributeNodes), and per-clause
 // coverage and cost (Decisive, Atoms, NS). When timed is set each
-// subtree's wall time is read with two clock reads per node; callers
-// sample it (the profiler times 1 evaluation in 64), because on small
-// formulas the clock reads are themselves measurable.
+// leaf's wall time is read with two clock reads; callers sample it
+// (the profiler times 1 evaluation in 64), because on small formulas
+// the clock reads are themselves measurable. Callers that evaluate one
+// constraint repeatedly compile it once (Compile) and keep a State.
 //
 // The per-node rules are the prefix semantics of EvalPrefix.
 func Evaluate(t trace.Trace, c Constraint, pr ProofOracle, nodes []NodeEval, timed bool) []NodeEval {
-	if pr == nil {
-		pr = AllProven
-	}
-	w := walker{t: t, pr: pr, nodes: nodes[:0], record: true, timed: timed}
-	w.eval(c)
-	return w.nodes
+	var m Monitor
+	m.init(c)
+	s := m.start("", false, nodes)
+	return s.run(t, feed{pr: pr}, nil, nil, timed)
 }
 
 // EvalPrefix evaluates a constraint against a history prefix:
@@ -157,8 +156,7 @@ func Evaluate(t trace.Trace, c Constraint, pr ProofOracle, nodes []NodeEval, tim
 // Enforcement denies on Violated and may grant on Satisfied or
 // Pending; the static program checker additionally rules out programs
 // that can never satisfy the constraint. It is Evaluate's root
-// verdict, computed by the same walk without recording (and without
-// allocating).
+// verdict.
 func EvalPrefix(t trace.Trace, c Constraint, pr ProofOracle) Status {
 	s, _ := EvalPrefixStable(t, c, pr)
 	return s
@@ -172,120 +170,8 @@ func EvalPrefix(t trace.Trace, c Constraint, pr ProofOracle) Status {
 // combinations thereof; Pending is never stable (it means exactly
 // that the verdict can still move).
 func EvalPrefixStable(t trace.Trace, c Constraint, pr ProofOracle) (status Status, stable bool) {
-	if pr == nil {
-		pr = AllProven
-	}
-	w := walker{t: t, pr: pr}
-	status, stable, _ = w.eval(c)
-	return status, stable
-}
-
-// walker is one evaluation in progress. With record set, eval appends
-// every node's record to nodes; without, it only returns verdicts.
-type walker struct {
-	t      trace.Trace
-	pr     ProofOracle
-	nodes  []NodeEval
-	record bool
-	timed  bool
-}
-
-// eval evaluates one node and returns its status, stability and
-// Definition 3.6 truth, after appending the records of its subtree
-// (itself first) when recording.
-func (w *walker) eval(c Constraint) (st Status, stable, holds bool) {
-	k := len(w.nodes)
-	var t0 time.Time
-	if w.record {
-		w.nodes = append(w.nodes, NodeEval{Atoms: 1, First: -1, Second: -1})
-		if w.timed {
-			t0 = time.Now()
-		}
-	}
-	st = Pending
-	switch x := c.(type) {
-	case TrueC:
-		st, stable, holds = Satisfied, true, true
-	case FalseC:
-		st, stable = Violated, true
-	case Atom:
-		i := firstMatch(w.t, x.A, 0, w.pr)
-		if i >= 0 {
-			// The witness is in the history for good: satisfaction is
-			// stable under extension.
-			st, stable, holds = Satisfied, true, true
-		}
-		w.observe(k, i, -1, 0)
-	case Ordered:
-		i, j := firstMatch(w.t, x.First, 0, w.pr), -1
-		if i >= 0 {
-			j = firstMatch(w.t, x.Second, i+1, w.pr)
-		}
-		if j >= 0 {
-			st, stable, holds = Satisfied, true, true
-		}
-		w.observe(k, i, j, 0)
-	case Count:
-		n := countProven(w.t, x.Sel, w.pr)
-		holds = n >= x.Min && n <= x.Max
-		switch {
-		case n > x.Max:
-			st, stable = Violated, true
-		case holds:
-			// Extensions can only grow the count, so satisfaction is
-			// stable exactly when there is no ceiling to cross.
-			st, stable = Satisfied, x.Max == Unbounded
-		}
-		w.observe(k, -1, -1, n)
-	case And:
-		l, lst, lh := w.eval(x.Left)
-		r, rst, rh := w.eval(x.Right)
-		holds = lh && rh
-		switch {
-		case l == Violated || r == Violated:
-			st, stable = Violated, true
-		case l == Satisfied && r == Satisfied:
-			st, stable = Satisfied, lst && rst
-		}
-	case Or:
-		l, lst, lh := w.eval(x.Left)
-		r, rst, rh := w.eval(x.Right)
-		holds = lh || rh
-		switch {
-		case l == Satisfied || r == Satisfied:
-			st, stable = Satisfied, (l == Satisfied && lst) || (r == Satisfied && rst)
-		case l == Violated && r == Violated:
-			st, stable = Violated, true
-		}
-	case Not:
-		in, ist, ih := w.eval(x.C)
-		st, stable = NegateStable(in, ist)
-		holds = !ih
-	}
-	if w.record {
-		n := &w.nodes[k]
-		n.Status, n.Stable, n.Holds, n.End = st, stable, holds, len(w.nodes)
-		if n.End > k+1 {
-			// A connective: its leaves are its operands' leaves, and
-			// each operand's record starts where the previous one ends.
-			n.Atoms = 0
-			for i := k + 1; i < n.End; i = w.nodes[i].End {
-				n.Atoms += w.nodes[i].Atoms
-			}
-		}
-		if w.timed {
-			n.NS = time.Since(t0).Nanoseconds()
-		}
-	}
-	return st, stable, holds
-}
-
-// observe records a leaf's observation of the history on record k.
-func (w *walker) observe(k, first, second, count int) {
-	if w.record {
-		n := &w.nodes[k]
-		n.First, n.Second, n.Count = first, second, count
-	}
+	root := Evaluate(t, c, pr, nil, false)[0]
+	return root.Status, root.Stable
 }
 
 // AdmitsExtension reports whether the history can still lead to
