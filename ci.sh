@@ -35,6 +35,11 @@ go test -race ./...
 # the probe includes the monitor tour against replay and the engine's
 # flat-in-history check of the kept states.
 go test -race -count=10 -run 'TestResident|TestHandoff|TestResidentMonitorTourMatchesReplay|TestPrefixEvalFlatInHistory' ./internal/server ./internal/core
+# Repeated race probe of the stage ledger: connection goroutines write
+# each access's ledger while scrapes read the exemplars' stage vectors
+# and the stage family, and a sampled context's span tree is rendered
+# from the same marks.
+go test -race -count=10 -run 'TestStageLedgerReconciles|TestUntracedAccessRecordsNoSpans|TestSampledAccessRendersSpanTree' ./internal/server
 # Repeated race probe of the agent interpreter under both placements:
 # parallel branches decide one at a time on one carried history, and
 # the sibling-ceiling row only fails when a clone misses a sibling's

@@ -27,11 +27,15 @@
 //	benchdiff [-threshold 25] [-fail-over 0] old.json new.json
 //	benchdiff -distill bench_output.txt            # go test -bench → JSON
 //	benchdiff -digest cpu [-top 10] profile.pb.gz  # pprof → digest JSON
+//	benchdiff -ab parent.jsonl change.jsonl        # repository benchmark A/B
 //
 // -distill parses `go test -bench` text output (use "-" for stdin)
 // and writes a v2 bench summary — benchmark names with ns/op and
 // allocs/op, stamped with the capturing host's fingerprint — to
 // stdout. It replaces the awk pipeline ci.sh used to carry.
+//
+// -ab compares alternating runs of the repository benchmark, paired
+// line by line, by the gain rule and bounds described in ab.go.
 //
 // -digest parses a (possibly gzipped) pprof protobuf profile and
 // writes its top-N hot-leaf-frame digest as JSON to stdout, so CI can
@@ -532,10 +536,16 @@ func run(args []string, w io.Writer) error {
 	distillMode := fs.Bool("distill", false, "parse `go test -bench` output (file or \"-\" for stdin) into a bench summary JSON on stdout")
 	digestKind := fs.String("digest", "", "parse a pprof profile file into a hot-frame digest JSON on stdout, labelled with this kind (cpu, mutex, block, heap)")
 	topN := fs.Int("top", 10, "number of hot frames to keep in -digest mode")
+	abMode := fs.Bool("ab", false, "compare alternating `bash bench/run.sh` result lines: parent.jsonl change.jsonl")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	switch {
+	case *abMode:
+		if fs.NArg() != 2 {
+			return fmt.Errorf("usage: benchdiff -ab parent.jsonl change.jsonl")
+		}
+		return runAB(fs.Arg(0), fs.Arg(1), "BENCHMARK.json", w)
 	case *distillMode:
 		if fs.NArg() != 1 {
 			return fmt.Errorf("usage: benchdiff -distill bench_output.txt|-")

@@ -2,11 +2,13 @@ package main
 
 // `stacctl slow` — the tail-latency triage verb. A daemon's decision
 // histogram retains one exemplar per latency bucket: the decision ID
-// (and trace ID, when the decision was traced) of a recent
-// bucket-maximum observation. This verb lists those exemplars slowest
-// first and resolves each through /debug/explain, turning "p99 is
-// high" into "these exact decisions were slow, here is what each one
-// decided, replay the trace with `stacctl trace`".
+// (and trace ID, when the client sampled the decision's context) of a
+// recent bucket-maximum observation, with its request's stage vector.
+// This verb lists those exemplars slowest first, names each one's
+// dominant stage and resolves each through /debug/explain, turning
+// "p99 is high" into "these exact decisions were slow, this is where
+// their time went, here is what each one decided, replay the trace
+// with `stacctl trace`".
 
 import (
 	"encoding/json"
@@ -20,6 +22,7 @@ import (
 	"time"
 
 	"stac/internal/core"
+	"stac/internal/obs"
 	"stac/internal/server"
 )
 
@@ -69,7 +72,7 @@ func runSlow(w io.Writer, client *http.Client, baseURL string, n int, explain bo
 		fmt.Fprintln(w, "no exemplars retained (no decisions yet, or exemplars disabled)")
 		return nil
 	}
-	fmt.Fprintf(w, "%-10s %-10s %-20s %-20s %s\n", "SECONDS", "BUCKET", "DECISION", "TRACE", "DECIDED")
+	fmt.Fprintf(w, "%-10s %-10s %-20s %-20s %-14s %s\n", "SECONDS", "BUCKET", "DECISION", "TRACE", "STAGE", "DECIDED")
 	for _, ex := range exemplars {
 		bucket := "+Inf"
 		if ex.Le >= 0 {
@@ -83,12 +86,26 @@ func runSlow(w io.Writer, client *http.Client, baseURL string, n int, explain bo
 		if explain {
 			decided = explainLine(client, baseURL, ex.DecisionID)
 		}
-		fmt.Fprintf(w, "%-10.6f %-10s %-20s %-20s %s\n", ex.Value, bucket, ex.DecisionID, traceCol, decided)
+		fmt.Fprintf(w, "%-10.6f %-10s %-20s %-20s %-14s %s\n", ex.Value, bucket, ex.DecisionID, traceCol, stageCol(ex.Stages), decided)
 	}
 	if explain {
 		fmt.Fprintln(w, "# replay a traced row with: stacctl trace -addr <addr> <trace-id>")
 	}
 	return nil
+}
+
+// stageCol names an exemplar's dominant stage with its share of the
+// stages recorded ("-" without a stage vector).
+func stageCol(st []obs.StageTime) string {
+	var total, top float64
+	for _, s := range st {
+		total += s.Seconds
+		top = max(top, s.Seconds)
+	}
+	if total <= 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%s %.0f%%", obs.DominantStage(st), 100*top/total)
 }
 
 // explainLine resolves one decision ID to a one-line verdict; eviction

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -53,6 +54,10 @@ assign o1 roamer
 	}
 	if strings.Contains(out, "(not in audit window)") {
 		t.Fatalf("exemplar fell out of the audit window:\n%s", out)
+	}
+	// Untraced decisions still name where their time went.
+	if !strings.Contains(out, "STAGE") || !regexp.MustCompile(`(decode|verify|lookup|prefix|temporal|residue) \d+%`).MatchString(out) {
+		t.Fatalf("exemplar rows name no dominant stage:\n%s", out)
 	}
 
 	// -n 1 keeps only the slowest row.

@@ -83,8 +83,11 @@ type options struct {
 	// still sample on demand).
 	budgetSampleInterval time.Duration
 
-	// trace samples a span tree per decision into an in-memory ring,
-	// exported as Chrome trace-event JSON on /debug/trace.
+	// trace honours client-sampled trace contexts: a request whose
+	// context the client sampled gets its span tree, rendered from the
+	// request's stage ledger into an in-memory ring and exported as
+	// Chrome trace-event JSON on /debug/trace. Untraced requests record
+	// no spans either way; every access keeps its stage ledger.
 	trace bool
 	// traceCapacity bounds the span ring (0 = obs default).
 	traceCapacity int
@@ -159,7 +162,7 @@ func main() {
 	flag.IntVar(&opts.maxLineBytes, "max-line-bytes", server.DefaultMaxLineBytes, "per-request size cap in bytes")
 	flag.StringVar(&opts.metricsAddr, "metrics-addr", "", "serve /metrics, /debug/* and health probes on this address; empty disables")
 	flag.DurationVar(&opts.budgetSampleInterval, "budget-sample-interval", 10*time.Second, "background temporal-budget sampling interval; 0 disables")
-	flag.BoolVar(&opts.trace, "trace", true, "record a span tree per decision (export on /debug/trace)")
+	flag.BoolVar(&opts.trace, "trace", true, "honour client-sampled trace contexts: record their span trees (export on /debug/trace)")
 	flag.IntVar(&opts.traceCapacity, "trace-capacity", 0, "in-memory span ring capacity; 0 = default")
 	flag.StringVar(&opts.auditLog, "audit-log", "", "append every decision as a JSON line to this file; empty disables")
 	flag.BoolVar(&opts.record, "record", false, "record replay inputs (arrivals, activations, grants, and each decision's subject, history and program) in the decision log")

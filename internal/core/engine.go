@@ -134,6 +134,10 @@ type Request struct {
 	History trace.Trace
 	// Proofs attests the history; nil means fully attested.
 	Proofs srac.ProofOracle
+	// Stages is the serving request's stage ledger, on which the
+	// decision marks its own stages; nil for a library caller, whose
+	// decision keeps a ledger of its own.
+	Stages *obs.StageLedger
 }
 
 // Decision explains an authorisation outcome.
@@ -176,6 +180,11 @@ type Decision struct {
 	// stamp the decide record without reading the clock again.
 	now float64
 	tk  temporalKey
+	// evalStatus is the prefix evaluation's own status (before a
+	// Strict reading overrides Spatial) and entries the history
+	// entries it stepped: the prefix_eval span's attributes.
+	evalStatus srac.Status
+	entries    int
 }
 
 // String implements fmt.Stringer.
@@ -552,44 +561,72 @@ func (e *Engine) Authorize(req Request) Decision {
 	return e.AuthorizeTraced(obs.TraceContext{}, req)
 }
 
-// AuthorizeTraced is Authorize under a propagated trace context: when
-// the context is sampled (and the engine's tracer is recording), the
-// decision emits a span tree — authorize → static_check / prefix_eval
-// / temporal_check — and the Decision carries a freshly minted ID
-// correlating it with the spans. With an invalid or unsampled context
-// the tracing cost is a few branches and the ID stays empty (lazy
-// minting: persistent consumers mint one themselves).
+// AuthorizeTraced is Authorize under a propagated trace context. The
+// decision marks its stages (lookup, static, prefix, temporal) on the
+// request's ledger, or on one of its own for a library caller, and
+// every timing it reports comes from those marks. When the context is
+// sampled (and the engine's tracer is recording), the decision renders
+// its span tree from the marks afterwards — authorize → static_check /
+// prefix_eval / temporal_check — and the Decision carries a freshly
+// minted ID correlating it with the spans. With an invalid or unsampled
+// context the ID stays empty (lazy minting: persistent consumers mint
+// one themselves).
 func (e *Engine) AuthorizeTraced(tc obs.TraceContext, req Request) Decision {
 	m := e.met.Load()
-	t := e.tracer.Load()
-	sp, ctx := t.StartSpan(tc, "authorize")
-	start := time.Now()
-	now := e.clock.Now()
-	d := e.authorize(ctx, t, req, m, now)
+	l := req.Stages
+	var own obs.StageLedger
+	var begin time.Duration
+	if l == nil {
+		l = &own
+		l.Start(obs.StageLookup)
+	} else {
+		begin = l.Enter(obs.StageLookup)
+	}
+	d := e.authorize(req, l, m, e.clock.Now())
+	elapsed := l.Enter(obs.StageResidue) - begin
 	d.HLC = e.hlcClock.Load().Now()
-	elapsed := time.Since(start)
 	m.recordDecision(d, elapsed)
 	e.slo.Load().Observe(elapsed)
-	if sp != nil {
+	if t := e.tracer.Load(); t.Records(tc) {
 		d.ID = obs.NewDecisionID()
-		sp.SetService("engine")
-		sp.SetAttr("decision_id", d.ID)
-		sp.SetAttr("object", string(req.Access.Object))
-		sp.SetAttr("access", req.Access.String())
-		sp.SetAttr("granted", strconv.FormatBool(d.Granted))
-		if !d.Granted {
-			sp.SetAttr("deny", string(d.Deny))
-		}
-		sp.Finish()
+		e.renderSpans(t, tc, l, req, &d, begin, elapsed)
 	}
-	m.captureExemplar(&d, elapsed, ctx)
+	m.captureExemplar(&d, elapsed, tc, l)
 	return d
 }
 
-// authorize is the uninstrumented decision body at clock reading now;
-// AuthorizeTraced wraps it with timing, per-outcome accounting and the
-// decision span.
-func (e *Engine) authorize(tc obs.TraceContext, t *obs.Tracer, req Request, m *engineMetrics, now float64) (d Decision) {
+// renderSpans records a sampled decision's span tree from its ledger
+// marks: the authorize span over the decision, and a child per decision
+// stage the request entered.
+func (e *Engine) renderSpans(t *obs.Tracer, tc obs.TraceContext, l *obs.StageLedger, req Request, d *Decision, begin, elapsed time.Duration) {
+	self := tc.Child()
+	stage := func(s obs.Stage, name string, attrs ...obs.Attr) {
+		if at, dur, ok := l.Interval(s); ok {
+			t.Emit(self, self.Child(), name, "engine", l.Time(at), dur, attrs...)
+		}
+	}
+	stage(obs.StageStatic, "static_check", obs.Attr{Key: "verdict", Value: d.ProgramVerdict.String()})
+	stage(obs.StagePrefix, "prefix_eval",
+		obs.Attr{Key: "status", Value: d.evalStatus.String()},
+		obs.Attr{Key: "history_len", Value: strconv.Itoa(len(req.History) + 1)},
+		obs.Attr{Key: "entries", Value: strconv.Itoa(d.entries)})
+	stage(obs.StageTemporal, "temporal_check", obs.Attr{Key: "state", Value: d.Temporal.String()})
+	attrs := []obs.Attr{
+		{Key: "decision_id", Value: d.ID},
+		{Key: "object", Value: string(req.Access.Object)},
+		{Key: "access", Value: req.Access.String()},
+		{Key: "granted", Value: strconv.FormatBool(d.Granted)},
+	}
+	if !d.Granted {
+		attrs = append(attrs, obs.Attr{Key: "deny", Value: string(d.Deny)})
+	}
+	t.Emit(tc, self, "authorize", "engine", l.Time(begin), elapsed, attrs...)
+}
+
+// authorize is the decision body at clock reading now, marking its
+// stages on l; AuthorizeTraced wraps it with per-outcome accounting
+// and the span tree.
+func (e *Engine) authorize(req Request, l *obs.StageLedger, m *engineMetrics, now float64) (d Decision) {
 	d = Decision{Spatial: srac.Satisfied, ProgramVerdict: srac.AllTraces, Temporal: temporal.Inactive, now: now}
 	if req.Session == nil {
 		d.Deny = DenyNoSession
@@ -633,17 +670,14 @@ func (e *Engine) authorize(tc obs.TraceContext, t *obs.Tracer, req Request, m *e
 		// actions cannot be decided from this object's program alone,
 		// so they are left to the runtime history check.
 		if req.Program != nil && !srac.MentionsOtherObject(stamped, obj) {
-			csp, _ := t.StartSpan(tc, "static_check")
-			csp.SetService("engine")
-			checkStart := time.Now()
+			l.Enter(obs.StageStatic)
 			d.ProgramVerdict = srac.CheckProgram(req.Program, stamped, obj)
-			checkElapsed := time.Since(checkStart)
-			m.staticCheck.Observe(checkElapsed)
+			l.Enter(obs.StageResidue)
+			checked := l.Stage(obs.StageStatic)
+			m.staticCheck.Observe(checked)
 			if col != nil {
-				e.costStatic(col, req, d.ProgramVerdict, checkElapsed)
+				e.costStatic(col, req, d.ProgramVerdict, checked)
 			}
-			csp.SetAttr("verdict", d.ProgramVerdict.String())
-			csp.Finish()
 			if d.ProgramVerdict == srac.NoTrace {
 				d.Spatial = srac.Violated
 				d.Deny = DenyProgram
@@ -661,20 +695,14 @@ func (e *Engine) authorize(tc obs.TraceContext, t *obs.Tracer, req Request, m *e
 		// hypothetically performed and proven. One evaluation decides
 		// (the root's status), reads Strict satisfaction (the root's
 		// Holds), feeds the profiler and explains a denial.
-		esp, _ := t.StartSpan(tc, "prefix_eval")
-		esp.SetService("engine")
 		sampled := col != nil && col.SampleTick()
 		buf := nodeEvalPool.Get().(*[]srac.NodeEval)
-		evalStart := time.Now()
+		l.Enter(obs.StagePrefix)
 		nodes, consumed := prefixEval(mon, req, *buf, sampled)
-		m.prefixEval.ObserveSince(evalStart)
+		l.Enter(obs.StageResidue)
+		m.prefixEval.Observe(l.Stage(obs.StagePrefix))
 		d.Spatial = nodes[0].Status
-		if esp != nil {
-			esp.SetAttr("status", d.Spatial.String())
-			esp.SetAttr("history_len", strconv.Itoa(len(req.History)+1))
-			esp.SetAttr("entries", strconv.Itoa(consumed))
-			esp.Finish()
-		}
+		d.evalStatus, d.entries = d.Spatial, consumed
 		if col != nil {
 			costScan(col, ps, nodes, consumed, sampled)
 		}
@@ -703,14 +731,11 @@ func (e *Engine) authorize(tc obs.TraceContext, t *obs.Tracer, req Request, m *e
 	}
 
 	// --- Temporal validity (Expression 4.1). ---
-	tsp, _ := t.StartSpan(tc, "temporal_check")
-	tsp.SetService("engine")
 	// Role activation in this session implies the permission is
 	// active; make sure its clock reflects it (idempotent).
+	l.Enter(obs.StageTemporal)
 	v := e.activateKey(obj, tk, now)
 	d.Temporal = v.State
-	tsp.SetAttr("state", d.Temporal.String())
-	tsp.Finish()
 	if d.Temporal != temporal.Valid {
 		if d.Temporal == temporal.ActiveInvalid {
 			d.Deny = DenyTemporalExhausted

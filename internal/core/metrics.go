@@ -92,11 +92,11 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 }
 
 // captureExemplar retains slow decisions in the authorize histogram's
-// exemplar slots, minting the decision ID lazily — only observations
-// that claim a slot (rare, by construction the slowest recent one per
-// bucket) pay the allocation, so the unsampled hot path stays
-// ID-free.
-func (m *engineMetrics) captureExemplar(d *Decision, elapsed time.Duration, tc obs.TraceContext) {
+// exemplar slots, with the request's stage vector so far, minting the
+// decision ID lazily — only observations that claim a slot (rare, by
+// construction the slowest recent one per bucket) pay the allocation,
+// so the unsampled hot path stays ID-free.
+func (m *engineMetrics) captureExemplar(d *Decision, elapsed time.Duration, tc obs.TraceContext, l *obs.StageLedger) {
 	if !m.authorize.ExemplarQualifies(elapsed) {
 		return
 	}
@@ -107,7 +107,7 @@ func (m *engineMetrics) captureExemplar(d *Decision, elapsed time.Duration, tc o
 	if tc.Valid() {
 		traceID = tc.Trace.String()
 	}
-	m.authorize.RecordExemplar(elapsed, d.ID, traceID)
+	m.authorize.RecordExemplar(elapsed, d.ID, traceID, l.StageTimes()...)
 }
 
 // DecisionExemplars returns the engine's currently retained decision

@@ -35,6 +35,10 @@ type Exemplar struct {
 	TraceID    string `json:"trace_id,omitempty"`
 	// Time is the wall-clock capture time.
 	Time time.Time `json:"time"`
+	// Stages is the request's stage vector when the observation was
+	// made (see StageLedger), so an untraced exemplar still names
+	// where its time went.
+	Stages []StageTime `json:"stages,omitempty"`
 }
 
 // exemplarStore holds one slot per bucket (including +Inf).
@@ -101,12 +105,12 @@ func (h *Histogram) ExemplarQualifies(d time.Duration) bool {
 	return cur != nil && time.Since(cur.Time).Nanoseconds() > ex.windowNs
 }
 
-// RecordExemplar stores the observation in its bucket slot. Callers
-// gate on ExemplarQualifies first; RecordExemplar re-checks nothing
-// beyond the store being enabled, so a racing smaller observation may
-// transiently occupy a slot — exemplars are diagnostics, not
-// accounting.
-func (h *Histogram) RecordExemplar(d time.Duration, decisionID, traceID string) {
+// RecordExemplar stores the observation, with the request's stage
+// vector when given, in its bucket slot. Callers gate on
+// ExemplarQualifies first; RecordExemplar re-checks nothing beyond the
+// store being enabled, so a racing smaller observation may transiently
+// occupy a slot — exemplars are diagnostics, not accounting.
+func (h *Histogram) RecordExemplar(d time.Duration, decisionID, traceID string, stages ...StageTime) {
 	ex := h.ex.Load()
 	if ex == nil {
 		return
@@ -123,6 +127,7 @@ func (h *Histogram) RecordExemplar(d time.Duration, decisionID, traceID string) 
 		DecisionID: decisionID,
 		TraceID:    traceID,
 		Time:       time.Now(),
+		Stages:     stages,
 	}
 	ex.maxNs[i].Store(int64(d))
 	ex.slots[i].Store(e)

@@ -18,6 +18,11 @@ package obs
 //   - Stdlib only. Completed spans land in a fixed-capacity ring
 //     (TraceStore) and export as Chrome trace-event JSON, loadable in
 //     chrome://tracing or Perfetto, served from /debug/trace.
+//
+// The daemon, server and engine time their stages once, on the
+// request's stage ledger (ledger.go), and render their spans from it
+// after the decision (Child, Emit) — only for a context the client
+// sampled.
 
 import (
 	"crypto/rand"
@@ -297,7 +302,7 @@ func (t *Tracer) NewContext() TraceContext {
 // nil (no-op) span and the context unchanged — the cheap path costs a
 // few branches.
 func (t *Tracer) StartSpan(tc TraceContext, name string) (*Span, TraceContext) {
-	if t == nil || !tc.Sampled || !tc.Valid() || !t.sampling.Load() {
+	if !t.Records(tc) {
 		return nil, tc
 	}
 	sp := &Span{
@@ -311,6 +316,32 @@ func (t *Tracer) StartSpan(tc TraceContext, name string) (*Span, TraceContext) {
 	child := tc
 	child.Span = sp.SpanID
 	return sp, child
+}
+
+// Records reports whether spans under tc are recorded: the context is
+// valid and sampled, and the tracer is sampling.
+func (t *Tracer) Records(tc TraceContext) bool {
+	return t != nil && tc.Sampled && tc.Valid() && t.sampling.Load()
+}
+
+// Child returns the context of a new span under tc: same trace, a fresh
+// span ID, sampled. Code that renders a span after the fact reserves
+// its ID with Child, hands the result to callees as their parent, and
+// records the span with Emit.
+func (tc TraceContext) Child() TraceContext {
+	return TraceContext{Trace: tc.Trace, Span: newSpanID(), Sampled: true}
+}
+
+// Emit records a finished span self, child of parent, that started at
+// start and lasted dur. A nil tracer, or one without a store, drops it.
+func (t *Tracer) Emit(parent, self TraceContext, name, service string, start time.Time, dur time.Duration, attrs ...Attr) {
+	if t == nil || t.store == nil {
+		return
+	}
+	t.store.Add(Span{
+		TraceID: self.Trace, SpanID: self.Span, Parent: parent.Span,
+		Name: name, Service: service, Start: start, Duration: dur, Attrs: attrs,
+	})
 }
 
 // TraceStore is a fixed-capacity ring of completed spans: old spans

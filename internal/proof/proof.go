@@ -23,9 +23,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 
 	"stac/internal/model"
@@ -56,7 +56,18 @@ var (
 
 // Signer issues and verifies proofs under a coalition signing key.
 type Signer struct {
-	key []byte
+	// macs pools HMAC states (*keyedMAC) keyed with a private copy of
+	// the coalition key: Reset returns one to the keyed state, so a
+	// signature costs no re-keying and no allocation.
+	macs sync.Pool
+}
+
+// keyedMAC is one pooled HMAC-SHA-256 state under the signer's key,
+// with the buffers a signature needs.
+type keyedMAC struct {
+	h    hash.Hash
+	body []byte
+	sum  []byte
 }
 
 // NewSigner creates a signer for the given coalition key. The key is
@@ -64,23 +75,43 @@ type Signer struct {
 func NewSigner(key []byte) *Signer {
 	k := make([]byte, len(key))
 	copy(k, key)
-	return &Signer{key: k}
+	s := &Signer{}
+	s.macs.New = func() any {
+		return &keyedMAC{h: hmac.New(sha256.New, k), sum: make([]byte, 0, sha256.Size)}
+	}
+	return s
 }
 
-// body serialises the signed portion of a proof deterministically.
-func body(a model.Access, t float64, nonce string) []byte {
-	return []byte(strings.Join([]string{
-		"proof", string(a.Object), string(a.Op), string(a.Resource),
-		string(a.Server), strconv.FormatFloat(t, 'g', -1, 64), nonce,
-	}, "\x1f"))
+// sign returns the HMAC of the body a fills in, in m.sum; the caller
+// puts m back into the pool once it is done with the sum.
+func (s *Signer) sign(fill func([]byte) []byte) *keyedMAC {
+	m := s.macs.Get().(*keyedMAC)
+	m.body = fill(m.body[:0])
+	m.h.Reset()
+	m.h.Write(m.body)
+	m.sum = m.h.Sum(m.sum[:0])
+	return m
+}
+
+// appendBody appends the signed portion of a proof, its fields joined
+// by the unit separator.
+func appendBody(b []byte, a model.Access, t float64, nonce string) []byte {
+	for _, f := range [...]string{"proof", string(a.Object), string(a.Op), string(a.Resource), string(a.Server)} {
+		b = append(append(b, f...), '\x1f')
+	}
+	b = strconv.AppendFloat(b, t, 'g', -1, 64)
+	return append(append(b, '\x1f'), nonce...)
 }
 
 // Issue creates a signed execution proof for access a at time t.
-func (s *Signer) Issue(a model.Access, t float64) Proof {
-	nonce := newNonce()
-	mac := hmac.New(sha256.New, s.key)
-	mac.Write(body(a, t, nonce))
-	return Proof{Access: a, Time: t, Nonce: nonce, Sig: hex.EncodeToString(mac.Sum(nil))}
+func (s *Signer) Issue(a model.Access, t float64) Proof { return s.issue(a, t, newNonce()) }
+
+// issue signs the proof of access a at time t under nonce.
+func (s *Signer) issue(a model.Access, t float64, nonce string) Proof {
+	m := s.sign(func(b []byte) []byte { return appendBody(b, a, t, nonce) })
+	sig := hex.EncodeToString(m.sum)
+	s.macs.Put(m)
+	return Proof{Access: a, Time: t, Nonce: nonce, Sig: sig}
 }
 
 // newNonce returns 8 random bytes in hex.
@@ -102,16 +133,46 @@ func (s *Signer) Verify(p Proof) error {
 	if p.Access.Object == "" {
 		return fmt.Errorf("%w: proof without mobile object", ErrMalformed)
 	}
-	want, err := hex.DecodeString(p.Sig)
-	if err != nil {
+	m := s.sign(func(b []byte) []byte { return appendBody(b, p.Access, p.Time, p.Nonce) })
+	defer s.macs.Put(m)
+	return checkSig(m.sum, p.Sig)
+}
+
+// checkSig compares a computed HMAC with a hex signature in constant
+// time, decoding the hex without allocating.
+func checkSig(sum []byte, sig string) error {
+	var want [sha256.Size]byte
+	if len(sig)%2 != 0 {
 		return fmt.Errorf("%w: bad signature encoding", ErrMalformed)
 	}
-	mac := hmac.New(sha256.New, s.key)
-	mac.Write(body(p.Access, p.Time, p.Nonce))
-	if !hmac.Equal(mac.Sum(nil), want) {
+	n := len(sig) / 2
+	for i := 0; i < n; i++ {
+		hi, ok1 := unhex(sig[2*i])
+		lo, ok2 := unhex(sig[2*i+1])
+		if !ok1 || !ok2 {
+			return fmt.Errorf("%w: bad signature encoding", ErrMalformed)
+		}
+		if i < len(want) {
+			want[i] = hi<<4 | lo
+		}
+	}
+	if n != len(want) || !hmac.Equal(sum, want[:]) {
 		return ErrBadSignature
 	}
 	return nil
+}
+
+// unhex decodes one hex digit, either case.
+func unhex(c byte) (byte, bool) {
+	switch {
+	case '0' <= c && c <= '9':
+		return c - '0', true
+	case 'a' <= c && c <= 'f':
+		return c - 'a' + 10, true
+	case 'A' <= c && c <= 'F':
+		return c - 'A' + 10, true
+	}
+	return 0, false
 }
 
 // Store is a mobile object's collection of execution proofs. It
@@ -394,19 +455,23 @@ type Credential struct {
 	Sig   string   `json:"sig"`
 }
 
-// credBody serialises the signed portion of a credential.
-func credBody(c Credential) []byte {
-	return []byte(strings.Join(append([]string{
-		"credential", string(c.Object), c.Owner,
-	}, c.Roles...), "\x1f"))
+// appendCredBody appends the signed portion of a credential, its
+// fields joined by the unit separator.
+func appendCredBody(b []byte, c Credential) []byte {
+	b = append(append(append(b, "credential\x1f"...), c.Object...), '\x1f')
+	b = append(b, c.Owner...)
+	for _, r := range c.Roles {
+		b = append(append(b, '\x1f'), r...)
+	}
+	return b
 }
 
 // IssueCredential signs a credential for the mobile object.
 func (s *Signer) IssueCredential(object model.ObjectID, owner string, roles []string) Credential {
 	c := Credential{Object: object, Owner: owner, Roles: append([]string(nil), roles...)}
-	mac := hmac.New(sha256.New, s.key)
-	mac.Write(credBody(c))
-	c.Sig = hex.EncodeToString(mac.Sum(nil))
+	m := s.sign(func(b []byte) []byte { return appendCredBody(b, c) })
+	c.Sig = hex.EncodeToString(m.sum)
+	s.macs.Put(m)
 	return c
 }
 
@@ -415,14 +480,7 @@ func (s *Signer) VerifyCredential(c Credential) error {
 	if c.Object == "" || c.Owner == "" {
 		return fmt.Errorf("%w: credential missing object or owner", ErrMalformed)
 	}
-	want, err := hex.DecodeString(c.Sig)
-	if err != nil {
-		return fmt.Errorf("%w: bad signature encoding", ErrMalformed)
-	}
-	mac := hmac.New(sha256.New, s.key)
-	mac.Write(credBody(c))
-	if !hmac.Equal(mac.Sum(nil), want) {
-		return ErrBadSignature
-	}
-	return nil
+	m := s.sign(func(b []byte) []byte { return appendCredBody(b, c) })
+	defer s.macs.Put(m)
+	return checkSig(m.sum, c.Sig)
 }

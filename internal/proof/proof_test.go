@@ -2,6 +2,7 @@ package proof
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -481,5 +482,83 @@ func TestStorePeekKeepsStatePerMonitor(t *testing.T) {
 	}
 	if _, n, _ := peek(st.Trace(), "o1"); n != 4 {
 		t.Fatalf("evicted state consumed %d, want a fresh catch-up of 4", n)
+	}
+}
+
+// TestSignaturesPinned holds proof and credential signatures to the
+// bytes the coalition has always issued: a change to how a body is
+// serialised or a MAC is keyed would strand every proof in flight.
+func TestSignaturesPinned(t *testing.T) {
+	s := NewSigner([]byte("pinned-coalition-key"))
+	for _, c := range []struct {
+		a     model.Access
+		t     float64
+		nonce string
+		sig   string
+	}{
+		{model.NewAccess("dev-1", "read", "f1", "s1"), 12.5, "0011223344556677",
+			"1d7911a7b789a80a967287cb223be7940ba3ce1ee9244fe78099ec8efc1084ed"},
+		{model.NewAccess("o2", "write", "plan", "s3"), 1e-7, "deadbeefcafef00d",
+			"e69f33a339edfc43571217034a23a3477bcfd8cabf97a1e080990828db4903f9"},
+		{model.NewAccess("auditor-1", "execute", "bin", "hq"), 0, "",
+			"61578e383ae3151c175ff651372d6184517ad5ff843e02f928a03acb2237119f"},
+	} {
+		p := s.issue(c.a, c.t, c.nonce)
+		if p.Sig != c.sig {
+			t.Errorf("proof %v at %v: sig %s, want %s", c.a, c.t, p.Sig, c.sig)
+		}
+		if err := s.Verify(p); err != nil {
+			t.Errorf("pinned proof %v: %v", c.a, err)
+		}
+		p.Sig = strings.ToUpper(p.Sig)
+		if err := s.Verify(p); err != nil {
+			t.Errorf("upper-case hex of pinned proof %v: %v", c.a, err)
+		}
+	}
+	for _, c := range []struct {
+		o     model.ObjectID
+		owner string
+		roles []string
+		sig   string
+	}{
+		{"dev-1", "owner@hq", []string{"courier"},
+			"4a688e408503b1437976cdf801dc57e571d5eebad5b1c3fd6464f54fe6cbe9a3"},
+		{"o2", "alice", []string{"worker", "auditor", "field"},
+			"cc57fb8052a11f64863fc682b5593fed96090924c9d591e79a6167c64a5027c7"},
+		{"o3", "bob", nil,
+			"b6a7f43993e944b3e9bfda4eebadfbbdb31035f3f35ad41a1cab67025e1436ae"},
+	} {
+		cred := s.IssueCredential(c.o, c.owner, c.roles)
+		if cred.Sig != c.sig {
+			t.Errorf("credential %s: sig %s, want %s", c.o, cred.Sig, c.sig)
+		}
+		if err := s.VerifyCredential(cred); err != nil {
+			t.Errorf("pinned credential %s: %v", c.o, err)
+		}
+	}
+}
+
+// TestVerifyAllocationFree: a signer verifies from its pool of keyed
+// MACs, with no re-keying and no allocation per proof.
+func TestVerifyAllocationFree(t *testing.T) {
+	if raceDetectorOn {
+		t.Skip("sync.Pool drops pooled MACs under the race detector")
+	}
+	s := NewSigner([]byte("k"))
+	p := s.Issue(model.NewAccess("o1", "read", "f1", "s1"), 3)
+	cred := s.IssueCredential("o1", "owner", []string{"r"})
+	if allocs := testing.AllocsPerRun(200, func() {
+		if err := s.Verify(p); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 0 {
+		t.Fatalf("Verify allocates %v times per proof, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if err := s.VerifyCredential(cred); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 0 {
+		t.Fatalf("VerifyCredential allocates %v times per credential, want 0", allocs)
 	}
 }

@@ -315,8 +315,37 @@ type AccessResult struct {
 // Request is the SecurityManager interposition: it authorises the
 // access under the coordinated spatio-temporal policy, executes the
 // operation on the hosted resource, and issues an execution proof.
-// The subject's proof store supplies the cross-server history.
+// The subject's proof store supplies the cross-server history. The
+// request marks its log and issue stages on prog.Stages (a ledger of
+// its own when nil), and for a sampled context renders the
+// server.request span from those marks.
 func (s *Server) Request(sub *Subject, op model.Operation, res model.ResourceID, prog RequestContext) (AccessResult, error) {
+	l := prog.Stages
+	var own obs.StageLedger
+	if l == nil {
+		// A library caller: the engine keeps a ledger of its own.
+		l = &own
+		l.Start(obs.StageResidue)
+	}
+	begin := l.Wall()
+	tracer := s.coalition.Engine.Tracer()
+	ctx := prog.Trace
+	if tracer.Records(ctx) {
+		ctx = ctx.Child()
+	}
+	out, err := s.request(sub, op, res, prog, l, ctx)
+	end := l.Enter(obs.StageResidue)
+	if ctx != prog.Trace {
+		tracer.Emit(prog.Trace, ctx, "server.request", "server:"+string(s.id), l.Time(begin), end-begin,
+			obs.Attr{Key: "access", Value: model.Access{Object: sub.Object, Op: op, Resource: res, Server: s.id}.String()},
+			obs.Attr{Key: "decision_id", Value: out.Decision.ID})
+	}
+	return out, err
+}
+
+// request is Request's body, deciding under trace context tc and
+// marking its stages on l.
+func (s *Server) request(sub *Subject, op model.Operation, res model.ResourceID, prog RequestContext, l *obs.StageLedger, tc obs.TraceContext) (AccessResult, error) {
 	access := model.Access{Object: sub.Object, Op: op, Resource: res, Server: s.id}
 	ledger := s.coalition.Ledger()
 	oracle := prog.Proofs
@@ -333,12 +362,6 @@ func (s *Server) Request(sub *Subject, op model.Operation, res model.ResourceID,
 	if oracle == nil && prog.Store != nil {
 		oracle = prog.Store
 	}
-	sp, ctx := s.coalition.Engine.Tracer().StartSpan(prog.Trace, "server.request")
-	sp.SetService("server:" + string(s.id))
-	if sp != nil {
-		sp.SetAttr("access", access.String())
-	}
-	defer sp.Finish()
 	req := core.Request{
 		Session:       sub.Session,
 		Access:        access,
@@ -346,15 +369,15 @@ func (s *Server) Request(sub *Subject, op model.Operation, res model.ResourceID,
 		ProgramDigest: prog.ProgramDigest,
 		History:       history,
 		Proofs:        oracle,
+		Stages:        prog.Stages,
 	}
-	dec := s.coalition.Engine.AuthorizeTraced(ctx, req)
+	dec := s.coalition.Engine.AuthorizeTraced(tc, req)
 	if dec.ID == "" {
 		// Unsampled path: the engine leaves the ID empty to stay
 		// allocation-free; mint it here, where the decide record (and
 		// eventually the proof HMAC) dominate the cost anyway.
 		dec.ID = obs.NewDecisionID()
 	}
-	sp.SetAttr("decision_id", dec.ID)
 	// The shadow verdict (nil unless -shadow-policy is loaded) compares
 	// against the ENGINE verdict; it never affects the served outcome.
 	sv := s.coalition.shadowEval(req, dec)
@@ -362,6 +385,7 @@ func (s *Server) Request(sub *Subject, op model.Operation, res model.ResourceID,
 		s.mu.Lock()
 		s.denies++
 		s.mu.Unlock()
+		l.Enter(obs.StageLog)
 		s.logServed(prog.Trace, req, dec, "", sv)
 		return AccessResult{Decision: dec}, fmt.Errorf("%w: %s", ErrDenied, dec.Reason)
 	}
@@ -372,6 +396,7 @@ func (s *Server) Request(sub *Subject, op model.Operation, res model.ResourceID,
 	if !ok && op != model.OpWrite {
 		s.denies++
 		s.mu.Unlock()
+		l.Enter(obs.StageLog)
 		s.logServed(prog.Trace, req, dec, "unknown resource", sv)
 		return AccessResult{Decision: dec}, fmt.Errorf("%w: %q at %q", model.ErrUnknownResource, res, s.id)
 	}
@@ -385,8 +410,10 @@ func (s *Server) Request(sub *Subject, op model.Operation, res model.ResourceID,
 	}
 	s.grants++
 	s.mu.Unlock()
+	l.Enter(obs.StageLog)
 	s.logServed(prog.Trace, req, dec, "", sv)
 
+	l.Enter(obs.StageIssue)
 	pr := s.coalition.Signer.Issue(access, s.localNow())
 	if prog.Store != nil {
 		if err := prog.Store.Add(pr); err != nil {
@@ -400,6 +427,7 @@ func (s *Server) Request(sub *Subject, op model.Operation, res model.ResourceID,
 	}
 	// Log the executed access: a flight-recorder grant record and one
 	// history append for the cost profiler.
+	l.Enter(obs.StageLog)
 	s.coalition.Engine.RecordGrant(access)
 	return AccessResult{Data: data, Proof: pr, Decision: dec}, nil
 }
@@ -424,6 +452,9 @@ type RequestContext struct {
 	// Trace is the propagated trace context of the itinerary this
 	// request belongs to (zero for untraced requests).
 	Trace obs.TraceContext
+	// Ledger is the serving request's stage ledger (nil outside the
+	// daemon: the request keeps one of its own).
+	Stages *obs.StageLedger
 }
 
 // History derives the executed trace from the proof store.

@@ -143,6 +143,7 @@ func (c *Coalition) shadowEval(req core.Request, served core.Decision) *record.S
 	st.mu.Lock()
 	shadowReq := req
 	shadowReq.Session = st.sessions[shadowKey{req.Access.Server, req.Access.Object}]
+	shadowReq.Stages = nil // the served request's ledger charges this to residue
 	d := st.engine.Authorize(shadowReq)
 	st.mu.Unlock()
 	st.evals.Inc()

@@ -212,6 +212,16 @@ type dmetrics struct {
 	resident    *obs.Counter
 	residentLen *obs.Gauge
 	handoffLen  *obs.Gauge
+	// stages times the access path stage by stage, from the request's
+	// stage ledger (see obs.StageLedger).
+	stages [obs.NumStages]*obs.Histogram
+}
+
+// stageBuckets resolve a stage from a sub-microsecond mark up through
+// a stalled write.
+var stageBuckets = []float64{
+	250e-9, 500e-9, 1e-6, 2.5e-6, 5e-6, 10e-6, 25e-6,
+	50e-6, 100e-6, 250e-6, 1e-3, 10e-3, 50e-3,
 }
 
 // wireTypes are the request types the daemon accounts per-type; an
@@ -253,7 +263,21 @@ func newDMetrics(r *obs.Registry, server model.ServerID) *dmetrics {
 			obs.Labels(srv, obs.Label("type", t)),
 			"Wire requests handled, by type.")
 	}
+	for s := range m.stages {
+		m.stages[s] = r.Histogram("stac_request_stage_seconds", obs.Label("stage", obs.Stage(s).String()),
+			"Access requests' time by stage, from the line read to the reply write.", stageBuckets)
+	}
 	return m
+}
+
+// observeStages feeds one access request's ledger into the stage
+// histograms.
+func (m *dmetrics) observeStages(l *obs.StageLedger) {
+	for s, h := range m.stages {
+		if d := l.Stage(obs.Stage(s)); d > 0 {
+			h.Observe(d)
+		}
+	}
 }
 
 func (m *dmetrics) request(typ string) {
@@ -281,6 +305,9 @@ type Daemon struct {
 	seenFIFO   []dedupKey
 	closed     bool
 	wg         sync.WaitGroup
+	// onStages, when set (tests only, before serving), sees each
+	// access request's closed ledger.
+	onStages func(*obs.StageLedger)
 }
 
 // session is one token's daemon-side state: the authenticated subject
@@ -486,11 +513,13 @@ func (d *Daemon) serveConn(conn net.Conn) {
 		}
 	}()
 	var wc wireCodec
+	var led obs.StageLedger
 	for {
 		if !d.armRead(conn) {
 			return // draining
 		}
 		line, err := readLine(br, d.cfg.maxLine(), &wc.line)
+		led.Start(obs.StageDecode)
 		if err != nil {
 			if errors.Is(err, errLineTooLong) {
 				d.met.oversize.Inc()
@@ -508,9 +537,19 @@ func (d *Daemon) serveConn(conn net.Conn) {
 				Trace: extractTrace(line)})
 			return
 		}
+		led.Enter(obs.StageResidue)
 		d.met.request(req.Type)
-		resp := d.handle(&req, program, &tokens)
-		if !d.reply(conn, &wc, resp) {
+		resp := d.handle(&req, program, &tokens, &led)
+		led.Enter(obs.StageWrite)
+		ok := d.reply(conn, &wc, resp)
+		led.Enter(obs.StageResidue)
+		if req.Type == "access" {
+			d.met.observeStages(&led)
+			if d.onStages != nil {
+				d.onStages(&led)
+			}
+		}
+		if !ok {
 			return
 		}
 	}
@@ -579,7 +618,7 @@ func (d *Daemon) record(key dedupKey, resp wireResponse) {
 
 // handle serves one decoded request; program is its declared program's
 // source (see wireCodec.decode).
-func (d *Daemon) handle(req *wireRequest, program []byte, tokens *[]string) wireResponse {
+func (d *Daemon) handle(req *wireRequest, program []byte, tokens *[]string, led *obs.StageLedger) wireResponse {
 	switch req.Type {
 	case "info":
 		var res []string
@@ -622,7 +661,7 @@ func (d *Daemon) handle(req *wireRequest, program []byte, tokens *[]string) wire
 		if s.gone {
 			return wireResponse{Error: "access: unknown or expired token"}
 		}
-		resp := d.access(s, req, program)
+		resp := d.access(s, req, program, led)
 		resp.Have = s.have()
 		return resp
 
@@ -647,8 +686,10 @@ func (d *Daemon) handle(req *wireRequest, program []byte, tokens *[]string) wire
 }
 
 // access serves one access request of session s, whose lock the caller
-// holds.
-func (d *Daemon) access(s *session, req *wireRequest, program []byte) wireResponse {
+// holds, marking its stages on led. A context the client sampled gets
+// the wire.access span, rendered from the marks; an untraced request
+// records no span and its reply echoes no trace.
+func (d *Daemon) access(s *session, req *wireRequest, program []byte, led *obs.StageLedger) wireResponse {
 	if req.HLC != "" {
 		// Receive event: fold the client's clock into the engine's
 		// before deciding, so the decision stamp dominates every
@@ -671,34 +712,41 @@ func (d *Daemon) access(s *session, req *wireRequest, program []byte) wireRespon
 			return resp
 		}
 	}
-	tracer := d.srv.coalition.Engine.Tracer()
-	tc, hasTC := obs.ParseTraceContext(req.Trace)
-	if !hasTC && tracer.Sampling() {
-		// Untraced caller against a tracing daemon: mint a context
-		// so the decision is still explorable server-side.
-		tc = tracer.NewContext()
-	}
-	wsp, wctx := tracer.StartSpan(tc, "wire.access")
-	wsp.SetService("daemon:" + string(d.srv.ID()))
-	wsp.SetAttr("op", req.Op)
-	wsp.SetAttr("resource", req.Resource)
-	ctx := RequestContext{Payload: req.Payload, Trace: wctx}
+	tc, _ := obs.ParseTraceContext(req.Trace)
 	echo := ""
 	if tc.Valid() {
 		echo = tc.String()
 	}
+	tracer := d.srv.coalition.Engine.Tracer()
+	ctx := RequestContext{Payload: req.Payload, Trace: tc, Stages: led}
+	sampled := tracer.Records(tc)
+	begin := led.Wall()
+	// span renders the wire.access span of a sampled request.
+	span := func(attrs ...obs.Attr) {
+		end := led.Enter(obs.StageResidue)
+		attrs = append([]obs.Attr{{Key: "op", Value: req.Op}, {Key: "resource", Value: req.Resource}}, attrs...)
+		tracer.Emit(tc, ctx.Trace, "wire.access", "daemon:"+string(d.srv.ID()), led.Time(begin), end-begin, attrs...)
+	}
+	if sampled {
+		ctx.Trace = tc.Child()
+	}
 	if len(program) > 0 {
 		prog, err := d.srv.coalition.programs.intern(program)
 		if err != nil {
-			wsp.SetAttr("error", "bad program")
-			wsp.Finish()
+			if sampled {
+				span(obs.Attr{Key: "error", Value: "bad program"})
+			}
 			return wireResponse{Error: "access: bad program: " + err.Error(), Trace: echo}
 		}
 		ctx.Program, ctx.ProgramDigest = prog.node, prog.digest
 	}
-	if err := d.carry(s, req); err != nil {
-		wsp.SetAttr("error", err.Error())
-		wsp.Finish()
+	led.Enter(obs.StageVerify)
+	err := d.carry(s, req)
+	led.Enter(obs.StageResidue)
+	if err != nil {
+		if sampled {
+			span(obs.Attr{Key: "error", Value: err.Error()})
+		}
 		return wireResponse{Error: err.Error(), Trace: echo}
 	}
 	ctx.Store = s.log
@@ -719,9 +767,10 @@ func (d *Daemon) access(s *session, req *wireRequest, program []byte) wireRespon
 	resp.Trace = echo
 	resp.DecisionID = res.Decision.ID
 	resp.HLC = res.Decision.HLC.String()
-	wsp.SetAttr("decision_id", res.Decision.ID)
-	wsp.SetAttr("granted", strconv.FormatBool(res.Decision.Granted))
-	wsp.Finish()
+	if sampled {
+		span(obs.Attr{Key: "decision_id", Value: res.Decision.ID},
+			obs.Attr{Key: "granted", Value: strconv.FormatBool(res.Decision.Granted)})
+	}
 	if req.ID != "" {
 		// Record grants AND denials: a retried request must see
 		// the same verdict the engine originally reached.
