@@ -98,19 +98,21 @@ if grep -q '^# 0 compared' "$ARTIFACTS/bench_diff.txt"; then
     exit 1
 fi
 
-# Contention-profile digest: rerun the E14 contention benchmarks with
-# mutex/block profiling on and distil each profile's hot frames into a
-# JSON digest next to the bench numbers, so a regression hunt starts
-# from "which lock got hot" instead of a raw pprof blob. On the
-# sharded engine the mutex digest is typically EMPTY — near-zero
-# contended unlocks is the property PR 7 bought, and a digest that
-# suddenly grows frames is exactly the regression signal this exists
-# to catch; the block digest always names the scheduler-wait frames.
+# Contention profiles: rerun the E14 contention benchmarks with
+# mutex/block profiling on and render each profile's top frames with
+# the toolchain's own pprof next to the bench numbers, so a regression
+# hunt starts from "which lock got hot" instead of a raw pprof blob.
+# The step makes artifacts and gates nothing. On the sharded engine
+# the mutex listing is typically EMPTY — near-zero contended unlocks
+# is the property PR 7 bought, and a listing that suddenly grows
+# frames is exactly the regression signal this exists to catch; the
+# block listing always names the scheduler-wait frames.
 go test -bench 'E14_ContentionScaling' -benchtime=1000x -run '^$' \
+    -o "$ARTIFACTS/stac.test" \
     -mutexprofilefraction 16 -mutexprofile "$ARTIFACTS/mutex_smoke.pb.gz" \
     -blockprofile "$ARTIFACTS/block_smoke.pb.gz" . >/dev/null
-go run ./cmd/benchdiff -digest mutex "$ARTIFACTS/mutex_smoke.pb.gz" >"$ARTIFACTS/PROFILE_mutex.json"
-go run ./cmd/benchdiff -digest block "$ARTIFACTS/block_smoke.pb.gz" >"$ARTIFACTS/PROFILE_block.json"
+go tool pprof -top -nodecount=10 "$ARTIFACTS/mutex_smoke.pb.gz" >"$ARTIFACTS/PROFILE_mutex.txt"
+go tool pprof -top -nodecount=10 "$ARTIFACTS/block_smoke.pb.gz" >"$ARTIFACTS/PROFILE_block.txt"
 
 # Load smoke: a short scenario-matrix run over real TCP — the churn,
 # hostile, large-policy and long-history scenarios against the

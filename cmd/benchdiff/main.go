@@ -1,5 +1,5 @@
 // Command benchdiff compares two performance summary files and reports
-// per-entry deltas. It understands four formats, auto-detected from
+// per-entry deltas. It understands three formats, auto-detected from
 // the file contents:
 //
 //   - bench summaries — the BENCH.json artifacts ci.sh distils
@@ -10,11 +10,6 @@
 //     LOAD.json artifacts cmd/stacload emits; compared by
 //     throughput (ops/s drop) and tail latency (p99 rise) per
 //     (scenario, system) cell, trials averaged.
-//   - profile digests (JSON object with a "frames" array) — the
-//     hot-frame summaries -digest distils from pprof profiles;
-//     compared by flat-share shift per function, in percentage
-//     points. Digest deltas warn but never fail: frame shares answer
-//     "where did the regression go", not "is there one".
 //   - cost tables (JSON object with a "clauses" array) — the
 //     COST.json artifacts ci.sh captures from an engine's
 //     per-clause evaluation-cost profile; compared by sampled mean
@@ -26,7 +21,6 @@
 //
 //	benchdiff [-threshold 25] [-fail-over 0] old.json new.json
 //	benchdiff -distill bench_output.txt            # go test -bench → JSON
-//	benchdiff -digest cpu [-top 10] profile.pb.gz  # pprof → digest JSON
 //	benchdiff -ab parent.jsonl change.jsonl        # repository benchmark A/B
 //
 // -distill parses `go test -bench` text output (use "-" for stdin)
@@ -37,20 +31,15 @@
 // -ab compares alternating runs of the repository benchmark, paired
 // line by line, by the gain rule and bounds described in ab.go.
 //
-// -digest parses a (possibly gzipped) pprof protobuf profile and
-// writes its top-N hot-leaf-frame digest as JSON to stdout, so CI can
-// archive "which frames were hot" next to "how fast was it".
-//
 // Regressions beyond -threshold are emitted as GitHub Actions
 // "::warning::" annotations so CI surfaces them without failing the
 // build — smoke runs are too noisy to gate on tightly. When -fail-over
 // is set (> 0), a gating regression beyond that percentage makes
 // benchdiff exit non-zero, which is how CI turns an order-of-magnitude
 // slip into a hard failure while leaving noise-level drift as
-// warnings. ns/op, allocs/op and throughput gate; p99 rises and
-// digest share shifts warn but never fail (tail latency on a shared
-// CI box is too volatile to gate on, and a share shift is
-// attribution, not regression).
+// warnings. ns/op, allocs/op, throughput and clause cost gate; p99
+// rises warn but never fail (tail latency on a shared CI box is too
+// volatile to gate on).
 //
 // When both sides carry a host fingerprint and they disagree on
 // anything that skews performance numbers (go version, CPU model,
@@ -125,23 +114,20 @@ type loadSummary struct {
 	Runs   []loadRun     `json:"runs"`
 }
 
-// summary is one parsed input file in whichever of the four formats
-// it turned out to be. Exactly one of bench/runs/digest/cost is set
-// (bench may legitimately be an empty non-nil slice).
+// summary is one parsed input file in whichever of the three formats
+// it turned out to be. Exactly one of bench/runs/cost is set (bench
+// may legitimately be an empty non-nil slice).
 type summary struct {
-	host   perf.HostInfo
-	bench  []benchResult
-	runs   []loadRun
-	digest *perf.Digest
-	cost   *cost.Report
+	host  perf.HostInfo
+	bench []benchResult
+	runs  []loadRun
+	cost  *cost.Report
 }
 
 func (s summary) kind() string {
 	switch {
 	case s.runs != nil:
 		return "load"
-	case s.digest != nil:
-		return "digest"
 	case s.cost != nil:
 		return "cost"
 	default:
@@ -151,11 +137,10 @@ func (s summary) kind() string {
 
 // delta is one compared entry. Pct is the regression in percent
 // (+ = worse): slower ns/op, more allocs, lower throughput, higher
-// p99, a fatter profile share. Gate marks deltas -fail-over may fail
-// the build on: ns/op, allocs/op and throughput qualify; tail latency
-// and digest shares are warn-only (p99 on a shared CI box swings
-// several-fold run to run; a share shift locates a regression rather
-// than constituting one).
+// p99, a slower clause. Gate marks deltas -fail-over may fail the
+// build on: ns/op, allocs/op, throughput and clause cost qualify; tail
+// latency is warn-only (p99 on a shared CI box swings several-fold run
+// to run).
 type delta struct {
 	Name     string
 	Unit     string
@@ -333,39 +318,6 @@ func pathLabel(p string) string {
 	return p
 }
 
-// compareDigest diffs two profile digests frame by frame. Old/New are
-// flat shares (0..1); Pct is the shift in percentage points of total
-// profile weight (+ = the frame got hotter). Never gates: it
-// attributes where time moved, it does not decide whether the move is
-// bad.
-func compareDigest(old, new *perf.Digest) (deltas []delta, added, removed []string) {
-	oldBy := make(map[string]perf.Frame, len(old.Frames))
-	for _, f := range old.Frames {
-		oldBy[f.Function] = f
-	}
-	seen := make(map[string]bool, len(new.Frames))
-	for _, f := range new.Frames {
-		seen[f.Function] = true
-		o, ok := oldBy[f.Function]
-		if !ok {
-			added = append(added, f.Function)
-			continue
-		}
-		deltas = append(deltas, delta{
-			Name: f.Function, Unit: "share",
-			Old: o.Share, New: f.Share,
-			Pct: (f.Share - o.Share) * 100,
-		})
-	}
-	for _, f := range old.Frames {
-		if !seen[f.Function] {
-			removed = append(removed, f.Function)
-		}
-	}
-	sort.Slice(deltas, func(i, j int) bool { return deltas[i].Pct > deltas[j].Pct })
-	return deltas, added, removed
-}
-
 // report renders the comparison; regressions beyond thresholdPct
 // become ::warning:: annotations. It returns the worst regression
 // percentage among gating deltas and the total regression count.
@@ -397,7 +349,7 @@ func report(w io.Writer, deltas []delta, added, removed []string, thresholdPct f
 
 // load reads one summary file, auto-detecting the format from the
 // JSON object's array: "runs" is a load summary, "bench" a bench
-// summary, "frames" a profile digest, "clauses" a cost table.
+// summary, "clauses" a cost table.
 func load(path string) (summary, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -408,7 +360,6 @@ func load(path string) (summary, error) {
 		Host    perf.HostInfo   `json:"host"`
 		Runs    []loadRun       `json:"runs"`
 		Bench   []benchResult   `json:"bench"`
-		Frames  json.RawMessage `json:"frames"`
 		Clauses json.RawMessage `json:"clauses"`
 	}
 	if err := json.Unmarshal(data, &probe); err != nil {
@@ -419,12 +370,6 @@ func load(path string) (summary, error) {
 		return summary{host: probe.Host, runs: probe.Runs}, nil
 	case probe.Bench != nil:
 		return summary{host: probe.Host, bench: probe.Bench}, nil
-	case probe.Frames != nil:
-		var d perf.Digest
-		if err := json.Unmarshal(data, &d); err != nil {
-			return summary{}, fmt.Errorf("%s: %w", path, err)
-		}
-		return summary{digest: &d}, nil
 	case probe.Clauses != nil:
 		var r cost.Report
 		if err := json.Unmarshal(data, &r); err != nil {
@@ -432,7 +377,7 @@ func load(path string) (summary, error) {
 		}
 		return summary{cost: &r}, nil
 	}
-	return summary{}, fmt.Errorf("%s: JSON object without a \"runs\", \"bench\", \"frames\" or \"clauses\" array", path)
+	return summary{}, fmt.Errorf("%s: JSON object without a \"runs\", \"bench\" or \"clauses\" array", path)
 }
 
 // distill parses `go test -bench` text output into bench results. A
@@ -505,23 +450,9 @@ func runDistill(path string, w io.Writer) error {
 	return enc.Encode(benchSummary{Host: perf.Host(), Bench: bench})
 }
 
-func runDigest(kind, path string, topN int, w io.Writer) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	d, err := perf.DigestProfile(kind, raw, topN)
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
-}
-
 // reportHostMismatch warns when two summaries were captured on
 // machines whose differences skew performance numbers. Summaries
-// without a fingerprint (digests, cost tables) have zero-valued hosts,
+// without a fingerprint (cost tables) have zero-valued hosts,
 // which Diff ignores field by field.
 func reportHostMismatch(w io.Writer, old, new summary) {
 	for _, diff := range old.host.Diff(new.host) {
@@ -534,8 +465,6 @@ func run(args []string, w io.Writer) error {
 	threshold := fs.Float64("threshold", 25, "warn about regressions beyond this percentage")
 	failOver := fs.Float64("fail-over", 0, "exit non-zero when a regression exceeds this percentage (0 = never fail)")
 	distillMode := fs.Bool("distill", false, "parse `go test -bench` output (file or \"-\" for stdin) into a bench summary JSON on stdout")
-	digestKind := fs.String("digest", "", "parse a pprof profile file into a hot-frame digest JSON on stdout, labelled with this kind (cpu, mutex, block, heap)")
-	topN := fs.Int("top", 10, "number of hot frames to keep in -digest mode")
 	abMode := fs.Bool("ab", false, "compare alternating `bash bench/run.sh` result lines: parent.jsonl change.jsonl")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -551,11 +480,6 @@ func run(args []string, w io.Writer) error {
 			return fmt.Errorf("usage: benchdiff -distill bench_output.txt|-")
 		}
 		return runDistill(fs.Arg(0), w)
-	case *digestKind != "":
-		if fs.NArg() != 1 {
-			return fmt.Errorf("usage: benchdiff -digest kind [-top n] profile.pb.gz")
-		}
-		return runDigest(*digestKind, fs.Arg(0), *topN, w)
 	}
 	if fs.NArg() != 2 {
 		return fmt.Errorf("usage: benchdiff [-threshold pct] [-fail-over pct] old.json new.json")
@@ -583,8 +507,6 @@ func run(args []string, w io.Writer) error {
 	switch old.kind() {
 	case "load":
 		deltas, added, removed = compareLoad(old.runs, new.runs)
-	case "digest":
-		deltas, added, removed = compareDigest(old.digest, new.digest)
 	case "cost":
 		deltas, added, removed = compareCost(old.cost, new.cost)
 	default:

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"runtime/pprof"
 	"strings"
 	"testing"
 )
@@ -459,77 +458,6 @@ func TestRunDistillRoundTrips(t *testing.T) {
 	}
 	if strings.Contains(buf.String(), "::warning") {
 		t.Fatalf("self-diff warned:\n%s", buf.String())
-	}
-}
-
-// --- digest mode and digest diffing -----------------------------------
-
-const digestOld = `{"kind":"mutex","unit":"nanoseconds","total":1000,"samples":10,
-	"frames":[{"function":"lockA","flat":600,"share":0.6},{"function":"lockB","flat":400,"share":0.4}]}`
-
-const digestNew = `{"kind":"mutex","unit":"nanoseconds","total":2000,"samples":20,
-	"frames":[{"function":"lockA","flat":1800,"share":0.9},{"function":"lockC","flat":200,"share":0.1}]}`
-
-func TestCompareDigestShareShift(t *testing.T) {
-	dir := t.TempDir()
-	oldPath := filepath.Join(dir, "old.json")
-	newPath := filepath.Join(dir, "new.json")
-	if err := os.WriteFile(oldPath, []byte(digestOld), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(newPath, []byte(digestNew), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	// lockA gained 30 points of share: warns beyond threshold 25 but
-	// must never gate, even with -fail-over set low.
-	if err := run([]string{"-fail-over", "5", oldPath, newPath}, &buf); err != nil {
-		t.Fatalf("digest share shift gated: %v\n%s", err, buf.String())
-	}
-	out := buf.String()
-	if !strings.Contains(out, "::warning title=perf regression::lockA share +30.0%") {
-		t.Fatalf("hot-frame shift not warned:\n%s", out)
-	}
-	if !strings.Contains(out, "+ lockC") || !strings.Contains(out, "- lockB") {
-		t.Fatalf("frame churn not reported:\n%s", out)
-	}
-
-	// Digest vs bench is a format mismatch.
-	benchPath := filepath.Join(dir, "bench.json")
-	if err := os.WriteFile(benchPath, []byte(`{"bench":[{"name":"B","ns_per_op":1}]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{oldPath, benchPath}, &buf); err == nil {
-		t.Fatal("digest vs bench accepted")
-	}
-}
-
-func TestRunDigestModeOnRealProfile(t *testing.T) {
-	// Capture a real heap profile, digest it through the CLI path, and
-	// check the output parses back as a digest summary.
-	dir := t.TempDir()
-	prof := filepath.Join(dir, "heap.pb.gz")
-	f, err := os.Create(prof)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pprof.Lookup("heap").WriteTo(f, 0); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	var buf bytes.Buffer
-	if err := run([]string{"-digest", "heap", "-top", "5", prof}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	s, err := loadFromBytes(t, dir, buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.kind() != "digest" || s.digest.Kind != "heap" || len(s.digest.Frames) == 0 {
-		t.Fatalf("digest = %+v", s.digest)
-	}
-	if len(s.digest.Frames) > 5 {
-		t.Fatalf("-top 5 kept %d frames", len(s.digest.Frames))
 	}
 }
 

@@ -48,8 +48,8 @@ func cmdSlow(args []string) error {
 	return runSlow(os.Stdout, nil, strings.TrimRight(base, "/"), *n, *explain)
 }
 
-// perfDocument mirrors the /debug/perf JSON body (profiles omitted —
-// slow only needs the engine section).
+// perfDocument mirrors the /debug/perf JSON body, whose one section
+// is the engine's perf stats.
 type perfDocument struct {
 	Engine core.PerfStats `json:"engine"`
 }

@@ -34,6 +34,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -114,16 +115,10 @@ type options struct {
 	// fleet-wide.
 	cost bool
 
-	// perfInterval drives the continuous-profiling ring: every interval
-	// the daemon captures CPU/mutex/block/heap pprof snapshots, served
-	// (digested and raw) on /debug/perf. 0 disables the ring;
-	// /debug/perf still reports the engine's lock-stripe telemetry.
-	perfInterval time.Duration
-	// perfCPUWindow bounds each round's CPU capture.
-	perfCPUWindow time.Duration
 	// mutexFraction / blockRate feed runtime.SetMutexProfileFraction
-	// and runtime.SetBlockProfileRate (0 leaves the runtime defaults —
-	// both profiles effectively off).
+	// and runtime.SetBlockProfileRate, which /debug/pprof/mutex and
+	// /debug/pprof/block read (0 leaves the runtime defaults — both
+	// profiles effectively off).
 	mutexFraction int
 	blockRate     int
 	// sloTarget / sloObjective attach a decision-latency SLO to the
@@ -170,8 +165,6 @@ func main() {
 	flag.StringVar(&opts.recordWAL, "record-wal", "", "append every flight-recorder event as a JSON line to this file (implies -record); empty disables")
 	flag.StringVar(&opts.shadowPolicy, "shadow-policy", "", "evaluate this candidate policy file alongside the served one; flips are reported, verdicts unchanged")
 	flag.BoolVar(&opts.cost, "cost", true, "profile per-clause SRAC evaluation coverage and cost (/debug/cost)")
-	flag.DurationVar(&opts.perfInterval, "perf-interval", 0, "continuous-profiling capture interval (/debug/perf); 0 disables the ring")
-	flag.DurationVar(&opts.perfCPUWindow, "perf-cpu-window", 2*time.Second, "CPU profile duration per capture round")
 	flag.IntVar(&opts.mutexFraction, "mutex-profile-fraction", 0, "runtime mutex profile sampling fraction (1 = every event); 0 leaves it off")
 	flag.IntVar(&opts.blockRate, "block-profile-rate", 0, "runtime block profile rate in ns (1 = every event); 0 leaves it off")
 	flag.DurationVar(&opts.sloTarget, "slo-target", 0, "decision-latency SLO target; 0 disables SLO tracking")
@@ -199,7 +192,6 @@ type app struct {
 	metricsLn  net.Listener
 	metricsSrv *http.Server
 	debug      *server.DebugServer
-	profiler   *perf.Profiler
 	auditFile  *os.File
 	walFile    *os.File
 }
@@ -291,14 +283,11 @@ func start(opts options, w io.Writer) (*app, error) {
 	if opts.sloTarget > 0 {
 		c.Engine.SetSLO(perf.SLO{Target: opts.sloTarget, Objective: opts.sloObjective})
 	}
-	if opts.perfInterval > 0 || opts.mutexFraction > 0 || opts.blockRate > 0 {
-		a.profiler = perf.NewProfiler(perf.ProfilerConfig{
-			Interval:      opts.perfInterval,
-			CPUWindow:     opts.perfCPUWindow,
-			MutexFraction: opts.mutexFraction,
-			BlockRate:     opts.blockRate,
-		})
-		a.profiler.Start()
+	if opts.mutexFraction > 0 {
+		runtime.SetMutexProfileFraction(opts.mutexFraction)
+	}
+	if opts.blockRate > 0 {
+		runtime.SetBlockProfileRate(opts.blockRate)
 	}
 
 	if opts.metricsAddr != "" {
@@ -307,7 +296,7 @@ func start(opts options, w io.Writer) (*app, error) {
 			return fail(err)
 		}
 		a.metricsLn = ln
-		a.debug = server.NewDebugServer(c, a.daemons, tracer, server.DebugConfig{Profiler: a.profiler, Registry: opts.registry})
+		a.debug = server.NewDebugServer(c, a.daemons, tracer, server.DebugConfig{Registry: opts.registry})
 		a.debug.StartBudgetSampler(opts.budgetSampleInterval)
 		// Own the server so shutdown can drain in-flight scrapes
 		// instead of snapping the listener out from under them.
@@ -364,9 +353,6 @@ func shutdown(a *app) {
 		// Release SSE journal tails first: Shutdown waits for in-flight
 		// handlers, and a tail handler never finishes on its own.
 		a.debug.Drain()
-	}
-	if a.profiler != nil {
-		a.profiler.Stop()
 	}
 	if a.metricsSrv != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -251,6 +252,70 @@ func TestStartAppliesTransportLimits(t *testing.T) {
 	if !strings.Contains(reply, "256-byte limit") {
 		t.Fatalf("oversized request reply = %q", reply)
 	}
+}
+
+// -mutex-profile-fraction and -block-profile-rate feed the runtime
+// profiles /debug/pprof/mutex and /debug/pprof/block serve. The
+// runtime has no getter for the block rate, so the test blocks once on
+// a recognisable frame and finds it in the block profile; both rates
+// go back to their previous values (the block rate to 0, the
+// runtime's default, which nothing else in this package changes).
+func TestStartAppliesProfileRates(t *testing.T) {
+	prevMutex := runtime.SetMutexProfileFraction(-1)
+	t.Cleanup(func() {
+		runtime.SetMutexProfileFraction(prevMutex)
+		runtime.SetBlockProfileRate(0)
+	})
+	app, err := start(options{
+		servers:       "s1",
+		listen:        "127.0.0.1:0",
+		key:           "test-key",
+		mutexFraction: 3,
+		blockRate:     1,
+	}, &strings.Builder{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(app)
+	if got := runtime.SetMutexProfileFraction(-1); got != 3 {
+		t.Fatalf("mutex profile fraction = %d, want 3", got)
+	}
+	blockOnChannel()
+	records := make([]runtime.BlockProfileRecord, 64)
+	for {
+		n, ok := runtime.BlockProfile(records)
+		if ok {
+			records = records[:n]
+			break
+		}
+		records = make([]runtime.BlockProfileRecord, 2*n)
+	}
+	for _, r := range records {
+		frames := runtime.CallersFrames(r.Stack())
+		for {
+			f, more := frames.Next()
+			if strings.HasSuffix(f.Function, ".blockOnChannel") {
+				return
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	t.Fatal("block profile holds no blockOnChannel event: -block-profile-rate not applied")
+}
+
+// blockOnChannel parks the caller on a channel receive for a few
+// milliseconds, under a frame name the block-profile test looks for.
+//
+//go:noinline
+func blockOnChannel() {
+	ch := make(chan struct{})
+	go func() {
+		time.Sleep(5 * time.Millisecond)
+		close(ch)
+	}()
+	<-ch
 }
 
 const ceilingPolicy = `

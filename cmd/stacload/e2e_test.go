@@ -98,10 +98,10 @@ func TestE2EChurnAndHostileMatrix(t *testing.T) {
 	}
 }
 
-// TestE2EPolicySizeSLOAndDigests runs the policysize scenario — the
+// TestE2EPolicySizeSLOAndExemplars runs the policysize scenario — the
 // committed cell with an slo_target_ms axis — and checks the perf
-// section reports SLO health and a mutex hot-frame digest.
-func TestE2EPolicySizeSLOAndDigests(t *testing.T) {
+// section reports SLO health and the slowest decision exemplars.
+func TestE2EPolicySizeSLOAndExemplars(t *testing.T) {
 	var buf bytes.Buffer
 	opts := e2eOptions("policysize", "")
 	opts.systems = []string{"stac"}
@@ -120,18 +120,6 @@ func TestE2EPolicySizeSLOAndDigests(t *testing.T) {
 	// fast box — only the denominator is load-independent).
 	if p.SLOOverFraction < 0 || len(p.SlowExemplars) == 0 {
 		t.Fatalf("SLO/exemplars: %+v", p)
-	}
-	// At least one runtime profile (mutex or block) accumulated enough
-	// sampled events over the box to digest; whichever did must name
-	// real frames. (A short cell on an uncontended box can legitimately
-	// leave the mutex profile empty.)
-	if len(p.Digests) == 0 {
-		t.Fatalf("no profile digests captured: %+v", p)
-	}
-	for kind, d := range p.Digests {
-		if len(d.Frames) == 0 || d.Unit == "" || d.Kind != kind {
-			t.Fatalf("digest %s = %+v", kind, d)
-		}
 	}
 }
 

@@ -20,7 +20,8 @@ import (
 //
 //	1: runs array only
 //	2: host fingerprint header + optional per-cell perf section
-//	   (lock contention, SLO burn, exemplars, profile digests)
+//	   (lock contention, SLO burn, exemplars; the optional
+//	   per-kind profile digest map it also carried is gone)
 //	3: per-cell clause-cost section (mean root evaluation ns, re-walk
 //	   amplification, hottest clauses) inside perf
 const LoadSchemaVersion = 3
@@ -67,22 +68,19 @@ type RunResult struct {
 
 	// Perf is the hot-path attribution for systems that expose it
 	// (STAC only): the hottest lock stripe, SLO burn, the slowest
-	// replayable decision exemplars, and mutex/block hot-frame digests
-	// captured at the end of the cell.
+	// replayable decision exemplars and the clause-cost summary.
 	Perf *CellPerf `json:"perf,omitempty"`
 }
 
 // CellPerf is one cell's performance attribution: the same rollup the
-// fleet poller computes per member, plus the scenario's SLO target and
-// the cell-end profile digests.
+// fleet poller computes per member, plus the scenario's SLO target.
 type CellPerf struct {
 	federate.MemberPerfRollup
 	SLOTargetMS float64 `json:"slo_target_ms,omitempty"`
 	// SlowExemplars are the slowest retained decision exemplars of the
 	// cell, each resolvable through the daemon's /debug/explain while
 	// it lives (the IDs outlive the run in the summary for diffing).
-	SlowExemplars []obs.Exemplar          `json:"slow_exemplars,omitempty"`
-	Digests       map[string]*perf.Digest `json:"profile_digests,omitempty"`
+	SlowExemplars []obs.Exemplar `json:"slow_exemplars,omitempty"`
 	// Cost summarises the cell's per-clause evaluation-cost profile
 	// (schema 3); benchdiff gates MeanRootNS like ns/op.
 	Cost *CellCost `json:"cost,omitempty"`

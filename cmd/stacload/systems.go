@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"runtime"
 	"sort"
 	"time"
 
@@ -124,12 +123,6 @@ type stacSystem struct {
 	dial    dialFunc
 	sloMS   float64
 
-	// prevMutexFrac / prevBlockRate restore the process-global profile
-	// rates at teardown so one cell's sampling does not leak into the
-	// next system's numbers.
-	prevMutexFrac int
-	prevBlockRate int
-
 	debug      *server.DebugServer
 	metricsLn  net.Listener
 	metricsSrv *http.Server
@@ -148,11 +141,6 @@ func bootSTAC(sc Scenario, gp workload.GeneratedPolicy) (*stacSystem, error) {
 	if sc.SLOTargetMS > 0 {
 		coal.Engine.SetSLO(perf.SLO{Target: time.Duration(sc.SLOTargetMS * float64(time.Millisecond))})
 	}
-	// Sampled mutex/block profiling for the cell-end hot-frame digest:
-	// cheap enough to leave on for the whole box, restored at close.
-	s.prevMutexFrac = runtime.SetMutexProfileFraction(64)
-	s.prevBlockRate = -1
-	runtime.SetBlockProfileRate(100_000)
 	tracer := obs.NewTracer(16)
 	tracer.SetSampling(false)
 	coal.Engine.SetTracer(tracer)
@@ -206,9 +194,8 @@ func bootSTAC(sc Scenario, gp workload.GeneratedPolicy) (*stacSystem, error) {
 }
 
 // perfReport reduces the engine's perf stats (the same rollup the
-// fleet poller computes per member), keeps the three slowest decision
-// exemplars, and digests the runtime mutex/block profiles accumulated
-// over the cell.
+// fleet poller computes per member) and keeps the three slowest
+// decision exemplars.
 func (s *stacSystem) perfReport() *CellPerf {
 	ps := s.coal.Engine.PerfStats()
 	sort.Slice(ps.Exemplars, func(i, j int) bool { return ps.Exemplars[i].Value > ps.Exemplars[j].Value })
@@ -220,14 +207,6 @@ func (s *stacSystem) perfReport() *CellPerf {
 		SLOTargetMS:      s.sloMS,
 	}
 	cp.SlowExemplars = ps.Exemplars
-	for _, kind := range []string{"mutex", "block"} {
-		if d, err := perf.CaptureDigest(kind, 5); err == nil && len(d.Frames) > 0 {
-			if cp.Digests == nil {
-				cp.Digests = map[string]*perf.Digest{}
-			}
-			cp.Digests[kind] = d
-		}
-	}
 	cp.Cost = reduceCost(s.coal.Engine.CostReport())
 	return cp
 }
@@ -360,10 +339,6 @@ func (s *stacSystem) sample() (int, uint64) {
 }
 
 func (s *stacSystem) close() {
-	runtime.SetMutexProfileFraction(s.prevMutexFrac)
-	if s.prevBlockRate == -1 {
-		runtime.SetBlockProfileRate(0)
-	}
 	for _, d := range s.daemons {
 		_ = d.Close()
 	}

@@ -19,10 +19,27 @@ import (
 // per decision are the same at 16 entries as at 1024 (the allocation
 // count only without -race; see race_on_test.go). AllocsPerRun adds
 // one warm-up run to the count it averages over, hence the +1.
+//
+// Bytes come from the process-wide TotalAlloc over rounds that
+// alternate the two histories, so background allocations fall on both
+// alike. Under -race, sync.Pool drops a quarter of the buffers put
+// back and the decision reallocates them: about 880 B per decision
+// whatever the history, in a few large allocations, whose mean over
+// 2000 decisions spreads by about 25 B. Over rounds × batch decisions
+// a side the difference of the two means spreads by about 9 B, well
+// inside the 64 B bound.
 func TestPrefixEvalFlatInHistory(t *testing.T) {
-	type cost struct{ mallocs, bytes, entries float64 }
-	const decisions = 200
-	measure := func(histLen int) cost {
+	type side struct {
+		decide           func()
+		mallocs, entries float64
+		bytes            uint64
+	}
+	const (
+		decisions = 200
+		rounds    = 40
+		batch     = 800
+	)
+	setup := func(histLen int) *side {
 		spatial := srac.AtMost(1_000_000, model.Selector{Resources: []model.ResourceID{"f1"}})
 		e, sess, _ := testEngine(t, spatial, 0, temporal.GlobalBase)
 		e.SetObs(obs.NewRegistry())
@@ -34,36 +51,41 @@ func TestPrefixEvalFlatInHistory(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		decide := func() {
+		s := &side{decide: func() {
 			if d := e.Authorize(Request{Session: sess, Access: a, History: st.Trace(), Proofs: st}); !d.Granted {
 				t.Fatalf("denied at history %d: %s", histLen, d.Reason)
 			}
-		}
-		decide() // the first decision catches up on the whole history
+		}}
+		s.decide() // the first decision catches up on the whole history
 		before := e.CostReport().Amplification.ScanEntries
-		allocs := testing.AllocsPerRun(decisions, decide)
-		entries := float64(e.CostReport().Amplification.ScanEntries-before) / (decisions + 1)
-		// Bytes per decision over a longer run: the process-wide
-		// counters also see the test binary's own background
-		// allocations, a few bytes per decision at most.
-		var m0, m1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&m0)
-		for i := 0; i < 10*decisions; i++ {
-			decide()
-		}
-		runtime.ReadMemStats(&m1)
-		return cost{mallocs: allocs, bytes: float64(m1.TotalAlloc-m0.TotalAlloc) / (10 * decisions), entries: entries}
+		s.mallocs = testing.AllocsPerRun(decisions, s.decide)
+		s.entries = float64(e.CostReport().Amplification.ScanEntries-before) / (decisions + 1)
+		return s
 	}
-	short, long := measure(16), measure(1024)
-	t.Logf("per decision at history 16: %+v; at 1024: %+v", short, long)
+	short, long := setup(16), setup(1024)
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	for r := 0; r < rounds; r++ {
+		for _, s := range []*side{short, long} {
+			runtime.ReadMemStats(&m0)
+			for i := 0; i < batch; i++ {
+				s.decide()
+			}
+			runtime.ReadMemStats(&m1)
+			s.bytes += m1.TotalAlloc - m0.TotalAlloc
+		}
+	}
+	shortB := float64(short.bytes) / (rounds * batch)
+	longB := float64(long.bytes) / (rounds * batch)
+	t.Logf("per decision at history 16: %v allocs, %.1f B, %v entries; at 1024: %v allocs, %.1f B, %v entries",
+		short.mallocs, shortB, short.entries, long.mallocs, longB, long.entries)
 	if short.entries != 1 || long.entries != 1 {
 		t.Fatalf("entries per decision = %v at 16 and %v at 1024, want 1 (the peeked access)", short.entries, long.entries)
 	}
 	// A history copy would add 64 B per entry to every decision at
 	// 1024 entries; background noise stays far below that.
-	if !raceDetectorOn && short.mallocs != long.mallocs || long.bytes > short.bytes+64 {
-		t.Fatalf("allocation per decision grows with history: %v allocs / %v B at 16, %v allocs / %v B at 1024",
-			short.mallocs, short.bytes, long.mallocs, long.bytes)
+	if !raceDetectorOn && short.mallocs != long.mallocs || longB > shortB+64 {
+		t.Fatalf("allocation per decision grows with history: %v allocs / %.1f B at 16, %v allocs / %.1f B at 1024",
+			short.mallocs, shortB, long.mallocs, longB)
 	}
 }

@@ -1,10 +1,9 @@
 // Package perf is the performance-observability subsystem: instrumented
 // lock stripes with sampled wait/hold timing, latency SLO burn-rate
-// tracking, a continuous-profiling ring over the runtime's pprof
-// endpoints, and a minimal pprof decoder that turns raw profiles into
-// compact hot-frame digests. The engine, daemon, load harness, and
-// benchdiff all report through it, so a regression names the stripe or
-// function that moved instead of just a percentile.
+// tracking, and the host fingerprint that benchmark and load results
+// carry. Raw CPU, mutex and block profiles are the runtime's own, served
+// at /debug/pprof; per-request stage time is the stage ledger's
+// (obs.StageLedger).
 package perf
 
 import (

@@ -1,11 +1,6 @@
 package perf
 
 import (
-	"bytes"
-	"encoding/json"
-	"net/http/httptest"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"sync"
 	"testing"
@@ -163,121 +158,6 @@ func TestHostInfo(t *testing.T) {
 	var zero HostInfo
 	if diff := h.Diff(zero); len(diff) != 0 {
 		t.Fatalf("diff vs zero = %v, want none", diff)
-	}
-}
-
-// TestDigestRealProfile round-trips a real heap profile produced by
-// the runtime through the minimal parser.
-func TestDigestRealProfile(t *testing.T) {
-	sink := make([][]byte, 0, 64)
-	for i := 0; i < 64; i++ {
-		sink = append(sink, make([]byte, 64<<10))
-	}
-	// The heap profile reports the last completed GC cycle: run one
-	// while the sink is still live so its bytes count as in use.
-	runtime.GC()
-	var buf bytes.Buffer
-	if err := pprof.Lookup("heap").WriteTo(&buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	runtime.KeepAlive(sink)
-	d, err := DigestProfile("heap", buf.Bytes(), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Kind != "heap" || d.Unit != "bytes" {
-		t.Fatalf("digest header: %+v", d)
-	}
-	if d.Samples == 0 || len(d.Frames) == 0 || d.Total == 0 {
-		t.Fatalf("empty digest: %+v", d)
-	}
-	if len(d.Frames) > 5 {
-		t.Fatalf("topN not applied: %d frames", len(d.Frames))
-	}
-	for _, f := range d.Frames {
-		if f.Function == "" || f.Share <= 0 || f.Share > 1 {
-			t.Fatalf("bad frame %+v", f)
-		}
-	}
-}
-
-func TestDigestProfileErrors(t *testing.T) {
-	if _, err := DigestProfile("cpu", []byte{0x1f, 0x8b, 0xff}, 5); err == nil {
-		t.Error("corrupt gzip accepted")
-	}
-	if _, err := DigestProfile("cpu", []byte{0xaa, 0xaa, 0xaa}, 5); err == nil {
-		t.Error("garbage proto accepted")
-	}
-	d, err := DigestProfile("cpu", nil, 5)
-	if err != nil || len(d.Frames) != 0 {
-		t.Errorf("empty profile: %v %+v", err, d)
-	}
-}
-
-func TestProfilerCaptureAndHandler(t *testing.T) {
-	p := NewProfiler(ProfilerConfig{CPUWindow: 50 * time.Millisecond, TopN: 5, Ring: 2})
-	for i := 0; i < 3; i++ {
-		if s := p.CaptureOnce(); s.Digests["heap"] == nil {
-			t.Fatalf("round %d missing heap digest: errors=%v", i, s.Errors)
-		}
-	}
-	snaps := p.Snapshots()
-	if len(snaps) != 2 {
-		t.Fatalf("ring kept %d, want 2", len(snaps))
-	}
-	if snaps[1].Seq != 3 || p.Latest().Seq != 3 {
-		t.Fatalf("seq ordering: %d / %d", snaps[1].Seq, p.Latest().Seq)
-	}
-
-	rec := httptest.NewRecorder()
-	p.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/perf", nil))
-	var body struct {
-		Snapshots []struct {
-			Seq     int                `json:"seq"`
-			Digests map[string]*Digest `json:"digests"`
-		} `json:"snapshots"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
-		t.Fatalf("summary JSON: %v\n%s", err, rec.Body.String())
-	}
-	if len(body.Snapshots) != 2 || body.Snapshots[1].Digests["cpu"] == nil {
-		t.Fatalf("summary content: %s", rec.Body.String())
-	}
-
-	rec = httptest.NewRecorder()
-	p.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/perf?kind=heap", nil))
-	if rec.Code != 200 || rec.Body.Len() == 0 {
-		t.Fatalf("raw profile fetch: %d", rec.Code)
-	}
-	if _, err := DigestProfile("heap", rec.Body.Bytes(), 3); err != nil {
-		t.Fatalf("served raw profile unparseable: %v", err)
-	}
-
-	rec = httptest.NewRecorder()
-	p.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/perf?kind=cpu&seq=99", nil))
-	if rec.Code != 404 {
-		t.Fatalf("missing seq: %d", rec.Code)
-	}
-}
-
-func TestProfilerStartStop(t *testing.T) {
-	p := NewProfiler(ProfilerConfig{Interval: 20 * time.Millisecond, CPUWindow: 5 * time.Millisecond})
-	p.Start()
-	deadline := time.Now().Add(2 * time.Second)
-	for p.Latest() == nil && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	p.Stop()
-	if p.Latest() == nil {
-		t.Fatal("background loop captured nothing")
-	}
-	p.Stop() // idempotent
-}
-
-func TestDigestTop(t *testing.T) {
-	d := &Digest{Frames: []Frame{{Function: "a", Share: 0.5}}}
-	if d.Top("a") != 0.5 || d.Top("b") != 0 || (*Digest)(nil).Top("a") != 0 {
-		t.Fatal("Top lookup")
 	}
 }
 

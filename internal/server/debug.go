@@ -11,16 +11,16 @@ import (
 
 	"stac/internal/core"
 	"stac/internal/obs"
-	"stac/internal/obs/perf"
 )
 
 // DebugServer bundles the daemon's observability surface: Prometheus
-// metrics, expvar, pprof, the span ring, decision explanations, the
-// temporal-budget series, versioned fleet snapshots, the per-clause
-// evaluation profile (/debug/cost), hot-path perf (/debug/perf),
-// health probes and the /debug/journal decision-log tail. The fleet
-// poller (internal/obs/federate) and stacctl's
-// top/watch/heat/slow/timeline verbs speak to these endpoints.
+// metrics, expvar, pprof (the one source of raw profiles), the span
+// ring, decision explanations, the temporal-budget series, versioned
+// fleet snapshots, the per-clause evaluation profile (/debug/cost),
+// lock-stripe, SLO and exemplar state (/debug/perf), health probes and
+// the /debug/journal decision-log tail. The fleet poller
+// (internal/obs/federate) and stacctl's top/watch/heat/slow/timeline
+// verbs speak to these endpoints.
 type DebugServer struct {
 	c       *Coalition
 	daemons []*Daemon
@@ -42,10 +42,6 @@ type DebugConfig struct {
 	// BudgetTail bounds the series tail in /debug/snapshot (0 = a
 	// default of 32; negative = full retained window).
 	BudgetTail int
-	// Profiler, when non-nil, serves the continuous-profiling ring at
-	// /debug/perf (summary + raw pprof snapshots). The DebugServer does
-	// not own its lifecycle — the daemon Starts/Stops it.
-	Profiler *perf.Profiler
 }
 
 const defaultSnapshotTail = 32
@@ -195,27 +191,13 @@ func (h *DebugServer) handleCost(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePerf serves the hot-path performance view: the engine's
-// lock-stripe/imbalance/SLO/exemplar snapshot plus, when a profiler is
-// attached, the continuous-profiling digests. ?kind=cpu|mutex|block|heap
-// (optionally &seq=N) fetches a raw pprof snapshot for `go tool pprof`.
+// lock-stripe/imbalance/SLO snapshot and the retained latency
+// exemplars with their stage vectors. Raw CPU, mutex and block
+// profiles are on /debug/pprof.
 func (h *DebugServer) handlePerf(w http.ResponseWriter, r *http.Request) {
-	p := h.cfg.Profiler
-	if r.URL.Query().Get("kind") != "" {
-		if p == nil {
-			http.Error(w, "profiler disabled on this daemon", http.StatusNotFound)
-			return
-		}
-		p.Handler().ServeHTTP(w, r)
-		return
-	}
-	out := struct {
-		Engine   core.PerfStats   `json:"engine"`
-		Profiles []*perf.Snapshot `json:"profiles,omitempty"`
-	}{Engine: h.c.Engine.PerfStats()}
-	if p != nil {
-		out.Profiles = p.Snapshots()
-	}
-	writeJSON(w, out)
+	writeJSON(w, struct {
+		Engine core.PerfStats `json:"engine"`
+	}{Engine: h.c.Engine.PerfStats()})
 }
 
 func (h *DebugServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
