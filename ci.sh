@@ -45,10 +45,13 @@ go test -race -count=10 -run 'TestStageLedgerReconciles|TestUntracedAccessRecord
 # the sibling-ceiling row only fails when a clone misses a sibling's
 # proof, an interleaving one pass may not hit.
 go test -race -count=10 -run 'TestRuntimesAgree|TestRemoteRuntime' ./internal/agent
-# Repeated race probe of the decision-log tails: every served decision
+# Repeated race probe of the decision log: every served decision
 # appends to the recorder ring that /debug/journal tails and stacctl
 # watch read, so a tail and the decision path race on it constantly.
-go test -race -count=5 -run 'TestJournal|TestWatch|TestFleetTourTopAndWatch' ./internal/server ./cmd/stacctl
+# The same append writes the WAL under the recorder's lock alone, so
+# the probe includes the WAL-order check across concurrent servers and
+# the readiness checks that read the WAL's state.
+go test -race -count=5 -run 'TestJournal|TestWatch|TestFleetTourTopAndWatch|TestWALOrder|TestReadyz' ./internal/server ./cmd/stacctl
 # Repeated race probe of the daemon's wire codec: each connection
 # decodes requests and encodes replies in buffers it reuses from one
 # request to the next, so a reply or proof that kept pointing into them

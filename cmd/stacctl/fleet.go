@@ -110,8 +110,8 @@ func renderTop(w io.Writer, v federate.FleetView) {
 	if g.ShadowFlips > 0 {
 		fmt.Fprintf(w, "shadow: %d verdict flip(s) against the candidate policy fleet-wide\n", g.ShadowFlips)
 	}
-	if g.AuditSinkErrors > 0 {
-		fmt.Fprintf(w, "WARNING: %d decisions lost to failing audit sinks\n", g.AuditSinkErrors)
+	if g.WALErrors > 0 {
+		fmt.Fprintf(w, "WARNING: %d failed decision WAL append(s): decisions since are missing from the WAL\n", g.WALErrors)
 	}
 	if len(v.PerServer) > 0 {
 		fmt.Fprintf(w, "\n%-12s %-12s %8s %8s\n", "MEMBER", "SERVER", "GRANTS", "DENIES")

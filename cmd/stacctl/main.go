@@ -11,8 +11,8 @@
 //	stacctl explain -addr host:port <decision-id>
 //	                                           # explain a recorded decision
 //	                                           # via a daemon's /debug/explain
-//	stacctl explain -audit log.jsonl <decision-id>
-//	                                           # same, scanning a JSONL log
+//	stacctl explain -wal decisions.wal <decision-id>
+//	                                           # same, reading stacd's WAL
 //	stacctl trace -addr host:port [<trace-id>] # list traces / render one
 //	stacctl trace -file run.json [<trace-id>]  # render an exported trace
 //	stacctl traces -max 20 P                   # enumerate traces(P)
@@ -90,7 +90,7 @@ func run(args []string) error {
 	case "check-trace":
 		return cmdCheckTrace(rest)
 	case "explain":
-		// Two modes share the name: -addr/-audit explain one recorded
+		// Two modes share the name: -addr/-wal explain one recorded
 		// runtime decision; otherwise it is the legacy static
 		// per-subformula program check.
 		if explainWantsDecision(rest) {

@@ -19,27 +19,37 @@ import (
 	"stac/internal/obs/record"
 )
 
-// readWAL loads a flight-recorder WAL file ("-" for stdin).
+// readWAL reads a whole WAL file ("-" for stdin) through scanWAL.
 func readWAL(path string) ([]record.Record, error) {
-	var r io.Reader
-	if path == "-" {
-		r = os.Stdin
-	} else {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		r = f
-	}
-	recs, err := record.ReadAll(r)
-	if err != nil {
+	var recs []record.Record
+	if err := scanWAL(path, func(r record.Record) bool {
+		recs = append(recs, r)
+		return true
+	}); err != nil {
 		return nil, err
 	}
 	if len(recs) == 0 {
 		return nil, fmt.Errorf("%s: no records", path)
 	}
 	return recs, nil
+}
+
+// scanWAL streams a WAL file ("-" for stdin) through record.Scan,
+// naming the file in decode errors.
+func scanWAL(path string, fn func(record.Record) bool) error {
+	var r io.Reader = os.Stdin
+	if path != "-" {
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		r = f
+	}
+	if err := record.Scan(r, fn); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return nil
 }
 
 // cmdReplay verifies a recorded stream reproduces deterministically.

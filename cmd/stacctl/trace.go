@@ -2,11 +2,10 @@ package main
 
 // Trace inspection and decision explanation against a running stacd
 // (its -metrics-addr listener) or against exported artefacts: Chrome
-// trace-event JSON files for `trace`, the JSONL audit log for
+// trace-event JSON files for `trace`, the flight-recorder WAL for
 // `explain`.
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -16,6 +15,7 @@ import (
 	"sort"
 	"strings"
 
+	"stac/internal/obs/record"
 	"stac/internal/server"
 )
 
@@ -205,12 +205,12 @@ func printSpan(w io.Writer, n *spanNode, depth int) {
 }
 
 // explainWantsDecision reports whether an `explain` invocation targets
-// a recorded decision (-addr / -audit) rather than the legacy static
+// a recorded decision (-addr / -wal) rather than the legacy static
 // per-subformula program check.
 func explainWantsDecision(args []string) bool {
 	for _, a := range args {
-		if a == "-addr" || a == "-audit" ||
-			strings.HasPrefix(a, "-addr=") || strings.HasPrefix(a, "-audit=") {
+		if a == "-addr" || a == "-wal" ||
+			strings.HasPrefix(a, "-addr=") || strings.HasPrefix(a, "-wal=") {
 			return true
 		}
 	}
@@ -220,11 +220,17 @@ func explainWantsDecision(args []string) bool {
 // cmdExplainDecision explains one recorded authorisation decision.
 //
 //	stacctl explain -addr 127.0.0.1:9090 <decision-id>   # ask a daemon
-//	stacctl explain -audit audit.jsonl <decision-id>     # scan a log
+//	stacctl explain -wal decisions.wal <decision-id>     # read the WAL
+//
+// Both paths project the decide record with server.AuditFromRecord,
+// so for stacd, which sets no server clock skew, they print the same
+// transcript for one decision. -wal streams the file and stops at the
+// first match; the WAL also holds the decisions the daemon's ring has
+// evicted.
 func cmdExplainDecision(args []string) error {
 	fs := flag.NewFlagSet("explain", flag.ContinueOnError)
 	addr := fs.String("addr", "", "stacd metrics address (host:port) to query")
-	audit := fs.String("audit", "", "JSONL audit log file to scan instead")
+	walPath := fs.String("wal", "", "flight-recorder WAL file (stacd -record-wal) to read instead; - for stdin")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -234,8 +240,8 @@ func cmdExplainDecision(args []string) error {
 	id := fs.Arg(0)
 	var entry server.AuditEntry
 	switch {
-	case *addr != "" && *audit != "":
-		return fmt.Errorf("explain: -addr and -audit are mutually exclusive")
+	case *addr != "" && *walPath != "":
+		return fmt.Errorf("explain: -addr and -wal are mutually exclusive")
 	case *addr != "":
 		raw, err := httpGet("http://" + *addr + "/debug/explain?id=" + id)
 		if err != nil {
@@ -245,90 +251,21 @@ func cmdExplainDecision(args []string) error {
 			return fmt.Errorf("explain: %w", err)
 		}
 	default:
-		e, err := scanAuditLog(*audit, id)
-		if err != nil {
-			return err
-		}
-		entry = e
-	}
-	renderExplain(os.Stdout, entry)
-	return nil
-}
-
-// scanAuditLog finds the entry with the given decision ID in a JSONL
-// audit log.
-func scanAuditLog(path, decisionID string) (server.AuditEntry, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return server.AuditEntry{}, err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var e server.AuditEntry
-		if err := json.Unmarshal([]byte(line), &e); err != nil {
-			continue
-		}
-		if e.DecisionID == decisionID {
-			return e, nil
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return server.AuditEntry{}, err
-	}
-	return server.AuditEntry{}, fmt.Errorf("decision %s not found in %s", decisionID, path)
-}
-
-// renderExplain prints the decision transcript: the outcome, the
-// correlation IDs, the per-layer verdicts, and — for denials — the
-// violated SRAC clause with its counting windows or the temporal
-// budget arithmetic.
-func renderExplain(w io.Writer, e server.AuditEntry) {
-	verdict := "GRANTED"
-	if !e.Granted {
-		verdict = "DENIED"
-		if e.DenyReason != "" {
-			verdict += " (" + e.DenyReason + ")"
-		}
-	}
-	fmt.Fprintf(w, "decision %s @ %s — %s\n", e.DecisionID, e.Server, verdict)
-	if e.TraceID != "" {
-		fmt.Fprintf(w, "  trace:    %s\n", e.TraceID)
-	}
-	fmt.Fprintf(w, "  access:   %s %s @ %s by %s (t=%g)\n", e.Op, e.Resource, e.Server, e.Object, e.Time)
-	if e.Perm != "" {
-		fmt.Fprintf(w, "  perm:     %s\n", e.Perm)
-	}
-	fmt.Fprintf(w, "  program:  %s\n", e.ProgramVerdict)
-	fmt.Fprintf(w, "  spatial:  %s\n", e.SpatialStatus)
-	fmt.Fprintf(w, "  temporal: %s\n", e.TemporalState)
-	if x := e.Explanation; x != nil {
-		if x.Clause != "" {
-			fmt.Fprintf(w, "  violated clause: %s\n", x.Clause)
-		}
-		if x.Detail != "" {
-			fmt.Fprintf(w, "  detail:   %s\n", x.Detail)
-		}
-		for _, cw := range x.Counts {
-			fmt.Fprintf(w, "  window:   %s\n", cw.String())
-		}
-		if t := x.Temporal; t != nil {
-			budget := "unlimited"
-			if t.Budget >= 0 {
-				budget = fmt.Sprintf("%g s", t.Budget)
+		found := false
+		if err := scanWAL(*walPath, func(r record.Record) bool {
+			if r.Kind == record.KindDecide && r.DecisionID == id {
+				entry, found = server.AuditFromRecord(r), true
 			}
-			fmt.Fprintf(w, "  budget:   consumed %g s of %s (%s scheme, %g s remaining)\n",
-				t.Consumed, budget, t.Scheme, t.Remaining)
+			return !found
+		}); err != nil {
+			return fmt.Errorf("explain: %w", err)
+		}
+		if !found {
+			return fmt.Errorf("explain: decision %s not found in %s", id, *walPath)
 		}
 	}
-	if e.Reason != "" {
-		fmt.Fprintf(w, "  reason:   %s\n", e.Reason)
-	}
+	entry.WriteTranscript(os.Stdout)
+	return nil
 }
 
 // httpGet fetches a URL, turning non-200 statuses into errors that

@@ -10,7 +10,7 @@ import (
 
 	"stac/internal/core"
 	"stac/internal/obs"
-	"stac/internal/server"
+	"stac/internal/obs/record"
 	"stac/internal/srac"
 )
 
@@ -81,8 +81,8 @@ func TestExplainWantsDecision(t *testing.T) {
 	}{
 		{[]string{"-addr", "127.0.0.1:9090", "d-1"}, true},
 		{[]string{"-addr=127.0.0.1:9090", "d-1"}, true},
-		{[]string{"-audit", "log.jsonl", "d-1"}, true},
-		{[]string{"-audit=log.jsonl", "d-1"}, true},
+		{[]string{"-wal", "decisions.wal", "d-1"}, true},
+		{[]string{"-wal=decisions.wal", "d-1"}, true},
 		{[]string{"-policy", "p.stac", "prog"}, false},
 		{nil, false},
 	}
@@ -93,8 +93,27 @@ func TestExplainWantsDecision(t *testing.T) {
 	}
 }
 
-func TestScanAuditLogAndRenderExplain(t *testing.T) {
-	denial := server.AuditEntry{
+// explainWAL runs `stacctl explain -wal path id` and returns its
+// transcript.
+func explainWAL(t *testing.T, path, id string) (string, error) {
+	t.Helper()
+	return captureStdout(t, func() error {
+		return run([]string{"explain", "-wal", path, id})
+	})
+}
+
+func TestExplainWALAndRender(t *testing.T) {
+	x, err := json.Marshal(core.Explanation{
+		Clause: "count(0, 2, sigma)",
+		Detail: "count 3 exceeds ceiling 2",
+		Counts: []srac.CountWindow{{Selector: "sigma", Min: 0, Max: 2, Observed: 3}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	denial := record.Record{
+		Schema:         record.SchemaVersion,
+		Kind:           record.KindDecide,
 		DecisionID:     "d-aaaaaaaaaaaaaaaa",
 		TraceID:        "0102030405060708090a0b0c0d0e0f10",
 		Time:           12,
@@ -103,49 +122,35 @@ func TestScanAuditLogAndRenderExplain(t *testing.T) {
 		Op:             "read",
 		Resource:       "doc",
 		Perm:           "p-doc",
-		DenyReason:     "spatial_violated",
+		Deny:           "spatial_violated",
 		Reason:         "spatial constraint violated",
-		SpatialStatus:  "violated",
+		Spatial:        "violated",
 		ProgramVerdict: "accepted",
-		TemporalState:  "within budget",
-		Explanation: &core.Explanation{
-			Clause: "count(0, 2, sigma)",
-			Detail: "count 3 exceeds ceiling 2",
-			Counts: []srac.CountWindow{{Selector: "sigma", Min: 0, Max: 2, Observed: 3}},
-		},
+		Temporal:       "within budget",
+		Explanation:    x,
 	}
-	grant := server.AuditEntry{DecisionID: "d-bbbbbbbbbbbbbbbb", Granted: true, Server: "s1"}
+	grant := record.Record{Schema: record.SchemaVersion, Kind: record.KindDecide,
+		DecisionID: "d-bbbbbbbbbbbbbbbb", Granted: true, Server: "s1"}
+	arrive := record.Record{Schema: record.SchemaVersion, Kind: record.KindArrive,
+		Object: "dev-1", Server: "s3"}
 
-	path := filepath.Join(t.TempDir(), "audit.jsonl")
-	var lines []string
-	for _, e := range []server.AuditEntry{grant, denial} {
-		b, err := json.Marshal(e)
-		if err != nil {
+	var wal bytes.Buffer
+	for _, r := range []record.Record{arrive, grant, denial} {
+		if err := record.Encode(&wal, r); err != nil {
 			t.Fatal(err)
 		}
-		lines = append(lines, string(b))
 	}
-	content := lines[0] + "\n" + "not json\n\n" + lines[1] + "\n"
-	if err := os.WriteFile(path, []byte(content), 0o600); err != nil {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "decisions.wal")
+	if err := os.WriteFile(path, wal.Bytes(), 0o600); err != nil {
 		t.Fatal(err)
 	}
 
-	// The scan skips blank and unparseable lines and finds the entry.
-	e, err := scanAuditLog(path, denial.DecisionID)
+	// A found denial renders its violated clause and count windows.
+	got, err := explainWAL(t, path, denial.DecisionID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Server != "s3" || e.Explanation == nil {
-		t.Fatalf("scanned entry = %+v", e)
-	}
-	if _, err := scanAuditLog(path, "d-0000000000000000"); err == nil ||
-		!strings.Contains(err.Error(), "not found") {
-		t.Fatalf("missing-id error = %v", err)
-	}
-
-	var out bytes.Buffer
-	renderExplain(&out, e)
-	got := out.String()
 	for _, want := range []string{
 		"decision d-aaaaaaaaaaaaaaaa @ s3 — DENIED (spatial_violated)",
 		"trace:    0102030405060708090a0b0c0d0e0f10",
@@ -160,10 +165,54 @@ func TestScanAuditLogAndRenderExplain(t *testing.T) {
 			t.Fatalf("transcript lacks %q:\n%s", want, got)
 		}
 	}
+	if got, err := explainWAL(t, path, grant.DecisionID); err != nil || !strings.Contains(got, "— GRANTED") {
+		t.Fatalf("grant transcript = %v:\n%s", err, got)
+	}
 
-	out.Reset()
-	renderExplain(&out, grant)
-	if !strings.Contains(out.String(), "— GRANTED") {
-		t.Fatalf("grant transcript:\n%s", out.String())
+	// A missing ID errors and names the file.
+	if _, err := explainWAL(t, path, "d-0000000000000000"); err == nil ||
+		!strings.Contains(err.Error(), "not found") || !strings.Contains(err.Error(), path) {
+		t.Fatalf("missing-id error = %v", err)
+	}
+
+	// A malformed line that ends in a newline errors with its line
+	// number, even when the decision lies past it.
+	malformed := filepath.Join(dir, "malformed.wal")
+	lines := strings.SplitAfter(wal.String(), "\n")
+	content := lines[0] + "not json\n" + strings.Join(lines[1:], "")
+	if err := os.WriteFile(malformed, []byte(content), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := explainWAL(t, malformed, denial.DecisionID); err == nil ||
+		!strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), malformed) {
+		t.Fatalf("malformed-line error = %v", err)
+	}
+
+	// A torn final line — a daemon killed mid-append — is dropped.
+	torn := filepath.Join(dir, "torn.wal")
+	if err := os.WriteFile(torn, append(wal.Bytes(), `{"schema":2,"seq":4,"ki`...), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := explainWAL(t, torn, denial.DecisionID); err != nil || !strings.Contains(got, "DENIED") {
+		t.Fatalf("torn-tail WAL: %v:\n%s", err, got)
+	}
+
+	// A daemon restarted on the torn WAL reopens it with OpenWAL, so
+	// the records it appends next stay explainable, as do the old ones.
+	f, err := record.OpenWAL(torn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	later := record.Record{Schema: record.SchemaVersion, Kind: record.KindDecide,
+		DecisionID: "d-cccccccccccccccc", Granted: true, Server: "s2"}
+	err = record.Encode(f, later)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{denial.DecisionID, later.DecisionID} {
+		if _, err := explainWAL(t, torn, id); err != nil {
+			t.Fatalf("explain %s after a torn line and a restart: %v", id, err)
+		}
 	}
 }

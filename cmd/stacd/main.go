@@ -92,15 +92,12 @@ type options struct {
 	trace bool
 	// traceCapacity bounds the span ring (0 = obs default).
 	traceCapacity int
-	// auditLog, when set, appends every authorisation decision as one
-	// JSON line (server.AuditEntry) to this file.
-	auditLog string
 
 	// recordCapacity bounds the decision log (the flight-recorder
 	// ring every daemon keeps); record adds the replay inputs to it;
 	// recordWAL, when set, additionally appends every record as a
-	// JSON line to this file — the stream stacctl replay/diff
-	// consumes.
+	// JSON line to this file — the one durable decision log, the
+	// stream stacctl replay/diff/explain -wal consume.
 	record         bool
 	recordCapacity int
 	recordWAL      string
@@ -159,7 +156,6 @@ func main() {
 	flag.DurationVar(&opts.budgetSampleInterval, "budget-sample-interval", 10*time.Second, "background temporal-budget sampling interval; 0 disables")
 	flag.BoolVar(&opts.trace, "trace", true, "honour client-sampled trace contexts: record their span trees (export on /debug/trace)")
 	flag.IntVar(&opts.traceCapacity, "trace-capacity", 0, "in-memory span ring capacity; 0 = default")
-	flag.StringVar(&opts.auditLog, "audit-log", "", "append every decision as a JSON line to this file; empty disables")
 	flag.BoolVar(&opts.record, "record", false, "record replay inputs (arrivals, activations, grants, and each decision's subject, history and program) in the decision log")
 	flag.IntVar(&opts.recordCapacity, "record-capacity", 1024, "decision log (flight-recorder ring) capacity")
 	flag.StringVar(&opts.recordWAL, "record-wal", "", "append every flight-recorder event as a JSON line to this file (implies -record); empty disables")
@@ -192,7 +188,6 @@ type app struct {
 	metricsLn  net.Listener
 	metricsSrv *http.Server
 	debug      *server.DebugServer
-	auditFile  *os.File
 	walFile    *os.File
 }
 
@@ -228,14 +223,6 @@ func start(opts options, w io.Writer) (*app, error) {
 		return nil, err
 	}
 
-	if opts.auditLog != "" {
-		f, err := os.OpenFile(opts.auditLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fail(err)
-		}
-		a.auditFile = f
-		c.SetAuditSink(f)
-	}
 	if opts.cost {
 		c.Engine.EnableCostProfiling()
 	}
@@ -245,7 +232,7 @@ func start(opts options, w io.Writer) (*app, error) {
 		DecisionsOnly: !opts.record && opts.recordWAL == "",
 	}
 	if opts.recordWAL != "" {
-		f, err := os.OpenFile(opts.recordWAL, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err := record.OpenWAL(opts.recordWAL)
 		if err != nil {
 			return fail(err)
 		}
@@ -362,9 +349,6 @@ func shutdown(a *app) {
 		cancel()
 	} else if a.metricsLn != nil {
 		_ = a.metricsLn.Close()
-	}
-	if a.auditFile != nil {
-		_ = a.auditFile.Close()
 	}
 	if a.walFile != nil {
 		_ = a.walFile.Close()

@@ -330,13 +330,14 @@ assign device-1 worker
 
 // The observability listener serves the span ring on /debug/trace and
 // resolves decision IDs on /debug/explain, with every decision also
-// landing in the -audit-log JSONL file.
+// landing in the -record-wal file: `stacctl explain -wal` and
+// `explain -addr` print the same transcript for the denial.
 func TestStartServesTraceAndExplainEndpoints(t *testing.T) {
 	policy := filepath.Join(t.TempDir(), "policy.stac")
 	if err := os.WriteFile(policy, []byte(ceilingPolicy), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	auditPath := filepath.Join(t.TempDir(), "audit.jsonl")
+	walPath := filepath.Join(t.TempDir(), "decisions.wal")
 	var out strings.Builder
 	app, err := start(options{
 		policyPath:  policy,
@@ -346,7 +347,7 @@ func TestStartServesTraceAndExplainEndpoints(t *testing.T) {
 		issueCreds:  true,
 		metricsAddr: "127.0.0.1:0",
 		trace:       true,
-		auditLog:    auditPath,
+		recordWAL:   walPath,
 		resources:   resourceFlags{"s1:doc=payload"},
 	}, &out)
 	if err != nil {
@@ -458,25 +459,43 @@ func TestStartServesTraceAndExplainEndpoints(t *testing.T) {
 		t.Fatalf("unknown id status = %d", resp.StatusCode)
 	}
 
-	// The audit log carries one JSON line per decision.
+	// The WAL carries one decide record per decision, and its
+	// projection of the denial renders the transcript /debug/explain
+	// does, byte for byte: the -wal and -addr paths of `stacctl explain`.
 	shutdown(app)
 	app.daemons = nil // idempotent deferred shutdown
 	app.metricsSrv = nil
-	app.auditFile = nil
-	data, err := os.ReadFile(auditPath)
+	app.walFile = nil
+	f, err := os.Open(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("audit log has %d lines, want 3:\n%s", len(lines), data)
-	}
-	var last server.AuditEntry
-	if err := json.Unmarshal([]byte(lines[2]), &last); err != nil {
+	recs, err := record.ReadAll(f)
+	f.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
+	var decides []record.Record
+	for _, r := range recs {
+		if r.Kind == record.KindDecide {
+			decides = append(decides, r)
+		}
+	}
+	if len(decides) != 3 {
+		t.Fatalf("WAL has %d decide records, want 3", len(decides))
+	}
+	last := server.AuditFromRecord(decides[2])
 	if last.Granted || last.DecisionID != se.DecisionID {
-		t.Fatalf("audit tail = %+v, want denial %s", last, se.DecisionID)
+		t.Fatalf("WAL tail = %+v, want denial %s", last, se.DecisionID)
+	}
+	var fromWAL, fromAddr strings.Builder
+	last.WriteTranscript(&fromWAL)
+	entry.WriteTranscript(&fromAddr)
+	if fromWAL.String() != fromAddr.String() {
+		t.Fatalf("explain -wal transcript:\n%s\ndiffers from explain -addr:\n%s", fromWAL.String(), fromAddr.String())
+	}
+	if !strings.Contains(fromWAL.String(), "violated clause: count(0, 2,") {
+		t.Fatalf("transcript lacks the violated clause:\n%s", fromWAL.String())
 	}
 
 	// After Shutdown the metrics port no longer accepts connections.
@@ -628,7 +647,6 @@ func TestStartServesFleetEndpoints(t *testing.T) {
 	app.daemons = nil // idempotent deferred shutdown
 	app.metricsSrv = nil
 	app.debug = nil
-	app.auditFile = nil
 }
 
 func TestStartWiresRecorderShadowAndCoverage(t *testing.T) {
@@ -733,7 +751,7 @@ func TestStartWiresRecorderShadowAndCoverage(t *testing.T) {
 	if err := json.Unmarshal([]byte(get("/debug/snapshot")), &snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Version != 7 || snap.ShadowDigest == "" || snap.ShadowFlips != 1 ||
+	if snap.Version != 8 || snap.ShadowDigest == "" || snap.ShadowFlips != 1 ||
 		snap.Recorder == nil || snap.Recorder.Total == 0 || snap.Runtime.Goroutines < 1 {
 		t.Fatalf("snapshot versioned fields = %+v", snap)
 	}

@@ -92,8 +92,10 @@ type Rollup struct {
 	// Tails sums the members' live /debug/journal tails
 	// (journal.active_tails).
 	Tails int `json:"tails"`
-	// AuditSinkErrors sums decisions lost from durable logs fleet-wide.
-	AuditSinkErrors int64 `json:"audit_sink_errors"`
+	// WALErrors sums the members' failed decision-WAL appends
+	// (recorder.errors). A WAL stops at its first failure, so from
+	// then on that member's decisions are missing from its file.
+	WALErrors int64 `json:"wal_errors"`
 	// ShadowFlips sums live shadow-policy disagreements fleet-wide.
 	ShadowFlips int64 `json:"shadow_flips,omitempty"`
 }
@@ -334,7 +336,9 @@ func (p *Poller) merge(states []MemberState) FleetView {
 		if snap.Journal != nil {
 			v.Global.Tails += snap.Journal.ActiveTails
 		}
-		v.Global.AuditSinkErrors += snap.AuditSinkErrors
+		if snap.Recorder != nil {
+			v.Global.WALErrors += snap.Recorder.Errors
+		}
 		v.Global.ShadowFlips += snap.ShadowFlips
 		digests[snap.PolicyDigest] = append(digests[snap.PolicyDigest], st.Name)
 

@@ -8,6 +8,7 @@ import (
 	"stac/internal/core"
 	"stac/internal/model"
 	"stac/internal/obs"
+	"stac/internal/obs/record"
 	"stac/internal/proof"
 	"stac/internal/server"
 	"stac/internal/temporal"
@@ -23,7 +24,8 @@ func TestMergeGlobalRollupAndUnreachable(t *testing.T) {
 	v := p.Merge([]MemberState{
 		reachable("a", server.Snapshot{
 			PolicyDigest: "d1", Grants: 5, Denies: 1, Decisions: 6, Migrations: 2,
-			Servers: []server.ServerSnapshot{{ID: "s1", Grants: 5, Denies: 1}},
+			Servers:  []server.ServerSnapshot{{ID: "s1", Grants: 5, Denies: 1}},
+			Recorder: &record.Status{WALConfigured: true, WALDegraded: true, Errors: 1},
 		}),
 		reachable("b", server.Snapshot{
 			PolicyDigest: "d1", Grants: 3, Denies: 0, Decisions: 3,
@@ -34,7 +36,8 @@ func TestMergeGlobalRollupAndUnreachable(t *testing.T) {
 	if v.Global.Members != 2 || v.Global.Unreachable != 1 {
 		t.Fatalf("global = %+v", v.Global)
 	}
-	if v.Global.Grants != 8 || v.Global.Denies != 1 || v.Global.Decisions != 9 || v.Global.Migrations != 2 {
+	if v.Global.Grants != 8 || v.Global.Denies != 1 || v.Global.Decisions != 9 || v.Global.Migrations != 2 ||
+		v.Global.WALErrors != 1 {
 		t.Fatalf("global = %+v", v.Global)
 	}
 	if len(v.PerServer) != 2 || v.PerServer[0].Member != "a" || v.PerServer[1].Server != "s2" {

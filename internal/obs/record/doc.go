@@ -64,12 +64,14 @@
 // # Decision log
 //
 // Every coalition keeps a recorder: its ring is the coalition
-// decision log behind Audit, Explain, the JSONL audit sink and the
-// /debug/journal tail. By default it records decide records only,
-// without their replay inputs (Config.DecisionsOnly: no arrive,
-// activate, deactivate or grant records, and no user, roles, history
-// or program on decides). `stacd -record` adds the inputs, which is
-// what core.Replay and core.ShadowDiff need.
+// decision log behind Audit, Explain and the /debug/journal tail, and
+// its WAL (`stacd -record-wal`) is the log's one durable file, which
+// `stacctl explain -wal`, replay and diff read. By default it records
+// decide records only, without their replay inputs
+// (Config.DecisionsOnly: no arrive, activate, deactivate or grant
+// records, and no user, roles, history or program on decides).
+// `stacd -record` adds the inputs, which is what core.Replay and
+// core.ShadowDiff need; `-record-wal` implies it.
 //
 // # History delta encoding (schema 2)
 //
@@ -131,9 +133,31 @@
 //
 // # WAL degradation
 //
-// The WAL is strictly best-effort: the first write failure (disk
-// full, closed file) permanently degrades the recorder to ring-only
-// operation, increments stac_recorder_errors_total, and surfaces in
-// Status — authorisations are never failed or slowed by a broken
-// WAL. The in-memory ring keeps recording.
+// The WAL's durability contract:
+//
+//   - Each record is one JSON line handed to the WAL in one Write —
+//     one write(2) on the *os.File stacd opens with O_APPEND — under
+//     the recorder's lock, so the file's line order is the ring's
+//     seq order, whichever servers decided concurrently.
+//   - There is no fsync: a record survives a crash of the process
+//     once its Write returns, but not a crash of the host before the
+//     kernel writes it back.
+//   - ReadAll and Scan drop a torn final line (one with no trailing
+//     newline that fails to decode), the trace of a process killed
+//     mid-append; any other malformed line is an error naming its
+//     line number.
+//   - OpenWAL, which stacd opens the file with, ends such a tail
+//     before the first append: it truncates a fragment away and
+//     terminates a whole record. A daemon restarted after a full disk
+//     or a kill therefore appends on a line of its own, and the
+//     fragment never becomes a malformed line mid-file.
+//   - The first write failure (disk full, closed file) is sticky: the
+//     recorder stops writing the WAL, increments
+//     stac_recorder_errors_total and reports WALDegraded in Status,
+//     and the daemon's /readyz fails its decision_wal check until a
+//     new recorder is attached. Every decision after the failure is
+//     missing from the file.
+//
+// Authorisations are never failed or slowed by a broken WAL, and the
+// in-memory ring keeps recording.
 package record

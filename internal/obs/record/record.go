@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sync"
 
 	"stac/internal/hlc"
@@ -190,11 +191,24 @@ func Decode(line []byte) (Record, error) {
 	return r, nil
 }
 
-// ReadAll decodes a JSONL stream (a WAL file) into records, skipping
-// blank lines. The first malformed line aborts with its line number,
-// except a final line with no trailing newline that fails to decode:
-// that is the torn tail of a daemon killed mid-append, and is dropped.
+// ReadAll decodes a whole JSONL stream (a WAL file) with Scan.
 func ReadAll(r io.Reader) ([]Record, error) {
+	var out []Record
+	if err := Scan(r, func(rec Record) bool {
+		out = append(out, rec)
+		return true
+	}); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// Scan decodes a JSONL stream (a WAL file) one line at a time, calling
+// fn on each record until fn returns false, and skips blank lines. The
+// first malformed line aborts with its line number, except a final
+// line with no trailing newline that fails to decode: that is the torn
+// tail of a daemon killed mid-append, and is dropped.
+func Scan(r io.Reader, fn func(Record) bool) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	torn := false
@@ -202,7 +216,6 @@ func ReadAll(r io.Reader) ([]Record, error) {
 		torn = atEOF && len(data) > 0 && bytes.IndexByte(data, '\n') < 0
 		return bufio.ScanLines(data, atEOF)
 	})
-	var out []Record
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -215,14 +228,73 @@ func ReadAll(r io.Reader) ([]Record, error) {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", lineNo, err)
+			return fmt.Errorf("line %d: %w", lineNo, err)
 		}
-		out = append(out, rec)
+		if !fn(rec) {
+			return nil
+		}
 	}
-	if err := sc.Err(); err != nil {
+	return sc.Err()
+}
+
+// OpenWAL opens the WAL file at path for appending, creating it if
+// needed. A regular file that does not end in a newline ends in the
+// tail of an append cut short (a full disk, a killed daemon). Appended
+// to as it is, the next record would fuse with that fragment into one
+// malformed line that stops every reader, so OpenWAL first ends the
+// tail as Scan reads it: a fragment that fails to decode is truncated
+// away (Scan drops it anyway), and a record that decodes gets its
+// newline.
+func OpenWAL(path string) (*os.File, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	if err := endTail(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("record: %s: %w", path, err)
+	}
+	return f, nil
+}
+
+// endTail ends a torn final line of the append-only WAL file f (see
+// OpenWAL). It reads the tail back through a second, read-only handle.
+func endTail(f *os.File) error {
+	st, err := f.Stat()
+	if err != nil || !st.Mode().IsRegular() || st.Size() == 0 {
+		return err
+	}
+	rf, err := os.Open(f.Name())
+	if err != nil {
+		return err
+	}
+	defer rf.Close()
+	// start is where the final line begins: just past the last newline.
+	end, start := st.Size(), int64(0)
+	buf := make([]byte, 64*1024)
+	for off := end; off > 0; {
+		n := min(int64(len(buf)), off)
+		off -= n
+		if _, err := rf.ReadAt(buf[:n], off); err != nil {
+			return err
+		}
+		if i := bytes.LastIndexByte(buf[:n], '\n'); i >= 0 {
+			start = off + int64(i) + 1
+			break
+		}
+	}
+	if start == end {
+		return nil
+	}
+	tail := make([]byte, end-start)
+	if _, err := rf.ReadAt(tail, start); err != nil {
+		return err
+	}
+	if _, err := Decode(tail); err == nil {
+		_, err = f.Write([]byte{'\n'})
+		return err
+	}
+	return f.Truncate(start)
 }
 
 // Config configures a Recorder.

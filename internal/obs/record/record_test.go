@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -210,6 +212,55 @@ func (f *failAfter) Write(p []byte) (int, error) {
 	}
 	f.n--
 	return len(p), nil
+}
+
+// OpenWAL ends the tail an append cut short left behind: a fragment
+// is truncated away and a whole record without its newline gets one,
+// so the next append starts a line of its own.
+func TestOpenWALEndsTornTail(t *testing.T) {
+	var whole bytes.Buffer
+	if err := Encode(&whole, Record{Schema: SchemaVersion, Seq: 1, Kind: KindDecide, Object: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	unterminated := bytes.TrimSuffix(whole.Bytes(), []byte("\n"))
+	for _, tc := range []struct {
+		name    string
+		content []byte
+		want    int // records ReadAll finds after one more append
+	}{
+		{"empty", nil, 1},
+		{"clean", whole.Bytes(), 2},
+		{"fragment", append(bytes.Clone(whole.Bytes()), `{"schema":2,"se`...), 2},
+		{"fragment only", []byte(`{"schema":2,"se`), 1},
+		{"unterminated record", append(bytes.Clone(whole.Bytes()), unterminated...), 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "w.wal")
+			if err := os.WriteFile(path, tc.content, 0o600); err != nil {
+				t.Fatal(err)
+			}
+			f, err := OpenWAL(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = Encode(f, Record{Schema: SchemaVersion, Seq: 9, Kind: KindDecide, Object: "z"})
+			f.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs, err := ReadAll(bytes.NewReader(data))
+			if err != nil {
+				t.Fatalf("ReadAll after reopen: %v\n%s", err, data)
+			}
+			if len(recs) != tc.want || recs[len(recs)-1].Object != "z" {
+				t.Fatalf("read %d records (%+v), want %d ending in the new one", len(recs), recs, tc.want)
+			}
+		})
+	}
 }
 
 func TestWALFailureDegradesToRingOnly(t *testing.T) {

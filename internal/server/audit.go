@@ -7,7 +7,6 @@ import (
 
 	"stac/internal/core"
 	"stac/internal/model"
-	"stac/internal/obs"
 	"stac/internal/obs/record"
 )
 
@@ -18,14 +17,15 @@ import (
 // engine's flight-recorder ring (internal/obs/record), which every
 // coalition attaches. The security officer reads it per server (Audit,
 // the `audit` wire verb), by decision ID (Explain, /debug/explain) and
-// live (the /debug/journal tail); the optional JSONL sink is its
-// durable copy. AuditEntry is the read-side shape of a decide record.
+// live (the /debug/journal tail); the recorder's WAL (`stacd
+// -record-wal`) is its one durable file, which `stacctl explain -wal`
+// reads offline. AuditEntry is the read-side shape of a decide record.
 
 // AuditEntry is one served authorisation decision as the decision log
-// serves it (see AuditFromRecord) — one line of the JSONL audit sink,
-// carrying everything `stacctl explain` needs: the correlation IDs,
-// the outcome, and the denial explanation (violated SRAC clause with
-// its count windows, or the temporal budget arithmetic).
+// serves it (see AuditFromRecord), carrying everything `stacctl
+// explain` needs: the correlation IDs, the outcome, and the denial
+// explanation (violated SRAC clause with its count windows, or the
+// temporal budget arithmetic).
 type AuditEntry struct {
 	DecisionID string `json:"decision_id"`
 	TraceID    string `json:"trace_id,omitempty"`
@@ -125,6 +125,56 @@ func (e AuditEntry) String() string {
 	return out
 }
 
+// WriteTranscript prints the decision transcript `stacctl explain`
+// shows: the outcome, the correlation IDs, the per-layer verdicts,
+// and — for denials — the violated SRAC clause with its counting
+// windows or the temporal budget arithmetic. The -addr and -wal paths
+// both end here. They print the same bytes for one decision when the
+// server has no clock skew set (stacd sets none): /debug/explain adds
+// the server's skew to t=, and the WAL holds the coalition clock.
+func (e AuditEntry) WriteTranscript(w io.Writer) {
+	verdict := "GRANTED"
+	if !e.Granted {
+		verdict = "DENIED"
+		if e.DenyReason != "" {
+			verdict += " (" + e.DenyReason + ")"
+		}
+	}
+	fmt.Fprintf(w, "decision %s @ %s — %s\n", e.DecisionID, e.Server, verdict)
+	if e.TraceID != "" {
+		fmt.Fprintf(w, "  trace:    %s\n", e.TraceID)
+	}
+	fmt.Fprintf(w, "  access:   %s %s @ %s by %s (t=%g)\n", e.Op, e.Resource, e.Server, e.Object, e.Time)
+	if e.Perm != "" {
+		fmt.Fprintf(w, "  perm:     %s\n", e.Perm)
+	}
+	fmt.Fprintf(w, "  program:  %s\n", e.ProgramVerdict)
+	fmt.Fprintf(w, "  spatial:  %s\n", e.SpatialStatus)
+	fmt.Fprintf(w, "  temporal: %s\n", e.TemporalState)
+	if x := e.Explanation; x != nil {
+		if x.Clause != "" {
+			fmt.Fprintf(w, "  violated clause: %s\n", x.Clause)
+		}
+		if x.Detail != "" {
+			fmt.Fprintf(w, "  detail:   %s\n", x.Detail)
+		}
+		for _, cw := range x.Counts {
+			fmt.Fprintf(w, "  window:   %s\n", cw.String())
+		}
+		if t := x.Temporal; t != nil {
+			budget := "unlimited"
+			if t.Budget >= 0 {
+				budget = fmt.Sprintf("%g s", t.Budget)
+			}
+			fmt.Fprintf(w, "  budget:   consumed %g s of %s (%s scheme, %g s remaining)\n",
+				t.Consumed, budget, t.Scheme, t.Remaining)
+		}
+	}
+	if e.Reason != "" {
+		fmt.Fprintf(w, "  reason:   %s\n", e.Reason)
+	}
+}
+
 // Audit returns the server's decisions still in the coalition log, in
 // order, and the total number of decisions it has made (which may
 // exceed what the log retains).
@@ -138,31 +188,6 @@ func (s *Server) Audit() ([]AuditEntry, int) {
 	return out, grants + denies
 }
 
-// logServed writes one served decision to the coalition log and, when
-// a sink is set, to the sink as a JSON line — under one lock, so the
-// sink's line order is the log's. reason is the server's own denial
-// of an engine grant ("" when it served the engine verdict).
-func (s *Server) logServed(tc obs.TraceContext, req core.Request, dec core.Decision, reason string, shadow *record.ShadowVerdict) {
-	c := s.coalition
-	c.auditMu.Lock()
-	defer c.auditMu.Unlock()
-	r, ok := c.Engine.LogDecision(tc, req, dec, reason, shadow)
-	if !ok || c.auditSink == nil {
-		return
-	}
-	b, err := json.Marshal(s.auditEntry(r))
-	if err != nil {
-		c.auditSinkFailedLocked(err)
-		return
-	}
-	b = append(b, '\n')
-	if _, err := c.auditSink.Write(b); err != nil {
-		c.auditSinkFailedLocked(err)
-		return
-	}
-	c.auditSinkErr = nil
-}
-
 // retainedByServer counts the coalition log's decisions per server.
 func (c *Coalition) retainedByServer() map[string]int {
 	out := make(map[string]int)
@@ -173,38 +198,6 @@ func (c *Coalition) retainedByServer() map[string]int {
 		return true
 	})
 	return out
-}
-
-// SetAuditSink directs every coalition server's decisions to w as JSON
-// lines (nil disables). The write happens outside the request's fast
-// path locks but inside the request, so a slow sink slows requests —
-// hand it a buffered or async writer if that matters. Replacing the
-// sink clears any recorded write failure.
-func (c *Coalition) SetAuditSink(w io.Writer) {
-	c.auditMu.Lock()
-	c.auditSink = w
-	c.auditSinkErr = nil
-	c.auditMu.Unlock()
-}
-
-// AuditSinkStatus reports whether a JSONL sink is configured, the most
-// recent write failure (nil when the last append succeeded), and the
-// total number of failed appends. A failing sink means decisions are
-// being LOST from the durable log — /readyz degrades on it.
-func (c *Coalition) AuditSinkStatus() (configured bool, lastErr error, errors int64) {
-	c.auditMu.Lock()
-	defer c.auditMu.Unlock()
-	return c.auditSink != nil, c.auditSinkErr, c.auditSinkErrs
-}
-
-// auditSinkFailedLocked records one lost decision: the sticky error
-// degrades /readyz until a write succeeds (or the sink is replaced),
-// and the counter surfaces the loss on /metrics.
-func (c *Coalition) auditSinkFailedLocked(err error) {
-	c.auditSinkErr = err
-	c.auditSinkErrs++
-	c.Engine.Obs().Counter("stac_audit_sink_errors_total", "",
-		"Audit JSONL sink appends that failed (decisions lost from the durable log).").Inc()
 }
 
 // Explain looks a decision up by ID in the coalition log — the lookup

@@ -15,7 +15,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -61,18 +60,6 @@ type Coalition struct {
 	ledger *proof.Store
 	// migrations counts completed migrations, for experiment reports.
 	migrations int
-
-	// auditMu orders decision logging with the sink (see audit.go):
-	// the decision log itself is the engine's recorder ring. auditSink,
-	// when set, receives every logged decision as one JSON line — the
-	// log's durable copy. auditSinkErr holds the most recent write
-	// failure (nil after a successful write), so /readyz can report a
-	// sink that is losing decisions; auditSinkErrs counts every failed
-	// append.
-	auditMu       sync.Mutex
-	auditSink     io.Writer
-	auditSinkErr  error
-	auditSinkErrs int64
 
 	// shadow, when set, holds the candidate policy evaluated alongside
 	// the served one (see shadow.go).
@@ -386,7 +373,7 @@ func (s *Server) request(sub *Subject, op model.Operation, res model.ResourceID,
 		s.denies++
 		s.mu.Unlock()
 		l.Enter(obs.StageLog)
-		s.logServed(prog.Trace, req, dec, "", sv)
+		s.coalition.Engine.LogDecision(prog.Trace, req, dec, "", sv)
 		return AccessResult{Decision: dec}, fmt.Errorf("%w: %s", ErrDenied, dec.Reason)
 	}
 
@@ -397,7 +384,7 @@ func (s *Server) request(sub *Subject, op model.Operation, res model.ResourceID,
 		s.denies++
 		s.mu.Unlock()
 		l.Enter(obs.StageLog)
-		s.logServed(prog.Trace, req, dec, "unknown resource", sv)
+		s.coalition.Engine.LogDecision(prog.Trace, req, dec, "unknown resource", sv)
 		return AccessResult{Decision: dec}, fmt.Errorf("%w: %q at %q", model.ErrUnknownResource, res, s.id)
 	}
 	var data []byte
@@ -411,7 +398,7 @@ func (s *Server) request(sub *Subject, op model.Operation, res model.ResourceID,
 	s.grants++
 	s.mu.Unlock()
 	l.Enter(obs.StageLog)
-	s.logServed(prog.Trace, req, dec, "", sv)
+	s.coalition.Engine.LogDecision(prog.Trace, req, dec, "", sv)
 
 	l.Enter(obs.StageIssue)
 	pr := s.coalition.Signer.Issue(access, s.localNow())

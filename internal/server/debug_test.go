@@ -4,7 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"errors"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"stac/internal/core"
+	"stac/internal/faults"
 	"stac/internal/model"
 	"stac/internal/obs"
 	"stac/internal/obs/journal"
@@ -256,52 +257,59 @@ assign o1 r
 	}
 }
 
-// errWriter always fails, simulating an unwritable audit sink (disk
-// full, rotated-away file, dead pipe).
-type errWriter struct{ err error }
+// walCheck returns the readiness document's decision_wal check.
+func walCheck(t *testing.T, h Health) Check {
+	t.Helper()
+	for _, ck := range h.Checks {
+		if ck.Name == "decision_wal" {
+			return ck
+		}
+	}
+	t.Fatalf("no decision_wal check: %+v", h.Checks)
+	return Check{}
+}
 
-func (w errWriter) Write(p []byte) (int, error) { return 0, w.err }
-
-func TestReadyzAuditSinkDegradeAndRecover(t *testing.T) {
+// A WAL append that fails (disk full) fails readiness on decision_wal.
+// The failure is sticky: the recorder stops writing the WAL at its
+// first failure, so every later decision is missing from the file, and
+// readiness recovers only when a new recorder is attached — not on a
+// later write, as the JSONL audit sink this check replaced did.
+func TestReadyzDecisionWALDegradeAndRecover(t *testing.T) {
 	c, _ := newCoalition(t)
-	if h := c.Readiness(); !h.OK {
+	c.Engine.SetObs(obs.NewRegistry()) // the error counter is this test's own
+	h := c.Readiness()
+	if ck := walCheck(t, h); !h.OK || !ck.OK || ck.Detail != "not configured" {
 		t.Fatalf("initial readiness = %+v", h)
 	}
 
-	c.SetAuditSink(errWriter{errors.New("disk full")})
-	grantOnce(t, c) // decision lost → sticky error
-	h := c.Readiness()
-	if h.OK {
-		t.Fatalf("readiness with failing sink = %+v", h)
+	attachWAL(c, faults.NewDiskFullWriter(io.Discard, 0))
+	if h := c.Readiness(); !h.OK {
+		t.Fatalf("readiness before the first append = %+v", h)
 	}
-	found := false
-	for _, ck := range h.Checks {
-		if ck.Name == "audit_sink" {
-			found = true
-			if ck.OK || !strings.Contains(ck.Detail, "disk full") {
-				t.Fatalf("audit_sink check = %+v", ck)
-			}
+	grantOnce(t, c) // the first append fails → sticky error
+	for i := 0; i < 2; i++ {
+		h := c.Readiness()
+		if ck := walCheck(t, h); h.OK || ck.OK || !strings.Contains(ck.Detail, "disk full") {
+			t.Fatalf("readiness with a failed WAL = %+v", h)
 		}
-	}
-	if !found {
-		t.Fatalf("no audit_sink check: %+v", h.Checks)
-	}
-	if _, _, errs := c.AuditSinkStatus(); errs != 1 {
-		t.Fatalf("sink errors = %d", errs)
-	}
-	if v := c.Engine.Obs().CounterValue("stac_audit_sink_errors_total", ""); v != 1 {
-		t.Fatalf("sink error counter = %d", v)
+		if st := c.Engine.Recorder().Status(); !st.WALDegraded || st.Errors != 1 {
+			t.Fatalf("recorder status = %+v", st)
+		}
+		if v := c.Engine.Obs().CounterValue("stac_recorder_errors_total", ""); v != 1 {
+			t.Fatalf("recorder error counter = %d", v)
+		}
+		grantOnce(t, c) // not written, and readiness stays failed
 	}
 
-	// Replacing the sink clears the sticky error: readiness recovers.
-	var buf strings.Builder
-	c.SetAuditSink(&buf)
-	if h := c.Readiness(); !h.OK {
-		t.Fatalf("readiness after sink replacement = %+v", h)
+	// Attaching a new recorder clears the failure: readiness recovers.
+	wal := newSyncBuffer()
+	attachWAL(c, wal)
+	if h := c.Readiness(); !h.OK || walCheck(t, h).Detail != "" {
+		t.Fatalf("readiness after a new recorder = %+v", h)
 	}
 	grantOnce(t, c)
-	if !strings.Contains(buf.String(), "\"granted\":true") {
-		t.Fatalf("sink content = %q", buf.String())
+	if !strings.Contains(wal.String(), "\"granted\":true") {
+		t.Fatalf("WAL content = %q", wal.String())
 	}
 }
 
@@ -348,8 +356,11 @@ func TestReadyzConnSaturationFlipsAndRecovers(t *testing.T) {
 
 func TestLivenessAlwaysOK(t *testing.T) {
 	c, _ := newCoalition(t)
-	c.SetAuditSink(errWriter{errors.New("down")})
+	attachWAL(c, faults.NewDiskFullWriter(io.Discard, 0))
 	grantOnce(t, c)
+	if h := c.Readiness(); h.OK {
+		t.Fatalf("readiness with a failed WAL = %+v", h)
+	}
 	if h := c.Liveness(); !h.OK {
 		t.Fatalf("liveness = %+v", h)
 	}
@@ -415,8 +426,8 @@ func TestDebugEndpoints(t *testing.T) {
 		t.Fatalf("metrics = %d %q", code, body)
 	}
 
-	// readyz flips to 503 over HTTP when the sink degrades.
-	c.SetAuditSink(errWriter{errors.New("gone")})
+	// readyz flips to 503 over HTTP when the decision WAL degrades.
+	attachWAL(c, faults.NewDiskFullWriter(io.Discard, 0))
 	grantOnce(t, c)
 	if code, _ := get("/readyz"); code != http.StatusServiceUnavailable {
 		t.Fatalf("degraded readyz = %d", code)

@@ -2,7 +2,7 @@ package server
 
 // Health probes for the daemon: /healthz is pure liveness (the
 // process answers), /readyz runs concrete checks — policy loaded,
-// audit sink writable, connection capacity left — so an orchestrator
+// decision WAL writable, connection capacity left — so an orchestrator
 // or the federate poller can tell a live-but-degraded member from a
 // healthy one.
 
@@ -50,17 +50,18 @@ func (c *Coalition) Readiness(daemons ...*Daemon) Health {
 	}
 	add(ck)
 
-	// audit_sink: a configured JSONL sink whose last append failed is
-	// losing decisions from the durable log.
-	configured, lastErr, errs := c.AuditSinkStatus()
-	ck = Check{Name: "audit_sink", OK: lastErr == nil}
-	switch {
-	case lastErr != nil:
-		ck.Detail = lastErr.Error()
-	case !configured:
-		ck.Detail = "not configured"
-	case errs > 0:
-		ck.Detail = "recovered"
+	// decision_wal: the recorder's WAL is the one durable decision
+	// log. Its first failed append degrades the recorder to ring-only
+	// for good, so every later decision is missing from the file; the
+	// check stays failed until a new recorder is attached.
+	ck = Check{Name: "decision_wal", OK: true, Detail: "not configured"}
+	if rec := c.Engine.Recorder(); rec != nil {
+		switch st := rec.Status(); {
+		case st.WALDegraded:
+			ck.OK, ck.Detail = false, st.WALError
+		case st.WALConfigured:
+			ck.Detail = ""
+		}
 	}
 	add(ck)
 

@@ -206,8 +206,8 @@ func TestSnapshotVersionedFields(t *testing.T) {
 	}
 
 	snap := c.Snapshot(0)
-	if snap.Version != SnapshotVersion || SnapshotVersion != 7 {
-		t.Fatalf("snapshot version = %d, want 7", snap.Version)
+	if snap.Version != SnapshotVersion || SnapshotVersion != 8 {
+		t.Fatalf("snapshot version = %d, want 8", snap.Version)
 	}
 	if snap.ShadowDigest == "" || snap.ShadowFlips != 1 {
 		t.Errorf("shadow fields = %q/%d, want digest + 1 flip", snap.ShadowDigest, snap.ShadowFlips)

@@ -36,7 +36,10 @@ import (
 //	    whose rows now carry the satisfied/violated/pending tallies
 //	7 — drops watchers and watch_dropped with /debug/watch: the live
 //	    decision tail is the journal (journal.active_tails, gaps_total)
-const SnapshotVersion = 7
+//	8 — drops audit_sink_errors with the JSONL audit sink: the durable
+//	    decision log is the recorder's WAL, and its failed appends are
+//	    recorder.errors
+const SnapshotVersion = 8
 
 // Snapshot is one daemon-process view of its coalition state.
 type Snapshot struct {
@@ -63,8 +66,6 @@ type Snapshot struct {
 	Decisions int `json:"decisions"`
 	// Migrations counts completed mobile-object migrations.
 	Migrations int `json:"migrations"`
-	// AuditSinkErrors counts decisions lost by a failing JSONL sink.
-	AuditSinkErrors int64 `json:"audit_sink_errors"`
 	// ShadowDigest fingerprints the candidate policy under live shadow
 	// evaluation ("" when none is loaded); ShadowFlips counts verdicts
 	// where it disagreed with the served policy.
@@ -178,8 +179,6 @@ func (c *Coalition) Snapshot(budgetTail int, daemons ...*Daemon) Snapshot {
 		st := rec.Status()
 		snap.Recorder = &st
 	}
-	_, _, sinkErrs := c.AuditSinkStatus()
-	snap.AuditSinkErrors = sinkErrs
 	retained := c.retainedByServer()
 	for _, s := range c.Servers() {
 		grants, denies := s.Counters()

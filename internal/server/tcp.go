@@ -146,9 +146,9 @@ type wireResponse struct {
 const (
 	// DefaultMaxLineBytes caps one JSON-lines message.
 	DefaultMaxLineBytes = 16 << 20
-	// DefaultDedupWindow is how many access responses the daemon
-	// retains for idempotent retries.
-	DefaultDedupWindow = 1024
+	// dedupWindow is how many access responses the daemon retains
+	// for idempotent retries, oldest out first.
+	dedupWindow = 1024
 )
 
 // DaemonConfig tunes the daemon's robustness knobs. The zero value
@@ -168,10 +168,6 @@ type DaemonConfig struct {
 	// structured error response and the connection closes. Zero means
 	// DefaultMaxLineBytes.
 	MaxLineBytes int
-	// DedupWindow is the number of recent access responses retained
-	// for idempotent retry (see wireRequest.ID). Zero means
-	// DefaultDedupWindow; negative disables deduplication.
-	DedupWindow int
 	// Obs selects the metrics registry the daemon reports into; nil
 	// means obs.Default. (A pointer keeps DaemonConfig comparable.)
 	Obs *obs.Registry
@@ -182,16 +178,6 @@ func (c DaemonConfig) maxLine() int {
 		return DefaultMaxLineBytes
 	}
 	return c.MaxLineBytes
-}
-
-func (c DaemonConfig) dedupWindow() int {
-	if c.DedupWindow == 0 {
-		return DefaultDedupWindow
-	}
-	if c.DedupWindow < 0 {
-		return 0
-	}
-	return c.DedupWindow
 }
 
 // dmetrics holds one daemon's resolved metric handles, labelled by
@@ -301,10 +287,15 @@ type Daemon struct {
 	subjects   map[string]*session
 	conns      map[net.Conn]struct{}
 	connsTotal int64
-	seen       map[dedupKey]wireResponse
-	seenFIFO   []dedupKey
 	closed     bool
 	wg         sync.WaitGroup
+	// seen holds the last dedupWindow access responses for idempotent
+	// retry (see wireRequest.ID); seenRing holds their keys in
+	// insertion order, and seenNext is the slot the next insertion
+	// evicts.
+	seen     map[dedupKey]wireResponse
+	seenRing [dedupWindow]dedupKey
+	seenNext int
 	// onStages, when set (tests only, before serving), sees each
 	// access request's closed ledger.
 	onStages func(*obs.StageLedger)
@@ -597,23 +588,17 @@ func (d *Daemon) cached(key dedupKey) (wireResponse, bool) {
 }
 
 // record retains an access response for idempotent retry, evicting
-// the oldest entries beyond the dedup window.
+// the oldest entry once the dedup window is full.
 func (d *Daemon) record(key dedupKey, resp wireResponse) {
-	window := d.cfg.dedupWindow()
-	if window == 0 {
-		return
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if _, ok := d.seen[key]; ok {
 		return
 	}
+	delete(d.seen, d.seenRing[d.seenNext])
+	d.seenRing[d.seenNext] = key
+	d.seenNext = (d.seenNext + 1) % dedupWindow
 	d.seen[key] = resp
-	d.seenFIFO = append(d.seenFIFO, key)
-	for len(d.seenFIFO) > window {
-		delete(d.seen, d.seenFIFO[0])
-		d.seenFIFO = d.seenFIFO[1:]
-	}
 }
 
 // handle serves one decoded request; program is its declared program's
@@ -700,7 +685,7 @@ func (d *Daemon) access(s *session, req *wireRequest, program []byte, led *obs.S
 		}
 	}
 	var key dedupKey
-	if req.ID != "" && d.cfg.dedupWindow() > 0 {
+	if req.ID != "" {
 		key = dedupKey{obj: s.sub.Object, id: req.ID}
 		if resp, ok := d.cached(key); ok {
 			d.met.dedup.Inc()

@@ -4,17 +4,24 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"stac/internal/core"
 	"stac/internal/model"
 	"stac/internal/obs"
+	"stac/internal/obs/record"
 	"stac/internal/proof"
+	"stac/internal/temporal"
 )
 
-// syncBuffer is a race-safe audit sink for tests.
+// syncBuffer is a race-safe WAL for tests.
 type syncBuffer struct {
 	mu  chan struct{}
 	buf bytes.Buffer
@@ -38,12 +45,20 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-// Every decision lands in the JSONL sink as one parseable line whose
-// denial entries carry the violated clause and its window state.
-func TestAuditSinkWritesJSONL(t *testing.T) {
+// attachWAL gives the coalition a decision log whose WAL is w, as
+// `stacd -record-wal` does: replay inputs included, metrics in the
+// engine's registry.
+func attachWAL(c *Coalition, w io.Writer) {
+	c.Engine.SetRecorder(record.New(record.Config{WAL: w, Registry: c.Engine.Obs()}))
+}
+
+// Every decision lands in the WAL as one decide record whose
+// projection — what `stacctl explain -wal` renders — carries, for a
+// denial, the violated clause and its window state.
+func TestWALDecideRecordsProjectToAuditEntries(t *testing.T) {
 	c, _ := newCoalition(t)
-	sink := newSyncBuffer()
-	c.SetAuditSink(sink)
+	wal := newSyncBuffer()
+	attachWAL(c, wal)
 	srv, _ := c.Server("s1")
 	sub, err := srv.Authenticate(cred(c, "o1", "owner", "traveler"))
 	if err != nil {
@@ -61,23 +76,26 @@ func TestAuditSinkWritesJSONL(t *testing.T) {
 		t.Fatal("3rd rsw access granted")
 	}
 
-	lines := strings.Split(strings.TrimSpace(sink.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("sink has %d lines, want 3:\n%s", len(lines), sink.String())
+	recs, err := record.ReadAll(strings.NewReader(wal.String()))
+	if err != nil {
+		t.Fatalf("WAL does not decode: %v\n%s", err, wal.String())
 	}
 	var entries []AuditEntry
-	for i, line := range lines {
-		var e AuditEntry
-		if err := json.Unmarshal([]byte(line), &e); err != nil {
-			t.Fatalf("line %d not JSON: %v\n%s", i, err, line)
+	for _, r := range recs {
+		if r.Kind == record.KindDecide {
+			entries = append(entries, AuditFromRecord(r))
 		}
+	}
+	if len(entries) != 3 {
+		t.Fatalf("WAL has %d decide records, want 3:\n%s", len(entries), wal.String())
+	}
+	for i, e := range entries {
 		if e.DecisionID == "" {
-			t.Fatalf("line %d lacks decision_id: %s", i, line)
+			t.Fatalf("decide record %d lacks decision_id: %+v", i, e)
 		}
 		if e.Object != "o1" || e.Server != "s1" || e.Resource != "rsw" {
-			t.Fatalf("line %d fields: %+v", i, e)
+			t.Fatalf("decide record %d fields: %+v", i, e)
 		}
-		entries = append(entries, e)
 	}
 	deny := entries[2]
 	if deny.Granted || deny.DenyReason != "spatial_violated" {
@@ -313,5 +331,100 @@ func TestClientServerErrorCarriesCorrelationIDs(t *testing.T) {
 	x := rec.Explanation
 	if x == nil || !strings.Contains(x.Detail, "exceeds ceiling 2") {
 		t.Fatalf("explanation = %+v", x)
+	}
+}
+
+// Every record reaches the WAL in the recorder's order: with three
+// servers deciding for concurrent clients of distinct objects, the WAL
+// decodes to exactly the ring's records, seq contiguous from 1. The
+// recorder's lock alone orders the two; no coalition-wide lock sits on
+// the decision path.
+func TestWALOrderUnderConcurrentServers(t *testing.T) {
+	servers := []model.ServerID{"s1", "s2", "s3"}
+	const perServer, accesses = 3, 8
+	objects := len(servers) * perServer
+	var pol strings.Builder
+	pol.WriteString("role traveler\npermission p-doc read doc @ * {\n    spatial count(0, 5, sigma[r=doc])\n}\ngrant traveler p-doc\n")
+	for i := 0; i < objects; i++ {
+		fmt.Fprintf(&pol, "user o%d\nassign o%d traveler\n", i, i)
+	}
+	c := NewCoalition(temporal.NewSimClock(0), key)
+	if err := core.LoadPolicyString(c.Engine, pol.String()); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range servers {
+		srv, err := c.AddServer(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.HostResource("doc", []byte("doc at "+id))
+	}
+	wal := newSyncBuffer()
+	attachWAL(c, wal)
+	addrs := startDaemons(t, c)
+
+	// tour authenticates obj at addr, reads doc accesses times (the
+	// reads past the count ceiling are denied) and departs.
+	tour := func(obj, addr string) error {
+		cl, err := Dial(addr)
+		if err != nil {
+			return err
+		}
+		defer cl.Close()
+		if err := cl.Auth(cred(c, obj, "owner", "traveler")); err != nil {
+			return err
+		}
+		for i := 0; i < accesses; i++ {
+			if _, err := cl.Access(model.OpRead, "doc", "", nil); err != nil && !errors.Is(err, ErrDenied) {
+				return fmt.Errorf("%s access %d: %w", obj, i, err)
+			}
+		}
+		return cl.Depart()
+	}
+	errs := make(chan error, objects)
+	var wg sync.WaitGroup
+	for i := 0; i < objects; i++ {
+		obj, addr := fmt.Sprintf("o%d", i), addrs[servers[i%len(servers)]]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs <- tour(obj, addr)
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ring := c.Engine.Recorder().Records()
+	if st := c.Engine.Recorder().Status(); st.Total != uint64(len(ring)) || st.WALDegraded {
+		t.Fatalf("recorder status = %+v with %d records retained; want every record retained and the WAL whole", st, len(ring))
+	}
+	logged, err := record.ReadAll(strings.NewReader(wal.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(logged) != len(ring) {
+		t.Fatalf("WAL holds %d records, ring %d", len(logged), len(ring))
+	}
+	decides := 0
+	for i, r := range ring {
+		if r.Seq != uint64(i+1) {
+			t.Fatalf("ring record %d has seq %d", i, r.Seq)
+		}
+		want, _ := json.Marshal(r)
+		got, _ := json.Marshal(logged[i])
+		if !bytes.Equal(got, want) {
+			t.Fatalf("WAL record %d differs from the ring's:\nWAL:  %s\nring: %s", i, got, want)
+		}
+		if r.Kind == record.KindDecide {
+			decides++
+		}
+	}
+	if decides != objects*accesses {
+		t.Fatalf("%d decide records, want %d", decides, objects*accesses)
 	}
 }

@@ -8,12 +8,14 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
 	"time"
 
 	"stac/internal/model"
+	"stac/internal/obs"
 )
 
 // startDaemonWith exposes one server with explicit limits.
@@ -252,9 +254,13 @@ func TestServerErrorTyping(t *testing.T) {
 	}
 }
 
-func TestDedupWindowEviction(t *testing.T) {
+// The dedup window is a fixed ring of the last dedupWindow request
+// IDs. Overflowing it evicts the oldest, so a retry of that ID is
+// decided afresh, while a retry of the newest replays its reply.
+func TestDedupRingEviction(t *testing.T) {
 	c, _ := newCoalition(t)
-	d, addr := startDaemonWith(t, c, "s1", DaemonConfig{DedupWindow: 2})
+	reg := obs.NewRegistry()
+	d, addr := startDaemonWith(t, c, "s1", DaemonConfig{Obs: reg})
 	cl, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -263,15 +269,31 @@ func TestDedupWindowEviction(t *testing.T) {
 	if err := cl.Auth(cred(c, "o1", "owner", "traveler")); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		if _, err := cl.Access(model.OpRead, "f-s1", "", nil); err != nil {
+	access := func(i int) {
+		t.Helper()
+		if _, err := cl.AccessID(fmt.Sprintf("r%d", i), model.OpRead, "f-s1", "", nil); err != nil {
 			t.Fatal(err)
 		}
+	}
+	for i := 0; i <= dedupWindow; i++ {
+		access(i)
 	}
 	d.mu.Lock()
 	retained := len(d.seen)
 	d.mu.Unlock()
-	if retained != 2 {
-		t.Fatalf("dedup cache retained %d entries, want window of 2", retained)
+	if retained != dedupWindow {
+		t.Fatalf("dedup cache retained %d entries, want the window of %d", retained, dedupWindow)
+	}
+
+	srv, _ := c.Server("s1")
+	hits := func() int64 { return reg.CounterValue("stac_server_dedup_hits_total", obs.Label("server", "s1")) }
+	g0, _ := srv.Counters()
+	access(0) // evicted: decided afresh
+	if g1, _ := srv.Counters(); g1 != g0+1 || hits() != 0 {
+		t.Fatalf("retry of the oldest ID: grants %d → %d, dedup hits %d; want a fresh decision", g0, g1, hits())
+	}
+	access(dedupWindow) // retained: replayed
+	if g2, _ := srv.Counters(); g2 != g0+1 || hits() != 1 {
+		t.Fatalf("retry of the newest ID: grants %d → %d, dedup hits %d; want a replay", g0, g2, hits())
 	}
 }

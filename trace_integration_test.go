@@ -4,7 +4,7 @@ package stac
 // 3-server coalition over TCP under ONE trace context; a count-ceiling
 // denial at the last hop must be attributable from every artefact the
 // run leaves behind — the span store, the Chrome trace-event export,
-// and the JSONL audit log — all correlated by the same trace and
+// and the decision WAL — all correlated by the same trace and
 // decision IDs.
 
 import (
@@ -17,6 +17,7 @@ import (
 	"stac/internal/core"
 	"stac/internal/model"
 	"stac/internal/obs"
+	"stac/internal/obs/record"
 	"stac/internal/server"
 	"stac/internal/sral"
 	"stac/internal/temporal"
@@ -40,8 +41,8 @@ func TestTracedItineraryExplainsDenialAcrossHops(t *testing.T) {
 	}
 	tracer := obs.NewTracer(1024)
 	c.Engine.SetTracer(tracer)
-	var audit bytes.Buffer
-	c.SetAuditSink(&audit)
+	var wal bytes.Buffer
+	c.Engine.SetRecorder(record.New(record.Config{WAL: &wal, Registry: obs.NewRegistry()}))
 
 	addrs := map[model.ServerID]string{}
 	for _, id := range []model.ServerID{"s1", "s2", "s3"} {
@@ -141,16 +142,21 @@ func TestTracedItineraryExplainsDenialAcrossHops(t *testing.T) {
 		t.Fatal("export lacks the authorize → prefix_eval decision tree")
 	}
 
-	// --- The audit JSONL names the violated clause, same trace. ---
+	// --- The WAL's decide records name the violated clause, same
+	// trace (what `stacctl explain -wal` reads). ---
+	recs, err := record.ReadAll(&wal)
+	if err != nil {
+		t.Fatalf("WAL does not decode: %v", err)
+	}
 	var denied *server.AuditEntry
 	grants := 0
-	for _, line := range strings.Split(strings.TrimSpace(audit.String()), "\n") {
-		var e server.AuditEntry
-		if err := json.Unmarshal([]byte(line), &e); err != nil {
-			t.Fatalf("audit line not JSON: %v\n%s", err, line)
+	for _, r := range recs {
+		if r.Kind != record.KindDecide {
+			continue
 		}
+		e := server.AuditFromRecord(r)
 		if e.TraceID != tc.Trace.String() {
-			t.Fatalf("audit entry off-trace: %+v", e)
+			t.Fatalf("decide record off-trace: %+v", e)
 		}
 		if e.Granted {
 			grants++
@@ -159,7 +165,7 @@ func TestTracedItineraryExplainsDenialAcrossHops(t *testing.T) {
 		}
 	}
 	if grants != 2 || denied == nil {
-		t.Fatalf("audit log: %d grants, denied=%v\n%s", grants, denied, audit.String())
+		t.Fatalf("WAL: %d grants, denied=%v", grants, denied)
 	}
 	x := denied.Explanation
 	if x == nil {
