@@ -57,6 +57,10 @@ go test -race -count=5 -run 'TestJournal|TestWatch|TestFleetTourTopAndWatch|Test
 # request to the next, so a reply or proof that kept pointing into them
 # would race the next read.
 go test -race -count=5 -run 'TestTCP|TestHostile|TestResident' ./internal/server
+# Repeated race probe of declared programs: clients on two daemons
+# intern one program in the coalition's cache at once, and concurrent
+# decisions of one object share one memoised static check.
+go test -race -count=10 -run 'TestTCPProgramInterned|TestStaticMemoConcurrentDecisions' ./internal/server ./internal/core
 # The repository benchmark is its own module (stac/bench, replacing stac
 # with this tree), so ./... above never reaches it. It drives the
 # engine and srac APIs directly, so vet and test it here, or an API

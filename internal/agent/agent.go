@@ -30,6 +30,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"stac/internal/core"
 	"stac/internal/model"
 	"stac/internal/obs"
 	"stac/internal/proof"
@@ -200,8 +201,12 @@ func Launch(c *server.Coalition, ag *Agent) error {
 
 // LaunchTraced is Launch under a caller-minted trace context.
 func LaunchTraced(c *server.Coalition, tc obs.TraceContext, ag *Agent) error {
+	var digest string
+	if ag.Program != nil {
+		digest = core.ProgramDigest(ag.Program)
+	}
 	return launch(ag, c.Engine.Tracer(), tc, c.Hub, func(tc obs.TraceContext) site {
-		return &localSite{coalition: c, agent: ag, tc: tc}
+		return &localSite{coalition: c, agent: ag, programDigest: digest, tc: tc}
 	})
 }
 

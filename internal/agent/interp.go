@@ -249,6 +249,9 @@ func (b *branch) exec(n sral.Node) error {
 type localSite struct {
 	coalition *server.Coalition
 	agent     *Agent
+	// programDigest is core.ProgramDigest of the agent's program,
+	// computed once per launch rather than by every decision.
+	programDigest string
 	// tc is the itinerary's trace context; the server's request spans
 	// parent directly on it.
 	tc obs.TraceContext
@@ -277,13 +280,14 @@ func (s *localSite) depart() {
 
 func (s *localSite) access(x sral.Prim) ([]byte, proof.Proof, error) {
 	res, err := s.srv.Request(s.subject, x.Op, x.Resource, server.RequestContext{
-		Program: s.agent.Program,
-		Store:   s.agent.Proofs,
-		Trace:   s.tc,
+		Program:       s.agent.Program,
+		ProgramDigest: s.programDigest,
+		Store:         s.agent.Proofs,
+		Trace:         s.tc,
 	})
 	return res.Data, res.Proof, err
 }
 
 func (s *localSite) fork() site {
-	return &localSite{coalition: s.coalition, agent: s.agent, tc: s.tc}
+	return &localSite{coalition: s.coalition, agent: s.agent, programDigest: s.programDigest, tc: s.tc}
 }

@@ -155,19 +155,17 @@ func costScan(col *cost.Collector, ps PermSpec, nodes []srac.NodeEval, consumed 
 	costSamplePool.Put(buf)
 }
 
-// costStatic folds one static-check run into the (program digest,
-// policy digest) cost table — the measured baseline for the planned
-// verdict cache keyed on exactly that pair.
-func (e *Engine) costStatic(col *cost.Collector, req Request, verdict srac.Verdict, elapsed time.Duration) {
+// costStatic folds one decision's static verdict sv, for the program
+// of canonical digest program, into the (program digest, policy digest)
+// cost table. Every decision that needed a verdict counts as a check, a
+// memo hit included, and elapsed is what the decision paid for it: the
+// check itself on a miss, the memo lookup on a hit.
+func (e *Engine) costStatic(col *cost.Collector, program string, sv staticVerdict, elapsed time.Duration) {
 	policy := ""
 	if p := e.costPolicy.Load(); p != nil {
 		policy = *p
 	}
-	digest := req.ProgramDigest
-	if digest == "" {
-		digest = ProgramDigest(req.Program)
-	}
-	col.RecordStatic(digest, policy, verdict.String(), req.Program.Size(), elapsed.Nanoseconds())
+	col.RecordStatic(program, policy, sv.verdict.String(), sv.size, elapsed.Nanoseconds())
 }
 
 // ProgramDigest is the canonical digest of a declared SRAL program:

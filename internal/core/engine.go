@@ -94,16 +94,102 @@ type PermSpec struct {
 
 // specMonitor compiles a permission's constraint on the permission's
 // first decision: a policy of hundreds of permissions, most of which
-// no decision reaches, holds no monitor for those.
+// no decision reaches, holds no monitor for those. It also memoises the
+// definition's static-check verdicts (see static).
 type specMonitor struct {
 	once sync.Once
 	c    srac.Constraint
 	m    *srac.Monitor
+
+	// memo holds check(P, C) per (program, object) pairing; ring holds
+	// its keys in insertion order, up to staticMemoSize, and next is the
+	// slot the next insertion evicts once it is full.
+	memoMu sync.Mutex
+	memo   map[staticKey]*staticEntry
+	ring   []staticKey
+	next   int
 }
+
+// staticMemoSize bounds the static-check verdicts one permission
+// definition keeps. A mobile object declares one program for a whole
+// tour, so a definition meets few (program, object) pairings at a time;
+// past the bound the oldest goes first.
+const staticMemoSize = 256
+
+// staticKey names one static-check pairing of a definition: the
+// program's canonical digest (ProgramDigest) and the requesting object.
+type staticKey struct {
+	program string
+	obj     model.ObjectID
+}
+
+// staticVerdict is one static check: whether it applies at all (a
+// constraint that mentions another object's actions is left to the
+// runtime history check) and, when it does, its verdict, with the
+// program's construct count for the cost table.
+type staticVerdict struct {
+	applies bool
+	verdict srac.Verdict
+	size    int
+}
+
+// staticEntry is one memoised pairing, checked once however many
+// decisions of the pairing arrive together.
+type staticEntry struct {
+	once sync.Once
+	staticVerdict
+}
+
+// checkProgram is srac.CheckProgram, a variable so tests can count the
+// checks the memo runs.
+var checkProgram = srac.CheckProgram
 
 func (sm *specMonitor) get() *srac.Monitor {
 	sm.once.Do(func() { sm.m = srac.Compile(sm.c) })
 	return sm.m
+}
+
+// static returns check(P, C) for program prog, whose canonical digest
+// is digest, declared by obj: srac.CheckProgram against the constraint
+// stamped for obj, run once per pairing while the memo holds it. The
+// verdict is a pure function of the pairing and the definition, and
+// every definition has a monitor of its own, so a policy change starts
+// from an empty memo.
+func (sm *specMonitor) static(prog sral.Node, digest string, obj model.ObjectID) staticVerdict {
+	e := sm.entry(staticKey{program: digest, obj: obj})
+	e.once.Do(func() {
+		stamped := srac.StampObject(sm.c, obj)
+		e.applies = !srac.MentionsOtherObject(stamped, obj)
+		e.verdict = srac.AllTraces
+		if e.applies {
+			e.verdict = checkProgram(prog, stamped, obj)
+			e.size = prog.Size()
+		}
+	})
+	return e.staticVerdict
+}
+
+// entry returns k's memo entry, adding an unchecked one when k has
+// none, in place of the oldest once the memo is full.
+func (sm *specMonitor) entry(k staticKey) *staticEntry {
+	sm.memoMu.Lock()
+	defer sm.memoMu.Unlock()
+	if e, ok := sm.memo[k]; ok {
+		return e
+	}
+	if sm.memo == nil {
+		sm.memo = make(map[staticKey]*staticEntry)
+	}
+	if len(sm.ring) < staticMemoSize {
+		sm.ring = append(sm.ring, k)
+	} else {
+		delete(sm.memo, sm.ring[sm.next])
+		sm.ring[sm.next] = k
+		sm.next = (sm.next + 1) % staticMemoSize
+	}
+	e := &staticEntry{}
+	sm.memo[k] = e
+	return e
 }
 
 func (ps PermSpec) duration() float64 {
@@ -125,9 +211,9 @@ type Request struct {
 	// permission's spatial constraint (check(P, C) of Section 3.4).
 	Program sral.Node
 	// ProgramDigest, when set, is ProgramDigest(Program), computed once
-	// by a caller that interns programs; the cost profiler then keys the
-	// static-check row on it instead of re-rendering and re-hashing the
-	// program on every decision.
+	// by a caller that interns programs. The static-check verdict memo
+	// and the cost profiler key on it; a request without one has it
+	// computed, which re-renders and re-hashes the program.
 	ProgramDigest string
 	// History is the object's proof-backed access trace so far,
 	// across all coalition servers.
@@ -658,25 +744,26 @@ func (e *Engine) authorize(req Request, l *obs.StageLedger, m *engineMetrics, no
 	if ps.Spatial != nil {
 		col := e.costC.Load()
 		mon := ps.mon.get()
-		// stamped is the constraint as it reads for obj, built only
-		// where a program is checked or a clause named; the prefix
-		// evaluation binds obj without it.
-		var stamped srac.Constraint
-		if req.Program != nil {
-			stamped = srac.StampObject(ps.Spatial, obj)
-		}
 		// check(P, C): a program that can never satisfy C disqualifies
 		// the object up front. Constraints that mention a companion's
 		// actions cannot be decided from this object's program alone,
-		// so they are left to the runtime history check.
-		if req.Program != nil && !srac.MentionsOtherObject(stamped, obj) {
+		// so they are left to the runtime history check. The verdict
+		// comes from the definition's memo, which runs the check once
+		// per (program, object).
+		if req.Program != nil {
+			if req.ProgramDigest == "" {
+				req.ProgramDigest = ProgramDigest(req.Program)
+			}
 			l.Enter(obs.StageStatic)
-			d.ProgramVerdict = srac.CheckProgram(req.Program, stamped, obj)
+			sv := ps.mon.static(req.Program, req.ProgramDigest, obj)
 			l.Enter(obs.StageResidue)
-			checked := l.Stage(obs.StageStatic)
-			m.staticCheck.Observe(checked)
-			if col != nil {
-				e.costStatic(col, req, d.ProgramVerdict, checked)
+			if sv.applies {
+				d.ProgramVerdict = sv.verdict
+				checked := l.Stage(obs.StageStatic)
+				m.staticCheck.Observe(checked)
+				if col != nil {
+					e.costStatic(col, req.ProgramDigest, sv, checked)
+				}
 			}
 			if d.ProgramVerdict == srac.NoTrace {
 				d.Spatial = srac.Violated
@@ -685,7 +772,7 @@ func (e *Engine) authorize(req Request, l *obs.StageLedger, m *engineMetrics, no
 					srac.String(ps.Spatial))
 				d.Explanation = &Explanation{
 					Constraint: srac.String(ps.Spatial),
-					Clause:     srac.String(stamped),
+					Clause:     srac.String(srac.StampObject(ps.Spatial, obj)),
 					Detail:     "static check: no trace of the declared program satisfies the constraint",
 				}
 				return d
@@ -718,9 +805,7 @@ func (e *Engine) authorize(req Request, l *obs.StageLedger, m *engineMetrics, no
 				srac.String(ps.Spatial))
 		}
 		if d.Deny != DenyNone {
-			if stamped == nil {
-				stamped = srac.StampObject(ps.Spatial, obj)
-			}
+			stamped := srac.StampObject(ps.Spatial, obj)
 			d.Explanation = spatialExplanation(ps.Spatial, srac.AttributeNodes(stamped, nodes))
 		}
 		*buf = nodes

@@ -220,8 +220,12 @@ func replayStream(policySrc string, records []record.Record, opts ReplayOptions,
 	histories := make(map[string][]record.HistoryEntry)
 	// programs likewise resolves interned decide programs: a record
 	// flagged ProgramCached reuses the object's previously declared
-	// program.
-	programs := make(map[string]sral.Node)
+	// program, and its digest, computed once per inline program.
+	type declared struct {
+		node   sral.Node
+		digest string
+	}
+	programs := make(map[string]declared)
 	for i, rec := range records {
 		if err := rec.Validate(); err != nil {
 			return nil, fmt.Errorf("replay: record %d: %w", i, err)
@@ -274,16 +278,18 @@ func replayStream(policySrc string, records []record.Record, opts ReplayOptions,
 			// only on an inline program (a no-program decide leaves it
 			// for later ProgramCached records). Best-effort, matching
 			// schema 1: an unparseable program replays as no program.
-			var prog sral.Node
+			var prog declared
 			if rec.Program != "" {
 				if n, err := sral.Parse(rec.Program); err == nil {
-					prog = n
+					prog = declared{node: n, digest: ProgramDigest(n)}
 				}
 				programs[rec.Object] = prog
 			} else if rec.ProgramCached {
 				prog = programs[rec.Object]
 			}
-			visit(rec, e.Authorize(replayRequest(sess, rec, hist, prog)))
+			req := replayRequest(sess, rec, hist, prog.node)
+			req.ProgramDigest = prog.digest
+			visit(rec, e.Authorize(req))
 		}
 	}
 	return e, nil

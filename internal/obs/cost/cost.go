@@ -125,8 +125,9 @@ type stripe struct {
 }
 
 // StaticKey identifies one static-check pairing: the digest of the
-// checked program and the digest of the policy it was checked
-// against — exactly the key the planned verdict cache would use.
+// checked program and the digest of the policy it was checked against.
+// The engine's verdict memo keys finer, per permission definition and
+// requesting object, so one row may gather several memo entries.
 type StaticKey struct {
 	Program string
 	Policy  string
@@ -322,8 +323,10 @@ type ClauseCost struct {
 }
 
 // StaticCost is one (program, policy) pairing's aggregated
-// static-check cost — the measured baseline for a digest-keyed
-// verdict cache.
+// static-check cost. Checks counts every decision that needed a static
+// verdict, those the engine's verdict memo answered included, and
+// TotalNS what they paid for it: the check on a memo miss, the lookup
+// on a hit.
 type StaticCost struct {
 	ProgramDigest string  `json:"program_digest"`
 	PolicyDigest  string  `json:"policy_digest"`

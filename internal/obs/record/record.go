@@ -333,7 +333,9 @@ type Status struct {
 	WALConfigured bool   `json:"wal_configured"`
 	WALDegraded   bool   `json:"wal_degraded"`
 	WALError      string `json:"wal_error,omitempty"`
-	// Errors counts failed WAL appends (== stac_recorder_errors_total).
+	// Errors counts this recorder's failed WAL appends; each also
+	// increments the registry's stac_recorder_errors_total, which
+	// recorders sharing a registry add up.
 	Errors int64 `json:"errors"`
 	// PolicyDigest is the digest stamped on new records.
 	PolicyDigest string `json:"policy_digest,omitempty"`
@@ -347,6 +349,8 @@ type Recorder struct {
 	ring   *obs.Ring[Record]
 	wal    io.Writer
 	walErr error
+	// failed counts this recorder's failed WAL appends (Status.Errors).
+	failed int64
 	policy string
 	inputs bool
 
@@ -404,6 +408,7 @@ func (r *Recorder) Append(rec Record) {
 			// good. The ring keeps recording and the counter + Status
 			// surface the loss.
 			r.walErr = err
+			r.failed++
 			r.errs.Inc()
 		}
 	}
@@ -459,7 +464,7 @@ func (r *Recorder) Status() Status {
 		Capacity:      r.ring.Cap(),
 		WALConfigured: r.wal != nil,
 		WALDegraded:   r.walErr != nil,
-		Errors:        r.errs.Value(),
+		Errors:        r.failed,
 		PolicyDigest:  r.policy,
 	}
 	if r.walErr != nil {

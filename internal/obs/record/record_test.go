@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -289,6 +290,33 @@ func TestWALFailureDegradesToRingOnly(t *testing.T) {
 	// The ring kept everything.
 	if got := len(r.Records()); got != 5 {
 		t.Errorf("ring holds %d records, want 5", got)
+	}
+}
+
+// Status.Errors counts the recorder's own failed appends, while every
+// failure also lands on the registry's shared counter: a healthy
+// recorder attached after a failed one reports none, and two failed
+// recorders on one registry report one each against a total of two.
+func TestStatusErrorsAreTheRecordersOwn(t *testing.T) {
+	reg := obs.NewRegistry()
+	failed := New(Config{WAL: &failAfter{n: 0}, Registry: reg})
+	failed.Append(Record{Kind: KindDecide})
+	healthy := New(Config{WAL: io.Discard, Registry: reg})
+	healthy.Append(Record{Kind: KindDecide})
+	if st := healthy.Status(); st.Errors != 0 || st.WALDegraded {
+		t.Fatalf("healthy recorder attached after a failed one: %+v", st)
+	}
+	other := New(Config{WAL: &failAfter{n: 1}, Registry: reg})
+	for i := 0; i < 3; i++ {
+		other.Append(Record{Kind: KindDecide})
+	}
+	for name, r := range map[string]*Recorder{"first": failed, "second": other} {
+		if st := r.Status(); st.Errors != 1 || !st.WALDegraded {
+			t.Errorf("%s failed recorder: %+v, want 1 error", name, st)
+		}
+	}
+	if got := reg.CounterValue("stac_recorder_errors_total", ""); got != 2 {
+		t.Fatalf("stac_recorder_errors_total = %d, want both recorders' failures", got)
 	}
 }
 

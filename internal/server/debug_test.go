@@ -313,6 +313,42 @@ func TestReadyzDecisionWALDegradeAndRecover(t *testing.T) {
 	}
 }
 
+// Two coalitions on one registry: each recorder's errors are its own
+// WAL's failures, a healthy one reports none beside a failed one, and
+// the shared stac_recorder_errors_total adds them up.
+func TestRecorderErrorsPerCoalition(t *testing.T) {
+	reg := obs.NewRegistry()
+	failing, _ := newCoalition(t)
+	healthy, _ := newCoalition(t)
+	for _, c := range []*Coalition{failing, healthy} {
+		c.Engine.SetObs(reg)
+	}
+	attachWAL(failing, faults.NewDiskFullWriter(io.Discard, 0))
+	attachWAL(healthy, newSyncBuffer())
+	grantOnce(t, failing)
+	grantOnce(t, healthy)
+	if st := failing.Engine.Recorder().Status(); st.Errors != 1 || !st.WALDegraded {
+		t.Fatalf("failing coalition's recorder = %+v, want 1 error", st)
+	}
+	if st := healthy.Engine.Recorder().Status(); st.Errors != 0 || st.WALDegraded {
+		t.Fatalf("healthy coalition's recorder = %+v, want none of the other's errors", st)
+	}
+	if v := reg.CounterValue("stac_recorder_errors_total", ""); v != 1 {
+		t.Fatalf("shared recorder error counter = %d, want 1", v)
+	}
+	// Once the second coalition's WAL fails too, each reports its one.
+	attachWAL(healthy, faults.NewDiskFullWriter(io.Discard, 0))
+	grantOnce(t, healthy)
+	for name, c := range map[string]*Coalition{"first": failing, "second": healthy} {
+		if st := c.Engine.Recorder().Status(); st.Errors != 1 {
+			t.Fatalf("%s coalition's recorder = %+v, want its own 1 error", name, st)
+		}
+	}
+	if v := reg.CounterValue("stac_recorder_errors_total", ""); v != 2 {
+		t.Fatalf("shared recorder error counter = %d, want 2", v)
+	}
+}
+
 func TestReadyzConnSaturationFlipsAndRecovers(t *testing.T) {
 	c, _ := newCoalition(t)
 	srv, _ := c.Server("s1")

@@ -1,6 +1,10 @@
 package server
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
+	"fmt"
 	"sync"
 
 	"stac/internal/core"
@@ -13,55 +17,104 @@ import (
 // past the bound the oldest entry goes first.
 const programCacheSize = 64
 
+// programSHA is the sha256 of a declared program's source text: the
+// program cache's key, and what an access names a program by once the
+// text has crossed its connection (see wireRequest.ProgramSHA).
+type programSHA [sha256.Size]byte
+
+// parseProgramSHA decodes a program_sha field. Anything but 64 hex
+// digits names no program.
+func parseProgramSHA(s string) (k programSHA, ok bool) {
+	if hex.DecodedLen(len(s)) != len(k) {
+		return k, false
+	}
+	_, err := hex.Decode(k[:], []byte(s))
+	return k, err == nil
+}
+
 // internedProgram is a declared SRAL program parsed once, shared
 // read-only by every request that declares the same source text, with
-// its canonical digest for the static-check cost table.
+// its canonical digest for the static-check verdict memo and cost
+// table.
 type internedProgram struct {
 	node   sral.Node
 	digest string
 }
 
-// programCache interns the programs declared on access requests by
-// source text, for every daemon of one coalition. Sources that fail to
+// programCache interns the programs declared on access requests by the
+// sha256 of their source text, for every daemon of one coalition. The
+// cache computes that key itself from the text, so a program is only
+// ever found under the digest of its own source. Sources that fail to
 // parse are not kept, so a malformed program is parsed, and rejected
 // with the same error, every time it is sent.
 type programCache struct {
 	mu      sync.Mutex
-	entries map[string]*internedProgram
-	// ring holds the cached sources in insertion order; next is the
-	// slot the next insertion evicts.
-	ring [programCacheSize]string
+	entries map[programSHA]*internedProgram
+	// ring holds the cached keys in insertion order; next is the slot
+	// the next insertion evicts.
+	ring [programCacheSize]programSHA
 	next int
 }
 
 func newProgramCache() *programCache {
-	return &programCache{entries: make(map[string]*internedProgram, programCacheSize)}
+	return &programCache{entries: make(map[programSHA]*internedProgram, programCacheSize)}
+}
+
+// lookup returns the cached program whose source hashes to k.
+func (c *programCache) lookup(k programSHA) (*internedProgram, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	p, ok := c.entries[k]
+	return p, ok
 }
 
 // intern returns the parsed program for src, parsing and digesting it
 // only when src is not cached. src must be non-empty; it may alias a
-// reused buffer, since the cache keeps only its own copy.
+// reused buffer, since the cache keeps nothing of it but the parse.
 func (c *programCache) intern(src []byte) (*internedProgram, error) {
-	c.mu.Lock()
-	p, ok := c.entries[string(src)]
-	c.mu.Unlock()
-	if ok {
+	k := programSHA(sha256.Sum256(src))
+	if p, ok := c.lookup(k); ok {
 		return p, nil
 	}
-	text := string(src)
-	node, err := sral.Parse(text)
+	node, err := sral.Parse(string(src))
 	if err != nil {
 		return nil, err
 	}
-	p = &internedProgram{node: node, digest: core.ProgramDigest(node)}
+	p := &internedProgram{node: node, digest: core.ProgramDigest(node)}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if q, ok := c.entries[text]; ok {
+	if q, ok := c.entries[k]; ok {
 		return q, nil // a concurrent request interned it first
 	}
-	delete(c.entries, c.ring[c.next])
-	c.ring[c.next] = text
+	if len(c.entries) == programCacheSize {
+		delete(c.entries, c.ring[c.next])
+	}
+	c.ring[c.next] = k
 	c.next = (c.next + 1) % programCacheSize
-	c.entries[text] = p
+	c.entries[k] = p
 	return p, nil
+}
+
+// errUnknownProgram answers an access naming a program by a digest the
+// coalition does not hold.
+var errUnknownProgram = errors.New(msgUnknownProgram)
+
+// declared resolves an access's declared program, given as source text
+// or, without text, as the hex sha256 of text the coalition holds. A
+// program that fails to parse or names no cached text is an error, and
+// the access is answered with it before anything is decided.
+func (c *programCache) declared(src []byte, sha string) (*internedProgram, error) {
+	if len(src) > 0 {
+		p, err := c.intern(src)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", msgBadProgram, err)
+		}
+		return p, nil
+	}
+	if k, ok := parseProgramSHA(sha); ok {
+		if p, ok := c.lookup(k); ok {
+			return p, nil
+		}
+	}
+	return nil, errUnknownProgram
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"crypto/rand"
+	"crypto/sha256"
 	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
@@ -58,6 +59,15 @@ import (
 // different Coalitions (separate processes) share nothing, and their
 // auth replies carry no offer.
 //
+// A declared program crosses a connection once, like a carried proof.
+// The Coalition interns programs by the sha256 of their source text,
+// which the daemon computes itself from the text it receives. After an
+// access of the connection has carried a program's text, the client
+// names it by that digest alone, in program_sha. A digest the
+// Coalition does not hold (its cache keeps 64 programs, oldest out
+// first) is answered with an "unknown program" error before anything
+// is decided, like a cursor mismatch, and the client resends the text.
+//
 // Within the paper's trust model coalition devices present their
 // complete history (Section 2 assumes cooperative, trustworthy
 // participants), so omission attacks are out of scope, as they are for
@@ -83,8 +93,12 @@ type wireRequest struct {
 	Resource string `json:"resource,omitempty"`
 	// Program is SRAL text. The daemon's decoder returns it apart
 	// from the struct (see wireCodec.decode).
-	Program string        `json:"program,omitempty"`
-	Proofs  []proof.Proof `json:"proofs,omitempty"`
+	Program string `json:"program,omitempty"`
+	// ProgramSHA names the declared program by the hex sha256 of its
+	// text, in place of Program, once the text has crossed the
+	// connection. The daemon ignores it beside a Program.
+	ProgramSHA string        `json:"program_sha,omitempty"`
+	Proofs     []proof.Proof `json:"proofs,omitempty"`
 	// Base is the history cursor: how many proofs of the carried
 	// history the daemon already holds for this token. Proofs then
 	// carries only the history from Base on, and Head is the signature
@@ -715,13 +729,13 @@ func (d *Daemon) access(s *session, req *wireRequest, program []byte, led *obs.S
 	if sampled {
 		ctx.Trace = tc.Child()
 	}
-	if len(program) > 0 {
-		prog, err := d.srv.coalition.programs.intern(program)
+	if len(program) > 0 || req.ProgramSHA != "" {
+		prog, err := d.srv.coalition.programs.declared(program, req.ProgramSHA)
 		if err != nil {
 			if sampled {
-				span(obs.Attr{Key: "error", Value: "bad program"})
+				span(obs.Attr{Key: "error", Value: err.Error()})
 			}
-			return wireResponse{Error: "access: bad program: " + err.Error(), Trace: echo}
+			return wireResponse{Error: err.Error(), Trace: echo}
 		}
 		ctx.Program, ctx.ProgramDigest = prog.node, prog.digest
 	}
@@ -768,6 +782,15 @@ func (d *Daemon) access(s *session, req *wireRequest, program []byte, led *obs.S
 // history cursor does not name the token's resident log; a Client
 // answers it by resending its full history.
 const msgCursorMismatch = "access: history cursor mismatch"
+
+// msgUnknownProgram answers an access that names its program by a
+// digest the coalition does not hold; a Client answers it by resending
+// the program's text.
+const msgUnknownProgram = "access: unknown program"
+
+// msgBadProgram opens the error that answers an access whose declared
+// program does not parse.
+const msgBadProgram = "access: bad program"
 
 // carry brings session s's resident log up to the request's carried
 // history. Base 0 rebuilds the log from the complete history; base > 0
@@ -947,6 +970,9 @@ type Client struct {
 		have int
 		head string
 	}
+	// programs maps each program text this connection has carried to
+	// the daemon to its hex sha256, which later accesses send instead.
+	programs map[string]string
 }
 
 // Dial connects to a coalition daemon with default settings.
@@ -971,7 +997,8 @@ func DialConfig(addr string, cfg ClientConfig) (*Client, error) {
 // NewClient wraps an established connection (which may be
 // fault-injected or otherwise non-TCP) as a protocol client.
 func NewClient(conn net.Conn, cfg ClientConfig) *Client {
-	return &Client{conn: conn, cfg: cfg, br: bufio.NewReader(conn), seen: make(map[string]struct{})}
+	return &Client{conn: conn, cfg: cfg, br: bufio.NewReader(conn), seen: make(map[string]struct{}),
+		programs: make(map[string]string)}
 }
 
 // addProof records a proof unless an identical copy (same signature)
@@ -1089,9 +1116,12 @@ func (c *Client) AccessID(id string, op model.Operation, res model.ResourceID, p
 // any SetTrace default for this one request).
 //
 // The request carries only the proofs the daemon does not hold yet
-// (see the history cursor in the file comment). A daemon that lost
-// track of them answers with a cursor mismatch, and the access is
-// resent once, under the same request ID, with the full history.
+// (see the history cursor in the file comment), and names a program
+// whose text it already carried by the text's digest. A daemon that
+// lost track of the proofs answers with a cursor mismatch, and one that
+// does not hold the program with an unknown program; either way the
+// access is resent once, under the same request ID, with the full
+// history or the program's text.
 func (c *Client) AccessTraced(tc obs.TraceContext, id string, op model.Operation, res model.ResourceID, program string, payload []byte) ([]byte, error) {
 	req := wireRequest{
 		Type:     "access",
@@ -1102,22 +1132,36 @@ func (c *Client) AccessTraced(tc obs.TraceContext, id string, op model.Operation
 		Payload:  payload,
 		Trace:    tc.String(),
 	}
-	resp, err := c.access(req, false)
-	var se *ServerError
-	if errors.As(err, &se) && strings.HasPrefix(se.Msg, msgCursorMismatch) {
-		resp, err = c.access(req, true)
+	var full, text bool
+	for {
+		resp, err := c.access(req, full, text)
+		var se *ServerError
+		switch {
+		case !errors.As(err, &se):
+		case !full && strings.HasPrefix(se.Msg, msgCursorMismatch):
+			full = true
+			continue
+		case !text && se.Msg == msgUnknownProgram:
+			text = true
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		return resp.Data, nil
 	}
-	if err != nil {
-		return nil, err
-	}
-	return resp.Data, nil
 }
 
 // access sends one access request carrying the history after the
-// acknowledged cursor, or all of it when full is set, and folds the
-// reply into the client's history and cursor.
-func (c *Client) access(req wireRequest, full bool) (wireResponse, error) {
+// acknowledged cursor, or all of it when full is set, and the program
+// by digest once the connection carried its text, or as text when text
+// is set. It folds the reply into the client's history and cursor.
+func (c *Client) access(req wireRequest, full, text bool) (wireResponse, error) {
 	c.mu.Lock()
+	program := req.Program
+	if sha, ok := c.programs[program]; ok && !text {
+		req.Program, req.ProgramSHA = "", sha
+	}
 	req.Token = c.token
 	if o := c.offer; o.have > 0 {
 		// The history may have been imported after Auth, so the offer is
@@ -1152,6 +1196,17 @@ func (c *Client) access(req wireRequest, full bool) (wireResponse, error) {
 	defer c.mu.Unlock()
 	if err == nil && resp.Proof != nil {
 		c.addProof(*resp.Proof)
+	}
+	if req.Program != "" && !IsTransient(err) && !strings.HasPrefix(resp.Error, msgBadProgram) {
+		// The daemon holds the text now, unless it went out of its
+		// cache, which an unknown program answer reports.
+		if _, ok := c.programs[program]; !ok {
+			if len(c.programs) == programCacheSize {
+				clear(c.programs)
+			}
+			sum := sha256.Sum256([]byte(program))
+			c.programs[program] = hex.EncodeToString(sum[:])
+		}
 	}
 	if IsTransient(err) {
 		// No reply was parsed: what the daemon holds is unknown.

@@ -237,6 +237,8 @@ func (d *wireDecoder) request(req *wireRequest) (program []byte, ok bool) {
 			return bit(text(d, &req.Trace), 1<<11)
 		case "hlc":
 			return bit(text(d, &req.HLC), 1<<12)
+		case "program_sha":
+			return bit(text(d, &req.ProgramSHA), 1<<13)
 		}
 		return 0
 	})

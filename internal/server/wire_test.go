@@ -6,6 +6,8 @@ package server
 
 import (
 	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"math/rand"
 	"net"
@@ -95,18 +97,23 @@ func marshalLine(t testing.TB, req wireRequest) []byte {
 }
 
 // workloadLines are request lines in the shape of each bench/ workload:
-// roam's short cursor access, longtour's full-history resend and
-// bigpolicy's 256-construct program.
+// roam's short cursor access, longtour's full-history resend, and
+// bigpolicy's 256-construct program, as text on a connection's first
+// access and by digest on the rest.
 func workloadLines(t testing.TB) [][]byte {
 	ps := signedProofs(48)
 	tok, id := NewRequestID(), NewRequestID()
+	program := benchProgram(1, 256)
+	sum := sha256.Sum256([]byte(program))
 	return [][]byte{
 		marshalLine(t, wireRequest{Type: "access", Token: tok, Op: "read", Resource: "f3",
 			Base: 2, Head: ps[1].Sig, ID: id}),
 		marshalLine(t, wireRequest{Type: "access", Token: tok, Op: "read", Resource: "f5",
 			Proofs: ps, ID: id}),
 		marshalLine(t, wireRequest{Type: "access", Token: tok, Op: "read", Resource: "f1",
-			Program: benchProgram(1, 256), Base: 1, Head: ps[0].Sig, ID: id}),
+			Program: program, Base: 1, Head: ps[0].Sig, ID: id}),
+		marshalLine(t, wireRequest{Type: "access", Token: tok, Op: "read", Resource: "f2",
+			ProgramSHA: hex.EncodeToString(sum[:]), Base: 2, Head: ps[1].Sig, ID: id}),
 	}
 }
 
@@ -143,6 +150,11 @@ var fallbackLines = []struct {
 	{"float time", `{"type":"access","proofs":[{"access":{"Object":"","Op":"read","Resource":"f","Server":"s"},"time":1.5e-7,"nonce":"n","sig":"s"}]}`, true},
 	{"time overflow", `{"type":"access","proofs":[{"time":1e400}]}`, false},
 	{"whitespace", " { \"type\" : \"info\" ,\t\"id\":\"x\" }\r\n", true},
+	{"program text and digest", `{"type":"access","program":"read f1 @ s1","program_sha":"00ff"}`, true},
+	{"escaped digest", `{"type":"access","program_sha":"\u0030a"}`, true},
+	{"numeric digest", `{"type":"access","program_sha":12}`, false},
+	{"duplicate digest", `{"type":"access","program_sha":"a","program_sha":"b"}`, false},
+	{"mis-cased digest", `{"type":"access","Program_SHA":"a"}`, false},
 }
 
 // Every request a Client sends decodes on the fast path.
@@ -195,8 +207,9 @@ func TestWireClientRequestsTakeFastPath(t *testing.T) {
 	tc := obs.NewTracer(8).NewContext()
 	program := benchProgram(3, 64)
 	for range 2 {
-		// The first access carries the imported history at base 0; the
-		// second, after the reply's have, a cursor and no proofs.
+		// The first access carries the imported history at base 0 and
+		// the program's text; the second, after the reply's have, a
+		// cursor, no proofs and the program's digest.
 		if _, err := cl.AccessTraced(tc, NewRequestID(), model.OpWrite, "f1", program, []byte("payload<&>")); err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +225,7 @@ func TestWireClientRequestsTakeFastPath(t *testing.T) {
 	}
 	cl.Close()
 	var types []string
-	var carried, cursor, programs int
+	var carried, cursor, programs, digests int
 	for s := range got {
 		types = append(types, s.req.Type)
 		checkDecode(t, s.line)
@@ -234,13 +247,21 @@ func TestWireClientRequestsTakeFastPath(t *testing.T) {
 		if s.program {
 			programs++
 		}
+		if s.req.ProgramSHA != "" {
+			digests++
+			if sum := sha256.Sum256([]byte(program)); s.req.ProgramSHA != hex.EncodeToString(sum[:]) || s.program {
+				t.Errorf("access names program %s beside text %v, want the text's sha256 alone", s.req.ProgramSHA, s.program)
+			}
+		}
 	}
 	if want := []string{"auth", "access", "access", "info", "audit", "depart"}; !reflect.DeepEqual(types, want) {
 		t.Fatalf("request types %v, want %v", types, want)
 	}
-	if carried != 1 || cursor != 1 || programs != 2 {
-		t.Fatalf("accesses: %d carrying proofs, %d with a cursor, %d with a program; want 1, 1, 2",
-			carried, cursor, programs)
+	// The first access carries the program's text, the second names it
+	// by digest.
+	if carried != 1 || cursor != 1 || programs != 1 || digests != 1 {
+		t.Fatalf("accesses: %d carrying proofs, %d with a cursor, %d with program text, %d naming a digest; want 1, 1, 1, 1",
+			carried, cursor, programs, digests)
 	}
 }
 

@@ -235,37 +235,76 @@ func Guard(name string, fn func() bool) Opaque { return Opaque{Name: name, Fn: f
 
 // ExprString renders an expression in concrete syntax.
 func ExprString(e Expr) string {
+	var b strings.Builder
+	writeExpr(&b, e)
+	return b.String()
+}
+
+// writeExpr renders e into b, as ExprString returns it.
+func writeExpr(b *strings.Builder, e Expr) {
 	switch x := e.(type) {
 	case nil:
-		return "<nil>"
+		b.WriteString("<nil>")
 	case IntLit:
-		return strconv.FormatInt(x.Value, 10)
+		var buf [20]byte
+		b.Write(strconv.AppendInt(buf[:0], x.Value, 10))
 	case VarRef:
-		return string(x.Var)
+		b.WriteString(string(x.Var))
 	case BinOp:
-		return fmt.Sprintf("(%s %c %s)", ExprString(x.Left), x.Op, ExprString(x.Right))
+		b.WriteByte('(')
+		writeExpr(b, x.Left)
+		b.WriteByte(' ')
+		b.WriteByte(byte(x.Op))
+		b.WriteByte(' ')
+		writeExpr(b, x.Right)
+		b.WriteByte(')')
+	default:
+		fmt.Fprintf(b, "<expr %T>", e)
 	}
-	return fmt.Sprintf("<expr %T>", e)
 }
 
 // CondString renders a condition in concrete syntax.
 func CondString(c Cond) string {
+	var b strings.Builder
+	writeCond(&b, c)
+	return b.String()
+}
+
+// writeCond renders c into b, as CondString returns it. It writes
+// piecewise, without fmt: conditions are on the path of every program
+// digest.
+func writeCond(b *strings.Builder, c Cond) {
 	switch x := c.(type) {
 	case nil:
-		return "<nil>"
+		b.WriteString("<nil>")
 	case BoolLit:
 		if x.Value {
-			return "true"
+			b.WriteString("true")
+		} else {
+			b.WriteString("false")
 		}
-		return "false"
 	case Cmp:
-		return fmt.Sprintf("%s %s %s", ExprString(x.Left), x.Op, ExprString(x.Right))
+		writeExpr(b, x.Left)
+		b.WriteByte(' ')
+		b.WriteString(string(x.Op))
+		b.WriteByte(' ')
+		writeExpr(b, x.Right)
 	case And:
-		return fmt.Sprintf("(%s && %s)", CondString(x.Left), CondString(x.Right))
+		b.WriteByte('(')
+		writeCond(b, x.Left)
+		b.WriteString(" && ")
+		writeCond(b, x.Right)
+		b.WriteByte(')')
 	case Or:
-		return fmt.Sprintf("(%s or %s)", CondString(x.Left), CondString(x.Right))
+		b.WriteByte('(')
+		writeCond(b, x.Left)
+		b.WriteString(" or ")
+		writeCond(b, x.Right)
+		b.WriteByte(')')
 	case Not:
-		return fmt.Sprintf("!(%s)", CondString(x.C))
+		b.WriteString("!(")
+		writeCond(b, x.C)
+		b.WriteByte(')')
 	case Opaque:
 		name := x.Name
 		if name == "" {
@@ -274,9 +313,11 @@ func CondString(c Cond) string {
 		if strings.ContainsAny(name, " \t\n(){};") {
 			name = strconv.Quote(name)
 		}
-		return "guard:" + name
+		b.WriteString("guard:")
+		b.WriteString(name)
+	default:
+		fmt.Fprintf(b, "<cond %T>", c)
 	}
-	return fmt.Sprintf("<cond %T>", c)
 }
 
 // CondVars returns the variables mentioned by a condition.

@@ -30,7 +30,13 @@ func printNode(b *strings.Builder, n Node, prec int) {
 	case nil:
 		b.WriteString("<nil>")
 	case Prim:
-		fmt.Fprintf(b, "%s %s @ %s", x.Op, x.Resource, x.Server)
+		// Written piecewise, without fmt: rendering is on the path of
+		// every program digest.
+		b.WriteString(string(x.Op))
+		b.WriteByte(' ')
+		b.WriteString(string(x.Resource))
+		b.WriteString(" @ ")
+		b.WriteString(string(x.Server))
 	case Recv:
 		fmt.Fprintf(b, "%s ? %s", x.Ch, x.Var)
 	case Send:
@@ -74,12 +80,16 @@ func printNode(b *strings.Builder, n Node, prec int) {
 			b.WriteString(" }")
 		}
 	case If:
-		fmt.Fprintf(b, "if %s then ", CondString(x.Cond))
+		b.WriteString("if ")
+		writeCond(b, x.Cond)
+		b.WriteString(" then ")
 		printBody(b, x.Then)
 		b.WriteString(" else ")
 		printBody(b, x.Else)
 	case While:
-		fmt.Fprintf(b, "while %s do ", CondString(x.Cond))
+		b.WriteString("while ")
+		writeCond(b, x.Cond)
+		b.WriteString(" do ")
 		printBody(b, x.Body)
 	default:
 		fmt.Fprintf(b, "<node %T>", n)
