@@ -296,7 +296,10 @@ type Daemon struct {
 	ln  net.Listener
 	sem chan struct{} // MaxConns slots; nil when unlimited
 
-	quit       chan struct{}
+	quit chan struct{}
+	// idle hands an accepted connection to a worker waiting for one
+	// (see work).
+	idle       chan net.Conn
 	mu         sync.Mutex
 	subjects   map[string]*session
 	conns      map[net.Conn]struct{}
@@ -313,6 +316,9 @@ type Daemon struct {
 	// onStages, when set (tests only, before serving), sees each
 	// access request's closed ledger.
 	onStages func(*obs.StageLedger)
+	// onWorker, when set (tests only, before serving), runs as each
+	// connection worker starts.
+	onWorker func()
 }
 
 // session is one token's daemon-side state: the authenticated subject
@@ -362,6 +368,7 @@ func NewDaemonWith(s *Server, cfg DaemonConfig) *Daemon {
 		cfg:      cfg,
 		met:      newDMetrics(cfg.Obs, s.ID()),
 		quit:     make(chan struct{}),
+		idle:     make(chan net.Conn),
 		subjects: make(map[string]*session),
 		conns:    make(map[net.Conn]struct{}),
 		seen:     make(map[dedupKey]wireResponse),
@@ -410,11 +417,55 @@ func (d *Daemon) acceptLoop() {
 			return // listener closed
 		}
 		d.track(conn)
-		d.wg.Add(1)
-		go func() {
-			defer d.wg.Done()
-			d.serveConn(conn)
-		}()
+		select {
+		case d.idle <- conn:
+		default:
+			d.wg.Add(1)
+			go d.work(conn)
+		}
+	}
+}
+
+// workerIdle is how long a connection worker waits for its next
+// connection before it retires. A mobile object's next hop dials as the
+// last one closes, so a worker that just served one is usually waiting
+// when the next arrives; an idle second returns the workers of a burst
+// of concurrent connections soon after it ends.
+const workerIdle = time.Second
+
+// connWorker is what a connection worker keeps from one connection to
+// the next: the read buffer, the wire codec's buffers and the stage
+// ledger. Its goroutine keeps its grown stack as well, so a connection's
+// first access does not copy a fresh goroutine's stack up to the depth
+// of the decision path. Nothing of a connection's session state lives
+// here: its tokens, its MaxConns slot and its tracking stay in
+// serveConn.
+type connWorker struct {
+	br  bufio.Reader
+	wc  wireCodec
+	led obs.StageLedger
+}
+
+// work serves conn, then each connection acceptLoop hands it, until it
+// has waited workerIdle for one or the daemon closes.
+func (d *Daemon) work(conn net.Conn) {
+	defer d.wg.Done()
+	if d.onWorker != nil {
+		d.onWorker()
+	}
+	var w connWorker
+	for {
+		d.serveConn(conn, &w)
+		idle := time.NewTimer(workerIdle)
+		select {
+		case conn = <-d.idle:
+			idle.Stop()
+		case <-idle.C:
+			return
+		case <-d.quit:
+			idle.Stop()
+			return
+		}
 	}
 }
 
@@ -497,7 +548,8 @@ func (d *Daemon) reply(conn net.Conn, wc *wireCodec, resp wireResponse) bool {
 	return err == nil
 }
 
-func (d *Daemon) serveConn(conn net.Conn) {
+// serveConn serves one connection on worker w's buffers.
+func (d *Daemon) serveConn(conn net.Conn, w *connWorker) {
 	d.met.conns.Inc()
 	d.met.inflight.Inc()
 	defer func() {
@@ -508,7 +560,7 @@ func (d *Daemon) serveConn(conn net.Conn) {
 			<-d.sem
 		}
 	}()
-	br := bufio.NewReader(conn)
+	w.br.Reset(conn)
 	// Track the subjects authenticated over this connection so a drop
 	// departs them.
 	var tokens []string
@@ -517,18 +569,17 @@ func (d *Daemon) serveConn(conn net.Conn) {
 			d.depart(tok)
 		}
 	}()
-	var wc wireCodec
-	var led obs.StageLedger
+	wc, led := &w.wc, &w.led
 	for {
 		if !d.armRead(conn) {
 			return // draining
 		}
-		line, err := readLine(br, d.cfg.maxLine(), &wc.line)
+		line, err := readLine(&w.br, d.cfg.maxLine(), &wc.line)
 		led.Start(obs.StageDecode)
 		if err != nil {
 			if errors.Is(err, errLineTooLong) {
 				d.met.oversize.Inc()
-				d.reply(conn, &wc, wireResponse{Error: fmt.Sprintf(
+				d.reply(conn, wc, wireResponse{Error: fmt.Sprintf(
 					"request exceeds %d-byte limit", d.cfg.maxLine()),
 					Trace: extractTrace(line)})
 			}
@@ -538,20 +589,20 @@ func (d *Daemon) serveConn(conn net.Conn) {
 		program, err := wc.decode(line, &req)
 		if err != nil {
 			d.met.malform.Inc()
-			d.reply(conn, &wc, wireResponse{Error: "malformed request: " + err.Error(),
+			d.reply(conn, wc, wireResponse{Error: "malformed request: " + err.Error(),
 				Trace: extractTrace(line)})
 			return
 		}
 		led.Enter(obs.StageResidue)
 		d.met.request(req.Type)
-		resp := d.handle(&req, program, &tokens, &led)
+		resp := d.handle(&req, program, &tokens, led)
 		led.Enter(obs.StageWrite)
-		ok := d.reply(conn, &wc, resp)
+		ok := d.reply(conn, wc, resp)
 		led.Enter(obs.StageResidue)
 		if req.Type == "access" {
-			d.met.observeStages(&led)
+			d.met.observeStages(led)
 			if d.onStages != nil {
-				d.onStages(&led)
+				d.onStages(led)
 			}
 		}
 		if !ok {

@@ -30,12 +30,12 @@ import (
 // reports an error of its own, so every reject carries encoding/json's
 // text.
 
-// wireCodec is one connection's request decoder and reply encoder. Its
-// buffers live as long as the connection and serve each request in
-// turn, so nothing that outlives a request may point into them: every
-// string the decoder produces is a copy, and the one slice it hands out
-// uncopied, the program source, is copied by the program cache before
-// it keeps it.
+// wireCodec is a connection worker's request decoder and reply encoder.
+// Its buffers live as long as the worker and serve each request of each
+// of its connections in turn, so nothing that outlives a request may
+// point into them: every string the decoder produces is a copy, and the
+// one slice it hands out uncopied, the program source, is copied by the
+// program cache before it keeps it.
 type wireCodec struct {
 	// line holds a request line too long for the bufio buffer.
 	line []byte
@@ -46,7 +46,7 @@ type wireCodec struct {
 	fast bool
 }
 
-// maxKeptBuffer bounds the buffers a connection keeps between requests;
+// maxKeptBuffer bounds the buffers a worker keeps between requests;
 // an exceptional line or reply is served from a buffer dropped after it.
 const maxKeptBuffer = 64 << 10
 
