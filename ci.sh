@@ -113,11 +113,14 @@ fi
 # mutex/block profiling on and render each profile's top frames with
 # the toolchain's own pprof next to the bench numbers, so a regression
 # hunt starts from "which lock got hot" instead of a raw pprof blob.
-# The step makes artifacts and gates nothing. On the sharded engine
-# the mutex listing is typically EMPTY — near-zero contended unlocks
-# is the property PR 7 bought, and a listing that suddenly grows
-# frames is exactly the regression signal this exists to catch; the
-# block listing always names the scheduler-wait frames.
+# These runtime mutex and block listings are the only contention
+# signal: the engine's locks are plain sync locks with no telemetry of
+# their own. The step makes artifacts and gates nothing. At this
+# iteration count the mutex listing is typically EMPTY; longer runs
+# name the engine's hybrid logical clock (EXPERIMENTS E29) but never a
+# shard or policy lock — a shard or policy frame appearing there is
+# exactly the regression signal this exists to catch; the block
+# listing always names the scheduler-wait frames.
 go test -bench 'E14_ContentionScaling' -benchtime=1000x -run '^$' \
     -o "$ARTIFACTS/stac.test" \
     -mutexprofilefraction 16 -mutexprofile "$ARTIFACTS/mutex_smoke.pb.gz" \

@@ -149,16 +149,15 @@ func renderTop(w io.Writer, v federate.FleetView) {
 		}
 	}
 	if len(v.Perf) > 0 {
-		fmt.Fprintf(w, "\n%-12s %-12s %6s %10s %6s %6s %10s %s\n",
-			"MEMBER", "HOTSTRIPE", "CONT%", "WAITP99", "IMBAL", "BURN", "SLOWEST", "DECISION")
+		fmt.Fprintf(w, "\n%-12s %6s %6s %10s %s\n",
+			"MEMBER", "IMBAL", "BURN", "SLOWEST", "DECISION")
 		for _, r := range v.Perf {
 			slowest, id := "-", "-"
 			if r.SlowestDecisionID != "" {
 				slowest, id = secs(r.SlowestSeconds), r.SlowestDecisionID
 			}
-			fmt.Fprintf(w, "%-12s %-12s %6.1f %10s %6.2f %6.2f %10s %s\n",
-				r.Member, r.HotStripe, 100*r.HotContention, secs(r.HotWaitP99),
-				r.AcquireImbalance, r.SLOBurnRate, slowest, id)
+			fmt.Fprintf(w, "%-12s %6.2f %6.2f %10s %s\n",
+				r.Member, r.ObjectImbalance, r.SLOBurnRate, slowest, id)
 		}
 	}
 	if len(v.Clocks) > 0 {

@@ -23,8 +23,8 @@
 //	                                           # a policy and print the
 //	                                           # decision trail
 //	stacctl top -members m1=host:port,m2=...   # live merged fleet table
-//	                                           # (incl. per-member hot
-//	                                           # lock stripe & SLO burn)
+//	                                           # (incl. per-member shard
+//	                                           # imbalance & SLO burn)
 //	stacctl heat -members m1=host:port,...     # coalition policy heat
 //	                                           # map: clauses ranked by
 //	                                           # cost × decisive, plus

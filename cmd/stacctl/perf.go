@@ -21,7 +21,6 @@ import (
 	"strings"
 	"time"
 
-	"stac/internal/core"
 	"stac/internal/obs"
 	"stac/internal/server"
 )
@@ -48,22 +47,18 @@ func cmdSlow(args []string) error {
 	return runSlow(os.Stdout, nil, strings.TrimRight(base, "/"), *n, *explain)
 }
 
-// perfDocument mirrors the /debug/perf JSON body, whose one section
-// is the engine's perf stats.
-type perfDocument struct {
-	Engine core.PerfStats `json:"engine"`
-}
-
 // runSlow fetches, sorts and renders; client may be nil.
 func runSlow(w io.Writer, client *http.Client, baseURL string, n int, explain bool) error {
 	if client == nil {
 		client = &http.Client{Timeout: 10 * time.Second}
 	}
-	var doc perfDocument
-	if err := getJSON(client, baseURL+"/debug/perf", &doc); err != nil {
+	// The snapshot carries the engine's perf stats; tail=0 leaves out
+	// the budget series this verb does not read.
+	var snap server.Snapshot
+	if err := getJSON(client, baseURL+"/debug/snapshot?tail=0", &snap); err != nil {
 		return fmt.Errorf("slow: %w", err)
 	}
-	exemplars := doc.Engine.Exemplars
+	exemplars := snap.Perf.Exemplars
 	sort.Slice(exemplars, func(i, j int) bool { return exemplars[i].Value > exemplars[j].Value })
 	if len(exemplars) > n {
 		exemplars = exemplars[:n]

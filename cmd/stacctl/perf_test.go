@@ -69,17 +69,18 @@ assign o1 roamer
 		t.Fatalf("-n 1 printed %d lines:\n%s", rows, buf.String())
 	}
 
-	// The merged fleet view names the member's hot stripe and slowest
-	// decision, and `top` renders the perf table.
+	// The merged fleet view names the member's object imbalance (one
+	// object on one of 32 shards) and slowest decision, and `top`
+	// renders the perf table.
 	poller := federate.NewPoller([]federate.Member{m.member()}, federate.Config{})
 	view := poller.Poll(context.Background())
-	if len(view.Perf) != 1 || view.Perf[0].HotStripe == "" || view.Perf[0].SlowestDecisionID == "" {
+	if len(view.Perf) != 1 || view.Perf[0].ObjectImbalance != 32 || view.Perf[0].SlowestDecisionID == "" {
 		t.Fatalf("fleet perf rollup = %+v", view.Perf)
 	}
 	buf.Reset()
 	renderTop(&buf, view)
 	top := buf.String()
-	if !strings.Contains(top, "HOTSTRIPE") || !strings.Contains(top, view.Perf[0].HotStripe) {
+	if !strings.Contains(top, "IMBAL") || !strings.Contains(top, "32.00") {
 		t.Fatalf("top missing perf table:\n%s", top)
 	}
 	if !strings.Contains(top, view.Perf[0].SlowestDecisionID) {

@@ -75,8 +75,7 @@ type options struct {
 	// metricsAddr, when set, serves the observability endpoints
 	// (/metrics, /debug/vars, /debug/pprof, /debug/trace,
 	// /debug/explain, /debug/budgets, /debug/snapshot, /debug/cost,
-	// /debug/perf, /healthz, /readyz, /debug/journal)
-	// on one extra HTTP listener.
+	// /healthz, /readyz, /debug/journal) on one extra HTTP listener.
 	metricsAddr string
 
 	// budgetSampleInterval drives the background temporal-budget

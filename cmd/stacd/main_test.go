@@ -172,6 +172,22 @@ func TestStartServesMetricsEndpoints(t *testing.T) {
 			t.Fatalf("/metrics missing %q:\n%s", want, body)
 		}
 	}
+	// Lock contention is the runtime's mutex profile, and per-stage
+	// time the stage family: no lock-stripe or per-stage authz family.
+	for _, gone := range []string{"stac_lock_", "stac_authz_prefix_eval_seconds", "stac_authz_static_check_seconds"} {
+		if strings.Contains(body, gone) {
+			t.Fatalf("/metrics still exports %q", gone)
+		}
+	}
+	// /debug/perf is gone: the snapshot carries the perf section.
+	resp, err := http.Get("http://" + metricsAddr + "/debug/perf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/debug/perf status %d, want 404", resp.StatusCode)
+	}
 
 	// /debug/vars carries the expvar JSON mirror.
 	body, _ = get("/debug/vars")
@@ -751,7 +767,7 @@ func TestStartWiresRecorderShadowAndCoverage(t *testing.T) {
 	if err := json.Unmarshal([]byte(get("/debug/snapshot")), &snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Version != 8 || snap.ShadowDigest == "" || snap.ShadowFlips != 1 ||
+	if snap.Version != 9 || snap.ShadowDigest == "" || snap.ShadowFlips != 1 ||
 		snap.Recorder == nil || snap.Recorder.Total == 0 || snap.Runtime.Goroutines < 1 {
 		t.Fatalf("snapshot versioned fields = %+v", snap)
 	}
@@ -759,7 +775,7 @@ func TestStartWiresRecorderShadowAndCoverage(t *testing.T) {
 	if snap.Cost == nil || len(snap.Cost.Clauses) == 0 {
 		t.Fatalf("snapshot cost section = %+v", snap.Cost)
 	}
-	if len(snap.Perf.Stripes) < 34 || len(snap.Perf.Exemplars) == 0 {
+	if len(snap.Perf.ShardObjects) != 32 || len(snap.Perf.Exemplars) == 0 {
 		t.Fatalf("snapshot perf section = %+v", snap.Perf)
 	}
 	// v4: HLC reading plus journal tail state (recorder is on).
@@ -796,7 +812,8 @@ func TestStartWiresRecorderShadowAndCoverage(t *testing.T) {
 
 // TestPerfExemplarResolvesThroughExplain drives a live daemon, forces
 // decisions through the engine, and asserts the tail-latency exemplars
-// published on /debug/perf and /metrics carry decision IDs that
+// published in the snapshot's perf section and on /metrics carry
+// decision IDs that
 // resolve through /debug/explain — the exemplar-to-trace walkthrough
 // of E15, end to end.
 func TestPerfExemplarResolvesThroughExplain(t *testing.T) {
@@ -866,18 +883,16 @@ func TestPerfExemplarResolvesThroughExplain(t *testing.T) {
 		return string(body)
 	}
 
-	var perfView struct {
-		Engine core.PerfStats `json:"engine"`
+	var snap server.Snapshot
+	if err := json.Unmarshal([]byte(get("/debug/snapshot?tail=0")), &snap); err != nil {
+		t.Fatalf("/debug/snapshot not JSON: %v", err)
 	}
-	if err := json.Unmarshal([]byte(get("/debug/perf")), &perfView); err != nil {
-		t.Fatalf("/debug/perf not JSON: %v", err)
-	}
-	if len(perfView.Engine.Exemplars) == 0 {
-		t.Fatal("/debug/perf has no decision exemplars after 20 decisions")
+	if len(snap.Perf.Exemplars) == 0 {
+		t.Fatal("snapshot perf has no decision exemplars after 20 decisions")
 	}
 	// Every retained exemplar names a decision the audit window can
 	// explain.
-	for _, ex := range perfView.Engine.Exemplars {
+	for _, ex := range snap.Perf.Exemplars {
 		if ex.DecisionID == "" {
 			t.Fatalf("exemplar without decision ID: %+v", ex)
 		}
@@ -889,17 +904,15 @@ func TestPerfExemplarResolvesThroughExplain(t *testing.T) {
 			t.Fatalf("explain %s = %+v", ex.DecisionID, entry)
 		}
 	}
-	if perfView.Engine.SLO.BurnRate < 9.9 {
+	if snap.Perf.SLO.BurnRate < 9.9 {
 		t.Fatalf("SLO burn rate = %g, want ~10 with every decision over a 1ns target",
-			perfView.Engine.SLO.BurnRate)
+			snap.Perf.SLO.BurnRate)
 	}
 
-	// /metrics carries the per-stripe wait histograms, the exemplar
-	// annotations on the decision histogram, and the SLO gauges.
+	// /metrics carries the exemplar annotations on the decision
+	// histogram, the SLO gauges and the object imbalance gauge.
 	body := get("/metrics")
 	for _, want := range []string{
-		`stac_lock_wait_seconds_bucket{stripe="policy"`,
-		`stac_lock_wait_seconds_bucket{stripe="shard_`,
 		`# {decision_id="d-`,
 		"stac_slo_burn_rate",
 		"stac_shard_object_imbalance_ratio",

@@ -76,12 +76,12 @@ func TestE2EChurnAndHostileMatrix(t *testing.T) {
 	if r := byCell["churn/stac"]; r.MaxGoroutines <= 0 {
 		t.Fatalf("churn/stac never sampled /debug/snapshot: %+v", r)
 	}
-	// STAC cells carry the hot-path attribution: a hottest lock stripe
+	// STAC cells carry the hot-path attribution: the shard balance
 	// and the slowest decision exemplars, each with a replayable ID.
 	// Baselines have no engine telemetry to report.
 	for _, cell := range []string{"churn/stac", "hostile/stac"} {
 		p := byCell[cell].Perf
-		if p == nil || p.HotStripe == "" || len(p.SlowExemplars) == 0 {
+		if p == nil || p.ObjectImbalance <= 0 || len(p.SlowExemplars) == 0 {
 			t.Fatalf("cell %s perf section incomplete: %+v", cell, p)
 		}
 		for _, ex := range p.SlowExemplars {

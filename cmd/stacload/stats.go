@@ -24,7 +24,10 @@ import (
 //	   per-kind profile digest map it also carried is gone)
 //	3: per-cell clause-cost section (mean root evaluation ns, re-walk
 //	   amplification, hottest clauses) inside perf
-const LoadSchemaVersion = 3
+//	4: CellPerf loses the stripe fields (hot_stripe, hot_contention,
+//	   hot_wait_p99_s, acquire_imbalance) with the lock-stripe
+//	   telemetry
+const LoadSchemaVersion = 4
 
 // Summary is the document stacload emits.
 type Summary struct {
@@ -67,8 +70,8 @@ type RunResult struct {
 	MaxHeapBytes  uint64 `json:"max_heap_bytes,omitempty"`
 
 	// Perf is the hot-path attribution for systems that expose it
-	// (STAC only): the hottest lock stripe, SLO burn, the slowest
-	// replayable decision exemplars and the clause-cost summary.
+	// (STAC only): shard balance, SLO burn, the slowest replayable
+	// decision exemplars and the clause-cost summary.
 	Perf *CellPerf `json:"perf,omitempty"`
 }
 

@@ -27,15 +27,13 @@ import (
 // and clause coverage alike — pre-seeding a cell for every clause of
 // every registered permission (so never-evaluated clauses appear with
 // zero counts) and caching the policy digest the static-check cost
-// table is keyed under. The collector instruments its stripes into the
-// engine's current registry; call after SetObs, before serving
-// traffic. Later calls keep the running collector.
+// table is keyed under. Call before serving traffic. Later calls keep
+// the running collector.
 func (e *Engine) EnableCostProfiling() {
 	if e.costC.Load() != nil {
 		return
 	}
 	col := cost.New()
-	col.Instrument(e.met.Load().reg)
 	e.policyMu.RLock()
 	specs := make([]PermSpec, 0, len(e.specs))
 	for _, ps := range e.specs {

@@ -320,9 +320,8 @@ type Engine struct {
 	// and permission classes. Decisions only ever take the read lock;
 	// the write lock is held by DefinePermission/DefineClass (setup and
 	// policy reload), so concurrent authorizations never serialize on
-	// policy lookups. The perf wrapper samples wait/hold times per
-	// stripe; uninstrumented it is one nil-check over sync.RWMutex.
-	policyMu perf.RWMutex
+	// policy lookups.
+	policyMu sync.RWMutex
 	specs    map[rbac.PermID]PermSpec
 	// classes aggregate validity durations across permissions (the
 	// conclusion's future-work extension; see aggregate.go).
@@ -358,7 +357,7 @@ const numShards = 32
 
 // engineShard is one hashed slice of the per-object state table.
 type engineShard struct {
-	mu   perf.RWMutex
+	mu   sync.RWMutex
 	objs map[model.ObjectID]*objectState
 }
 
@@ -452,25 +451,9 @@ func NewEngine(clock temporal.Clock) *Engine {
 		e.shards[i].objs = make(map[model.ObjectID]*objectState)
 	}
 	e.met.Store(newEngineMetrics(obs.Default))
-	e.instrumentLocks(obs.Default)
 	e.tracer.Store(obs.DefaultTracer)
 	e.hlcClock.Store(hlc.New(hlc.WallFromTemporal(clock)))
 	return e
-}
-
-// instrumentLocks points the engine's lock stripes at per-stripe
-// telemetry sinks in the given registry. The stripes share the
-// registry's histogram families, so engines reconciled onto the same
-// registry (the obs.Default case in tests) merge their stripe
-// telemetry exactly as they merge decision counters.
-func (e *Engine) instrumentLocks(r *obs.Registry) {
-	e.policyMu.Instrument(perf.NewLockStats(r, "policy"))
-	for i := range e.shards {
-		e.shards[i].mu.Instrument(perf.NewLockStats(r, fmt.Sprintf("shard_%02d", i)))
-	}
-	if col := e.costC.Load(); col != nil {
-		col.Instrument(r)
-	}
 }
 
 // Clock returns the engine's clock.
@@ -498,7 +481,6 @@ func (e *Engine) SetHLCWall(wall func() int64) {
 // traffic, so no decision lands between two registries.
 func (e *Engine) SetObs(r *obs.Registry) {
 	e.met.Store(newEngineMetrics(r))
-	e.instrumentLocks(r)
 }
 
 // SetSLO attaches a latency SLO to the decision path: every decision
@@ -668,7 +650,7 @@ func (e *Engine) AuthorizeTraced(tc obs.TraceContext, req Request) Decision {
 	} else {
 		begin = l.Enter(obs.StageLookup)
 	}
-	d := e.authorize(req, l, m, e.clock.Now())
+	d := e.authorize(req, l, e.clock.Now())
 	elapsed := l.Enter(obs.StageResidue) - begin
 	d.HLC = e.hlcClock.Load().Now()
 	m.recordDecision(d, elapsed)
@@ -712,7 +694,7 @@ func (e *Engine) renderSpans(t *obs.Tracer, tc obs.TraceContext, l *obs.StageLed
 // authorize is the decision body at clock reading now, marking its
 // stages on l; AuthorizeTraced wraps it with per-outcome accounting
 // and the span tree.
-func (e *Engine) authorize(req Request, l *obs.StageLedger, m *engineMetrics, now float64) (d Decision) {
+func (e *Engine) authorize(req Request, l *obs.StageLedger, now float64) (d Decision) {
 	d = Decision{Spatial: srac.Satisfied, ProgramVerdict: srac.AllTraces, Temporal: temporal.Inactive, now: now}
 	if req.Session == nil {
 		d.Deny = DenyNoSession
@@ -759,10 +741,8 @@ func (e *Engine) authorize(req Request, l *obs.StageLedger, m *engineMetrics, no
 			l.Enter(obs.StageResidue)
 			if sv.applies {
 				d.ProgramVerdict = sv.verdict
-				checked := l.Stage(obs.StageStatic)
-				m.staticCheck.Observe(checked)
 				if col != nil {
-					e.costStatic(col, req.ProgramDigest, sv, checked)
+					e.costStatic(col, req.ProgramDigest, sv, l.Stage(obs.StageStatic))
 				}
 			}
 			if d.ProgramVerdict == srac.NoTrace {
@@ -787,7 +767,6 @@ func (e *Engine) authorize(req Request, l *obs.StageLedger, m *engineMetrics, no
 		l.Enter(obs.StagePrefix)
 		nodes, consumed := prefixEval(mon, req, *buf, sampled)
 		l.Enter(obs.StageResidue)
-		m.prefixEval.Observe(l.Stage(obs.StagePrefix))
 		d.Spatial = nodes[0].Status
 		d.evalStatus, d.entries = d.Spatial, consumed
 		if col != nil {

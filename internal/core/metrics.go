@@ -57,12 +57,10 @@ var authzBuckets = []float64{
 // are resolved once (at engine construction or SetObs), so the
 // Authorize hot path only touches atomics.
 type engineMetrics struct {
-	reg         *obs.Registry
-	granted     *obs.Counter
-	denied      map[DenyReason]*obs.Counter
-	authorize   *obs.Histogram
-	prefixEval  *obs.Histogram
-	staticCheck *obs.Histogram
+	reg       *obs.Registry
+	granted   *obs.Counter
+	denied    map[DenyReason]*obs.Counter
+	authorize *obs.Histogram
 }
 
 func newEngineMetrics(r *obs.Registry) *engineMetrics {
@@ -73,10 +71,6 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 		denied: make(map[DenyReason]*obs.Counter, len(denyReasons)),
 		authorize: r.Histogram("stac_authz_seconds", "",
 			"End-to-end Engine.Authorize latency.", authzBuckets),
-		prefixEval: r.Histogram("stac_authz_prefix_eval_seconds", "",
-			"Spatial prefix-evaluation latency (history scan).", authzBuckets),
-		staticCheck: r.Histogram("stac_authz_static_check_seconds", "",
-			"check(P, C) static program-check latency.", authzBuckets),
 	}
 	// Decision-latency exemplars: each bucket of the authorize
 	// histogram retains the decision ID (and trace ID when sampled) of

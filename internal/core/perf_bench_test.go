@@ -11,46 +11,6 @@ import (
 	"stac/internal/trace"
 )
 
-// detachLockStats strips the telemetry sinks off every lock stripe,
-// reverting the engine to plain sync locking — the control arm of the
-// E15 overhead measurement. Benchmark-only: production engines are
-// always instrumented.
-func detachLockStats(e *Engine) {
-	e.policyMu.Instrument(nil)
-	for i := range e.shards {
-		e.shards[i].mu.Instrument(nil)
-	}
-}
-
-func benchEngine(b *testing.B) (*Engine, Request) {
-	b.Helper()
-	e := NewEngine(temporal.NewSimClock(0))
-	e.SetObs(obs.NewRegistry())
-	for _, step := range []error{
-		e.RBAC.AddUser("o1"),
-		e.RBAC.AddRole("r"),
-		e.DefinePermission(PermSpec{Perm: rbac.Permission{ID: "p", Op: "read", Resource: "f"}}),
-		e.RBAC.GrantPermission("r", "p"),
-		e.RBAC.AssignUserRole("o1", "r"),
-	} {
-		if step != nil {
-			b.Fatal(step)
-		}
-	}
-	sess, err := e.RBAC.CreateSession("o1")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := sess.ActivateRole("r"); err != nil {
-		b.Fatal(err)
-	}
-	return e, Request{
-		Session: sess,
-		Access:  model.NewAccess("o1", "read", "f", "s1"),
-		History: trace.Trace{},
-	}
-}
-
 // benchSpatialEngine builds an engine whose permission carries a real
 // spatial constraint, so the decision path pays a prefix evaluation —
 // the work the cost profiler shadows.
@@ -109,29 +69,6 @@ func BenchmarkE17_CostProfilingOverhead(b *testing.B) {
 			e, req := benchSpatialEngine(b)
 			if arm == "profiled" {
 				e.EnableCostProfiling()
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if d := e.Authorize(req); !d.Granted {
-					b.Fatal(d.Reason)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE15_LockInstrumentationOverhead runs the same unrecorded
-// Authorize tour with the lock stripes instrumented (production
-// default: counter bumps on every acquisition, 1/64-sampled wait/hold
-// timing) and detached (plain sync path behind one nil check). The
-// EXPERIMENTS E15 acceptance bar is <3% delta between the two arms.
-func BenchmarkE15_LockInstrumentationOverhead(b *testing.B) {
-	for _, arm := range []string{"instrumented", "detached"} {
-		b.Run(arm, func(b *testing.B) {
-			e, req := benchEngine(b)
-			if arm == "detached" {
-				detachLockStats(e)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -20,25 +20,21 @@
 // static-check cost table, the measured baseline for the item-2
 // verdict cache.
 //
-// Like obs/perf, the package is stdlib-only and engine-agnostic: the
-// engine translates its srac node costs into NodeSample values, so
-// cost does not import the evaluator it measures.
+// The package is stdlib-only and engine-agnostic: the engine
+// translates its srac node costs into NodeSample values, so cost does
+// not import the evaluator it measures.
 package cost
 
 import (
-	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
-
-	"stac/internal/obs"
-	"stac/internal/obs/perf"
 )
 
 const (
 	// numStripes shards the clause-cell map by permission so hot
 	// decide paths on different permissions don't serialize on one
-	// mutex. Stripes are perf.Mutex, so they appear in the lock-stripe
-	// telemetry like the engine's own stripes.
+	// mutex.
 	numStripes = 8
 	// sampleMask makes every 64th evaluation a timed one —
 	// deterministic, not random, so runs are reproducible and the
@@ -120,7 +116,7 @@ func (p *permProfile) at(path string, from *int, clauseAt func(string) string) *
 }
 
 type stripe struct {
-	mu    perf.Mutex
+	mu    sync.Mutex
 	perms map[string]*permProfile
 }
 
@@ -154,10 +150,8 @@ type Collector struct {
 	scanEntries atomic.Int64
 	appends     atomic.Int64
 
-	staticMu perf.Mutex
+	staticMu sync.Mutex
 	static   map[StaticKey]*staticCell
-
-	locks []*perf.LockStats
 }
 
 // New returns an empty collector.
@@ -169,27 +163,6 @@ func New() *Collector {
 	c.seq.Store(sampleMask)
 	return c
 }
-
-// Instrument attaches lock telemetry for the collector's stripes to
-// the registry (stripe names cost_00..cost_07 and cost_static), so
-// cost aggregation shows up in the same lock-stripe telemetry as the
-// engine's own locks. Call during setup, before the collector sees
-// traffic.
-func (c *Collector) Instrument(reg *obs.Registry) {
-	locks := make([]*perf.LockStats, 0, numStripes+1)
-	for i := range c.stripes {
-		s := perf.NewLockStats(reg, fmt.Sprintf("cost_%02d", i))
-		c.stripes[i].mu.Instrument(s)
-		locks = append(locks, s)
-	}
-	s := perf.NewLockStats(reg, "cost_static")
-	c.staticMu.Instrument(s)
-	c.locks = append(locks, s)
-}
-
-// LockStats returns the stripe telemetry attached by Instrument (nil
-// when uninstrumented), for inclusion in engine perf snapshots.
-func (c *Collector) LockStats() []*perf.LockStats { return c.locks }
 
 // SampleTick reports whether the next evaluation should be timed:
 // true exactly once every 64 calls (and on the very first).

@@ -104,8 +104,7 @@ type Rollup struct {
 type Anomaly struct {
 	// Kind is "unreachable", "budget-exhaustion", "deny-spike",
 	// "policy-divergence", "version-skew", "dead-clause", "slo-burn",
-	// "lock-contention", "clock-skew", "journal-lag" or
-	// "clause-cost-share".
+	// "clock-skew", "journal-lag" or "clause-cost-share".
 	Kind string `json:"kind"`
 	// Member names the affected member ("" for fleet-wide conditions).
 	Member string `json:"member,omitempty"`
@@ -125,7 +124,7 @@ type FleetView struct {
 	// profiling).
 	Cost []CostRollup `json:"cost,omitempty"`
 	// Perf is one hot-path health row per reachable member (see
-	// perf.go): hottest stripe, SLO burn rate, slowest exemplar.
+	// perf.go): object imbalance, SLO burn rate, slowest exemplar.
 	Perf []MemberPerfRollup `json:"perf,omitempty"`
 	// Clocks is one clock/journal health row per reachable member (see
 	// clocks.go): HLC reading, physical skew estimate, tail lag.
@@ -151,9 +150,6 @@ type Config struct {
 	// SLOBurnThreshold flags a member burning its latency error budget
 	// faster than this rate (0 = 1, i.e. exactly on budget).
 	SLOBurnThreshold float64
-	// ContentionRatio flags a member whose hottest lock stripe was
-	// contended on more than this fraction of acquisitions (0 = 0.25).
-	ContentionRatio float64
 	// SkewThreshold flags a member whose physical clock skew estimate
 	// exceeds this many seconds in either direction (0 = 1).
 	SkewThreshold float64
@@ -180,9 +176,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SLOBurnThreshold == 0 {
 		c.SLOBurnThreshold = 1
-	}
-	if c.ContentionRatio == 0 {
-		c.ContentionRatio = 0.25
 	}
 	if c.SkewThreshold == 0 {
 		c.SkewThreshold = 1

@@ -8,25 +8,19 @@ import (
 )
 
 // Fleet-level performance attribution: each member's snapshot carries
-// its engine's lock-stripe contention, shard imbalance, SLO burn rate
-// and decision exemplars (snapshot v3); the poller reduces those to
-// one row per member — which stripe is hottest, how fast the latency
-// budget is burning, and the single slowest replayable decision — so
-// `stacctl top` can name the fleet bottleneck instead of a percentile.
+// its engine's shard imbalance, SLO burn rate and decision exemplars;
+// the poller reduces those to one row per member — how evenly objects
+// hash, how fast the latency budget is burning, and the single slowest
+// replayable decision — so `stacctl top` can name the fleet bottleneck
+// instead of a percentile. Lock contention is each member's runtime
+// mutex profile (/debug/pprof/mutex).
 
 // MemberPerfRollup is one member's hot-path health, reduced.
 type MemberPerfRollup struct {
 	Member string `json:"member"`
-	// HotStripe is the lock stripe with the most contended
-	// acquisitions; HotContention its contended/acquire ratio and
-	// HotWaitP99 its sampled wait-time p99 (seconds).
-	HotStripe     string  `json:"hot_stripe,omitempty"`
-	HotContention float64 `json:"hot_contention"`
-	HotWaitP99    float64 `json:"hot_wait_p99_s"`
-	// AcquireImbalance / ObjectImbalance are the member's max/mean
-	// shard ratios (1 = even).
-	AcquireImbalance float64 `json:"acquire_imbalance"`
-	ObjectImbalance  float64 `json:"object_imbalance"`
+	// ObjectImbalance is the member's max/mean object population
+	// across engine shards (1 = even).
+	ObjectImbalance float64 `json:"object_imbalance"`
 	// SLOBurnRate / SLOOverFraction mirror the member's SLO tracker
 	// (zero when the member has no SLO attached).
 	SLOBurnRate     float64 `json:"slo_burn_rate"`
@@ -44,26 +38,11 @@ type MemberPerfRollup struct {
 // per matrix cell.
 func PerfRollup(member string, p core.PerfStats) MemberPerfRollup {
 	r := MemberPerfRollup{
-		Member:           member,
-		AcquireImbalance: p.AcquireImbalance,
-		ObjectImbalance:  p.ObjectImbalance,
-		SLOBurnRate:      p.SLO.BurnRate,
-		SLOOverFraction:  p.SLO.OverFraction,
-		Exemplars:        len(p.Exemplars),
-	}
-	var hotContended int64 = -1
-	for _, s := range p.Stripes {
-		contended := s.Contended + s.RContended
-		if contended > hotContended {
-			hotContended = contended
-			r.HotStripe = s.Stripe
-			r.HotWaitP99 = s.WaitP99
-			if total := s.Acquire + s.RAcquire; total > 0 {
-				r.HotContention = float64(contended) / float64(total)
-			} else {
-				r.HotContention = 0
-			}
-		}
+		Member:          member,
+		ObjectImbalance: p.ObjectImbalance,
+		SLOBurnRate:     p.SLO.BurnRate,
+		SLOOverFraction: p.SLO.OverFraction,
+		Exemplars:       len(p.Exemplars),
 	}
 	for _, e := range p.Exemplars {
 		if e.Value > r.SlowestSeconds {
@@ -76,7 +55,7 @@ func PerfRollup(member string, p core.PerfStats) MemberPerfRollup {
 }
 
 // mergePerf appends per-member perf rollups to the view and flags
-// burn-rate and contention anomalies.
+// burn-rate anomalies.
 func (p *Poller) mergePerf(v *FleetView) {
 	for _, st := range v.Members {
 		if !st.Reachable || st.Skipped {
@@ -90,13 +69,6 @@ func (p *Poller) mergePerf(v *FleetView) {
 				Subject: fmt.Sprintf("%.4gms target", st.Snapshot.Perf.SLO.TargetMs),
 				Detail: fmt.Sprintf("burn rate %.3g (%.3g%% of decisions over target, budget %.3g%%)",
 					r.SLOBurnRate, 100*r.SLOOverFraction, 100*(1-st.Snapshot.Perf.SLO.Objective)),
-			})
-		}
-		if r.HotContention > p.cfg.ContentionRatio {
-			v.Anomalies = append(v.Anomalies, Anomaly{
-				Kind: "lock-contention", Member: st.Name, Subject: r.HotStripe,
-				Detail: fmt.Sprintf("stripe %q contended on %.3g%% of acquisitions (wait p99 %.3gs)",
-					r.HotStripe, 100*r.HotContention, r.HotWaitP99),
 			})
 		}
 	}

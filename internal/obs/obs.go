@@ -122,49 +122,6 @@ func (h *Histogram) Observe(d time.Duration) {
 // ObserveSince records the time elapsed since start.
 func (h *Histogram) ObserveSince(start time.Time) { h.Observe(time.Since(start)) }
 
-// Quantile estimates the q-th quantile (0..1) of the recorded
-// distribution from the bucket counts, interpolating linearly inside
-// the covering bucket (the lowest bucket interpolates from 0, the +Inf
-// bucket reports its lower bound). Good enough for stripe wait-time
-// tables and SLO eyeballing; not a substitute for real samples.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(total)
-	var cum int64
-	for i := range h.buckets {
-		n := h.buckets[i].Load()
-		if n == 0 {
-			cum += n
-			continue
-		}
-		if float64(cum+n) >= target {
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			hi := h.bounds[i]
-			frac := (target - float64(cum)) / float64(n)
-			if frac < 0 {
-				frac = 0
-			}
-			return lo + (hi-lo)*frac
-		}
-		cum += n
-	}
-	// Quantile falls in the +Inf bucket: report the largest finite
-	// bound (the distribution's tail escaped the bucket layout).
-	return h.bounds[len(h.bounds)-1]
-}
-
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 

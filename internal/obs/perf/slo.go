@@ -1,3 +1,8 @@
+// Package perf holds the latency SLO tracker (burn rate against an
+// objective) and the host fingerprint that benchmark and load results
+// carry. Raw CPU, mutex and block profiles are the runtime's own,
+// served at /debug/pprof; per-request stage time is the stage ledger's
+// (obs.StageLedger).
 package perf
 
 import (

@@ -9,16 +9,16 @@ import (
 	"sync"
 	"time"
 
-	"stac/internal/core"
 	"stac/internal/obs"
 )
 
 // DebugServer bundles the daemon's observability surface: Prometheus
 // metrics, expvar, pprof (the one source of raw profiles), the span
 // ring, decision explanations, the temporal-budget series, versioned
-// fleet snapshots, the per-clause evaluation profile (/debug/cost),
-// lock-stripe, SLO and exemplar state (/debug/perf), health probes and
-// the /debug/journal decision-log tail. The fleet poller
+// fleet snapshots (which carry the engine's shard balance, SLO and
+// exemplar state as perf), the per-clause evaluation profile
+// (/debug/cost), health probes and the /debug/journal decision-log
+// tail. The fleet poller
 // (internal/obs/federate) and stacctl's top/watch/heat/slow/timeline
 // verbs speak to these endpoints.
 type DebugServer struct {
@@ -89,7 +89,6 @@ func (h *DebugServer) Mux() *http.ServeMux {
 	mux.HandleFunc("/debug/budgets", h.handleBudgets)
 	mux.HandleFunc("/debug/snapshot", h.handleSnapshot)
 	mux.HandleFunc("/debug/cost", h.handleCost)
-	mux.HandleFunc("/debug/perf", h.handlePerf)
 	mux.HandleFunc("/healthz", h.handleHealthz)
 	mux.HandleFunc("/readyz", h.handleReadyz)
 	mux.HandleFunc("/debug/journal", h.handleJournal)
@@ -188,16 +187,6 @@ func (h *DebugServer) handleCost(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, h.c.Engine.CostReport())
-}
-
-// handlePerf serves the hot-path performance view: the engine's
-// lock-stripe/imbalance/SLO snapshot and the retained latency
-// exemplars with their stage vectors. Raw CPU, mutex and block
-// profiles are on /debug/pprof.
-func (h *DebugServer) handlePerf(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, struct {
-		Engine core.PerfStats `json:"engine"`
-	}{Engine: h.c.Engine.PerfStats()})
 }
 
 func (h *DebugServer) handleHealthz(w http.ResponseWriter, r *http.Request) {

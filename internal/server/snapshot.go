@@ -39,7 +39,9 @@ import (
 //	8 — drops audit_sink_errors with the JSONL audit sink: the durable
 //	    decision log is the recorder's WAL, and its failed appends are
 //	    recorder.errors
-const SnapshotVersion = 8
+//	9 — drops perf.stripes and perf.acquire_imbalance with the
+//	    lock-stripe telemetry: contention is /debug/pprof/mutex
+const SnapshotVersion = 9
 
 // Snapshot is one daemon-process view of its coalition state.
 type Snapshot struct {
@@ -81,9 +83,8 @@ type Snapshot struct {
 	Runtime obs.RuntimeStats `json:"runtime"`
 	// Recorder reports the decision log's recorder.
 	Recorder *record.Status `json:"recorder,omitempty"`
-	// Perf is the engine's hot-path health: per-stripe lock contention,
-	// shard imbalance, SLO burn rate and decision-latency exemplars
-	// (version ≥ 3).
+	// Perf is the engine's hot-path health: shard imbalance, SLO burn
+	// rate and decision-latency exemplars (version ≥ 3).
 	Perf core.PerfStats `json:"perf"`
 	// HLC is the engine's hybrid logical clock reading at snapshot
 	// time (version ≥ 4). HLCWallUnix is the RAW physical wall source
