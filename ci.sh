@@ -52,15 +52,16 @@ go test -race -count=10 -run 'TestRuntimesAgree|TestRemoteRuntime' ./internal/ag
 # the probe includes the WAL-order check across concurrent servers and
 # the readiness checks that read the WAL's state.
 go test -race -count=5 -run 'TestJournal|TestWatch|TestFleetTourTopAndWatch|TestWALOrder|TestReadyz' ./internal/server ./cmd/stacctl
-# Repeated race probe of the daemon's wire codec: each connection
+# Repeated race probe of the wire codec at both ends: each connection
 # decodes requests and encodes replies in buffers it reuses from one
-# request to the next, so a reply or proof that kept pointing into them
-# would race the next read. The codec, the read buffer and the stage
-# ledger belong to a connection worker, which serves one connection
-# after another: each new connection crosses to it over the hand-off
-# channel, so the worker tests race that hand-off and Close's drain of
-# the parked workers too.
-go test -race -count=5 -run 'TestTCP|TestHostile|TestResident|TestConnectionWorker|TestDaemonCloseDrainsIdleWorkers' ./internal/server
+# request to the next, and each Client encodes requests and decodes
+# replies in buffers it reuses from one round trip to the next, so a
+# request, reply or proof that kept pointing into them would race the
+# next read. The daemon's codec, read buffer and stage ledger belong to
+# a connection worker, which serves one connection after another: each
+# new connection crosses to it over the hand-off channel, so the worker
+# tests race that hand-off and Close's drain of the parked workers too.
+go test -race -count=5 -run 'TestTCP|TestHostile|TestResident|TestConnectionWorker|TestDaemonCloseDrainsIdleWorkers|TestClientRepliesTakeFastPath|TestWireClientRequestsTakeFastPath|TestWireReusedBuffersDoNotAlias' ./internal/server
 # Repeated race probe of declared programs: clients on two daemons
 # intern one program in the coalition's cache at once, and concurrent
 # decisions of one object share one memoised static check.

@@ -154,7 +154,7 @@ func renderTop(w io.Writer, v federate.FleetView) {
 		for _, r := range v.Perf {
 			slowest, id := "-", "-"
 			if r.SlowestDecisionID != "" {
-				slowest, id = secs(r.SlowestSeconds), r.SlowestDecisionID
+				slowest, id = secsTo(r.SlowestSeconds, 1e6), r.SlowestDecisionID
 			}
 			fmt.Fprintf(w, "%-12s %6.2f %6.2f %10s %s\n",
 				r.Member, r.ObjectImbalance, r.SLOBurnRate, slowest, id)
@@ -194,8 +194,12 @@ func renderTop(w io.Writer, v federate.FleetView) {
 
 // secs renders a duration in seconds rounded to milliseconds, without
 // the float noise %g leaks on live (non-simulated) clock readings.
-func secs(v float64) string {
-	return strconv.FormatFloat(math.Round(v*1000)/1000, 'f', -1, 64) + "s"
+func secs(v float64) string { return secsTo(v, 1e3) }
+
+// secsTo renders a duration in seconds rounded to 1/perSecond: the
+// slowest decision wants microseconds, as most take under a millisecond.
+func secsTo(v, perSecond float64) string {
+	return strconv.FormatFloat(math.Round(v*perSecond)/perSecond, 'f', -1, 64) + "s"
 }
 
 // cmdWatch streams the fleet's decisions.

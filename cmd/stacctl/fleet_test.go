@@ -361,3 +361,23 @@ func TestTopFlagsDeadClauses(t *testing.T) {
 		}
 	}
 }
+
+// TestTopSlowestAtMicroseconds: the SLOWEST column shows a
+// sub-millisecond exemplar in microseconds, while the budget columns
+// stay at milliseconds.
+func TestTopSlowestAtMicroseconds(t *testing.T) {
+	v := federate.FleetView{
+		Budgets: []federate.BudgetRollup{{Object: "o1", Perm: "p", Scheme: "global", Budget: 5,
+			Consumed: 1.2345678, Remaining: 3.7654322, BurnRate: 1, ETA: 3.7654322, Members: 1}},
+		Perf: []federate.MemberPerfRollup{{Member: "m1", ObjectImbalance: 1,
+			SlowestSeconds: 107.4e-6, SlowestDecisionID: "d-0123456789abcdef"}},
+	}
+	var buf bytes.Buffer
+	renderTop(&buf, v)
+	out := buf.String()
+	for _, want := range []string{"0.000107s d-0123456789abcdef", "1.235s", "3.765s"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("top output missing %q:\n%s", want, out)
+		}
+	}
+}

@@ -127,15 +127,23 @@ func newNonce() string {
 
 // Verify checks the proof's signature and structural validity.
 func (s *Signer) Verify(p Proof) error {
+	if err := p.validate(); err != nil {
+		return err
+	}
+	m := s.sign(func(b []byte) []byte { return appendBody(b, p.Access, p.Time, p.Nonce) })
+	defer s.macs.Put(m)
+	return checkSig(m.sum, p.Sig)
+}
+
+// validate checks the proof's structure: a complete access tuple.
+func (p Proof) validate() error {
 	if err := p.Access.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrMalformed, err)
 	}
 	if p.Access.Object == "" {
 		return fmt.Errorf("%w: proof without mobile object", ErrMalformed)
 	}
-	m := s.sign(func(b []byte) []byte { return appendBody(b, p.Access, p.Time, p.Nonce) })
-	defer s.macs.Put(m)
-	return checkSig(m.sum, p.Sig)
+	return nil
 }
 
 // checkSig compares a computed HMAC with a hex signature in constant
@@ -226,12 +234,30 @@ func (st *Store) Add(p Proof) error {
 			return err
 		}
 	}
+	st.add(p)
+	return nil
+}
+
+// AddIssued records a proof issuer has just signed. A store that
+// verifies with issuer itself checks the proof's structure but not its
+// signature again; any other store verifies it as Add does.
+func (st *Store) AddIssued(p Proof, issuer *Signer) error {
+	if st.signer == nil || st.signer != issuer {
+		return st.Add(p)
+	}
+	if err := p.validate(); err != nil {
+		return err
+	}
+	st.add(p)
+	return nil
+}
+
+func (st *Store) add(p Proof) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.byAccess[p.Access] = append(st.byAccess[p.Access], len(st.proofs))
 	st.proofs = append(st.proofs, p)
 	st.hist.Append(p.Access)
-	return nil
 }
 
 // Proven reports whether an execution proof exists for an access

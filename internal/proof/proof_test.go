@@ -109,6 +109,54 @@ func TestStoreRejectsForgedProof(t *testing.T) {
 	}
 }
 
+// A proof appended as just issued skips the second HMAC only in a store
+// that verifies with the issuing signer itself; a forged or re-keyed
+// proof is refused everywhere else.
+func TestStoreAddIssued(t *testing.T) {
+	coalition, attacker := NewSigner(key), NewSigner([]byte("attacker"))
+	a := acc("o1", "read", "f1", "s1")
+
+	own := NewStore(coalition)
+	if err := own.AddIssued(coalition.Issue(a, 1), coalition); err != nil {
+		t.Fatalf("issued proof: %v", err)
+	}
+	// The issuer vouches for the signature, so it is not checked again.
+	tampered := coalition.Issue(a, 2)
+	tampered.Sig = strings.Repeat("0", len(tampered.Sig))
+	if err := own.AddIssued(tampered, coalition); err != nil {
+		t.Fatalf("issued proof with its signature unchecked: %v", err)
+	}
+	// Its structure still is.
+	if err := own.AddIssued(coalition.Issue(acc("o1", "read", "", "s1"), 3), coalition); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("malformed issued proof = %v, want ErrMalformed", err)
+	}
+
+	// A forged proof names its forger as the issuer: the store verifies.
+	if err := own.AddIssued(attacker.Issue(a, 4), attacker); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("forged proof = %v, want ErrBadSignature", err)
+	}
+	// A store keyed apart from the issuer verifies, and refuses a proof
+	// under another key.
+	rekeyed := NewStore(NewSigner([]byte("re-keyed")))
+	if err := rekeyed.AddIssued(coalition.Issue(a, 5), coalition); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("re-keyed store took the proof: %v", err)
+	}
+	sameKey := NewStore(NewSigner(key))
+	if err := sameKey.AddIssued(coalition.Issue(a, 6), coalition); err != nil {
+		t.Fatalf("store of an equal key: %v", err)
+	}
+	if err := sameKey.AddIssued(tampered, coalition); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("store of an equal key took a bad signature: %v", err)
+	}
+	// A store that verifies nothing records as Add does.
+	if err := NewStore(nil).AddIssued(attacker.Issue(acc("", "", "", ""), 7), coalition); err != nil {
+		t.Fatalf("unverified store: %v", err)
+	}
+	if own.Len() != 2 || rekeyed.Len() != 0 || sameKey.Len() != 1 {
+		t.Fatalf("stores hold %d, %d, %d proofs; want 2, 0, 1", own.Len(), rekeyed.Len(), sameKey.Len())
+	}
+}
+
 func TestStorePatternProven(t *testing.T) {
 	s := NewSigner(key)
 	st := NewStore(s)

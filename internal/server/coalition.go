@@ -403,7 +403,7 @@ func (s *Server) request(sub *Subject, op model.Operation, res model.ResourceID,
 	l.Enter(obs.StageIssue)
 	pr := s.coalition.Signer.Issue(access, s.localNow())
 	if prog.Store != nil {
-		if err := prog.Store.Add(pr); err != nil {
+		if err := prog.Store.AddIssued(pr, s.coalition.Signer); err != nil {
 			return AccessResult{Decision: dec}, fmt.Errorf("server: proof store rejected proof: %w", err)
 		}
 	}

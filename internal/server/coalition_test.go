@@ -138,6 +138,25 @@ func TestRequestGrantAndProof(t *testing.T) {
 	}
 }
 
+// A granted access appends its proof to the object's store without a
+// second HMAC only when the store is keyed by the coalition's signer;
+// a store under another key still refuses it.
+func TestRequestProofRefusedByRekeyedStore(t *testing.T) {
+	c, _ := newCoalition(t)
+	srv, _ := c.Server("s1")
+	sub, err := srv.Authenticate(cred(c, "o1", "owner", "traveler"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rekeyed := proof.NewStore(proof.NewSigner([]byte("re-keyed")))
+	if _, err := srv.Request(sub, model.OpRead, "f-s1", RequestContext{Store: rekeyed}); !errors.Is(err, proof.ErrBadSignature) {
+		t.Fatalf("re-keyed store: %v, want ErrBadSignature", err)
+	}
+	if rekeyed.Len() != 0 {
+		t.Fatal("re-keyed store holds the proof")
+	}
+}
+
 func TestRequestDenials(t *testing.T) {
 	c, _ := newCoalition(t)
 	srv, _ := c.Server("s1")

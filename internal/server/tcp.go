@@ -1000,6 +1000,8 @@ type Client struct {
 	cfg  ClientConfig
 	br   *bufio.Reader
 	mu   sync.Mutex
+	// codec encodes each request and decodes each reply, under mu.
+	codec wireCodec
 
 	token  string
 	trace  obs.TraceContext
@@ -1065,23 +1067,27 @@ func (c *Client) addProof(p proof.Proof) {
 func (c *Client) roundTrip(req wireRequest) (wireResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	b, err := json.Marshal(req)
+	b, err := appendRequest(c.codec.out[:0], &req)
 	if err != nil {
+		_, err = json.Marshal(req) // refuses it too, in its own words
 		return wireResponse{}, fmt.Errorf("server: encode: %w", err)
 	}
 	b = append(b, '\n')
+	if cap(b) <= maxKeptBuffer {
+		c.codec.out = b
+	}
 	if c.cfg.IOTimeout > 0 {
 		_ = c.conn.SetDeadline(time.Now().Add(c.cfg.IOTimeout))
 	}
 	if _, err := c.conn.Write(b); err != nil {
 		return wireResponse{}, fmt.Errorf("server: send: %w", err)
 	}
-	line, err := readLine(c.br, c.cfg.maxLine(), nil)
+	line, err := readLine(c.br, c.cfg.maxLine(), &c.codec.line)
 	if err != nil {
 		return wireResponse{}, fmt.Errorf("server: recv: %w", err)
 	}
 	var resp wireResponse
-	if err := json.Unmarshal(line, &resp); err != nil {
+	if err := c.codec.decodeResponse(line, &resp); err != nil {
 		return wireResponse{}, fmt.Errorf("server: decode: %w", err)
 	}
 	if !resp.OK {

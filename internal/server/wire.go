@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
@@ -15,32 +16,35 @@ import (
 	"stac/internal/proof"
 )
 
-// This file is the daemon's half of the JSON-lines codec: a one-pass
-// request decoder and an append-style reply encoder, both without
-// reflection. The Client keeps encoding/json in both directions, so
-// every line a Client sends the daemon was written by encoding/json,
-// and FuzzWireCodec holds both halves here to encoding/json's results.
+// This file is the JSON-lines codec of both ends of the wire, without
+// reflection: the daemon decodes requests and encodes replies with it,
+// and the Client encodes requests and decodes replies. The two encoders
+// share one proof and one credential encoder, and the two decoders one
+// set of primitives. FuzzWireCodec holds all four halves to
+// encoding/json: each encoder writes json.Marshal's bytes, and each
+// decoder produces json.Unmarshal's struct and error.
 //
-// The decoder's fast path reads exactly the shapes a Client sends:
-// exact-case known keys, each at most once per object; strings, with
-// the full escape grammar; integers for base and a JSON number for a
-// proof's time. Anything else — a mis-cased, unknown or duplicate key,
-// null, a fractional or exponent base, invalid UTF-8, a syntax error —
-// falls back to json.Unmarshal on the same line. The fast path never
-// reports an error of its own, so every reject carries encoding/json's
-// text.
+// A decoder's fast path reads exactly the shapes the other end's
+// encoder writes: exact-case known keys, each at most once per object;
+// strings, with the full escape grammar; true and false; integers for
+// base, have and audit_total, and a JSON number for a proof's time.
+// Anything else — a mis-cased, unknown or duplicate key, null, a
+// fractional or exponent integer, invalid UTF-8, a syntax error — falls
+// back to json.Unmarshal on the same line. The fast path never reports
+// an error of its own, so every reject carries encoding/json's text.
 
-// wireCodec is a connection worker's request decoder and reply encoder.
-// Its buffers live as long as the worker and serve each request of each
-// of its connections in turn, so nothing that outlives a request may
-// point into them: every string the decoder produces is a copy, and the
-// one slice it hands out uncopied, the program source, is copied by the
-// program cache before it keeps it.
+// wireCodec holds the buffers of one end of the wire: a connection
+// worker's request decoder and reply encoder, or a Client's request
+// encoder and reply decoder. They live as long as the worker or the
+// Client and serve each of its lines in turn, so nothing that outlives a
+// line may point into them: every string the decoder produces is a
+// copy, and the one slice it hands out uncopied, a request's program
+// source, is copied by the program cache before it keeps it.
 type wireCodec struct {
-	// line holds a request line too long for the bufio buffer.
+	// line holds a line too long for the bufio buffer.
 	line []byte
 	dec  wireDecoder
-	// out holds the reply being written.
+	// out holds the line being written.
 	out []byte
 	// fast records whether the last decode took the one-pass path.
 	fast bool
@@ -89,11 +93,7 @@ func readLine(r *bufio.Reader, max int, scratch *[]byte) ([]byte, error) {
 // never copied into a string: the source aliases line or the codec's
 // buffers and stays valid until the next decode.
 func (c *wireCodec) decode(line []byte, req *wireRequest) (program []byte, err error) {
-	d := &c.dec
-	d.b, d.i, d.esc = line, 0, d.esc[:0]
-	if cap(d.esc) > maxKeptBuffer {
-		d.esc = nil
-	}
+	d := c.dec.reset(line)
 	program, c.fast = d.request(req)
 	d.b = nil
 	if c.fast {
@@ -112,7 +112,23 @@ func (c *wireCodec) decode(line []byte, req *wireRequest) (program []byte, err e
 	return program, nil
 }
 
-// wireDecoder is one pass over a request line. Each method reports
+// decodeResponse decodes one reply line into resp, which must be zero,
+// as json.Unmarshal decodes it. Every string and slice it stores is a
+// fresh copy, so resp outlives the line and the codec's buffers.
+func (c *wireCodec) decodeResponse(line []byte, resp *wireResponse) error {
+	d := c.dec.reset(line)
+	c.fast = d.response(resp)
+	d.b = nil
+	if c.fast {
+		return nil
+	}
+	var fallback wireResponse
+	err := json.Unmarshal(line, &fallback)
+	*resp = fallback
+	return err
+}
+
+// wireDecoder is one pass over a line. Each method reports
 // false when the input leaves the fast path's grammar; the caller then
 // abandons the pass.
 type wireDecoder struct {
@@ -120,6 +136,21 @@ type wireDecoder struct {
 	i int
 	// esc holds the unescaped strings of the current line.
 	esc []byte
+}
+
+// reset starts a pass over line.
+func (d *wireDecoder) reset(line []byte) *wireDecoder {
+	d.b, d.i, d.esc = line, 0, d.esc[:0]
+	if cap(d.esc) > maxKeptBuffer {
+		d.esc = nil
+	}
+	return d
+}
+
+// end skips trailing whitespace and reports whether the line is done.
+func (d *wireDecoder) end() bool {
+	d.ws()
+	return d.i == len(d.b)
 }
 
 // ws skips JSON whitespace.
@@ -242,8 +273,45 @@ func (d *wireDecoder) request(req *wireRequest) (program []byte, ok bool) {
 		}
 		return 0
 	})
-	d.ws()
-	return program, ok && d.i == len(d.b)
+	return program, ok && d.end()
+}
+
+// response reads the whole line as one wireResponse.
+func (d *wireDecoder) response(r *wireResponse) bool {
+	return d.object(func(k []byte) uint16 {
+		switch string(k) {
+		case "ok":
+			return bit(d.boolean(&r.OK), 1<<0)
+		case "error":
+			return bit(text(d, &r.Error), 1<<1)
+		case "token":
+			return bit(text(d, &r.Token), 1<<2)
+		case "data":
+			return bit(d.bytes(&r.Data), 1<<3)
+		case "proof":
+			r.Proof = new(proof.Proof)
+			return bit(d.proof(r.Proof), 1<<4)
+		case "have":
+			return bit(d.int(&r.Have), 1<<5)
+		case "head":
+			return bit(text(d, &r.Head), 1<<6)
+		case "server":
+			return bit(text(d, &r.Server), 1<<7)
+		case "resources":
+			return bit(array(d, &r.Resources, text[string]), 1<<8)
+		case "audit":
+			return bit(array(d, &r.Audit, text[string]), 1<<9)
+		case "audit_total":
+			return bit(d.int(&r.AuditTotal), 1<<10)
+		case "trace":
+			return bit(text(d, &r.Trace), 1<<11)
+		case "decision_id":
+			return bit(text(d, &r.DecisionID), 1<<12)
+		case "hlc":
+			return bit(text(d, &r.HLC), 1<<13)
+		}
+		return 0
+	}) && d.end()
 }
 
 // credential reads a proof.Credential object.
@@ -345,6 +413,20 @@ func (d *wireDecoder) bytes(out *[]byte) bool {
 		return false
 	}
 	*out = b[:n]
+	return true
+}
+
+// boolean reads true or false.
+func (d *wireDecoder) boolean(out *bool) bool {
+	d.ws()
+	switch rest := d.b[d.i:]; {
+	case bytes.HasPrefix(rest, []byte("true")):
+		*out, d.i = true, d.i+len("true")
+	case bytes.HasPrefix(rest, []byte("false")):
+		*out, d.i = false, d.i+len("false")
+	default:
+		return false
+	}
 	return true
 }
 
@@ -548,8 +630,41 @@ func hex4(s []byte) rune {
 	return r
 }
 
-// errUnsupportedFloat answers a reply json.Marshal would refuse too.
-var errUnsupportedFloat = errors.New("server: reply holds an unsupported float")
+// errUnsupportedFloat refuses a proof time json.Marshal refuses too.
+var errUnsupportedFloat = errors.New("server: proof time is not a finite number")
+
+// appendRequest appends r's JSON encoding to dst: byte for byte what
+// json.Marshal writes for it, in its field order and omitempty rules.
+func appendRequest(dst []byte, r *wireRequest) ([]byte, error) {
+	dst = append(dst, `{"type":`...)
+	dst = appendString(dst, r.Type)
+	if c := r.Credential; c != nil {
+		dst = appendCredential(append(dst, `,"credential":`...), c)
+	}
+	dst = appendField(dst, `,"token":`, r.Token)
+	dst = appendField(dst, `,"op":`, r.Op)
+	dst = appendField(dst, `,"resource":`, r.Resource)
+	dst = appendField(dst, `,"program":`, r.Program)
+	dst = appendField(dst, `,"program_sha":`, r.ProgramSHA)
+	if len(r.Proofs) > 0 {
+		sep := `,"proofs":[`
+		for i := range r.Proofs {
+			var err error
+			if dst, err = appendProof(append(dst, sep...), &r.Proofs[i]); err != nil {
+				return dst, err
+			}
+			sep = ","
+		}
+		dst = append(dst, ']')
+	}
+	dst = appendInt(dst, `,"base":`, r.Base)
+	dst = appendField(dst, `,"head":`, r.Head)
+	dst = appendBytes(dst, `,"payload":`, r.Payload)
+	dst = appendField(dst, `,"id":`, r.ID)
+	dst = appendField(dst, `,"trace":`, r.Trace)
+	dst = appendField(dst, `,"hlc":`, r.HLC)
+	return append(dst, '}'), nil
+}
 
 // appendResponse appends r's JSON encoding to dst: byte for byte what
 // json.Marshal writes for it, in its field order and omitempty rules.
@@ -558,47 +673,63 @@ func appendResponse(dst []byte, r *wireResponse) ([]byte, error) {
 	dst = strconv.AppendBool(dst, r.OK)
 	dst = appendField(dst, `,"error":`, r.Error)
 	dst = appendField(dst, `,"token":`, r.Token)
-	if len(r.Data) > 0 {
-		dst = append(dst, `,"data":"`...)
-		dst = base64.StdEncoding.AppendEncode(dst, r.Data)
-		dst = append(dst, '"')
-	}
+	dst = appendBytes(dst, `,"data":`, r.Data)
 	if p := r.Proof; p != nil {
-		if math.IsInf(p.Time, 0) || math.IsNaN(p.Time) {
-			return dst, errUnsupportedFloat
+		var err error
+		if dst, err = appendProof(append(dst, `,"proof":`...), p); err != nil {
+			return dst, err
 		}
-		dst = append(dst, `,"proof":{"access":{"Object":`...)
-		dst = appendString(dst, string(p.Access.Object))
-		dst = append(dst, `,"Op":`...)
-		dst = appendString(dst, string(p.Access.Op))
-		dst = append(dst, `,"Resource":`...)
-		dst = appendString(dst, string(p.Access.Resource))
-		dst = append(dst, `,"Server":`...)
-		dst = appendString(dst, string(p.Access.Server))
-		dst = append(dst, `},"time":`...)
-		dst = appendFloat(dst, p.Time)
-		dst = append(dst, `,"nonce":`...)
-		dst = appendString(dst, p.Nonce)
-		dst = append(dst, `,"sig":`...)
-		dst = appendString(dst, p.Sig)
-		dst = append(dst, '}')
 	}
-	if r.Have != 0 {
-		dst = append(dst, `,"have":`...)
-		dst = strconv.AppendInt(dst, int64(r.Have), 10)
-	}
+	dst = appendInt(dst, `,"have":`, r.Have)
 	dst = appendField(dst, `,"head":`, r.Head)
 	dst = appendField(dst, `,"server":`, r.Server)
 	dst = appendStrings(dst, `,"resources":`, r.Resources)
 	dst = appendStrings(dst, `,"audit":`, r.Audit)
-	if r.AuditTotal != 0 {
-		dst = append(dst, `,"audit_total":`...)
-		dst = strconv.AppendInt(dst, int64(r.AuditTotal), 10)
-	}
+	dst = appendInt(dst, `,"audit_total":`, r.AuditTotal)
 	dst = appendField(dst, `,"trace":`, r.Trace)
 	dst = appendField(dst, `,"decision_id":`, r.DecisionID)
 	dst = appendField(dst, `,"hlc":`, r.HLC)
 	return append(dst, '}'), nil
+}
+
+// appendProof appends a proof.Proof object, or refuses a time that is
+// NaN or infinite.
+func appendProof(dst []byte, p *proof.Proof) ([]byte, error) {
+	if math.IsInf(p.Time, 0) || math.IsNaN(p.Time) {
+		return dst, errUnsupportedFloat
+	}
+	dst = append(dst, `{"access":{"Object":`...)
+	dst = appendString(dst, string(p.Access.Object))
+	dst = append(dst, `,"Op":`...)
+	dst = appendString(dst, string(p.Access.Op))
+	dst = append(dst, `,"Resource":`...)
+	dst = appendString(dst, string(p.Access.Resource))
+	dst = append(dst, `,"Server":`...)
+	dst = appendString(dst, string(p.Access.Server))
+	dst = append(dst, `},"time":`...)
+	dst = appendFloat(dst, p.Time)
+	dst = append(dst, `,"nonce":`...)
+	dst = appendString(dst, p.Nonce)
+	dst = append(dst, `,"sig":`...)
+	dst = appendString(dst, p.Sig)
+	return append(dst, '}'), nil
+}
+
+// appendCredential appends a proof.Credential object.
+func appendCredential(dst []byte, c *proof.Credential) []byte {
+	dst = append(dst, `{"object":`...)
+	dst = appendString(dst, string(c.Object))
+	dst = append(dst, `,"owner":`...)
+	dst = appendString(dst, c.Owner)
+	dst = append(dst, `,"roles":`...)
+	if c.Roles == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = appendList(dst, c.Roles)
+	}
+	dst = append(dst, `,"sig":`...)
+	dst = appendString(dst, c.Sig)
+	return append(dst, '}')
 }
 
 // appendField appends an omitempty string member.
@@ -609,16 +740,39 @@ func appendField(dst []byte, key, s string) []byte {
 	return appendString(append(dst, key...), s)
 }
 
+// appendInt appends an omitempty int member.
+func appendInt(dst []byte, key string, n int) []byte {
+	if n == 0 {
+		return dst
+	}
+	return strconv.AppendInt(append(dst, key...), int64(n), 10)
+}
+
+// appendBytes appends an omitempty []byte member in base64.
+func appendBytes(dst []byte, key string, b []byte) []byte {
+	if len(b) == 0 {
+		return dst
+	}
+	dst = append(append(dst, key...), '"')
+	return append(base64.StdEncoding.AppendEncode(dst, b), '"')
+}
+
 // appendStrings appends an omitempty []string member.
 func appendStrings(dst []byte, key string, ss []string) []byte {
 	if len(ss) == 0 {
 		return dst
 	}
-	dst = append(dst, key...)
-	sep := byte('[')
-	for _, s := range ss {
-		dst = appendString(append(dst, sep), s)
-		sep = ','
+	return appendList(append(dst, key...), ss)
+}
+
+// appendList appends a JSON array of strings.
+func appendList(dst []byte, ss []string) []byte {
+	dst = append(dst, '[')
+	for i, s := range ss {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendString(dst, s)
 	}
 	return append(dst, ']')
 }

@@ -6,9 +6,12 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"reflect"
@@ -63,6 +66,41 @@ func checkEncode(t testing.TB, resp wireResponse) {
 	}
 	if werr == nil && string(got) != string(want) {
 		t.Fatalf("%#v:\n got  %s\n want %s", resp, got, want)
+	}
+}
+
+// checkDecodeResponse decodes line with a fresh codec and with
+// json.Unmarshal and fails unless both give the same struct and the
+// same error. It returns whether the codec took its fast path.
+func checkDecodeResponse(t testing.TB, line []byte) bool {
+	t.Helper()
+	var want, got wireResponse
+	werr := json.Unmarshal(line, &want)
+	var c wireCodec
+	gerr := c.decodeResponse(line, &got)
+	if (werr == nil) != (gerr == nil) || werr != nil && werr.Error() != gerr.Error() {
+		t.Fatalf("reply %q:\n error %v\n want  %v", line, gerr, werr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("reply %q:\n got  %#v\n want %#v", line, got, want)
+	}
+	if c.fast && gerr != nil {
+		t.Fatalf("fast path reported an error: %v", gerr)
+	}
+	return c.fast
+}
+
+// checkEncodeRequest fails unless appendRequest writes json.Marshal's
+// bytes, or both refuse the value.
+func checkEncodeRequest(t testing.TB, req wireRequest) {
+	t.Helper()
+	want, werr := json.Marshal(req)
+	got, gerr := appendRequest(nil, &req)
+	if (werr == nil) != (gerr == nil) {
+		t.Fatalf("%#v:\n error %v\n want  %v", req, gerr, werr)
+	}
+	if werr == nil && string(got) != string(want) {
+		t.Fatalf("%#v:\n got  %s\n want %s", req, got, want)
 	}
 }
 
@@ -155,6 +193,34 @@ var fallbackLines = []struct {
 	{"numeric digest", `{"type":"access","program_sha":12}`, false},
 	{"duplicate digest", `{"type":"access","program_sha":"a","program_sha":"b"}`, false},
 	{"mis-cased digest", `{"type":"access","Program_SHA":"a"}`, false},
+}
+
+// replyFallbackLines are reply shapes a daemon never writes; each must
+// decode as json.Unmarshal decodes it.
+var replyFallbackLines = []struct {
+	name, line string
+	fast       bool
+}{
+	{"mis-cased key", `{"OK":true}`, false},
+	{"unknown key", `{"ok":true,"extra":1}`, false},
+	{"null ok", `{"ok":null}`, false},
+	{"numeric ok", `{"ok":1}`, false},
+	{"truncated ok", `{"ok":tru}`, false},
+	{"ok glued to a literal", `{"ok":truefalse}`, false},
+	{"null proof", `{"ok":true,"proof":null}`, false},
+	{"duplicate proof merges", `{"proof":{"nonce":"n"},"proof":{"sig":"s"}}`, false},
+	{"empty proof", `{"ok":true,"proof":{}}`, true},
+	{"fractional have", `{"ok":true,"have":2.0}`, false},
+	{"string audit_total", `{"ok":true,"audit_total":"3"}`, false},
+	{"null resources", `{"ok":true,"resources":null}`, false},
+	{"empty arrays", `{"ok":true,"resources":[],"audit":[],"data":""}`, true},
+	{"bad base64", `{"ok":true,"data":"!!"}`, false},
+	{"escaped error", `{"ok":false,"error":"a\u003cb\n\ud800"}`, true},
+	{"whitespace", " { \"ok\" : false ,\t\"error\":\"x\" }\r\n", true},
+	{"trailing garbage", `{"ok":true} x`, false},
+	{"empty object", `{}`, true},
+	{"null", `null`, false},
+	{"empty", ``, false},
 }
 
 // Every request a Client sends decodes on the fast path.
@@ -265,6 +331,115 @@ func TestWireClientRequestsTakeFastPath(t *testing.T) {
 	}
 }
 
+// recordConn keeps every byte read from its connection.
+type recordConn struct {
+	net.Conn
+	read []byte
+}
+
+func (r *recordConn) Read(p []byte) (int, error) {
+	n, err := r.Conn.Read(p)
+	r.read = append(r.read, p[:n]...)
+	return n, err
+}
+
+// Every reply shape the daemon writes decodes on the Client's fast path
+// to json.Unmarshal's struct.
+func TestClientRepliesTakeFastPath(t *testing.T) {
+	c, _ := newCoalition(t)
+	_, addr := startDaemonWith(t, c, "s1", DaemonConfig{})
+	dial := func() *Client {
+		rc := &recordConn{}
+		cl, err := DialConfig(addr, ClientConfig{Dial: func(addr string) (net.Conn, error) {
+			conn, err := net.Dial("tcp", addr)
+			rc.Conn = conn
+			return rc, err
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		return cl
+	}
+	// do runs one round trip of cl and checks the one reply line it
+	// read: the Client decoded it on its fast path, to json.Unmarshal's
+	// struct, and it has the named shape.
+	do := func(cl *Client, shape string, check func(wireResponse) bool, rt func() error) {
+		t.Helper()
+		rc := cl.conn.(*recordConn)
+		mark := len(rc.read)
+		if err := rt(); err != nil && IsTransient(err) {
+			t.Fatalf("%s: %v", shape, err)
+		}
+		line := rc.read[mark:]
+		if bytes.Count(line, []byte("\n")) != 1 || !cl.codec.fast || !checkDecodeResponse(t, line) {
+			t.Errorf("%s reply left the fast path: %q", shape, line)
+		}
+		var resp wireResponse
+		if err := json.Unmarshal(line, &resp); err != nil || !check(resp) {
+			t.Errorf("%s reply is not of its shape: %s", shape, line)
+		}
+	}
+	first, second := dial(), dial()
+	tc := obs.NewTracer(8).NewContext()
+	do(first, "info", func(r wireResponse) bool { return r.Server == "s1" && len(r.Resources) == 2 }, func() error {
+		_, _, err := first.Info()
+		return err
+	})
+	do(first, "auth", func(r wireResponse) bool { return r.Token != "" && r.Have == 0 }, func() error {
+		return first.Auth(cred(c, "o1", "owner", "traveler"))
+	})
+	for range 2 {
+		do(first, "grant", func(r wireResponse) bool { return r.Proof != nil && len(r.Data) > 0 && r.Have > 0 }, func() error {
+			_, err := first.Access(model.OpRead, "rsw", "", nil)
+			return err
+		})
+	}
+	do(first, "deny", func(r wireResponse) bool { return !r.OK && r.DecisionID != "" && r.Proof == nil }, func() error {
+		_, err := first.Access(model.OpRead, "rsw", "", nil)
+		return err
+	})
+	do(first, "trace echo", func(r wireResponse) bool { return r.Trace == tc.String() && r.HLC != "" }, func() error {
+		_, err := first.AccessTraced(tc, NewRequestID(), model.OpWrite, "f-s1", "", []byte("<p>"))
+		return err
+	})
+	do(first, "unknown program", func(r wireResponse) bool { return r.Error == msgUnknownProgram }, func() error {
+		_, err := first.roundTrip(wireRequest{Type: "access", Token: first.token, Op: "read", Resource: "f-s1",
+			ProgramSHA: strings.Repeat("0", 64)})
+		return err
+	})
+	do(first, "audit", func(r wireResponse) bool { return len(r.Audit) > 0 && r.AuditTotal > 0 }, func() error {
+		_, _, err := first.AuditLog()
+		return err
+	})
+	do(first, "depart", func(r wireResponse) bool { return r.OK && r.Token == "" }, first.Depart)
+	do(second, "auth with an offer", func(r wireResponse) bool { return r.Token != "" && r.Have == 3 && r.Head != "" }, func() error {
+		return second.Auth(cred(c, "o1", "owner", "traveler"))
+	})
+	// After the depart: a cursor mismatch drops the resident log, which
+	// the depart parks for the offer.
+	do(second, "cursor mismatch", func(r wireResponse) bool { return strings.HasPrefix(r.Error, msgCursorMismatch) }, func() error {
+		_, err := second.roundTrip(wireRequest{Type: "access", Token: second.token, Op: "read", Resource: "f-s1",
+			Base: 9, Head: "feed"})
+		return err
+	})
+	do(second, "malformed request", func(r wireResponse) bool {
+		return strings.HasPrefix(r.Error, "malformed request: ") && r.Trace == tc.String()
+	}, func() error {
+		second.mu.Lock()
+		defer second.mu.Unlock()
+		if _, err := fmt.Fprintf(second.conn, `{"type":"access","trace":%q,`+"\n", tc.String()); err != nil {
+			return err
+		}
+		line, err := readLine(second.br, DefaultMaxLineBytes, nil)
+		if err != nil {
+			return err
+		}
+		var resp wireResponse
+		return second.codec.decodeResponse(line, &resp)
+	})
+}
+
 func TestWireFallbackMatchesEncodingJSON(t *testing.T) {
 	for _, tc := range fallbackLines {
 		t.Run(tc.name, func(t *testing.T) {
@@ -277,6 +452,13 @@ func TestWireFallbackMatchesEncodingJSON(t *testing.T) {
 		if !checkDecode(t, line) {
 			t.Fatalf("workload line %d left the fast path", i)
 		}
+	}
+	for _, tc := range replyFallbackLines {
+		t.Run("reply/"+tc.name, func(t *testing.T) {
+			if fast := checkDecodeResponse(t, []byte(tc.line)); fast != tc.fast {
+				t.Fatalf("fast path = %v, want %v", fast, tc.fast)
+			}
+		})
 	}
 }
 
@@ -292,6 +474,28 @@ func TestWireEncodeMatchesEncodingJSON(t *testing.T) {
 	checkEncode(t, wireResponse{OK: true, Data: []byte{0, 1, 2, 250}, Token: "tok", Head: "h",
 		Server: "s1", Resources: []string{"a", ""}, Audit: []string{"x"}, AuditTotal: -1, HLC: "0.1"})
 	checkEncode(t, wireResponse{Resources: []string{}, Data: []byte{}})
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		q := p
+		q.Time = f
+		checkEncode(t, wireResponse{OK: true, Proof: &q})
+		checkEncodeRequest(t, wireRequest{Type: "access", Proofs: []proof.Proof{p, q}})
+	}
+	for _, line := range workloadLines(t) {
+		var req wireRequest
+		if err := json.Unmarshal(line, &req); err != nil {
+			t.Fatal(err)
+		}
+		checkEncodeRequest(t, req)
+	}
+	checkEncodeRequest(t, wireRequest{})
+	c := proof.NewSigner(key).IssueCredential("w<0>", "own\u2028er", []string{"a", "", "\xff"})
+	checkEncodeRequest(t, wireRequest{Type: "auth", Credential: &c})
+	checkEncodeRequest(t, wireRequest{Type: "auth", Credential: &proof.Credential{}})
+	checkEncodeRequest(t, wireRequest{Type: "auth", Credential: &proof.Credential{Roles: []string{}}})
+	checkEncodeRequest(t, wireRequest{Type: "access", Token: "t", Op: "write", Resource: "r&", Program: "read f1 @ s1",
+		ProgramSHA: "ab", Proofs: signedProofs(3), Base: -1, Head: "h", Payload: []byte{0, 255}, ID: "i",
+		Trace: "tr", HLC: "0.1"})
+	checkEncodeRequest(t, wireRequest{Type: "access", Proofs: []proof.Proof{}, Payload: []byte{}})
 }
 
 // Decoding an access whose program is already interned allocates the
@@ -398,33 +602,60 @@ func TestWireReusedBuffersDoNotAlias(t *testing.T) {
 	}
 }
 
-// FuzzWireCodec holds the codec to encoding/json: any line decodes to
-// json.Unmarshal's struct and error, and any reply encodes to
-// json.Marshal's bytes.
+// FuzzWireCodec holds both ends of the codec to encoding/json: any line
+// decodes, as a request and as a reply, to json.Unmarshal's struct and
+// error, and any request and any reply encodes to json.Marshal's bytes,
+// failing exactly when it fails.
 func FuzzWireCodec(f *testing.F) {
 	for _, tc := range fallbackLines {
 		f.Add([]byte(tc.line), "e<rr>", "tok", "f1", []byte("d"), 1.5, 2, true)
 	}
+	for _, tc := range replyFallbackLines {
+		f.Add([]byte(tc.line), "", "t", "", []byte(nil), math.NaN(), 1, true)
+	}
 	for _, line := range workloadLines(f) {
 		f.Add(line, "", "\u2028", "a\xffb", []byte(nil), 1e21, 0, false)
+		var req wireRequest
+		if err := json.Unmarshal(line, &req); err != nil {
+			f.Fatal(err)
+		}
+		resp := wireResponse{OK: true, Data: []byte("content"), Have: len(req.Proofs) + 1, DecisionID: "d-1", HLC: "0.1"}
+		if len(req.Proofs) > 0 {
+			resp.Proof = &req.Proofs[0]
+		}
+		reply, err := appendResponse(nil, &resp)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(reply, "x", "", "", []byte{}, math.Inf(-1), 3, true)
 	}
 	f.Add([]byte(`{"type":"auth","credential":{"object":"o","owner":"u","roles":["r"],"sig":"s"}}`),
 		"&", "\\\"", "\x00", []byte{255}, 1e-7, -5, true)
 	f.Fuzz(func(t *testing.T, line []byte, s1, s2, s3 string, data []byte, tm float64, n int, withProof bool) {
 		checkDecode(t, line)
-		resp := wireResponse{OK: n%2 == 0, Error: s1, Token: s2, Data: data, Have: n, Head: s3,
+		checkDecodeResponse(t, line)
+		var p *proof.Proof
+		if withProof {
+			p = &proof.Proof{Access: model.Access{Object: model.ObjectID(s1), Op: model.Operation(s2),
+				Resource: model.ResourceID(s3), Server: model.ServerID(s2)}, Time: tm, Nonce: s3, Sig: s1}
+		}
+		resp := wireResponse{OK: n%2 == 0, Error: s1, Token: s2, Data: data, Proof: p, Have: n, Head: s3,
 			Server: s1, AuditTotal: -n, Trace: s2, DecisionID: s3, HLC: s1}
+		req := wireRequest{Type: s1, Token: s2, Op: s3, Resource: s1, Program: s2, ProgramSHA: s3,
+			Base: -n, Head: s1, Payload: data, ID: s2, Trace: s3, HLC: s1}
 		if s3 != "" {
 			resp.Resources = strings.Split(s3, ",")
+			req.Credential = &proof.Credential{Object: model.ObjectID(s1), Owner: s2, Roles: resp.Resources, Sig: s3}
 		}
 		if s1 != "" {
 			resp.Audit = strings.Split(s1, "\n")
 		}
-		if withProof {
-			resp.Proof = &proof.Proof{Access: model.Access{Object: model.ObjectID(s1), Op: model.Operation(s2),
-				Resource: model.ResourceID(s3), Server: model.ServerID(s2)}, Time: tm, Nonce: s3, Sig: s1}
+		if p != nil {
+			req.Proofs = []proof.Proof{*p, *p}
+			req.Proofs[n&1].Time = 1
 		}
 		checkEncode(t, resp)
+		checkEncodeRequest(t, req)
 	})
 }
 
@@ -457,6 +688,38 @@ func BenchmarkWireAccess(b *testing.B) {
 	access()
 	b.ReportAllocs()
 	b.SetBytes(int64(len(line)))
+	b.ResetTimer()
+	for range b.N {
+		access()
+	}
+}
+
+// BenchmarkClientWireAccess is the Client codec's share of one access
+// round trip: encoding a roam-shaped cursor request and decoding the
+// grant reply with its proof.
+func BenchmarkClientWireAccess(b *testing.B) {
+	ps := signedProofs(2)
+	req := wireRequest{Type: "access", Token: NewRequestID(), Op: "read", Resource: "f1",
+		Base: 1, Head: ps[0].Sig, ID: NewRequestID(), HLC: "0000018f00000000.1"}
+	reply, err := appendResponse(nil, &wireResponse{OK: true, Data: []byte("content of f1"), Proof: &ps[1],
+		Have: 2, DecisionID: "d-0123456789abcdef", HLC: "0000018f00000000.2"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var c wireCodec
+	access := func() {
+		var err error
+		if c.out, err = appendRequest(c.out[:0], &req); err != nil {
+			b.Fatal(err)
+		}
+		var resp wireResponse
+		if err := c.decodeResponse(reply, &resp); err != nil || !c.fast {
+			b.Fatalf("decode: fast %v, %v", c.fast, err)
+		}
+	}
+	access()
+	b.ReportAllocs()
+	b.SetBytes(int64(len(reply)))
 	b.ResetTimer()
 	for range b.N {
 		access()

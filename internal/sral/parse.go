@@ -89,8 +89,16 @@ type token struct {
 	pos  int
 }
 
+// presizedTokens caps the tokens lex allocates for up front, so that a
+// large source of whitespace or comments, which may arrive over the
+// wire, does not buy a slice it never fills.
+const presizedTokens = 8192
+
 func lex(src string) ([]token, error) {
-	var toks []token
+	// A program as sral.String prints it spends about three bytes per
+	// token, so half a token per byte holds it in one allocation; a
+	// denser or larger source regrows the slice as append does.
+	toks := make([]token, 0, min(len(src)/2, presizedTokens)+1)
 	i := 0
 	for i < len(src) {
 		c := src[i]
@@ -136,7 +144,7 @@ func lex(src string) ([]token, error) {
 			}
 			switch c {
 			case ';', '{', '}', '(', ')', '?', '!', '@', '+', '-', '*', '/', '<', '>':
-				toks = append(toks, token{tokPunct, string(c), i})
+				toks = append(toks, token{tokPunct, src[i : i+1], i})
 				i++
 			default:
 				return nil, fmt.Errorf("sral: illegal character %q at offset %d", c, i)
