@@ -64,8 +64,11 @@ go test -race -count=5 -run 'TestJournal|TestWatch|TestFleetTourTopAndWatch|Test
 go test -race -count=5 -run 'TestTCP|TestHostile|TestResident|TestConnectionWorker|TestDaemonCloseDrainsIdleWorkers|TestClientRepliesTakeFastPath|TestWireClientRequestsTakeFastPath|TestWireReusedBuffersDoNotAlias' ./internal/server
 # Repeated race probe of declared programs: clients on two daemons
 # intern one program in the coalition's cache at once, and concurrent
-# decisions of one object share one memoised static check.
-go test -race -count=10 -run 'TestTCPProgramInterned|TestStaticMemoConcurrentDecisions' ./internal/server ./internal/core
+# decisions of one object share one memoised static check. The program
+# cache, the static memo and the dedup window are one obs.Window type
+# under three different locks, so the probe includes the window's own
+# tests and each cache's bound.
+go test -race -count=10 -run 'TestTCPProgramInterned|TestStaticMemoConcurrentDecisions|TestWindow|TestDedupRingEviction|TestProgramCacheBounded|TestStaticMemoBounded' ./internal/server ./internal/core ./internal/obs
 # The repository benchmark is its own module (stac/bench, replacing stac
 # with this tree), so ./... above never reaches it. It drives the
 # engine and srac APIs directly, so vet and test it here, or an API

@@ -101,13 +101,10 @@ type specMonitor struct {
 	c    srac.Constraint
 	m    *srac.Monitor
 
-	// memo holds check(P, C) per (program, object) pairing; ring holds
-	// its keys in insertion order, up to staticMemoSize, and next is the
-	// slot the next insertion evicts once it is full.
+	// memo holds check(P, C) per (program, object) pairing; it is nil
+	// until the definition's first declared program.
 	memoMu sync.Mutex
-	memo   map[staticKey]*staticEntry
-	ring   []staticKey
-	next   int
+	memo   *obs.Window[staticKey, *staticEntry]
 }
 
 // staticMemoSize bounds the static-check verdicts one permission
@@ -174,21 +171,14 @@ func (sm *specMonitor) static(prog sral.Node, digest string, obj model.ObjectID)
 func (sm *specMonitor) entry(k staticKey) *staticEntry {
 	sm.memoMu.Lock()
 	defer sm.memoMu.Unlock()
-	if e, ok := sm.memo[k]; ok {
+	if sm.memo == nil {
+		sm.memo = obs.NewWindow[staticKey, *staticEntry](staticMemoSize)
+	}
+	if e, ok := sm.memo.Get(k); ok {
 		return e
 	}
-	if sm.memo == nil {
-		sm.memo = make(map[staticKey]*staticEntry)
-	}
-	if len(sm.ring) < staticMemoSize {
-		sm.ring = append(sm.ring, k)
-	} else {
-		delete(sm.memo, sm.ring[sm.next])
-		sm.ring[sm.next] = k
-		sm.next = (sm.next + 1) % staticMemoSize
-	}
 	e := &staticEntry{}
-	sm.memo[k] = e
+	sm.memo.Add(k, e)
 	return e
 }
 

@@ -318,7 +318,7 @@ func TestStaticMemoBounded(t *testing.T) {
 	obj := func(i int) model.ObjectID { return model.ObjectID(fmt.Sprintf("o%d", i)) }
 	for i := range 2 * staticMemoSize {
 		sm.static(twoReads, "d", obj(i))
-		if n := len(sm.memo); n > staticMemoSize {
+		if n := sm.memo.Len(); n > staticMemoSize {
 			t.Fatalf("after %d pairings the memo holds %d, bound %d", i+1, n, staticMemoSize)
 		}
 	}
@@ -350,7 +350,7 @@ func BenchmarkStaticVerdictMemo(b *testing.B) {
 		for range b.N {
 			b.StopTimer()
 			mon.memoMu.Lock()
-			mon.memo, mon.ring, mon.next = nil, nil, 0
+			mon.memo = nil
 			mon.memoMu.Unlock()
 			b.StartTimer()
 			e.Authorize(req)

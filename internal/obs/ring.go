@@ -4,8 +4,8 @@ package obs
 // evicts the oldest item. Items are numbered by append order from 1,
 // so the retained window is always the consecutive sequence range
 // [Total-Len+1, Total]. Ring is the one buffer under the span store,
-// the time series and the flight recorder (the coalition decision
-// log). It is not synchronised: its owner holds its own lock around
+// the time series, the flight recorder (the coalition decision log)
+// and Window. It is not synchronised: its owner holds its own lock around
 // every call.
 type Ring[T any] struct {
 	buf   []T
@@ -82,6 +82,15 @@ func (r *Ring[T]) Each(fn func(T) bool) {
 	}
 }
 
+// First returns the oldest retained item, if any.
+func (r *Ring[T]) First() (T, bool) {
+	if len(r.buf) == 0 {
+		var zero T
+		return zero, false
+	}
+	return r.buf[r.next], true
+}
+
 // Last returns the most recently appended item, if any.
 func (r *Ring[T]) Last() (T, bool) {
 	n := len(r.buf)
@@ -115,3 +124,55 @@ func (r *Ring[T]) appendRange(dst []T, from, to int) []T {
 	dst = append(dst, r.buf[a:]...)
 	return append(dst, r.buf[:b-n]...)
 }
+
+// Window is a map bounded to the keys of its last capacity Adds: an Add
+// beyond that evicts the key added capacity Adds before it, unless the
+// key was deleted or added again since. Like Ring it is not
+// synchronised.
+type Window[K comparable, V any] struct {
+	m    map[K]windowEntry[V]
+	keys *Ring[K] // the keys of the last capacity Adds, in Add order
+}
+
+// windowEntry is a value and the sequence number keys gave the Add
+// that stored it, so an older position of its key evicts nothing.
+type windowEntry[V any] struct {
+	v   V
+	seq uint64
+}
+
+// NewWindow creates a window of the given capacity, which must be
+// positive.
+func NewWindow[K comparable, V any](capacity int) *Window[K, V] {
+	return &Window[K, V]{m: make(map[K]windowEntry[V]), keys: NewRing[K](capacity)}
+}
+
+// Get returns k's value.
+func (w *Window[K, V]) Get(k K) (V, bool) {
+	e, ok := w.m[k]
+	return e.v, ok
+}
+
+// Add stores v under k as the newest key, replacing any value k had,
+// and returns the value it evicted to keep the bound, if any.
+func (w *Window[K, V]) Add(k K, v V) (evicted V, ok bool) {
+	if w.keys.Len() == w.keys.Cap() {
+		old, _ := w.keys.First()
+		if e, in := w.m[old]; in && e.seq == w.keys.Total()-uint64(w.keys.Cap())+1 {
+			delete(w.m, old)
+			evicted, ok = e.v, true
+		}
+	}
+	w.m[k] = windowEntry[V]{v: v, seq: w.keys.Append(k)}
+	return evicted, ok
+}
+
+// Delete removes k and returns the value it had.
+func (w *Window[K, V]) Delete(k K) (V, bool) {
+	e, ok := w.m[k]
+	delete(w.m, k)
+	return e.v, ok
+}
+
+// Len returns the number of keys held.
+func (w *Window[K, V]) Len() int { return len(w.m) }

@@ -16,10 +16,8 @@ const handoffCapacity = 64
 // parkedLog is a departed session's verified carried history, waiting
 // for the object's next arrival at any member daemon of the coalition.
 type parkedLog struct {
-	obj  model.ObjectID
 	log  *proof.Store
 	sigs map[string]struct{}
-	slot int // its index in handoff.ring
 }
 
 // handoff carries verified histories across hops: a departing session
@@ -31,16 +29,12 @@ type parkedLog struct {
 // parks and takes at different daemons leave it at the current total.
 type handoff struct {
 	mu     sync.Mutex
-	parked map[model.ObjectID]*parkedLog
-	// ring holds the parked logs in parking order; next is the slot the
-	// next park evicts. A slot is nil once its log is taken or replaced.
-	ring   [handoffCapacity]*parkedLog
-	next   int
+	parked *obs.Window[model.ObjectID, parkedLog]
 	proofs int64 // the parked logs' total length
 }
 
 func newHandoff() *handoff {
-	return &handoff{parked: make(map[model.ObjectID]*parkedLog, handoffCapacity)}
+	return &handoff{parked: obs.NewWindow[model.ObjectID, parkedLog](handoffCapacity)}
 }
 
 // park leaves obj's verified log for its next arrival and sets g to the
@@ -48,12 +42,12 @@ func newHandoff() *handoff {
 func (h *handoff) park(obj model.ObjectID, log *proof.Store, sigs map[string]struct{}, g *obs.Gauge) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.remove(h.parked[obj])
-	h.remove(h.ring[h.next])
-	p := &parkedLog{obj: obj, log: log, sigs: sigs, slot: h.next}
-	h.ring[h.next] = p
-	h.next = (h.next + 1) % handoffCapacity
-	h.parked[obj] = p
+	if p, ok := h.parked.Delete(obj); ok {
+		h.proofs -= int64(p.log.Len())
+	}
+	if p, ok := h.parked.Add(obj, parkedLog{log: log, sigs: sigs}); ok {
+		h.proofs -= int64(p.log.Len())
+	}
 	h.proofs += int64(log.Len())
 	g.Set(h.proofs)
 }
@@ -63,21 +57,11 @@ func (h *handoff) park(obj model.ObjectID, log *proof.Store, sigs map[string]str
 func (h *handoff) take(obj model.ObjectID, g *obs.Gauge) (*proof.Store, map[string]struct{}) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	p := h.parked[obj]
-	if p == nil {
+	p, ok := h.parked.Delete(obj)
+	if !ok {
 		return nil, nil
 	}
-	h.remove(p)
+	h.proofs -= int64(p.log.Len())
 	g.Set(h.proofs)
 	return p.log, p.sigs
-}
-
-// remove unparks p; nil is a no-op. The caller holds h.mu.
-func (h *handoff) remove(p *parkedLog) {
-	if p == nil {
-		return
-	}
-	delete(h.parked, p.obj)
-	h.ring[p.slot] = nil
-	h.proofs -= int64(p.log.Len())
 }

@@ -441,7 +441,7 @@ func TestHandoffBoundedUnderChurn(t *testing.T) {
 	parked := func() int {
 		c.handoff.mu.Lock()
 		defer c.handoff.mu.Unlock()
-		return len(c.handoff.parked)
+		return c.handoff.parked.Len()
 	}
 	rc := dialRaw(t, addrs["s1"])
 	for i := 1; i <= objects; i++ {
@@ -469,5 +469,46 @@ func TestHandoffBoundedUnderChurn(t *testing.T) {
 	}
 	if n, h := parked(), handoffGauge(reg); n != 0 || h != 0 {
 		t.Fatalf("after taking every log: %d parked, gauge %d; want 0", n, h)
+	}
+}
+
+// TestHandoffReparkedLogSurvivesItsFirstSlot parks an object's log,
+// takes it on the object's next arrival and parks it again on the
+// object's next departure. The handoff's first slot of the object is
+// overwritten by the parks that follow, which must not evict the log
+// parked second: it survives the next handoffCapacity-1 parks.
+func TestHandoffReparkedLogSurvivesItsFirstSlot(t *testing.T) {
+	const objects = handoffCapacity
+	c, reg, addrs := handoffCoalition(t, objects)
+	rc := dialRaw(t, addrs["s1"])
+	depart := func(tok string) {
+		t.Helper()
+		if resp := rc.send(wireRequest{Type: "depart", Token: tok}); !resp.OK {
+			t.Fatal(resp.Error)
+		}
+	}
+	tok := rc.auth(cred(c, "o1", "owner", "traveler"))
+	if resp := rc.access(tok, "f-s1", 0, "", nil); !resp.OK {
+		t.Fatal(resp.Error)
+	}
+	depart(tok)
+	if resp := rc.send(wireRequest{Type: "auth", Credential: ptr(cred(c, "o1", "owner", "traveler"))}); resp.Have != 1 {
+		t.Fatalf("o1's return offered have %d, want its parked log of 1", resp.Have)
+	} else {
+		depart(resp.Token)
+	}
+	for i := 2; i <= objects; i++ {
+		tok := rc.auth(cred(c, fmt.Sprintf("o%d", i), "owner", "traveler"))
+		if resp := rc.access(tok, "f-s1", 0, "", nil); !resp.OK {
+			t.Fatal(resp.Error)
+		}
+		depart(tok)
+	}
+	if h := handoffGauge(reg); h != objects {
+		t.Fatalf("parked %d proofs, want %d", h, objects)
+	}
+	resp := dialRaw(t, addrs["s2"]).send(wireRequest{Type: "auth", Credential: ptr(cred(c, "o1", "owner", "traveler"))})
+	if resp.Have != 1 {
+		t.Fatalf("after %d more parks o1 was offered have %d, want its re-parked log of 1", objects-1, resp.Have)
 	}
 }

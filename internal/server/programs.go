@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"stac/internal/core"
+	"stac/internal/obs"
 	"stac/internal/sral"
 )
 
@@ -49,23 +50,18 @@ type internedProgram struct {
 // with the same error, every time it is sent.
 type programCache struct {
 	mu      sync.Mutex
-	entries map[programSHA]*internedProgram
-	// ring holds the cached keys in insertion order; next is the slot
-	// the next insertion evicts.
-	ring [programCacheSize]programSHA
-	next int
+	entries *obs.Window[programSHA, *internedProgram]
 }
 
 func newProgramCache() *programCache {
-	return &programCache{entries: make(map[programSHA]*internedProgram, programCacheSize)}
+	return &programCache{entries: obs.NewWindow[programSHA, *internedProgram](programCacheSize)}
 }
 
 // lookup returns the cached program whose source hashes to k.
 func (c *programCache) lookup(k programSHA) (*internedProgram, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p, ok := c.entries[k]
-	return p, ok
+	return c.entries.Get(k)
 }
 
 // intern returns the parsed program for src, parsing and digesting it
@@ -83,15 +79,10 @@ func (c *programCache) intern(src []byte) (*internedProgram, error) {
 	p := &internedProgram{node: node, digest: core.ProgramDigest(node)}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if q, ok := c.entries[k]; ok {
+	if q, ok := c.entries.Get(k); ok {
 		return q, nil // a concurrent request interned it first
 	}
-	if len(c.entries) == programCacheSize {
-		delete(c.entries, c.ring[c.next])
-	}
-	c.ring[c.next] = k
-	c.next = (c.next + 1) % programCacheSize
-	c.entries[k] = p
+	c.entries.Add(k, p)
 	return p, nil
 }
 

@@ -51,7 +51,7 @@ func TestProgramCacheRejectsMalformedEveryTime(t *testing.T) {
 			t.Fatalf("attempt %d: %v, want %v", i, err, want)
 		}
 	}
-	if n := len(c.entries); n != 0 {
+	if n := c.entries.Len(); n != 0 {
 		t.Fatalf("%d malformed programs cached", n)
 	}
 }
@@ -66,14 +66,14 @@ func TestProgramCacheBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		last = p
-		if n := len(c.entries); n > programCacheSize {
+		if n := c.entries.Len(); n > programCacheSize {
 			t.Fatalf("after %d programs the cache holds %d, bound %d", i+1, n, programCacheSize)
 		}
 	}
 	if p, _ := c.intern([]byte(src(3*programCacheSize - 1))); p != last {
 		t.Fatal("the newest program was evicted")
 	}
-	if _, ok := c.entries[sha256.Sum256([]byte(src(0)))]; ok {
+	if _, ok := c.entries.Get(sha256.Sum256([]byte(src(0)))); ok {
 		t.Fatal("the oldest program survived eviction")
 	}
 }
@@ -118,7 +118,7 @@ func TestTCPProgramInterned(t *testing.T) {
 		return
 	}
 
-	if n := len(c.programs.entries); n != 1 {
+	if n := c.programs.entries.Len(); n != 1 {
 		t.Fatalf("coalition interned %d programs, want 1", n)
 	}
 	parsed, err := sral.Parse(src)
@@ -177,7 +177,7 @@ func decideRecords(c *Coalition) int {
 func dedupHolds(d *Daemon, obj model.ObjectID, id string) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	_, ok := d.seen[dedupKey{obj: obj, id: id}]
+	_, ok := d.seen.Get(dedupKey{obj: obj, id: id})
 	return ok
 }
 

@@ -143,7 +143,7 @@ func (d *Daemon) Stats() DaemonStats {
 		MaxConns:     d.cfg.MaxConns,
 		Draining:     d.closed,
 		Subjects:     len(d.subjects),
-		DedupEntries: len(d.seen),
+		DedupEntries: d.seen.Len(),
 	}
 	st.Saturated = st.MaxConns > 0 && st.Inflight >= st.MaxConns
 	return st

@@ -64,9 +64,9 @@ import (
 // which the daemon computes itself from the text it receives. After an
 // access of the connection has carried a program's text, the client
 // names it by that digest alone, in program_sha. A digest the
-// Coalition does not hold (its cache keeps 64 programs, oldest out
-// first) is answered with an "unknown program" error before anything
-// is decided, like a cursor mismatch, and the client resends the text.
+// Coalition does not hold (its obs.Window keeps the last 64 programs)
+// is answered with an "unknown program" error before anything is
+// decided, like a cursor mismatch, and the client resends the text.
 //
 // Within the paper's trust model coalition devices present their
 // complete history (Section 2 assumes cooperative, trustworthy
@@ -160,8 +160,8 @@ type wireResponse struct {
 const (
 	// DefaultMaxLineBytes caps one JSON-lines message.
 	DefaultMaxLineBytes = 16 << 20
-	// dedupWindow is how many access responses the daemon retains
-	// for idempotent retries, oldest out first.
+	// dedupWindow is the capacity of the obs.Window of access
+	// responses the daemon keeps for idempotent retries.
 	dedupWindow = 1024
 )
 
@@ -307,12 +307,8 @@ type Daemon struct {
 	closed     bool
 	wg         sync.WaitGroup
 	// seen holds the last dedupWindow access responses for idempotent
-	// retry (see wireRequest.ID); seenRing holds their keys in
-	// insertion order, and seenNext is the slot the next insertion
-	// evicts.
-	seen     map[dedupKey]wireResponse
-	seenRing [dedupWindow]dedupKey
-	seenNext int
+	// retry (see wireRequest.ID).
+	seen *obs.Window[dedupKey, wireResponse]
 	// onStages, when set (tests only, before serving), sees each
 	// access request's closed ledger.
 	onStages func(*obs.StageLedger)
@@ -371,7 +367,7 @@ func NewDaemonWith(s *Server, cfg DaemonConfig) *Daemon {
 		idle:     make(chan net.Conn),
 		subjects: make(map[string]*session),
 		conns:    make(map[net.Conn]struct{}),
-		seen:     make(map[dedupKey]wireResponse),
+		seen:     obs.NewWindow[dedupKey, wireResponse](dedupWindow),
 	}
 	if cfg.MaxConns > 0 {
 		d.sem = make(chan struct{}, cfg.MaxConns)
@@ -626,20 +622,7 @@ func extractTrace(line []byte) string {
 	if j < 0 {
 		return ""
 	}
-	tc, ok := obs.ParseTraceContext(string(rest[:j]))
-	if !ok {
-		return ""
-	}
-	return tc.String()
-}
-
-// extractTraceString canonicalises a trace-context wire string (""
-// when invalid).
-func extractTraceString(s string) string {
-	tc, ok := obs.ParseTraceContext(s)
-	if !ok {
-		return ""
-	}
+	tc, _ := obs.ParseTraceContext(string(rest[:j]))
 	return tc.String()
 }
 
@@ -648,8 +631,7 @@ func extractTraceString(s string) string {
 func (d *Daemon) cached(key dedupKey) (wireResponse, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	resp, ok := d.seen[key]
-	return resp, ok
+	return d.seen.Get(key)
 }
 
 // record retains an access response for idempotent retry, evicting
@@ -657,13 +639,9 @@ func (d *Daemon) cached(key dedupKey) (wireResponse, bool) {
 func (d *Daemon) record(key dedupKey, resp wireResponse) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, ok := d.seen[key]; ok {
-		return
+	if _, ok := d.seen.Get(key); !ok {
+		d.seen.Add(key, resp)
 	}
-	delete(d.seen, d.seenRing[d.seenNext])
-	d.seenRing[d.seenNext] = key
-	d.seenNext = (d.seenNext + 1) % dedupWindow
-	d.seen[key] = resp
 }
 
 // handle serves one decoded request; program is its declared program's
@@ -749,6 +727,8 @@ func (d *Daemon) access(s *session, req *wireRequest, program []byte, led *obs.S
 			d.srv.coalition.Engine.HLC().Observe(ts)
 		}
 	}
+	tc, _ := obs.ParseTraceContext(req.Trace)
+	echo := tc.String()
 	var key dedupKey
 	if req.ID != "" {
 		key = dedupKey{obj: s.sub.Object, id: req.ID}
@@ -758,14 +738,9 @@ func (d *Daemon) access(s *session, req *wireRequest, program []byte, led *obs.S
 			// ID stays — it names the verdict being replayed). The
 			// caller sets Have from THIS token's log: the recorded
 			// reply may come from an earlier token of the object.
-			resp.Trace = extractTraceString(req.Trace)
+			resp.Trace = echo
 			return resp
 		}
-	}
-	tc, _ := obs.ParseTraceContext(req.Trace)
-	echo := ""
-	if tc.Valid() {
-		echo = tc.String()
 	}
 	tracer := d.srv.coalition.Engine.Tracer()
 	ctx := RequestContext{Payload: req.Payload, Trace: tc, Stages: led}
@@ -1023,9 +998,10 @@ type Client struct {
 		have int
 		head string
 	}
-	// programs maps each program text this connection has carried to
-	// the daemon to its hex sha256, which later accesses send instead.
-	programs map[string]string
+	// programs maps the last programCacheSize program texts this
+	// connection carried to the daemon to their hex sha256, which later
+	// accesses send instead.
+	programs *obs.Window[string, string]
 }
 
 // Dial connects to a coalition daemon with default settings.
@@ -1051,7 +1027,7 @@ func DialConfig(addr string, cfg ClientConfig) (*Client, error) {
 // fault-injected or otherwise non-TCP) as a protocol client.
 func NewClient(conn net.Conn, cfg ClientConfig) *Client {
 	return &Client{conn: conn, cfg: cfg, br: bufio.NewReader(conn), seen: make(map[string]struct{}),
-		programs: make(map[string]string)}
+		programs: obs.NewWindow[string, string](programCacheSize)}
 }
 
 // addProof records a proof unless an identical copy (same signature)
@@ -1216,7 +1192,7 @@ func (c *Client) AccessTraced(tc obs.TraceContext, id string, op model.Operation
 func (c *Client) access(req wireRequest, full, text bool) (wireResponse, error) {
 	c.mu.Lock()
 	program := req.Program
-	if sha, ok := c.programs[program]; ok && !text {
+	if sha, ok := c.programs.Get(program); ok && !text {
 		req.Program, req.ProgramSHA = "", sha
 	}
 	req.Token = c.token
@@ -1257,12 +1233,9 @@ func (c *Client) access(req wireRequest, full, text bool) (wireResponse, error) 
 	if req.Program != "" && !IsTransient(err) && !strings.HasPrefix(resp.Error, msgBadProgram) {
 		// The daemon holds the text now, unless it went out of its
 		// cache, which an unknown program answer reports.
-		if _, ok := c.programs[program]; !ok {
-			if len(c.programs) == programCacheSize {
-				clear(c.programs)
-			}
+		if _, ok := c.programs.Get(program); !ok {
 			sum := sha256.Sum256([]byte(program))
-			c.programs[program] = hex.EncodeToString(sum[:])
+			c.programs.Add(program, hex.EncodeToString(sum[:]))
 		}
 	}
 	if IsTransient(err) {

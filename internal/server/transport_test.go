@@ -279,7 +279,7 @@ func TestDedupRingEviction(t *testing.T) {
 		access(i)
 	}
 	d.mu.Lock()
-	retained := len(d.seen)
+	retained := d.seen.Len()
 	d.mu.Unlock()
 	if retained != dedupWindow {
 		t.Fatalf("dedup cache retained %d entries, want the window of %d", retained, dedupWindow)

@@ -585,7 +585,7 @@ func TestWireReusedBuffersDoNotAlias(t *testing.T) {
 	}
 	grants := 0
 	for _, id := range ids {
-		resp, ok := d.seen[dedupKey{obj: "o1", id: id}]
+		resp, ok := d.seen.Get(dedupKey{obj: "o1", id: id})
 		if !ok {
 			t.Fatalf("reply %s not cached", id)
 		}
