@@ -33,8 +33,11 @@ go test -race ./...
 # log moves between two daemons' goroutines, and one -race pass samples
 # that interleaving only once. The monitor states ride on that log, so
 # the probe includes the monitor tour against replay and the engine's
-# flat-in-history check of the kept states.
+# flat-in-history check of the kept states. The log is a proof.Store,
+# whose signature index concurrent carries and grants write and read
+# under the store's lock, so the probe includes the store's own tests.
 go test -race -count=10 -run 'TestResident|TestHandoff|TestResidentMonitorTourMatchesReplay|TestPrefixEvalFlatInHistory' ./internal/server ./internal/core
+go test -race -count=10 -run TestStore ./internal/proof
 # Repeated race probe of the stage ledger: connection goroutines write
 # each access's ledger while scrapes read the exemplars' stage vectors
 # and the stage family, and a sampled context's span tree is rendered

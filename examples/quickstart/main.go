@@ -73,7 +73,7 @@ assign courier-1 courier
 	// 6. The agent carries verifiable execution proofs of everything
 	// it did — the history other servers use for coordination.
 	fmt.Printf("\ncollected %d execution proofs:\n", ag.Proofs.Len())
-	for _, p := range ag.Proofs.All() {
+	for _, p := range ag.Proofs.View() {
 		fmt.Printf("  t=%-4.0f %s\n", p.Time, p.Access)
 	}
 

@@ -237,7 +237,7 @@ func TestIntegrationTransportInterop(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	cl.ImportProofs(store.All())
+	cl.ImportProofs(store.View())
 	if err := cl.Auth(cred); err != nil {
 		t.Fatal(err)
 	}

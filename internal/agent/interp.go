@@ -126,11 +126,10 @@ func (b *branch) leave() {
 func (b *branch) access(x sral.Prim) error {
 	ag := b.agent
 	ag.accessMu.Lock()
-	n := ag.Proofs.Len()
 	data, pr, err := b.site.access(x)
-	// An in-process server issues straight into the agent's store;
-	// every other proof is added here, once.
-	if err == nil && ag.Proofs.Len() == n {
+	// An in-process server issues straight into the agent's store, which
+	// then holds the proof already; every other proof is added here.
+	if err == nil {
 		if aerr := ag.Proofs.Add(pr); aerr != nil {
 			err = fmt.Errorf("proof rejected: %w", aerr)
 		}

@@ -63,7 +63,7 @@ func TestRemoteRuntimeSurvivesConnectionResets(t *testing.T) {
 	if ag.Proofs.Len() != 3 {
 		t.Fatalf("proofs = %d (stats %+v)", ag.Proofs.Len(), in.Stats())
 	}
-	for _, p := range ag.Proofs.All() {
+	for _, p := range ag.Proofs.View() {
 		if err := c.Signer.Verify(p); err != nil {
 			t.Fatal(err)
 		}

@@ -45,7 +45,7 @@ func TestRemoteRuntimeRoams(t *testing.T) {
 		t.Fatalf("visited = %v", got)
 	}
 	// Every carried proof verifies under the coalition key.
-	for _, p := range ag.Proofs.All() {
+	for _, p := range ag.Proofs.View() {
 		if err := c.Signer.Verify(p); err != nil {
 			t.Fatal(err)
 		}

@@ -102,7 +102,7 @@ assign o1 worker
 	// Timestamp inversion check: the dep proof (s1, skew +skew) should
 	// carry a LATER stamp than the mod proof (s2, skew -skew) whenever
 	// skew > 0 — yet the causal order must still win above.
-	ps := store.All()
+	ps := store.View()
 	inverted := len(ps) == 2 && ps[0].Time > ps[1].Time
 
 	// Budget exactness: 100s of *accumulated activity* (the permission

@@ -159,16 +159,3 @@ func (h *Histogram) SlowestExemplars(n int) []Exemplar {
 	}
 	return out
 }
-
-// HistogramExemplars returns the exemplars of histogram name{labels},
-// or nil.
-func (r *Registry) HistogramExemplars(name, labels string) []Exemplar {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if f, ok := r.families[name]; ok && f.kind == kindHistogram {
-		if h, ok := f.children[labels].(*Histogram); ok {
-			return h.Exemplars()
-		}
-	}
-	return nil
-}

@@ -20,7 +20,6 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash"
@@ -40,8 +39,8 @@ type Proof struct {
 	Access model.Access `json:"access"`
 	Time   float64      `json:"time"`
 	// Nonce makes every issued proof unique, so that two identical
-	// accesses at the same timestamp remain two distinct events (the
-	// ledger deduplicates carried copies by signature).
+	// accesses at the same timestamp remain two distinct events (a
+	// Store collapses copies of one proof by signature).
 	Nonce string `json:"nonce"`
 	// Sig is the hex HMAC-SHA-256 over the proof body under the
 	// coalition key.
@@ -191,16 +190,23 @@ func unhex(c byte) (byte, bool) {
 // the coordination the paper's model is about. The store also keeps
 // the SRAC monitor states that follow its history (see Peek), so they
 // move, park and drop with it.
+//
+// A proof is one event, named by its signature (the nonce keeps two
+// equal accesses apart), and the store holds each event once: a copy of
+// a held proof collapses into it, so a replayed proof never
+// double-counts toward a counting constraint. The store only grows.
 type Store struct {
 	mu     sync.RWMutex
 	signer *Signer
 	proofs []Proof
+	// sigs maps each held signature to its proof's place in proofs.
+	sigs map[string]int
 	// hist mirrors the proofs' access tuples in an append-only log, so
 	// Trace hands out zero-copy views instead of cloning the history
 	// on every decision (the E12/E13 deep-copy tax).
 	hist *trace.Log
-	// byAccess indexes proofs by exact access tuple.
-	byAccess map[model.Access][]int
+	// byAccess holds the proofs' exact access tuples.
+	byAccess map[model.Access]struct{}
 	// mons are the monitor states kept on hist (see Peek), oldest
 	// first, at most maxMonitors.
 	mons []monitorState
@@ -224,11 +230,16 @@ const maxMonitors = 16
 // verified against signer; a nil signer disables verification (used
 // for hypothetical traces in tests and workloads).
 func NewStore(signer *Signer) *Store {
-	return &Store{signer: signer, hist: trace.NewLog(0), byAccess: make(map[model.Access][]int)}
+	return &Store{signer: signer, sigs: make(map[string]int), hist: trace.NewLog(0), byAccess: make(map[model.Access]struct{})}
 }
 
-// Add verifies and records a proof.
+// Add verifies and records a proof. A copy of a held proof (one whose
+// signature the store holds) is dropped before it is verified: Add
+// returns nil and appends nothing.
 func (st *Store) Add(p Proof) error {
+	if _, held := st.index(p.Sig); held {
+		return nil
+	}
 	if st.signer != nil {
 		if err := st.signer.Verify(p); err != nil {
 			return err
@@ -240,10 +251,14 @@ func (st *Store) Add(p Proof) error {
 
 // AddIssued records a proof issuer has just signed. A store that
 // verifies with issuer itself checks the proof's structure but not its
-// signature again; any other store verifies it as Add does.
+// signature again; any other store verifies it as Add does. A copy of
+// a held proof is dropped as Add drops it.
 func (st *Store) AddIssued(p Proof, issuer *Signer) error {
 	if st.signer == nil || st.signer != issuer {
 		return st.Add(p)
+	}
+	if _, held := st.index(p.Sig); held {
+		return nil
 	}
 	if err := p.validate(); err != nil {
 		return err
@@ -252,12 +267,33 @@ func (st *Store) AddIssued(p Proof, issuer *Signer) error {
 	return nil
 }
 
+// add appends p unless a concurrent add of the same proof got there
+// first.
 func (st *Store) add(p Proof) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.byAccess[p.Access] = append(st.byAccess[p.Access], len(st.proofs))
+	if p.Sig != "" {
+		if _, dup := st.sigs[p.Sig]; dup {
+			return
+		}
+		st.sigs[p.Sig] = len(st.proofs)
+	}
+	st.byAccess[p.Access] = struct{}{}
 	st.proofs = append(st.proofs, p)
 	st.hist.Append(p.Access)
+}
+
+// index returns the place of the held proof signed sig. An unsigned
+// proof, which only a store that verifies nothing takes, names no
+// event, and no copy of it is ever found.
+func (st *Store) index(sig string) (i int, held bool) {
+	if sig == "" {
+		return 0, false
+	}
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	i, held = st.sigs[sig]
+	return i, held
 }
 
 // Proven reports whether an execution proof exists for an access
@@ -278,28 +314,6 @@ func (st *Store) Proven(a model.Access) bool {
 	return false
 }
 
-// CountMatching returns the number of proofs selected by sel.
-func (st *Store) CountMatching(sel model.Selector) int {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	n := 0
-	for _, p := range st.proofs {
-		if sel.SelectAccess(p.Access) {
-			n++
-		}
-	}
-	return n
-}
-
-// All returns the proofs in issue order.
-func (st *Store) All() []Proof {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	out := make([]Proof, len(st.proofs))
-	copy(out, st.proofs)
-	return out
-}
-
 // Len returns the number of stored proofs.
 func (st *Store) Len() int {
 	st.mu.RLock()
@@ -315,9 +329,9 @@ func (st *Store) Len() int {
 // granted. It is deliberately NOT sorted by proof timestamps, because
 // coalition servers share no global clock (Section 4) — cross-server
 // timestamps may be skewed and would scramble the causal order an
-// ordering constraint (a1 ⊗ a2) depends on. TraceByTime gives the
-// timestamp ordering for callers that need it (e.g. merging histories
-// of different objects, where no causal order exists).
+// ordering constraint (a1 ⊗ a2) depends on. MergedTrace orders by
+// timestamp, for histories of different objects, where no causal order
+// exists.
 //
 // The result is a ZERO-COPY view of the store's append-only history
 // log: taking it costs O(1) regardless of history length, it never
@@ -336,8 +350,7 @@ func (st *Store) Trace() []model.Access {
 // stepped on out, so the state does not consume it. Every history entry
 // is proven by construction and a counts as proven, so no oracle is
 // consulted. hist must be the store's current Trace: when it is not (a
-// view taken before later Adds or an Unmarshal), ok is false and
-// nothing is evaluated. consumed is the entries the evaluation stepped:
+// view taken before later Adds), ok is false and nothing is evaluated. consumed is the entries the evaluation stepped:
 // the catch-up plus a.
 func (st *Store) Peek(m *srac.Monitor, obj model.ObjectID, hist []model.Access, a model.Access, out []srac.NodeEval, timed bool) (nodes []srac.NodeEval, consumed int, ok bool) {
 	st.mu.Lock()
@@ -369,60 +382,9 @@ func (st *Store) monitor(m *srac.Monitor, obj model.ObjectID) *srac.State {
 	return s
 }
 
-// TraceByTime returns the access history ordered by proof timestamps
-// (ties keep insertion order). Only meaningful when the proofs were
-// issued against one clock.
-func (st *Store) TraceByTime() []model.Access {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	idx := make([]int, len(st.proofs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(i, j int) bool {
-		return st.proofs[idx[i]].Time < st.proofs[idx[j]].Time
-	})
-	out := make([]model.Access, len(idx))
-	for i, k := range idx {
-		out[i] = st.proofs[k].Access
-	}
-	return out
-}
-
-// Marshal serialises the store's proofs for migration.
-func (st *Store) Marshal() ([]byte, error) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return json.Marshal(st.proofs)
-}
-
-// Unmarshal loads (and verifies) proofs serialised by Marshal,
-// replacing the store's contents.
-func (st *Store) Unmarshal(data []byte) error {
-	var proofs []Proof
-	if err := json.Unmarshal(data, &proofs); err != nil {
-		return fmt.Errorf("%w: %v", ErrMalformed, err)
-	}
-	fresh := NewStore(st.signer)
-	for _, p := range proofs {
-		if err := fresh.Add(p); err != nil {
-			return err
-		}
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.proofs = fresh.proofs
-	st.hist = fresh.hist
-	st.byAccess = fresh.byAccess
-	st.mons = nil // the states followed the replaced history
-	return nil
-}
-
 // View returns the proofs in insertion order as a capacity-clamped
-// read-only view — the copy-free counterpart of All. The proofs slice
-// is append-only (Unmarshal swaps the whole backing), so the view stays
-// valid, and fixed, across concurrent Adds; callers must not write its
-// elements.
+// read-only view. The store only grows, so the view stays valid, and
+// fixed, across concurrent Adds; callers must not write its elements.
 func (st *Store) View() []Proof {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
@@ -430,21 +392,27 @@ func (st *Store) View() []Proof {
 }
 
 // MergedTrace combines the access histories of several stores into one
-// time-ordered trace, deduplicating proofs by signature (an agent's
-// carried proofs typically also appear in a coalition ledger). Nil
-// stores are skipped.
+// time-ordered trace. A proof an earlier store holds is taken from that
+// store alone (an agent's carried proofs typically also appear in a
+// coalition ledger). Nil stores are skipped.
 func MergedTrace(stores ...*Store) []model.Access {
+	views := make([][]Proof, len(stores))
 	var all []Proof
-	seen := map[string]bool{}
-	for _, st := range stores {
+	for i, st := range stores {
 		if st == nil {
 			continue
 		}
-		for _, p := range st.View() {
-			if seen[p.Sig] {
-				continue
+		views[i] = st.View()
+	next:
+		for _, p := range views[i] {
+			for j, earlier := range stores[:i] {
+				if earlier == nil {
+					continue
+				}
+				if i, held := earlier.index(p.Sig); held && i < len(views[j]) {
+					continue next
+				}
 			}
-			seen[p.Sig] = true
 			all = append(all, p)
 		}
 	}

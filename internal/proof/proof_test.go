@@ -174,22 +174,6 @@ func TestStorePatternProven(t *testing.T) {
 	var _ srac.ProofOracle = st
 }
 
-func TestStoreCountMatching(t *testing.T) {
-	s := NewSigner(key)
-	st := NewStore(s)
-	for i, sv := range []string{"s1", "s2", "s1"} {
-		if err := st.Add(s.Issue(acc("o1", "execute", "rsw", sv), float64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := st.CountMatching(model.Selector{Resources: []model.ResourceID{"rsw"}}); n != 3 {
-		t.Fatalf("CountMatching = %d", n)
-	}
-	if n := st.CountMatching(model.Selector{Servers: []model.ServerID{"s1"}}); n != 2 {
-		t.Fatalf("CountMatching s1 = %d", n)
-	}
-}
-
 func TestStoreTraceOrders(t *testing.T) {
 	s := NewSigner(key)
 	st := NewStore(s)
@@ -212,51 +196,73 @@ func TestStoreTraceOrders(t *testing.T) {
 	if len(tr) != 3 || tr[0] != a1 || tr[1] != a2 || tr[2] != a3 {
 		t.Fatalf("Trace = %v", tr)
 	}
-	// TraceByTime follows the (skewed) timestamps.
-	byTime := st.TraceByTime()
-	if byTime[0] != a1 || byTime[1] != a3 || byTime[2] != a2 {
-		t.Fatalf("TraceByTime = %v", byTime)
-	}
 }
 
-func TestStoreMarshalRoundTrip(t *testing.T) {
+// TestStoreCopiesCollapse: a proof is named by its signature, and a
+// store holds each proof once. A copy of a held proof is dropped before
+// any verification, by Add and AddIssued alike, an unsigned proof is
+// never a copy, and concurrent adds of one proof append it once.
+func TestStoreCopiesCollapse(t *testing.T) {
 	s := NewSigner(key)
+	a := acc("o1", "read", "f1", "s1")
+	p := s.Issue(a, 1)
 	st := NewStore(s)
-	for i := 0; i < 5; i++ {
-		if err := st.Add(s.Issue(acc("o1", "read", string(rune('a'+i)), "s1"), float64(i))); err != nil {
+	for i := 0; i < 2; i++ {
+		if err := st.Add(p); err != nil {
+			t.Fatalf("add %d: %v", i, err)
+		}
+	}
+	if st.Len() != 1 || len(st.Trace()) != 1 || !st.Proven(a) {
+		t.Fatalf("twice-added proof: Len %d, trace %v, proven %v; want 1, one entry, true", st.Len(), st.Trace(), st.Proven(a))
+	}
+
+	// A copy under a held signature is not verified: its altered body
+	// is neither checked nor recorded.
+	altered := p
+	altered.Access.Resource = "f2"
+	if err := st.Add(altered); err != nil {
+		t.Fatalf("altered copy of a held proof: %v", err)
+	}
+	if st.Len() != 1 || st.Proven(altered.Access) {
+		t.Fatal("altered copy of a held proof appended")
+	}
+	// A store that does not hold the signature verifies the copy.
+	if err := NewStore(s).Add(altered); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("altered proof in a fresh store = %v, want ErrBadSignature", err)
+	}
+
+	if err := st.AddIssued(p, s); err != nil || st.Len() != 1 {
+		t.Fatalf("AddIssued of a held proof: err %v, Len %d; want nil, 1", err, st.Len())
+	}
+
+	// An unsigned proof names no event: a store that verifies nothing
+	// keeps every one it is given.
+	bare := NewStore(nil)
+	for i := 0; i < 2; i++ {
+		if err := bare.Add(Proof{Access: a, Time: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	data, err := st.Marshal()
-	if err != nil {
-		t.Fatal(err)
+	if bare.Len() != 2 {
+		t.Fatalf("two unsigned proofs left %d, want 2", bare.Len())
 	}
-	st2 := NewStore(s)
-	if err := st2.Unmarshal(data); err != nil {
-		t.Fatal(err)
+
+	const n = 8
+	shared := NewStore(s)
+	q := s.Issue(a, 2)
+	var wg sync.WaitGroup
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := shared.Add(q); err != nil {
+				t.Error(err)
+			}
+		}()
 	}
-	if st2.Len() != 5 {
-		t.Fatalf("restored Len = %d", st2.Len())
-	}
-	// Tampering with serialised proofs is caught on load.
-	tampered := []byte(string(data[:len(data)-20]) + `1}]` + "")
-	_ = tampered
-	var bad []Proof
-	_ = bad
-	mutated := make([]byte, len(data))
-	copy(mutated, data)
-	for i := range mutated {
-		if mutated[i] == 'f' {
-			mutated[i] = 'g'
-			break
-		}
-	}
-	st3 := NewStore(s)
-	if err := st3.Unmarshal(mutated); err == nil {
-		t.Fatal("tampered serialisation accepted")
-	}
-	if err := st3.Unmarshal([]byte("{not json")); err == nil {
-		t.Fatal("garbage accepted")
+	wg.Wait()
+	if shared.Len() != 1 || len(shared.Trace()) != 1 {
+		t.Fatalf("%d concurrent adds of one proof left %d proofs, %d trace entries; want 1", n, shared.Len(), len(shared.Trace()))
 	}
 }
 
@@ -272,7 +278,6 @@ func TestStoreConcurrent(t *testing.T) {
 				a := acc("o1", "read", string(rune('a'+g)), "s1")
 				_ = st.Add(s.Issue(a, float64(i)))
 				st.Proven(a)
-				st.CountMatching(model.Selector{})
 			}
 		}(g)
 	}
@@ -424,51 +429,11 @@ func TestMergedOracle(t *testing.T) {
 	}
 }
 
-// TestStoreTraceRacesUnmarshal reads the history while another
-// goroutine replaces it: Trace must read the log under the store's lock,
-// which Unmarshal holds while it swaps the log in. Under -race a bare
-// field read here is reported.
-func TestStoreTraceRacesUnmarshal(t *testing.T) {
-	s := NewSigner(key)
-	src := NewStore(s)
-	for i := 0; i < 3; i++ {
-		if err := src.Add(s.Issue(acc("o1", "read", "f", "s1"), float64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	data, err := src.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := NewStore(s)
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 200; i++ {
-			if err := st.Unmarshal(data); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 200; i++ {
-			if n := len(st.Trace()); n != 0 && n != 3 {
-				t.Errorf("trace of %d entries, want 0 or 3", n)
-				return
-			}
-		}
-	}()
-	wg.Wait()
-}
-
 // TestStorePeekKeepsStatePerMonitor follows one monitor state on a
 // store: each Peek steps only the proofs added since the last one plus
 // the requested access, never commits that access, refuses a history
-// that is not the store's current trace, restarts after Unmarshal, and
-// keeps states apart per monitor and object, at most maxMonitors.
+// that is not the store's current trace, and keeps states apart per
+// monitor and object, at most maxMonitors.
 func TestStorePeekKeepsStatePerMonitor(t *testing.T) {
 	s := NewSigner(key)
 	st := NewStore(s)
@@ -507,17 +472,6 @@ func TestStorePeekKeepsStatePerMonitor(t *testing.T) {
 	// o1's reads.
 	if root, n, _ := peek(st.Trace(), "o2"); root.Count != 1 || n != 4 {
 		t.Fatalf("o2 peek: count %d consumed %d, want 1 and 4", root.Count, n)
-	}
-	// Unmarshal replaces the history, and the states with it.
-	data, err := st.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Unmarshal(data); err != nil {
-		t.Fatal(err)
-	}
-	if _, n, ok := peek(st.Trace(), "o1"); !ok || n != 4 {
-		t.Fatalf("after Unmarshal consumed %d ok %v, want a fresh catch-up of 4", n, ok)
 	}
 	// Past maxMonitors the oldest state goes.
 	for i := 0; i < maxMonitors; i++ {

@@ -59,7 +59,7 @@ type Coalition struct {
 	// the requesting object carries.
 	ledger *proof.Store
 	// migrations counts completed migrations, for experiment reports.
-	migrations int
+	migrations atomic.Int64
 
 	// shadow, when set, holds the candidate policy evaluated alongside
 	// the served one (see shadow.go).
@@ -105,7 +105,6 @@ func (c *Coalition) AddServer(id model.ServerID) (*Server, error) {
 		id:        id,
 		coalition: c,
 		resources: make(map[model.ResourceID][]byte),
-		sessions:  make(map[string]*Subject),
 	}
 	if err := c.Registry.Register(registry.Entry{Server: id}); err != nil {
 		return nil, err
@@ -157,18 +156,10 @@ func (c *Coalition) Servers() []*Server {
 }
 
 // RecordMigration counts a completed migration.
-func (c *Coalition) RecordMigration() {
-	c.mu.Lock()
-	c.migrations++
-	c.mu.Unlock()
-}
+func (c *Coalition) RecordMigration() { c.migrations.Add(1) }
 
 // Migrations returns the number of migrations performed so far.
-func (c *Coalition) Migrations() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.migrations
-}
+func (c *Coalition) Migrations() int { return int(c.migrations.Load()) }
 
 // Subject is an authenticated mobile object at one server: the RBAC
 // session plus the identity the SecurityManager consults.
@@ -176,7 +167,6 @@ type Subject struct {
 	Object  model.ObjectID
 	Owner   string
 	Session *rbac.Session
-	server  *Server
 }
 
 // Server is one coalition member hosting shared resources.
@@ -186,7 +176,6 @@ type Server struct {
 
 	mu        sync.RWMutex
 	resources map[model.ResourceID][]byte
-	sessions  map[string]*Subject
 	// clockSkew is added to the coalition clock when this server
 	// timestamps proofs, emulating the paper's premise that servers
 	// share no global clock. Constraint enforcement is built to
@@ -266,11 +255,7 @@ func (s *Server) Authenticate(cred proof.Credential) (*Subject, error) {
 			return nil, fmt.Errorf("%w: role %q: %v", ErrAuthFailed, role, err)
 		}
 	}
-	sub := &Subject{Object: cred.Object, Owner: cred.Owner, Session: sess, server: s}
-	s.mu.Lock()
-	s.sessions[string(cred.Object)] = sub
-	s.mu.Unlock()
-
+	sub := &Subject{Object: cred.Object, Owner: cred.Owner, Session: sess}
 	eng.ObjectArrived(cred.Object, s.id)
 	eng.ActivatePermissions(sess, cred.Object)
 	s.coalition.shadowArrive(cred, s.id)
@@ -284,9 +269,6 @@ func (s *Server) Depart(sub *Subject) {
 	s.coalition.Engine.DeactivatePermissions(sub.Session, sub.Object)
 	s.coalition.shadowDepart(sub.Object, s.id)
 	sub.Session.Close()
-	s.mu.Lock()
-	delete(s.sessions, string(sub.Object))
-	s.mu.Unlock()
 }
 
 // AccessResult is the outcome of a granted access.

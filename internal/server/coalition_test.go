@@ -447,7 +447,7 @@ assign o1 worker
 		t.Fatalf("skewed clocks broke ordering enforcement: %v", err)
 	}
 	// Sanity: the timestamps really are inverted.
-	ps := store.All()
+	ps := store.View()
 	if len(ps) != 2 || ps[0].Time <= ps[1].Time {
 		t.Fatalf("expected inverted timestamps, got %v then %v", ps[0].Time, ps[1].Time)
 	}

@@ -13,13 +13,6 @@ import (
 // bound the oldest parked log goes first.
 const handoffCapacity = 64
 
-// parkedLog is a departed session's verified carried history, waiting
-// for the object's next arrival at any member daemon of the coalition.
-type parkedLog struct {
-	log  *proof.Store
-	sigs map[string]struct{}
-}
-
 // handoff carries verified histories across hops: a departing session
 // parks its resident log under its object, and the object's next
 // authentication takes it, so the proofs one member daemon verified
@@ -29,24 +22,24 @@ type parkedLog struct {
 // parks and takes at different daemons leave it at the current total.
 type handoff struct {
 	mu     sync.Mutex
-	parked *obs.Window[model.ObjectID, parkedLog]
+	parked *obs.Window[model.ObjectID, *proof.Store]
 	proofs int64 // the parked logs' total length
 }
 
 func newHandoff() *handoff {
-	return &handoff{parked: obs.NewWindow[model.ObjectID, parkedLog](handoffCapacity)}
+	return &handoff{parked: obs.NewWindow[model.ObjectID, *proof.Store](handoffCapacity)}
 }
 
 // park leaves obj's verified log for its next arrival and sets g to the
 // coalition's parked-proof total.
-func (h *handoff) park(obj model.ObjectID, log *proof.Store, sigs map[string]struct{}, g *obs.Gauge) {
+func (h *handoff) park(obj model.ObjectID, log *proof.Store, g *obs.Gauge) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if p, ok := h.parked.Delete(obj); ok {
-		h.proofs -= int64(p.log.Len())
+		h.proofs -= int64(p.Len())
 	}
-	if p, ok := h.parked.Add(obj, parkedLog{log: log, sigs: sigs}); ok {
-		h.proofs -= int64(p.log.Len())
+	if p, ok := h.parked.Add(obj, log); ok {
+		h.proofs -= int64(p.Len())
 	}
 	h.proofs += int64(log.Len())
 	g.Set(h.proofs)
@@ -54,14 +47,14 @@ func (h *handoff) park(obj model.ObjectID, log *proof.Store, sigs map[string]str
 
 // take removes and returns obj's parked log (nil when none is parked)
 // and sets g to the coalition's parked-proof total.
-func (h *handoff) take(obj model.ObjectID, g *obs.Gauge) (*proof.Store, map[string]struct{}) {
+func (h *handoff) take(obj model.ObjectID, g *obs.Gauge) *proof.Store {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	p, ok := h.parked.Delete(obj)
+	log, ok := h.parked.Delete(obj)
 	if !ok {
-		return nil, nil
+		return nil
 	}
-	h.proofs -= int64(p.log.Len())
+	h.proofs -= int64(log.Len())
 	g.Set(h.proofs)
-	return p.log, p.sigs
+	return log
 }

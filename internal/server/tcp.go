@@ -325,10 +325,9 @@ type session struct {
 	// reads, extends and (on a grant) appends to the resident log.
 	mu sync.Mutex
 	// log holds the carried history verified so far, in the client's
-	// order, plus the proofs issued to the token since; sigs indexes it
-	// by signature. Both are nil while no log is resident.
-	log  *proof.Store
-	sigs map[string]struct{}
+	// order, plus the proofs issued to the token since; nil while no log
+	// is resident. A carried copy of a proof it holds collapses into it.
+	log *proof.Store
 	// counted is log's length as last added to the resident gauge.
 	counted int
 	// gone marks a departed session: a request that raced the depart
@@ -665,7 +664,7 @@ func (d *Daemon) handle(req *wireRequest, program []byte, tokens *[]string, led 
 		}
 		// The session adopts the log the object's previous hop parked.
 		s := &session{sub: sub}
-		s.log, s.sigs = d.srv.coalition.handoff.take(sub.Object, d.met.handoffLen)
+		s.log = d.srv.coalition.handoff.take(sub.Object, d.met.handoffLen)
 		d.countResident(s)
 		resp := wireResponse{OK: true, Token: newToken(), Have: s.have()}
 		if resp.Have > 0 {
@@ -775,7 +774,6 @@ func (d *Daemon) access(s *session, req *wireRequest, program []byte, led *obs.S
 		return wireResponse{Error: err.Error(), Trace: echo}
 	}
 	ctx.Store = s.log
-	issued := s.log.Len()
 	var resp wireResponse
 	res, err := d.srv.Request(s.sub, model.Operation(req.Op), model.ResourceID(req.Resource), ctx)
 	if err != nil {
@@ -785,9 +783,6 @@ func (d *Daemon) access(s *session, req *wireRequest, program []byte, led *obs.S
 	}
 	// A grant appended the issued proof to the log, as the client
 	// appends it to its own history.
-	for _, p := range s.log.View()[issued:] {
-		s.sigs[p.Sig] = struct{}{}
-	}
 	d.countResident(s)
 	resp.Trace = echo
 	resp.DecisionID = res.Decision.ID
@@ -822,15 +817,14 @@ const msgBadProgram = "access: bad program"
 // history. Base 0 rebuilds the log from the complete history; base > 0
 // must name the resident log exactly, by length and last signature, and
 // extends it with the suffix. Every proof not yet resident is
-// HMAC-verified; copies of a resident proof collapse into it, so a
-// replayed proof never double-counts toward a counting constraint. On
-// any error the log is dropped and the client must resend in full.
+// HMAC-verified; the log collapses a copy of a resident proof into it
+// unverified (see proof.Store.Add). On any error the log is dropped and
+// the client must resend in full.
 func (d *Daemon) carry(s *session, req *wireRequest) error {
 	switch have := s.have(); {
 	case req.Base == 0:
 		d.dropLog(s)
 		s.log = proof.NewStore(d.srv.coalition.Signer)
-		s.sigs = make(map[string]struct{}, len(req.Proofs))
 	case req.Base != have:
 		d.dropLog(s)
 		return fmt.Errorf("%s: base %d, %d proofs resident", msgCursorMismatch, req.Base, have)
@@ -840,14 +834,10 @@ func (d *Daemon) carry(s *session, req *wireRequest) error {
 	}
 	before := s.log.Len()
 	for _, p := range req.Proofs {
-		if _, dup := s.sigs[p.Sig]; dup {
-			continue
-		}
 		if err := s.log.Add(p); err != nil {
 			d.dropLog(s)
 			return fmt.Errorf("access: carried proof rejected: %w", err)
 		}
-		s.sigs[p.Sig] = struct{}{}
 	}
 	verified := s.log.Len() - before
 	d.met.verified.Add(int64(verified))
@@ -865,7 +855,7 @@ func (d *Daemon) countResident(s *session) {
 
 // dropLog releases s's resident log.
 func (d *Daemon) dropLog(s *session) {
-	s.log, s.sigs = nil, nil
+	s.log = nil
 	d.countResident(s)
 }
 
@@ -882,7 +872,7 @@ func (d *Daemon) depart(token string) bool {
 	s.mu.Lock()
 	s.gone = true
 	if s.have() > 0 {
-		d.srv.coalition.handoff.park(s.sub.Object, s.log, s.sigs, d.met.handoffLen)
+		d.srv.coalition.handoff.park(s.sub.Object, s.log, d.met.handoffLen)
 	}
 	d.dropLog(s)
 	s.mu.Unlock()
