@@ -161,9 +161,9 @@ grep -q '"causality_violations": 0' "$ARTIFACTS/TIMELINE.json"
 # artifact dir set so it writes COST.json (the per-clause
 # evaluation-cost report), then diffed against the committed baseline
 # with benchdiff's cost format. Per-clause ns/eval drift warns at 50%;
-# only an order-of-magnitude blow-up (a clause suddenly evaluated far
-# more, or re-walks amplifying) fails the build — raw nanoseconds are
-# too machine-noisy to gate tighter on a shared runner.
+# only an order-of-magnitude blow-up (a clause suddenly far costlier
+# per evaluation) fails the build — raw nanoseconds are too
+# machine-noisy to gate tighter on a shared runner.
 ARTIFACTS_DIR="$ARTIFACTS" go test -run '^TestCostBaselineArtifact$' -count=1 .
 go run ./cmd/benchdiff -threshold 50 -fail-over 900 COST.json "$ARTIFACTS/COST.json"
 echo "smoke artifacts in $ARTIFACTS"

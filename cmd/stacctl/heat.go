@@ -7,11 +7,7 @@ package main
 // the clause actually decided a verdict. The top of the table names
 // the clauses an SRAC compilation pass should target first — hot AND
 // load-bearing — while a hot but never-decisive clause is pure waste
-// and is called out as such. The amplification rows show each member's
-// prefix evaluations per appended access and the history entries each
-// evaluation consumed (ENTRIES/EVAL: about 1 when monitor states are
-// kept on resident logs, the mean history length when every evaluation
-// starts fresh).
+// and is called out as such.
 
 import (
 	"context"
@@ -75,19 +71,6 @@ func renderHeat(w io.Writer, v federate.FleetView, top int) {
 	if len(v.Cost) == 0 {
 		fmt.Fprintln(w, "no cost profiles: run the daemons with -cost (or EnableCostProfiling)")
 		return
-	}
-
-	// Amplification per member: the history-length tax a kept monitor
-	// state removes.
-	fmt.Fprintf(w, "\n%-12s %12s %12s %14s %14s\n",
-		"MEMBER", "PREFIXEVALS", "APPENDS", "EVALS/APPEND", "ENTRIES/EVAL")
-	for _, st := range v.Members {
-		if !st.Reachable || st.Skipped || st.Snapshot.Cost == nil {
-			continue
-		}
-		a := st.Snapshot.Cost.Amplification
-		fmt.Fprintf(w, "%-12s %12d %12d %14.2f %14.2f\n",
-			st.Name, a.PrefixEvals, a.Appends, a.EvalsPerAppend, a.EntriesPerScan)
 	}
 
 	ranked := append([]federate.CostRollup(nil), v.Cost...)

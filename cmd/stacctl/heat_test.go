@@ -15,11 +15,10 @@ import (
 
 // TestHeatRanksFleetClauses is the heat acceptance scenario: a roaming
 // object drives spatially-constrained decisions across a 3-daemon
-// coalition with cost profiling on, then (a) each member's /debug/cost
-// serves a populated report, (b) the federate poller merges the
+// coalition with cost profiling on, then (a) each member's snapshot
+// serves a populated cost section, (b) the federate poller merges the
 // snapshot v5 cost sections into fleet rollups, and (c) `stacctl heat`
-// names the top-cost clauses fleet-wide with per-member re-walk
-// amplification rows.
+// names the top-cost clauses fleet-wide.
 func TestHeatRanksFleetClauses(t *testing.T) {
 	const policy = `
 user o1
@@ -63,22 +62,20 @@ assign o1 roamer
 		}
 	}
 
-	// --- Every member serves its cost profile on /debug/cost. ---
+	// --- Every member serves its cost profile in its snapshot. ---
 	for _, m := range fleet {
-		raw, err := httpGet(m.debugURL + "/debug/cost")
+		raw, err := httpGet(m.debugURL + "/debug/snapshot")
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rep cost.Report
-		if err := json.Unmarshal(raw, &rep); err != nil {
-			t.Fatalf("%s /debug/cost: %v", m.name, err)
+		var snap server.Snapshot
+		if err := json.Unmarshal(raw, &snap); err != nil {
+			t.Fatalf("%s /debug/snapshot: %v", m.name, err)
 		}
-		if len(rep.Clauses) == 0 {
-			t.Fatalf("%s /debug/cost has no clause rows", m.name)
+		if snap.Cost == nil || len(snap.Cost.Clauses) == 0 {
+			t.Fatalf("%s snapshot has no clause rows", m.name)
 		}
-		if rep.Amplification.PrefixEvals != rounds {
-			t.Fatalf("%s prefix evals = %d, want %d", m.name, rep.Amplification.PrefixEvals, rounds)
-		}
+		rep := snap.Cost
 		var root *cost.ClauseCost
 		for i := range rep.Clauses {
 			if rep.Clauses[i].Path == "" {
@@ -131,8 +128,6 @@ assign o1 roamer
 	out := buf.String()
 	for _, want := range []string{
 		"fleet: 3/3 members up",
-		"EVALS/APPEND", // amplification table header
-		"m1", "m2", "m3",
 		"compile targets",
 		"p-read",
 		"count(0, 64, sigma[op=read])",

@@ -27,8 +27,7 @@
 //	                                           # imbalance & SLO burn)
 //	stacctl heat -members m1=host:port,...     # coalition policy heat
 //	                                           # map: clauses ranked by
-//	                                           # cost × decisive, plus
-//	                                           # re-walk amplification
+//	                                           # cost × decisive
 //	                                           # (needs -cost daemons)
 //	stacctl slow -addr host:port               # slowest retained decision
 //	                                           # exemplars, resolved via

@@ -73,9 +73,9 @@ type options struct {
 	maxLineBytes int
 
 	// metricsAddr, when set, serves the observability endpoints
-	// (/metrics, /debug/vars, /debug/pprof, /debug/trace,
-	// /debug/explain, /debug/budgets, /debug/snapshot, /debug/cost,
-	// /healthz, /readyz, /debug/journal) on one extra HTTP listener.
+	// (/metrics, /debug/pprof, /debug/trace, /debug/explain,
+	// /debug/snapshot, /healthz, /readyz, /debug/journal) on one extra
+	// HTTP listener.
 	metricsAddr string
 
 	// budgetSampleInterval drives the background temporal-budget
@@ -105,9 +105,8 @@ type options struct {
 	// counted and streamed, the served verdict never changes.
 	shadowPolicy string
 	// cost profiles every SRAC clause — evaluation coverage and cost
-	// in one row per clause — plus static-check cost and re-walk
-	// amplification, served on /debug/cost and folded into
-	// /debug/snapshot; `stacctl top` and `stacctl heat` merge the rows
+	// in one row per clause — served in /debug/snapshot's cost
+	// section; `stacctl top` and `stacctl heat` merge the rows
 	// fleet-wide.
 	cost bool
 
@@ -159,7 +158,7 @@ func main() {
 	flag.IntVar(&opts.recordCapacity, "record-capacity", 1024, "decision log (flight-recorder ring) capacity")
 	flag.StringVar(&opts.recordWAL, "record-wal", "", "append every flight-recorder event as a JSON line to this file (implies -record); empty disables")
 	flag.StringVar(&opts.shadowPolicy, "shadow-policy", "", "evaluate this candidate policy file alongside the served one; flips are reported, verdicts unchanged")
-	flag.BoolVar(&opts.cost, "cost", true, "profile per-clause SRAC evaluation coverage and cost (/debug/cost)")
+	flag.BoolVar(&opts.cost, "cost", true, "profile per-clause SRAC evaluation coverage and cost (the cost section of /debug/snapshot)")
 	flag.IntVar(&opts.mutexFraction, "mutex-profile-fraction", 0, "runtime mutex profile sampling fraction (1 = every event); 0 leaves it off")
 	flag.IntVar(&opts.blockRate, "block-profile-rate", 0, "runtime block profile rate in ns (1 = every event); 0 leaves it off")
 	flag.DurationVar(&opts.sloTarget, "slo-target", 0, "decision-latency SLO target; 0 disables SLO tracking")

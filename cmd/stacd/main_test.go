@@ -18,7 +18,6 @@ import (
 	"stac/internal/core"
 	"stac/internal/model"
 	"stac/internal/obs"
-	"stac/internal/obs/cost"
 	"stac/internal/obs/record"
 	"stac/internal/proof"
 	"stac/internal/server"
@@ -187,16 +186,6 @@ func TestStartServesMetricsEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("/debug/perf status %d, want 404", resp.StatusCode)
-	}
-
-	// /debug/vars carries the expvar JSON mirror.
-	body, _ = get("/debug/vars")
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal([]byte(body), &vars); err != nil {
-		t.Fatalf("/debug/vars not JSON: %v", err)
-	}
-	if _, ok := vars["stac"]; !ok {
-		t.Fatal("/debug/vars has no stac group")
 	}
 
 	// pprof answers on the standard paths.
@@ -642,9 +631,6 @@ func TestStartServesFleetEndpoints(t *testing.T) {
 	if code != http.StatusOK || !strings.Contains(string(body), "policy_loaded") {
 		t.Fatalf("/readyz = %d %s", code, body)
 	}
-	if code, _ := get("/debug/budgets"); code != http.StatusOK {
-		t.Fatalf("/debug/budgets status %d", code)
-	}
 
 	// Shutdown with the watcher still attached: Drain must release the
 	// SSE handler so http.Server.Shutdown completes promptly.
@@ -748,32 +734,23 @@ func TestStartWiresRecorderShadowAndCoverage(t *testing.T) {
 		}
 	}
 
-	// /debug/cost lists the served policy's clause census and cost
-	// profile, one row per clause; the root's outcome tallies split
-	// its evaluations.
-	var costRep cost.Report
-	if err := json.Unmarshal([]byte(get("/debug/cost")), &costRep); err != nil {
-		t.Fatalf("/debug/cost not JSON: %v", err)
-	}
-	if len(costRep.Clauses) == 0 || costRep.Amplification.PrefixEvals == 0 {
-		t.Fatalf("/debug/cost report = %+v", costRep)
-	}
-	if root := costRep.Clauses[0]; root.Evals == 0 || root.Satisfied+root.Violated+root.Pending != root.Evals {
-		t.Fatalf("/debug/cost root row = %+v, want evals split by outcome", root)
-	}
-
 	// /debug/snapshot carries the v2 fields.
 	var snap server.Snapshot
 	if err := json.Unmarshal([]byte(get("/debug/snapshot")), &snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Version != 9 || snap.ShadowDigest == "" || snap.ShadowFlips != 1 ||
+	if snap.Version != 10 || snap.ShadowDigest == "" || snap.ShadowFlips != 1 ||
 		snap.Recorder == nil || snap.Recorder.Total == 0 || snap.Runtime.Goroutines < 1 {
 		t.Fatalf("snapshot versioned fields = %+v", snap)
 	}
-	// v5: the cost section mirrors /debug/cost.
+	// v5: the cost section lists the served policy's clause census and
+	// cost profile, one row per clause; the root's outcome tallies
+	// split its evaluations.
 	if snap.Cost == nil || len(snap.Cost.Clauses) == 0 {
 		t.Fatalf("snapshot cost section = %+v", snap.Cost)
+	}
+	if root := snap.Cost.Clauses[0]; root.Evals == 0 || root.Satisfied+root.Violated+root.Pending != root.Evals {
+		t.Fatalf("snapshot cost root row = %+v, want evals split by outcome", root)
 	}
 	if len(snap.Perf.ShardObjects) != 32 || len(snap.Perf.Exemplars) == 0 {
 		t.Fatalf("snapshot perf section = %+v", snap.Perf)

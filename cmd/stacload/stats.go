@@ -27,7 +27,9 @@ import (
 //	4: CellPerf loses the stripe fields (hot_stripe, hot_contention,
 //	   hot_wait_p99_s, acquire_imbalance) with the lock-stripe
 //	   telemetry
-const LoadSchemaVersion = 4
+//	5: CellCost loses evals_per_append and entries_per_scan with the
+//	   re-walk amplification gauges
+const LoadSchemaVersion = 5
 
 // Summary is the document stacload emits.
 type Summary struct {
@@ -90,16 +92,12 @@ type CellPerf struct {
 }
 
 // CellCost reduces the engine's cost profile to the numbers worth
-// diffing per cell: how expensive one root policy evaluation is, how
-// many prefix re-walks each appended access costs, and the clauses the
-// time actually went to.
+// diffing per cell: how expensive one root policy evaluation is and the
+// clauses the time actually went to.
 type CellCost struct {
 	// MeanRootNS is sampled root-clause wall time per sampled root
 	// evaluation — the per-decision policy-evaluation price.
 	MeanRootNS float64 `json:"mean_root_ns"`
-	// EvalsPerAppend/EntriesPerScan mirror cost.Amplification.
-	EvalsPerAppend float64 `json:"evals_per_append"`
-	EntriesPerScan float64 `json:"entries_per_scan"`
 	// TopClauses are the hottest clauses by sampled time (at most 5).
 	TopClauses []cost.ClauseCost `json:"clauses,omitempty"`
 }

@@ -148,7 +148,7 @@ func bootSTAC(sc Scenario, gp workload.GeneratedPolicy) (*stacSystem, error) {
 		return nil, fmt.Errorf("stac: policy: %w", err)
 	}
 	// Per-clause evaluation cost for the cell summary's cost section —
-	// the same profile stacd serves on /debug/cost.
+	// the same profile stacd serves in /debug/snapshot.
 	coal.Engine.EnableCostProfiling()
 	s.coal = coal
 	cfg := server.DaemonConfig{
@@ -219,10 +219,7 @@ func reduceCost(rep cost.Report) *CellCost {
 	if len(rep.Clauses) == 0 {
 		return nil
 	}
-	cc := &CellCost{
-		EvalsPerAppend: rep.Amplification.EvalsPerAppend,
-		EntriesPerScan: rep.Amplification.EntriesPerScan,
-	}
+	cc := &CellCost{}
 	var rootNS, rootEvals int64
 	for _, c := range rep.Clauses {
 		if c.Path == "" {

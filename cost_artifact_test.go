@@ -5,8 +5,8 @@ package stac
 // profiling on (the production default). The resulting per-clause
 // cost report is written as COST.json when ARTIFACTS_DIR is set;
 // ci.sh diffs it against the committed baseline with `benchdiff`
-// (cost format), so a structural regression — clauses evaluated more
-// often per decision, re-walk amplification growing — surfaces even
+// (cost format), so a structural regression — a clause evaluated more
+// often per decision, or far costlier per evaluation — surfaces even
 // when raw nanoseconds are machine-noisy.
 
 import (
@@ -61,8 +61,8 @@ func TestCostBaselineArtifact(t *testing.T) {
 	// ≥10 timed evaluations per clause, enough for a stable-ish mean.
 	// The requests are bare (no proof store owns their history), so
 	// every evaluation advances a fresh monitor state over the 4-entry
-	// history plus the access; every grant is recorded so the
-	// amplification gauge has a real denominator.
+	// history plus the access; every grant is recorded, as a server
+	// records it.
 	hist := trace.Trace{
 		model.NewAccess("o1", "read", "dep", "s1"),
 		model.NewAccess("o1", "read", "f", "s1"),
@@ -110,14 +110,6 @@ func TestCostBaselineArtifact(t *testing.T) {
 	}
 	if roots != 2 {
 		t.Fatalf("root clause rows = %d, want one per permission", roots)
-	}
-	if len(rep.Static) == 0 {
-		t.Fatal("no static-check cost rows")
-	}
-	amp := rep.Amplification
-	if amp.PrefixEvals != 2*perPerm || amp.Appends != 2*perPerm ||
-		amp.ScanEntries != 2*perPerm*int64(len(hist)+1) {
-		t.Fatalf("amplification = %+v", amp)
 	}
 
 	// The clause coverage of this workload is timing-free, so it is

@@ -4,19 +4,16 @@ package core
 // spatial prefix evaluation's own per-node records are folded — each
 // clause's outcome (the coverage tallies), decisiveness and work (leaf
 // evals, 1-in-64 sampled wall time) — into an obs/cost.Collector keyed
-// by (perm, clause path). Static checks feed
-// a per-(program digest, policy digest) cost table, and every grant
-// bumps the re-walk amplification denominator. The report's clause
-// rows are the one per-clause table: /debug/cost and the snapshot's
-// cost section serve it, the federate poller folds it across the
-// coalition (clause heat and the dead-clause census alike), replay
-// and shadow diff report it as coverage, and `stacctl heat` ranks it.
+// by (perm, clause path). The report's clause rows are the one
+// per-clause table: the snapshot's cost section serves it, the
+// federate poller folds it across the coalition (clause heat and the
+// dead-clause census alike), replay and shadow diff report it as
+// coverage, and `stacctl heat` ranks it.
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"sync"
-	"time"
 
 	"stac/internal/obs/cost"
 	"stac/internal/srac"
@@ -26,9 +23,8 @@ import (
 // EnableCostProfiling turns on per-clause evaluation profiling — cost
 // and clause coverage alike — pre-seeding a cell for every clause of
 // every registered permission (so never-evaluated clauses appear with
-// zero counts) and caching the policy digest the static-check cost
-// table is keyed under. Call before serving traffic. Later calls keep
-// the running collector.
+// zero counts). Call before serving traffic. Later calls keep the
+// running collector.
 func (e *Engine) EnableCostProfiling() {
 	if e.costC.Load() != nil {
 		return
@@ -43,7 +39,6 @@ func (e *Engine) EnableCostProfiling() {
 	for _, ps := range specs {
 		seedCost(col, ps)
 	}
-	e.refreshCostPolicyDigest()
 	// Publish last, after seeding: the collector pointer is the
 	// enabled flag the decision path reads.
 	e.costC.Store(col)
@@ -60,9 +55,8 @@ func (e *Engine) EnableCoverage() { e.EnableCostProfiling() }
 // is on.
 func (e *Engine) CostEnabled() bool { return e.costC.Load() != nil }
 
-// CostReport snapshots the per-clause cost profile, static-check cost
-// table and re-walk amplification gauges (zero report when profiling
-// is off).
+// CostReport snapshots the per-clause cost profile (zero report when
+// profiling is off).
 func (e *Engine) CostReport() cost.Report {
 	col := e.costC.Load()
 	if col == nil {
@@ -78,14 +72,6 @@ func seedCost(col *cost.Collector, ps PermSpec) {
 	srac.WalkPaths(ps.Spatial, func(path string, c srac.Constraint) {
 		col.Seed(string(ps.Perm.ID), path, srac.String(c))
 	})
-}
-
-// refreshCostPolicyDigest recomputes the cached policy digest after a
-// policy mutation, so static-check rows always key against the digest
-// of the policy they actually ran under.
-func (e *Engine) refreshCostPolicyDigest() {
-	d := PolicyDigest(e)
-	e.costPolicy.Store(&d)
 }
 
 // nodeEvalPool recycles the per-decision evaluation records and
@@ -134,11 +120,9 @@ func costClauseResolver(unstamped srac.Constraint) func(string) string {
 // count and, when the caller sampled this evaluation for timing, its
 // wall time — plus the decisive clause into the per-clause cells. The
 // profiler runs no walk of its own, so cost and coverage describe the
-// very evaluation that decided. consumed is the history entries the
-// evaluation stepped, for the amplification gauges. Decisive reads only
-// the constraint's shape, which stamping does not change.
-func costScan(col *cost.Collector, ps PermSpec, nodes []srac.NodeEval, consumed int, sampled bool) {
-	col.NoteScan(consumed)
+// very evaluation that decided. Decisive reads only the constraint's
+// shape, which stamping does not change.
+func costScan(col *cost.Collector, ps PermSpec, nodes []srac.NodeEval, sampled bool) {
 	decisive := srac.Decisive(ps.Spatial, nodes)
 	buf := costSamplePool.Get().(*[]cost.NodeSample)
 	samples := (*buf)[:0]
@@ -153,22 +137,9 @@ func costScan(col *cost.Collector, ps PermSpec, nodes []srac.NodeEval, consumed 
 	costSamplePool.Put(buf)
 }
 
-// costStatic folds one decision's static verdict sv, for the program
-// of canonical digest program, into the (program digest, policy digest)
-// cost table. Every decision that needed a verdict counts as a check, a
-// memo hit included, and elapsed is what the decision paid for it: the
-// check itself on a miss, the memo lookup on a hit.
-func (e *Engine) costStatic(col *cost.Collector, program string, sv staticVerdict, elapsed time.Duration) {
-	policy := ""
-	if p := e.costPolicy.Load(); p != nil {
-		policy = *p
-	}
-	col.RecordStatic(program, policy, sv.verdict.String(), sv.size, elapsed.Nanoseconds())
-}
-
 // ProgramDigest is the canonical digest of a declared SRAL program:
-// sha256 over its concrete syntax, the program-side twin of
-// PolicyDigest and the other half of the static-check cache key.
+// sha256 over its concrete syntax, the program half of the
+// static-check memo's key.
 func ProgramDigest(p sral.Node) string {
 	sum := sha256.Sum256([]byte(sral.String(p)))
 	return hex.EncodeToString(sum[:])

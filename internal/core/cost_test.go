@@ -200,10 +200,6 @@ func TestCostMatchesCoverageScan(t *testing.T) {
 	}
 	reconcileClauseRows(t, e, spatials, 8)
 	rep := e.CostReport()
-	amp := rep.Amplification
-	if amp.PrefixEvals != int64(decisions) {
-		t.Fatalf("amplification %+v, want %d scan evals", amp, decisions)
-	}
 	var sampled int64
 	for _, cc := range rep.Clauses {
 		sampled += cc.SampledEvals
@@ -214,8 +210,7 @@ func TestCostMatchesCoverageScan(t *testing.T) {
 }
 
 // TestCostMatchesCoverageIncremental: counting-only constraints decided
-// over a history that grows one grant at a time reconcile the same way,
-// and RecordGrant feeds the amplification denominator.
+// over a history that grows one grant at a time reconcile the same way.
 func TestCostMatchesCoverageIncremental(t *testing.T) {
 	r := rand.New(rand.NewSource(431))
 	spatials := make([]srac.Constraint, 10)
@@ -224,7 +219,6 @@ func TestCostMatchesCoverageIncremental(t *testing.T) {
 	}
 	e, sess := costEngine(t, spatials)
 	var hist trace.Trace
-	grants := 0
 	for round := 0; round < 6; round++ {
 		for i := range spatials {
 			a := model.NewAccess("o1", "read", model.ResourceID(fmt.Sprintf("f%d", i)), "s1")
@@ -232,21 +226,10 @@ func TestCostMatchesCoverageIncremental(t *testing.T) {
 			if d.Granted {
 				e.RecordGrant(a)
 				hist = append(hist, a)
-				grants++
 			}
 		}
 	}
 	reconcileClauseRows(t, e, spatials, 6)
-	amp := e.CostReport().Amplification
-	if amp.PrefixEvals != int64(6*len(spatials)) {
-		t.Fatalf("amplification %+v, want %d scan evals", amp, 6*len(spatials))
-	}
-	if amp.Appends != int64(grants) {
-		t.Fatalf("appends = %d, want %d grants", amp.Appends, grants)
-	}
-	if grants > 0 && amp.EvalsPerAppend <= 0 {
-		t.Fatalf("EvalsPerAppend = %v with %d grants", amp.EvalsPerAppend, grants)
-	}
 }
 
 // TestCostProfilingDecisionsBitIdentical: the profiler must be a pure
@@ -329,53 +312,11 @@ func TestCostProfilingDecisionsBitIdentical(t *testing.T) {
 			eB.RecordGrant(a)
 		}
 	}
-	if rep := eA.CostReport(); len(rep.Clauses) == 0 || rep.Amplification.PrefixEvals == 0 {
+	var evals int64
+	for _, cc := range eA.CostReport().Clauses {
+		evals += cc.Evals
+	}
+	if evals == 0 {
 		t.Fatal("profiled engine collected nothing — A/B compared an idle profiler")
-	}
-}
-
-// TestCostStaticTable: static checks land in the per-(program, policy)
-// cost table keyed by content digests, aggregating repeat checks.
-func TestCostStaticTable(t *testing.T) {
-	dep := model.Access{Op: "read", Resource: "dep"}
-	f0 := model.Access{Op: "read", Resource: "f0"}
-	e, sess := costEngine(t, []srac.Constraint{
-		srac.Implies(srac.Require(f0), srac.Before(dep, f0)),
-	})
-	good := sral.MustParse("read dep @ s1; read f0 @ s1")
-	bad := sral.MustParse("read f0 @ s1")
-	a := model.NewAccess("o1", "read", "f0", "s1")
-	for i := 0; i < 3; i++ {
-		e.Authorize(Request{Session: sess, Access: a, Program: good})
-	}
-	if d := e.Authorize(Request{Session: sess, Access: a, Program: bad}); d.Granted {
-		t.Fatalf("statically impossible program granted: %s", d)
-	}
-	static := e.CostReport().Static
-	if len(static) != 2 {
-		t.Fatalf("static table = %+v, want 2 rows", static)
-	}
-	wantPolicy := PolicyDigest(e)
-	byProg := map[string]int{}
-	for i, s := range static {
-		if s.PolicyDigest != wantPolicy {
-			t.Fatalf("row %d policy digest %q != engine policy digest %q", i, s.PolicyDigest, wantPolicy)
-		}
-		if len(s.ProgramDigest) != 64 {
-			t.Fatalf("row %d program digest %q not a sha256 hex", i, s.ProgramDigest)
-		}
-		byProg[s.ProgramDigest] = i
-	}
-	gi, ok := byProg[ProgramDigest(good)]
-	if !ok {
-		t.Fatalf("good program digest missing from %+v", static)
-	}
-	g := static[gi]
-	if g.Checks != 3 || g.ProgramSize != good.Size() || g.TotalNS <= 0 || g.MeanNS <= 0 {
-		t.Fatalf("good row = %+v", g)
-	}
-	b := static[byProg[ProgramDigest(bad)]]
-	if b.Checks != 1 || b.Verdict != srac.NoTrace.String() {
-		t.Fatalf("bad row = %+v", b)
 	}
 }

@@ -122,12 +122,10 @@ type staticKey struct {
 
 // staticVerdict is one static check: whether it applies at all (a
 // constraint that mentions another object's actions is left to the
-// runtime history check) and, when it does, its verdict, with the
-// program's construct count for the cost table.
+// runtime history check) and, when it does, its verdict.
 type staticVerdict struct {
 	applies bool
 	verdict srac.Verdict
-	size    int
 }
 
 // staticEntry is one memoised pairing, checked once however many
@@ -160,7 +158,6 @@ func (sm *specMonitor) static(prog sral.Node, digest string, obj model.ObjectID)
 		e.verdict = srac.AllTraces
 		if e.applies {
 			e.verdict = checkProgram(prog, stamped, obj)
-			e.size = prog.Size()
 		}
 	})
 	return e.staticVerdict
@@ -202,8 +199,8 @@ type Request struct {
 	Program sral.Node
 	// ProgramDigest, when set, is ProgramDigest(Program), computed once
 	// by a caller that interns programs. The static-check verdict memo
-	// and the cost profiler key on it; a request without one has it
-	// computed, which re-renders and re-hashes the program.
+	// keys on it; a request without one has it computed, which
+	// re-renders and re-hashes the program.
 	ProgramDigest string
 	// History is the object's proof-backed access trace so far,
 	// across all coalition servers.
@@ -333,11 +330,7 @@ type Engine struct {
 	// costC is the per-clause evaluation profiler — cost and clause
 	// coverage in one row per clause (see cost.go); nil when off,
 	// so a disabled engine pays one atomic load per decision.
-	// costPolicy caches the current policy digest for the static-check
-	// cost table — recomputed on policy change, never on the decide
-	// path.
-	costC      atomic.Pointer[cost.Collector]
-	costPolicy atomic.Pointer[string]
+	costC atomic.Pointer[cost.Collector]
 }
 
 // numShards is the object-state shard count. Sized well above typical
@@ -488,10 +481,6 @@ func (e *Engine) SetSLO(slo perf.SLO) {
 // SLO is set).
 func (e *Engine) SLOSnapshot() perf.SLOSnapshot { return e.slo.Load().Snapshot() }
 
-// SLOTracker exposes the attached tracker (nil when no SLO is set) so
-// the daemon's budget sampler can append burn-rate samples.
-func (e *Engine) SLOTracker() *perf.SLOTracker { return e.slo.Load() }
-
 // Obs returns the registry the engine currently reports into.
 func (e *Engine) Obs() *obs.Registry { return e.met.Load().reg }
 
@@ -532,7 +521,6 @@ func (e *Engine) DefinePermission(ps PermSpec) error {
 	e.policyMu.Unlock()
 	if col := e.costC.Load(); col != nil {
 		seedCost(col, ps)
-		e.refreshCostPolicyDigest()
 	}
 	return nil
 }
@@ -731,9 +719,6 @@ func (e *Engine) authorize(req Request, l *obs.StageLedger, now float64) (d Deci
 			l.Enter(obs.StageResidue)
 			if sv.applies {
 				d.ProgramVerdict = sv.verdict
-				if col != nil {
-					e.costStatic(col, req.ProgramDigest, sv, l.Stage(obs.StageStatic))
-				}
 			}
 			if d.ProgramVerdict == srac.NoTrace {
 				d.Spatial = srac.Violated
@@ -760,7 +745,7 @@ func (e *Engine) authorize(req Request, l *obs.StageLedger, now float64) (d Deci
 		d.Spatial = nodes[0].Status
 		d.evalStatus, d.entries = d.Spatial, consumed
 		if col != nil {
-			costScan(col, ps, nodes, consumed, sampled)
+			costScan(col, ps, nodes, sampled)
 		}
 		switch {
 		case d.Spatial == srac.Violated:

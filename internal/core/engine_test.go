@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"stac/internal/model"
+	"stac/internal/obs"
+	"stac/internal/obs/record"
 	"stac/internal/rbac"
 	"stac/internal/srac"
 	"stac/internal/sral"
@@ -399,6 +401,8 @@ func TestAuthorizeConcurrent(t *testing.T) {
 	spatial := srac.AtMost(1000000, model.Selector{Ops: []model.Operation{"read"}})
 	e, sess, _ := testEngine(t, spatial, 1e9, temporal.GlobalBase)
 	e.EnableCostProfiling()
+	rec := record.New(record.Config{Capacity: 2048, Registry: obs.NewRegistry()})
+	e.SetRecorder(rec)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -417,9 +421,18 @@ func TestAuthorizeConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	// All 1600 decisions and grants counted by the profiler.
-	amp := e.CostReport().Amplification
-	if amp.PrefixEvals != 1600 || amp.Appends != 1600 {
-		t.Fatalf("amplification = %+v, want 1600 evals and appends", amp)
+	// All 1600 decisions counted by the profiler, and all 1600 grants
+	// by the recorder.
+	if rows := e.CostReport().Clauses; len(rows) != 1 || rows[0].Evals != 1600 {
+		t.Fatalf("clause rows = %+v, want one row of 1600 evals", rows)
+	}
+	grants := 0
+	for _, r := range rec.Records() {
+		if r.Kind == record.KindGrant {
+			grants++
+		}
+	}
+	if grants != 1600 {
+		t.Fatalf("grant records = %d, want 1600", grants)
 	}
 }

@@ -32,6 +32,7 @@ func TestPrefixEvalFlatInHistory(t *testing.T) {
 	type side struct {
 		decide           func()
 		mallocs, entries float64
+		stepped          int
 		bytes            uint64
 	}
 	const (
@@ -51,15 +52,18 @@ func TestPrefixEvalFlatInHistory(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		s := &side{decide: func() {
-			if d := e.Authorize(Request{Session: sess, Access: a, History: st.Trace(), Proofs: st}); !d.Granted {
+		s := &side{}
+		s.decide = func() {
+			d := e.Authorize(Request{Session: sess, Access: a, History: st.Trace(), Proofs: st})
+			if !d.Granted {
 				t.Fatalf("denied at history %d: %s", histLen, d.Reason)
 			}
-		}}
+			s.stepped += d.entries
+		}
 		s.decide() // the first decision catches up on the whole history
-		before := e.CostReport().Amplification.ScanEntries
+		before := s.stepped
 		s.mallocs = testing.AllocsPerRun(decisions, s.decide)
-		s.entries = float64(e.CostReport().Amplification.ScanEntries-before) / (decisions + 1)
+		s.entries = float64(s.stepped-before) / (decisions + 1)
 		return s
 	}
 	short, long := setup(16), setup(1024)

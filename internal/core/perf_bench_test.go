@@ -61,8 +61,7 @@ func benchSpatialEngine(b *testing.B) (*Engine, Request) {
 // BenchmarkE17_CostProfilingOverhead runs the same constrained
 // Authorize tour with the per-clause profiler (cost and coverage, one
 // collector) on and off. The profiled arm pays one cost walk, the
-// per-clause cell updates, the amplification counters and the 1-in-64
-// timing samples.
+// per-clause cell updates and the 1-in-64 timing samples.
 func BenchmarkE17_CostProfilingOverhead(b *testing.B) {
 	for _, arm := range []string{"profiled", "detached"} {
 		b.Run(arm, func(b *testing.B) {

@@ -90,14 +90,9 @@ func (e *Engine) recordSession(kind string, sess *rbac.Session, obj model.Object
 }
 
 // RecordGrant tells the engine an access was actually performed (the
-// proof was issued). Servers call it once per granted access: the
-// flight recorder logs a grant record, and the cost profiler counts
-// one history append — the denominator of its re-walk amplification
-// gauge.
+// proof was issued). Servers call it once per granted access, and the
+// flight recorder logs a grant record.
 func (e *Engine) RecordGrant(a model.Access) {
-	if col := e.costC.Load(); col != nil {
-		col.NoteAppend()
-	}
 	rec := e.inputRecorder()
 	if rec == nil {
 		return

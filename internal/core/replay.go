@@ -253,13 +253,6 @@ func replayStream(policySrc string, records []record.Record, opts ReplayOptions,
 			if sess := sessions[rec.Object]; sess != nil {
 				e.DeactivatePermissions(sess, obj)
 			}
-		case record.KindGrant:
-			e.RecordGrant(model.Access{
-				Object:   obj,
-				Op:       model.Operation(rec.Op),
-				Resource: model.ResourceID(rec.Resource),
-				Server:   model.ServerID(rec.Server),
-			})
 		case record.KindDecide:
 			sess := sessions[rec.Object]
 			if sess == nil && rec.User != "" {

@@ -162,7 +162,7 @@ func TestStaticMemoMatchesCheckProgram(t *testing.T) {
 			stamped := srac.StampObject(c, o)
 			want := staticVerdict{applies: !srac.MentionsOtherObject(stamped, o), verdict: srac.AllTraces}
 			if want.applies {
-				want.verdict, want.size = srac.CheckProgram(p, stamped, o), p.Size()
+				want.verdict = srac.CheckProgram(p, stamped, o)
 				applied++
 			}
 			before := checks.Load()

@@ -1,24 +1,18 @@
-// Package cost profiles the evaluation cost of SRAC policy clauses —
-// the measured "before picture" for compiling SRAC into
-// automata/bytecode (ROADMAP item 2).
+// Package cost profiles the evaluation cost of SRAC policy clauses.
 //
-// The paper's prefix semantics re-walks the whole constraint AST on
-// every access, so evaluation cost scales with history length ×
-// formula size. One coarse prefix-eval histogram cannot say WHERE
-// that product lands; this package can. A Collector aggregates, per
+// One coarse prefix-eval histogram cannot say WHERE a decision's
+// evaluation time lands; this package can. A Collector aggregates, per
 // (permission, clause-path) — the identity attribution keys on — how
 // often each clause was evaluated and with what outcome
 // (satisfied/violated/pending, the clause-coverage tallies), how often
 // it was decisive, how many leaf evaluations (atoms) its subtree
 // performed, and a 1-in-64 deterministically sampled cumulative
 // wall-clock time. Its ClauseCost rows are the one per-clause table on
-// every surface: /debug/cost, the snapshot's cost.clauses, the
-// federate rollup, and replay and shadow-diff coverage. On
-// top it keeps two whole-engine gauges: re-walk amplification (prefix
-// evals and history entries walked per appended access — the
-// history-length tax) and a per-(program digest, policy digest)
-// static-check cost table, the measured baseline for the item-2
-// verdict cache.
+// every surface: the snapshot's cost.clauses, the federate rollup, and
+// replay and shadow-diff coverage. Whole-decision numbers live
+// elsewhere, each once: stage time (the static check, the prefix
+// evaluation) on the request's stage ledger, and the history entries
+// an evaluation consumed on its decision and its prefix_eval span.
 //
 // The package is stdlib-only and engine-agnostic: the engine
 // translates its srac node costs into NodeSample values, so cost does
@@ -120,22 +114,6 @@ type stripe struct {
 	perms map[string]*permProfile
 }
 
-// StaticKey identifies one static-check pairing: the digest of the
-// checked program and the digest of the policy it was checked against.
-// The engine's verdict memo keys finer, per permission definition and
-// requesting object, so one row may gather several memo entries.
-type StaticKey struct {
-	Program string
-	Policy  string
-}
-
-type staticCell struct {
-	checks      int64
-	ns          int64
-	programSize int
-	verdict     string
-}
-
 // Collector aggregates per-clause evaluation cost. The zero value is
 // not usable; call New.
 type Collector struct {
@@ -145,18 +123,11 @@ type Collector struct {
 	// evaluation is sampled — short runs and tests get at least one
 	// timed data point.
 	seq atomic.Uint64
-
-	prefixEvals atomic.Int64
-	scanEntries atomic.Int64
-	appends     atomic.Int64
-
-	staticMu sync.Mutex
-	static   map[StaticKey]*staticCell
 }
 
 // New returns an empty collector.
 func New() *Collector {
-	c := &Collector{static: make(map[StaticKey]*staticCell)}
+	c := &Collector{}
 	for i := range c.stripes {
 		c.stripes[i].perms = make(map[string]*permProfile)
 	}
@@ -239,35 +210,6 @@ func (c *Collector) Record(perm string, sampled bool, nodes []NodeSample, clause
 	}
 }
 
-// NoteScan records one prefix evaluation that consumed entries history
-// entries — the numerator of the re-walk amplification gauges.
-func (c *Collector) NoteScan(entries int) {
-	c.prefixEvals.Add(1)
-	c.scanEntries.Add(int64(entries))
-}
-
-// NoteAppend records one access appended to some object history — the
-// denominator of the amplification gauge.
-func (c *Collector) NoteAppend() {
-	c.appends.Add(1)
-}
-
-// RecordStatic folds one static-check run into the per-(program,
-// policy) cost table.
-func (c *Collector) RecordStatic(program, policy, verdict string, programSize int, ns int64) {
-	c.staticMu.Lock()
-	defer c.staticMu.Unlock()
-	k := StaticKey{Program: program, Policy: policy}
-	cl, ok := c.static[k]
-	if !ok {
-		cl = &staticCell{programSize: programSize}
-		c.static[k] = cl
-	}
-	cl.checks++
-	cl.ns += ns
-	cl.verdict = verdict
-}
-
 // ClauseCost is one clause's aggregated evaluation cost, in JSON form.
 type ClauseCost struct {
 	Perm   string `json:"perm"`
@@ -295,54 +237,15 @@ type ClauseCost struct {
 	MeanNS       float64 `json:"mean_ns"`
 }
 
-// StaticCost is one (program, policy) pairing's aggregated
-// static-check cost. Checks counts every decision that needed a static
-// verdict, those the engine's verdict memo answered included, and
-// TotalNS what they paid for it: the check on a memo miss, the lookup
-// on a hit.
-type StaticCost struct {
-	ProgramDigest string  `json:"program_digest"`
-	PolicyDigest  string  `json:"policy_digest"`
-	Checks        int64   `json:"checks"`
-	TotalNS       int64   `json:"total_ns"`
-	MeanNS        float64 `json:"mean_ns"`
-	ProgramSize   int     `json:"program_size"`
-	Verdict       string  `json:"verdict"`
-}
-
-// Amplification is the re-walk amplification gauge: how much prefix
-// evaluation the engine performs per unit of actual history growth.
-type Amplification struct {
-	// PrefixEvals counts all prefix evaluations; ScanEntries the
-	// cumulative history entries those evaluations consumed — for a
-	// monitor state kept on the object's proof store, the entries
-	// appended since its previous evaluation plus the requested access;
-	// for a fresh state, the whole history plus the access; Appends the
-	// accesses actually appended to histories.
-	PrefixEvals int64 `json:"prefix_evals"`
-	ScanEntries int64 `json:"scan_entries"`
-	Appends     int64 `json:"appends"`
-	// EvalsPerAppend is PrefixEvals/Appends — evaluations paid per
-	// access admitted. EntriesPerScan is ScanEntries/PrefixEvals — the
-	// mean entries each evaluation consumed: 1 plus the catch-up when
-	// the states are kept, the mean history length plus 1 when every
-	// evaluation starts fresh, i.e. the history-length tax per object.
-	EvalsPerAppend float64 `json:"evals_per_append"`
-	EntriesPerScan float64 `json:"entries_per_scan"`
-}
-
-// Report is the collector's exported state: every clause's cost, the
-// static-check table, and the amplification gauges.
+// Report is the collector's exported state: every clause's cost.
 type Report struct {
-	Clauses       []ClauseCost  `json:"clauses"`
-	Static        []StaticCost  `json:"static,omitempty"`
-	Amplification Amplification `json:"amplification"`
+	Clauses []ClauseCost `json:"clauses"`
 }
 
 // Report snapshots the collector. Clauses sort by permission then
-// path; static rows by program then policy digest.
+// path.
 func (c *Collector) Report() Report {
-	r := Report{Amplification: c.amplification()}
+	var r Report
 	for i := range c.stripes {
 		st := &c.stripes[i]
 		st.mu.Lock()
@@ -369,39 +272,5 @@ func (c *Collector) Report() Report {
 		}
 		return r.Clauses[i].Path < r.Clauses[j].Path
 	})
-	c.staticMu.Lock()
-	for k, cl := range c.static {
-		sc := StaticCost{
-			ProgramDigest: k.Program, PolicyDigest: k.Policy,
-			Checks: cl.checks, TotalNS: cl.ns,
-			ProgramSize: cl.programSize, Verdict: cl.verdict,
-		}
-		if sc.Checks > 0 {
-			sc.MeanNS = float64(sc.TotalNS) / float64(sc.Checks)
-		}
-		r.Static = append(r.Static, sc)
-	}
-	c.staticMu.Unlock()
-	sort.Slice(r.Static, func(i, j int) bool {
-		if r.Static[i].ProgramDigest != r.Static[j].ProgramDigest {
-			return r.Static[i].ProgramDigest < r.Static[j].ProgramDigest
-		}
-		return r.Static[i].PolicyDigest < r.Static[j].PolicyDigest
-	})
 	return r
-}
-
-func (c *Collector) amplification() Amplification {
-	a := Amplification{
-		PrefixEvals: c.prefixEvals.Load(),
-		ScanEntries: c.scanEntries.Load(),
-		Appends:     c.appends.Load(),
-	}
-	if a.Appends > 0 {
-		a.EvalsPerAppend = float64(a.PrefixEvals) / float64(a.Appends)
-	}
-	if a.PrefixEvals > 0 {
-		a.EntriesPerScan = float64(a.ScanEntries) / float64(a.PrefixEvals)
-	}
-	return a
 }

@@ -99,48 +99,6 @@ func TestRecordResolvesClauseLazily(t *testing.T) {
 	}
 }
 
-func TestAmplificationGauges(t *testing.T) {
-	c := New()
-	// 3 appends, each followed by one evaluation: a kept monitor state
-	// consumes the first evaluation's access alone, then the one entry
-	// appended since its previous evaluation plus the access.
-	for _, entries := range []int{1, 2, 2} {
-		c.NoteAppend()
-		c.NoteScan(entries)
-	}
-	// One fresh evaluation consumes a 3-entry history plus the access.
-	c.NoteScan(4)
-	a := c.Report().Amplification
-	if a.PrefixEvals != 4 || a.ScanEntries != 9 || a.Appends != 3 {
-		t.Fatalf("amplification = %+v", a)
-	}
-	if a.EvalsPerAppend != 4.0/3 {
-		t.Fatalf("EvalsPerAppend = %v, want 4/3", a.EvalsPerAppend)
-	}
-	if a.EntriesPerScan != 2.25 {
-		t.Fatalf("EntriesPerScan = %v, want 2.25", a.EntriesPerScan)
-	}
-}
-
-func TestStaticCostTable(t *testing.T) {
-	c := New()
-	c.RecordStatic("prog-a", "pol-1", "Satisfied", 7, 100)
-	c.RecordStatic("prog-a", "pol-1", "Satisfied", 7, 300)
-	c.RecordStatic("prog-b", "pol-1", "Violated", 3, 50)
-	rep := c.Report()
-	if len(rep.Static) != 2 {
-		t.Fatalf("static = %+v", rep.Static)
-	}
-	a := rep.Static[0]
-	if a.ProgramDigest != "prog-a" || a.Checks != 2 || a.TotalNS != 400 || a.MeanNS != 200 ||
-		a.ProgramSize != 7 || a.Verdict != "Satisfied" {
-		t.Fatalf("prog-a = %+v", a)
-	}
-	if rep.Static[1].ProgramDigest != "prog-b" || rep.Static[1].Verdict != "Violated" {
-		t.Fatalf("prog-b = %+v", rep.Static[1])
-	}
-}
-
 func TestReportIsSortedAndStable(t *testing.T) {
 	c := New()
 	c.Seed("b-perm", "l", "x")

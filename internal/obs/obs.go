@@ -1,7 +1,7 @@
 // Package obs is the observability layer of the reproduction: cheap,
 // allocation-light counters, gauges and latency histograms that the
 // decision path (engine, transport, agent runtime) updates on every
-// request, exposed in Prometheus text format and through expvar.
+// request, exposed in Prometheus text format.
 //
 // The design goals, in order:
 //
@@ -14,11 +14,10 @@
 //     one run's metrics against its audit trail exactly.
 //   - No dependencies beyond the standard library: the exposition is a
 //     small subset of the Prometheus text format, enough for a real
-//     scrape, plus an expvar mirror for /debug/vars.
+//     scrape.
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -439,56 +438,4 @@ func Handler(regs ...*Registry) http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		WritePrometheus(w, regs...)
 	})
-}
-
-// expvar mirror: one expvar.Func per published name, reading the
-// current registry set under a lock so re-publishing the same name
-// (tests, restarts inside one process) swaps the sources instead of
-// panicking in expvar.Publish.
-var (
-	expvarMu     sync.Mutex
-	expvarGroups = map[string]*[]*Registry{}
-)
-
-// PublishExpvar mirrors the registries as one expvar variable (a map
-// of series name to value; histograms expose count/sum/avg), visible
-// on /debug/vars. Publishing an already-published name replaces its
-// registry set.
-func PublishExpvar(name string, regs ...*Registry) {
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	if g, ok := expvarGroups[name]; ok {
-		*g = regs
-		return
-	}
-	group := &regs
-	expvarGroups[name] = group
-	expvar.Publish(name, expvar.Func(func() any {
-		expvarMu.Lock()
-		current := *group
-		expvarMu.Unlock()
-		out := map[string]any{}
-		for _, r := range current {
-			for _, f := range r.snapshot() {
-				for _, labels := range sortedLabels(f.children) {
-					n := series(f.name, labels, "")
-					switch m := f.children[labels].(type) {
-					case *Counter:
-						out[n] = m.Value()
-					case *Gauge:
-						out[n] = m.Value()
-					case *FloatGauge:
-						out[n] = m.Value()
-					case *Histogram:
-						v := map[string]any{"count": m.Count(), "sum_seconds": m.Sum().Seconds()}
-						if c := m.Count(); c > 0 {
-							v["avg_seconds"] = m.Sum().Seconds() / float64(c)
-						}
-						out[n] = v
-					}
-				}
-			}
-		}
-		return out
-	}))
 }

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"expvar"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -121,26 +119,6 @@ func TestWriteTableSkipsZeros(t *testing.T) {
 	}
 	if !strings.Contains(out, "some_total") || !strings.Contains(out, "h_seconds") {
 		t.Fatalf("table missing rows:\n%s", out)
-	}
-}
-
-func TestPublishExpvarRepublish(t *testing.T) {
-	r1 := NewRegistry()
-	r1.Counter("pub_total", "", "").Add(1)
-	PublishExpvar("obs_test_group", r1)
-	r2 := NewRegistry()
-	r2.Counter("pub_total", "", "").Add(42)
-	PublishExpvar("obs_test_group", r2) // must swap, not panic
-	v := expvar.Get("obs_test_group")
-	if v == nil {
-		t.Fatal("expvar not published")
-	}
-	var decoded map[string]any
-	if err := json.Unmarshal([]byte(v.String()), &decoded); err != nil {
-		t.Fatalf("expvar JSON: %v\n%s", err, v.String())
-	}
-	if decoded["pub_total"].(float64) != 42 {
-		t.Fatalf("expvar shows stale registry: %v", decoded)
 	}
 }
 

@@ -21,15 +21,9 @@ func TestSLOTrackerBurnRate(t *testing.T) {
 	if s.BurnRate < 1.99 || s.BurnRate > 2.01 {
 		t.Fatalf("burn rate = %g, want 2", s.BurnRate)
 	}
-	if br := tr.Sample(1.0); br != s.BurnRate {
-		t.Fatalf("Sample returned %g", br)
-	}
-	if tr.Series().Len() != 1 {
-		t.Fatal("burn-rate series not appended")
-	}
 	var nilTr *SLOTracker
 	nilTr.Observe(time.Second)
-	if nilTr.Snapshot().Total != 0 || nilTr.Sample(0) != 0 {
+	if nilTr.Snapshot().Total != 0 {
 		t.Fatal("nil tracker must be inert")
 	}
 }

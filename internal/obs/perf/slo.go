@@ -8,8 +8,6 @@ package perf
 import (
 	"sync/atomic"
 	"time"
-
-	"stac/internal/obs"
 )
 
 // SLO is a latency service-level objective: at least Objective of
@@ -25,19 +23,18 @@ type SLO struct {
 // being consumed exactly as fast as it accrues; above 1.0 the SLO
 // will eventually be violated.
 type SLOTracker struct {
-	slo    SLO
-	total  atomic.Int64
-	over   atomic.Int64
-	series *obs.TimeSeries
+	slo   SLO
+	total atomic.Int64
+	over  atomic.Int64
 }
 
-// NewSLOTracker creates a tracker with a burn-rate series retaining
-// DefaultSeriesCapacity samples.
+// NewSLOTracker creates a tracker for slo (an objective outside (0, 1)
+// reads as 0.99).
 func NewSLOTracker(slo SLO) *SLOTracker {
 	if slo.Objective <= 0 || slo.Objective >= 1 {
 		slo.Objective = 0.99
 	}
-	return &SLOTracker{slo: slo, series: obs.NewTimeSeries(0)}
+	return &SLOTracker{slo: slo}
 }
 
 // SLO returns the tracked objective.
@@ -82,24 +79,4 @@ func (t *SLOTracker) Snapshot() SLOSnapshot {
 		s.BurnRate = s.OverFraction / (1 - t.slo.Objective)
 	}
 	return s
-}
-
-// Sample appends the current burn rate to the tracker's time series at
-// clock reading `at` (seconds) and returns it, so burn-rate trajectory
-// is queryable alongside the PR 4 budget series.
-func (t *SLOTracker) Sample(at float64) float64 {
-	if t == nil {
-		return 0
-	}
-	br := t.Snapshot().BurnRate
-	t.series.Append(at, br)
-	return br
-}
-
-// Series exposes the burn-rate trajectory.
-func (t *SLOTracker) Series() *obs.TimeSeries {
-	if t == nil {
-		return nil
-	}
-	return t.series
 }

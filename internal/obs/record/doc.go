@@ -46,9 +46,8 @@
 //   - "grant" (RecordGrant, in every engine): an access the server
 //     actually executed, its proof issued. This is not implied by a
 //     granted decide: a server may still refuse an engine-granted
-//     access for non-policy reasons (unknown resource). Replay feeds
-//     grant records back through RecordGrant, so the replay engine's
-//     re-walk amplification gauge counts the same appends.
+//     access for non-policy reasons (unknown resource). Replay
+//     decides from decide records alone and skips grant records.
 //   - "decide" (Engine.LogDecision, once per served decision): the
 //     complete replayable input — subject (user + active roles), the
 //     requested "op resource @ server" access, the proof-backed

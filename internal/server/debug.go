@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -13,14 +12,13 @@ import (
 )
 
 // DebugServer bundles the daemon's observability surface: Prometheus
-// metrics, expvar, pprof (the one source of raw profiles), the span
-// ring, decision explanations, the temporal-budget series, versioned
-// fleet snapshots (which carry the engine's shard balance, SLO and
-// exemplar state as perf), the per-clause evaluation profile
-// (/debug/cost), health probes and the /debug/journal decision-log
-// tail. The fleet poller
-// (internal/obs/federate) and stacctl's top/watch/heat/slow/timeline
-// verbs speak to these endpoints.
+// metrics, pprof (the one source of raw profiles), the span ring,
+// decision explanations, versioned fleet snapshots (which carry the
+// temporal-budget series, the per-clause evaluation profile and the
+// engine's shard balance, SLO and exemplar state), health probes and
+// the /debug/journal decision-log tail. Each is served once. The fleet
+// poller (internal/obs/federate) and stacctl's
+// top/watch/heat/slow/timeline verbs speak to these endpoints.
 type DebugServer struct {
 	c       *Coalition
 	daemons []*Daemon
@@ -37,7 +35,7 @@ type DebugServer struct {
 
 // DebugConfig tunes the observability surface.
 type DebugConfig struct {
-	// Registry backs /metrics and /debug/vars (nil = obs.Default).
+	// Registry backs /metrics (nil = obs.Default).
 	Registry *obs.Registry
 	// BudgetTail bounds the series tail in /debug/snapshot (0 = a
 	// default of 32; negative = full retained window).
@@ -68,7 +66,6 @@ func NewDebugServer(c *Coalition, daemons []*Daemon, tracer *obs.Tracer, cfg Deb
 
 // Mux returns the HTTP handler serving every observability endpoint.
 func (h *DebugServer) Mux() *http.ServeMux {
-	obs.PublishExpvar("stac", h.cfg.Registry)
 	mux := http.NewServeMux()
 	metricsHandler := obs.Handler(h.cfg.Registry)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -78,7 +75,6 @@ func (h *DebugServer) Mux() *http.ServeMux {
 		h.c.Engine.PublishPerf()
 		metricsHandler.ServeHTTP(w, r)
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -86,9 +82,7 @@ func (h *DebugServer) Mux() *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/debug/trace", obs.TraceHandler(h.tracer.Store()))
 	mux.HandleFunc("/debug/explain", h.handleExplain)
-	mux.HandleFunc("/debug/budgets", h.handleBudgets)
 	mux.HandleFunc("/debug/snapshot", h.handleSnapshot)
-	mux.HandleFunc("/debug/cost", h.handleCost)
 	mux.HandleFunc("/healthz", h.handleHealthz)
 	mux.HandleFunc("/readyz", h.handleReadyz)
 	mux.HandleFunc("/debug/journal", h.handleJournal)
@@ -148,17 +142,6 @@ func (h *DebugServer) handleExplain(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, e)
 }
 
-func (h *DebugServer) handleBudgets(w http.ResponseWriter, r *http.Request) {
-	tail := h.cfg.BudgetTail
-	if arg := r.URL.Query().Get("tail"); arg != "" {
-		if _, err := fmt.Sscanf(arg, "%d", &tail); err != nil {
-			http.Error(w, "bad tail parameter", http.StatusBadRequest)
-			return
-		}
-	}
-	writeJSON(w, h.c.Engine.SampleBudgets(tail))
-}
-
 func (h *DebugServer) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	tail := h.cfg.BudgetTail
 	if arg := r.URL.Query().Get("tail"); arg != "" {
@@ -173,20 +156,6 @@ func (h *DebugServer) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	st := h.JournalStats()
 	snap.Journal = &st
 	writeJSON(w, snap)
-}
-
-// handleCost serves the per-clause evaluation profile: every
-// subformula of every permission's spatial constraint with its
-// coverage tallies (evals, satisfied/violated/pending, decisive — a
-// clause never decisive never changed a verdict, dead policy) and its
-// heat (atoms, sampled ns), plus the per-(program, policy)
-// static-check cost table and the re-walk amplification gauges.
-func (h *DebugServer) handleCost(w http.ResponseWriter, r *http.Request) {
-	if !h.c.Engine.CostEnabled() {
-		http.Error(w, "cost profiling disabled on this daemon", http.StatusNotFound)
-		return
-	}
-	writeJSON(w, h.c.Engine.CostReport())
 }
 
 func (h *DebugServer) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -4,6 +4,9 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"math"
 	"net/http"
@@ -452,10 +455,7 @@ func TestDebugEndpoints(t *testing.T) {
 	if snap.Version != SnapshotVersion || snap.Grants != 1 {
 		t.Fatalf("snapshot = %+v", snap)
 	}
-	if code, _ := get("/debug/budgets"); code != 200 {
-		t.Fatalf("budgets = %d", code)
-	}
-	if code, _ := get("/debug/budgets?tail=bogus"); code != 400 {
+	if code, _ := get("/debug/snapshot?tail=bogus"); code != 400 {
 		t.Fatalf("bad tail = %d", code)
 	}
 	if code, body := get("/metrics"); code != 200 || !strings.Contains(body, "stac_authz_granted_total 1") {
@@ -467,6 +467,93 @@ func TestDebugEndpoints(t *testing.T) {
 	grantOnce(t, c)
 	if code, _ := get("/readyz"); code != http.StatusServiceUnavailable {
 		t.Fatalf("degraded readyz = %d", code)
+	}
+}
+
+// TestDebugSurface pins the observability surface: the status of a GET
+// of every path the mux serves, and of the paths it no longer serves.
+// The table must list exactly the patterns Mux registers, so a new
+// endpoint edits it.
+func TestDebugSurface(t *testing.T) {
+	surface := []struct {
+		path string
+		code int
+	}{
+		{"/metrics", http.StatusOK},
+		{"/debug/pprof/", http.StatusOK},
+		{"/debug/pprof/cmdline", http.StatusOK},
+		{"/debug/pprof/profile?seconds=1", http.StatusOK},
+		{"/debug/pprof/symbol", http.StatusOK},
+		{"/debug/pprof/trace?seconds=0.01", http.StatusOK},
+		{"/debug/trace", http.StatusOK},
+		{"/debug/explain", http.StatusBadRequest}, // served; the id is missing
+		{"/debug/snapshot", http.StatusOK},
+		{"/healthz", http.StatusOK},
+		{"/readyz", http.StatusOK},
+		{"/debug/journal?max=1", http.StatusOK},
+		// Each of these re-served data another endpoint carries: the
+		// snapshot's cost and budgets sections, /metrics as expvar, the
+		// snapshot's perf section, its clause census, the journal.
+		{"/debug/cost", http.StatusNotFound},
+		{"/debug/budgets", http.StatusNotFound},
+		{"/debug/vars", http.StatusNotFound},
+		{"/debug/perf", http.StatusNotFound},
+		{"/debug/coverage", http.StatusNotFound},
+		{"/debug/watch", http.StatusNotFound},
+	}
+
+	src, err := parser.ParseFile(token.NewFileSet(), "debug.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var registered []string
+	ast.Inspect(src, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok || (sel.Sel.Name != "Handle" && sel.Sel.Name != "HandleFunc") {
+			return true
+		}
+		if x, ok := sel.X.(*ast.Ident); !ok || x.Name != "mux" {
+			return true
+		}
+		if lit, ok := call.Args[0].(*ast.BasicLit); ok {
+			p, _ := strconv.Unquote(lit.Value)
+			registered = append(registered, p)
+		}
+		return true
+	})
+	var served []string
+	for _, e := range surface {
+		if e.code != http.StatusNotFound {
+			served = append(served, strings.SplitN(e.path, "?", 2)[0])
+		}
+	}
+	if strings.Join(registered, " ") != strings.Join(served, " ") {
+		t.Fatalf("Mux registers %v, the table serves %v", registered, served)
+	}
+
+	c, _ := newCoalition(t)
+	c.Engine.EnableCostProfiling()
+	reg := obs.NewRegistry()
+	c.Engine.SetObs(reg)
+	h := NewDebugServer(c, nil, obs.NewTracer(16), DebugConfig{Registry: reg})
+	ts := httptest.NewServer(h.Mux())
+	t.Cleanup(func() { h.Drain(); ts.Close() })
+	grantOnce(t, c) // a decision for the journal to stream
+
+	for _, e := range surface {
+		resp, err := http.Get(ts.URL + e.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != e.code {
+			t.Errorf("GET %s = %d, want %d", e.path, resp.StatusCode, e.code)
+		}
 	}
 }
 

@@ -35,8 +35,7 @@ func parseProgramSHA(s string) (k programSHA, ok bool) {
 
 // internedProgram is a declared SRAL program parsed once, shared
 // read-only by every request that declares the same source text, with
-// its canonical digest for the static-check verdict memo and cost
-// table.
+// its canonical digest for the static-check verdict memo.
 type internedProgram struct {
 	node   sral.Node
 	digest string

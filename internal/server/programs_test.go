@@ -80,15 +80,14 @@ func TestProgramCacheBounded(t *testing.T) {
 
 // TestTCPProgramInterned sends one program from clients on two member
 // daemons at once, plus a malformed one twice. The coalition parses the
-// program once, every static check lands on the row of its canonical
-// digest, and the malformed program gets the same error both times.
+// program once, and the malformed program gets the same error both
+// times.
 func TestTCPProgramInterned(t *testing.T) {
 	const (
 		src      = "read f-s1 @ s1; read f-s2 @ s2"
 		accesses = 10
 	)
 	c, _ := newCoalition(t)
-	c.Engine.EnableCostProfiling()
 	addrs := startDaemons(t, c)
 	var wg sync.WaitGroup
 	for _, srv := range []model.ServerID{"s1", "s2"} {
@@ -121,16 +120,6 @@ func TestTCPProgramInterned(t *testing.T) {
 	if n := c.programs.entries.Len(); n != 1 {
 		t.Fatalf("coalition interned %d programs, want 1", n)
 	}
-	parsed, err := sral.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	static := c.Engine.CostReport().Static
-	if len(static) != 1 || static[0].ProgramDigest != core.ProgramDigest(parsed) || static[0].Checks != 2*accesses {
-		t.Fatalf("static-check rows %+v, want one row of %d checks under digest %s",
-			static, 2*accesses, core.ProgramDigest(parsed))
-	}
-
 	cl, err := Dial(addrs["s1"])
 	if err != nil {
 		t.Fatal(err)

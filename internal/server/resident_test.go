@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -121,31 +122,33 @@ func equivItinerary(seed int64) []equivHop {
 }
 
 // hopFunc performs one hop's reads at addr carrying the given
-// history, and returns each read's error text ("" for a grant) and the
-// history carried onwards.
-type hopFunc func(t *testing.T, addr string, cr proof.Credential, carried []proof.Proof, reads []model.ResourceID) ([]string, []proof.Proof)
+// history, each under the trace context tc (none when it is zero), and
+// returns each read's error text ("" for a grant) and the history
+// carried onwards.
+type hopFunc func(t *testing.T, addr string, tc obs.TraceContext, cr proof.Credential, carried []proof.Proof, reads []model.ResourceID) ([]string, []proof.Proof)
 
 // deltaHop is the production Client, importing its history before Auth
 // as agent.RemoteRuntime does: the first read opens at the log adopted
 // from the previous hop (or sends the full history when the history
 // does not extend it), then only the suffix after the daemon's cursor.
-func deltaHop(t *testing.T, addr string, cr proof.Credential, carried []proof.Proof, reads []model.ResourceID) ([]string, []proof.Proof) {
-	return clientHop(t, addr, cr, carried, reads, false)
+func deltaHop(t *testing.T, addr string, tc obs.TraceContext, cr proof.Credential, carried []proof.Proof, reads []model.ResourceID) ([]string, []proof.Proof) {
+	return clientHop(t, addr, tc, cr, carried, reads, false)
 }
 
 // lateImportHop is deltaHop importing its history after Auth, as the
 // bench and stacload agents do.
-func lateImportHop(t *testing.T, addr string, cr proof.Credential, carried []proof.Proof, reads []model.ResourceID) ([]string, []proof.Proof) {
-	return clientHop(t, addr, cr, carried, reads, true)
+func lateImportHop(t *testing.T, addr string, tc obs.TraceContext, cr proof.Credential, carried []proof.Proof, reads []model.ResourceID) ([]string, []proof.Proof) {
+	return clientHop(t, addr, tc, cr, carried, reads, true)
 }
 
-func clientHop(t *testing.T, addr string, cr proof.Credential, carried []proof.Proof, reads []model.ResourceID, late bool) ([]string, []proof.Proof) {
+func clientHop(t *testing.T, addr string, tc obs.TraceContext, cr proof.Credential, carried []proof.Proof, reads []model.ResourceID, late bool) ([]string, []proof.Proof) {
 	t.Helper()
 	cl, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	cl.SetTrace(tc)
 	if !late {
 		cl.ImportProofs(carried)
 	}
@@ -176,14 +179,15 @@ func clientHop(t *testing.T, addr string, cr proof.Credential, carried []proof.P
 
 // fullHop is a client from before the history cursor: it sends its
 // complete history on every read and never sends a base.
-func fullHop(t *testing.T, addr string, cr proof.Credential, carried []proof.Proof, reads []model.ResourceID) ([]string, []proof.Proof) {
+func fullHop(t *testing.T, addr string, tc obs.TraceContext, cr proof.Credential, carried []proof.Proof, reads []model.ResourceID) ([]string, []proof.Proof) {
 	t.Helper()
 	rc := dialRaw(t, addr)
 	tok := rc.auth(cr)
 	carried = carried[:len(carried):len(carried)]
 	var out []string
 	for _, res := range reads {
-		resp := rc.access(tok, res, 0, "", carried)
+		resp := rc.send(wireRequest{Type: "access", Token: tok, Op: string(model.OpRead),
+			Resource: string(res), Proofs: carried, Trace: tc.String()})
 		out = append(out, resp.Error)
 		if resp.Proof != nil {
 			carried = append(carried, *resp.Proof)
@@ -245,7 +249,7 @@ func runEquivItinerary(t *testing.T, hops []equivHop, runHop hopFunc) equivRun {
 			carried = nil
 		}
 		var verdicts []string
-		verdicts, carried = runHop(t, addrs[h.server], cr, carried, h.reads)
+		verdicts, carried = runHop(t, addrs[h.server], obs.TraceContext{}, cr, carried, h.reads)
 		run.verdicts = append(run.verdicts, verdicts...)
 		clk.Advance(1)
 	}
@@ -816,8 +820,8 @@ grant traveler p-d
 // shadow policy decides every access on the same log. The verdicts,
 // reasons and explanations must equal core.Replay of the recorded
 // stream, the shadow's live flips core.ShadowDiff's, and the kept states
-// must have done the work: under a third of the entries a scan of
-// every decision's history would step.
+// must have done the work: the decisions' prefix_eval spans step under
+// a third of the entries a scan of every decision's history would.
 func TestResidentMonitorTourMatchesReplay(t *testing.T) {
 	clk := temporal.NewSimClock(0)
 	c := NewCoalition(clk, key)
@@ -827,6 +831,11 @@ func TestResidentMonitorTourMatchesReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Engine.EnableCostProfiling()
+	// Every request carries one sampled trace, so each decision renders
+	// its prefix_eval span with the entries its evaluation stepped.
+	tracer := obs.NewTracer(4096)
+	c.Engine.SetTracer(tracer)
+	tc := tracer.NewContext()
 	shadowSrc := strings.Replace(equivPolicy, "count(0, 3, sigma[r=ra])", "count(0, 2, sigma[r=ra])", 1)
 	if err := c.SetShadowPolicy(shadowSrc); err != nil {
 		t.Fatal(err)
@@ -877,7 +886,7 @@ func TestResidentMonitorTourMatchesReplay(t *testing.T) {
 			}
 		}
 		var v []string
-		v, carried = h.hop(t, addrs[h.server], cr, carried, h.reads)
+		v, carried = h.hop(t, addrs[h.server], tc, cr, carried, h.reads)
 		verdicts = append(verdicts, v...)
 		clk.Advance(1)
 	}
@@ -920,10 +929,25 @@ func TestResidentMonitorTourMatchesReplay(t *testing.T) {
 			scan += int64(r.HistoryBase + len(r.History) + 1)
 		}
 	}
-	amp := c.Engine.CostReport().Amplification
-	t.Logf("%d decisions (%d grants): %d entries stepped, a scan's %d", len(verdicts), grants, amp.ScanEntries, scan)
-	if amp.PrefixEvals != int64(len(verdicts)) || amp.ScanEntries >= scan/3 {
-		t.Fatalf("amplification %+v: want %d evaluations stepping under a third of a scan's %d entries",
-			amp, len(verdicts), scan)
+	evals, stepped := 0, int64(0)
+	for _, sp := range tracer.Store().Trace(tc.Trace) {
+		if sp.Name != "prefix_eval" {
+			continue
+		}
+		evals++
+		for _, a := range sp.Attrs {
+			if a.Key == "entries" {
+				n, err := strconv.Atoi(a.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				stepped += int64(n)
+			}
+		}
+	}
+	t.Logf("%d decisions (%d grants): %d entries stepped, a scan's %d", len(verdicts), grants, stepped, scan)
+	if evals != len(verdicts) || stepped >= scan/3 {
+		t.Fatalf("%d evaluations stepped %d entries: want %d stepping under a third of a scan's %d",
+			evals, stepped, len(verdicts), scan)
 	}
 }

@@ -206,8 +206,8 @@ func TestSnapshotVersionedFields(t *testing.T) {
 	}
 
 	snap := c.Snapshot(0)
-	if snap.Version != SnapshotVersion || SnapshotVersion != 9 {
-		t.Fatalf("snapshot version = %d, want 9", snap.Version)
+	if snap.Version != SnapshotVersion || SnapshotVersion != 10 {
+		t.Fatalf("snapshot version = %d, want 10", snap.Version)
 	}
 	if snap.ShadowDigest == "" || snap.ShadowFlips != 1 {
 		t.Errorf("shadow fields = %q/%d, want digest + 1 flip", snap.ShadowDigest, snap.ShadowFlips)
@@ -232,11 +232,9 @@ func TestSnapshotVersionedFields(t *testing.T) {
 		t.Error("snapshot has no HLC reading")
 	}
 	// v5: the evaluation-cost profile, with the decision above counted
-	// in both the clause cells and the amplification numerator.
+	// in the clause cells.
 	if snap.Cost == nil || len(snap.Cost.Clauses) == 0 {
 		t.Fatalf("snapshot has no cost profile: %+v", snap.Cost)
-	} else if snap.Cost.Amplification.PrefixEvals == 0 {
-		t.Errorf("cost amplification = %+v, want prefix evals counted", snap.Cost.Amplification)
 	}
 	// v6: the clause census rides on the cost rows, the decision above
 	// tallied by outcome.

@@ -41,7 +41,10 @@ import (
 //	    recorder.errors
 //	9 — drops perf.stripes and perf.acquire_imbalance with the
 //	    lock-stripe telemetry: contention is /debug/pprof/mutex
-const SnapshotVersion = 9
+//	10 — drops cost.static and cost.amplification: static-check time is
+//	    the stage ledger's static stage, and the entries an evaluation
+//	    consumed are its decision's (the prefix_eval span's entries)
+const SnapshotVersion = 10
 
 // Snapshot is one daemon-process view of its coalition state.
 type Snapshot struct {
@@ -75,8 +78,7 @@ type Snapshot struct {
 	ShadowFlips  int64  `json:"shadow_flips,omitempty"`
 	// Cost is the per-clause evaluation profile (nil unless the
 	// engine has cost profiling enabled; version ≥ 5): the clause
-	// census and heat, the static-check cost table and re-walk
-	// amplification. Dead clauses — never decisive — are the fleet
+	// census and heat. Dead clauses — never decisive — are the fleet
 	// signal stacctl top surfaces; stacctl heat ranks the heat.
 	Cost *cost.Report `json:"cost,omitempty"`
 	// Runtime is the Go runtime's health at snapshot time.

@@ -25,7 +25,6 @@ import (
 	"stac/internal/core"
 	"stac/internal/model"
 	"stac/internal/obs"
-	"stac/internal/obs/cost"
 	"stac/internal/obs/record"
 	"stac/internal/proof"
 	"stac/internal/server"
@@ -230,18 +229,19 @@ func TestReplayShadowEndToEnd(t *testing.T) {
 
 	// The daemon-side clause rows saw every decision and found the
 	// ceiling clause decisive.
-	cresp, err := http.Get(dts.URL + "/debug/cost")
+	cresp, err := http.Get(dts.URL + "/debug/snapshot")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cresp.Body.Close()
-	var cov cost.Report
-	if err := json.NewDecoder(cresp.Body).Decode(&cov); err != nil {
+	var snap server.Snapshot
+	if err := json.NewDecoder(cresp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if len(cov.Clauses) == 0 {
+	if snap.Cost == nil || len(snap.Cost.Clauses) == 0 {
 		t.Fatal("daemon coverage is empty")
 	}
+	cov := snap.Cost
 	live := int64(0)
 	for _, cc := range cov.Clauses {
 		live += cc.Decisive
