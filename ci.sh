@@ -70,8 +70,10 @@ go test -race -count=5 -run 'TestTCP|TestHostile|TestResident|TestConnectionWork
 # decisions of one object share one memoised static check. The program
 # cache, the static memo and the dedup window are one obs.Window type
 # under three different locks, so the probe includes the window's own
-# tests and each cache's bound.
-go test -race -count=10 -run 'TestTCPProgramInterned|TestStaticMemoConcurrentDecisions|TestWindow|TestDedupRingEviction|TestProgramCacheBounded|TestStaticMemoBounded' ./internal/server ./internal/core ./internal/obs
+# tests and each cache's bound. The dedup replay test rides along: one
+# connection's goroutine writes the retry records that the next
+# connection's goroutine reads.
+go test -race -count=10 -run 'TestTCPProgramInterned|TestStaticMemoConcurrentDecisions|TestWindow|TestDedupRingEviction|TestDedupReplayMatchesOriginalReply|TestProgramCacheBounded|TestStaticMemoBounded' ./internal/server ./internal/core ./internal/obs
 # The repository benchmark is its own module (stac/bench, replacing stac
 # with this tree), so ./... above never reaches it. It drives the
 # engine and srac APIs directly, so vet and test it here, or an API

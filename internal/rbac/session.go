@@ -58,7 +58,7 @@ func (sess *Session) ActivateRole(r RoleID) error {
 	if sess.closed {
 		return fmt.Errorf("rbac: session %d closed", sess.id)
 	}
-	if !s.ua[sess.user][r] {
+	if !assigned(s.ua[sess.user], r) {
 		return fmt.Errorf("%w: %q for user %q", ErrNotAuthorized, r, sess.user)
 	}
 	if sess.active[r] {

@@ -160,8 +160,8 @@ type wireResponse struct {
 const (
 	// DefaultMaxLineBytes caps one JSON-lines message.
 	DefaultMaxLineBytes = 16 << 20
-	// dedupWindow is the capacity of the obs.Window of access
-	// responses the daemon keeps for idempotent retries.
+	// dedupWindow is the capacity of the obs.Window of retry records
+	// the daemon keeps for idempotent access retries.
 	dedupWindow = 1024
 )
 
@@ -306,9 +306,10 @@ type Daemon struct {
 	connsTotal int64
 	closed     bool
 	wg         sync.WaitGroup
-	// seen holds the last dedupWindow access responses for idempotent
-	// retry (see wireRequest.ID).
-	seen *obs.Window[dedupKey, wireResponse]
+	// seen holds a retry record for each of the last dedupWindow
+	// access requests that carried an ID (see wireRequest.ID): what a
+	// retry's reply replays, not the decision behind it.
+	seen *obs.Window[dedupKey, retryRecord]
 	// onStages, when set (tests only, before serving), sees each
 	// access request's closed ledger.
 	onStages func(*obs.StageLedger)
@@ -351,6 +352,26 @@ type dedupKey struct {
 	id  string
 }
 
+// retryRecord is what an idempotent access retry replays: the reply's
+// verdict, error, data, proof, decision ID and HLC stamp. The trace is
+// the retry's own and have is the current token's, so neither is kept.
+// It stays small enough (with the window's sequence number, at most
+// 128 bytes) for the window's map to hold it in its slot.
+type retryRecord struct {
+	ok         bool
+	err        string
+	data       []byte
+	proof      *proof.Proof
+	decisionID string
+	hlc        hlc.Timestamp
+}
+
+// reply rebuilds the recorded access reply, trace and have unset.
+func (r retryRecord) reply() wireResponse {
+	return wireResponse{OK: r.ok, Error: r.err, Data: r.data, Proof: r.proof,
+		DecisionID: r.decisionID, HLC: r.hlc.String()}
+}
+
 // NewDaemon wraps a coalition server for network exposure with
 // default (permissive) limits.
 func NewDaemon(s *Server) *Daemon { return NewDaemonWith(s, DaemonConfig{}) }
@@ -366,7 +387,7 @@ func NewDaemonWith(s *Server, cfg DaemonConfig) *Daemon {
 		idle:     make(chan net.Conn),
 		subjects: make(map[string]*session),
 		conns:    make(map[net.Conn]struct{}),
-		seen:     obs.NewWindow[dedupKey, wireResponse](dedupWindow),
+		seen:     obs.NewWindow[dedupKey, retryRecord](dedupWindow),
 	}
 	if cfg.MaxConns > 0 {
 		d.sem = make(chan struct{}, cfg.MaxConns)
@@ -625,21 +646,24 @@ func extractTrace(line []byte) string {
 	return tc.String()
 }
 
-// cached returns the recorded response for an idempotent access
-// retry.
+// cached returns the recorded reply for an idempotent access retry.
 func (d *Daemon) cached(key dedupKey) (wireResponse, bool) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.seen.Get(key)
+	r, ok := d.seen.Get(key)
+	d.mu.Unlock()
+	if !ok {
+		return wireResponse{}, false
+	}
+	return r.reply(), true
 }
 
-// record retains an access response for idempotent retry, evicting
-// the oldest entry once the dedup window is full.
-func (d *Daemon) record(key dedupKey, resp wireResponse) {
+// record retains an access reply's retry record, evicting the oldest
+// entry once the dedup window is full.
+func (d *Daemon) record(key dedupKey, r retryRecord) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if _, ok := d.seen.Get(key); !ok {
-		d.seen.Add(key, resp)
+		d.seen.Add(key, r)
 	}
 }
 
@@ -774,19 +798,19 @@ func (d *Daemon) access(s *session, req *wireRequest, program []byte, led *obs.S
 		return wireResponse{Error: err.Error(), Trace: echo}
 	}
 	ctx.Store = s.log
-	var resp wireResponse
 	res, err := d.srv.Request(s.sub, model.Operation(req.Op), model.ResourceID(req.Resource), ctx)
+	// The record holds the proof by a copy of its own, so res (and the
+	// decision in it) stays off the heap.
+	rec := retryRecord{decisionID: res.Decision.ID, hlc: res.Decision.HLC}
 	if err != nil {
-		resp = wireResponse{Error: err.Error()}
+		rec.err = err.Error()
 	} else {
-		resp = wireResponse{OK: true, Data: res.Data, Proof: &res.Proof}
+		pr := res.Proof
+		rec.ok, rec.data, rec.proof = true, res.Data, &pr
 	}
 	// A grant appended the issued proof to the log, as the client
 	// appends it to its own history.
 	d.countResident(s)
-	resp.Trace = echo
-	resp.DecisionID = res.Decision.ID
-	resp.HLC = res.Decision.HLC.String()
 	if sampled {
 		span(obs.Attr{Key: "decision_id", Value: res.Decision.ID},
 			obs.Attr{Key: "granted", Value: strconv.FormatBool(res.Decision.Granted)})
@@ -794,8 +818,10 @@ func (d *Daemon) access(s *session, req *wireRequest, program []byte, led *obs.S
 	if req.ID != "" {
 		// Record grants AND denials: a retried request must see
 		// the same verdict the engine originally reached.
-		d.record(key, resp)
+		d.record(key, rec)
 	}
+	resp := rec.reply()
+	resp.Trace = echo
 	return resp
 }
 

@@ -10,12 +10,14 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"stac/internal/model"
 	"stac/internal/obs"
+	"stac/internal/proof"
 )
 
 // startDaemonWith exposes one server with explicit limits.
@@ -295,5 +297,141 @@ func TestDedupRingEviction(t *testing.T) {
 	access(dedupWindow) // retained: replayed
 	if g2, _ := srv.Counters(); g2 != g0+1 || hits() != 1 {
 		t.Fatalf("retry of the newest ID: grants %d → %d, dedup hits %d; want a replay", g0, g2, hits())
+	}
+}
+
+// A retry replays its original reply member for member: a grant (data
+// and proof), a count-ceiling denial and a served "unknown resource"
+// error, each retried under its request ID from a second connection of
+// the object. Only trace (the retry's) and have (the new token's log)
+// may differ.
+func TestDedupReplayMatchesOriginalReply(t *testing.T) {
+	c, _ := newCoalition(t)
+	tracer := obs.NewTracer(256)
+	c.Engine.SetTracer(tracer)
+	reg := obs.NewRegistry()
+	_, addr := startDaemonWith(t, c, "s1", DaemonConfig{Obs: reg})
+	cr := cred(c, "o1", "owner", "traveler")
+	first := dialRaw(t, addr)
+	tok := first.auth(cr)
+
+	// exchange sends req on rc and returns the reply's members, raw.
+	exchange := func(rc *rawConn, req wireRequest) map[string]json.RawMessage {
+		t.Helper()
+		b, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rc.conn.Write(append(b, '\n')); err != nil {
+			t.Fatal(err)
+		}
+		_ = rc.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		line, err := rc.br.ReadBytes('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		var members map[string]json.RawMessage
+		if err := json.Unmarshal(line, &members); err != nil {
+			t.Fatalf("reply not a JSON object: %v\n%s", err, line)
+		}
+		return members
+	}
+	// A full-history client: every access carries the proofs the
+	// original accesses were granted.
+	var carried []proof.Proof
+	access := func(rc *rawConn, tok, id string, res model.ResourceID, tc obs.TraceContext) map[string]json.RawMessage {
+		t.Helper()
+		return exchange(rc, wireRequest{Type: "access", Token: tok, Op: string(model.OpRead), Resource: string(res),
+			Proofs: carried, ID: id, Trace: tc.String()})
+	}
+	original := func(tok, id string, res model.ResourceID, tc obs.TraceContext) map[string]json.RawMessage {
+		t.Helper()
+		m := access(first, tok, id, res, tc)
+		if raw, ok := m["proof"]; ok {
+			var p proof.Proof
+			if err := json.Unmarshal(raw, &p); err != nil {
+				t.Fatal(err)
+			}
+			carried = append(carried, p)
+		}
+		return m
+	}
+
+	cases := []struct {
+		id   string
+		res  model.ResourceID
+		want []string // members the original reply must have
+	}{
+		{"grant", "f-s1", []string{"ok", "data", "proof", "decision_id", "hlc"}},
+		{"unknown", "missing", []string{"ok", "error", "decision_id", "hlc"}},
+		{"ceiling", "rsw", []string{"ok", "error", "decision_id", "hlc"}},
+	}
+	orig := make(map[string]map[string]json.RawMessage)
+	for _, tc := range cases {
+		if tc.id == "ceiling" {
+			// Two rsw grants reach count(0, 2, sigma[r=rsw]).
+			original(tok, "", "rsw", obs.TraceContext{})
+			original(tok, "", "rsw", obs.TraceContext{})
+		}
+		m := original(tok, tc.id, tc.res, tracer.NewContext())
+		for _, k := range tc.want {
+			if _, ok := m[k]; !ok {
+				t.Fatalf("%s: reply %v lacks %q", tc.id, m, k)
+			}
+		}
+		orig[tc.id] = m
+	}
+	if got := string(orig["unknown"]["error"]); !strings.Contains(got, "unknown shared resource") {
+		t.Fatalf("unknown-resource reply error = %s", got)
+	}
+	if got := string(orig["ceiling"]["error"]); !strings.Contains(got, "denied") || !strings.Contains(got, "count") {
+		t.Fatalf("ceiling reply error = %s", got)
+	}
+	decided := auditTotal(t, c, "s1")
+
+	second := dialRaw(t, addr)
+	tok2 := second.auth(cr)
+	for _, tc := range cases {
+		retry := tracer.NewContext()
+		m := access(second, tok2, tc.id, tc.res, retry)
+		if got, want := string(m["trace"]), `"`+retry.String()+`"`; got != want {
+			t.Fatalf("%s: replay trace %s, want the retry's %s", tc.id, got, want)
+		}
+		for _, k := range []string{"trace", "have"} {
+			delete(m, k)
+			delete(orig[tc.id], k)
+		}
+		if !reflect.DeepEqual(m, orig[tc.id]) {
+			t.Fatalf("%s: replay differs from the original reply\nreplay   %s\noriginal %s", tc.id, replyJSON(m), replyJSON(orig[tc.id]))
+		}
+	}
+	if got := auditTotal(t, c, "s1"); got != decided {
+		t.Fatalf("the retries reached the engine: %d decisions, want %d", got, decided)
+	}
+	if hits := reg.CounterValue("stac_server_dedup_hits_total", obs.Label("server", "s1")); hits != int64(len(cases)) {
+		t.Fatalf("dedup hits %d, want %d", hits, len(cases))
+	}
+}
+
+// replyJSON renders a reply's members in key order.
+func replyJSON(m map[string]json.RawMessage) string {
+	b, _ := json.Marshal(m)
+	return string(b)
+}
+
+// The dedup window's map stores each entry (the retry record plus the
+// window's sequence number) in its slot. Go's swiss map stores a value
+// larger than 128 bytes out of line, which costs one more allocation
+// and one more object for the GC to mark per recorded access.
+func TestDedupEntryFitsMapSlot(t *testing.T) {
+	c, _ := newCoalition(t)
+	srv, err := c.Server("s1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewDaemon(srv)
+	entry := reflect.ValueOf(d.seen).Elem().FieldByName("m").Type().Elem()
+	if size := entry.Size(); size > 128 {
+		t.Fatalf("dedup window entry %s is %d bytes, want at most 128", entry, size)
 	}
 }

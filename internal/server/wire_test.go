@@ -585,16 +585,16 @@ func TestWireReusedBuffersDoNotAlias(t *testing.T) {
 	}
 	grants := 0
 	for _, id := range ids {
-		resp, ok := d.seen.Get(dedupKey{obj: "o1", id: id})
+		rec, ok := d.seen.Get(dedupKey{obj: "o1", id: id})
 		if !ok {
 			t.Fatalf("reply %s not cached", id)
 		}
-		if resp.Proof == nil {
+		if rec.proof == nil {
 			continue
 		}
 		grants++
-		if want, ok := bySig[resp.Proof.Sig]; !ok || !reflect.DeepEqual(*resp.Proof, want) {
-			t.Fatalf("cached proof %+v, client holds %+v", *resp.Proof, want)
+		if want, ok := bySig[rec.proof.Sig]; !ok || !reflect.DeepEqual(*rec.proof, want) {
+			t.Fatalf("cached proof %+v, client holds %+v", *rec.proof, want)
 		}
 	}
 	if grants != len(sent)-len(imported) || grants == 0 {
