@@ -74,6 +74,11 @@ go test -race -count=5 -run 'TestTCP|TestHostile|TestResident|TestConnectionWork
 # connection's goroutine writes the retry records that the next
 # connection's goroutine reads.
 go test -race -count=10 -run 'TestTCPProgramInterned|TestStaticMemoConcurrentDecisions|TestWindow|TestDedupRingEviction|TestDedupReplayMatchesOriginalReply|TestProgramCacheBounded|TestStaticMemoBounded' ./internal/server ./internal/core ./internal/obs
+# Repeated race probe of the engine's read side: budget rows are read
+# off the activation clocks under each object's lock, and the policy
+# digest is memoised under two policy generations, while decisions run
+# on every shard and, in the digest test, while the policy changes.
+go test -race -count=10 -run 'TestShardedContentionReconciliation|TestPolicyDigestMemoTracksEveryMutation' ./internal/core
 # The repository benchmark is its own module (stac/bench, replacing stac
 # with this tree), so ./... above never reaches it. It drives the
 # engine and srac APIs directly, so vet and test it here, or an API

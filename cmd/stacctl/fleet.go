@@ -70,7 +70,6 @@ func cmdTop(args []string) error {
 	membersArg := fs.String("members", "", "comma-separated member list, name=host:port of each daemon's metrics listener")
 	interval := fs.Duration("interval", 2*time.Second, "refresh interval")
 	iterations := fs.Int("n", 0, "number of refreshes; 0 = until interrupted")
-	tail := fs.Int("tail", 8, "budget series tail to request per scrape")
 	horizon := fs.Float64("horizon", 60, "flag budgets whose ETA falls under this many seconds")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -79,7 +78,7 @@ func cmdTop(args []string) error {
 	if err != nil {
 		return fmt.Errorf("top: %w", err)
 	}
-	p := federate.NewPoller(members, federate.Config{BudgetTail: *tail, ExhaustionHorizon: *horizon})
+	p := federate.NewPoller(members, federate.Config{ExhaustionHorizon: *horizon})
 	return runTop(os.Stdout, p, *interval, *iterations, *iterations != 1)
 }
 

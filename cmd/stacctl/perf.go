@@ -52,10 +52,9 @@ func runSlow(w io.Writer, client *http.Client, baseURL string, n int, explain bo
 	if client == nil {
 		client = &http.Client{Timeout: 10 * time.Second}
 	}
-	// The snapshot carries the engine's perf stats; tail=0 leaves out
-	// the budget series this verb does not read.
+	// The snapshot carries the engine's perf stats.
 	var snap server.Snapshot
-	if err := getJSON(client, baseURL+"/debug/snapshot?tail=0", &snap); err != nil {
+	if err := getJSON(client, baseURL+"/debug/snapshot", &snap); err != nil {
 		return fmt.Errorf("slow: %w", err)
 	}
 	exemplars := snap.Perf.Exemplars

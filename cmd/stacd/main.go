@@ -22,6 +22,10 @@
 // accept backlog), and -max-line-bytes caps one JSON-lines request
 // (oversized requests get a structured error before the connection
 // closes).
+//
+// -metrics-addr serves /metrics, the /debug endpoints and the health
+// probes on one extra HTTP listener; /debug/snapshot reads the
+// temporal budgets off the engine's activation clocks on each scrape.
 package main
 
 import (
@@ -77,11 +81,6 @@ type options struct {
 	// /debug/snapshot, /healthz, /readyz, /debug/journal) on one extra
 	// HTTP listener.
 	metricsAddr string
-
-	// budgetSampleInterval drives the background temporal-budget
-	// sampler feeding the burn-rate/ETA gauges (0 disables; scrapes
-	// still sample on demand).
-	budgetSampleInterval time.Duration
 
 	// trace honours client-sampled trace contexts: a request whose
 	// context the client sampled gets its span tree, rendered from the
@@ -151,7 +150,6 @@ func main() {
 	flag.IntVar(&opts.maxConns, "max-conns", 1024, "concurrent connection cap per server; 0 = unlimited")
 	flag.IntVar(&opts.maxLineBytes, "max-line-bytes", server.DefaultMaxLineBytes, "per-request size cap in bytes")
 	flag.StringVar(&opts.metricsAddr, "metrics-addr", "", "serve /metrics, /debug/* and health probes on this address; empty disables")
-	flag.DurationVar(&opts.budgetSampleInterval, "budget-sample-interval", 10*time.Second, "background temporal-budget sampling interval; 0 disables")
 	flag.BoolVar(&opts.trace, "trace", true, "honour client-sampled trace contexts: record their span trees (export on /debug/trace)")
 	flag.IntVar(&opts.traceCapacity, "trace-capacity", 0, "in-memory span ring capacity; 0 = default")
 	flag.BoolVar(&opts.record, "record", false, "record replay inputs (arrivals, activations, grants, and each decision's subject, history and program) in the decision log")
@@ -282,7 +280,6 @@ func start(opts options, w io.Writer) (*app, error) {
 		}
 		a.metricsLn = ln
 		a.debug = server.NewDebugServer(c, a.daemons, tracer, server.DebugConfig{Registry: opts.registry})
-		a.debug.StartBudgetSampler(opts.budgetSampleInterval)
 		// Own the server so shutdown can drain in-flight scrapes
 		// instead of snapping the listener out from under them.
 		a.metricsSrv = &http.Server{Handler: a.debug.Mux()}

@@ -515,14 +515,13 @@ func TestStartServesTraceAndExplainEndpoints(t *testing.T) {
 func TestStartServesFleetEndpoints(t *testing.T) {
 	var out strings.Builder
 	app, err := start(options{
-		policyPath:           writePolicy(t),
-		servers:              "s1",
-		listen:               "127.0.0.1:0",
-		key:                  "test-key",
-		issueCreds:           true,
-		metricsAddr:          "127.0.0.1:0",
-		resources:            resourceFlags{"s1:fileA=hello"},
-		budgetSampleInterval: time.Millisecond,
+		policyPath:  writePolicy(t),
+		servers:     "s1",
+		listen:      "127.0.0.1:0",
+		key:         "test-key",
+		issueCreds:  true,
+		metricsAddr: "127.0.0.1:0",
+		resources:   resourceFlags{"s1:fileA=hello"},
 	}, &out)
 	if err != nil {
 		t.Fatal(err)
@@ -739,7 +738,7 @@ func TestStartWiresRecorderShadowAndCoverage(t *testing.T) {
 	if err := json.Unmarshal([]byte(get("/debug/snapshot")), &snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Version != 10 || snap.ShadowDigest == "" || snap.ShadowFlips != 1 ||
+	if snap.Version != 11 || snap.ShadowDigest == "" || snap.ShadowFlips != 1 ||
 		snap.Recorder == nil || snap.Recorder.Total == 0 || snap.Runtime.Goroutines < 1 {
 		t.Fatalf("snapshot versioned fields = %+v", snap)
 	}
@@ -861,7 +860,7 @@ func TestPerfExemplarResolvesThroughExplain(t *testing.T) {
 	}
 
 	var snap server.Snapshot
-	if err := json.Unmarshal([]byte(get("/debug/snapshot?tail=0")), &snap); err != nil {
+	if err := json.Unmarshal([]byte(get("/debug/snapshot")), &snap); err != nil {
 		t.Fatalf("/debug/snapshot not JSON: %v", err)
 	}
 	if len(snap.Perf.Exemplars) == 0 {

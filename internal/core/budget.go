@@ -4,25 +4,22 @@ import (
 	"sort"
 
 	"stac/internal/model"
-	"stac/internal/obs"
 	"stac/internal/rbac"
 	"stac/internal/temporal"
 )
 
-// This file makes the paper's central runtime quantity — the
+// This file reads the paper's central runtime quantity — the
 // accumulated valid time ∫ valid(perm,t) dt against dur(perm)
-// (Expression 4.1) — first-class live telemetry. Each finite-budget
-// (object, temporal key) pair the engine holds activation state for
-// gets a ring-buffered time series of its consumption, read against
-// dur(perm) from the current policy; sampling derives a burn rate
-// (consumed seconds per clock second over the retained window) and an
-// estimated time-to-exhaustion, and mirrors everything into float
-// gauges so a /metrics scrape sees the budgets alongside the decision
-// counters.
+// (Expression 4.1) — off the activation clocks the engine already
+// keeps. The integrand is valid(perm,t) itself, so a budget burns at
+// exactly 1 consumed second per clock second while its permission is
+// valid and at 0 otherwise: the burn rate and the time to exhaustion
+// are closed forms of the clock reading, not estimates from a sampled
+// copy of it.
 
-// BudgetStatus is one sampled temporal budget: the consumption of a
-// permission's validity duration by one mobile object, with the
-// derived burn trajectory.
+// BudgetStatus is one temporal budget: the consumption of a
+// permission's validity duration by one mobile object, with its burn
+// rate and time to exhaustion.
 type BudgetStatus struct {
 	// Object and Perm identify the budget: Perm is the permission, or
 	// its class pool key.
@@ -30,28 +27,24 @@ type BudgetStatus struct {
 	Perm   string `json:"perm"`
 	// Scheme is the base-time scheme ("global" or "per-server").
 	Scheme string `json:"scheme"`
-	// State is the permission state at sampling time.
+	// State is the permission state at reading time.
 	State string `json:"state"`
-	// Consumed is ∫ valid(perm,t) dt at sampling time, in seconds.
+	// Consumed is ∫ valid(perm,t) dt at reading time, in seconds.
 	Consumed float64 `json:"consumed_s"`
 	// Budget is dur(perm) in seconds.
 	Budget float64 `json:"budget_s"`
 	// Remaining is the unused validity duration in seconds.
 	Remaining float64 `json:"remaining_s"`
-	// BurnRate is the consumption speed over the sampling window, in
-	// consumed seconds per clock second: 1.0 while the permission is
-	// continuously active, 0 while idle. Zero when the window is too
-	// short to derive a rate.
+	// BurnRate is valid(perm,t), the consumption speed in consumed
+	// seconds per clock second: 1 while the permission is valid, else
+	// 0.
 	BurnRate float64 `json:"burn_rate"`
-	// ETA estimates the clock seconds until exhaustion at the current
-	// burn rate; -1 when no exhaustion is in sight (zero rate or no
-	// window yet).
+	// ETA is the clock seconds until exhaustion: Remaining while the
+	// permission is valid, 0 once the budget is spent, and -1 while
+	// it burns nothing.
 	ETA float64 `json:"eta_s"`
-	// At is the engine clock reading of this sample.
+	// At is the engine clock reading.
 	At float64 `json:"at"`
-	// Series is the tail of the sampled consumption series (oldest
-	// first); empty when the caller asked for no history.
-	Series []obs.Sample `json:"series,omitempty"`
 }
 
 // Exhausting reports whether the budget will run out within the given
@@ -60,24 +53,14 @@ func (b BudgetStatus) Exhausting(horizon float64) bool {
 	return b.ETA >= 0 && b.ETA <= horizon
 }
 
-// budgetSeriesCapacity is the retained sampling window per budget.
-const budgetSeriesCapacity = 128
-
-// SampleBudgets takes one sample of every finite budget: it appends
-// the current consumption to the budget's time series, refreshes the
-// budget gauges in the engine's registry, and returns the statuses
-// sorted by (object, perm) with up to tail trailing samples each (tail
-// 0 omits series, tail < 0 returns the full window). Time-insensitive
-// permissions (dur = ∞) carry no budget and are skipped.
+// Budgets reads every finite budget the engine holds activation state
+// for, sorted by (object, perm). Time-insensitive permissions (dur =
+// ∞) carry no budget and are skipped.
 //
-// Sampling is deliberately off the Authorize hot path: a daemon
-// samples on a timer and on observability scrapes. The walk visits the
-// object-state shards one at a time, so in-flight decisions on other
-// shards proceed undisturbed.
-func (e *Engine) SampleBudgets(tail int) []BudgetStatus {
+// The walk visits the object-state shards one at a time, so in-flight
+// decisions on other shards proceed undisturbed.
+func (e *Engine) Budgets() []BudgetStatus {
 	now := e.clock.Now()
-	reg := e.met.Load().reg
-
 	var out []BudgetStatus
 	for i := range e.shards {
 		sh := &e.shards[i]
@@ -100,18 +83,7 @@ func (e *Engine) SampleBudgets(tail int) []BudgetStatus {
 				if dur == temporal.Infinite {
 					return
 				}
-				if en.st.budgets == nil {
-					en.st.budgets = make(map[rbac.PermID]*obs.TimeSeries)
-				}
-				ts, ok := en.st.budgets[key]
-				if !ok {
-					ts = obs.NewTimeSeries(budgetSeriesCapacity)
-					en.st.budgets[key] = ts
-				}
 				v, _ := en.st.keys.Validity(key, dur, now)
-				ts.Append(now, v.Used)
-				window := ts.Samples()
-
 				st := BudgetStatus{
 					Object:    string(en.obj),
 					Perm:      string(key),
@@ -123,18 +95,12 @@ func (e *Engine) SampleBudgets(tail int) []BudgetStatus {
 					ETA:       -1,
 					At:        now,
 				}
-				if rate, ok := obs.Rate(window); ok && rate > 0 {
-					st.BurnRate, st.ETA = rate, st.Remaining/rate
-				} else if st.Remaining == 0 {
+				switch {
+				case v.State == temporal.Valid:
+					st.BurnRate, st.ETA = 1, st.Remaining
+				case st.Remaining == 0:
 					st.ETA = 0
 				}
-				if tail != 0 {
-					st.Series = window
-					if tail > 0 && len(window) > tail {
-						st.Series = window[len(window)-tail:]
-					}
-				}
-				e.publishBudgetGauges(reg, st)
 				out = append(out, st)
 			})
 			en.st.mu.Unlock()
@@ -148,19 +114,4 @@ func (e *Engine) SampleBudgets(tail int) []BudgetStatus {
 		return out[i].Perm < out[j].Perm
 	})
 	return out
-}
-
-// publishBudgetGauges mirrors one budget status into the registry.
-// Handles are get-or-create, so repeated sampling reuses them; the
-// cardinality is bounded by the live (object, perm) budget set.
-func (e *Engine) publishBudgetGauges(reg *obs.Registry, st BudgetStatus) {
-	labels := obs.Labels(obs.Label("object", st.Object), obs.Label("perm", st.Perm))
-	reg.FloatGauge("stac_budget_consumed_seconds", labels,
-		"Accumulated valid time consumed against dur(perm), per (object, perm).").Set(st.Consumed)
-	reg.FloatGauge("stac_budget_remaining_seconds", labels,
-		"Unused validity duration, per (object, perm).").Set(st.Remaining)
-	reg.FloatGauge("stac_budget_burn_rate", labels,
-		"Budget consumption speed over the sampling window (consumed s per clock s).").Set(st.BurnRate)
-	reg.FloatGauge("stac_budget_eta_seconds", labels,
-		"Estimated clock seconds until budget exhaustion at the current burn rate (-1 = none in sight).").Set(st.ETA)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"stac/internal/model"
@@ -9,31 +10,31 @@ import (
 	"stac/internal/temporal"
 )
 
-// TestSampleBudgetsTracksConsumption pins the sampled quantities
-// against the tracker arithmetic under a deterministic clock: a
-// permission with a 100 s budget, continuously active, burns at
-// exactly 1 s/s.
+// TestSampleBudgetsTracksConsumption pins the budget readings against
+// the clock arithmetic under a deterministic clock: a permission with
+// a 100 s budget, continuously active, burns at exactly 1 s/s, and its
+// first reading already carries its time to exhaustion. The readings
+// publish no per-object gauges.
 func TestSampleBudgetsTracksConsumption(t *testing.T) {
 	e, sess, clk := testEngine(t, nil, 100, temporal.GlobalBase)
 	reg := obs.NewRegistry()
 	e.SetObs(reg)
 	e.ActivatePermissions(sess, "o1")
 
-	first := e.SampleBudgets(0)
+	first := e.Budgets()
 	if len(first) != 1 {
 		t.Fatalf("budgets = %+v", first)
 	}
 	if b := first[0]; b.Object != "o1" || b.Perm != "p-read-f1" ||
 		b.Consumed != 0 || b.Budget != 100 || b.Remaining != 100 ||
-		b.ETA != -1 || b.Scheme != "global" || b.State != "valid" {
-		t.Fatalf("first sample = %+v", b)
+		b.BurnRate != 1 || b.ETA != 100 || b.Scheme != "global" || b.State != "valid" {
+		t.Fatalf("first reading = %+v", b)
 	}
 
 	clk.Advance(40)
-	second := e.SampleBudgets(-1)
-	b := second[0]
-	if b.Consumed != 40 || b.Remaining != 60 {
-		t.Fatalf("second sample = %+v", b)
+	b := e.Budgets()[0]
+	if b.Consumed != 40 || b.Remaining != 60 || b.At != 40 {
+		t.Fatalf("second reading = %+v", b)
 	}
 	if b.BurnRate != 1 {
 		t.Fatalf("burn rate = %g, want 1 (continuously active)", b.BurnRate)
@@ -41,17 +42,11 @@ func TestSampleBudgetsTracksConsumption(t *testing.T) {
 	if b.ETA != 60 {
 		t.Fatalf("eta = %g, want 60", b.ETA)
 	}
-	if len(b.Series) != 2 || b.Series[0].Value != 0 || b.Series[1].Value != 40 {
-		t.Fatalf("series = %+v", b.Series)
-	}
 
-	// Gauges mirror the latest sample in the engine's registry.
-	lbl := obs.Labels(obs.Label("object", "o1"), obs.Label("perm", "p-read-f1"))
-	if v := reg.FloatGaugeValue("stac_budget_consumed_seconds", lbl); v != 40 {
-		t.Fatalf("consumed gauge = %g", v)
-	}
-	if v := reg.FloatGaugeValue("stac_budget_eta_seconds", lbl); v != 60 {
-		t.Fatalf("eta gauge = %g", v)
+	var exp strings.Builder
+	obs.WritePrometheus(&exp, reg)
+	if strings.Contains(exp.String(), "stac_budget_") {
+		t.Fatalf("budget readings published gauges:\n%s", exp.String())
 	}
 }
 
@@ -64,12 +59,12 @@ func TestBudgetETAPredictsDenialTime(t *testing.T) {
 	e.ActivatePermissions(sess, "o1")
 	a := model.NewAccess("o1", "read", "f1", "s1")
 
-	// Burn 30 s of budget, sampling as a daemon would.
-	e.SampleBudgets(0)
+	// Burn 30 s of budget, reading it as a daemon would.
+	e.Budgets()
 	clk.Advance(10)
-	e.SampleBudgets(0)
+	e.Budgets()
 	clk.Advance(20)
-	st := e.SampleBudgets(0)[0]
+	st := e.Budgets()[0]
 	if st.BurnRate != 1 {
 		t.Fatalf("burn rate = %g", st.BurnRate)
 	}
@@ -96,10 +91,10 @@ func TestBudgetETAPredictsDenialTime(t *testing.T) {
 		t.Fatalf("explanation = %+v", x)
 	}
 
-	// Post-exhaustion samples report a spent budget with ETA 0.
-	st = e.SampleBudgets(0)[0]
-	if st.Remaining != 0 || st.ETA != 0 || st.State != "active-but-invalid" {
-		t.Fatalf("post-exhaustion sample = %+v", st)
+	// Post-exhaustion readings report a spent budget with ETA 0.
+	st = e.Budgets()[0]
+	if st.Remaining != 0 || st.ETA != 0 || st.BurnRate != 0 || st.State != "active-but-invalid" {
+		t.Fatalf("post-exhaustion reading = %+v", st)
 	}
 	if st.Exhausting(10) != true {
 		t.Fatal("Exhausting(10) = false at ETA 0")
@@ -107,8 +102,9 @@ func TestBudgetETAPredictsDenialTime(t *testing.T) {
 }
 
 // TestSampleBudgetsIdleAndInfinite: an inactive permission burns
-// nothing (rate 0, no ETA), and time-insensitive permissions carry no
-// budget to sample.
+// nothing (rate 0, no ETA) however recently it burned, burns at 1 s/s
+// again once reactivated, and time-insensitive permissions carry no
+// budget to read.
 func TestSampleBudgetsIdleAndInfinite(t *testing.T) {
 	e, sess, clk := testEngine(t, nil, 50, temporal.PerServerBase)
 	e.SetObs(obs.NewRegistry())
@@ -116,11 +112,10 @@ func TestSampleBudgetsIdleAndInfinite(t *testing.T) {
 	clk.Advance(5)
 	e.DeactivatePermissions(sess, "o1")
 
-	e.SampleBudgets(0)
 	clk.Advance(100)
-	st := e.SampleBudgets(0)[0]
+	st := e.Budgets()[0]
 	if st.Consumed != 5 || st.State != "inactive" || st.Scheme != "per-server" {
-		t.Fatalf("idle sample = %+v", st)
+		t.Fatalf("idle reading = %+v", st)
 	}
 	if st.BurnRate != 0 || st.ETA != -1 {
 		t.Fatalf("idle burn = %+v", st)
@@ -129,31 +124,18 @@ func TestSampleBudgetsIdleAndInfinite(t *testing.T) {
 		t.Fatal("idle budget reported as exhausting")
 	}
 
+	// Toggled back on, the budget burns again from the first reading.
+	e.ActivatePermissions(sess, "o1")
+	clk.Advance(5)
+	if st := e.Budgets()[0]; st.Consumed != 10 || st.BurnRate != 1 || st.ETA != 40 {
+		t.Fatalf("reactivated reading = %+v", st)
+	}
+
 	// An unconstrained (infinite-duration) permission never shows up.
 	e2, sess2, _ := testEngine(t, nil, 0, temporal.GlobalBase)
 	e2.SetObs(obs.NewRegistry())
 	e2.ActivatePermissions(sess2, "o1")
-	if got := e2.SampleBudgets(0); len(got) != 0 {
-		t.Fatalf("infinite-budget trackers sampled: %+v", got)
-	}
-}
-
-// TestSampleBudgetsTailBounds checks the tail argument contract.
-func TestSampleBudgetsTailBounds(t *testing.T) {
-	e, sess, clk := testEngine(t, nil, 1000, temporal.GlobalBase)
-	e.SetObs(obs.NewRegistry())
-	e.ActivatePermissions(sess, "o1")
-	for i := 0; i < 5; i++ {
-		e.SampleBudgets(0)
-		clk.Advance(1)
-	}
-	if st := e.SampleBudgets(0)[0]; len(st.Series) != 0 {
-		t.Fatalf("tail 0 kept series: %+v", st.Series)
-	}
-	if st := e.SampleBudgets(2)[0]; len(st.Series) != 2 {
-		t.Fatalf("tail 2 series = %+v", st.Series)
-	}
-	if st := e.SampleBudgets(-1)[0]; len(st.Series) != 8 {
-		t.Fatalf("full series = %d samples, want 8", len(st.Series))
+	if got := e2.Budgets(); len(got) != 0 {
+		t.Fatalf("infinite-budget activations read: %+v", got)
 	}
 }

@@ -18,9 +18,31 @@ import (
 // order, because DumpPolicy emits a normalised form. The flight
 // recorder stamps it on every record so replays can tell whether they
 // run the policy that produced the stream.
+//
+// The digest is rendered once per policy change: every mutation the
+// dump renders bumps the RBAC generation (users, roles, permissions,
+// grants, hierarchy, assignments, separation of duty) or the engine's
+// (permission specs, classes), and a digest memoised under both is
+// served until either moves.
 func PolicyDigest(e *Engine) string {
+	// The generations are read before the render, so a mutation racing
+	// it leaves a memo keyed older than the policy: recomputed, never
+	// served stale.
+	rbacGen, gen := e.RBAC.Generation(), e.policyGen.Load()
+	if d := e.digest.Load(); d != nil && d.rbacGen == rbacGen && d.gen == gen {
+		return d.sum
+	}
 	sum := sha256.Sum256([]byte(DumpPolicy(e)))
-	return hex.EncodeToString(sum[:])
+	d := &policyDigest{rbacGen: rbacGen, gen: gen, sum: hex.EncodeToString(sum[:])}
+	e.digest.Store(d)
+	return d.sum
+}
+
+// policyDigest is a PolicyDigest with the generations it was rendered
+// at.
+type policyDigest struct {
+	rbacGen, gen uint64
+	sum          string
 }
 
 // DumpPolicy renders the engine's policy in the text format LoadPolicy

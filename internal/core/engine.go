@@ -319,9 +319,12 @@ type Engine struct {
 	// DefineClass), so an object's session key set (see sessionSet) is
 	// re-resolved after one.
 	policyGen atomic.Uint64
+	// digest memoises PolicyDigest under the RBAC and engine policy
+	// generations it was rendered at (see dump.go).
+	digest atomic.Pointer[policyDigest]
 
-	// shards hold the per-object runtime state (activation clocks,
-	// budget series, recorder history bases), hashed by object ID.
+	// shards hold the per-object runtime state (activation clocks and
+	// recorder history bases), hashed by object ID.
 	// Independent credentials land on independent shards — and even
 	// within a shard, the shard lock only covers the map lookup;
 	// mutation happens under the objectState's own lock.
@@ -354,9 +357,6 @@ type objectState struct {
 	// temporal.Activations); set is the session set last activated.
 	keys temporal.Activations[rbac.PermID]
 	set  *sessionSet
-	// budgets holds the per-key consumption time series fed by
-	// SampleBudgets (see budget.go); lazily created per key.
-	budgets map[rbac.PermID]*obs.TimeSeries
 
 	// recMu guards recHist and recProg: the proof-backed history
 	// entries the flight recorder has already emitted for this object,

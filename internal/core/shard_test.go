@@ -205,10 +205,11 @@ func userLines(n int) string {
 }
 
 // TestShardedContentionReconciliation hammers one engine from many
-// goroutines — each its own credential — while budget sampling, policy
-// dumps and per-clause cost snapshots run concurrently, then reconciles the
-// registry counters and the recorder against the ground truth. Run
-// with -race (ci.sh does) this is the shard-refactor data-race net.
+// goroutines — each its own credential — while budget reads, policy
+// dumps, policy digests and per-clause cost snapshots run
+// concurrently, then reconciles the registry counters and the recorder
+// against the ground truth. Run with -race (ci.sh does) this is the
+// shard-refactor data-race net.
 func TestShardedContentionReconciliation(t *testing.T) {
 	t.Run("scan", func(t *testing.T) {
 		const workers = 8
@@ -231,9 +232,10 @@ func TestShardedContentionReconciliation(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					e.SampleBudgets(0)
+					e.Budgets()
 					e.CostReport()
 					_ = DumpPolicy(e)
+					_ = PolicyDigest(e)
 				}
 			}
 		}()

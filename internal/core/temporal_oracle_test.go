@@ -8,7 +8,7 @@ package core
 // over the object's trackers on every arrival, a lazy Activate on every
 // decision that reaches the temporal check, and creation on first use.
 // FuzzTemporalAgreement drives both through one sequence of arrivals,
-// activations, departures, decisions, budget samples and clock steps
+// activations, departures, decisions, budget reads and clock steps
 // and requires identical answers.
 
 import (
@@ -229,7 +229,6 @@ func (tr *refTracker) String() string {
 // refObject is the per-object state the tracker-based engine kept.
 type refObject struct {
 	trackers    map[rbac.PermID]*refTracker
-	budgets     map[rbac.PermID]*obs.TimeSeries
 	lastArrival float64
 	hasArrived  bool
 }
@@ -244,10 +243,7 @@ type refEngine struct {
 func (r *refEngine) objState(obj model.ObjectID) *refObject {
 	os, ok := r.objs[obj]
 	if !ok {
-		os = &refObject{
-			trackers: make(map[rbac.PermID]*refTracker),
-			budgets:  make(map[rbac.PermID]*obs.TimeSeries),
-		}
+		os = &refObject{trackers: make(map[rbac.PermID]*refTracker)}
 		r.objs[obj] = os
 	}
 	return os
@@ -388,7 +384,10 @@ func (r *refEngine) ClassRemaining(obj model.ObjectID, id ClassID) float64 {
 	return tr.Remaining(r.e.clock.Now())
 }
 
-func (r *refEngine) SampleBudgets(tail int) []BudgetStatus {
+// Budgets reads every finite tracker the way the engine reads its
+// clocks: the burn rate is valid(perm, now), and the time to
+// exhaustion is the tracker's own expiry reading.
+func (r *refEngine) Budgets() []BudgetStatus {
 	now := r.e.clock.Now()
 	var out []BudgetStatus
 	for obj, os := range r.objs {
@@ -396,43 +395,24 @@ func (r *refEngine) SampleBudgets(tail int) []BudgetStatus {
 			if tr.Budget() == temporal.Infinite {
 				continue
 			}
-			ts, ok := os.budgets[perm]
-			if !ok {
-				ts = obs.NewTimeSeries(budgetSeriesCapacity)
-				os.budgets[perm] = ts
-			}
-			consumed := tr.Accumulated(now)
-			ts.Append(now, consumed)
-			window := ts.Samples()
-
 			st := BudgetStatus{
 				Object:    string(obj),
 				Perm:      string(perm),
 				Scheme:    tr.Scheme().String(),
 				State:     tr.StateAt(now).String(),
-				Consumed:  consumed,
+				Consumed:  tr.Accumulated(now),
 				Budget:    tr.Budget(),
 				Remaining: tr.Remaining(now),
 				ETA:       -1,
 				At:        now,
 			}
-			if rate, ok := obs.Rate(window); ok && rate > 0 {
-				st.BurnRate = rate
-				if st.Remaining > 0 {
-					st.ETA = st.Remaining / rate
-				} else {
-					st.ETA = 0
-				}
+			if tr.ValidAt(now) {
+				st.BurnRate = 1
+			}
+			if expiry, ok := tr.ExpiryAt(now); ok {
+				st.ETA = expiry - now
 			} else if st.Remaining == 0 {
 				st.ETA = 0
-			}
-			switch {
-			case tail < 0:
-				st.Series = window
-			case tail > 0 && len(window) > tail:
-				st.Series = window[len(window)-tail:]
-			case tail > 0:
-				st.Series = window
 			}
 			out = append(out, st)
 		}
@@ -523,7 +503,7 @@ const (
 	opActivate
 	opDeactivate
 	opDecide
-	opSample
+	opBudgets
 	opAdvance
 )
 
@@ -533,8 +513,8 @@ func oracleStep(sec int) byte         { return byte(opAdvance + 6*sec) }
 // FuzzTemporalAgreement pins the session-clock temporal state to the
 // per-permission trackers it replaced: after every op, each decision's
 // temporal state, denial and explanation, every permission's state and
-// remaining validity, every class's remaining pool and the sampled
-// budget rows must agree exactly. Clock steps are whole seconds, so
+// remaining validity, every class's remaining pool and the budget
+// rows must agree exactly. Clock steps are whole seconds, so
 // the two float computations agree bit for bit.
 func FuzzTemporalAgreement(f *testing.F) {
 	arrive := oracleOp(opArrive, 0, 0)
@@ -550,16 +530,16 @@ func FuzzTemporalAgreement(f *testing.F) {
 	// departure, and a per-server arrival without reactivation.
 	f.Add([]byte{
 		arrive, activate, oracleStep(2), oracleOp(opActivate, 2, 0), oracleStep(1),
-		oracleOp(opDeactivate, 0, 0), oracleStep(3), oracleOp(opSample, 0, 0),
+		oracleOp(opDeactivate, 0, 0), oracleStep(3), oracleOp(opBudgets, 0, 0),
 		oracleOp(opDecide, 2, 0), 3, oracleOp(opDeactivate, 2, 0), oracleStep(2),
 		oracleOp(opDecide, 0, 0), 1, arrive, oracleStep(1), oracleOp(opDecide, 3, 0), 4,
-		oracleOp(opActivate, 4, 0), oracleStep(5), oracleOp(opSample, 0, 0),
+		oracleOp(opActivate, 4, 0), oracleStep(5), oracleOp(opBudgets, 0, 0),
 	})
 	f.Add([]byte{
 		oracleOp(opDecide, 1, 1), 2, oracleStep(1), oracleOp(opDeactivate, 3, 1),
 		oracleOp(opActivate, 1, 1), oracleStep(4), oracleOp(opActivate, 3, 1), oracleStep(2),
-		oracleOp(opArrive, 0, 1), oracleOp(opSample, 0, 0), oracleOp(opActivate, 5, 1),
-		oracleOp(opDecide, 1, 1), 5, oracleStep(3), oracleOp(opSample, 0, 0),
+		oracleOp(opArrive, 0, 1), oracleOp(opBudgets, 0, 0), oracleOp(opActivate, 5, 1),
+		oracleOp(opDecide, 1, 1), 5, oracleStep(3), oracleOp(opBudgets, 0, 0),
 	})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 512 {
@@ -600,9 +580,9 @@ func FuzzTemporalAgreement(f *testing.F) {
 					t.Fatalf("op %d: decide %s = (%s, %q, %q, %+v), trackers say (%s, %q, %q, %+v)",
 						i, a, d.Temporal, d.Deny, d.Reason, got, st, deny, reason, x)
 				}
-			case opSample:
-				if got, want := clockRows(e.SampleBudgets(-1)), clockRows(ref.SampleBudgets(-1)); !reflect.DeepEqual(got, want) {
-					t.Fatalf("op %d: sampled budgets\n got %+v\nwant %+v", i, got, want)
+			case opBudgets:
+				if got, want := e.Budgets(), ref.Budgets(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("op %d: budgets\n got %+v\nwant %+v", i, got, want)
 				}
 			case opAdvance:
 				clk.Advance(float64(arg % 11))
@@ -625,19 +605,6 @@ func FuzzTemporalAgreement(f *testing.F) {
 			}
 		}
 	})
-}
-
-// clockRows drops the wall-clock stamps of the sampled series, which
-// differ between two samplers of one engine-clock instant.
-func clockRows(rows []BudgetStatus) []BudgetStatus {
-	for i := range rows {
-		series := make([]obs.Sample, len(rows[i].Series))
-		for j, smp := range rows[i].Series {
-			series[j] = obs.Sample{At: smp.At, Value: smp.Value}
-		}
-		rows[i].Series = series
-	}
-	return rows
 }
 
 // TestTrackerValidState bridges the recorded valid-state function to
@@ -671,7 +638,7 @@ func TestTrackerValidState(t *testing.T) {
 
 // TestTemporalConcurrentUse hammers one object's temporal state from
 // several goroutines — arrivals, activations, decisions, reads,
-// departures and samples — for the race detector; the budget read
+// departures and budget reads — for the race detector; the budget read
 // back must stay within [0, dur].
 func TestTemporalConcurrentUse(t *testing.T) {
 	e, sess, clk := testEngine(t, nil, 1000, temporal.GlobalBase)
@@ -693,7 +660,7 @@ func TestTemporalConcurrentUse(t *testing.T) {
 				clk.Advance(0.5)
 				e.DeactivatePermissions(sess, "o1")
 				if j%100 == k {
-					e.SampleBudgets(0)
+					e.Budgets()
 				}
 			}
 		}(i)

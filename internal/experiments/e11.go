@@ -134,7 +134,7 @@ assign o1 traveler
 					return
 				default:
 				}
-				resp, err := client.Get(ts.URL + "/debug/snapshot?tail=8")
+				resp, err := client.Get(ts.URL + "/debug/snapshot")
 				if err != nil {
 					return
 				}

@@ -2,7 +2,7 @@
 // fleet view.
 //
 // Each stacd process exposes a versioned /debug/snapshot document
-// (decision counters, temporal-budget series, connection state, policy
+// (decision counters, temporal budgets, connection state, policy
 // digest — see internal/server.Snapshot). The Poller scrapes every
 // configured member, merges the documents into a FleetView, and flags
 // cross-server anomalies no single daemon can see:

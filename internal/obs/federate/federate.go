@@ -136,9 +136,6 @@ type FleetView struct {
 type Config struct {
 	// Client performs the scrapes (nil = a 5 s-timeout default).
 	Client *http.Client
-	// BudgetTail is the ?tail= passed to /debug/snapshot (0 = server
-	// default).
-	BudgetTail int
 	// ExhaustionHorizon flags budgets whose fleet ETA falls at or
 	// under this many seconds (0 = 60).
 	ExhaustionHorizon float64
@@ -216,15 +213,11 @@ func NewPoller(members []Member, cfg Config) *Poller {
 }
 
 // Scrape fetches one member's snapshot document.
-func Scrape(ctx context.Context, client *http.Client, m Member, tail int) (server.Snapshot, error) {
+func Scrape(ctx context.Context, client *http.Client, m Member) (server.Snapshot, error) {
 	if client == nil {
 		client = &http.Client{Timeout: 5 * time.Second}
 	}
-	url := m.BaseURL + "/debug/snapshot"
-	if tail != 0 {
-		url += fmt.Sprintf("?tail=%d", tail)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.BaseURL+"/debug/snapshot", nil)
 	if err != nil {
 		return server.Snapshot{}, err
 	}
@@ -258,7 +251,7 @@ func (p *Poller) Poll(ctx context.Context) FleetView {
 			defer wg.Done()
 			states[i] = MemberState{Member: m}
 			start := time.Now()
-			snap, err := Scrape(ctx, p.cfg.Client, m, p.cfg.BudgetTail)
+			snap, err := Scrape(ctx, p.cfg.Client, m)
 			if err != nil {
 				states[i].Err = err.Error()
 				states[i].Skipped = errors.Is(err, ErrVersionSkew)

@@ -166,10 +166,8 @@ assign o1 r
 	}
 
 	p := NewPoller([]Member{ma, mb, {Name: "ghost", BaseURL: "http://127.0.0.1:1"}}, Config{})
-	v := p.Poll(context.Background())
-	ca.Engine.SampleBudgets(0) // seed a's series for a second point
 	clka.Advance(25)
-	v = p.Poll(context.Background())
+	v := p.Poll(context.Background())
 
 	if v.Global.Members != 2 || v.Global.Unreachable != 1 {
 		t.Fatalf("global = %+v", v.Global)
@@ -181,7 +179,7 @@ assign o1 r
 		t.Fatalf("budgets = %+v", v.Budgets)
 	}
 	b := v.Budgets[0]
-	if b.Object != "o1" || b.Perm != "p" || b.Consumed != 25 || b.Budget != 100 {
+	if b.Object != "o1" || b.Perm != "p" || b.Consumed != 25 || b.Budget != 100 || b.BurnRate != 1 || b.ETA != 75 {
 		t.Fatalf("budget rollup = %+v", b)
 	}
 	hasUnreachable := false

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -212,5 +213,53 @@ func TestHistogramConcurrentObserveAndRender(t *testing.T) {
 	<-done
 	if got := h.Count(); got != workers*perWorker {
 		t.Fatalf("count = %d, want %d", got, workers*perWorker)
+	}
+}
+
+func TestFloatGauge(t *testing.T) {
+	r := NewRegistry()
+	g := r.FloatGauge("stac_test_burn_rate", Label("perm", "p1"), "Burn rate.")
+	g.Set(0.75)
+	if v := g.Value(); v != 0.75 {
+		t.Fatalf("value = %g", v)
+	}
+	if v := r.FloatGaugeValue("stac_test_burn_rate", Label("perm", "p1")); v != 0.75 {
+		t.Fatalf("registry value = %g", v)
+	}
+	if v := r.FloatGaugeValue("stac_test_burn_rate", Label("perm", "absent")); v != 0 {
+		t.Fatalf("absent value = %g", v)
+	}
+	// Same handle on re-registration.
+	if g2 := r.FloatGauge("stac_test_burn_rate", Label("perm", "p1"), ""); g2 != g {
+		t.Fatal("re-registration returned a different handle")
+	}
+	var b strings.Builder
+	WritePrometheus(&b, r)
+	want := "stac_test_burn_rate{perm=\"p1\"} 0.75\n"
+	if !strings.Contains(b.String(), want) {
+		t.Fatalf("exposition missing %q:\n%s", want, b.String())
+	}
+	if !strings.Contains(b.String(), "# TYPE stac_test_burn_rate gauge") {
+		t.Fatalf("exposition missing TYPE line:\n%s", b.String())
+	}
+}
+
+func TestFloatGaugeConcurrency(t *testing.T) {
+	r := NewRegistry()
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			g := r.FloatGauge("stac_test_fg", Label("w", fmt.Sprint(w%2)), "")
+			for i := 0; i < 500; i++ {
+				g.Set(float64(i))
+				_ = g.Value()
+			}
+		}(w)
+	}
+	wg.Wait()
+	if v := r.FloatGaugeValue("stac_test_fg", Label("w", "0")); v != 499 {
+		t.Fatalf("final value = %g", v)
 	}
 }

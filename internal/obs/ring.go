@@ -4,9 +4,8 @@ package obs
 // evicts the oldest item. Items are numbered by append order from 1,
 // so the retained window is always the consecutive sequence range
 // [Total-Len+1, Total]. Ring is the one buffer under the span store,
-// the time series, the flight recorder (the coalition decision log)
-// and Window. It is not synchronised: its owner holds its own lock around
-// every call.
+// the flight recorder (the coalition decision log) and Window. It is
+// not synchronised: its owner holds its own lock around every call.
 type Ring[T any] struct {
 	buf   []T
 	size  int // capacity; buf is allocated by the first Append

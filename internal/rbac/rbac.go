@@ -111,10 +111,11 @@ type System struct {
 	nextSession int
 	sessions    map[int]*Session
 
-	// gen is the policy generation: every mutation of the permission,
-	// grant, hierarchy or assignment relations bumps it (under mu), and
-	// a view resolved under an older generation is outdated. Sessions
-	// read it without the lock on the access path.
+	// gen is the policy generation: every policy mutation — of the
+	// users, roles, permissions, grants, hierarchy, assignments or
+	// separation-of-duty constraints — bumps it (under mu), and a view
+	// resolved under an older generation is outdated. Sessions read it
+	// without the lock on the access path.
 	gen atomic.Uint64
 	// views memoises the resolved views of the current generation, keyed
 	// by role set (see roleSetKey); bounded by maxViews.
@@ -143,6 +144,7 @@ func (s *System) AddUser(u UserID) error {
 		return fmt.Errorf("%w: user %q", ErrExists, u)
 	}
 	s.users[u] = true
+	s.bumpLocked()
 	return nil
 }
 
@@ -154,6 +156,7 @@ func (s *System) AddRole(r RoleID) error {
 		return fmt.Errorf("%w: role %q", ErrExists, r)
 	}
 	s.roles[r] = true
+	s.bumpLocked()
 	return nil
 }
 
@@ -341,6 +344,7 @@ func (s *System) AddSSD(c SoD) error {
 		}
 	}
 	s.ssd = append(s.ssd, c)
+	s.bumpLocked()
 	return nil
 }
 
@@ -353,6 +357,7 @@ func (s *System) AddDSD(c SoD) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.dsd = append(s.dsd, c)
+	s.bumpLocked()
 	return nil
 }
 

@@ -129,6 +129,10 @@ func (s *System) resolveLocked(roles []RoleID) []Permission {
 	return out
 }
 
+// Generation returns the policy generation, which changes with every
+// policy mutation (see System.gen).
+func (s *System) Generation() uint64 { return s.gen.Load() }
+
 // bumpLocked starts a new policy generation: every view resolved so
 // far is outdated. The caller holds s.mu for writing.
 func (s *System) bumpLocked() {

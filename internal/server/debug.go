@@ -2,11 +2,9 @@ package server
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/pprof"
 	"sync"
-	"time"
 
 	"stac/internal/obs"
 )
@@ -14,7 +12,7 @@ import (
 // DebugServer bundles the daemon's observability surface: Prometheus
 // metrics, pprof (the one source of raw profiles), the span ring,
 // decision explanations, versioned fleet snapshots (which carry the
-// temporal-budget series, the per-clause evaluation profile and the
+// temporal budgets, the per-clause evaluation profile and the
 // engine's shard balance, SLO and exemplar state), health probes and
 // the /debug/journal decision-log tail. Each is served once. The fleet
 // poller (internal/obs/federate) and stacctl's
@@ -37,12 +35,7 @@ type DebugServer struct {
 type DebugConfig struct {
 	// Registry backs /metrics (nil = obs.Default).
 	Registry *obs.Registry
-	// BudgetTail bounds the series tail in /debug/snapshot (0 = a
-	// default of 32; negative = full retained window).
-	BudgetTail int
 }
-
-const defaultSnapshotTail = 32
 
 // NewDebugServer builds the observability surface for a coalition and
 // its TCP daemons. tracer may be nil (the /debug/trace endpoint then
@@ -50,9 +43,6 @@ const defaultSnapshotTail = 32
 func NewDebugServer(c *Coalition, daemons []*Daemon, tracer *obs.Tracer, cfg DebugConfig) *DebugServer {
 	if cfg.Registry == nil {
 		cfg.Registry = obs.Default
-	}
-	if cfg.BudgetTail == 0 {
-		cfg.BudgetTail = defaultSnapshotTail
 	}
 	return &DebugServer{
 		c:       c,
@@ -89,33 +79,9 @@ func (h *DebugServer) Mux() *http.ServeMux {
 	return mux
 }
 
-// StartBudgetSampler samples every active temporal budget at the given
-// interval, feeding the burn-rate windows even when nobody scrapes.
-// Stopped by Drain.
-func (h *DebugServer) StartBudgetSampler(interval time.Duration) {
-	if interval <= 0 {
-		return
-	}
-	h.wg.Add(1)
-	go func() {
-		defer h.wg.Done()
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				h.c.Engine.SampleBudgets(0)
-			case <-h.quit:
-				return
-			}
-		}
-	}()
-}
-
-// Drain releases every journal tail and stops
-// the budget sampler, then waits for them to exit. Call it BEFORE
-// http.Server.Shutdown: Shutdown waits for in-flight handlers, and an
-// SSE stream never finishes on its own.
+// Drain releases every journal tail, then waits for them to exit.
+// Call it BEFORE http.Server.Shutdown: Shutdown waits for in-flight
+// handlers, and an SSE stream never finishes on its own.
 func (h *DebugServer) Drain() {
 	h.stopOnce.Do(func() { close(h.quit) })
 	h.wg.Wait()
@@ -143,14 +109,7 @@ func (h *DebugServer) handleExplain(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *DebugServer) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	tail := h.cfg.BudgetTail
-	if arg := r.URL.Query().Get("tail"); arg != "" {
-		if _, err := fmt.Sscanf(arg, "%d", &tail); err != nil {
-			http.Error(w, "bad tail parameter", http.StatusBadRequest)
-			return
-		}
-	}
-	snap := h.c.Snapshot(tail, h.daemons...)
+	snap := h.c.Snapshot(h.daemons...)
 	// The journal tails live on the DebugServer, not the coalition, so
 	// their state is folded in here rather than in Coalition.Snapshot.
 	st := h.JournalStats()

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -190,7 +191,7 @@ func TestSnapshotAggregates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap := c.Snapshot(-1, d)
+	snap := c.Snapshot(d)
 	if snap.Version != SnapshotVersion {
 		t.Fatalf("version = %d", snap.Version)
 	}
@@ -219,9 +220,36 @@ func TestSnapshotAggregates(t *testing.T) {
 	}
 }
 
-// TestSnapshotCarriesBudgetSeries: a finite-duration permission shows
-// up in the snapshot with its consumption series.
-func TestSnapshotCarriesBudgetSeries(t *testing.T) {
+// TestSnapshotReusesPolicyDigest: a repeated snapshot of an unchanged
+// policy serves the memoised digest instead of rendering the policy, so
+// it allocates less than one policy dump does.
+func TestSnapshotReusesPolicyDigest(t *testing.T) {
+	var policy strings.Builder
+	policy.WriteString("role r\n")
+	for i := 0; i < 1000; i++ {
+		fmt.Fprintf(&policy, "user o%d\nassign o%d r\n", i, i)
+	}
+	c := NewCoalition(temporal.NewSimClock(0), key)
+	if err := core.LoadPolicyString(c.Engine, policy.String()); err != nil {
+		t.Fatal(err)
+	}
+	c.Engine.SetObs(obs.NewRegistry())
+	first := c.Snapshot()
+	dump := testing.AllocsPerRun(3, func() { _ = core.DumpPolicy(c.Engine) })
+	snap := testing.AllocsPerRun(3, func() {
+		if got := c.Snapshot(); got.PolicyDigest != first.PolicyDigest {
+			t.Fatalf("digest %s, then %s", first.PolicyDigest, got.PolicyDigest)
+		}
+	})
+	if snap >= dump {
+		t.Fatalf("a repeated snapshot allocates %v times, a policy dump %v: the snapshot renders the policy", snap, dump)
+	}
+}
+
+// TestSnapshotCarriesBudgets: a finite-duration permission shows up in
+// the snapshot with its consumption, read off the activation clock: the
+// first snapshot already carries the burn rate and ETA, and no series.
+func TestSnapshotCarriesBudgets(t *testing.T) {
 	clk := temporal.NewSimClock(0)
 	c := NewCoalition(clk, key)
 	policy := `
@@ -245,9 +273,8 @@ assign o1 r
 	}
 	defer srv.Depart(sub)
 
-	c.Snapshot(-1) // first sample at t=0
 	clk.Advance(15)
-	snap := c.Snapshot(-1)
+	snap := c.Snapshot()
 	if len(snap.Budgets) != 1 {
 		t.Fatalf("budgets = %+v", snap.Budgets)
 	}
@@ -255,8 +282,92 @@ assign o1 r
 	if b.Consumed != 15 || b.Budget != 60 || b.BurnRate != 1 || b.ETA != 45 {
 		t.Fatalf("budget = %+v", b)
 	}
-	if len(b.Series) != 2 {
-		t.Fatalf("series = %+v", b.Series)
+	doc, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(doc), `"series"`) {
+		t.Fatalf("snapshot carries a budget series: %s", doc)
+	}
+}
+
+// TestBudgetMetricsFlatUnderChurn: objects that each hold a finite
+// budget arrive, decide, are read through /debug/snapshot and /metrics,
+// and depart. The budgets are served once, as snapshot rows, so the
+// /metrics body holds no per-object series and does not grow with the
+// number of objects the daemon has seen.
+func TestBudgetMetricsFlatUnderChurn(t *testing.T) {
+	const objects = 1000
+	var policy strings.Builder
+	policy.WriteString("role r\npermission p read * @ * {\n    duration 60s\n}\ngrant r p\n")
+	for i := 0; i < objects; i++ {
+		fmt.Fprintf(&policy, "user o%d\nassign o%d r\n", i, i)
+	}
+	clk := temporal.NewSimClock(0)
+	c := NewCoalition(clk, key)
+	if err := core.LoadPolicyString(c.Engine, policy.String()); err != nil {
+		t.Fatal(err)
+	}
+	srv, _ := c.AddServer("s1")
+	srv.HostResource("f", []byte("x"))
+	_, ts := newDebugHTTP(t, c)
+
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %d, %v", path, resp.StatusCode, err)
+		}
+		return body
+	}
+	var first []byte
+	for i := 0; i < objects; i++ {
+		obj := fmt.Sprintf("o%d", i)
+		sub, err := srv.Authenticate(cred(c, obj, "owner", "r"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := srv.Request(sub, model.OpRead, "f", RequestContext{Store: proof.NewStore(c.Signer)}); err != nil {
+			t.Fatal(err)
+		}
+		clk.Advance(1)
+		get("/debug/snapshot")
+		metrics := get("/metrics")
+		if i == 0 {
+			first = metrics
+		}
+		srv.Depart(sub)
+	}
+
+	// Every departed object's budget is still a snapshot row, burning
+	// nothing.
+	var snap Snapshot
+	if err := json.Unmarshal(get("/debug/snapshot"), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Budgets) != objects {
+		t.Fatalf("%d budget rows, want %d", len(snap.Budgets), objects)
+	}
+	for _, b := range snap.Budgets {
+		if b.Consumed != 1 || b.State != "inactive" || b.BurnRate != 0 || b.ETA != -1 {
+			t.Fatalf("departed budget = %+v", b)
+		}
+	}
+	last := get("/metrics")
+	for _, line := range strings.Split(string(last), "\n") {
+		if strings.Contains(line, `object="`) {
+			t.Fatalf("/metrics holds a per-object series: %s", line)
+		}
+	}
+	// Counter and runtime readings may gain a few digits; one series
+	// per object would add tens of kilobytes.
+	if grown := len(last) - len(first); grown > 2048 {
+		t.Fatalf("/metrics grew by %d bytes over %d objects (%d → %d)", grown, objects, len(first), len(last))
 	}
 }
 
@@ -454,9 +565,6 @@ func TestDebugEndpoints(t *testing.T) {
 	}
 	if snap.Version != SnapshotVersion || snap.Grants != 1 {
 		t.Fatalf("snapshot = %+v", snap)
-	}
-	if code, _ := get("/debug/snapshot?tail=bogus"); code != 400 {
-		t.Fatalf("bad tail = %d", code)
 	}
 	if code, body := get("/metrics"); code != 200 || !strings.Contains(body, "stac_authz_granted_total 1") {
 		t.Fatalf("metrics = %d %q", code, body)
@@ -656,45 +764,4 @@ func TestWatchSSEStreamsAndFilters(t *testing.T) {
 		t.Fatal("Drain hung on SSE handler")
 	}
 	waitTails(t, h, 0)
-}
-
-func TestBudgetSamplerFeedsSeries(t *testing.T) {
-	clk := temporal.NewSimClock(0)
-	c := NewCoalition(clk, key)
-	policy := `
-user o1
-role r
-permission p read * @ * {
-    duration 60s
-    scheme global
-}
-grant r p
-assign o1 r
-`
-	if err := core.LoadPolicyString(c.Engine, policy); err != nil {
-		t.Fatal(err)
-	}
-	srv, _ := c.AddServer("s1")
-	srv.HostResource("f", []byte("x"))
-	sub, err := srv.Authenticate(cred(c, "o1", "owner", "r"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Depart(sub)
-
-	h := NewDebugServer(c, nil, nil, DebugConfig{Registry: obs.NewRegistry()})
-	h.StartBudgetSampler(time.Millisecond)
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		clk.Advance(1)
-		sts := c.Engine.SampleBudgets(-1)
-		if len(sts) == 1 && len(sts[0].Series) >= 3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("sampler never fed the series")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	h.Drain()
 }

@@ -205,9 +205,9 @@ func TestSnapshotVersionedFields(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap := c.Snapshot(0)
-	if snap.Version != SnapshotVersion || SnapshotVersion != 10 {
-		t.Fatalf("snapshot version = %d, want 10", snap.Version)
+	snap := c.Snapshot()
+	if snap.Version != SnapshotVersion || SnapshotVersion != 11 {
+		t.Fatalf("snapshot version = %d, want 11", snap.Version)
 	}
 	if snap.ShadowDigest == "" || snap.ShadowFlips != 1 {
 		t.Errorf("shadow fields = %q/%d, want digest + 1 flip", snap.ShadowDigest, snap.ShadowFlips)

@@ -11,8 +11,8 @@ import (
 
 // The federated health snapshot: one versioned JSON document
 // capturing everything a fleet poller needs from a daemon in a single
-// scrape — decision counters, temporal-budget series tails,
-// connection/drain state and the policy digest. internal/obs/federate
+// scrape — decision counters, temporal budgets, connection/drain state
+// and the policy digest. internal/obs/federate
 // merges these documents across coalition members.
 
 // SnapshotVersion is the schema version of the snapshot document.
@@ -44,7 +44,11 @@ import (
 //	10 — drops cost.static and cost.amplification: static-check time is
 //	    the stage ledger's static stage, and the entries an evaluation
 //	    consumed are its decision's (the prefix_eval span's entries)
-const SnapshotVersion = 10
+//	11 — drops budgets[].series and the ?tail= parameter that bounded
+//	    it: a budget's burn rate and ETA are read in closed form off its
+//	    activation clock (rate 1 while valid, else 0), not estimated
+//	    from sampled history
+const SnapshotVersion = 11
 
 // Snapshot is one daemon-process view of its coalition state.
 type Snapshot struct {
@@ -59,9 +63,8 @@ type Snapshot struct {
 	PolicyDigest string `json:"policy_digest"`
 	// Servers carries the per-server decision counters.
 	Servers []ServerSnapshot `json:"servers"`
-	// Budgets is the sampled temporal-budget state of every
-	// finite-duration (object, permission) pair the engine holds state
-	// for, series tails included.
+	// Budgets is the temporal-budget state of every finite-duration
+	// (object, permission) pair the engine holds state for.
 	Budgets []core.BudgetStatus `json:"budgets"`
 	// Conns is the transport state of each TCP daemon in the process.
 	Conns []DaemonStats `json:"conns,omitempty"`
@@ -151,18 +154,15 @@ func (d *Daemon) Stats() DaemonStats {
 	return st
 }
 
-// Snapshot assembles the versioned snapshot document. budgetTail
-// bounds the series tail per budget (0 omits series, negative keeps
-// the full retained window); daemons, when given, contribute their
-// transport state. Taking a snapshot samples the budgets, so scraping
-// also feeds the burn-rate window.
-func (c *Coalition) Snapshot(budgetTail int, daemons ...*Daemon) Snapshot {
+// Snapshot assembles the versioned snapshot document; daemons, when
+// given, contribute their transport state.
+func (c *Coalition) Snapshot(daemons ...*Daemon) Snapshot {
 	snap := Snapshot{
 		Version:      SnapshotVersion,
 		Time:         c.Engine.Clock().Now(),
 		WallTime:     time.Now(),
 		PolicyDigest: core.PolicyDigest(c.Engine),
-		Budgets:      c.Engine.SampleBudgets(budgetTail),
+		Budgets:      c.Engine.Budgets(),
 		Migrations:   c.Migrations(),
 		Runtime:      obs.PublishRuntime(c.Engine.Obs()),
 		Perf:         c.Engine.PerfStats(),

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"crypto/rand"
 	"crypto/sha256"
-	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -906,12 +905,15 @@ func (d *Daemon) depart(token string) bool {
 	return true
 }
 
+// newToken returns 16 random bytes, hex-encoded. Without entropy it
+// panics, as crypto/rand itself does from go1.24: a constant fallback
+// would hand every session one token and every request one
+// idempotency key, so one client's retry could replay another's
+// verdict.
 func newToken() string {
 	var b [16]byte
 	if _, err := rand.Read(b[:]); err != nil {
-		// crypto/rand failure is unrecoverable; fall back to a
-		// non-secret marker rather than crash the daemon.
-		return "tok-" + base64.StdEncoding.EncodeToString([]byte("fallback"))
+		panic("server: crypto/rand: " + err.Error())
 	}
 	return hex.EncodeToString(b[:])
 }
