@@ -64,7 +64,9 @@ go test -race -count=5 -run 'TestJournal|TestWatch|TestFleetTourTopAndWatch|Test
 # a connection worker, which serves one connection after another: each
 # new connection crosses to it over the hand-off channel, so the worker
 # tests race that hand-off and Close's drain of the parked workers too.
-go test -race -count=5 -run 'TestTCP|TestHostile|TestResident|TestConnectionWorker|TestDaemonCloseDrainsIdleWorkers|TestClientRepliesTakeFastPath|TestWireClientRequestsTakeFastPath|TestWireReusedBuffersDoNotAlias' ./internal/server
+# A failed Accept is retried after a backoff that Close must cut short,
+# so the accept-retry test races the accept loop's wait against Close.
+go test -race -count=5 -run 'TestTCP|TestHostile|TestAcceptRetriesFailedAccept|TestResident|TestConnectionWorker|TestDaemonCloseDrainsIdleWorkers|TestClientRepliesTakeFastPath|TestWireClientRequestsTakeFastPath|TestWireReusedBuffersDoNotAlias' ./internal/server
 # Repeated race probe of declared programs: clients on two daemons
 # intern one program in the coalition's cache at once, and concurrent
 # decisions of one object share one memoised static check. The program

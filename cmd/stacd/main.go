@@ -13,7 +13,11 @@
 // Each server binds its own port (ephemeral with port 0) and the bound
 // addresses print one per line as "<server> <addr>". With
 // -issue-credentials a signed demo credential prints per policy user,
-// so stacctl or a custom client can authenticate immediately.
+// as "credential <user> <json>", so stacctl or a custom client can
+// authenticate immediately. These lines leave through one buffered
+// stream that the "ready" line flushes: a reader has them all once it
+// reads "ready", and nothing follows it. A start that fails prints none
+// of them, only its error on stderr.
 //
 // The transport-reliability flags bound what a slow, stalled or
 // hostile network peer can cost the daemon: -read-timeout disconnects
@@ -29,8 +33,8 @@
 package main
 
 import (
+	"bufio"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -168,12 +172,19 @@ func main() {
 	// shutdown, not death by the signal's default action.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	app, err := start(opts, os.Stdout)
+	// Every start-up line leaves with "ready", in one buffered stream:
+	// one write(2) per buffer, not one per line.
+	out := bufio.NewWriter(os.Stdout)
+	app, err := start(opts, out)
+	if err == nil {
+		_, _ = out.WriteString("ready\n")
+		err = out.Flush()
+	}
 	if err != nil {
+		shutdown(app)
 		fmt.Fprintln(os.Stderr, "stacd:", err)
 		os.Exit(1)
 	}
-	fmt.Println("ready")
 	<-sig
 	shutdown(app)
 }
@@ -189,8 +200,8 @@ type app struct {
 
 // start builds the coalition, binds every daemon (and the metrics
 // listener when configured) and writes the address (and credential)
-// lines to w. The caller owns the returned app and must Close it (via
-// shutdown).
+// lines to w, once every step that can fail has passed. The caller
+// owns the returned app and must Close it (via shutdown).
 func start(opts options, w io.Writer) (*app, error) {
 	c := server.NewCoalition(temporal.NewRealClock(), []byte(opts.key))
 	if opts.registry != nil {
@@ -214,6 +225,9 @@ func start(opts options, w io.Writer) (*app, error) {
 	c.Engine.SetTracer(tracer)
 
 	a := &app{}
+	// line holds the address lines until start can no longer fail,
+	// then each credential line in turn.
+	var line []byte
 	fail := func(err error) (*app, error) {
 		shutdown(a)
 		return nil, err
@@ -260,7 +274,8 @@ func start(opts options, w io.Writer) (*app, error) {
 			return fail(err)
 		}
 		a.daemons = append(a.daemons, d)
-		fmt.Fprintf(w, "%s %s\n", id, addr)
+		line = append(append(append(line, id...), ' '), addr...)
+		line = append(line, '\n')
 	}
 
 	if opts.sloTarget > 0 {
@@ -284,7 +299,8 @@ func start(opts options, w io.Writer) (*app, error) {
 		// instead of snapping the listener out from under them.
 		a.metricsSrv = &http.Server{Handler: a.debug.Mux()}
 		go func() { _ = a.metricsSrv.Serve(ln) }()
-		fmt.Fprintf(w, "metrics %s\n", ln.Addr())
+		line = append(append(line, "metrics "...), ln.Addr().String()...)
+		line = append(line, '\n')
 	}
 
 	for _, spec := range opts.resources {
@@ -303,22 +319,25 @@ func start(opts options, w io.Writer) (*app, error) {
 		srv.HostResource(model.ResourceID(name), []byte(content))
 	}
 
+	if _, err := w.Write(line); err != nil {
+		return fail(err)
+	}
 	if opts.issueCreds {
 		// A demo credential per policy user, covering the user's
 		// assigned roles (production would use the owner's
 		// registration flow instead).
+		var names []string
 		for _, u := range c.Engine.RBAC.Users() {
-			roles := c.Engine.RBAC.AuthorizedRoles(u)
-			names := make([]string, len(roles))
-			for i, r := range roles {
-				names[i] = string(r)
+			names = names[:0]
+			for _, r := range c.Engine.RBAC.AuthorizedRoles(u) {
+				names = append(names, string(r))
 			}
 			cred := c.Signer.IssueCredential(model.ObjectID(u), string(u)+"@coalition", names)
-			blob, err := json.Marshal(cred)
-			if err != nil {
+			line = append(append(append(line[:0], "credential "...), u...), ' ')
+			line = append(server.AppendCredential(line, &cred), '\n')
+			if _, err := w.Write(line); err != nil {
 				return fail(err)
 			}
-			fmt.Fprintf(w, "credential %s %s\n", u, blob)
 		}
 	}
 	return a, nil

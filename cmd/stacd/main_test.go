@@ -14,13 +14,16 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"stac/internal/core"
 	"stac/internal/model"
 	"stac/internal/obs"
 	"stac/internal/obs/record"
 	"stac/internal/proof"
+	"stac/internal/rbac"
 	"stac/internal/server"
+	"stac/internal/temporal"
 )
 
 const testPolicy = `
@@ -895,6 +898,79 @@ func TestPerfExemplarResolvesThroughExplain(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q", want)
+		}
+	}
+}
+
+// escapePolicy's user IDs are ones json.Marshal escapes: HTML
+// characters, a control character and a byte that is not UTF-8. idle
+// holds no role. (U+2028 cannot reach a user ID: the policy loader
+// splits a line into fields on Unicode white space, which includes it;
+// the wire codec's own tests cover its escape.)
+const escapePolicy = "user w<0>\nuser a&b\nuser esc\x1bape\nuser bad\xffbyte\nuser idle\n" +
+	"role worker\nrole auditor\npermission p-read read * @ *\ngrant worker p-read\n" +
+	"assign w<0> worker\nassign w<0> auditor\nassign a&b worker\nassign esc\x1bape auditor\nassign bad\xffbyte worker\n"
+
+// Each credential line is, byte for byte, json.Marshal of the
+// credential stacd issues for that user, decodes to one that verifies
+// under the key, and the lines come in the RBAC's Users() order.
+func TestCredentialLinesAreJSONMarshalBytes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "escape.stac")
+	if err := os.WriteFile(path, []byte(escapePolicy), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	app, err := start(options{policyPath: path, servers: "s1", listen: "127.0.0.1:0", key: "test-key", issueCreds: true}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shutdown(app)
+
+	// The same policy in a fresh engine gives the users, their roles
+	// and, through a signer of the same key, the expected credentials.
+	e := core.NewEngine(temporal.NewSimClock(0))
+	if err := core.LoadPolicyString(e, escapePolicy); err != nil {
+		t.Fatal(err)
+	}
+	signer := proof.NewSigner([]byte("test-key"))
+	users := e.RBAC.Users()
+	var got []string
+	for _, line := range strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n") {
+		rest, ok := strings.CutPrefix(line, "credential ")
+		if !ok {
+			continue
+		}
+		user, blob, _ := strings.Cut(rest, " ")
+		got = append(got, user)
+		var names []string
+		for _, r := range e.RBAC.AuthorizedRoles(rbac.UserID(user)) {
+			names = append(names, string(r))
+		}
+		want, err := json.Marshal(signer.IssueCredential(model.ObjectID(user), user+"@coalition", names))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if blob != string(want) {
+			t.Fatalf("credential line of %q:\n got %s\nwant %s", user, blob, want)
+		}
+		var cred proof.Credential
+		if err := json.Unmarshal([]byte(blob), &cred); err != nil {
+			t.Fatalf("credential line of %q: %v", user, err)
+		}
+		// JSON carries a byte that is not UTF-8 as U+FFFD, so such a
+		// user's decoded credential names another object.
+		if utf8.ValidString(user) {
+			if err := signer.VerifyCredential(cred); err != nil {
+				t.Fatalf("credential of %q: %v", user, err)
+			}
+		}
+	}
+	if len(got) != len(users) || len(users) != 5 {
+		t.Fatalf("credential lines for %q, want one per user of %q", got, users)
+	}
+	for i, u := range users {
+		if got[i] != string(u) {
+			t.Fatalf("credential lines for %q, want Users() order %q", got, users)
 		}
 	}
 }

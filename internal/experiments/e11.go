@@ -23,15 +23,20 @@ import (
 	"stac/internal/workload"
 )
 
+// e11ScrapeEvery is the scraped mode's scrape period. A fixed rate
+// makes the scrape count follow the tour's length, not the cost of a
+// scrape, so the scraped row reads as that cost times a known rate.
+const e11ScrapeEvery = time.Millisecond
+
 // E11 measures what the fleet-telemetry layer costs a loaded
 // coalition: a roaming tour runs alone (baseline), then again while a
-// client hammers /debug/snapshot as fast as it can, then again with
+// client scrapes /debug/snapshot every e11ScrapeEvery, then again with
 // SSE /debug/journal tails attached from the live tail, consuming
 // every decision event. The claim: both observers ride outside the
 // decision path — snapshots take the coalition lock briefly per
 // scrape, and a tail polls the coalition decision log by cursor, so a
 // decision appends once whoever watches — and per-access cost stays
-// within a small factor of the baseline even under continuous
+// within a small factor of the baseline even under frequent
 // scraping; decisions a lagging tail lets the log evict (journal
 // gaps, not slowed decisions) are the overload valve.
 func E11(scale Scale) (*Table, error) {
@@ -62,11 +67,12 @@ func E11(scale Scale) (*Table, error) {
 			res.scrapes, res.events, res.dropped)
 	}
 	t.Notes = append(t.Notes,
-		"scraped mode runs one client re-fetching /debug/snapshot in a closed loop for the whole",
-		"tour; watched mode attaches SSE /debug/journal tails from the live tail that consume every",
-		"decision event. Neither observer sits on the decision path: a scrape holds the coalition lock",
-		"only while it copies counters, and a tail follows the 1024-entry decision log by cursor every",
-		"50ms; what the log evicts before a tail reads it is a journal gap (column 'dropped'), never waited for.")
+		fmt.Sprintf("scraped mode runs one client fetching /debug/snapshot every %v for the whole tour: a fixed", e11ScrapeEvery),
+		"rate, so the scrape count follows the tour's length, not the cost of a scrape. Watched mode attaches",
+		"SSE /debug/journal tails from the live tail that consume every decision event. Neither observer sits",
+		"on the decision path: a scrape holds the coalition lock only while it copies counters, and a tail",
+		"follows the 1024-entry decision log by cursor every 50ms; what the log evicts before a tail reads it",
+		"is a journal gap (column 'dropped'), never waited for.")
 	return t, nil
 }
 
@@ -128,12 +134,9 @@ assign o1 traveler
 		go func() {
 			defer wg.Done()
 			client := ts.Client()
+			tick := time.NewTicker(e11ScrapeEvery)
+			defer tick.Stop()
 			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
 				resp, err := client.Get(ts.URL + "/debug/snapshot")
 				if err != nil {
 					return
@@ -141,6 +144,11 @@ assign o1 traveler
 				_, _ = io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
 				atomic.AddInt64(&scrapes, 1)
+				select {
+				case <-stop:
+					return
+				case <-tick.C:
+				}
 			}
 		}()
 		// Let the scraper finish one round trip before the tour starts

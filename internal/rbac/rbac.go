@@ -419,7 +419,7 @@ func (s *System) Users() []UserID {
 	for u := range s.users {
 		out = append(out, u)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -431,7 +431,7 @@ func (s *System) Roles() []RoleID {
 	for r := range s.roles {
 		out = append(out, r)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

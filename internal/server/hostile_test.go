@@ -7,6 +7,8 @@ import (
 	"net"
 	"runtime"
 	"strings"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -178,5 +180,80 @@ func TestHostileRejectKeepsServing(t *testing.T) {
 	}
 	if _, err := cl.Access(model.OpRead, "f-s1", "", nil); err != nil {
 		t.Fatalf("well-behaved access after hostile reject: %v", err)
+	}
+}
+
+// emfileListener's Accept fails with EMFILE, as in a process out of
+// file descriptors, until fails runs out; then it accepts as the
+// listener it wraps.
+type emfileListener struct {
+	net.Listener
+	fails atomic.Int64
+}
+
+func (l *emfileListener) Accept() (net.Conn, error) {
+	if l.fails.Add(-1) >= 0 {
+		return nil, &net.OpError{Op: "accept", Net: "tcp", Addr: l.Addr(), Err: syscall.EMFILE}
+	}
+	return l.Listener.Accept()
+}
+
+// serveEMFILE serves s1 of a fresh coalition on a loopback listener
+// whose first fails Accepts fail with EMFILE.
+func serveEMFILE(t *testing.T, fails int64) (*Daemon, string, *obs.Registry) {
+	t.Helper()
+	c, _ := newCoalition(t)
+	srv, err := c.Server("s1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl := &emfileListener{Listener: ln}
+	fl.fails.Store(fails)
+	reg := obs.NewRegistry()
+	d := NewDaemonWith(srv, DaemonConfig{ReadTimeout: 5 * time.Second, WriteTimeout: 5 * time.Second, Obs: reg})
+	addr := d.Serve(fl)
+	t.Cleanup(func() { _ = d.Close() })
+	return d, addr, reg
+}
+
+// A failed Accept that is not the listener's close must not stop the
+// daemon accepting: it retries after a backoff, counts the failure as a
+// reject, and Close does not wait the backoff out.
+func TestAcceptRetriesFailedAccept(t *testing.T) {
+	d, addr, reg := serveEMFILE(t, 2)
+	if line := rawExchange(t, addr, []byte("{\"type\":\"info\"}\n")); !strings.Contains(line, `"ok":true`) {
+		t.Fatalf("info after two failed accepts = %q", line)
+	}
+	if n := rejectCount(reg, "accept"); n != 2 {
+		t.Fatalf("accept rejects = %d, want 2", n)
+	}
+	start := time.Now()
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if el := time.Since(start); el > time.Second {
+		t.Fatalf("Close took %v", el)
+	}
+
+	// Accepts that never stop failing: after 8 failures the loop waits
+	// 640 ms (5 ms doubling), and Close must end that wait at once.
+	d, _, reg = serveEMFILE(t, 1<<40)
+	deadline := time.Now().Add(10 * time.Second)
+	for rejectCount(reg, "accept") < 8 {
+		if time.Now().After(deadline) {
+			t.Fatalf("accept rejects = %d after 10s, want 8", rejectCount(reg, "accept"))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	start = time.Now()
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if el := time.Since(start); el > 300*time.Millisecond {
+		t.Fatalf("Close waited out the accept backoff: %v", el)
 	}
 }

@@ -202,6 +202,7 @@ type dmetrics struct {
 	dedup    *obs.Counter
 	oversize *obs.Counter
 	malform  *obs.Counter
+	accept   *obs.Counter // failed accepts, each retried
 	// verified and resident split the carried proofs of the accesses
 	// that reached a decision: HMAC-verified on this request, or taken
 	// from the token's resident log. residentLen is the resident logs'
@@ -245,6 +246,9 @@ func newDMetrics(r *obs.Registry, server model.ServerID) *dmetrics {
 			"Requests rejected before handling, by reason."),
 		malform: r.Counter("stac_server_rejects_total",
 			obs.Labels(obs.Label("reason", "malformed"), srv),
+			"Requests rejected before handling, by reason."),
+		accept: r.Counter("stac_server_rejects_total",
+			obs.Labels(obs.Label("reason", "accept"), srv),
 			"Requests rejected before handling, by reason."),
 		verified: r.Counter("stac_server_carried_proofs_total",
 			obs.Labels(obs.Label("outcome", "verified"), srv),
@@ -414,8 +418,14 @@ func (d *Daemon) Serve(ln net.Listener) string {
 	return ln.Addr().String()
 }
 
+// acceptLoop serves the listener until it closes. A failed Accept that
+// is not the close (EMFILE or ENFILE under a connection flood, say) is
+// retried after a backoff of 5 ms doubling to 1 s, as net/http does:
+// returning would leave the daemon up and every later dial waiting in
+// the backlog.
 func (d *Daemon) acceptLoop() {
 	defer d.wg.Done()
+	var backoff time.Duration
 	for {
 		if d.sem != nil {
 			select {
@@ -429,8 +439,19 @@ func (d *Daemon) acceptLoop() {
 			if d.sem != nil {
 				<-d.sem
 			}
-			return // listener closed
+			if errors.Is(err, net.ErrClosed) {
+				return
+			}
+			d.met.accept.Inc()
+			backoff = min(max(2*backoff, 5*time.Millisecond), time.Second)
+			select {
+			case <-time.After(backoff):
+				continue
+			case <-d.quit:
+				return
+			}
 		}
+		backoff = 0
 		d.track(conn)
 		select {
 		case d.idle <- conn:

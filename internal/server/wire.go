@@ -639,7 +639,7 @@ func appendRequest(dst []byte, r *wireRequest) ([]byte, error) {
 	dst = append(dst, `{"type":`...)
 	dst = appendString(dst, r.Type)
 	if c := r.Credential; c != nil {
-		dst = appendCredential(append(dst, `,"credential":`...), c)
+		dst = AppendCredential(append(dst, `,"credential":`...), c)
 	}
 	dst = appendField(dst, `,"token":`, r.Token)
 	dst = appendField(dst, `,"op":`, r.Op)
@@ -715,8 +715,9 @@ func appendProof(dst []byte, p *proof.Proof) ([]byte, error) {
 	return append(dst, '}'), nil
 }
 
-// appendCredential appends a proof.Credential object.
-func appendCredential(dst []byte, c *proof.Credential) []byte {
+// AppendCredential appends a proof.Credential object as encoding/json
+// would marshal it.
+func AppendCredential(dst []byte, c *proof.Credential) []byte {
 	dst = append(dst, `{"object":`...)
 	dst = appendString(dst, string(c.Object))
 	dst = append(dst, `,"owner":`...)
