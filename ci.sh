@@ -71,16 +71,21 @@ go test -race -count=5 -run 'TestTCP|TestHostile|TestAcceptRetriesFailedAccept|T
 # intern one program in the coalition's cache at once, and concurrent
 # decisions of one object share one memoised static check. The program
 # cache, the static memo and the dedup window are one obs.Window type
-# under three different locks, so the probe includes the window's own
-# tests and each cache's bound. The dedup replay test rides along: one
-# connection's goroutine writes the retry records that the next
-# connection's goroutine reads.
+# (a ring of entries that its map indexes) under three different locks,
+# so the probe includes the window's own tests and each cache's bound.
+# The dedup replay test rides along: one connection's goroutine writes
+# the retry records that the next connection's goroutine reads.
 go test -race -count=10 -run 'TestTCPProgramInterned|TestStaticMemoConcurrentDecisions|TestWindow|TestDedupRingEviction|TestDedupReplayMatchesOriginalReply|TestProgramCacheBounded|TestStaticMemoBounded' ./internal/server ./internal/core ./internal/obs
 # Repeated race probe of the engine's read side: budget rows are read
 # off the activation clocks under each object's lock, and the policy
 # digest is memoised under two policy generations, while decisions run
 # on every shard and, in the digest test, while the policy changes.
 go test -race -count=10 -run 'TestShardedContentionReconciliation|TestPolicyDigestMemoTracksEveryMutation' ./internal/core
+# Repeated race probe of the user registry: one map holds every
+# registered user and its roles, a user without a role as a nil list,
+# under the lock that session creation, role activation and the
+# resolved views also take.
+go test -race -count=10 -run 'TestUserRoleRelationMatchesReference|TestConcurrentSessions|TestViewNeverStaleUnderConcurrency' ./internal/rbac
 # The repository benchmark is its own module (stac/bench, replacing stac
 # with this tree), so ./... above never reaches it. It drives the
 # engine and srac APIs directly, so vet and test it here, or an API

@@ -6,6 +6,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"stac/internal/model"
 	"stac/internal/rbac"
@@ -43,54 +45,82 @@ import (
 //	    scheme   global
 //	}
 //	grant auditor p-audit
+//
+// Policy text outside comments must be valid UTF-8: an ID travels in
+// JSON credentials, which cannot carry other bytes. LoadPolicy keeps no
+// line of the policy past the load: each ID it hands on is a string of
+// its own, one per distinct ID however many lines name it.
 func LoadPolicy(e *Engine, r io.Reader) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	lineNo := 0
+	var badText error
 	next := func() (string, bool) {
 		for sc.Scan() {
 			lineNo++
-			line := stripComment(sc.Text())
-			if strings.TrimSpace(line) == "" {
-				continue
+			line := strings.TrimSpace(stripComment(sc.Text()))
+			if !utf8.ValidString(line) {
+				badText = policyErr(lineNo, "text is not valid UTF-8")
+				return "", false
 			}
-			return strings.TrimSpace(line), true
+			if line != "" {
+				return line, true
+			}
 		}
 		return "", false
 	}
+	// ids interns the IDs of the load, so the policy keeps one string
+	// per distinct ID and none that pins the line it was read from. A
+	// user ID is cloned instead: the registry keys each user by the
+	// string of the last line that named it, so it keeps one string
+	// either way, and a map of thousands of device IDs made the load
+	// slower (EXPERIMENTS E33).
+	ids := map[string]string{}
+	id := func(s string) string {
+		if c, ok := ids[s]; ok {
+			return c
+		}
+		c := strings.Clone(s)
+		ids[c] = c
+		return c
+	}
+	var fields []string
 	for {
 		line, ok := next()
 		if !ok {
+			if badText != nil {
+				return badText
+			}
 			break
 		}
-		fields := strings.Fields(line)
+		fields = appendFields(fields[:0], line)
 		switch fields[0] {
 		case "user":
 			if len(fields) != 2 {
 				return policyErr(lineNo, "user takes one argument")
 			}
-			if err := e.RBAC.AddUser(rbac.UserID(fields[1])); err != nil {
+			if err := e.RBAC.AddUser(rbac.UserID(strings.Clone(fields[1]))); err != nil {
 				return policyErr(lineNo, "%v", err)
 			}
 		case "role":
 			if len(fields) != 2 {
 				return policyErr(lineNo, "role takes one argument")
 			}
-			if err := e.RBAC.AddRole(rbac.RoleID(fields[1])); err != nil {
+			if err := e.RBAC.AddRole(rbac.RoleID(id(fields[1]))); err != nil {
 				return policyErr(lineNo, "%v", err)
 			}
 		case "assign":
 			if len(fields) != 3 {
 				return policyErr(lineNo, "assign takes user and role")
 			}
-			if err := e.RBAC.AssignUserRole(rbac.UserID(fields[1]), rbac.RoleID(fields[2])); err != nil {
+			if err := e.RBAC.AssignUserRole(rbac.UserID(strings.Clone(fields[1])), rbac.RoleID(id(fields[2]))); err != nil {
 				return policyErr(lineNo, "%v", err)
 			}
 		case "inherit":
 			if len(fields) != 3 {
 				return policyErr(lineNo, "inherit takes senior and junior roles")
 			}
-			if err := e.RBAC.AddInheritance(rbac.RoleID(fields[1]), rbac.RoleID(fields[2])); err != nil {
+			if err := e.RBAC.AddInheritance(rbac.RoleID(id(fields[1])), rbac.RoleID(id(fields[2]))); err != nil {
 				return policyErr(lineNo, "%v", err)
 			}
 		case "ssd", "dsd":
@@ -103,9 +133,9 @@ func LoadPolicy(e *Engine, r io.Reader) error {
 			}
 			roles := make([]rbac.RoleID, 0, len(fields)-3)
 			for _, f := range fields[3:] {
-				roles = append(roles, rbac.RoleID(f))
+				roles = append(roles, rbac.RoleID(id(f)))
 			}
-			c := rbac.SoD{Name: fields[1], Cardinality: card, Roles: roles}
+			c := rbac.SoD{Name: id(fields[1]), Cardinality: card, Roles: roles}
 			if fields[0] == "ssd" {
 				err = e.RBAC.AddSSD(c)
 			} else {
@@ -134,10 +164,10 @@ func LoadPolicy(e *Engine, r io.Reader) error {
 			}
 			members := make([]rbac.PermID, 0, len(fields)-4)
 			for _, f := range fields[4:] {
-				members = append(members, rbac.PermID(f))
+				members = append(members, rbac.PermID(id(f)))
 			}
 			if err := e.DefineClass(Class{
-				ID: ClassID(fields[1]), Duration: dur, Scheme: scheme, Members: members,
+				ID: ClassID(id(fields[1])), Duration: dur, Scheme: scheme, Members: members,
 			}); err != nil {
 				return policyErr(lineNo, "%v", err)
 			}
@@ -145,15 +175,17 @@ func LoadPolicy(e *Engine, r io.Reader) error {
 			if len(fields) != 3 {
 				return policyErr(lineNo, "grant takes role and permission")
 			}
-			if err := e.RBAC.GrantPermission(rbac.RoleID(fields[1]), rbac.PermID(fields[2])); err != nil {
+			if err := e.RBAC.GrantPermission(rbac.RoleID(id(fields[1])), rbac.PermID(id(fields[2]))); err != nil {
 				return policyErr(lineNo, "%v", err)
 			}
 		case "permission":
-			ps, consumed, err := parsePermission(line, next)
+			ps, err := parsePermission(fields, next, id)
+			if badText != nil {
+				return badText
+			}
 			if err != nil {
 				return policyErr(lineNo, "%v", err)
 			}
-			lineNo += consumed
 			if err := e.DefinePermission(ps); err != nil {
 				return policyErr(lineNo, "%v", err)
 			}
@@ -176,6 +208,27 @@ func policyErr(line int, format string, args ...any) error {
 	return fmt.Errorf("core: policy line %d: %s", line, fmt.Sprintf(format, args...))
 }
 
+// appendFields appends the fields of s, split as strings.Fields splits
+// them, to dst: a load reuses one slice for every line.
+func appendFields(dst []string, s string) []string {
+	start := -1
+	for i, r := range s {
+		switch {
+		case !unicode.IsSpace(r):
+			if start < 0 {
+				start = i
+			}
+		case start >= 0:
+			dst = append(dst, s[start:i])
+			start = -1
+		}
+	}
+	if start >= 0 {
+		dst = append(dst, s[start:])
+	}
+	return dst
+}
+
 func stripComment(line string) string {
 	if i := strings.IndexByte(line, '#'); i >= 0 {
 		return line[:i]
@@ -183,56 +236,54 @@ func stripComment(line string) string {
 	return line
 }
 
-// parsePermission parses the "permission ... { ... }" block. The
-// header is "permission <id> <op> <resource> @ <server> {"; the body
-// directives are spatial, duration, scheme, describe.
-func parsePermission(header string, next func() (string, bool)) (PermSpec, int, error) {
+// parsePermission parses the "permission ... { ... }" block from the
+// header's fields, taking the block's lines from next and each ID
+// through id. The header is "permission <id> <op> <resource> @ <server>
+// {"; the body directives are spatial, duration, scheme, describe.
+func parsePermission(fields []string, next func() (string, bool), id func(string) string) (PermSpec, error) {
 	var ps PermSpec
-	fields := strings.Fields(header)
 	// permission id op resource @ server [ { ]
 	if len(fields) < 6 {
-		return ps, 0, fmt.Errorf("permission header needs: permission <id> <op> <resource> @ <server> {")
+		return ps, fmt.Errorf("permission header needs: permission <id> <op> <resource> @ <server> {")
 	}
 	if fields[4] != "@" {
-		return ps, 0, fmt.Errorf("permission header missing @ before server")
+		return ps, fmt.Errorf("permission header missing @ before server")
 	}
 	ps.Perm = rbac.Permission{
-		ID:       rbac.PermID(fields[1]),
-		Op:       model.Operation(star(fields[2])),
-		Resource: model.ResourceID(star(fields[3])),
-		Server:   model.ServerID(star(fields[5])),
+		ID:       rbac.PermID(id(fields[1])),
+		Op:       model.Operation(id(star(fields[2]))),
+		Resource: model.ResourceID(id(star(fields[3]))),
+		Server:   model.ServerID(id(star(fields[5]))),
 	}
 	hasBrace := len(fields) >= 7 && fields[6] == "{"
 	if !hasBrace {
 		// Bare permission without a constraint block.
 		if len(fields) != 6 {
-			return ps, 0, fmt.Errorf("unexpected tokens after permission header")
+			return ps, fmt.Errorf("unexpected tokens after permission header")
 		}
-		return ps, 0, nil
+		return ps, nil
 	}
-	consumed := 0
 	for {
 		line, ok := next()
 		if !ok {
-			return ps, consumed, fmt.Errorf("unterminated permission block for %q", ps.Perm.ID)
+			return ps, fmt.Errorf("unterminated permission block for %q", ps.Perm.ID)
 		}
-		consumed++
 		if line == "}" {
-			return ps, consumed, nil
+			return ps, nil
 		}
 		key, rest, _ := strings.Cut(line, " ")
 		rest = strings.TrimSpace(rest)
 		switch key {
 		case "spatial":
-			c, err := srac.Parse(rest)
+			c, err := srac.Parse(strings.Clone(rest))
 			if err != nil {
-				return ps, consumed, fmt.Errorf("spatial constraint: %w", err)
+				return ps, fmt.Errorf("spatial constraint: %w", err)
 			}
 			ps.Spatial = c
 		case "duration":
 			d, err := ParseDuration(rest)
 			if err != nil {
-				return ps, consumed, err
+				return ps, err
 			}
 			ps.Duration = d
 		case "scheme":
@@ -242,7 +293,7 @@ func parsePermission(header string, next func() (string, bool)) (PermSpec, int, 
 			case "per-server":
 				ps.Scheme = temporal.PerServerBase
 			default:
-				return ps, consumed, fmt.Errorf("unknown scheme %q (want global or per-server)", rest)
+				return ps, fmt.Errorf("unknown scheme %q (want global or per-server)", rest)
 			}
 		case "mode":
 			switch rest {
@@ -251,12 +302,12 @@ func parsePermission(header string, next func() (string, bool)) (PermSpec, int, 
 			case "strict":
 				ps.Mode = Strict
 			default:
-				return ps, consumed, fmt.Errorf("unknown mode %q (want admissible or strict)", rest)
+				return ps, fmt.Errorf("unknown mode %q (want admissible or strict)", rest)
 			}
 		case "describe":
-			ps.Perm.Description = rest
+			ps.Perm.Description = strings.Clone(rest)
 		default:
-			return ps, consumed, fmt.Errorf("unknown permission directive %q", key)
+			return ps, fmt.Errorf("unknown permission directive %q", key)
 		}
 	}
 }

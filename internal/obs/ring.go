@@ -1,10 +1,12 @@
 package obs
 
+import "math"
+
 // Ring is a fixed-capacity ring buffer: appending beyond capacity
 // evicts the oldest item. Items are numbered by append order from 1,
 // so the retained window is always the consecutive sequence range
-// [Total-Len+1, Total]. Ring is the one buffer under the span store,
-// the flight recorder (the coalition decision log) and Window. It is
+// [Total-Len+1, Total]. Ring is the one buffer under the span store
+// and the flight recorder (the coalition decision log). It is
 // not synchronised: its owner holds its own lock around every call.
 type Ring[T any] struct {
 	buf   []T
@@ -126,51 +128,84 @@ func (r *Ring[T]) appendRange(dst []T, from, to int) []T {
 
 // Window is a map bounded to the keys of its last capacity Adds: an Add
 // beyond that evicts the key added capacity Adds before it, unless the
-// key was deleted or added again since. Like Ring it is not
-// synchronised.
+// key was deleted or added again since. Each entry is held once, as a
+// (key, value) slot of a ring kept in Add order; the map holds only
+// each key's slot index. The ring grows as entries arrive, never past
+// the capacity, so a window that never fills never pays for it. Like
+// Ring it is not synchronised.
 type Window[K comparable, V any] struct {
-	m    map[K]windowEntry[V]
-	keys *Ring[K] // the keys of the last capacity Adds, in Add order
+	m     map[K]uint32       // held key -> its slot
+	slots []windowSlot[K, V] // one per Add of the last capacity, in Add order
+	size  int                // capacity
+	next  int                // the oldest slot, which the next Add overwrites, once full
 }
 
-// windowEntry is a value and the sequence number keys gave the Add
-// that stored it, so an older position of its key evicts nothing.
-type windowEntry[V any] struct {
-	v   V
-	seq uint64
+// windowSlot is one Add's entry. A slot whose key was deleted or added
+// again since is zeroed, so it pins nothing and no key's index names it.
+type windowSlot[K comparable, V any] struct {
+	k K
+	v V
 }
 
 // NewWindow creates a window of the given capacity, which must be
-// positive.
+// positive and fit a slot index.
 func NewWindow[K comparable, V any](capacity int) *Window[K, V] {
-	return &Window[K, V]{m: make(map[K]windowEntry[V]), keys: NewRing[K](capacity)}
+	if capacity <= 0 || uint64(capacity) > math.MaxUint32 {
+		panic("obs: window capacity out of range")
+	}
+	return &Window[K, V]{m: make(map[K]uint32), size: capacity}
 }
 
 // Get returns k's value.
 func (w *Window[K, V]) Get(k K) (V, bool) {
-	e, ok := w.m[k]
-	return e.v, ok
+	i, ok := w.m[k]
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	return w.slots[i].v, true
 }
 
 // Add stores v under k as the newest key, replacing any value k had,
 // and returns the value it evicted to keep the bound, if any.
 func (w *Window[K, V]) Add(k K, v V) (evicted V, ok bool) {
-	if w.keys.Len() == w.keys.Cap() {
-		old, _ := w.keys.First()
-		if e, in := w.m[old]; in && e.seq == w.keys.Total()-uint64(w.keys.Cap())+1 {
-			delete(w.m, old)
-			evicted, ok = e.v, true
+	i := len(w.slots)
+	if i < w.size {
+		if i == cap(w.slots) {
+			grown := make([]windowSlot[K, V], i, min(max(2*i, 8), w.size))
+			copy(grown, w.slots)
+			w.slots = grown
+		}
+		w.slots = w.slots[:i+1]
+	} else {
+		i, w.next = w.next, (w.next+1)%w.size
+		// The oldest slot leaves; its key goes with it unless the key
+		// was deleted or added again since.
+		old := w.slots[i]
+		if j, in := w.m[old.k]; in && int(j) == i {
+			delete(w.m, old.k)
+			evicted, ok = old.v, true
 		}
 	}
-	w.m[k] = windowEntry[V]{v: v, seq: w.keys.Append(k)}
+	if j, in := w.m[k]; in {
+		w.slots[j] = windowSlot[K, V]{}
+	}
+	w.slots[i] = windowSlot[K, V]{k: k, v: v}
+	w.m[k] = uint32(i)
 	return evicted, ok
 }
 
 // Delete removes k and returns the value it had.
 func (w *Window[K, V]) Delete(k K) (V, bool) {
-	e, ok := w.m[k]
+	i, ok := w.m[k]
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	v := w.slots[i].v
+	w.slots[i] = windowSlot[K, V]{}
 	delete(w.m, k)
-	return e.v, ok
+	return v, true
 }
 
 // Len returns the number of keys held.

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -213,6 +214,42 @@ func TestWindowMatchesReference(t *testing.T) {
 				t.Fatalf("cap %d step %d key %d: got %d %v Len %d, want %d %v Len %d",
 					capacity, step, k, v, ok, w.Len(), wantV, wantOK, len(pos))
 			}
+		}
+	}
+}
+
+// TestWindowMemoryFollowsItsEntries checks that a window's ring grows
+// with its entries and never past its capacity, and that a slot left
+// behind by a Delete or a re-Add pins neither key nor value.
+func TestWindowMemoryFollowsItsEntries(t *testing.T) {
+	w := NewWindow[string, *int](1024)
+	for i := 0; i < 4; i++ {
+		w.Add(fmt.Sprint(i), new(int))
+	}
+	if c := cap(w.slots); c > 16 {
+		t.Fatalf("a 1024-entry window holding 4 keeps %d slots, want at most 16", c)
+	}
+	w.Delete("1")
+	w.Add("2", new(int))
+	for i, s := range w.slots[:4] {
+		if held := i == 0 || i == 3; !held && (s.k != "" || s.v != nil) {
+			t.Fatalf("slot %d of a deleted or re-added key still holds %q %v", i, s.k, s.v)
+		}
+	}
+	const capacity = 1000
+	full := NewWindow[int, int](capacity)
+	for i := 0; i < 3*capacity; i++ {
+		full.Add(i, i)
+		if c := cap(full.slots); c > capacity {
+			t.Fatalf("after %d Adds the ring has %d slots, past the capacity %d", i+1, c, capacity)
+		}
+	}
+	if full.Len() != capacity || cap(full.slots) != capacity {
+		t.Fatalf("full window: Len %d, %d slots; want %d of each", full.Len(), cap(full.slots), capacity)
+	}
+	for i := 0; i < 3*capacity; i++ {
+		if v, ok := full.Get(i); ok != (i >= 2*capacity) || (ok && v != i) {
+			t.Fatalf("full window: Get(%d) = %d %v", i, v, ok)
 		}
 	}
 }

@@ -90,14 +90,14 @@ func (c SoD) violated(held func(RoleID) bool, extra RoleID) bool {
 // concurrent use.
 type System struct {
 	mu    sync.RWMutex
-	users map[UserID]bool
 	roles map[RoleID]bool
 	perms map[PermID]Permission
 
-	// ua is the user-role assignment relation: each user's assigned
-	// roles, sorted. A user holds a role or two, so a sorted list is
-	// what role activation and the SSD checks read, at a fraction of a
-	// set's memory.
+	// ua is the registry of users and the user-role assignment
+	// relation in one map: each registered user maps to its assigned
+	// roles, sorted, and a user with no role to a nil list. A user holds
+	// a role or two, so a sorted list is what role activation and the
+	// SSD checks read, at a fraction of a set's memory.
 	ua map[UserID][]RoleID
 	// pa is the role-permission assignment relation.
 	pa map[RoleID]map[PermID]bool
@@ -125,7 +125,6 @@ type System struct {
 // NewSystem creates an empty RBAC system.
 func NewSystem() *System {
 	return &System{
-		users:    make(map[UserID]bool),
 		roles:    make(map[RoleID]bool),
 		perms:    make(map[PermID]Permission),
 		ua:       make(map[UserID][]RoleID),
@@ -140,10 +139,10 @@ func NewSystem() *System {
 func (s *System) AddUser(u UserID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.users[u] {
+	if _, ok := s.ua[u]; ok {
 		return fmt.Errorf("%w: user %q", ErrExists, u)
 	}
-	s.users[u] = true
+	s.ua[u] = nil
 	s.bumpLocked()
 	return nil
 }
@@ -191,13 +190,13 @@ func (s *System) Permission(id PermID) (Permission, error) {
 func (s *System) AssignUserRole(u UserID, r RoleID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.users[u] {
+	rs, ok := s.ua[u]
+	if !ok {
 		return fmt.Errorf("%w: user %q", ErrNotFound, u)
 	}
 	if !s.roles[r] {
 		return fmt.Errorf("%w: role %q", ErrNotFound, r)
 	}
-	rs := s.ua[u]
 	i, held := slices.BinarySearch(rs, r)
 	if held {
 		return nil // idempotent
@@ -213,7 +212,8 @@ func (s *System) AssignUserRole(u UserID, r RoleID) error {
 }
 
 // DeassignUserRole removes (u, r) from the assignment relation and
-// deactivates the role in every session of the user.
+// deactivates the role in every session of the user. A user whose
+// last role goes stays registered.
 func (s *System) DeassignUserRole(u UserID, r RoleID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -223,7 +223,7 @@ func (s *System) DeassignUserRole(u UserID, r RoleID) error {
 		return fmt.Errorf("%w: assignment (%q, %q)", ErrNotFound, u, r)
 	}
 	if len(rs) == 1 {
-		delete(s.ua, u)
+		s.ua[u] = nil
 	} else {
 		s.ua[u] = slices.Delete(rs, i, i+1)
 	}
@@ -401,7 +401,8 @@ func (s *System) RolePermissions(r RoleID) []Permission {
 func (s *System) HasUser(u UserID) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.users[u]
+	_, ok := s.ua[u]
+	return ok
 }
 
 // HasRole reports whether the role is registered.
@@ -415,8 +416,8 @@ func (s *System) HasRole(r RoleID) bool {
 func (s *System) Users() []UserID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]UserID, 0, len(s.users))
-	for u := range s.users {
+	out := make([]UserID, 0, len(s.ua))
+	for u := range s.ua {
 		out = append(out, u)
 	}
 	slices.Sort(out)
@@ -488,5 +489,5 @@ func (s *System) DSDConstraints() []SoD {
 func (s *System) Stats() (users, roles, perms, sessions int) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.users), len(s.roles), len(s.perms), len(s.sessions)
+	return len(s.ua), len(s.roles), len(s.perms), len(s.sessions)
 }

@@ -31,7 +31,7 @@ type Session struct {
 func (s *System) CreateSession(u UserID) (*Session, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.users[u] {
+	if _, ok := s.ua[u]; !ok {
 		return nil, fmt.Errorf("%w: user %q", ErrNotFound, u)
 	}
 	s.nextSession++

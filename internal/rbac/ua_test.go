@@ -125,10 +125,11 @@ func (m *uaModel) activate(s *modelSession, r RoleID) error {
 	return nil
 }
 
-func sortedRoles(set map[RoleID]bool) []RoleID {
-	out := make([]RoleID, 0, len(set))
-	for r := range set {
-		out = append(out, r)
+// sorted returns the members of a set of roles or users in order.
+func sorted[K RoleID | UserID](set map[K]bool) []K {
+	out := make([]K, 0, len(set))
+	for k := range set {
+		out = append(out, k)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
@@ -142,21 +143,27 @@ func sameErr(got, want error) bool {
 }
 
 // Seeded operation sequences give the System and the reference the
-// same errors, the same sorted AuthorizedRoles and the same activation
-// outcomes and active roles.
+// same errors, the same sorted AuthorizedRoles, the same registered
+// users and the same activation outcomes and active roles. Some users
+// never get a role, and a user whose last role is deassigned stays
+// registered: HasUser and Users still name it, AuthorizedRoles is
+// empty and CreateSession succeeds.
 func TestUserRoleRelationMatchesReference(t *testing.T) {
 	kinds := map[error]int{}
+	lastRoleGone, roleless := 0, 0
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		sys, ref := NewSystem(), newUAModel()
 		user := func() UserID { return UserID(fmt.Sprintf("u%d", rng.Intn(6))) }
+		// A user of this pool is registered but never assigned a role.
+		bare := func() UserID { return UserID(fmt.Sprintf("v%d", rng.Intn(3))) }
 		role := func() RoleID { return RoleID(fmt.Sprintf("r%d", rng.Intn(7))) }
 		sod := func(i int) SoD {
 			picked := map[RoleID]bool{}
 			for len(picked) < 2+rng.Intn(3) {
 				picked[role()] = true
 			}
-			rs := sortedRoles(picked)
+			rs := sorted(picked)
 			return SoD{Name: fmt.Sprintf("sod-%d", i), Roles: rs, Cardinality: 2 + rng.Intn(len(rs)-1)}
 		}
 		var sessions []*Session
@@ -167,6 +174,9 @@ func TestUserRoleRelationMatchesReference(t *testing.T) {
 			switch op {
 			case 0:
 				u := user()
+				if rng.Intn(3) == 0 {
+					u = bare()
+				}
 				got, want = sys.AddUser(u), ref.addUser(u)
 			case 1:
 				r := role()
@@ -177,6 +187,19 @@ func TestUserRoleRelationMatchesReference(t *testing.T) {
 			case 5:
 				u, r := user(), role()
 				got, want = sys.DeassignUserRole(u, r), ref.deassign(u, r)
+				if got == nil && want == nil && len(ref.ua[u]) == 0 {
+					lastRoleGone++
+					if !sys.HasUser(u) || len(sys.AuthorizedRoles(u)) != 0 {
+						t.Fatalf("seed %d op %d: deassigning %s's last role: HasUser %v, AuthorizedRoles %v",
+							seed, i, u, sys.HasUser(u), sys.AuthorizedRoles(u))
+					}
+					s, err := sys.CreateSession(u)
+					rs, rerr := ref.createSession(u)
+					if err != nil || rerr != nil {
+						t.Fatalf("seed %d op %d: session of %s after its last role went: %v (reference %v)", seed, i, u, err, rerr)
+					}
+					sessions, refSessions = append(sessions, s), append(refSessions, rs)
+				}
 			case 6:
 				c := sod(i)
 				if rng.Intn(2) == 0 {
@@ -211,7 +234,7 @@ func TestUserRoleRelationMatchesReference(t *testing.T) {
 				}
 				k, r := rng.Intn(len(sessions)), role()
 				got, want = sessions[k].ActivateRole(r), ref.activate(refSessions[k], r)
-				if a, b := sessions[k].ActiveRoles(), sortedRoles(refSessions[k].active); !reflect.DeepEqual(a, b) {
+				if a, b := sessions[k].ActiveRoles(), sorted(refSessions[k].active); !reflect.DeepEqual(a, b) {
 					t.Fatalf("seed %d op %d: active roles %v, reference %v", seed, i, a, b)
 				}
 			}
@@ -224,16 +247,37 @@ func TestUserRoleRelationMatchesReference(t *testing.T) {
 				}
 			}
 			for u := range ref.users {
-				if a, b := sys.AuthorizedRoles(u), sortedRoles(ref.ua[u]); !reflect.DeepEqual(a, b) {
+				if a, b := sys.AuthorizedRoles(u), sorted(ref.ua[u]); !reflect.DeepEqual(a, b) {
 					t.Fatalf("seed %d op %d: AuthorizedRoles(%s) = %v, reference %v", seed, i, u, a, b)
 				}
+				if !sys.HasUser(u) {
+					t.Fatalf("seed %d op %d: HasUser(%s) = false for a registered user", seed, i, u)
+				}
+			}
+			if a, b := sys.Users(), sorted(ref.users); !reflect.DeepEqual(a, b) {
+				t.Fatalf("seed %d op %d: Users() = %v, reference %v", seed, i, a, b)
+			}
+			if n, _, _, _ := sys.Stats(); n != len(ref.users) {
+				t.Fatalf("seed %d op %d: Stats counts %d users, reference %d", seed, i, n, len(ref.users))
+			}
+		}
+		for u := range ref.users {
+			if len(ref.ua[u]) > 0 {
+				continue
+			}
+			roleless++
+			if _, err := sys.CreateSession(u); err != nil {
+				t.Fatalf("seed %d: session of %s, which holds no role: %v", seed, u, err)
 			}
 		}
 		for k, s := range sessions {
-			if a, b := s.ActiveRoles(), sortedRoles(refSessions[k].active); !reflect.DeepEqual(a, b) {
+			if a, b := s.ActiveRoles(), sorted(refSessions[k].active); !reflect.DeepEqual(a, b) {
 				t.Fatalf("seed %d: session %d active roles %v, reference %v", seed, k, a, b)
 			}
 		}
+	}
+	if lastRoleGone == 0 || roleless == 0 {
+		t.Errorf("%d deassigns of a last role, %d users without a role at the end: want both above 0", lastRoleGone, roleless)
 	}
 	// Every error the relation can give was compared at least once.
 	for _, e := range []error{ErrExists, ErrNotFound, ErrNotAuthorized, ErrSSD, ErrDSD} {

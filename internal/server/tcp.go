@@ -358,8 +358,7 @@ type dedupKey struct {
 // retryRecord is what an idempotent access retry replays: the reply's
 // verdict, error, data, proof, decision ID and HLC stamp. The trace is
 // the retry's own and have is the current token's, so neither is kept.
-// It stays small enough (with the window's sequence number, at most
-// 128 bytes) for the window's map to hold it in its slot.
+// With its key it fills one 120-byte slot of the window's ring.
 type retryRecord struct {
 	ok         bool
 	err        string

@@ -419,10 +419,10 @@ func replyJSON(m map[string]json.RawMessage) string {
 	return string(b)
 }
 
-// The dedup window's map stores each entry (the retry record plus the
-// window's sequence number) in its slot. Go's swiss map stores a value
-// larger than 128 bytes out of line, which costs one more allocation
-// and one more object for the GC to mark per recorded access.
+// The dedup window holds each entry once, as a (key, retry record)
+// slot of its ring, and its map holds only the slot's index. A map that
+// held the records themselves would spend about two 128-byte slots per
+// entry at the load Go's maps keep.
 func TestDedupEntryFitsMapSlot(t *testing.T) {
 	c, _ := newCoalition(t)
 	srv, err := c.Server("s1")
@@ -430,8 +430,11 @@ func TestDedupEntryFitsMapSlot(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := NewDaemon(srv)
-	entry := reflect.ValueOf(d.seen).Elem().FieldByName("m").Type().Elem()
-	if size := entry.Size(); size > 128 {
-		t.Fatalf("dedup window entry %s is %d bytes, want at most 128", entry, size)
+	w := reflect.ValueOf(d.seen).Elem()
+	if elem := w.FieldByName("m").Type().Elem(); elem.Size() > 8 {
+		t.Fatalf("dedup window map element %s is %d bytes, want at most 8", elem, elem.Size())
+	}
+	if slot := w.FieldByName("slots").Type().Elem(); slot.Size() > 128 {
+		t.Fatalf("dedup window slot %s is %d bytes, want at most 128", slot, slot.Size())
 	}
 }
